@@ -144,9 +144,11 @@ func (a *API) result(w http.ResponseWriter, id string) {
 }
 
 // events streams the job's progress as NDJSON until the job reaches a
-// terminal state or the client disconnects. Normal completion ends the
-// stream from inside the tracker (every cell terminal, final summary
-// emitted); the merged done channel covers jobs that never start —
+// terminal state or the client disconnects. On normal completion the
+// tracker writes its last line when every cell is terminal, a moment
+// before run publishes the job's own state; the response is held open
+// until it has, so the status read a client makes after EOF never sees
+// "running". The merged done channel covers jobs that never start —
 // canceled while queued — so a follower is never left hanging.
 func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
 	interval := 250 * time.Millisecond
@@ -167,4 +169,8 @@ func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 	}()
 	j.Progress().StreamNDJSON(w, interval, done) //nolint:errcheck // client gone
+	select {
+	case <-j.Done():
+	case <-r.Context().Done():
+	}
 }

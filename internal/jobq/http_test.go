@@ -1,6 +1,7 @@
 package jobq_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -268,5 +269,107 @@ func TestHTTPProgressFanIn(t *testing.T) {
 	}
 	if first.Job != st1.ID {
 		t.Fatalf("first cell line job = %q, want %q", first.Job, st1.ID)
+	}
+}
+
+// getJobStatus is one GET /jobs/{id}.
+func getJobStatus(t *testing.T, ts *httptest.Server, id string) jobq.Status {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st jobq.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestHTTPEventsOpenedBeforeStart: a client may open a job's events stream
+// while the job is still queued, before the tracker has a cell list. The
+// stream used to size its per-cell state once, at open, and then index
+// past it while holding the tracker's mutex — the handler died, every
+// worker blocked in CellDone and the job slot was lost for good. The
+// stream must pick the cells up when they appear, run to the final
+// summary, and leave the daemon able to drain.
+func TestHTTPEventsOpenedBeforeStart(t *testing.T) {
+	gate := &gateCache{release: make(chan struct{})}
+	mgr := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: gate})
+	srv := obs.NewServer(obs.NewMetrics().Registry, nil)
+	jobq.NewAPI(mgr).Mount(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	submitGrid(t, ts, "holds-the-slot") // parked in the gated cache pre-pass
+	st := submitGrid(t, ts, "queued")   // no slot: its tracker has no cells yet
+	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/events?interval_ms=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := bufio.NewScanner(resp.Body)
+	var sum obs.SummaryLine
+	if !lines.Scan() || json.Unmarshal(lines.Bytes(), &sum) != nil || !sum.Summary || sum.Total != 0 {
+		t.Fatalf("first line %q, want the summary of a tracker without cells", lines.Text())
+	}
+
+	close(gate.release) // both jobs run now
+	cellLines := map[string]bool{}
+	for lines.Scan() {
+		var l obs.CellLine
+		if err := json.Unmarshal(lines.Bytes(), &l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Cell != "" {
+			cellLines[l.Cell] = true
+			continue
+		}
+		if err := json.Unmarshal(lines.Bytes(), &sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lines.Err(); err != nil {
+		t.Fatalf("events stream broke: %v", err)
+	}
+	if len(cellLines) != st.Cells || sum.Total != st.Cells || sum.Done != st.Cells {
+		t.Fatalf("stream reported %d cells, final summary %+v; want all %d cells done", len(cellLines), sum, st.Cells)
+	}
+	if got := getJobStatus(t, ts, st.ID); got.State != jobq.StateDone {
+		t.Fatalf("job state %s after events EOF, want done", got.State)
+	}
+	drained := make(chan struct{})
+	go func() { mgr.Shutdown(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("manager did not drain after the early-opened stream")
+	}
+}
+
+// TestHTTPEventsEOFMeansTerminal: the submit protocol reads the events
+// stream to EOF and then asks for the job's status once; that read must
+// already say done, job after job. (How the handler guarantees it is
+// pinned deterministically by TestEventsHeldOpenUntilJobTerminal; this is
+// the protocol end to end, under -race in CI.)
+func TestHTTPEventsEOFMeansTerminal(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	cold := submitGrid(t, ts, "cold")
+	awaitState(t, ts, cold.ID, jobq.StateDone)
+	for i := 0; i < 100; i++ {
+		st := submitGrid(t, ts, "warm")
+		resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/events?interval_ms=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getJobStatus(t, ts, st.ID); got.State != jobq.StateDone {
+			t.Fatalf("job %d: state %s on the first status read after events EOF, want done", i, got.State)
+		}
 	}
 }

@@ -218,13 +218,6 @@ func (p *SweepProgress) version() uint64 {
 	return p.ver
 }
 
-// finished reports whether every cell reached a terminal state.
-func (p *SweepProgress) finished() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.cells) > 0 && p.done == len(p.cells)
-}
-
 // WriteNDJSON writes the current snapshot as NDJSON: one CellLine per
 // cell in canonical order, then one SummaryLine.
 func (p *SweepProgress) WriteNDJSON(w io.Writer) error {
@@ -260,56 +253,58 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		interval = 250 * time.Millisecond
 	}
 	enc := json.NewEncoder(w)
-	p.mu.Lock()
-	lines, sum := p.snapshotLocked()
-	last := make([]string, len(p.cells))
-	for i, c := range p.cells {
-		last[i] = c.state
-	}
-	ver := p.ver
-	p.mu.Unlock()
-	for _, l := range lines {
-		if err := enc.Encode(l); err != nil {
-			return err
+	// last[i] is the state cell i was last emitted in. Start may install
+	// the cell list after the stream has opened (a job still queued), so
+	// last is sized to the list on every tick, under the lock; a cell it
+	// has no state for yet counts as changed.
+	var last []string
+	var ver uint64
+	for first := true; ; first = false {
+		p.mu.Lock()
+		// finished is read in the same critical section as the snapshot,
+		// so the tick that observes it also emits the final transitions.
+		finished := len(p.cells) > 0 && p.done == len(p.cells)
+		emit := first || p.ver != ver
+		var changed []CellLine
+		var sum SummaryLine
+		if emit {
+			var lines []CellLine
+			lines, sum = p.snapshotLocked()
+			if n := len(lines); n > len(last) {
+				last = append(last, make([]string, n-len(last))...)
+			} else {
+				last = last[:n]
+			}
+			changed = lines[:0] // filtered in place
+			for i, l := range lines {
+				if l.State != last[i] {
+					last[i] = l.State
+					changed = append(changed, l)
+				}
+			}
+			ver = p.ver
 		}
-	}
-	if err := enc.Encode(sum); err != nil {
-		return err
-	}
-	if f, ok := w.(flusher); ok {
-		f.Flush()
-	}
-	for !p.finished() {
+		p.mu.Unlock()
+		if emit {
+			for _, l := range changed {
+				if err := enc.Encode(l); err != nil {
+					return err
+				}
+			}
+			if err := enc.Encode(sum); err != nil {
+				return err
+			}
+			if f, ok := w.(flusher); ok {
+				f.Flush()
+			}
+		}
+		if finished {
+			return nil
+		}
 		select {
 		case <-done:
 			return nil
 		case <-time.After(interval):
 		}
-		if p.version() == ver {
-			continue
-		}
-		p.mu.Lock()
-		lines, sum = p.snapshotLocked()
-		changed := lines[:0:0]
-		for i := range p.cells {
-			if p.cells[i].state != last[i] {
-				last[i] = p.cells[i].state
-				changed = append(changed, lines[i])
-			}
-		}
-		ver = p.ver
-		p.mu.Unlock()
-		for _, l := range changed {
-			if err := enc.Encode(l); err != nil {
-				return err
-			}
-		}
-		if err := enc.Encode(sum); err != nil {
-			return err
-		}
-		if f, ok := w.(flusher); ok {
-			f.Flush()
-		}
 	}
-	return nil
 }

@@ -113,8 +113,8 @@ type Machine struct {
 
 	words      int // window words per rank
 	mem        []int64
-	busy       []int64             // per-rank target busy-until (virtual ns)
-	watchers   []map[int][]watcher // per target rank, keyed by offset
+	busy       []int64     // per-rank target busy-until (virtual ns)
+	watchers   [][]watcher // per target rank, in registration order
 	inits      []func(m *Machine)
 	seed       int64
 	limit      int64 // virtual time limit (0 = none)
@@ -269,7 +269,7 @@ func (m *Machine) RegisterLock() int {
 // Run executes body once per rank as a simulated process and returns when
 // all processes finish. It may be called multiple times; window memory is
 // re-initialized before each run. Buffers (window memory, busy horizons,
-// watcher map, scheduler procs) are reused across runs.
+// watcher lists, scheduler procs) are reused across runs.
 func (m *Machine) Run(body func(p *Proc)) error {
 	p := m.topo.Procs()
 	if m.words == 0 {
@@ -388,10 +388,11 @@ func (m *Machine) reset(p int) {
 		m.busy = make([]int64, p)
 	}
 	if len(m.watchers) != p {
-		m.watchers = make([]map[int][]watcher, p)
+		m.watchers = make([][]watcher, p)
 	} else {
-		for i := range m.watchers {
-			clear(m.watchers[i])
+		for i, ws := range m.watchers {
+			clear(ws) // an aborted run leaves its parked waiters registered
+			m.watchers[i] = ws[:0]
 		}
 	}
 }
@@ -417,9 +418,10 @@ func (m *Machine) index(rank, offset int) int {
 // plus the virtual time at which the operation lands at the target. The
 // origin clock is the process's effective clock (published plus pending
 // coalesced charges), so coalescing never skews latency or occupancy.
-// Caller must be the sole running process (guaranteed by the scheduler).
-func (m *Machine) charge(origin *Proc, target int, atomic bool) (dur, land int64) {
-	d := m.topo.Distance(origin.rank, target)
+// d is the topological distance from origin to target, computed once per
+// op by the caller. Caller must be the sole running process (guaranteed by
+// the scheduler).
+func (m *Machine) charge(origin *Proc, target, d int, atomic bool) (dur, land int64) {
 	var rtt, occ int64
 	if atomic {
 		rtt, occ = m.lat.AtomicRTT[d], m.lat.AtomicOcc[d]
@@ -461,36 +463,38 @@ func (m *Machine) charge(origin *Proc, target int, atomic bool) (dur, land int64
 	return dur, land
 }
 
-// watcher is a process blocked in SpinUntil on one window word.
+// watcher is a process blocked in SpinUntil on the word at offset of some
+// target's window. A target's watchers form one flat list (Machine.watchers)
+// with the offset in the entry, not a map keyed by offset: a write scans
+// its target's waiters on other words too, but those are few (the locks
+// park a rank on its own queue node or on one counter word), and a spinning
+// rank costs one list entry instead of a map plus a slice.
 type watcher struct {
-	p    *Proc
-	cond func(int64) bool
+	p      *Proc
+	offset int
+	cond   func(int64) bool
 }
 
-// addWatcher registers a SpinUntil waiter on target's word at offset.
+// addWatcher registers a SpinUntil waiter on target's word at w.offset.
 // Watcher state is keyed by target rank so that, under the parallel
 // engine, it is only ever touched while holding that rank's effect slot.
-func (m *Machine) addWatcher(target, offset int, w watcher) {
-	ws := m.watchers[target]
-	if ws == nil {
-		ws = make(map[int][]watcher)
-		m.watchers[target] = ws
-	}
-	ws[offset] = append(ws[offset], w)
+func (m *Machine) addWatcher(target int, w watcher) {
+	m.watchers[target] = append(m.watchers[target], w)
 }
 
 // wake re-schedules every watcher of the given word whose condition is
-// satisfied by the new value; the wake-up clock is the landing time of the
-// triggering write plus the watcher's read latency for the word. origin is
-// the process whose write triggered the wake (trace attribution).
+// satisfied by the new value, in registration order; the wake-up clock is
+// the landing time of the triggering write plus the watcher's read latency
+// for the word. origin is the process whose write triggered the wake
+// (trace attribution).
 func (m *Machine) wake(target, offset int, newVal, land int64, origin *Proc) {
-	ws := m.watchers[target][offset]
+	ws := m.watchers[target]
 	if len(ws) == 0 {
 		return
 	}
 	remaining := ws[:0]
 	for _, w := range ws {
-		if w.cond(newVal) {
+		if w.offset == offset && w.cond(newVal) {
 			detect := m.lat.DataRTT[m.topo.Distance(w.p.rank, target)]
 			if w.p.gate != nil {
 				w.p.gate.WakeAtFrom(land+detect, origin.rank)
@@ -501,11 +505,8 @@ func (m *Machine) wake(target, offset int, newVal, land int64, origin *Proc) {
 		}
 		remaining = append(remaining, w)
 	}
-	if len(remaining) == 0 {
-		delete(m.watchers[target], offset)
-	} else {
-		m.watchers[target][offset] = remaining
-	}
+	clear(ws[len(remaining):]) // release the woken waiters' cond closures
+	m.watchers[target] = remaining
 }
 
 // lookahead holds the per-distance conservative bounds handed to the

@@ -175,12 +175,12 @@ func (p *Proc) Abort(err error) {
 
 // beginAccess passes the parallel engine's gate before a shared access at
 // the current effective clock; one nil check sequentially. canWake marks
-// ops that can trigger watcher wake-ups (everything that writes).
-func (p *Proc) beginAccess(target int, atomic, canWake bool) {
+// ops that can trigger watcher wake-ups (everything that writes); d is the
+// distance to target.
+func (p *Proc) beginAccess(target, d int, atomic, canWake bool) {
 	if p.gate == nil {
 		return
 	}
-	d := p.m.topo.Distance(p.rank, target)
 	dur, wake := p.m.look.dataDur[d], p.m.look.dataWake[d]
 	if atomic {
 		dur, wake = p.m.look.atomicDur[d], p.m.look.atomicWake[d]
@@ -201,10 +201,11 @@ func (p *Proc) endAccess(target int, dur int64) {
 // Put atomically places src in target's window at offset.
 func (p *Proc) Put(src int64, target, offset int) {
 	i := p.m.index(target, offset)
-	p.beginAccess(target, false, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.beginAccess(target, d, false, true)
 	p.m.mem[i] = src
-	p.st.count(opPut, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, false)
+	p.st.count(opPut, d)
+	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpPut, target, land)
 	p.m.wake(target, offset, src, land, p)
 	p.endAccess(target, dur)
@@ -215,10 +216,12 @@ func (p *Proc) Put(src int64, target, offset int) {
 // Per the paper, the value is only guaranteed after a subsequent Flush; in
 // this simulation it is already the linearized value at issue time.
 func (p *Proc) Get(target, offset int) int64 {
-	p.beginAccess(target, false, false)
-	v := p.m.mem[p.m.index(target, offset)]
-	p.st.count(opGet, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, false)
+	i := p.m.index(target, offset)
+	d := p.m.topo.Distance(p.rank, target)
+	p.beginAccess(target, d, false, false)
+	v := p.m.mem[i]
+	p.st.count(opGet, d)
+	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpGet, target, land)
 	p.endAccess(target, dur)
 	p.spend(dur)
@@ -229,7 +232,8 @@ func (p *Proc) Get(target, offset int) int64 {
 // target's window offset.
 func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 	i := p.m.index(target, offset)
-	p.beginAccess(target, true, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.beginAccess(target, d, true, true)
 	var nv int64
 	switch op {
 	case OpSum:
@@ -240,8 +244,8 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.st.count(opAcc, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	p.st.count(opAcc, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpAcc, target, land)
 	p.m.wake(target, offset, nv, land, p)
 	p.endAccess(target, dur)
@@ -252,7 +256,8 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 // window offset and returns the word's previous value.
 func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 	i := p.m.index(target, offset)
-	p.beginAccess(target, true, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.beginAccess(target, d, true, true)
 	prev := p.m.mem[i]
 	var nv int64
 	switch op {
@@ -264,8 +269,8 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.st.count(opFAO, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	p.st.count(opFAO, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpFAO, target, land)
 	p.m.wake(target, offset, nv, land, p)
 	p.endAccess(target, dur)
@@ -277,14 +282,15 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 // if equal, replaces it with src; it returns the word's previous value.
 func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
 	i := p.m.index(target, offset)
-	p.beginAccess(target, true, true)
+	d := p.m.topo.Distance(p.rank, target)
+	p.beginAccess(target, d, true, true)
 	prev := p.m.mem[i]
 	changed := prev == cmp
 	if changed {
 		p.m.mem[i] = src
 	}
-	p.st.count(opCAS, p.m.topo.Distance(p.rank, target))
-	dur, land := p.m.charge(p, target, true)
+	p.st.count(opCAS, d)
+	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpCAS, target, land)
 	if changed {
 		p.m.wake(target, offset, src, land, p)
@@ -329,8 +335,9 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 	v := p.m.mem[idx]
 	if cond(v) {
 		// Fast path: one ordinary read observes the satisfying value.
-		p.st.count(opGet, p.m.topo.Distance(p.rank, target))
-		dur, land := p.m.charge(p, target, false)
+		d := p.m.topo.Distance(p.rank, target)
+		p.st.count(opGet, d)
+		dur, land := p.m.charge(p, target, d, false)
 		p.traceOp(trace.OpGet, target, land)
 		p.spend(dur)
 		return v
@@ -342,7 +349,7 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 	// above — no granting write can slip in between (no lost wake-up).
 	p.flush()
 	for {
-		p.m.addWatcher(target, offset, watcher{p: p, cond: cond})
+		p.m.addWatcher(target, watcher{p: p, offset: offset, cond: cond})
 		p.h.Block()
 		// A satisfying write landed (our wake clock includes the read
 		// latency). Re-validate: later writes may have landed before we
@@ -367,8 +374,9 @@ func (p *Proc) spinUntilGated(target, offset int, cond func(int64) bool) int64 {
 	p.gate.BeginAccess(p.Now(), target, 0, -1)
 	v := p.m.mem[idx]
 	if cond(v) {
-		p.st.count(opGet, p.m.topo.Distance(p.rank, target))
-		dur, land := p.m.charge(p, target, false)
+		d := p.m.topo.Distance(p.rank, target)
+		p.st.count(opGet, d)
+		dur, land := p.m.charge(p, target, d, false)
 		p.traceOp(trace.OpGet, target, land)
 		p.gate.EndAccess(target, p.Now()+dur)
 		p.spend(dur)
@@ -376,7 +384,7 @@ func (p *Proc) spinUntilGated(target, offset int, cond func(int64) bool) int64 {
 	}
 	p.flush() // publish before blocking, as in the sequential path
 	for {
-		p.m.addWatcher(target, offset, watcher{p: p, cond: cond})
+		p.m.addWatcher(target, watcher{p: p, offset: offset, cond: cond})
 		p.gate.BlockReleasing(target)
 		v = p.m.mem[idx]
 		if cond(v) {

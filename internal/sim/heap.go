@@ -80,8 +80,8 @@ func (h *shardHeap) less(a, b int32) bool {
 	return ca < cb || (ca == cb && a < b)
 }
 
-// push queues rank id. Caller must hold the scheduler mutex and id must
-// not already be queued (the scheduler's inHeap flag guards this).
+// push queues rank id, which must not already be queued (the scheduler's
+// inHeap flag guards this).
 func (h *shardHeap) push(id int32) {
 	si := id / h.shardSize
 	a := append(h.shards[si], id)
@@ -112,7 +112,7 @@ func (h *shardHeap) push(id int32) {
 }
 
 // pop removes and returns the minimum (clock, id) rank across all shards.
-// Caller must hold the scheduler mutex; h.size must be positive.
+// h.size must be positive.
 func (h *shardHeap) pop() int32 {
 	si := h.top[0]
 	a := h.shards[si]

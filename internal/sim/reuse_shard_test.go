@@ -14,8 +14,8 @@ import (
 )
 
 // tracedBlockingRun executes a canonical workload that exercises every
-// per-rank state class — horizons (advances), wake channels (block/wake),
-// barriers and trace buffers — and returns its full event stream and
+// per-rank state class — horizons (advances), coroutines parked in
+// block/wake and barriers, and trace buffers — and returns its full event stream and
 // makespan. Byte-identical output is the ground truth for reuse tests.
 func tracedBlockingRun(t *testing.T) ([]trace.Event, int64) {
 	t.Helper()
@@ -49,13 +49,13 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 	wantEvs, wantMax := tracedBlockingRun(t)
 
 	// Pollute the pool: a traced run (handles get trace buffers), then an
-	// errored run whose teardown leaves stale tokens in wake channels,
-	// both at shapes different from the canonical run's.
+	// errored run whose teardown has to stop a parked coroutine, both at
+	// shapes different from the canonical run's.
 	tracedBlockingRun(t)
 	s := New(Config{Procs: 6, ShardSize: 3, TimeLimit: 100})
 	if err := s.Run(func(h *Handle) {
 		if h.ID() == 0 {
-			h.Block() // parked at teardown: its wake channel gets the abort token
+			h.Block() // parked at teardown: stopped by the trampoline
 		}
 		for {
 			h.Advance(30)
@@ -67,7 +67,7 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 
 	// A reacquired scheduler must be indistinguishable from a fresh one:
 	// zeroed hot state and flags, rebuilt handles without stale trace
-	// buffers, drained wake channels, empty heap.
+	// buffers, an empty coroutine table, empty heap.
 	s = New(Config{Procs: 4, ShardSize: 2})
 	for i := 0; i < 4; i++ {
 		if s.hot[i] != (hotState{}) {
@@ -83,12 +83,8 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 		if h.tb != nil {
 			t.Errorf("rank %d: handle kept a stale trace buffer", i)
 		}
-		if ch := s.wakes[i]; ch != nil {
-			select {
-			case <-ch:
-				t.Errorf("rank %d: stale wake token survived reacquire", i)
-			default:
-			}
+		if c := s.coros[i]; c.next != nil || c.stop != nil || c.yield != nil {
+			t.Errorf("rank %d: stale coroutine survived reacquire", i)
 		}
 	}
 	if s.heap.size != 0 {

@@ -1,31 +1,56 @@
 // Package sim implements a deterministic discrete-event scheduler for
 // simulated distributed processes.
 //
-// Each simulated process is a goroutine with a virtual clock (nanoseconds).
+// Each simulated process is a coroutine with a virtual clock (nanoseconds).
 // The scheduler admits exactly one process at a time: the one with the
 // minimum (clock, id) pair. A process runs until it calls Advance (charging
-// virtual time for an operation it just performed), Barrier, or Exit, at
-// which point the token is handed to the new minimum. Execution is therefore
-// a fully deterministic sequential interleaving in virtual-time order,
-// independent of the host's core count and of the Go scheduler.
+// virtual time for an operation it just performed), Block, Barrier, or
+// exits, at which point the token is handed to the new minimum. Execution
+// is therefore a fully deterministic sequential interleaving in
+// virtual-time order, independent of the host's core count and of the Go
+// scheduler.
+//
+// # The trampoline
+//
+// Scheduler.Run is a trampoline on its caller's goroutine, and every rank
+// body runs inside an iter.Pull coroutine created the first time the rank
+// is dispatched. A rank that gives up the token picks the next (clock, id)
+// minimum itself, records it in Scheduler.running and yields; the
+// trampoline regains control and resumes the recorded rank. A hand-off is
+// therefore two coroutine switches on one OS thread — no runnable queue,
+// no wake-up of another P, no futex. iter.Pull coroutines are asymmetric
+// (a yield can only return to whoever resumed it), which is why the next
+// rank is recorded and resumed from the trampoline instead of being
+// switched to directly.
+//
+// Because exactly one of {the trampoline, one rank} executes at any
+// instant, and every switch between them is a coroutine switch (a
+// happens-before edge the race detector understands), the scheduler has no
+// mutex, no channels and no atomics. The price is a confinement rule: all
+// Handle methods must be called by the rank that currently holds the token
+// (Wake/WakeAt: by the holder, on a blocked rank's handle), and
+// Scheduler.Err, MaxClock and Release only after Run has returned.
+//
+// Teardown: a failure (time limit, deadlock, Abort, a panicking body)
+// records the error, and the failing rank unwinds with an abortSignal
+// panic that its coroutine wrapper recovers. The trampoline then stops
+// every coroutine that started and has not finished: the stopped rank's
+// pending yield returns false, which it turns into the same abortSignal,
+// so its deferred functions run and its coroutine ends before Run returns.
 //
 // # Token ownership and the fast path
 //
-// The scheduler is built around token ownership: exactly one process (the
-// token holder) executes at any time, and everything the holder does to its
-// own virtual clock is invisible to the other processes until the token is
-// handed over. When a process is dispatched it caches a horizon — the
-// largest clock it can reach while provably remaining the minimum
-// (heap-top clock adjusted for the (clock, id) tie-break, clamped to the
-// time limit). As long as an Advance stays at or below the horizon it is a
-// lock-free, heap-free, channel-free clock increment: two compares and an
-// add, zero allocations. Only a genuine handoff (crossing the horizon)
-// takes the mutex and touches the sharded min-heap. The horizon is
-// only ever written by the dispatching goroutine before the wake-channel
-// send (or by the holder itself via Wake), so the fast path needs no
-// atomics. The refsim subpackage preserves the original global-mutex
-// scheduler; the differential determinism suite in internal/workload
-// checks both engines produce byte-identical results.
+// Everything the token holder does to its own virtual clock is invisible
+// to the other processes until the token is handed over. When a process is
+// dispatched it caches a horizon — the largest clock it can reach while
+// provably remaining the minimum (heap-top clock adjusted for the
+// (clock, id) tie-break, clamped to the time limit). As long as an Advance
+// stays at or below the horizon it is a heap-free, switch-free clock
+// increment: two compares and an add, zero allocations. Only a genuine
+// handoff (crossing the horizon) touches the sharded min-heap and yields.
+// The refsim subpackage preserves the original global-mutex, goroutine-
+// per-rank scheduler; the differential determinism suite in
+// internal/workload checks both engines produce byte-identical results.
 //
 // # Memory-flat proc state
 //
@@ -33,13 +58,16 @@
 // horizons and scheduling flags live in flat slices, the pending-process
 // queue (see shardHeap) traffics in int32 rank ids, and a Handle caches
 // pointers into the clock/horizon slices so the fast path stays a plain
-// increment. Process goroutines are spawned lazily, driven by dispatch: a
-// rank that has never run is represented implicitly by its (0, id) key —
-// the virtual start entries [nextStart, Procs) — and its goroutine starts
-// already holding the token. Wake channels are likewise allocated only
-// when a rank first parks. A 10^6-rank machine whose ranks run one after
-// another therefore pays for goroutine stacks and channels only as ranks
-// genuinely interleave, and the flat state costs ~61 bytes per rank.
+// increment. Coroutines are created lazily, driven by dispatch: a rank
+// that has never run is represented implicitly by its (0, id) key — the
+// virtual start entries [nextStart, Procs) — and its table entry is
+// dropped again when its body returns. A 10^6-rank machine whose ranks run
+// one after another therefore pays for coroutine stacks only as ranks
+// genuinely interleave, and the flat state costs ~77 bytes per rank.
+//
+// The iter import needs a Go 1.23 toolchain; it sits in coro.go behind a
+// go1.23 build constraint because go.mod stays at go 1.21 (benchmark/go.mod
+// replaces this module and declares 1.21).
 //
 // The package knows nothing about RMA; package rma layers windows, latency
 // and contention modeling on top of it.
@@ -69,8 +97,8 @@ var ErrDeadlock = errors.New("sim: deadlock: all live processes blocked in barri
 // throughout the scheduler core (heap entries, shard indices, handles).
 const MaxProcs = math.MaxInt32
 
-// abortSignal is panicked inside process goroutines when the simulation is
-// torn down early; the Run wrapper recovers it.
+// abortSignal is panicked inside a rank's coroutine when the simulation is
+// torn down early; Handle.run recovers it.
 type abortSignal struct{}
 
 // Per-rank scheduling flags (the state slice of the SoA layout).
@@ -78,12 +106,12 @@ const (
 	stInHeap uint8 = 1 << iota
 	stBlocked
 	stExited
-	stStarted
 )
 
 // Handle is a per-process handle passed to the process body. Its methods
-// must only be called from that process's goroutine (except Wake/WakeAt,
-// which the current token holder calls on a blocked process's handle).
+// must only be called from inside that process's body while it holds the
+// token (except Wake/WakeAt, which the current token holder calls on a
+// blocked process's handle).
 // Handles live in one flat slice owned by the scheduler; clock and
 // horizon cache pointers into the scheduler's SoA state so the Advance
 // fast path needs no bounds checks or extra indirection.
@@ -96,12 +124,11 @@ type Handle struct {
 	// a per-proc struct, without the per-proc allocation).
 	hs *hotState
 	// tb is the proc's ClassCharge trace buffer; nil unless charge
-	// tracing is enabled. Only the slow (already-locked) paths emit
-	// through it: the lock-free Advance fast path stays byte-for-byte
-	// untouched by tracing — a fast-path advance is exactly the
-	// publication that no other process can observe, so the charge
-	// stream loses nothing by recording only handoffs (here) and
-	// coalescing boundaries (rma's EvFlush).
+	// tracing is enabled. Only the slow paths emit through it: the
+	// Advance fast path stays byte-for-byte untouched by tracing — a
+	// fast-path advance is exactly the publication that no other process
+	// can observe, so the charge stream loses nothing by recording only
+	// handoffs (here) and coalescing boundaries (rma's EvFlush).
 	tb *trace.Buf
 }
 
@@ -120,30 +147,31 @@ func (h *Handle) Clock() int64 { return h.hs.clock }
 func (h *Handle) Horizon() int64 { return h.hs.horizon }
 
 // Scheduler coordinates the virtual clocks of a fixed set of processes.
-// All per-rank state is struct-of-arrays, indexed by rank id.
+// All per-rank state is struct-of-arrays, indexed by rank id. It is not
+// safe for concurrent use and needs no lock: only the trampoline or the
+// one rank it resumed ever runs (see the package comment).
 type Scheduler struct {
-	mu sync.Mutex
-	n  int32
+	n int32
 	// SoA per-rank state. hot packs each rank's (clock, horizon) pair —
 	// the only fields the Advance fast path and the heap order touch —
 	// in one flat slice; scheduling flags live beside it in state.
 	hot   []hotState
 	state []uint8
-	// wakes holds the per-rank wake channels, allocated lazily the first
-	// time a rank parks (ranks that never lose the token never allocate
-	// one). A send hands the execution token to the receiver.
-	wakes   []chan struct{}
+	// coros holds the coroutine of every rank that has started and not
+	// yet finished; entries are zero outside that window (and so outside
+	// Run), which is what lets the table be pooled without clearing.
+	coros   []coro
 	handles []Handle
 	heap    shardHeap
 	// running is the current token holder (horizon cache owner); -1
-	// before the first dispatch.
+	// before the first dispatch. A rank that yields has already set it
+	// to its successor: it is the trampoline's "resume this one next".
 	running int32
-	// nextStart is the first rank whose goroutine has not been spawned
-	// yet: ranks [nextStart, n) are implicitly pending at (clock 0, id),
-	// merged with the real heap by topKeyLocked. Dispatching one spawns
-	// its goroutine, which starts running with the token (no initial
-	// park), so goroutines and wake channels materialize only as the
-	// simulation genuinely interleaves.
+	// nextStart is the first rank that has never been dispatched: ranks
+	// [nextStart, n) are implicitly pending at (clock 0, id), merged with
+	// the real heap by topKey. Dispatching one creates its coroutine,
+	// so coroutines materialize only as the simulation genuinely
+	// interleaves.
 	nextStart int32
 	live      int
 	arrived   []int32     // processes blocked in the current barrier
@@ -151,7 +179,6 @@ type Scheduler struct {
 	timeLimit int64       // 0 = unlimited
 	tsink     *trace.Sink // non-nil only when ClassSched tracing is on
 	body      func(h *Handle)
-	wg        sync.WaitGroup
 	core      *schedCore
 	err       error
 }
@@ -175,8 +202,8 @@ type Config struct {
 	ShardSize int
 	// Trace, when non-nil, receives scheduler events (ClassSched:
 	// dispatch/block/wake/barrier) and slow-path clock publications
-	// (ClassCharge). The sink is restarted for this run. The lock-free
-	// Advance fast path is byte-for-byte identical traced or not
+	// (ClassCharge). The sink is restarted for this run. The Advance
+	// fast path is byte-for-byte identical traced or not
 	// (BenchmarkAdvanceUncontended vs BenchmarkAdvanceTraced pin it).
 	Trace *trace.Sink
 	// Gate, when non-nil, receives the parallel engine's conservative-gate
@@ -187,17 +214,25 @@ type Config struct {
 	Gate *obs.GateMetrics
 }
 
-// corePool recycles scheduler cores — the SoA state slices, the wake
-// channels already allocated by earlier runs, and the heap/arrived
-// backing arrays — across scheduler instances, so hot sweep loops that
-// build one machine per cell stop re-allocating them. Release returns a
-// scheduler's core to the pool.
+// corePool recycles scheduler cores — the SoA state slices, the coroutine
+// table and the heap/arrived backing arrays — across scheduler instances,
+// so hot sweep loops that build one machine per cell stop re-allocating
+// them. Release returns a scheduler's core to the pool.
 var corePool sync.Pool
+
+// coro is one started rank's coroutine: the trampoline calls next to
+// resume it until its next yield (false once its body has returned) and
+// stop to unwind it; the rank itself calls yield to switch back (see park).
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
 
 type schedCore struct {
 	hot     []hotState
 	state   []uint8
-	wakes   []chan struct{}
+	coros   []coro
 	handles []Handle
 	arrived []int32
 	shards  [][]int32
@@ -229,7 +264,7 @@ func New(cfg Config) *Scheduler {
 	s.core = core
 	s.hot = resizeHot(core.hot, n)
 	s.state = resizeState(core.state, n)
-	s.wakes = resizeWakes(core.wakes, n)
+	s.coros = resizeCoros(core.coros, n)
 	s.handles = resizeHandles(core.handles, n)
 	s.arrived = core.arrived[:0]
 	var tsink *trace.Sink
@@ -283,26 +318,13 @@ func resizeState(a []uint8, n int) []uint8 {
 	return a
 }
 
-// resizeWakes keeps channels allocated by earlier runs (they are the
-// expensive part of the core) but drains any stale teardown token: a
-// failed run sends on every channel, and a pooled channel must not wake
-// its next owner spuriously. The full capacity region is drained, not
-// just [:n] — a shrink followed by a regrow would otherwise resurface a
-// stale token.
-func resizeWakes(ws []chan struct{}, n int) []chan struct{} {
-	full := ws[:cap(ws)]
-	for _, ch := range full {
-		if ch != nil {
-			select {
-			case <-ch:
-			default:
-			}
-		}
+// resizeCoros relies on the table being all-zero between runs (see
+// Scheduler.coros), over its whole capacity, so growing is the only work.
+func resizeCoros(cs []coro, n int) []coro {
+	if cap(cs) >= n {
+		return cs[:n]
 	}
-	if cap(ws) >= n {
-		return ws[:n]
-	}
-	return append(full, make([]chan struct{}, n-cap(ws))...)
+	return append(cs[:cap(cs)], make([]coro, n-cap(cs))...)
 }
 
 func resizeHandles(hs []Handle, n int) []Handle {
@@ -321,60 +343,92 @@ func (s *Scheduler) Release() {
 		return
 	}
 	core.hot, core.state = s.hot, s.state
-	core.wakes, core.handles, core.arrived = s.wakes, s.handles, s.arrived
+	core.coros, core.handles, core.arrived = s.coros, s.handles, s.arrived
 	core.shards, core.top, core.topPos = s.heap.shards, s.heap.top, s.heap.topPos
-	s.hot, s.state, s.wakes, s.handles, s.arrived = nil, nil, nil, nil, nil
+	s.hot, s.state, s.coros, s.handles, s.arrived = nil, nil, nil, nil, nil
 	s.heap = shardHeap{}
 	s.core = nil
 	s.running = -1
 	corePool.Put(core)
 }
 
-// Run executes body(handle) once per process, each in its own goroutine,
+// Run executes body(handle) once per process, each in its own coroutine,
 // and returns when all processes have exited (or the simulation aborted).
-// Goroutines are spawned lazily in dispatch order — a rank's goroutine
-// starts when its (0, id) key first becomes the minimum, already holding
-// the token. A panic inside a body aborts the whole simulation and is
-// returned as an error. Run may only be called once per Scheduler.
+// Run itself is the trampoline: it resumes the rank recorded in s.running
+// until that rank yields (having recorded its successor) or returns.
+// Coroutines are created lazily in dispatch order — a rank's coroutine
+// starts when its (0, id) key first becomes the minimum. A panic inside a
+// body aborts the whole simulation and is returned as an error. Run may
+// only be called once per Scheduler.
 func (s *Scheduler) Run(body func(h *Handle)) error {
 	s.body = body
-	s.mu.Lock()
-	s.resumeLocked(s.dispatchLocked()) // rank 0: the (0, 0) minimum
-	s.mu.Unlock()
-	s.wg.Wait()
+	// No coroutine outlives Run: after a failure the parked ranks are
+	// unwound here, and likewise when a body's runtime.Goexit (t.FailNow
+	// in a test body) propagates through next and unwinds this frame.
+	defer s.stopAll()
+	s.dispatch() // rank 0: the (0, 0) minimum
+	for s.err == nil && s.live > 0 {
+		s.resume(s.running)
+	}
 	return s.err
 }
 
-// runProc is the goroutine of one simulated process, spawned by the
-// dispatch that first selects the rank. It runs body immediately: the
-// spawn IS the wake, so a fresh rank needs no channel round trip.
-func (s *Scheduler) runProc(id int32) {
-	defer s.wg.Done()
+// resume switches to rank id until it yields or its body returns, creating
+// its coroutine on first dispatch. A finished rank's table entry is
+// dropped at once so its coroutine state is collectable while the
+// remaining ranks run.
+func (s *Scheduler) resume(id int32) {
+	c := &s.coros[id]
+	if c.next == nil {
+		c.next, c.stop = newCoro(s.handles[id].run)
+	}
+	if _, ok := c.next(); !ok {
+		*c = coro{}
+	}
+}
+
+// stopAll unwinds every coroutine that started and has not finished (a
+// parked rank's yield returns false, see park); a no-op after a clean run.
+func (s *Scheduler) stopAll() {
+	for id := int32(0); id < s.nextStart; id++ {
+		if stop := s.coros[id].stop; stop != nil {
+			stop()
+			s.coros[id] = coro{}
+		}
+	}
+}
+
+// run is the coroutine body of one simulated process.
+func (h *Handle) run(yield func(struct{}) bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); ok {
 				return // torn down by scheduler
 			}
-			s.fail(fmt.Errorf("sim: process %d panicked: %v\n%s", id, r, debug.Stack()))
+			h.s.fail(fmt.Errorf("sim: process %d panicked: %v\n%s", h.id, r, debug.Stack()))
 		}
 	}()
-	h := &s.handles[id]
-	s.body(h)
+	h.s.coros[h.id].yield = yield
+	h.s.body(h)
 	h.exit()
 }
 
-// Err returns the error recorded by the simulation, if any.
-func (s *Scheduler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+// park gives the token to the rank recorded in s.running by switching back
+// to the trampoline, and returns when this rank is dispatched again. A
+// false yield means the trampoline is stopping the coroutine (teardown).
+func (h *Handle) park() {
+	if !h.s.coros[h.id].yield(struct{}{}) {
+		panic(abortSignal{})
+	}
 }
+
+// Err returns the error recorded by the simulation, if any. Like MaxClock
+// it is meant for after Run has returned.
+func (s *Scheduler) Err() error { return s.err }
 
 // MaxClock returns the largest virtual clock reached by any process. It is
 // meaningful after Run returns (total simulated makespan).
 func (s *Scheduler) MaxClock() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var max int64
 	for i := range s.hot {
 		if c := s.hot[i].clock; c > max {
@@ -391,7 +445,7 @@ func (s *Scheduler) MaxClock() int64 {
 //
 // Fast path: while the new clock stays at or below the cached horizon the
 // process provably remains the minimum, so the charge is a plain local
-// increment — no lock, no heap, no channel, no allocation.
+// increment — no heap, no switch, no allocation.
 func (h *Handle) Advance(d int64) {
 	if d < 1 {
 		d = 1
@@ -404,36 +458,25 @@ func (h *Handle) Advance(d int64) {
 	h.advanceSlow(d)
 }
 
-// advanceSlow is the genuine-handoff path of Advance: re-queue under the
-// lock and hand the token to the new minimum (possibly ourselves, when
-// only the time-limit clamp forced us off the fast path).
+// advanceSlow is the genuine-handoff path of Advance: re-queue and hand
+// the token to the new minimum (possibly ourselves, when only the
+// time-limit clamp forced us off the fast path).
 func (h *Handle) advanceSlow(d int64) {
 	s := h.s
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		panic(abortSignal{})
-	}
+	s.checkAborted()
 	c := h.hs.clock + d
 	h.hs.clock = c
 	if s.timeLimit > 0 && c > s.timeLimit {
-		s.failLocked(fmt.Errorf("%w (process %d at %d ns)", ErrTimeLimit, h.id, c))
-		s.mu.Unlock()
+		s.fail(fmt.Errorf("%w (process %d at %d ns)", ErrTimeLimit, h.id, c))
 		panic(abortSignal{})
 	}
 	if h.tb != nil {
 		h.tb.Emit(trace.EvAdvance, c, d, 0, 0)
 	}
 	s.push(h.id)
-	next := s.dispatchLocked()
-	if next == h.id {
-		s.mu.Unlock()
-		return
+	if s.dispatch() != h.id {
+		h.park()
 	}
-	ch := s.wakeChanLocked(h.id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
 }
 
 // Barrier blocks until every live process has called Barrier, then sets all
@@ -441,11 +484,7 @@ func (h *Handle) advanceSlow(d int64) {
 func (h *Handle) Barrier() {
 	s := h.s
 	id := h.id
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		panic(abortSignal{})
-	}
+	s.checkAborted()
 	s.state[id] |= stBlocked
 	if s.tsink != nil {
 		s.tsink.Buf(int(id), trace.ClassSched).Emit(trace.EvBarrier, h.hs.clock, 0, 0, 0)
@@ -453,30 +492,16 @@ func (h *Handle) Barrier() {
 	s.arrived = append(s.arrived, id)
 	if len(s.arrived) == s.live {
 		// Last arriver releases everyone.
-		s.releaseBarrierLocked()
-		next := s.dispatchLocked()
-		if next == id {
-			s.mu.Unlock()
-			return
-		}
-		ch := s.wakeChanLocked(id)
-		s.resumeLocked(next)
-		s.mu.Unlock()
-		h.park(ch)
-		return
-	}
-	// Hand the token over; non-arrived live processes are in the heap or
-	// not yet started.
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+		s.releaseBarrier()
+	} else if !s.hasRunnable() {
+		// Non-arrived live processes are in the heap or not yet started;
+		// with neither, nobody can complete the barrier.
+		s.fail(ErrDeadlock)
 		panic(abortSignal{})
 	}
-	next := s.dispatchLocked()
-	ch := s.wakeChanLocked(id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
+	if s.dispatch() != id {
+		h.park()
+	}
 }
 
 // Block removes the calling process from scheduling until another process
@@ -487,33 +512,24 @@ func (h *Handle) Barrier() {
 func (h *Handle) Block() {
 	s := h.s
 	id := h.id
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		panic(abortSignal{})
-	}
+	s.checkAborted()
 	s.state[id] |= stBlocked
 	if s.tsink != nil {
 		s.tsink.Buf(int(id), trace.ClassSched).Emit(trace.EvBlock, h.hs.clock, 0, 0, 0)
 	}
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+	if !s.hasRunnable() {
+		s.fail(ErrDeadlock)
 		panic(abortSignal{})
 	}
-	next := s.dispatchLocked()
-	ch := s.wakeChanLocked(id)
-	s.resumeLocked(next)
-	s.mu.Unlock()
-	h.park(ch)
+	s.dispatch()
+	h.park()
 }
 
-// releaseBarrierLocked completes the current barrier: every arrived
-// process's clock synchronizes to the maximum arrival time plus the
-// barrier cost, and all are re-queued as runnable. Shared by Barrier
-// (last arriver) and exit (an exit can complete a pending barrier).
-// Caller must hold s.mu.
-func (s *Scheduler) releaseBarrierLocked() {
+// releaseBarrier completes the current barrier: every arrived process's
+// clock synchronizes to the maximum arrival time plus the barrier cost,
+// and all are re-queued as runnable. Shared by Barrier (last arriver) and
+// exit (an exit can complete a pending barrier).
+func (s *Scheduler) releaseBarrier() {
 	var max int64
 	for _, q := range s.arrived {
 		if c := s.hot[q].clock; c > max {
@@ -537,21 +553,15 @@ func (s *Scheduler) releaseBarrierLocked() {
 func (h *Handle) WakeAt(clock int64) {
 	s := h.s
 	q := h.id
-	s.mu.Lock()
-	if s.err != nil {
-		// The simulation is tearing down: the target may already be
-		// unwinding (its blocked flag is stale), so waking it is both
-		// unsafe and pointless. Abort like Advance/Barrier/Block do.
-		s.mu.Unlock()
-		panic(abortSignal{})
-	}
+	// While the simulation is tearing down the target may already have
+	// unwound (its blocked flag is stale), so waking it is both unsafe
+	// and pointless. Abort like Advance/Barrier/Block do.
+	s.checkAborted()
 	st := s.state[q]
 	if st&stExited != 0 {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("sim: Wake of exited process %d (its body already returned)", q))
 	}
 	if st&stBlocked == 0 {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("sim: Wake of non-blocked process %d", q))
 	}
 	s.state[q] = st &^ stBlocked
@@ -567,9 +577,8 @@ func (h *Handle) WakeAt(clock int64) {
 	}
 	s.push(q)
 	if r := s.running; r >= 0 {
-		s.hot[r].horizon = s.horizonForLocked(r)
+		s.hot[r].horizon = s.horizonFor(r)
 	}
-	s.mu.Unlock()
 }
 
 // Wake makes the blocked process q runnable again with its virtual clock
@@ -579,101 +588,68 @@ func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
 
 // Abort terminates the simulation with err: the error is recorded (first
 // failure wins, wrapped with the aborting process and its virtual time,
-// errors.Is-visible), every parked process is released to unwind, and the
-// calling goroutine unwinds immediately — Abort never returns. Must be
-// called by the running process itself. All three engines surface aborts
-// identically (conformance-tested).
+// errors.Is-visible), every parked process is unwound before Run returns,
+// and the calling process unwinds immediately — Abort never returns. Must
+// be called by the running process itself. All three engines surface
+// aborts identically (conformance-tested).
 func (h *Handle) Abort(err error) {
-	s := h.s
-	s.mu.Lock()
-	s.failLocked(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
-	s.mu.Unlock()
+	h.s.fail(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
 	panic(abortSignal{})
-}
-
-// park blocks the calling process until it is woken with the token. ch is
-// the caller's wake channel, resolved under the mutex by the slow path
-// that decided to park (wakeChanLocked), so no wake can be sent before
-// the channel exists.
-func (h *Handle) park(ch chan struct{}) {
-	<-ch
-	h.s.mu.Lock()
-	err := h.s.err
-	h.s.mu.Unlock()
-	if err != nil {
-		panic(abortSignal{})
-	}
 }
 
 // exit removes the process from the simulation and hands the token on.
 func (h *Handle) exit() {
 	s := h.s
-	id := h.id
-	s.mu.Lock()
 	if s.err != nil {
-		s.mu.Unlock()
 		return
 	}
-	s.state[id] |= stExited
+	s.state[h.id] |= stExited
 	s.live--
 	if s.live == 0 {
-		s.mu.Unlock()
 		return
 	}
 	// A barrier that was waiting for us can now be complete. Invariant:
 	// s.live >= 1 here (the live == 0 case returned above), so a matching
 	// arrived count means every remaining live process is in the barrier.
 	if len(s.arrived) == s.live {
-		s.releaseBarrierLocked()
+		s.releaseBarrier()
 	}
-	if !s.hasRunnableLocked() {
-		s.failLocked(ErrDeadlock)
-		s.mu.Unlock()
+	if !s.hasRunnable() {
+		s.fail(ErrDeadlock)
 		return
 	}
-	s.resumeLocked(s.dispatchLocked())
-	s.mu.Unlock()
+	s.dispatch()
 }
 
-// fail aborts the simulation with err (first error wins) and wakes every
-// parked process so its goroutine can unwind.
+// fail records err (first error wins). Only the running rank can fail the
+// simulation; it then unwinds (abortSignal, or by returning from exit) and
+// Run's loop ends on s.err and stops every parked rank.
 func (s *Scheduler) fail(err error) {
-	s.mu.Lock()
-	s.failLocked(err)
-	s.mu.Unlock()
-}
-
-// failLocked must be called with s.mu held (every failure site already
-// holds it, which is why no sync.Once is needed: first error wins). Only
-// ranks that ever parked own a wake channel; the others are either
-// running (the failing goroutine itself), already exited, or never
-// spawned — none of them is blocked on a receive.
-func (s *Scheduler) failLocked(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-	for i, ch := range s.wakes {
-		if ch == nil || s.state[i]&stExited != 0 {
-			continue
-		}
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+}
+
+// checkAborted unwinds the calling rank once the simulation has failed. A
+// rank only runs in that state while its deferred functions execute during
+// teardown; the slow paths call this before touching scheduler state.
+func (s *Scheduler) checkAborted() {
+	if s.err != nil {
+		panic(abortSignal{})
 	}
 }
 
-// hasRunnableLocked reports whether any process is pending dispatch:
-// queued in the heap or not yet started. Caller must hold s.mu.
-func (s *Scheduler) hasRunnableLocked() bool {
+// hasRunnable reports whether any process is pending dispatch: queued in
+// the heap or not yet started.
+func (s *Scheduler) hasRunnable() bool {
 	return s.heap.size > 0 || s.nextStart < s.n
 }
 
-// topKeyLocked returns the minimum pending (clock, id) across the real
-// heap and the virtual start entries: rank nextStart, pending at clock 0,
-// stands for every not-yet-started rank (they all share clock 0, so the
-// smallest id is the only candidate). Caller must hold s.mu.
-func (s *Scheduler) topKeyLocked() (clock int64, id int32, ok bool) {
+// topKey returns the minimum pending (clock, id) across the real heap and
+// the virtual start entries: rank nextStart, pending at clock 0, stands
+// for every not-yet-started rank (they all share clock 0, so the smallest
+// id is the only candidate).
+func (s *Scheduler) topKey() (clock int64, id int32, ok bool) {
 	c, top, hok := s.heap.peek()
 	if s.nextStart < s.n {
 		// Queued ranks are always started, so top != nextStart; the
@@ -685,15 +661,13 @@ func (s *Scheduler) topKeyLocked() (clock int64, id int32, ok bool) {
 	return c, top, hok
 }
 
-// dispatchLocked removes the new minimum from the pending set (real heap
-// or virtual start entries), records it as the token holder and caches
-// its fast-path horizon. Caller must hold s.mu and resume it via
-// resumeLocked (unless the minimum is the caller itself). A genuine
-// handoff (the token changing hands) emits an EvDispatch event into the
-// new holder's stream; writes to a parked proc's trace buffer
-// happen-before the wake send (or the spawning go statement), so capture
-// stays race-free.
-func (s *Scheduler) dispatchLocked() int32 {
+// dispatch removes the new minimum from the pending set (real heap or
+// virtual start entries), records it in s.running as the token holder and
+// caches its fast-path horizon. The caller then parks (or returns from its
+// body) so the trampoline resumes that rank — unless the minimum is the
+// caller itself, which simply keeps running. A genuine handoff (the token
+// changing hands) emits an EvDispatch event into the new holder's stream.
+func (s *Scheduler) dispatch() int32 {
 	var next int32
 	c, top, hok := s.heap.peek()
 	if s.nextStart < s.n && (!hok || c > 0 || (c == 0 && s.nextStart < top)) {
@@ -702,7 +676,7 @@ func (s *Scheduler) dispatchLocked() int32 {
 	} else {
 		next = s.popMin()
 	}
-	s.hot[next].horizon = s.horizonForLocked(next)
+	s.hot[next].horizon = s.horizonFor(next)
 	if s.tsink != nil && next != s.running {
 		prev := int64(-1)
 		if s.running >= 0 {
@@ -714,29 +688,15 @@ func (s *Scheduler) dispatchLocked() int32 {
 	return next
 }
 
-// resumeLocked transfers control to the dispatched rank: the first
-// dispatch of a rank spawns its goroutine (which starts running the body
-// immediately — the spawn is the wake), later ones send the token on its
-// wake channel. Caller must hold s.mu.
-func (s *Scheduler) resumeLocked(next int32) {
-	if s.state[next]&stStarted == 0 {
-		s.state[next] |= stStarted
-		s.wg.Add(1)
-		go s.runProc(next)
-		return
-	}
-	s.sendWake(next)
-}
-
-// horizonForLocked derives rank id's fast-path horizon from the pending
+// horizonFor derives rank id's fast-path horizon from the pending
 // minimum: id keeps the token while (clock, id) stays lexicographically
 // at or below the top's, so it may reach the top clock exactly when its
 // id wins the tie-break. The time limit is folded in so the fast path
-// detects limit crossings with the same single compare. Caller must hold
-// s.mu; id must not be pending.
-func (s *Scheduler) horizonForLocked(id int32) int64 {
+// detects limit crossings with the same single compare. id must not be
+// pending.
+func (s *Scheduler) horizonFor(id int32) int64 {
 	hz := int64(math.MaxInt64)
-	if c, top, ok := s.topKeyLocked(); ok {
+	if c, top, ok := s.topKey(); ok {
 		hz = c
 		if id > top {
 			hz--
@@ -746,27 +706,6 @@ func (s *Scheduler) horizonForLocked(id int32) int64 {
 		hz = s.timeLimit
 	}
 	return hz
-}
-
-// wakeChanLocked returns rank id's wake channel, allocating it on first
-// park. Caller must hold s.mu; because every wake send also happens under
-// s.mu, a channel resolved here is visible to all future wakers before
-// the caller can park on it.
-func (s *Scheduler) wakeChanLocked(id int32) chan struct{} {
-	ch := s.wakes[id]
-	if ch == nil {
-		ch = make(chan struct{}, 1)
-		s.wakes[id] = ch
-	}
-	return ch
-}
-
-func (s *Scheduler) sendWake(id int32) {
-	select {
-	case s.wakes[id] <- struct{}{}:
-	default:
-		// Already has a pending wake (only possible during teardown).
-	}
 }
 
 func (s *Scheduler) push(id int32) {

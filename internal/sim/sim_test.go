@@ -350,10 +350,9 @@ func TestExitCompletesBarrier(t *testing.T) {
 }
 
 func TestSchedulerReleaseReuse(t *testing.T) {
-	// Release returns procs (and their wake channels) to the pool; a
-	// later New must produce a fully reset scheduler with identical
-	// behavior — including after an errored run, whose teardown leaves
-	// stale tokens in the wake channels.
+	// Release returns the core to the pool; a later New must produce a
+	// fully reset scheduler with identical behavior — including after an
+	// errored run, whose teardown stops parked coroutines.
 	run := func() (int64, error) {
 		s := New(Config{Procs: 8})
 		err := s.Run(func(h *Handle) {

@@ -46,6 +46,10 @@ type Topology struct {
 	counts []int
 	// procsPerLeaf is the number of processes on each leaf element.
 	procsPerLeaf int
+	// ranksPerElem[i-1] is the size of the contiguous rank block of one
+	// level-i element (its leaves × procsPerLeaf), precomputed so that
+	// Element and Distance cost one division per level.
+	ranksPerElem []int
 	// p is the total number of processes.
 	p int
 }
@@ -81,10 +85,17 @@ func New(elementsPerLevel []int, procsPerLeaf int) (*Topology, error) {
 	}
 	counts := make([]int, len(elementsPerLevel))
 	copy(counts, elementsPerLevel)
+	ranksPerElem := make([]int, len(counts))
+	for i, c := range counts {
+		// Leaves are distributed evenly among the elements of every upper
+		// level, so an element's ranks are one contiguous block.
+		ranksPerElem[i] = leaves / c * procsPerLeaf
+	}
 	return &Topology{
 		counts:       counts,
 		procsPerLeaf: procsPerLeaf,
-		p:            counts[len(counts)-1] * procsPerLeaf,
+		ranksPerElem: ranksPerElem,
+		p:            leaves * procsPerLeaf,
 	}, nil
 }
 
@@ -141,11 +152,7 @@ func (t *Topology) Elements(level int) int {
 func (t *Topology) Element(p, level int) int {
 	t.checkRank(p)
 	t.checkLevel(level)
-	leaf := p / t.procsPerLeaf
-	// Leaves are distributed evenly among the elements of every upper
-	// level, so the ancestor at level i is a contiguous-block division.
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	return leaf / leavesPerElem
+	return p / t.ranksPerElem[level-1]
 }
 
 // MemberRanks returns the ranks contained in element j of level i, capped
@@ -153,9 +160,8 @@ func (t *Topology) Element(p, level int) int {
 func (t *Topology) MemberRanks(level, elem int) []int {
 	t.checkLevel(level)
 	t.checkElem(level, elem)
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	first := elem * leavesPerElem * t.procsPerLeaf
-	last := (elem + 1) * leavesPerElem * t.procsPerLeaf
+	first := elem * t.ranksPerElem[level-1]
+	last := first + t.ranksPerElem[level-1]
 	if last > t.p {
 		last = t.p
 	}
@@ -172,8 +178,7 @@ func (t *Topology) MemberRanks(level, elem int) []int {
 func (t *Topology) Leader(level, elem int) int {
 	t.checkLevel(level)
 	t.checkElem(level, elem)
-	leavesPerElem := t.counts[len(t.counts)-1] / t.counts[level-1]
-	return elem * leavesPerElem * t.procsPerLeaf
+	return elem * t.ranksPerElem[level-1]
 }
 
 // TailRank returns tail_rank[i, j]: the rank storing the TAIL pointer of
@@ -191,8 +196,11 @@ func (t *Topology) Distance(a, b int) int {
 		return 0
 	}
 	n := t.Levels()
-	for i := n; i >= 1; i-- {
-		if t.Element(a, i) == t.Element(b, i) {
+	for i := n; i > 1; i-- {
+		// b shares a's level-i element iff it falls inside that element's
+		// rank block: one division per level, none for the root.
+		r := t.ranksPerElem[i-1]
+		if lo := a - a%r; lo <= b && b < lo+r {
 			return n + 1 - i
 		}
 	}

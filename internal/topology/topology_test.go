@@ -144,6 +144,30 @@ func TestDistanceSymmetry(t *testing.T) {
 	}
 }
 
+func TestDistanceMatchesElementDefinition(t *testing.T) {
+	// Distance's rank-block arithmetic against its definition: N+1-i for
+	// the deepest level i whose element the two ranks share. Exhaustive on
+	// a four-level machine and on a partially-filled two-level one.
+	for _, topo := range []*Topology{MustNew([]int{1, 3, 6, 12}, 4), ForProcs(37, 8)} {
+		n := topo.Levels()
+		for a := 0; a < topo.Procs(); a++ {
+			for b := 0; b < topo.Procs(); b++ {
+				want := 0
+				if a != b {
+					i := n
+					for topo.Element(a, i) != topo.Element(b, i) {
+						i--
+					}
+					want = n + 1 - i
+				}
+				if got := topo.Distance(a, b); got != want {
+					t.Fatalf("%v: Distance(%d,%d)=%d want %d", topo, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestElementContainment(t *testing.T) {
 	// Property: ancestors nest; if two ranks share an element at level i,
 	// they share elements at all levels above (j < i).
