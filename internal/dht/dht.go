@@ -61,15 +61,11 @@ func New(m *rma.Machine, slots, cells int) *Table {
 	}
 	m.OnInit(func(m *rma.Machine) {
 		for r := 0; r < m.Procs(); r++ {
-			for i := 0; i < slots; i++ {
-				m.Set(r, t.valOff+i, empty)
-				m.Set(r, t.nxtOff+i, rma.Nil)
-				m.Set(r, t.lastOff+i, rma.Nil)
-			}
-			for i := 0; i < cells; i++ {
-				m.Set(r, t.heapVal+i, empty)
-				m.Set(r, t.heapNxt+i, rma.Nil)
-			}
+			m.Fill(r, t.valOff, slots, empty)
+			m.Fill(r, t.nxtOff, slots, rma.Nil)
+			m.Fill(r, t.lastOff, slots, rma.Nil)
+			m.Fill(r, t.heapVal, cells, empty)
+			m.Fill(r, t.heapNxt, cells, rma.Nil)
 			m.Set(r, t.freeOff, 0)
 		}
 		t.Overflows = 0

@@ -54,22 +54,22 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 		Passes:         make([]int64, n+1),
 		ParentReleases: make([]int64, n+1),
 	}
+	// One block per rank, grouped by initial value so OnInit writes two
+	// runs: NEXT and TAIL of every level (∅), then STATUS of every level.
+	base := m.Alloc(3 * n)
 	for i := 1; i <= n; i++ {
 		t.TL[i] = math.MaxInt64
 		if i < len(tl) && tl[i] > 0 {
 			t.TL[i] = tl[i]
 		}
-		t.nextOff[i] = m.Alloc(1)
-		t.statusOff[i] = m.Alloc(1)
-		t.tailOff[i] = m.Alloc(1)
+		t.nextOff[i] = base + i - 1
+		t.tailOff[i] = base + n + i - 1
+		t.statusOff[i] = base + 2*n + i - 1
 	}
 	m.OnInit(func(m *rma.Machine) {
 		for r := 0; r < topo.Procs(); r++ {
-			for i := 1; i <= n; i++ {
-				m.Set(r, t.nextOff[i], rma.Nil)
-				m.Set(r, t.statusOff[i], StatusWait)
-				m.Set(r, t.tailOff[i], rma.Nil)
-			}
+			m.Fill(r, base, 2*n, rma.Nil)
+			m.Fill(r, base+2*n, n, StatusWait)
 		}
 		for i := range t.Passes {
 			t.Passes[i] = 0

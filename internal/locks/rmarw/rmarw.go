@@ -145,14 +145,13 @@ func NewConfigErr(m *rma.Machine, cfg Config) (*Lock, error) {
 	// MaxInt64, so ProductTL cannot saturate here.
 	l.tree = locks.NewDQTree(m, tl)
 	l.tw = l.tree.ProductTL()
-	l.arriveOff = m.Alloc(1)
-	l.departOff = m.Alloc(1)
-	l.rlockOff = m.Alloc(1)
+	// ARRIVE, DEPART and the latch: three consecutive words.
+	l.arriveOff = m.Alloc(3)
+	l.departOff = l.arriveOff + 1
+	l.rlockOff = l.arriveOff + 2
 	m.OnInit(func(m *rma.Machine) {
 		for _, r := range l.counterRanks {
-			m.Set(r, l.arriveOff, 0)
-			m.Set(r, l.departOff, 0)
-			m.Set(r, l.rlockOff, 0)
+			m.Fill(r, l.arriveOff, 3, 0)
 		}
 		l.ReadAcquires, l.WriteAcquires = 0, 0
 		l.ModeChanges, l.ReaderBackoffs = 0, 0

@@ -15,6 +15,7 @@ package rma
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rmalocks/internal/fault"
@@ -111,7 +112,12 @@ type Machine struct {
 	topo *topology.Topology
 	lat  LatencyModel
 
-	words      int // window words per rank
+	words int // window words per rank
+	// sc is the pooled per-run scratch this machine holds between its
+	// first Run and Release; mem, busy, watchers and procBuf are its
+	// slices, kept here so the op paths reach them without another hop.
+	sc         *scratch
+	released   bool
 	mem        []int64
 	busy       []int64     // per-rank target busy-until (virtual ns)
 	watchers   [][]watcher // per target rank, in registration order
@@ -128,7 +134,7 @@ type Machine struct {
 	ran        bool
 	stats      Stats
 	shards     []Stats // per-rank stat shards (psim only; merged after the run)
-	procBuf    []Proc  // flat per-rank Proc slab, reused across runs
+	procBuf    []Proc  // flat per-rank Proc slab, indexed by rank
 	look       lookahead
 	maxClk     int64
 }
@@ -244,12 +250,37 @@ func (m *Machine) Alloc(n int) int {
 func (m *Machine) OnInit(f func(m *Machine)) { m.inits = append(m.inits, f) }
 
 // Set pokes a window word directly. Only valid inside OnInit callbacks and
-// after Run returns (inspection).
-func (m *Machine) Set(rank, offset int, v int64) { m.mem[m.index(rank, offset)] = v }
+// after Run returns (inspection), until Release.
+func (m *Machine) Set(rank, offset int, v int64) {
+	m.checkLive()
+	m.mem[m.index(rank, offset)] = v
+}
 
 // At reads a window word directly. Only valid inside OnInit callbacks and
-// after Run returns (inspection).
-func (m *Machine) At(rank, offset int) int64 { return m.mem[m.index(rank, offset)] }
+// after Run returns (inspection), until Release.
+func (m *Machine) At(rank, offset int) int64 {
+	m.checkLive()
+	return m.mem[m.index(rank, offset)]
+}
+
+// Fill sets the n window words of rank starting at offset to v: the bulk
+// form of Set for initializers that write runs of one constant (∅ queue
+// pointers, empty hashtable slots). Valid where Set is.
+func (m *Machine) Fill(rank, offset, n int, v int64) {
+	m.checkLive()
+	if n < 0 {
+		panic(fmt.Sprintf("rma: Fill of %d words", n))
+	}
+	if n == 0 {
+		return
+	}
+	lo, hi := m.index(rank, offset), m.index(rank, offset+n-1)
+	w := m.mem[lo : hi+1]
+	w[0] = v
+	for i := 1; i < n; i *= 2 {
+		copy(w[i:], w[:i])
+	}
+}
 
 // Words returns the number of window words allocated per rank.
 func (m *Machine) Words() int { return m.words }
@@ -268,9 +299,12 @@ func (m *Machine) RegisterLock() int {
 
 // Run executes body once per rank as a simulated process and returns when
 // all processes finish. It may be called multiple times; window memory is
-// re-initialized before each run. Buffers (window memory, busy horizons,
-// watcher lists, scheduler procs) are reused across runs.
+// re-initialized before each run. The shape-sized buffers (window memory,
+// busy horizons, watcher lists, the Proc slab, per-distance counts) belong
+// to a pooled scratch the machine takes on its first Run and holds until
+// Release.
 func (m *Machine) Run(body func(p *Proc)) error {
+	m.checkLive()
 	p := m.topo.Procs()
 	if m.words == 0 {
 		m.words = 1 // allow op-less smoke programs
@@ -280,26 +314,23 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		f(m)
 	}
 	m.ran = true
-	m.stats = Stats{PerDistance: make([]OpCount, m.topo.MaxDistance()+1)}
 	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink, ShardSize: m.topo.ProcsPerLeaf(), Gate: m.gate}
-	if cap(m.procBuf) >= p {
-		m.procBuf = m.procBuf[:p]
-	} else {
-		m.procBuf = make([]Proc, p)
-	}
 	wrap := func(h schedHandle) {
 		// Procs live in one flat slab indexed by rank (no per-rank boxing).
 		// Each rank writes only its own slot, so the parallel engine's
-		// concurrent wrap calls stay race-free; the full re-initialization
-		// clears any state left by a previous run. The RNG is built lazily
-		// by Rand(): a rand.Rand is ~5KB, which at 10^6 ranks would dwarf
-		// the flat scheduler state, and most workload profiles never draw.
+		// concurrent wrap calls stay race-free. The re-initialization
+		// clears everything a previous run on this scratch left in the
+		// slot except the rank's generator state (see procRand), which
+		// Rand() re-opens lazily: most workload profiles never draw, and
+		// at 10^6 ranks eager ~5KB generators would dwarf the flat
+		// scheduler state.
 		proc := &m.procBuf[h.ID()]
 		*proc = Proc{
 			m:    m,
 			rank: h.ID(),
 			h:    h,
 			st:   &m.stats,
+			gen:  proc.gen,
 		}
 		if gh, ok := h.(gateHandle); ok {
 			// Parallel engine: gate every shared access and shard the
@@ -367,41 +398,112 @@ func (m *Machine) mergeShards() {
 	m.shards = nil
 }
 
-// reset prepares the per-run buffers, reusing prior allocations where the
-// shapes match (hot sweep loops run one machine many times).
+// scratch owns every buffer of a run whose size depends only on the
+// machine's shape (ranks × window words, ranks, distance classes). A
+// machine takes one in reset and returns it in Release, so a sweep worker
+// running one machine per cell stops allocating — and seeding — the same
+// state over and over. Between runs a scratch is confined to whoever holds
+// it: the pool, or exactly one machine.
+type scratch struct {
+	mem      []int64
+	busy     []int64
+	watchers [][]watcher
+	procs    []Proc // each slot keeps its rank's generator state (Proc.gen)
+	perDist  []OpCount
+}
+
+// scratchPool recycles scratches across machines, like sim's corePool for
+// scheduler cores. It is a sync.Pool, so an idle process gives the memory
+// back to the collector instead of pinning the largest shape it ever ran.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset prepares the per-run buffers: it takes a scratch from the pool on
+// the machine's first run (later runs keep the one it holds) and sizes and
+// zeroes every buffer for p ranks, whatever shape left them behind.
 func (m *Machine) reset(p int) {
+	if m.sc == nil {
+		m.sc = scratchPool.Get().(*scratch)
+	}
+	sc := m.sc
+	// The window slab grows with 1/8 head-room: consecutive cells of a
+	// grid differ slightly in window width (RMA-RW's is a few words wider
+	// than foMPI's), and an exact fit would strand the slab at every such
+	// step. The other buffers are sized by the rank count alone.
 	need := p * m.words
-	if cap(m.mem) >= need {
-		m.mem = m.mem[:need]
-		for i := range m.mem {
-			m.mem[i] = 0
-		}
-	} else {
-		m.mem = make([]int64, need)
+	sc.mem = zeroed(sc.mem, need, need/8)
+	sc.busy = zeroed(sc.busy, p, 0)
+	sc.perDist = zeroed(sc.perDist, m.topo.MaxDistance()+1, 0)
+	// An aborted run leaves its parked waiters registered; drop them over
+	// the previous shape's whole length so a list that falls out of range
+	// now is empty when a wider shape brings it back.
+	for i, ws := range sc.watchers {
+		clear(ws)
+		sc.watchers[i] = ws[:0]
 	}
-	if cap(m.busy) >= p {
-		m.busy = m.busy[:p]
-		for i := range m.busy {
-			m.busy[i] = 0
-		}
-	} else {
-		m.busy = make([]int64, p)
+	sc.watchers = extended(sc.watchers, p)
+	// Proc slots are re-initialized by Run's wrap, all but the generator
+	// state of the ranks already there.
+	sc.procs = extended(sc.procs, p)
+	m.mem, m.busy, m.watchers, m.procBuf = sc.mem, sc.busy, sc.watchers, sc.procs
+	m.stats = Stats{PerDistance: sc.perDist}
+}
+
+// zeroed returns a with length n and every element zero, reusing its
+// backing array when large enough and allocating spare extra capacity
+// when not.
+func zeroed[T any](a []T, n, spare int) []T {
+	if cap(a) < n {
+		return make([]T, n, n+spare)
 	}
-	if len(m.watchers) != p {
-		m.watchers = make([][]watcher, p)
-	} else {
-		for i, ws := range m.watchers {
-			clear(ws) // an aborted run leaves its parked waiters registered
-			m.watchers[i] = ws[:0]
-		}
+	a = a[:n]
+	clear(a)
+	return a
+}
+
+// extended returns a with length n and its elements kept, moving them to a
+// larger backing array only when it must.
+func extended[T any](a []T, n int) []T {
+	if cap(a) < n {
+		b := make([]T, n)
+		copy(b, a[:cap(a)])
+		return b
+	}
+	return a[:n]
+}
+
+// Release returns the machine's scratch to the pool once the run's results
+// have been read: window contents (At), Stats and anything else that looks
+// into the machine. The machine must not be used afterwards — At, Set,
+// Fill, Stats and Run panic rather than read another machine's window.
+// Release is idempotent, and optional: a machine that is never released
+// falls to the garbage collector with its scratch.
+func (m *Machine) Release() {
+	m.released = true
+	sc := m.sc
+	if sc == nil {
+		return
+	}
+	m.sc, m.mem, m.busy, m.watchers, m.procBuf = nil, nil, nil, nil, nil
+	m.stats.PerDistance = nil
+	scratchPool.Put(sc)
+}
+
+func (m *Machine) checkLive() {
+	if m.released {
+		panic("rma: machine released")
 	}
 }
 
 // MaxClock returns the makespan (maximum virtual time, ns) of the last run.
 func (m *Machine) MaxClock() int64 { return m.maxClk }
 
-// Stats returns aggregate operation statistics of the last run.
-func (m *Machine) Stats() Stats { return m.stats }
+// Stats returns aggregate operation statistics of the last run. Its
+// PerDistance slice is the machine's own: read it before the next Run or
+// Release.
+func (m *Machine) Stats() Stats {
+	m.checkLive()
+	return m.stats
+}
 
 func (m *Machine) index(rank, offset int) int {
 	if rank < 0 || rank >= m.topo.Procs() {

@@ -22,10 +22,12 @@ type Proc struct {
 	// st receives operation counts: &m.stats sequentially, a per-rank
 	// shard under the parallel engine (merged after the run).
 	st *Stats
-	// rng is built lazily by Rand(): a rand.Rand costs ~5KB, so eager
-	// per-rank construction would dominate memory at million-rank scale
-	// while most programs never draw from it.
+	// rng is the rank's random source once this run has drawn from it
+	// (nil until then, see Rand); gen is the generator state behind it,
+	// which stays in the rank's slot of the scratch's Proc slab from run
+	// to run. Both are touched only by the rank itself.
 	rng *rand.Rand
+	gen *procRand
 	// pending is virtual time charged but not yet published to the
 	// scheduler (charge coalescing, see spend). The process's effective
 	// clock is h.Clock() + pending.
@@ -53,16 +55,84 @@ func (p *Proc) Machine() *Machine { return p.m }
 // including charges coalesced but not yet published to the scheduler.
 func (p *Proc) Now() int64 { return p.h.Clock() + p.pending }
 
-// Rand returns the process's deterministic random source, created on
-// first use. The seed derivation is fixed (machine seed and rank only),
+// Rand returns the process's deterministic random source, opened on first
+// use in a run. The seed derivation is fixed (machine seed and rank only),
 // so the stream is byte-identical no matter when — or whether — other
-// ranks draw.
+// ranks draw, and no matter what ran on the machine's scratch before: the
+// values are those of rand.New(rand.NewSource(seed)).
 func (p *Proc) Rand() *rand.Rand {
 	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.m.seed*1000003 + int64(p.rank)))
+		if p.gen == nil {
+			p.gen = new(procRand)
+		}
+		p.rng = p.gen.open(p.m.seed*1000003 + int64(p.rank))
 	}
 	return p.rng
 }
+
+// randLogCap bounds a generator's replay log in words: 8KB, the order of
+// the ~5KB source it stands in for.
+const randLogCap = 1024
+
+// procRand is one rank's generator state, kept across runs because seeding
+// math/rand's source (607 words through a LCG) costs more than everything
+// else a short cell does with it, while every cell of a grid asks rank r
+// for the same seed. It logs the source's raw Uint64 output; a run that
+// opens it with the seed it already has replays the log and then carries
+// on drawing from the live source, which stands exactly len(log) draws
+// past that seed. It is a rand.Source64 whose Int63 masks Uint64 just as
+// math/rand's own source does, and rand.Rand derives every other draw
+// (Int63n, Intn, Float64, Zipf) from those two, so a replayed stream is
+// bit-identical to a freshly seeded one.
+type procRand struct {
+	src  rand.Source64 // the live math/rand source
+	seed int64
+	log  []uint64 // src's output since seeding, complete unless over
+	pos  int      // next log word to replay; == len(log) when drawing live
+	over bool     // src has drawn past the log's cap: re-seed before reuse
+	rnd  rand.Rand
+}
+
+// open readies the generator for a run that seeds it with seed: replay
+// when the log still describes that seed's stream from the start,
+// re-seed in place otherwise.
+func (g *procRand) open(seed int64) *rand.Rand {
+	if g.src == nil {
+		g.src = rand.NewSource(seed).(rand.Source64)
+		g.seed = seed
+	} else if g.seed != seed || g.over {
+		g.Seed(seed)
+	}
+	g.pos = 0
+	g.rnd = *rand.New(g) // a fresh Rand: Read keeps state of its own
+	return &g.rnd
+}
+
+// Seed implements rand.Source.
+func (g *procRand) Seed(seed int64) {
+	g.src.Seed(seed)
+	g.seed, g.log, g.pos, g.over = seed, g.log[:0], 0, false
+}
+
+// Uint64 implements rand.Source64.
+func (g *procRand) Uint64() uint64 {
+	if g.pos < len(g.log) {
+		v := g.log[g.pos]
+		g.pos++
+		return v
+	}
+	v := g.src.Uint64()
+	if len(g.log) < randLogCap {
+		g.log = append(g.log, v)
+		g.pos++
+	} else {
+		g.over = true
+	}
+	return v
+}
+
+// Int63 implements rand.Source.
+func (g *procRand) Int63() int64 { return int64(g.Uint64() &^ (1 << 63)) }
 
 // spend charges d nanoseconds of virtual time with charge coalescing:
 // while the effective clock stays at or below the scheduler's fast-path

@@ -60,3 +60,28 @@ func BenchmarkHarnessProfiles(b *testing.B) {
 		})
 	}
 }
+
+// warmCell is the P=16 dht/RMA-RW cell of BenchmarkCellBackToBack and
+// TestWarmCellAllocBytes: a 1.3MB window and sixteen drawing ranks.
+func warmCell() workload.Spec {
+	return workload.Spec{
+		Scheme: workload.SchemeRMARW,
+		P:      16, ProcsPerNode: 16,
+		Iters:    10,
+		Profile:  workload.Uniform{FW: 0.1, NumLocks: 8},
+		Workload: &workload.DHTOps{ShardByLock: true},
+	}
+}
+
+// BenchmarkCellBackToBack measures a warm sweep worker: the same cell run
+// back to back on one goroutine, so B/op and allocs/op are what a cell
+// costs beyond the pooled scratch, scheduler core and report buffers
+// (TestWarmCellAllocBytes bounds the bytes).
+func BenchmarkCellBackToBack(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.Run(warmCell()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

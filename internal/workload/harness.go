@@ -284,6 +284,9 @@ func Run(spec Spec) (Report, error) {
 		cfg.Latency = &lat
 	}
 	m := rma.NewMachineConfig(topo, cfg)
+	// Everything below that looks into the machine (summarize, Extract,
+	// the MemStats read) runs before this returns its scratch.
+	defer m.Release()
 
 	var set []locks.RWMutex
 	var err error
