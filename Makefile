@@ -136,11 +136,13 @@ trace:
 		-profiles uniform -p 32 -iters 40 -fw 1 -trace results/trace.json
 	$(GO) run ./cmd/traceview results/trace_*.json
 
-# Observability smoke: run a psim sweep with the HTTP plane listening,
-# scrape /metrics and /progress mid-run, then check the merged snapshot
-# side channel reports the gate serial fraction — ROADMAP item 2's
-# Amdahl ceiling as a concrete measured number. CI's obs-smoke job runs
-# this plus the fast-path allocation guard.
+# Observability smoke: run a sweep with the HTTP plane listening, scrape
+# /metrics (until the first cell's run span has closed) and /progress
+# mid-run, then check the scrape and the merged snapshot side channel
+# both carry the harness's instruments (the per-cycle iteration counter
+# and the run phase span). The grid is sized to run for a few seconds so
+# the scrape lands mid-run. CI's obs-smoke job runs this plus the
+# fast-path allocation guard.
 OBS_ADDR = 127.0.0.1:9137
 
 obs-smoke:
@@ -148,25 +150,27 @@ obs-smoke:
 	$(GO) build -o results/workbench-obs ./cmd/workbench
 	@set -e; \
 	./results/workbench-obs -schemes RMA-MCS,foMPI-Spin -workloads empty \
-		-profiles uniform,zipf -ps 32,64 -iters 60 -engine psim \
+		-profiles uniform,zipf -ps 128,256 -iters 120 \
 		-listen $(OBS_ADDR) -metrics-out results/obs-metrics.json \
 		> results/obs-smoke.txt 2> results/obs-smoke.err & \
 	pid=$$!; ok=0; \
 	for i in $$(seq 1 100); do \
-		if curl -sf http://$(OBS_ADDR)/metrics -o results/obs-scrape.prom; then ok=1; break; fi; \
+		if curl -sf http://$(OBS_ADDR)/metrics -o results/obs-scrape.prom && \
+			grep -q '^obs_phase_wall_ns_total{phase="run"} ' results/obs-scrape.prom; then ok=1; break; fi; \
 		sleep 0.05; \
 	done; \
 	if [ $$ok -ne 1 ]; then \
-		echo "obs-smoke: /metrics never came up"; \
+		echo "obs-smoke: /metrics never showed a finished cell"; \
 		kill $$pid 2>/dev/null; cat results/obs-smoke.err; exit 1; \
 	fi; \
 	curl -sf http://$(OBS_ADDR)/progress -o results/obs-progress.ndjson; \
 	wait $$pid
 	@cat results/obs-smoke.txt
-	grep -q '^psim_gate_serial_fraction ' results/obs-scrape.prom
+	grep -q '^cell_iters_done_total ' results/obs-scrape.prom
+	grep -q '^obs_phase_wall_ns_total{phase="run"} ' results/obs-scrape.prom
 	grep -q '"summary":true' results/obs-progress.ndjson
-	grep -q 'psim_gate_serial_fraction' results/obs-metrics.json
-	@echo "obs-smoke: OK —$$(grep 'psim_gate_serial_fraction' results/obs-metrics.json | tr -d ',')"
+	grep -q 'cell_iters_done_total' results/obs-metrics.json
+	@echo "obs-smoke: OK —$$(grep 'cell_iters_done_total' results/obs-metrics.json | tr -d ',')"
 
 # Sweep-service smoke: start sweepd on a fresh cache, submit a 4-cell
 # grid through the workbench client, then resubmit with one changed

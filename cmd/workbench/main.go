@@ -78,7 +78,7 @@ func main() {
 		out       = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
 		baseline  = flag.String("baseline", "", "compare against a persisted run and report per-cell deltas")
 		tol       = flag.Float64("tol", 0, "throughput-regression tolerance in percent for -baseline (exit 1 beyond it)")
-		engine    = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs), 'psim' (conservative parallel)")
+		engine    = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
 		memstats  = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; breaks byte-identical baseline diffs)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprof   = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
@@ -86,7 +86,7 @@ func main() {
 		tracecsv  = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
 		listen    = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
 		submit    = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-baseline/-csv; never falls back to a local run)")
-		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans, psim gate metrics) as JSON to this file — a side channel, never part of reports or fingerprints")
+		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 	)
 	var tunes tuneAxes
 	flag.Var(&tunes, "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
@@ -96,11 +96,8 @@ func main() {
 
 	// Validate before profiling starts: flag errors must exit cleanly,
 	// not crash a sweep worker or truncate a profile.
-	switch *engine {
-	case "", rma.EngineFast, rma.EngineRef, rma.EnginePSim:
-	default:
-		fmt.Fprintf(os.Stderr, "workbench: unknown -engine %q (have '', %q, %q, %q)\n",
-			*engine, rma.EngineFast, rma.EngineRef, rma.EnginePSim)
+	if err := rma.CheckEngine(*engine); err != nil {
+		fmt.Fprintf(os.Stderr, "workbench: -engine: %v\n", err)
 		os.Exit(2)
 	}
 	schemeList, err := splitSchemes(*schemes)

@@ -64,11 +64,10 @@ func (o *obsPlane) span(name string) obs.Span {
 	return o.metrics.Span(name)
 }
 
-// writeMetrics persists the merged post-run snapshot — counters, gauges
-// (including psim_gate_serial_fraction), histograms and the phase
-// table — as indented JSON: the side-channel consumed by
-// internal/adaptive and the bench trajectory, deliberately NOT part of
-// any Report or fingerprint.
+// writeMetrics persists the merged post-run snapshot — counters, gauges,
+// histograms and the phase table — as indented JSON: the side-channel
+// consumed by internal/adaptive and the bench trajectory, deliberately
+// NOT part of any Report or fingerprint.
 func (o *obsPlane) writeMetrics(path string) error {
 	if o == nil {
 		return nil

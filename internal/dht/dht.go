@@ -20,7 +20,6 @@ package dht
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rmalocks/internal/rma"
 )
@@ -111,7 +110,7 @@ func (t *Table) AtomicInsert(p *rma.Proc, vol int, key int64) bool {
 	idx := p.FAO(1, vol, t.freeOff, rma.OpSum)
 	p.Flush(vol)
 	if idx >= int64(t.cells) {
-		atomic.AddInt64(&t.Overflows, 1)
+		t.Overflows++
 		return false
 	}
 	p.Put(key, vol, t.heapVal+int(idx))
@@ -177,7 +176,7 @@ func (t *Table) PlainInsert(p *rma.Proc, vol int, key int64) bool {
 	idx := p.Get(vol, t.freeOff)
 	p.Flush(vol)
 	if idx >= int64(t.cells) {
-		atomic.AddInt64(&t.Overflows, 1)
+		t.Overflows++
 		return false
 	}
 	p.Put(idx+1, vol, t.freeOff)

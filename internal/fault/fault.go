@@ -4,13 +4,12 @@
 // intervals that model a descheduled holder. Every perturbation is a
 // pure function of (seed, rank, per-rank charge-event index, virtual
 // clock), so a faulted run is exactly as deterministic as a fault-free
-// one: identical configs stay byte-identical across the fast, reference
-// and parallel engines (differential-tested).
+// one: identical configs stay byte-identical across the fast and
+// reference engines (differential-tested).
 //
 // All perturbations are additive-only — jitter and congestion scale the
-// round trip up, stragglers scale occupancy up, stalls defer the op —
-// which keeps the parallel engine's latency-model lookahead a valid
-// lower bound under any profile.
+// round trip up, stragglers scale occupancy up, stalls defer the op — so
+// the fault-free latency table stays a lower bound under any profile.
 //
 // A Profile also carries the bounded-acquire knobs (Timeout, Retries,
 // AbortOnExhaust) consumed by the workload harness; they do not perturb
@@ -227,7 +226,7 @@ func Parse(spec string) (*Profile, error) {
 
 // Validate checks the profile's invariants: every multiplier >= 1,
 // every additive term >= 0, every probability in range. These bounds
-// are what keep the parallel engine's lookahead a lower bound.
+// are what make every perturbation additive-only.
 func (p *Profile) Validate() error {
 	check := func(ok bool, key, reason string) error {
 		if ok {

@@ -11,9 +11,8 @@ const (
 
 // Injector is a Profile compiled against one machine: the resolved hash
 // seed and the per-rank straggler set. It is immutable after
-// construction and safe for concurrent use (the parallel engine calls
-// Perturb from many goroutines); the per-rank event index that drives
-// the hash stream lives with the caller.
+// construction; the per-rank event index that drives the hash stream
+// lives with the caller.
 type Injector struct {
 	prof      Profile
 	seed      uint64

@@ -201,16 +201,29 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown job result = %d, want 404", code)
 	}
 
-	// Malformed grid JSON → 400 with a JSON error body.
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"bogus_field":1}`))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed grid JSON, and a well-formed grid whose engine or rank
+	// counts the simulator would panic on (on a sweep worker, taking the
+	// daemon with it) → 400 with a JSON error body naming the field.
+	const grid = `{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],`
+	for _, tc := range []struct{ body, want string }{
+		{`{"bogus_field":1}`, "error"},
+		{grid + `"engine":"psim"}`, "engine"},
+		{grid + `"engine":"bogus"}`, "engine"},
+		{grid + `"ps":[-3]}`, "ps"},
+		{grid + `"ppn":-1}`, "ppn"},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+			t.Errorf("POST %s: %d %s, want 400 + error body naming %q", tc.body, resp.StatusCode, raw, tc.want)
+		}
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "error") {
-		t.Errorf("bogus grid: %d %s, want 400 + error body", resp.StatusCode, raw)
-	}
+	// The daemon is still there and serves a valid job.
+	awaitState(t, ts, submitGrid(t, ts, "after-rejects").ID, jobq.StateDone)
 
 	// A job canceled before completion serves 410 for its result.
 	j, err := mgr.Submit(testGrid(), "to-cancel")
@@ -226,11 +239,11 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// The index page lists the mounted job routes.
-	resp, err = http.Get(ts.URL + "/")
+	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ = io.ReadAll(resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(raw), "/jobs") {
 		t.Errorf("index page does not list /jobs: %q", raw)

@@ -4,11 +4,7 @@
 // conceptual building block of the DQs used by RMA-MCS and RMA-RW.
 package dmcs
 
-import (
-	"sync/atomic"
-
-	"rmalocks/internal/rma"
-)
+import "rmalocks/internal/rma"
 
 // Window offsets (words) within the lock's allocation.
 const (
@@ -70,7 +66,7 @@ func (l *Lock) acquire(p *rma.Proc) {
 		p.Flush(int(pred))
 		p.SpinUntil(me, l.base+offWait, func(v int64) bool { return v == 0 })
 	}
-	atomic.AddInt64(&l.Acquires, 1)
+	l.Acquires++
 }
 
 // Release implements the paper's Listing 3.

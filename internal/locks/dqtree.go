@@ -2,7 +2,6 @@ package locks
 
 import (
 	"math"
-	"sync/atomic"
 
 	"rmalocks/internal/rma"
 	"rmalocks/internal/topology"
@@ -164,9 +163,9 @@ func (t *DQTree) Pass(p *rma.Proc, i int, succ int64, status int64) {
 	p.Put(status, int(succ), t.statusOff[i])
 	p.Flush(int(succ))
 	if status >= 0 {
-		atomic.AddInt64(&t.Passes[i], 1)
+		t.Passes[i]++
 	} else {
-		atomic.AddInt64(&t.ParentReleases[i], 1)
+		t.ParentReleases[i]++
 	}
 }
 

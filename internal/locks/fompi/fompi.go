@@ -6,8 +6,6 @@
 package fompi
 
 import (
-	"sync/atomic"
-
 	"rmalocks/internal/rma"
 	"rmalocks/internal/spinwait"
 )
@@ -46,7 +44,7 @@ func (l *SpinLock) Acquire(p *rma.Proc) {
 			p.TraceAcquired(l.id, true)
 			return
 		}
-		atomic.AddInt64(&l.Retries, 1)
+		l.Retries++
 		b.Pause(p)
 	}
 }
@@ -66,7 +64,7 @@ func (l *SpinLock) TryAcquireFor(p *rma.Proc, timeout int64) bool {
 			p.TraceAcquired(l.id, true)
 			return true
 		}
-		atomic.AddInt64(&l.Retries, 1)
+		l.Retries++
 		if p.Now() >= deadline {
 			p.TraceAcquireTimeout(l.id, true)
 			return false
@@ -126,7 +124,7 @@ func (l *RWLock) AcquireRead(p *rma.Proc) {
 		// A writer is in or entering the CS: back out and wait.
 		p.Accumulate(-1, l.home, l.base, rma.OpSum)
 		p.Flush(l.home)
-		atomic.AddInt64(&l.ReaderRetries, 1)
+		l.ReaderRetries++
 		for {
 			v := p.Get(l.home, l.base)
 			p.Flush(l.home)
@@ -154,7 +152,7 @@ func (l *RWLock) TryAcquireReadFor(p *rma.Proc, timeout int64) bool {
 		}
 		p.Accumulate(-1, l.home, l.base, rma.OpSum)
 		p.Flush(l.home)
-		atomic.AddInt64(&l.ReaderRetries, 1)
+		l.ReaderRetries++
 		for {
 			if p.Now() >= deadline {
 				p.TraceAcquireTimeout(l.id, false)
@@ -187,7 +185,7 @@ func (l *RWLock) AcquireWrite(p *rma.Proc) {
 		v := p.Get(l.home, l.base)
 		p.Flush(l.home)
 		if v&writerBit != 0 {
-			atomic.AddInt64(&l.WriterRetries, 1)
+			l.WriterRetries++
 			b.Pause(p)
 			continue
 		}
@@ -196,7 +194,7 @@ func (l *RWLock) AcquireWrite(p *rma.Proc) {
 		if prev == v {
 			break // claimed
 		}
-		atomic.AddInt64(&l.WriterRetries, 1)
+		l.WriterRetries++
 		b.Pause(p)
 	}
 	// Drain readers.
@@ -224,7 +222,7 @@ func (l *RWLock) TryAcquireWriteFor(p *rma.Proc, timeout int64) bool {
 		v := p.Get(l.home, l.base)
 		p.Flush(l.home)
 		if v&writerBit != 0 {
-			atomic.AddInt64(&l.WriterRetries, 1)
+			l.WriterRetries++
 			if p.Now() >= deadline {
 				p.TraceAcquireTimeout(l.id, true)
 				return false
@@ -237,7 +235,7 @@ func (l *RWLock) TryAcquireWriteFor(p *rma.Proc, timeout int64) bool {
 		if prev == v {
 			break // claimed
 		}
-		atomic.AddInt64(&l.WriterRetries, 1)
+		l.WriterRetries++
 		if p.Now() >= deadline {
 			p.TraceAcquireTimeout(l.id, true)
 			return false

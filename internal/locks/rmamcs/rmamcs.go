@@ -10,7 +10,6 @@ package rmamcs
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rmalocks/internal/locks"
 	"rmalocks/internal/rma"
@@ -80,9 +79,9 @@ func (l *Lock) acquire(p *rma.Proc) {
 			if status >= 0 {
 				// T_L,i not reached: the lock was passed to us and we
 				// directly proceed to the CS.
-				atomic.AddInt64(&l.Acquires, 1)
+				l.Acquires++
 				if i >= 2 {
-					atomic.AddInt64(&l.DirectEntries, 1) // short-cut: never reached the root
+					l.DirectEntries++ // short-cut: never reached the root
 				}
 				return
 			}
@@ -96,7 +95,7 @@ func (l *Lock) acquire(p *rma.Proc) {
 	}
 	// Reached past the root with every level's queue empty or handed
 	// over: we hold the global lock.
-	atomic.AddInt64(&l.Acquires, 1)
+	l.Acquires++
 }
 
 // Release walks the DT from the leaf (Listing 5): at each level it passes

@@ -1,9 +1,8 @@
 // Package obs is the deterministic-safe observability subsystem: live
 // counters, gauges and histograms sharded per rank (the same lock-free
-// shard pattern as internal/trace's per-rank buffers and the psim stat
-// shards — every writer owns its slot, merges happen at read time),
-// named phase spans (setup / run / drain / merge) with wall-clock and
-// cumulative serial-section timing, and the scrape surfaces built on
+// shard pattern as internal/trace's per-rank buffers — every writer owns
+// its slot, merges happen at read time), named phase spans (setup / run /
+// drain / merge) with wall-clock timing, and the scrape surfaces built on
 // top: a Prometheus text exposition (server.go: /metrics), an NDJSON
 // sweep-progress stream (/progress), and a merged JSON snapshot
 // (workbench -metrics-out).
@@ -15,10 +14,7 @@
 // counts); virtual-time decisions never read them, and metric values
 // never enter workload.Report.Extra or report fingerprints — with obs
 // enabled or disabled, every report is byte-identical (test-enforced,
-// see internal/workload's obs tests). The one deliberate exception to
-// "host-only" is the gate's lookahead-slack histogram, which records
-// virtual nanoseconds — but it too is write-only from the simulator's
-// perspective.
+// see internal/workload's obs tests).
 //
 // # Cost model
 //
@@ -74,6 +70,28 @@ func NewRegistry() *Registry {
 		metrics: make(map[string]metric),
 		phases:  make(map[string]*phaseStat),
 	}
+}
+
+// Metrics is the handle on the observability instruments that is threaded
+// through the stack (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs).
+// A nil *Metrics disables observability at one nil check per site; sweep
+// grids share one Metrics across all cells (every instrument is
+// concurrency-safe and merge-by-sum).
+type Metrics struct {
+	Registry *Registry
+}
+
+// NewMetrics builds a Metrics over a fresh registry.
+func NewMetrics() *Metrics {
+	return &Metrics{Registry: NewRegistry()}
+}
+
+// Span opens a phase span (no-op span when m is nil).
+func (m *Metrics) Span(name string) Span {
+	if m == nil {
+		return Span{}
+	}
+	return m.Registry.Span(name)
 }
 
 // metric is the common surface of every registered instrument.
@@ -157,8 +175,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 // count (typically the rank count P), registering it on first use.
 // Writer i adds through shard i&mask without contending with other
 // writers: each shard is one cache-line-padded atomic, the per-rank
-// pattern of trace's buffers and psim's stat shards. Counts are exact
-// for any writer count; only contention relief degrades past maxShards.
+// pattern of trace's buffers. Counts are exact for any writer count; only
+// contention relief degrades past maxShards.
 // Get-or-create keeps the first shard sizing (values stay exact).
 func (r *Registry) ShardedCounter(name, help string, writers int) *ShardedCounter {
 	if r == nil {
@@ -446,15 +464,11 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 	return b
 }
 
-// phaseStat accumulates one named phase: how many spans completed, the
-// cumulative wall-clock nanoseconds across them, and the cumulative
-// serial-section nanoseconds its spans attributed (time provably spent
-// under a global lock while the phase ran — for the psim run phase, the
-// conservative gate's mutex hold time).
+// phaseStat accumulates one named phase: how many spans completed and the
+// cumulative wall-clock nanoseconds across them.
 type phaseStat struct {
-	spans    atomic.Int64
-	wallNs   atomic.Int64
-	serialNs atomic.Int64
+	spans  atomic.Int64
+	wallNs atomic.Int64
 }
 
 // Span is one in-flight phase span. The zero Span (from a nil registry)
@@ -466,7 +480,7 @@ type Span struct {
 	t0 time.Time
 }
 
-// Span opens a span on the named phase. End (or EndSerial) closes it.
+// Span opens a span on the named phase. End closes it.
 func (r *Registry) Span(name string) Span {
 	if r == nil {
 		return Span{}
@@ -482,26 +496,18 @@ func (r *Registry) Span(name string) Span {
 }
 
 // End closes the span, accumulating its wall time into the phase.
-func (s Span) End() { s.EndSerial(0) }
-
-// EndSerial closes the span like End and additionally attributes
-// serialNs nanoseconds of the span's duration to serial sections — the
-// caller measured them (e.g. as the delta of the psim gate's hold-time
-// counter across the span).
-func (s Span) EndSerial(serialNs int64) {
+func (s Span) End() {
 	if s.st == nil {
 		return
 	}
 	s.st.spans.Add(1)
 	s.st.wallNs.Add(time.Since(s.t0).Nanoseconds())
-	s.st.serialNs.Add(serialNs)
 }
 
 // PhaseSnapshot is one phase's merged totals.
 type PhaseSnapshot struct {
-	Spans    int64 `json:"spans"`
-	WallNs   int64 `json:"wall_ns"`
-	SerialNs int64 `json:"serial_ns,omitempty"`
+	Spans  int64 `json:"spans"`
+	WallNs int64 `json:"wall_ns"`
 }
 
 // BucketSnapshot is one histogram bucket's cumulative count.
@@ -545,9 +551,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	for name, st := range r.phases {
-		s.Phases[name] = PhaseSnapshot{
-			Spans: st.spans.Load(), WallNs: st.wallNs.Load(), SerialNs: st.serialNs.Load(),
-		}
+		s.Phases[name] = PhaseSnapshot{Spans: st.spans.Load(), WallNs: st.wallNs.Load()}
 	}
 	r.mu.Unlock()
 	return s
@@ -587,8 +591,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// exposePhases renders the phase table: cumulative wall ns, serial ns
-// and span counts per phase, labeled by phase name in sorted order.
+// exposePhases renders the phase table: cumulative wall ns and span
+// counts per phase, labeled by phase name in sorted order.
 func (r *Registry) exposePhases(w io.Writer) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.phases))
@@ -607,10 +611,6 @@ func (r *Registry) exposePhases(w io.Writer) {
 	fmt.Fprintf(w, "# HELP obs_phase_wall_ns_total Cumulative wall-clock nanoseconds per phase span.\n# TYPE obs_phase_wall_ns_total counter\n")
 	for i, n := range names {
 		fmt.Fprintf(w, "obs_phase_wall_ns_total{phase=%q} %d\n", n, stats[i].wallNs.Load())
-	}
-	fmt.Fprintf(w, "# HELP obs_phase_serial_ns_total Cumulative serial-section nanoseconds attributed per phase.\n# TYPE obs_phase_serial_ns_total counter\n")
-	for i, n := range names {
-		fmt.Fprintf(w, "obs_phase_serial_ns_total{phase=%q} %d\n", n, stats[i].serialNs.Load())
 	}
 	fmt.Fprintf(w, "# HELP obs_phase_spans_total Completed spans per phase.\n# TYPE obs_phase_spans_total counter\n")
 	for i, n := range names {

@@ -25,7 +25,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(0, 1)
 	h.Observe(3, 3)
 	h.Observe(5, 100)
-	r.Span("run").EndSerial(0) // wall ns is live; pin only names below
+	r.Span("run").End() // wall ns is live; pin only names below
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -70,52 +70,11 @@ zz_last_total 7
 	for _, line := range []string{
 		`# TYPE obs_phase_wall_ns_total counter`,
 		`obs_phase_wall_ns_total{phase="run"} `,
-		`obs_phase_serial_ns_total{phase="run"} 0`,
 		`obs_phase_spans_total{phase="run"} 1`,
 	} {
 		if !strings.Contains(phases, line) {
 			t.Errorf("phase exposition missing %q in:\n%s", line, phases)
 		}
-	}
-}
-
-// TestGateMetricsScrapeNames pins the psim gate metric names — the
-// contract the obs-smoke CI job greps for.
-func TestGateMetricsScrapeNames(t *testing.T) {
-	r := NewRegistry()
-	NewGateMetrics(r)
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, name := range []string{
-		"psim_gate_hold_ns_total",
-		"psim_run_wall_ns_total",
-		"psim_gate_lockings_total",
-		"psim_gate_grants_total",
-		"psim_gate_grant_queue_depth_bucket",
-		"psim_gate_constraint_heap_entries_bucket",
-		"psim_gate_lookahead_slack_ns_bucket",
-		"psim_gate_serial_fraction",
-	} {
-		if !strings.Contains(got, "\n"+name+" ") && !strings.Contains(got, "\n"+name+"{") {
-			t.Errorf("scrape missing metric %q:\n%s", name, got)
-		}
-	}
-}
-
-// TestSerialFraction checks the derived gauge: Hold/Wall, 0 before any
-// wall time lands.
-func TestSerialFraction(t *testing.T) {
-	g := NewGateMetrics(NewRegistry())
-	if f := g.SerialFraction(); f != 0 {
-		t.Fatalf("fraction before wall time = %v, want 0", f)
-	}
-	g.Hold.Add(250)
-	g.Wall.Add(1000)
-	if f := g.SerialFraction(); f != 0.25 {
-		t.Fatalf("fraction = %v, want 0.25", f)
 	}
 }
 
@@ -129,7 +88,6 @@ func TestNilSafety(t *testing.T) {
 	r.ShardedCounter("s", "", 8).Add(3, 1)
 	r.Histogram("h", "", []int64{1}, 8).Observe(0, 5)
 	r.Span("x").End()
-	r.Span("y").EndSerial(9)
 	if v := r.Counter("c", "").Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
@@ -141,16 +99,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
 
-	var g *GateMetrics
-	if g.SerialFraction() != 0 || g.HoldValue() != 0 {
-		t.Fatal("nil GateMetrics not zero")
-	}
-
 	var m *Metrics
 	m.Span("p").End()
-	if m.GateMetrics() != nil {
-		t.Fatal("nil Metrics returned non-nil gate")
-	}
 }
 
 // TestGetOrCreate checks that re-registration returns the same
@@ -244,8 +194,7 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 				sc.Add(w, 1)
 				h.Observe(w, int64(i%100))
 				c.Inc()
-				sp := r.Span("run")
-				sp.EndSerial(1)
+				r.Span("run").End()
 			}
 		}(w)
 	}
@@ -263,8 +212,8 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	ph := snap.Phases["run"]
-	if ph.Spans != writers*perWriter || ph.SerialNs != writers*perWriter {
-		t.Fatalf("phase spans=%d serial=%d, want %d", ph.Spans, ph.SerialNs, writers*perWriter)
+	if ph.Spans != writers*perWriter {
+		t.Fatalf("phase spans=%d, want %d", ph.Spans, writers*perWriter)
 	}
 }
 

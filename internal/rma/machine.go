@@ -15,13 +15,12 @@ package rma
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
-	"time"
 
 	"rmalocks/internal/fault"
-	"rmalocks/internal/obs"
 	"rmalocks/internal/sim"
-	"rmalocks/internal/sim/psim"
 	"rmalocks/internal/sim/refsim"
 	"rmalocks/internal/topology"
 	"rmalocks/internal/trace"
@@ -67,21 +66,6 @@ type schedHandle interface {
 	Abort(err error)
 }
 
-// gateHandle is the wider handle of the parallel engine (internal/
-// sim/psim): every shared-memory access passes a conservative gate that
-// reproduces the sequential engines' global (time, rank) access order.
-// BeginAccess/EndAccess bracket an op's issue-time effect, BlockReleasing
-// parks a SpinUntil waiter, and WakeAtFrom re-admits it. The sequential
-// handles do not implement this interface; Proc.gate stays nil for them
-// and every site degrades to one nil check.
-type gateHandle interface {
-	schedHandle
-	BeginAccess(t int64, target int, minDur, minWake int64)
-	EndAccess(target int, bound int64)
-	BlockReleasing(target int)
-	WakeAtFrom(clock int64, waker int)
-}
-
 // engine abstracts a whole scheduler run.
 type engine interface {
 	MaxClock() int64
@@ -96,13 +80,20 @@ const (
 	// EngineRef is the reference scheduler (internal/sim/refsim), used by
 	// the differential determinism suite.
 	EngineRef = "ref"
-	// EnginePSim is the conservative parallel engine (internal/sim/psim):
-	// process goroutines run concurrently and synchronize only at an
-	// access gate whose lookahead derives from the latency model. It
-	// produces runs byte-identical to the sequential engines
-	// (test-enforced) while using multiple cores.
-	EnginePSim = "psim"
 )
+
+// engines is the one list of engine names: Config.Engine accepts these and
+// "" (EngineFast), and every layer that takes a name from outside — a
+// flag, a job spec — checks it with CheckEngine.
+var engines = []string{EngineFast, EngineRef}
+
+// CheckEngine returns an error unless name is "" or an engine name.
+func CheckEngine(name string) error {
+	if name == "" || slices.Contains(engines, name) {
+		return nil
+	}
+	return fmt.Errorf("rma: unknown engine %q (have %s)", name, strings.Join(engines, ", "))
+}
 
 // Machine is a simulated distributed machine: topology, latency model, and
 // one RMA window per rank. Construct it, let locks and data structures
@@ -130,12 +121,9 @@ type Machine struct {
 	sink       *trace.Sink
 	inj        *fault.Injector // nil when the fault profile perturbs nothing
 	nextLockID int
-	gate       *obs.GateMetrics
 	ran        bool
 	stats      Stats
-	shards     []Stats // per-rank stat shards (psim only; merged after the run)
-	procBuf    []Proc  // flat per-rank Proc slab, indexed by rank
-	look       lookahead
+	procBuf    []Proc // flat per-rank Proc slab, indexed by rank
 	maxClk     int64
 }
 
@@ -171,13 +159,6 @@ type Config struct {
 	// stay byte-identical across engines; a nil profile leaves charge at
 	// one nil check.
 	Faults *fault.Profile
-	// Gate, when non-nil, receives conservative-gate instrumentation from
-	// psim runs (mutex hold time, queue depths, lookahead slack — see
-	// obs.GateMetrics) plus the run's wall-clock time, from which the
-	// gate's serial fraction is derived. Observation only: it never
-	// influences a virtual-time decision, and the sequential engines
-	// ignore it entirely.
-	Gate *obs.GateMetrics
 }
 
 // NewMachine creates a machine over the given topology with default config.
@@ -202,10 +183,8 @@ func NewMachineConfig(topo *topology.Topology, cfg Config) *Machine {
 	if bcost == 0 {
 		bcost = 2000
 	}
-	switch cfg.Engine {
-	case "", EngineFast, EngineRef, EnginePSim:
-	default:
-		panic(fmt.Sprintf("rma: unknown engine %q (have %q, %q, %q)", cfg.Engine, EngineFast, EngineRef, EnginePSim))
+	if err := CheckEngine(cfg.Engine); err != nil {
+		panic(err)
 	}
 	return &Machine{
 		topo:       topo,
@@ -217,7 +196,6 @@ func NewMachineConfig(topo *topology.Topology, cfg Config) *Machine {
 		nocoalesce: cfg.NoCoalesce,
 		sink:       cfg.Trace,
 		inj:        fault.NewInjector(cfg.Faults, seed, topo.Procs()),
-		gate:       cfg.Gate,
 	}
 }
 
@@ -314,29 +292,20 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		f(m)
 	}
 	m.ran = true
-	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink, ShardSize: m.topo.ProcsPerLeaf(), Gate: m.gate}
+	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink, ShardSize: m.topo.ProcsPerLeaf()}
 	wrap := func(h schedHandle) {
 		// Procs live in one flat slab indexed by rank (no per-rank boxing).
-		// Each rank writes only its own slot, so the parallel engine's
-		// concurrent wrap calls stay race-free. The re-initialization
-		// clears everything a previous run on this scratch left in the
-		// slot except the rank's generator state (see procRand), which
-		// Rand() re-opens lazily: most workload profiles never draw, and
-		// at 10^6 ranks eager ~5KB generators would dwarf the flat
-		// scheduler state.
+		// The re-initialization clears everything a previous run on this
+		// scratch left in the slot except the rank's generator state (see
+		// procRand), which Rand() re-opens lazily: most workload profiles
+		// never draw, and at 10^6 ranks eager ~5KB generators would dwarf
+		// the flat scheduler state.
 		proc := &m.procBuf[h.ID()]
 		*proc = Proc{
 			m:    m,
 			rank: h.ID(),
 			h:    h,
-			st:   &m.stats,
 			gen:  proc.gen,
-		}
-		if gh, ok := h.(gateHandle); ok {
-			// Parallel engine: gate every shared access and shard the
-			// stats per rank (counts merge commutatively after the run).
-			proc.gate = gh
-			proc.st = &m.shards[proc.rank]
 		}
 		if m.sink != nil {
 			// Per-class buffers, resolved once: a disabled class leaves
@@ -355,22 +324,6 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		sched := refsim.New(simCfg)
 		err = sched.Run(func(h *refsim.Handle) { wrap(h) })
 		eng = sched
-	case EnginePSim:
-		m.buildLookahead()
-		m.shards = make([]Stats, p)
-		for i := range m.shards {
-			m.shards[i].PerDistance = make([]OpCount, m.topo.MaxDistance()+1)
-		}
-		sched := psim.New(simCfg)
-		// Wall-clock the engine run itself (not setup or merge): the
-		// gate's serial fraction is hold time over this duration.
-		t0 := time.Now()
-		err = sched.Run(func(h *psim.Handle) { wrap(h) })
-		if m.gate != nil {
-			m.gate.Wall.Add(time.Since(t0).Nanoseconds())
-		}
-		eng = sched
-		m.mergeShards()
 	default:
 		sched := sim.New(simCfg)
 		err = sched.Run(func(h *sim.Handle) { wrap(h) })
@@ -379,23 +332,6 @@ func (m *Machine) Run(body func(p *Proc)) error {
 	m.maxClk = eng.MaxClock()
 	eng.Release()
 	return err
-}
-
-// mergeShards folds the per-rank stat shards of a parallel run into
-// m.stats, in rank order (sums are commutative, so the result equals the
-// sequential engines' counts exactly).
-func (m *Machine) mergeShards() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		for k := range sh.Kind {
-			m.stats.Kind[k] += sh.Kind[k]
-		}
-		for d := range sh.PerDistance {
-			m.stats.PerDistance[d].Data += sh.PerDistance[d].Data
-			m.stats.PerDistance[d].Atomic += sh.PerDistance[d].Atomic
-		}
-	}
-	m.shards = nil
 }
 
 // scratch owns every buffer of a run whose size depends only on the
@@ -536,11 +472,8 @@ func (m *Machine) charge(origin *Proc, target, d int, atomic bool) (dur, land in
 		// Deterministic fault injection: stall defers the op's issue
 		// (the rank is descheduled), jitter/congestion widen the round
 		// trip, stragglers widen target occupancy. All perturbations are
-		// additive-only, so the parallel engine's lookahead (built from
-		// the unperturbed table) stays a valid lower bound; the memory
-		// effect still applies at the unperturbed issue time, so the
-		// global (time, rank) access order — and therefore every
-		// interleaving — is identical with and without the gate.
+		// additive-only, and the memory effect still applies at the
+		// unperturbed issue time.
 		var stall int64
 		rtt, occ, stall = m.inj.Perturb(origin.rank, origin.fidx, clock, d, target, rtt, occ)
 		origin.fidx++
@@ -578,8 +511,6 @@ type watcher struct {
 }
 
 // addWatcher registers a SpinUntil waiter on target's word at w.offset.
-// Watcher state is keyed by target rank so that, under the parallel
-// engine, it is only ever touched while holding that rank's effect slot.
 func (m *Machine) addWatcher(target int, w watcher) {
 	m.watchers[target] = append(m.watchers[target], w)
 }
@@ -587,9 +518,8 @@ func (m *Machine) addWatcher(target int, w watcher) {
 // wake re-schedules every watcher of the given word whose condition is
 // satisfied by the new value, in registration order; the wake-up clock is
 // the landing time of the triggering write plus the watcher's read latency
-// for the word. origin is the process whose write triggered the wake
-// (trace attribution).
-func (m *Machine) wake(target, offset int, newVal, land int64, origin *Proc) {
+// for the word.
+func (m *Machine) wake(target, offset int, newVal, land int64) {
 	ws := m.watchers[target]
 	if len(ws) == 0 {
 		return
@@ -598,52 +528,11 @@ func (m *Machine) wake(target, offset int, newVal, land int64, origin *Proc) {
 	for _, w := range ws {
 		if w.offset == offset && w.cond(newVal) {
 			detect := m.lat.DataRTT[m.topo.Distance(w.p.rank, target)]
-			if w.p.gate != nil {
-				w.p.gate.WakeAtFrom(land+detect, origin.rank)
-			} else {
-				w.p.h.WakeAt(land + detect)
-			}
+			w.p.h.WakeAt(land + detect)
 			continue
 		}
 		remaining = append(remaining, w)
 	}
 	clear(ws[len(remaining):]) // release the woken waiters' cond closures
 	m.watchers[target] = remaining
-}
-
-// lookahead holds the per-distance conservative bounds handed to the
-// parallel engine's access gate, derived from the latency model: an op's
-// minimum duration is RTT + occupancy at its distance (queuing behind a
-// busy target only increases it), and the earliest wake-up it can cause
-// is its outbound wire time plus occupancy (earliest landing) plus the
-// minimum detection latency over all watcher distances.
-type lookahead struct {
-	dataDur, atomicDur   []int64
-	dataWake, atomicWake []int64
-}
-
-func (m *Machine) buildLookahead() {
-	maxd := m.topo.MaxDistance()
-	if len(m.look.dataDur) == maxd+1 {
-		return
-	}
-	minDetect := m.lat.DataRTT[0]
-	for d := 1; d <= maxd; d++ {
-		if m.lat.DataRTT[d] < minDetect {
-			minDetect = m.lat.DataRTT[d]
-		}
-	}
-	l := lookahead{
-		dataDur:    make([]int64, maxd+1),
-		atomicDur:  make([]int64, maxd+1),
-		dataWake:   make([]int64, maxd+1),
-		atomicWake: make([]int64, maxd+1),
-	}
-	for d := 0; d <= maxd; d++ {
-		l.dataDur[d] = m.lat.DataRTT[d] + m.lat.DataOcc[d]
-		l.atomicDur[d] = m.lat.AtomicRTT[d] + m.lat.AtomicOcc[d]
-		l.dataWake[d] = m.lat.DataRTT[d]/2 + m.lat.DataOcc[d] + minDetect
-		l.atomicWake[d] = m.lat.AtomicRTT[d]/2 + m.lat.AtomicOcc[d] + minDetect
-	}
-	m.look = l
 }

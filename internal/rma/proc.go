@@ -15,13 +15,6 @@ type Proc struct {
 	m    *Machine
 	rank int
 	h    schedHandle
-	// gate is non-nil under the parallel engine (see gateHandle): every
-	// shared-memory access is bracketed by BeginAccess/EndAccess so the
-	// gate can reproduce the sequential engines' global access order.
-	gate gateHandle
-	// st receives operation counts: &m.stats sequentially, a per-rank
-	// shard under the parallel engine (merged after the run).
-	st *Stats
 	// rng is the rank's random source once this run has drawn from it
 	// (nil until then, see Rand); gen is the generator state behind it,
 	// which stays in the rank's slot of the scratch's Proc slab from run
@@ -234,8 +227,8 @@ func (p *Proc) TraceAcquireTimeout(id int, write bool) {
 }
 
 // Abort terminates the whole run with err: every rank unwinds and Run
-// returns an error wrapping err (errors.Is-visible), identically on all
-// three engines (conformance-tested). It never returns. Use it for
+// returns an error wrapping err (errors.Is-visible), identically on both
+// engines (conformance-tested). It never returns. Use it for
 // fatal protocol conditions a rank detects mid-run, e.g. exhausted
 // bounded-acquire retries under a fault profile configured to abort.
 func (p *Proc) Abort(err error) {
@@ -243,42 +236,15 @@ func (p *Proc) Abort(err error) {
 	panic("rma: scheduler Abort returned") // unreachable: Abort unwinds
 }
 
-// beginAccess passes the parallel engine's gate before a shared access at
-// the current effective clock; one nil check sequentially. canWake marks
-// ops that can trigger watcher wake-ups (everything that writes); d is the
-// distance to target.
-func (p *Proc) beginAccess(target, d int, atomic, canWake bool) {
-	if p.gate == nil {
-		return
-	}
-	dur, wake := p.m.look.dataDur[d], p.m.look.dataWake[d]
-	if atomic {
-		dur, wake = p.m.look.atomicDur[d], p.m.look.atomicWake[d]
-	}
-	if !canWake {
-		wake = -1
-	}
-	p.gate.BeginAccess(p.Now(), target, dur, wake)
-}
-
-// endAccess completes a gated access whose charged duration is dur.
-func (p *Proc) endAccess(target int, dur int64) {
-	if p.gate != nil {
-		p.gate.EndAccess(target, p.Now()+dur)
-	}
-}
-
 // Put atomically places src in target's window at offset.
 func (p *Proc) Put(src int64, target, offset int) {
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
-	p.beginAccess(target, d, false, true)
 	p.m.mem[i] = src
-	p.st.count(opPut, d)
+	p.m.stats.count(opPut, d)
 	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpPut, target, land)
-	p.m.wake(target, offset, src, land, p)
-	p.endAccess(target, dur)
+	p.m.wake(target, offset, src, land)
 	p.spend(dur)
 }
 
@@ -288,12 +254,10 @@ func (p *Proc) Put(src int64, target, offset int) {
 func (p *Proc) Get(target, offset int) int64 {
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
-	p.beginAccess(target, d, false, false)
 	v := p.m.mem[i]
-	p.st.count(opGet, d)
+	p.m.stats.count(opGet, d)
 	dur, land := p.m.charge(p, target, d, false)
 	p.traceOp(trace.OpGet, target, land)
-	p.endAccess(target, dur)
 	p.spend(dur)
 	return v
 }
@@ -303,7 +267,6 @@ func (p *Proc) Get(target, offset int) int64 {
 func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
-	p.beginAccess(target, d, true, true)
 	var nv int64
 	switch op {
 	case OpSum:
@@ -314,11 +277,10 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.st.count(opAcc, d)
+	p.m.stats.count(opAcc, d)
 	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpAcc, target, land)
-	p.m.wake(target, offset, nv, land, p)
-	p.endAccess(target, dur)
+	p.m.wake(target, offset, nv, land)
 	p.spend(dur)
 }
 
@@ -327,7 +289,6 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
-	p.beginAccess(target, d, true, true)
 	prev := p.m.mem[i]
 	var nv int64
 	switch op {
@@ -339,11 +300,10 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 		panic(fmt.Sprintf("rma: unknown op %v", op))
 	}
 	p.m.mem[i] = nv
-	p.st.count(opFAO, d)
+	p.m.stats.count(opFAO, d)
 	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpFAO, target, land)
-	p.m.wake(target, offset, nv, land, p)
-	p.endAccess(target, dur)
+	p.m.wake(target, offset, nv, land)
 	p.spend(dur)
 	return prev
 }
@@ -353,19 +313,17 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
-	p.beginAccess(target, d, true, true)
 	prev := p.m.mem[i]
 	changed := prev == cmp
 	if changed {
 		p.m.mem[i] = src
 	}
-	p.st.count(opCAS, d)
+	p.m.stats.count(opCAS, d)
 	dur, land := p.m.charge(p, target, d, true)
 	p.traceOp(trace.OpCAS, target, land)
 	if changed {
-		p.m.wake(target, offset, src, land, p)
+		p.m.wake(target, offset, src, land)
 	}
-	p.endAccess(target, dur)
 	p.spend(dur)
 	return prev
 }
@@ -374,14 +332,14 @@ func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
 // this simulation complete synchronously, so Flush only charges a small
 // bookkeeping cost; it is kept so protocols read exactly like the paper.
 func (p *Proc) Flush(target int) {
-	p.st.count(opFlush, 0)
+	p.m.stats.count(opFlush, 0)
 	p.traceOp(trace.OpFlush, target, 0)
 	p.spend(flushCost)
 }
 
 // FlushAll completes all pending RMA calls of the process.
 func (p *Proc) FlushAll() {
-	p.st.count(opFlush, 0)
+	p.m.stats.count(opFlush, 0)
 	p.traceOp(trace.OpFlush, -1, 0)
 	p.spend(flushCost)
 }
@@ -398,15 +356,12 @@ const flushCost = 10
 // read latency. Use it for grant flags and status words; keep genuine
 // contention loops (e.g., spinlock CAS retries) as explicit loops.
 func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
-	if p.gate != nil {
-		return p.spinUntilGated(target, offset, cond)
-	}
 	idx := p.m.index(target, offset)
 	v := p.m.mem[idx]
 	if cond(v) {
 		// Fast path: one ordinary read observes the satisfying value.
 		d := p.m.topo.Distance(p.rank, target)
-		p.st.count(opGet, d)
+		p.m.stats.count(opGet, d)
 		dur, land := p.m.charge(p, target, d, false)
 		p.traceOp(trace.OpGet, target, land)
 		p.spend(dur)
@@ -426,39 +381,6 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 		// were scheduled again.
 		v = p.m.mem[idx]
 		if cond(v) {
-			return v
-		}
-	}
-}
-
-// spinUntilGated is SpinUntil under the parallel engine. The probe is one
-// gated access (minimum duration 0: an unsatisfied probe charges
-// nothing); registration happens while still holding the target's effect
-// slot, and BlockReleasing gives the slot up only after the process is
-// parked — writes to the target serialize on that same slot, so no
-// satisfying write can race the registration (no lost wake-up). A wake
-// re-admits the process through the gate at its wake clock; the recheck
-// is free, exactly like the sequential engines' re-validation loop.
-func (p *Proc) spinUntilGated(target, offset int, cond func(int64) bool) int64 {
-	idx := p.m.index(target, offset)
-	p.gate.BeginAccess(p.Now(), target, 0, -1)
-	v := p.m.mem[idx]
-	if cond(v) {
-		d := p.m.topo.Distance(p.rank, target)
-		p.st.count(opGet, d)
-		dur, land := p.m.charge(p, target, d, false)
-		p.traceOp(trace.OpGet, target, land)
-		p.gate.EndAccess(target, p.Now()+dur)
-		p.spend(dur)
-		return v
-	}
-	p.flush() // publish before blocking, as in the sequential path
-	for {
-		p.m.addWatcher(target, watcher{p: p, offset: offset, cond: cond})
-		p.gate.BlockReleasing(target)
-		v = p.m.mem[idx]
-		if cond(v) {
-			p.gate.EndAccess(target, p.Now())
 			return v
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"rmalocks/internal/topology"
 )
 
-var scratchEngines = []string{EngineFast, EngineRef, EnginePSim}
+var scratchEngines = []string{EngineFast, EngineRef}
 
 // handOver moves m's scratch out of it, so a test can give it to the next
 // machine directly instead of through the pool (which may drop it, and

@@ -80,7 +80,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"rmalocks/internal/obs"
 	"rmalocks/internal/trace"
 )
 
@@ -206,12 +205,6 @@ type Config struct {
 	// fast path is byte-for-byte identical traced or not
 	// (BenchmarkAdvanceUncontended vs BenchmarkAdvanceTraced pin it).
 	Trace *trace.Sink
-	// Gate, when non-nil, receives the parallel engine's conservative-gate
-	// instrumentation (mutex hold time, grant-queue depth, lookahead
-	// slack; see obs.GateMetrics). Only psim reads it — the sequential
-	// engines have no gate, and the token-owned fast path is never
-	// instrumented (its Advance stays byte-identical with obs on or off).
-	Gate *obs.GateMetrics
 }
 
 // corePool recycles scheduler cores — the SoA state slices, the coroutine

@@ -34,7 +34,7 @@ func wireGrid(t *testing.T) sweep.Grid {
 		ThinkJitterNs: 200,
 		Tunables:      []sweep.TunableAxis{{Key: "TR", Values: []int64{500, 1000}}},
 		Faults:        []*fault.Profile{nil, fp},
-		Engine:        "des",
+		Engine:        "ref",
 	}
 	g.Params.TL = []int64{100, 200}
 	g.Params.TDC = 3

@@ -25,6 +25,7 @@ import (
 
 	"rmalocks/internal/fault"
 	"rmalocks/internal/obs"
+	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/stats"
 	"rmalocks/internal/trace"
@@ -369,8 +370,9 @@ type Grid struct {
 	// axis reproduces the pre-fault grid byte-identically.
 	Faults []*fault.Profile
 	// Engine selects the scheduler implementation for every cell ("" or
-	// "fast" = token-owned fast path, "ref" = reference engine); the
-	// workbench -engine flag exposes it for ad-hoc differential sweeps.
+	// "fast" = token-owned fast path, "ref" = reference engine; Cells
+	// rejects any other name); the workbench -engine flag exposes it for
+	// ad-hoc differential sweeps.
 	Engine string
 	// MemStats enables host memory reporting per cell (see
 	// workload.Spec.MemStats): heap/sys bytes per rank land in
@@ -382,12 +384,11 @@ type Grid struct {
 	// metrics and returning the raw sinks via CellResult.Trace.
 	Trace trace.Class
 	// Obs, when non-nil, attaches the live observability instruments to
-	// every cell (see workload.Spec.Obs): phase spans, per-rank iteration
-	// counters and — on psim cells — the conservative-gate metrics. One
-	// Metrics is shared across all cells (every instrument is
-	// concurrency-safe and merge-by-sum), so /metrics shows sweep-wide
-	// totals mid-run. Observation only: with Obs on or off every report
-	// and fingerprint is byte-identical (test-enforced).
+	// every cell (see workload.Spec.Obs): phase spans and per-rank
+	// iteration counters. One Metrics is shared across all cells (every
+	// instrument is concurrency-safe and merge-by-sum), so /metrics shows
+	// sweep-wide totals mid-run. Observation only: with Obs on or off
+	// every report and fingerprint is byte-identical (test-enforced).
 	Obs *obs.Metrics
 }
 
@@ -518,9 +519,23 @@ func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
 // first). Reports, baselines and diffs all follow this order. A
 // repeated tunables axis key yields a DuplicateAxisError — checked on
 // the full axis list, before per-scheme projection, so the same grid
-// fails the same way regardless of which schemes it names.
+// fails the same way regardless of which schemes it names. An unknown
+// Engine name and a negative P or ProcsPerNode are errors too.
 func (g Grid) Cells() ([]Cell, error) {
 	g = g.fill()
+	// Engine names and rank counts arrive from flags and job specs; past
+	// this point they reach code that panics on a bad one.
+	if err := rma.CheckEngine(g.Engine); err != nil {
+		return nil, fmt.Errorf("sweep: engine: %w", err)
+	}
+	for _, p := range g.Ps {
+		if p < 0 {
+			return nil, fmt.Errorf("sweep: ps: negative rank count %d", p)
+		}
+	}
+	if g.ProcsPerNode < 0 {
+		return nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
+	}
 	if _, err := combos(g.Tunables); err != nil {
 		return nil, err
 	}

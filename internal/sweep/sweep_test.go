@@ -308,6 +308,26 @@ func TestCellsDuplicateAxis(t *testing.T) {
 	}
 }
 
+// TestCellsRejectsBadEngineAndP: an engine name or a rank count that the
+// layers below would panic on is an enumeration error naming the field.
+func TestCellsRejectsBadEngineAndP(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*sweep.Grid)
+		want string
+	}{
+		{func(g *sweep.Grid) { g.Engine = "psim" }, `engine: rma: unknown engine "psim"`},
+		{func(g *sweep.Grid) { g.Engine = "bogus" }, `engine: rma: unknown engine "bogus"`},
+		{func(g *sweep.Grid) { g.Ps = []int{8, -3} }, "ps: negative rank count -3"},
+		{func(g *sweep.Grid) { g.ProcsPerNode = -1 }, "ppn: negative ranks per node -1"},
+	} {
+		g := testGrid()
+		tc.edit(&g)
+		if _, err := g.Cells(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want it to contain %q", err, tc.want)
+		}
+	}
+}
+
 func TestCompareDetectsMovementAndMissingCells(t *testing.T) {
 	g := testGrid()
 	g.Ps = []int{8}

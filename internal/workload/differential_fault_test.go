@@ -2,7 +2,7 @@ package workload_test
 
 // Fault-enabled differential suite: the deterministic perturbation
 // layer (internal/fault) must preserve the core guarantee — identical
-// configs produce byte-identical runs across all six engine ×
+// configs produce byte-identical runs across all four engine ×
 // coalescing combinations — under jitter, congestion windows,
 // stragglers, stalls, and the bounded-acquire timeout path. Runs under
 // -race in CI (the race and chaos-smoke jobs' Differential pattern).
@@ -124,9 +124,8 @@ func TestDifferentialFaultTimeoutPath(t *testing.T) {
 
 // TestDifferentialFaultTraceStreams extends the semantic trace-stream
 // gate to faulted runs: under stalls, jitter and acquire timeouts, the
-// merged semantic event stream must stay byte-identical across the
-// matrix (raw CSV between the sequential engines, dispatch-free
-// rendering for psim), and every stream must replay cleanly through
+// merged semantic event stream must stay byte-identical (raw CSV)
+// across the matrix, and every stream must replay cleanly through
 // trace.Validate's degradation invariants — mutual exclusion under
 // stalls, no lost wakeups, every timed-out acquire cleanly resolved.
 func TestDifferentialFaultTraceStreams(t *testing.T) {
@@ -141,7 +140,7 @@ func TestDifferentialFaultTraceStreams(t *testing.T) {
 		tc := tc
 		t.Run(tc.scheme, func(t *testing.T) {
 			t.Parallel()
-			var baseCSV, baseSem string
+			var want string
 			sawTimeout := false
 			for i, ec := range engineCases {
 				sink := trace.New(trace.ClassSemantic)
@@ -172,17 +171,13 @@ func TestDifferentialFaultTraceStreams(t *testing.T) {
 				if err := trace.WriteCSV(&b, events); err != nil {
 					t.Fatal(err)
 				}
-				sem := semanticLines(events)
+				got := b.String()
 				if i == 0 {
-					baseCSV, baseSem = b.String(), sem
+					want = got
 					if len(events) == 0 {
 						t.Fatal("empty event stream")
 					}
 					continue
-				}
-				got, want := b.String(), baseCSV
-				if ec.engine == rma.EnginePSim {
-					got, want = sem, baseSem
 				}
 				if got != want {
 					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",
@@ -254,9 +249,9 @@ func TestFaultConformanceCapabilityRejection(t *testing.T) {
 // TestAbortConformanceAcrossEngines is the unified teardown gate: the
 // two typed abort conditions — sim.ErrTimeLimit and the bounded-acquire
 // ErrRetriesExhausted — must round-trip through errors.Is identically
-// on all three engines.
+// on both engines.
 func TestAbortConformanceAcrossEngines(t *testing.T) {
-	engines := []string{rma.EngineFast, rma.EngineRef, rma.EnginePSim}
+	engines := []string{rma.EngineFast, rma.EngineRef}
 	t.Run("time-limit", func(t *testing.T) {
 		for _, eng := range engines {
 			_, err := workload.Run(workload.Spec{

@@ -1,15 +1,13 @@
 package workload_test
 
 // Differential determinism suite: the token-owned fast-path scheduler
-// (internal/sim) against the reference engine (internal/sim/refsim) and
-// the conservative parallel engine (internal/sim/psim), and charge
-// coalescing (internal/rma) against uncoalesced charging. For every lock
-// scheme × contention profile cell, all six engine/coalesce combinations
-// must produce byte-identical reports and equal MaxClock — the fast
-// path, the coalescer and the parallel gate are pure optimisations,
-// never allowed to change a single virtual-time decision. Run under
-// -race in CI to also exercise the fast path's lock-free clock
-// increments and the parallel engine's cross-goroutine effects.
+// (internal/sim) against the reference engine (internal/sim/refsim), and
+// charge coalescing (internal/rma) against uncoalesced charging. For every
+// lock scheme × contention profile cell, all four engine/coalesce
+// combinations must produce byte-identical reports and equal MaxClock —
+// the fast path and the coalescer are pure optimisations, never allowed to
+// change a single virtual-time decision. Run under -race in CI to also
+// exercise the fast path's lock-free clock increments.
 
 import (
 	"fmt"
@@ -43,8 +41,6 @@ var engineCases = []engineCase{
 	{"fast-nocoalesce", rma.EngineFast, true},
 	{"ref", rma.EngineRef, false},
 	{"ref-nocoalesce", rma.EngineRef, true},
-	{"psim", rma.EnginePSim, false},
-	{"psim-nocoalesce", rma.EnginePSim, true},
 }
 
 func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
@@ -87,24 +83,6 @@ func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
 	}
 }
 
-// semanticLines renders the merged event stream one event per line with
-// every semantically meaningful field: clock, rank, kind, args. Two
-// normalizations against raw WriteCSV output: EvDispatch is dropped (the
-// parallel engine has no execution token, so token-handoff events exist
-// only on the sequential engines) and Seq is omitted (dispatch events
-// consume per-rank sequence numbers, shifting them; the canonical merge
-// order already encodes what Seq pins — per-rank program order).
-func semanticLines(events []trace.Event) string {
-	var b strings.Builder
-	for _, e := range events {
-		if e.Kind == trace.EvDispatch {
-			continue
-		}
-		fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%d\n", e.Clock, e.Rank, e.Kind, e.Arg0, e.Arg1, e.Arg2)
-	}
-	return b.String()
-}
-
 // TestDifferentialTraceStreams is the trace ↔ coalescing interplay
 // gate: for every engine × coalescing combination, the merged semantic
 // event stream (scheduler handoffs, RMA ops, lock protocol — everything
@@ -112,19 +90,15 @@ func semanticLines(events []trace.Event) string {
 // and must replay cleanly through trace.Validate. Charge coalescing may
 // move *when* virtual time is published, but never when anything
 // observable happens; this test pins that at per-event granularity.
-// The sequential engines must match on the raw CSV (including EvDispatch
-// handoffs and Seq numbers); psim must match them on the dispatch-free
-// semantic rendering (see semanticLines) — every block, wake, barrier,
-// op and lock event at the same clock with the same arguments.
-// Runs under -race in CI (the race job's Differential pattern), which
-// also exercises the lock-free emission path of the fast engine and the
-// parallel engine's gate.
+// The comparison is on the raw CSV, EvDispatch handoffs and Seq numbers
+// included. Runs under -race in CI (the race job's Differential pattern),
+// which also exercises the lock-free emission path of the fast engine.
 func TestDifferentialTraceStreams(t *testing.T) {
 	for _, scheme := range workload.Schemes {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
-			var baseCSV, baseSem string
+			var want string
 			for i, ec := range engineCases {
 				sink := trace.New(trace.ClassSemantic)
 				spec := workload.Spec{
@@ -148,21 +122,13 @@ func TestDifferentialTraceStreams(t *testing.T) {
 				if err := trace.WriteCSV(&b, events); err != nil {
 					t.Fatal(err)
 				}
-				sem := semanticLines(events)
+				got := b.String()
 				if i == 0 {
-					baseCSV, baseSem = b.String(), sem
+					want = got
 					if len(events) == 0 {
 						t.Fatal("empty event stream")
 					}
 					continue
-				}
-				got := b.String()
-				if ec.engine == rma.EnginePSim {
-					got = sem // no dispatch events: compare the semantic rendering
-				}
-				want := baseCSV
-				if ec.engine == rma.EnginePSim {
-					want = baseSem
 				}
 				if got != want {
 					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",

@@ -227,12 +227,10 @@ type Spec struct {
 	// fields (differential-tested).
 	Trace *trace.Sink
 	// Obs, when non-nil, attaches live observability instruments to the
-	// run (see internal/obs): setup/run/drain phase spans, a per-rank
-	// iteration counter, and — on psim runs — the conservative-gate
-	// metrics, with the gate's mutex hold time attributed to the run
-	// phase as its serial section. Observe, never perturb: metric values
-	// never enter Report.Extra or fingerprints, so obs-on and obs-off
-	// runs are byte-identical (test-enforced), unlike MemStats.
+	// run (see internal/obs): setup/run/drain phase spans and a per-rank
+	// iteration counter. Observe, never perturb: metric values never
+	// enter Report.Extra or fingerprints, so obs-on and obs-off runs are
+	// byte-identical (test-enforced), unlike MemStats.
 	Obs *obs.Metrics
 }
 
@@ -275,10 +273,9 @@ func Run(spec Spec) (Report, error) {
 	spec.fill()
 	setupSpan := spec.Obs.Span("setup")
 	topo := topology.ForProcs(spec.P, spec.ProcsPerNode)
-	gate := spec.Obs.GateMetrics()
 	cfg := rma.Config{Seed: spec.Seed, TimeLimit: spec.TimeLimit,
 		Engine: spec.Engine, NoCoalesce: spec.NoCoalesce, Trace: spec.Trace,
-		Faults: spec.Faults, Gate: gate}
+		Faults: spec.Faults}
 	if spec.Latency != nil {
 		lat := spec.Latency(topo.MaxDistance())
 		cfg.Latency = &lat
@@ -325,7 +322,6 @@ func Run(spec Spec) (Report, error) {
 	}
 	setupSpan.End()
 	runSpan := spec.Obs.Span("run")
-	holdBefore := gate.HoldValue()
 
 	runErr := m.Run(func(p *rma.Proc) {
 		r := p.Rank()
@@ -390,9 +386,7 @@ func Run(spec Spec) (Report, error) {
 		ends[r] = p.Now()
 		rlat[r], wlat[r] = rl, wl
 	})
-	// The run phase's serial section is the gate-mutex hold time this run
-	// added (zero on the sequential engines, which have no gate).
-	runSpan.EndSerial(gate.HoldValue() - holdBefore)
+	runSpan.End()
 	if runErr != nil {
 		return Report{}, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
 			specScheme(spec), spec.Workload.Name(), spec.Profile.Name(), spec.P, runErr)

@@ -37,7 +37,7 @@ func dhtCell(engine string, p int, seed int64, geometry int) workload.Spec {
 // TestScratchOrderIndependence covers the same ground below the harness,
 // with the scratch handed over by hand.
 func TestDifferentialCellOrder(t *testing.T) {
-	for _, engine := range []string{rma.EngineFast, rma.EngineRef, rma.EnginePSim} {
+	for _, engine := range []string{rma.EngineFast, rma.EngineRef} {
 		small := func(after string, want string) string {
 			t.Helper()
 			rep, err := workload.Run(dhtCell(engine, 8, 11, 16))
