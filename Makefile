@@ -12,11 +12,12 @@ FAULT_FLAGS = -profiles uniform,zipf -ps 16,64 \
 	-faults 'jitter=0.2,stragglers=4x5%,stall=50us@0.02' \
 	-faults 'stall=100us@0.05,timeout=200us'
 
-.PHONY: help build test race bench bench-trajectory bench-smoke million-smoke scale grid sweep compare faults faults-compare trace obs-smoke sweepd-smoke paramspace faulttour clean
+.PHONY: help build test fmt-check race bench bench-trajectory bench-smoke million-smoke scale grid sweep compare faults faults-compare trace obs-smoke sweepd-smoke paramspace faulttour clean
 
 help:
 	@echo "rmalocks targets:"
 	@echo "  build / test / race    compile everything, run the test suite (+ -race)"
+	@echo "  fmt-check              fail if gofmt would change any file"
 	@echo "  bench / bench-smoke    benchstat-compatible benchmarks (full / CI-short)"
 	@echo "  grid                   full scheme x workload x profile grid with -check"
 	@echo "  sweep / compare        persist the perf baseline / diff a re-run against it"
@@ -44,6 +45,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # Benchmarks are benchstat-compatible: `make bench`, change code,
 # `make bench` again, then `benchstat` the two results/bench.txt copies.
@@ -173,12 +178,16 @@ obs-smoke:
 	@echo "obs-smoke: OK —$$(grep 'cell_iters_done_total' results/obs-metrics.json | tr -d ',')"
 
 # Sweep-service smoke: start sweepd on a fresh cache, submit a 4-cell
-# grid through the workbench client, then resubmit with one changed
-# tunables axis (-tune TR=900 applies only to RMA-RW; the two d-MCS
-# cells are untouched). Asserts from /metrics that exactly the
-# unchanged cells hit the cache, and that the daemon's cold result is
-# byte-identical per cell to a direct local workbench run. The final
-# `kill` exercises graceful shutdown: the daemon must drain and exit 0.
+# grid through the workbench client, resubmit with one changed tunables
+# axis (-tune TR=900 applies only to RMA-RW; the two d-MCS cells are
+# untouched), then resubmit the first grid unchanged. Asserts from
+# /metrics that exactly the unchanged cells hit the cache (2 of the
+# tuned grid, 4 of the repeat; 4 + 2 computed), that the daemon's cold
+# result is byte-identical per cell to a direct local workbench run, and
+# that the all-cached result file — stored fragments spliced by
+# sweep.Encode, never marshalled — is the local run's file byte for byte
+# once the informational "created" line is dropped. The final `kill`
+# exercises graceful shutdown: the daemon must drain and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
 	-ps 16 -iters 20 -locks 4
@@ -208,12 +217,20 @@ sweepd-smoke:
 	grep -q '\[4/4 cells byte-identical to baseline\]' results/sweepd-cold.err; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
 		> results/sweepd-tuned.txt 2> results/sweepd-tuned.err; \
+	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) \
+		-out results/sweepd-warm.json \
+		> results/sweepd-warm.txt 2> results/sweepd-warm.err; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
-	grep -q '^sweepd_cache_hits_total 2$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_hits_total 6$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_misses_total 6$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err
-	@echo "sweepd-smoke: OK — cold grid byte-identical to local run; tuned resubmit reused the 2 unchanged d-MCS cells"
+	grep -q '4 served from cache' results/sweepd-warm.err
+	grep -v '^  "created": ' results/sweepd-local.json > results/sweepd-local.cmp
+	grep -v '^  "created": ' results/sweepd-warm.json > results/sweepd-warm.cmp
+	cmp results/sweepd-local.cmp results/sweepd-warm.cmp
+	@echo "sweepd-smoke: OK — cold grid byte-identical to local run; tuned resubmit reused the 2 unchanged d-MCS cells; all-cached result file cmp-equal to the local one"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # CI runs the -smoke variant.

@@ -61,31 +61,31 @@ type runOpts struct {
 
 func main() {
 	var (
-		schemes   = flag.String("schemes", "all", "comma-separated lock schemes, or 'all' ("+strings.Join(workload.Schemes, ",")+")")
-		workloads = flag.String("workloads", "empty", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
-		profiles  = flag.String("profiles", "uniform,zipf,bursty", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
-		p         = flag.Int("p", 64, "process count (ignored when -ps is set)")
-		psFlag    = flag.String("ps", "", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512")
-		ppn       = flag.Int("ppn", 16, "processes per node")
-		iters     = flag.Int("iters", 50, "measured cycles per process")
-		seed      = flag.Int64("seed", 1, "machine seed (runs are deterministic per seed)")
-		fw        = flag.Float64("fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
-		nlocks    = flag.Int("locks", 8, "lock-set size for multi-lock profiles (clamped to p for dht)")
-		zipfS     = flag.Float64("zipfs", 1.2, "Zipf skew exponent")
-		jobs      = flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
-		check     = flag.Bool("check", false, "run every cell twice and verify byte-identical reports")
-		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		out       = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
-		baseline  = flag.String("baseline", "", "compare against a persisted run and report per-cell deltas")
-		tol       = flag.Float64("tol", 0, "throughput-regression tolerance in percent for -baseline (exit 1 beyond it)")
-		engine    = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
-		memstats  = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; breaks byte-identical baseline diffs)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
-		memprof   = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-		traceOut  = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell")
-		tracecsv  = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
-		listen    = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
-		submit    = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-baseline/-csv; never falls back to a local run)")
+		schemes    = flag.String("schemes", "all", "comma-separated lock schemes, or 'all' ("+strings.Join(workload.Schemes, ",")+")")
+		workloads  = flag.String("workloads", "empty", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
+		profiles   = flag.String("profiles", "uniform,zipf,bursty", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
+		p          = flag.Int("p", 64, "process count (ignored when -ps is set)")
+		psFlag     = flag.String("ps", "", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512")
+		ppn        = flag.Int("ppn", 16, "processes per node")
+		iters      = flag.Int("iters", 50, "measured cycles per process")
+		seed       = flag.Int64("seed", 1, "machine seed (runs are deterministic per seed)")
+		fw         = flag.Float64("fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
+		nlocks     = flag.Int("locks", 8, "lock-set size for multi-lock profiles (clamped to p for dht)")
+		zipfS      = flag.Float64("zipfs", 1.2, "Zipf skew exponent")
+		jobs       = flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
+		check      = flag.Bool("check", false, "run every cell twice and verify byte-identical reports")
+		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
+		out        = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
+		baseline   = flag.String("baseline", "", "compare against a persisted run and report per-cell deltas")
+		tol        = flag.Float64("tol", 0, "throughput-regression tolerance in percent for -baseline (exit 1 beyond it)")
+		engine     = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
+		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; breaks byte-identical baseline diffs)")
+		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
+		traceOut   = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell")
+		tracecsv   = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
+		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
+		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-baseline/-csv; never falls back to a local run)")
 		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 	)
 	var tunes tuneAxes

@@ -7,21 +7,31 @@
 // directory: writes go through write-then-rename so a crash never
 // leaves a torn entry visible, and loads tolerate corruption by
 // skipping (and reporting) bad files rather than refusing to start.
+//
+// A resident entry is a decoded sweep.CellResult with its run-file
+// fragment attached, derived once when the entry becomes resident (Put,
+// Open's load, or the Get that reads it back from disk) and dropped
+// when it is evicted; a hit after that is one hash and one map lookup.
+// DESIGN.md, "What a hit costs", has the rules this rests on.
 package cache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"rmalocks/internal/sweep"
 )
 
 // envelopeVersion versions the on-disk entry layout; bumping it orphans
@@ -39,10 +49,13 @@ type envelope struct {
 	Data  json.RawMessage `json:"data"`
 }
 
-// entry is one resident cache entry.
+// entry is one resident cache entry. res is handed out by value to
+// every hit and never written after admission; the compact payload is
+// not kept (the file has it, and the fragment compacts back to it).
 type entry struct {
-	key  string // sha256(input), also the file name stem
-	data []byte // serialized payload (what Get returns)
+	key  string           // sha256(input), also the file name stem
+	res  sweep.CellResult // decoded cell, run-file fragment attached
+	size int64            // sweep.CellFootprint(res), charged to the budget
 	elem *list.Element
 }
 
@@ -57,8 +70,10 @@ type LoadReport struct {
 	Corrupt []string
 }
 
-// Store is a content-addressed byte store: Get/Put by canonical input
-// string, sha256 of the input as the address. Safe for concurrent use.
+// Store is the content-addressed cell store: lookups and stores by
+// canonical input string, sha256 of the input as the address. Safe for
+// concurrent use. ResultStore is its sweep.CellCache face; Get and Put
+// here are the same entries seen as payload bytes.
 type Store struct {
 	dir    string
 	budget int64
@@ -71,6 +86,7 @@ type Store struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	corrupt   atomic.Int64
 	putErr    atomic.Int64
 }
 
@@ -129,18 +145,26 @@ func (s *Store) load() (LoadReport, error) {
 			continue
 		}
 		env, err := readEnvelope(name)
+		// An entry is never smaller resident than on disk, so one whose
+		// payload alone overflows the budget is indexed undecoded (Get
+		// validates it if it is ever asked for).
+		fits := err == nil && s.bytes+int64(len(env.Data)) <= s.budget
+		var res sweep.CellResult
+		if fits {
+			res, err = decodeEntry(env)
+		}
 		if err != nil {
 			rep.Corrupt = append(rep.Corrupt, filepath.Base(name))
 			continue
 		}
 		rep.Entries++
-		if s.bytes+int64(len(env.Data)) > s.budget {
+		e := &entry{key: env.Sum, res: res, size: sweep.CellFootprint(res)}
+		if !fits || s.bytes+e.size > s.budget {
 			continue // over budget: stays on disk, not resident
 		}
-		e := &entry{key: env.Sum, data: env.Data}
 		e.elem = s.lru.PushBack(e) // names are sorted freshest-first
 		s.entries[e.key] = e
-		s.bytes += int64(len(e.data))
+		s.bytes += e.size
 		rep.Loaded++
 	}
 	return rep, nil
@@ -173,81 +197,150 @@ func stem(name string) string {
 	return strings.TrimSuffix(filepath.Base(name), ".json")
 }
 
-// keyOf is the content address: hex sha256 of the canonical input.
-func keyOf(input string) string {
+// addrOf is the content address: hex sha256 of the canonical input. As
+// an array it indexes the entry map without allocating (a hit needs the
+// address for nothing else); keyOf is the same address as a string.
+func addrOf(input string) (addr [2 * sha256.Size]byte) {
 	sum := sha256.Sum256([]byte(input))
-	return hex.EncodeToString(sum[:])
+	hex.Encode(addr[:], sum[:])
+	return addr
 }
 
-// Get returns the payload cached for input, pulling from disk when the
-// entry was evicted from memory but survives on disk. The returned
-// slice is shared; callers must not mutate it.
-func (s *Store) Get(input string) ([]byte, bool) {
-	key := keyOf(input)
+func keyOf(input string) string {
+	addr := addrOf(input)
+	return string(addr[:])
+}
+
+// decodeEntry derives an envelope's resident form. The payload must be
+// the canonical encoding of a cell whose key the envelope's input
+// names; anything else is a corrupt entry, because the bytes served
+// from here on are the bytes stored.
+func decodeEntry(env envelope) (sweep.CellResult, error) {
+	res, err := sweep.DecodeCell(env.Data)
+	if err != nil {
+		return sweep.CellResult{}, err
+	}
+	if !res.Key.Names(env.Input) {
+		return sweep.CellResult{}, errors.New("cache: payload is another cell's result")
+	}
+	return res, nil
+}
+
+// lookup is the one read path. A resident entry costs the hash and a
+// map lookup; an evicted (or never-admitted) one is read from disk,
+// validated, decoded and re-admitted. A file that is there but fails
+// any check is a corrupt entry: counted as such and as a miss, never
+// resident, and overwritten by the Put that follows the recompute.
+func (s *Store) lookup(input string) (sweep.CellResult, bool) {
+	addr := addrOf(input)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	if e, ok := s.entries[string(addr[:])]; ok {
 		s.lru.MoveToFront(e.elem)
+		res := e.res
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return e.data, true
+		return res, true
 	}
 	s.mu.Unlock()
-	// Miss in memory: an evicted (or never-admitted) entry may still be
-	// on disk. A corrupt file here is a plain miss — the caller
-	// recomputes and Put overwrites the bad entry.
+	key := string(addr[:])
 	env, err := readEnvelope(filepath.Join(s.dir, key+".json"))
-	if err != nil || env.Input != input {
-		s.misses.Add(1)
-		return nil, false
+	if err == nil && env.Input != input {
+		err = errors.New("cache: address collision")
 	}
-	s.admit(key, env.Data)
+	var res sweep.CellResult
+	if err == nil {
+		res, err = decodeEntry(env)
+	}
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.corrupt.Add(1)
+		}
+		s.misses.Add(1)
+		return sweep.CellResult{}, false
+	}
+	s.admit(key, res)
 	s.hits.Add(1)
-	return env.Data, true
+	return res, true
 }
 
-// Put stores the payload (which must be valid JSON — cell results
-// cross this boundary as their canonical encoding) for input,
-// admitting it to the in-memory LRU and persisting to disk atomically.
-// Disk errors are counted but not fatal: the in-memory entry still
-// serves this process.
-func (s *Store) Put(input string, data []byte) {
-	if input == "" || len(data) == 0 {
+// store makes res the entry for input: a sealed copy becomes resident
+// and its payload is persisted atomically. Disk errors are counted but
+// not fatal (the resident entry still serves this process); a result
+// that does not marshal, or whose key input does not name, is counted
+// and dropped.
+func (s *Store) store(input string, res sweep.CellResult) {
+	if input == "" {
+		return
+	}
+	res, err := sweep.SealCell(res)
+	if err != nil || !res.Key.Names(input) {
+		s.putErr.Add(1)
 		return
 	}
 	key := keyOf(input)
-	s.admit(key, data)
-	env := envelope{V: envelopeVersion, Input: input, Sum: key, Data: data}
+	s.admit(key, res)
+	// Marshal compacts a RawMessage, so handing it the fragment writes
+	// the compact payload without keeping or rebuilding one.
+	env := envelope{V: envelopeVersion, Input: input, Sum: key, Data: sweep.CellFragment(res)}
 	raw, err := json.Marshal(env)
-	if err != nil {
-		s.putErr.Add(1) // non-JSON payload: resident but not persisted
-		return
+	if err == nil {
+		err = writeAtomic(filepath.Join(s.dir, key+".json"), raw)
 	}
-	if err := writeAtomic(filepath.Join(s.dir, key+".json"), raw); err != nil {
+	if err != nil {
 		s.putErr.Add(1)
 	}
 }
 
+// Get returns the payload cached for input — the compact canonical
+// JSON of the cell, exactly the envelope's data on disk.
+func (s *Store) Get(input string) ([]byte, bool) {
+	res, ok := s.lookup(input)
+	if !ok {
+		return nil, false
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, sweep.CellFragment(res)); err != nil {
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// Put stores a payload for input. It must be the canonical encoding of
+// a cell that input addresses (what Get returns, what json.Marshal
+// gives a sweep.CellResult); any other payload could not be served and
+// is counted and dropped.
+func (s *Store) Put(input string, data []byte) {
+	res, err := sweep.DecodeCell(data)
+	if err != nil {
+		s.putErr.Add(1)
+		return
+	}
+	s.store(input, res)
+}
+
 // admit inserts (or refreshes) an in-memory entry, evicting from the
-// LRU tail to stay within budget.
-func (s *Store) admit(key string, data []byte) {
+// LRU tail to stay within budget. Eviction drops the decoded value and
+// its fragment with the entry; the file stays.
+func (s *Store) admit(key string, res sweep.CellResult) {
+	size := sweep.CellFootprint(res)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
-		s.bytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
+		s.bytes += size - e.size
+		e.res, e.size = res, size
 		s.lru.MoveToFront(e.elem)
 	} else {
-		e = &entry{key: key, data: data}
+		e = &entry{key: key, res: res, size: size}
 		e.elem = s.lru.PushFront(e)
 		s.entries[key] = e
-		s.bytes += int64(len(data))
+		s.bytes += size
 	}
 	for s.bytes > s.budget && s.lru.Len() > 1 {
 		tail := s.lru.Back()
 		ev := tail.Value.(*entry)
 		s.lru.Remove(tail)
 		delete(s.entries, ev.key)
-		s.bytes -= int64(len(ev.data))
+		s.bytes -= ev.size
 		s.evictions.Add(1)
 	}
 }
@@ -313,9 +406,13 @@ func (s *Store) Flush() error {
 	return writeAtomic(filepath.Join(s.dir, indexName), raw)
 }
 
-// Stats is a point-in-time view of the store's counters.
+// Stats is a point-in-time view of the store's counters. Every lookup
+// is a hit or a miss; Corrupt counts the misses that found an entry on
+// disk and rejected it. Bytes is what the resident entries hold: decoded
+// cells and their fragments, not just payload lengths.
 type Stats struct {
 	Hits, Misses, Evictions int64
+	Corrupt                 int64
 	Bytes                   int64
 	Resident                int
 }
@@ -327,7 +424,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Unlock()
 	return Stats{
 		Hits: s.hits.Load(), Misses: s.misses.Load(),
-		Evictions: s.evictions.Load(), Bytes: bytes, Resident: resident,
+		Evictions: s.evictions.Load(), Corrupt: s.corrupt.Load(),
+		Bytes: bytes, Resident: resident,
 	}
 }
 
@@ -340,7 +438,8 @@ type registry interface {
 }
 
 // Register exposes the store's counters on an obs registry:
-// sweepd_cache_{hits,misses,evictions}_total and sweepd_cache_bytes.
+// sweepd_cache_{hits,misses,evictions,corrupt}_total and
+// sweepd_cache_bytes.
 func (s *Store) Register(r registry) {
 	if r == nil {
 		return
@@ -354,7 +453,10 @@ func (s *Store) Register(r registry) {
 	r.CounterFunc("sweepd_cache_evictions_total",
 		"Entries evicted from the in-memory LRU by the byte budget.",
 		func() int64 { return s.evictions.Load() })
+	r.CounterFunc("sweepd_cache_corrupt_total",
+		"Misses that found an entry on disk and rejected it (recomputed and overwritten).",
+		func() int64 { return s.corrupt.Load() })
 	r.GaugeFunc("sweepd_cache_bytes",
-		"Bytes resident in the in-memory result cache.",
+		"Bytes resident in the in-memory result cache: decoded cells and their run-file fragments.",
 		func() float64 { return float64(s.Stats().Bytes) })
 }

@@ -2,6 +2,9 @@ package cache_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,39 +117,143 @@ func TestCrossProcessRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderSmallBudget forces LRU eviction and checks evicted
-// entries still hit via the disk fallback.
+// computed runs the test grid without a cache: the cells and the
+// results a cold local run gives them.
+func computed(tb testing.TB) ([]sweep.Cell, []sweep.CellResult) {
+	tb.Helper()
+	cells := mustCells(tb, testGrid())
+	results, err := sweep.Run(cells, sweep.Options{Workers: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cells, results
+}
+
+// encodeOne is the run-file encoding of a single cell.
+func encodeOne(tb testing.TB, r sweep.CellResult) []byte {
+	tb.Helper()
+	data, err := sweep.Encode(sweep.RunFile{Cells: []sweep.CellResult{r}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestEvictionUnderSmallBudget forces LRU eviction and checks that the
+// budget is charged for what an entry really keeps resident — decoded
+// value and fragment — that both go when the entry is evicted, and that
+// a later Get derives them again from the file.
 func TestEvictionUnderSmallBudget(t *testing.T) {
-	store, _, err := cache.Open(t.TempDir(), 256)
+	dir := t.TempDir()
+	cells, results := computed(t)
+	one := sweep.CellFootprint(mustSeal(t, results[0]))
+	if payload, _ := json.Marshal(results[0]); one < 2*int64(len(payload)) {
+		t.Fatalf("an entry is charged %d B for a %d B payload: fragment and decoded value are not both counted", one, len(payload))
+	}
+	budget := 5 * one / 2
+	store, _, err := cache.Open(dir, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte(`"` + strings.Repeat("x", 98) + `"`) // 100-byte JSON string
-	for i := 0; i < 8; i++ {
-		store.Put(fmt.Sprintf("cell/v1 test input %d", i), payload)
+	rs := cache.NewResultStore(store)
+	for i, c := range cells {
+		rs.Put(c.Input, results[i])
 	}
 	st := store.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions under a 256-byte budget with 8×100-byte entries")
+	if st.Evictions == 0 || st.Resident >= len(cells) {
+		t.Fatalf("%d evictions, %d of %d entries resident under a %d-byte budget", st.Evictions, st.Resident, len(cells), budget)
 	}
-	if st.Bytes > 256 {
-		t.Fatalf("resident bytes %d exceed budget 256", st.Bytes)
+	if st.Bytes > budget {
+		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, budget)
 	}
-	// Every entry — evicted or resident — must still be retrievable.
-	for i := 0; i < 8; i++ {
-		data, ok := store.Get(fmt.Sprintf("cell/v1 test input %d", i))
+	// Every entry — evicted or resident — must still be retrievable, as
+	// the same cell and the same payload bytes.
+	var got []sweep.CellResult
+	for i, c := range cells {
+		r, ok := rs.Get(c.Input)
 		if !ok {
 			t.Fatalf("entry %d lost after eviction (disk fallback failed)", i)
 		}
-		if !bytes.Equal(data, payload) {
+		if !bytes.Equal(encodeOne(t, r), encodeOne(t, results[i])) {
+			t.Fatalf("entry %d came back from disk as a different cell", i)
+		}
+		if sweep.CellFragment(r) == nil {
+			t.Fatalf("entry %d was handed out without its fragment", i)
+		}
+		payload, ok := store.Get(c.Input)
+		if want, _ := json.Marshal(results[i]); !ok || !bytes.Equal(payload, want) {
 			t.Fatalf("entry %d payload corrupted", i)
 		}
+		got = append(got, r)
+	}
+	// What is charged is exactly what the resident entries hold: the
+	// most recently used ones, with nothing left over for the evicted.
+	st = store.Stats()
+	if st.Hits != int64(2*len(cells)) || st.Misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want %d/0", st.Hits, st.Misses, 2*len(cells))
+	}
+	var held int64
+	for _, r := range got[len(got)-st.Resident:] {
+		held += sweep.CellFootprint(r)
+	}
+	if st.Bytes != held || st.Bytes > budget {
+		t.Fatalf("store charges %d B; its %d resident entries hold %d B (budget %d)", st.Bytes, st.Resident, held, budget)
+	}
+
+	// A one-byte budget keeps nothing at load and one entry afterwards:
+	// every Get of another cell reads, validates and decodes a file.
+	disk, rep, err := cache.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != len(cells) || rep.Loaded != 0 {
+		t.Fatalf("one-byte budget indexed %d and loaded %d entries, want %d and 0", rep.Entries, rep.Loaded, len(cells))
+	}
+	for i, c := range cells {
+		r, ok := cache.NewResultStore(disk).Get(c.Input)
+		if !ok || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[i])) {
+			t.Fatalf("entry %d not served from disk under a one-byte budget", i)
+		}
+	}
+	if st := disk.Stats(); st.Resident != 1 || st.Hits != int64(len(cells)) || st.Evictions != int64(len(cells)-1) {
+		t.Fatalf("one-byte budget: %+v, want 1 resident, %d hits, %d evictions", st, len(cells), len(cells)-1)
 	}
 }
 
-// TestCorruptEntryDegradesToRecompute truncates one entry on disk: Open
-// must report (not fail on) it, and a sweep must recompute that cell
-// and heal the cache.
+func mustSeal(tb testing.TB, r sweep.CellResult) sweep.CellResult {
+	tb.Helper()
+	sealed, err := sweep.SealCell(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sealed
+}
+
+// address is the file name stem of input's entry.
+func address(input string) string {
+	sum := sha256.Sum256([]byte(input))
+	return hex.EncodeToString(sum[:])
+}
+
+// envelopeOf is a well-formed entry file around an arbitrary payload.
+func envelopeOf(v int, input string, payload []byte) []byte {
+	return []byte(fmt.Sprintf(`{"v":%d,"input":%q,"sha256":%q,"data":%s}`, v, input, address(input), payload))
+}
+
+// plant overwrites the entry file of input with raw bytes.
+func plant(tb testing.TB, dir, input string, raw []byte) {
+	tb.Helper()
+	if err := os.WriteFile(filepath.Join(dir, address(input)+".json"), raw, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestCorruptEntryDegradesToRecompute damages four entries on disk — a
+// truncated file, an empty one, a payload that is valid JSON and decodes
+// but is not the canonical encoding of what it decodes to, and another
+// cell's payload under this cell's address. Open must report (not fail
+// on) them, a sweep must count each as a corrupt miss, recompute those
+// cells rather than serve a byte of them, and heal the cache.
 func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)
@@ -158,47 +265,42 @@ func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mangled := 0
-	for _, name := range names {
-		if filepath.Base(name) == "index.json" {
-			continue
+	cells := mustCells(t, testGrid())
+	payload := func(i int) []byte {
+		data, ok := store.Get(cells[i].Input)
+		if !ok {
+			t.Fatalf("cold run left no entry for cell %d", i)
 		}
-		if mangled == 0 {
-			if err := os.WriteFile(name, []byte(`{"v":1,"truncated`), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if mangled == 1 {
-			if err := os.WriteFile(name, []byte{}, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mangled++
-		if mangled == 2 {
-			break
-		}
+		return data
 	}
-	if mangled != 2 {
-		t.Fatalf("expected at least 2 cache entries to mangle, got %d", mangled)
+	plant(t, dir, cells[0].Input, []byte(`{"v":1,"truncated`))
+	plant(t, dir, cells[1].Input, nil)
+	// The same cell with a space and a field no CellResult has: it
+	// decodes to the right value, and a store that decoded on every Get
+	// served it.
+	padded := bytes.Replace(payload(2), []byte(`"locks":4,`), []byte(`"locks":4, "zz":1,`), 1)
+	if bytes.Equal(padded, payload(2)) {
+		t.Fatal("test payload has no locks field to pad")
 	}
+	plant(t, dir, cells[2].Input, envelopeOf(1, cells[2].Input, padded))
+	plant(t, dir, cells[3].Input, envelopeOf(1, cells[3].Input, payload(4)))
+	const damaged = 4
 
 	store2, rep, err := cache.Open(dir, 0)
 	if err != nil {
 		t.Fatalf("Open must tolerate corrupt entries, got %v", err)
 	}
-	if len(rep.Corrupt) != 2 {
-		t.Fatalf("corrupt report = %v, want 2 entries", rep.Corrupt)
+	if len(rep.Corrupt) != damaged || rep.Loaded != len(cells)-damaged {
+		t.Fatalf("corrupt report = %v with %d loaded, want %d corrupt and %d loaded", rep.Corrupt, rep.Loaded, damaged, len(cells)-damaged)
 	}
 	warm := runBytes(t, cache.NewResultStore(store2))
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("recomputed-after-corruption output differs from cold run")
 	}
 	st := store2.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (one per corrupted cell)", st.Misses)
+	if st.Misses != damaged || st.Corrupt != damaged || st.Hits != int64(len(cells)-damaged) {
+		t.Fatalf("hits/misses/corrupt = %d/%d/%d, want %d/%d/%d: every lookup is a hit or a miss, and each damaged entry a corrupt one",
+			st.Hits, st.Misses, st.Corrupt, len(cells)-damaged, damaged, damaged)
 	}
 
 	// The recompute healed the entries: a third process sees a clean cache.
@@ -206,8 +308,44 @@ func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep3.Corrupt) != 0 {
-		t.Fatalf("cache not healed after recompute: %v", rep3.Corrupt)
+	if len(rep3.Corrupt) != 0 || rep3.Loaded != len(cells) {
+		t.Fatalf("cache not healed after recompute: %d loaded, corrupt %v", rep3.Loaded, rep3.Corrupt)
+	}
+}
+
+// TestPutRefusesWhatItCouldNotServe: the byte API takes only canonical
+// cell payloads under an address that names the cell; the rest would be
+// corrupt entries the moment they were written.
+func TestPutRefusesWhatItCouldNotServe(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, results := computed(t)
+	good, _ := json.Marshal(results[0])
+	for name, tc := range map[string]struct {
+		input string
+		data  []byte
+	}{
+		"not a cell":       {cells[0].Input, []byte(`{"x":1}`)},
+		"not JSON":         {cells[0].Input, []byte(`{"key":`)},
+		"indented":         {cells[0].Input, append([]byte(" "), good...)},
+		"another address":  {cells[1].Input, good},
+		"no address":       {"", good},
+		"unversioned addr": {"some input", good},
+	} {
+		store.Put(tc.input, tc.data)
+		if _, ok := store.Get(tc.input); ok {
+			t.Errorf("%s: payload was accepted and served", name)
+		}
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(names) != 0 {
+		t.Errorf("refused payloads left files behind: %v", names)
+	}
+	store.Put(cells[0].Input, good)
+	if data, ok := store.Get(cells[0].Input); !ok || !bytes.Equal(data, good) {
+		t.Error("canonical payload under its own address was not stored")
 	}
 }
 
@@ -219,7 +357,8 @@ func TestAddressMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Put("cell/v1 a", []byte(`{"x":1}`))
+	cells, results := computed(t)
+	cache.NewResultStore(store).Put(cells[0].Input, results[0])
 	names, _ := filepath.Glob(filepath.Join(dir, "*.json"))
 	if len(names) != 1 {
 		t.Fatalf("want 1 entry file, got %d", len(names))

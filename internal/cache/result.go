@@ -1,44 +1,26 @@
 package cache
 
-import (
-	"encoding/json"
+import "rmalocks/internal/sweep"
 
-	"rmalocks/internal/sweep"
-)
-
-// ResultStore adapts the byte store to sweep.CellCache: cell results
-// cross the boundary as their canonical JSON, the same encoding the
-// baseline files use, so a cached cell is byte-identical to a computed
-// one after the RunFile round-trip.
+// ResultStore is the Store as a sweep.CellCache. Get hands out the
+// resident value itself — decoded and indented when the entry became
+// resident, shared by every job that hits it, read-only by the rule on
+// sweep.CellResult — so a hit decodes nothing and the result it lands
+// in encodes nothing: sweep.Encode splices the fragment it carries.
 type ResultStore struct {
 	store *Store
 }
 
-// NewResultStore wraps a byte store.
+// NewResultStore wraps a store.
 func NewResultStore(s *Store) *ResultStore { return &ResultStore{store: s} }
 
-// Store returns the underlying byte store (metrics, Flush).
+// Store returns the underlying store (metrics, Flush).
 func (r *ResultStore) Store() *Store { return r.store }
 
-// Get implements sweep.CellCache. An entry that fails to decode is a
-// miss — the cell recomputes and Put overwrites it.
-func (r *ResultStore) Get(input string) (sweep.CellResult, bool) {
-	data, ok := r.store.Get(input)
-	if !ok {
-		return sweep.CellResult{}, false
-	}
-	var res sweep.CellResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return sweep.CellResult{}, false
-	}
-	return res, true
-}
+// Get implements sweep.CellCache. An entry that fails validation is a
+// counted miss — the cell recomputes and Put overwrites it.
+func (r *ResultStore) Get(input string) (sweep.CellResult, bool) { return r.store.lookup(input) }
 
-// Put implements sweep.CellCache.
-func (r *ResultStore) Put(input string, res sweep.CellResult) {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	r.store.Put(input, data)
-}
+// Put implements sweep.CellCache. The store keeps its own sealed copy,
+// reusing the fragment sweep.Run attached.
+func (r *ResultStore) Put(input string, res sweep.CellResult) { r.store.store(input, res) }

@@ -115,7 +115,10 @@ func (a *API) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // result serves the finished run file. The bytes are sweep.Encode
 // output with no Created stamp: a pure function of the submitted grid,
-// byte-identical across cache states, worker counts, and daemons.
+// byte-identical across cache states, worker counts, and daemons. They
+// are assembled per request from the cells' stored fragments — a copy,
+// not a marshal — and sent with their length, so a retained job keeps
+// no encoded result and the client reads no chunk framing.
 func (a *API) result(w http.ResponseWriter, id string) {
 	rf, err := a.mgr.Result(id)
 	if err != nil {
@@ -140,6 +143,7 @@ func (a *API) result(w http.ResponseWriter, id string) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data) //nolint:errcheck
 }
 

@@ -120,6 +120,9 @@ func TestHTTPSubmitResultEvents(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("fetched result differs from direct local run bytes")
 	}
+	if resp.ContentLength != int64(len(want)) {
+		t.Fatalf("result sent with Content-Length %d, want %d (no chunked framing)", resp.ContentLength, len(want))
+	}
 
 	// The events stream of a finished job replays terminal states and a
 	// final summary, then ends on its own.

@@ -62,11 +62,18 @@ type Config struct {
 }
 
 // Job is one submitted sweep. Fields are immutable after Submit except
-// state/err/results, which the job goroutine writes under mu.
+// state/err/results, which the job goroutine writes under mu, and
+// cells, which only that goroutine touches.
 type Job struct {
 	ID    string
 	Label string
-	cells []sweep.Cell
+	// cells is the enumerated grid — a Spec closure, an Input string and
+	// a captured Grid per cell — and is dropped when the job reaches a
+	// terminal state (ncells keeps the count for Status). What a retained
+	// job still holds is results: for cache-served cells, shallow values
+	// whose strings, maps and fragments are the cache's own.
+	cells  []sweep.Cell
+	ncells int
 	// degrade applies the fault-degradation join after the sweep (set
 	// for grids with a fault axis), mirroring the workbench pipeline so
 	// daemon results match local runs byte for byte.
@@ -144,7 +151,7 @@ func (j *Job) Status() Status {
 	state, err := j.state, j.err
 	j.mu.Unlock()
 	s := Status{
-		ID: j.ID, Label: j.Label, State: state, Cells: len(j.cells),
+		ID: j.ID, Label: j.Label, State: state, Cells: j.ncells,
 		Done:   int(j.counts.done.Load()),
 		Cached: int(j.counts.cached.Load()),
 		Failed: int(j.counts.failed.Load()),
@@ -155,7 +162,8 @@ func (j *Job) Status() Status {
 	return s
 }
 
-// setState transitions the job; terminal transitions close done.
+// setState transitions the job; terminal transitions drop the cell
+// list and close done. Called from the job goroutine only.
 func (j *Job) setState(state string, err error) {
 	j.mu.Lock()
 	j.state = state
@@ -165,6 +173,7 @@ func (j *Job) setState(state string, err error) {
 	j.mu.Unlock()
 	switch state {
 	case StateDone, StateFailed, StateCanceled:
+		j.cells = nil
 		close(j.done)
 	}
 }
@@ -217,7 +226,7 @@ func (m *Manager) Submit(g sweep.Grid, label string) (*Job, error) {
 	m.nextID++
 	id := fmt.Sprintf("job-%d", m.nextID)
 	j := &Job{
-		ID: id, Label: label, cells: cells,
+		ID: id, Label: label, cells: cells, ncells: len(cells),
 		degrade: len(g.Faults) > 0,
 		prog:    obs.NewSweepProgress(id),
 		cancel:  make(chan struct{}),
@@ -276,6 +285,8 @@ func (m *Manager) run(j *Job) {
 		j.setState(StateFailed, err)
 	default:
 		if j.degrade {
+			// results is this job's own slice; the cells in it may be the
+			// cache's, which ApplyDegradation replaces rather than edits.
 			sweep.ApplyDegradation(results)
 		}
 		j.mu.Lock()

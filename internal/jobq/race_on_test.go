@@ -1,0 +1,5 @@
+//go:build race
+
+package jobq_test
+
+const raceEnabled = true

@@ -12,12 +12,12 @@ func init() {
 	scheme.MustRegister(scheme.Descriptor{
 		Name:    SchemeName,
 		Aliases: []string{"rmarw"},
-		Doc: "topology-aware distributed Reader-Writer lock (§3): distributed counter + tree of distributed queues",
+		Doc:     "topology-aware distributed Reader-Writer lock (§3): distributed counter + tree of distributed queues",
 		// No CapTimeout: writers sit in distributed queues (see D-MCS)
 		// and readers publish counter increments the writer path
 		// observes, so neither mode can abandon cleanly.
-		Caps: scheme.CapMutex | scheme.CapRW,
-		Order:   50,
+		Caps:  scheme.CapMutex | scheme.CapRW,
+		Order: 50,
 		Tunables: []scheme.TunableSpec{
 			{Key: "TDC", Doc: "distributed-counter threshold T_DC: one physical counter every TDC-th process (0 = one counter per compute node, the paper's default)",
 				Default: 0, Min: 0, Max: 1 << 30},

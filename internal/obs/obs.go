@@ -391,7 +391,7 @@ func (h *Histogram) Observe(writer int, v int64) {
 	stride := len(h.bounds) + 2
 	base := (writer & h.mask) * stride
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.cells[base+i].Add(1)            // bucket (or the +Inf slot at len(bounds))
+	h.cells[base+i].Add(1)               // bucket (or the +Inf slot at len(bounds))
 	h.cells[base+len(h.bounds)+1].Add(v) // sum
 }
 

@@ -150,13 +150,13 @@ type CellLine struct {
 // SummaryLine is the trailing NDJSON line of /progress: aggregate
 // counts plus an ETA extrapolated from the completed-cell rate.
 type SummaryLine struct {
-	Summary   bool    `json:"summary"`
-	Title     string  `json:"title,omitempty"`
-	Total     int     `json:"total"`
-	Done      int     `json:"done"`
-	Running   int     `json:"running"`
-	Queued    int     `json:"queued"`
-	Failed    int     `json:"failed"`
+	Summary bool   `json:"summary"`
+	Title   string `json:"title,omitempty"`
+	Total   int    `json:"total"`
+	Done    int    `json:"done"`
+	Running int    `json:"running"`
+	Queued  int    `json:"queued"`
+	Failed  int    `json:"failed"`
 	// Cached counts cells resolved from the result cache (a subset of
 	// Done); omitted when zero, keeping cache-free sweeps' NDJSON
 	// byte-identical to pre-sweepd output.

@@ -15,24 +15,24 @@ import (
 // modes (MemStats, Trace) are deliberately not wire-expressible, so a
 // submitted grid always produces cacheable, byte-reproducible cells.
 type gridWire struct {
-	Schemes       []string       `json:"schemes"`
-	Workloads     []string       `json:"workloads"`
-	Profiles      []string       `json:"profiles"`
-	Ps            []int          `json:"ps,omitempty"`
-	ProcsPerNode  int            `json:"ppn,omitempty"`
-	Iters         int            `json:"iters,omitempty"`
-	Seed          int64          `json:"seed,omitempty"`
-	SeedSet       bool           `json:"seed_set,omitempty"`
-	FW            float64        `json:"fw,omitempty"`
-	Locks         int            `json:"locks,omitempty"`
-	ZipfS         float64        `json:"zipfs,omitempty"`
-	ZipfSSet      bool           `json:"zipfs_set,omitempty"`
-	ThinkNs       int64          `json:"think_ns,omitempty"`
-	ThinkJitterNs int64          `json:"think_jitter_ns,omitempty"`
-	TL            []int64        `json:"tl,omitempty"`
-	TDC           int            `json:"tdc,omitempty"`
-	TR            int64          `json:"tr,omitempty"`
-	Tunables      []tunableWire  `json:"tunables,omitempty"`
+	Schemes       []string      `json:"schemes"`
+	Workloads     []string      `json:"workloads"`
+	Profiles      []string      `json:"profiles"`
+	Ps            []int         `json:"ps,omitempty"`
+	ProcsPerNode  int           `json:"ppn,omitempty"`
+	Iters         int           `json:"iters,omitempty"`
+	Seed          int64         `json:"seed,omitempty"`
+	SeedSet       bool          `json:"seed_set,omitempty"`
+	FW            float64       `json:"fw,omitempty"`
+	Locks         int           `json:"locks,omitempty"`
+	ZipfS         float64       `json:"zipfs,omitempty"`
+	ZipfSSet      bool          `json:"zipfs_set,omitempty"`
+	ThinkNs       int64         `json:"think_ns,omitempty"`
+	ThinkJitterNs int64         `json:"think_jitter_ns,omitempty"`
+	TL            []int64       `json:"tl,omitempty"`
+	TDC           int           `json:"tdc,omitempty"`
+	TR            int64         `json:"tr,omitempty"`
+	Tunables      []tunableWire `json:"tunables,omitempty"`
 	// Faults carries the canonical fault-profile encodings (see
 	// internal/fault's grammar, e.g. "jitter=0.2,stall=50000@0.01").
 	Faults []string `json:"faults,omitempty"`

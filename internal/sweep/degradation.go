@@ -20,14 +20,18 @@ const (
 	ExtraJainDelta = "jain_delta"
 )
 
-// ApplyDegradation computes per-cell degradation metrics in place: for
-// every faulted cell whose fault-free sibling (same Key minus Faults)
-// is present, the tail-latency inflation factors — and, when both
-// cells carry trace-derived fairness, the Jain delta — are added to
-// the faulted report's Extra map and the cell fingerprint is
-// recomputed. Cells without a baseline (or with a zero-latency
-// baseline) are left untouched. Deterministic: the join is by Key, so
-// the outcome is independent of worker count and result order.
+// ApplyDegradation computes per-cell degradation metrics: for every
+// faulted cell whose fault-free sibling (same Key minus Faults) is
+// present, the tail-latency inflation factors — and, when both cells
+// carry trace-derived fairness, the Jain delta — are added to the
+// faulted report's Extra map and the cell fingerprint is recomputed.
+// The slice is updated in place but the cells are not: a degraded cell
+// is a new value (own Extra map, no fragment) that replaces the
+// original in its slot, because the original may be a cached result
+// that other jobs are reading at this moment. Cells without a baseline
+// (or with a zero-latency baseline) are left untouched. Deterministic:
+// the join is by Key, so the outcome is independent of worker count
+// and result order.
 func ApplyDegradation(results []CellResult) {
 	type baseMetrics struct {
 		p99, p999 float64
@@ -47,31 +51,30 @@ func ApplyDegradation(results []CellResult) {
 		}
 	}
 	for i := range results {
-		r := &results[i]
-		if r.Key.Faults == "" {
+		if results[i].Key.Faults == "" {
 			continue
 		}
-		k := r.Key
+		k := results[i].Key
 		k.Faults = ""
 		b, ok := base[k]
 		if !ok {
 			continue
 		}
-		changed := false
+		traced := b.traced && (results[i].Report.Fairness != 0 || results[i].Report.HandoffLocality != nil)
+		if b.p99 <= 0 && b.p999 <= 0 && !traced {
+			continue
+		}
+		r := results[i].clone()
 		if b.p99 > 0 {
 			r.Report.Extra[ExtraP99Infl] = r.Report.Extra["lat_p99"] / b.p99
-			changed = true
 		}
 		if b.p999 > 0 {
 			r.Report.Extra[ExtraP999Infl] = r.Report.Extra["lat_p999"] / b.p999
-			changed = true
 		}
-		if b.traced && (r.Report.Fairness != 0 || r.Report.HandoffLocality != nil) {
+		if traced {
 			r.Report.Extra[ExtraJainDelta] = r.Report.Fairness - b.fair
-			changed = true
 		}
-		if changed {
-			r.Fingerprint = r.Report.Fingerprint()
-		}
+		r.Fingerprint = r.Report.Fingerprint()
+		results[i] = r
 	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -32,17 +33,65 @@ func NewRunFile(label string, results []CellResult) RunFile {
 	}
 }
 
-// Encode renders the run in the persisted format: indented JSON plus a
-// trailing newline, exactly the bytes Save writes. cmd/sweepd serves
-// results through this same encoder (with Created left empty) so a
-// fetched result is byte-identical to a local `workbench -out` file
-// modulo the informational timestamp.
+// Encode renders the run in the persisted format — the bytes of
+// json.MarshalIndent(rf, "", "  ") plus a trailing newline — and is the
+// one assembly path for `workbench -out`, Save and sweepd's
+// GET /jobs/{id}/result: the header, then every cell's fragment (the
+// one it carries, or marshal + indent on the spot for a cell that has
+// none) joined in one buffer sized up front. A run of cache-served cells
+// is therefore a copy of stored bytes; cmd/sweepd leaves Created empty,
+// so a fetched result is byte-identical to a local `workbench -out`
+// file modulo the informational timestamp.
 func Encode(rf RunFile) ([]byte, error) {
-	data, err := json.MarshalIndent(rf, "", "  ")
-	if err != nil {
-		return nil, err
+	// Strings always marshal.
+	label, _ := json.Marshal(rf.Label)
+	created, _ := json.Marshal(rf.Created)
+	size := len(label) + len(created) + 64
+	for i := range rf.Cells {
+		// A cell without a fragment grows the buffer when it gets there.
+		size += len(fragPrefix) + len(rf.Cells[i].frag) + len(",\n")
 	}
-	return append(data, '\n'), nil
+	var buf bytes.Buffer
+	buf.Grow(size)
+	buf.WriteString("{\n")
+	if rf.Label != "" {
+		buf.WriteString(`  "label": `)
+		buf.Write(label)
+		buf.WriteString(",\n")
+	}
+	if rf.Created != "" {
+		buf.WriteString(`  "created": `)
+		buf.Write(created)
+		buf.WriteString(",\n")
+	}
+	switch {
+	case rf.Cells == nil:
+		buf.WriteString(`  "cells": null`)
+	case len(rf.Cells) == 0:
+		buf.WriteString(`  "cells": []`)
+	default:
+		buf.WriteString(`  "cells": [`)
+		for i := range rf.Cells {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			buf.WriteString("\n" + fragPrefix)
+			if frag := rf.Cells[i].frag; frag != nil {
+				buf.Write(frag)
+				continue
+			}
+			payload, err := json.Marshal(rf.Cells[i])
+			if err != nil {
+				return nil, err
+			}
+			if err := json.Indent(&buf, payload, fragPrefix, fragIndent); err != nil {
+				return nil, err
+			}
+		}
+		buf.WriteString("\n  ]")
+	}
+	buf.WriteString("\n}\n")
+	return buf.Bytes(), nil
 }
 
 // Save writes the run as indented JSON, creating parent directories as

@@ -82,6 +82,15 @@ type Cell struct {
 }
 
 // CellResult is the merged outcome of one cell, in canonical order.
+//
+// A result that came out of a CellCache — or that Run computed with one
+// attached — is shared with the cache and with every other job served
+// the same cell: read it, copy it, never write through its Report.Extra
+// or HandoffLocality. Code that derives a changed cell builds a new
+// value (ApplyDegradation does). Such a result also carries its
+// run-file fragment (see fragment.go) in an unexported field, which a
+// freshly computed one does not, so tests compare cells by their
+// encoding or Fingerprint, not with reflect.DeepEqual.
 type CellResult struct {
 	Key         Key             `json:"key"`
 	Locks       int             `json:"locks"`
@@ -91,6 +100,12 @@ type CellResult struct {
 	// (Grid.Trace); consumers (workbench -trace) export it. Never
 	// persisted: baselines carry only the trace-derived Report fields.
 	Trace *trace.Sink `json:"-"`
+
+	// frag is this cell's encoding as it stands inside RunFile.Cells,
+	// nil until something has encoded it. It is immutable and always
+	// the encoding of the exported fields above: whoever changes those
+	// on a copy drops it (clone).
+	frag []byte
 }
 
 // Options configures a sweep execution.
@@ -125,7 +140,10 @@ type Options struct {
 // Implementations must be safe for concurrent use; internal/cache's
 // ResultStore is the canonical one. Get may miss spuriously (eviction,
 // corruption) — the cell is then recomputed — but a hit must return a
-// result produced by a run of the same Input.
+// result produced by a run of the same Input. What Get returns and what
+// Put receives may be shared between the cache and any number of
+// callers, so both sides treat it as read-only (see CellResult); a
+// cache that keeps a Put value takes its own copy (SealCell).
 type CellCache interface {
 	Get(input string) (CellResult, bool)
 	Put(input string, r CellResult)
@@ -270,7 +288,14 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		}
 		results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
 		if opts.Cache != nil && c.Input != "" {
-			opts.Cache.Put(c.Input, results[i])
+			// Encode the cell here, once: the cache stores this fragment
+			// and Encode splices it. A cell that does not marshal (a NaN
+			// in its report) is not cacheable and fails in Encode as it
+			// always has.
+			if frag, err := fragmentOf(results[i]); err == nil {
+				results[i].frag = frag
+				opts.Cache.Put(c.Input, results[i])
+			}
 		}
 		if opts.Progress != nil {
 			opts.Progress.CellDone(i, fp, nil)
@@ -548,7 +573,10 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 	}
 	faultMetrics := len(g.Faults) > 0
-	var cells []Cell
+	// Every cell's Spec closure reads the filled grid; they share this
+	// one copy rather than capturing one each.
+	shared := &g
+	cells := make([]Cell, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
 	for _, schemeName := range g.Schemes {
 		tuns, err := combos(axesFor(schemeName, g.Tunables))
 		if err != nil {
@@ -560,7 +588,7 @@ func (g Grid) Cells() ([]Cell, error) {
 				for _, p := range g.Ps {
 					for _, tun := range tuns {
 						for _, fp := range faults {
-							cells = append(cells, g.cell(schemeName, wname, pname, p, tun, fp, faultMetrics))
+							cells = append(cells, shared.cell(schemeName, wname, pname, p, tun, fp, faultMetrics))
 						}
 					}
 				}
@@ -568,6 +596,21 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// inputPrefix versions the content address (see Grid.cellInput).
+const inputPrefix = "cell/v1 "
+
+// Names reports whether input is a content address of a cell with this
+// key: every address starts with the key it was built from, so a stored
+// result whose key its address does not name belongs to another cell.
+func (k Key) Names(input string) bool {
+	rest, ok := strings.CutPrefix(input, inputPrefix)
+	if !ok {
+		return false
+	}
+	rest, ok = strings.CutPrefix(rest, k.String())
+	return ok && strings.HasPrefix(rest, " ppn=")
 }
 
 // cellInput canonically encodes every result-affecting input of one
@@ -582,12 +625,12 @@ func (g Grid) cellInput(key Key, faultMetrics bool) string {
 	if g.MemStats || g.Trace != 0 {
 		return ""
 	}
-	return fmt.Sprintf("cell/v1 %s ppn=%d iters=%d seed=%d fw=%v locks=%d zipfs=%v think=%d thinkj=%d params=%+v fm=%v engine=%q",
+	return fmt.Sprintf(inputPrefix+"%s ppn=%d iters=%d seed=%d fw=%v locks=%d zipfs=%v think=%d thinkj=%d params=%+v fm=%v engine=%q",
 		key, g.ProcsPerNode, g.Iters, g.Seed, g.FW, g.Locks, g.ZipfS,
 		g.ThinkNs, g.ThinkJitterNs, g.Params, faultMetrics, g.Engine)
 }
 
-func (g Grid) cell(schemeName, wname, pname string, p int, tun scheme.Tunables, fp *fault.Profile, faultMetrics bool) Cell {
+func (g *Grid) cell(schemeName, wname, pname string, p int, tun scheme.Tunables, fp *fault.Profile, faultMetrics bool) Cell {
 	key := Key{Scheme: schemeName, Workload: wname, Profile: pname, P: p,
 		Tunables: tun.Canonical(), Faults: fp.Canonical()}
 	return Cell{

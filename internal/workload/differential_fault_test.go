@@ -153,7 +153,7 @@ func TestDifferentialFaultTraceStreams(t *testing.T) {
 					Workload: &workload.SharedOp{},
 					Faults:   tc.prof(t),
 					Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
-					Trace:    sink,
+					Trace: sink,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", ec.name, err)
