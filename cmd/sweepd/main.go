@@ -91,14 +91,14 @@ type config struct {
 // daemon owns the assembled stack: metrics registry, result cache, job
 // manager, and the HTTP server they all mount on.
 type daemon struct {
-	metrics *obs.Metrics
+	metrics *obs.Registry
 	store   *cache.Store
 	mgr     *jobq.Manager
 	srv     *obs.Server
 }
 
 func newDaemon(cfg config) (*daemon, error) {
-	metrics := obs.NewMetrics()
+	metrics := obs.NewRegistry()
 	store, rep, err := cache.Open(cfg.cacheDir, cfg.cacheBytes)
 	if err != nil {
 		return nil, err
@@ -106,10 +106,13 @@ func newDaemon(cfg config) (*daemon, error) {
 	if len(rep.Corrupt) > 0 {
 		fmt.Fprintf(os.Stderr, "[sweepd: skipped %d corrupt cache entries: %v]\n", len(rep.Corrupt), rep.Corrupt)
 	}
+	if rep.Stale > 0 {
+		fmt.Fprintf(os.Stderr, "[sweepd: removed %d cache entries of another address version]\n", rep.Stale)
+	}
 	if rep.Entries > 0 {
 		fmt.Fprintf(os.Stderr, "[sweepd: cache holds %d entries, %d resident]\n", rep.Entries, rep.Loaded)
 	}
-	store.Register(metrics.Registry)
+	store.Register(metrics)
 
 	multi := obs.NewMultiProgress()
 	mgr := jobq.NewManager(jobq.Config{
@@ -119,7 +122,7 @@ func newDaemon(cfg config) (*daemon, error) {
 		Obs:     metrics,
 		Multi:   multi,
 	})
-	srv := obs.NewServer(metrics.Registry, multi)
+	srv := obs.NewServer(metrics, multi)
 	jobq.NewAPI(mgr).Mount(srv)
 	return &daemon{metrics: metrics, store: store, mgr: mgr, srv: srv}, nil
 }

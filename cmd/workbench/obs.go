@@ -16,7 +16,7 @@ import (
 // -metrics-out was given, which keeps the whole subsystem at one nil
 // check and the sweep byte-identical to an uninstrumented run.
 type obsPlane struct {
-	metrics *obs.Metrics
+	metrics *obs.Registry
 	prog    *obs.SweepProgress
 	srv     *obs.Server
 }
@@ -26,11 +26,11 @@ type obsPlane struct {
 // is scriptable).
 func newObsPlane(listen, title string) (*obsPlane, error) {
 	o := &obsPlane{
-		metrics: obs.NewMetrics(),
+		metrics: obs.NewRegistry(),
 		prog:    obs.NewSweepProgress(title),
 	}
 	if listen != "" {
-		o.srv = obs.NewServer(o.metrics.Registry, o.prog)
+		o.srv = obs.NewServer(o.metrics, o.prog)
 		if err := o.srv.Listen(listen); err != nil {
 			return nil, fmt.Errorf("workbench: -listen %s: %w", listen, err)
 		}
@@ -48,8 +48,8 @@ func (o *obsPlane) progress() sweep.Progress {
 	return o.prog
 }
 
-// grid returns the metrics bundle for sweep.Grid.Obs (nil when off).
-func (o *obsPlane) grid() *obs.Metrics {
+// grid returns the registry for sweep.Grid.Obs (nil when off).
+func (o *obsPlane) grid() *obs.Registry {
 	if o == nil {
 		return nil
 	}
@@ -66,13 +66,13 @@ func (o *obsPlane) span(name string) obs.Span {
 
 // writeMetrics persists the merged post-run snapshot — counters, gauges,
 // histograms and the phase table — as indented JSON: the side-channel
-// consumed by internal/adaptive and the bench trajectory, deliberately
-// NOT part of any Report or fingerprint.
+// benchmark/ reads its per-layer phase metrics from, deliberately NOT
+// part of any Report or fingerprint.
 func (o *obsPlane) writeMetrics(path string) error {
 	if o == nil {
 		return nil
 	}
-	snap := o.metrics.Registry.Snapshot()
+	snap := o.metrics.Snapshot()
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"rmalocks"
-	"rmalocks/internal/locks"
 )
 
 const (
@@ -22,7 +21,7 @@ const (
 	relaxes  = 60 // edge relaxations per process
 )
 
-func run(name string, mk func(m *rmalocks.Machine) locks.Mutex) {
+func run(name string) {
 	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: nodes, ProcsPerNode: ppn})
 	// Vertex data: one word per vertex, distributed round-robin over the
 	// ranks (vertex v lives on rank v%P at offset base+v/P).
@@ -32,17 +31,20 @@ func run(name string, mk func(m *rmalocks.Machine) locks.Mutex) {
 	// One lock protects the whole partition in this demo (the paper's
 	// DHT study uses the same single-lock setup; per-vertex locks work
 	// the same way, one Alloc per lock).
-	lock := mk(machine)
+	lock, err := rmalocks.NewLock(machine, name)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	edges := rand.New(rand.NewSource(7))
 	_ = edges
 
-	err := machine.Run(func(pr *rmalocks.Proc) {
+	err = machine.Run(func(pr *rmalocks.Proc) {
 		rng := pr.Rand()
 		for i := 0; i < relaxes; i++ {
 			u := rng.Intn(vertices)
 			v := rng.Intn(vertices)
-			lock.Acquire(pr)
+			lock.AcquireWrite(pr)
 			// Relax: dist[v] = min(dist[v], dist[u]+1), two remote words.
 			du := pr.Get(u%p, base+u/p)
 			pr.Flush(u % p)
@@ -52,7 +54,7 @@ func run(name string, mk func(m *rmalocks.Machine) locks.Mutex) {
 				pr.Put(du+1, v%p, base+v/p)
 				pr.Flush(v % p)
 			}
-			lock.Release(pr)
+			lock.ReleaseWrite(pr)
 		}
 	})
 	if err != nil {
@@ -67,9 +69,9 @@ func run(name string, mk func(m *rmalocks.Machine) locks.Mutex) {
 func main() {
 	fmt.Printf("Vertex-locked graph relaxation: %d procs, %d vertices, %d relaxations/proc\n\n",
 		nodes*ppn, vertices, relaxes)
-	run("foMPI-Spin", func(m *rmalocks.Machine) locks.Mutex { return rmalocks.NewFoMPISpin(m) })
-	run("D-MCS", func(m *rmalocks.Machine) locks.Mutex { return rmalocks.NewDMCS(m) })
-	run("RMA-MCS", func(m *rmalocks.Machine) locks.Mutex { return rmalocks.NewRMAMCS(m, rmalocks.MCSParams{}) })
+	run("foMPI-Spin")
+	run("D-MCS")
+	run("RMA-MCS")
 	fmt.Println("\nRMA-MCS keeps consecutive critical sections on the same node")
 	fmt.Println("(locality threshold T_L), cutting inter-node lock transfers.")
 }

@@ -25,13 +25,17 @@ const (
 type config struct {
 	tdc int
 	tr  int64
-	tl  []int64 // [_, rack-level..., node-level]
+	tl  []int64 // machine level, rack level, node level
 }
 
 func throughput(cfg config) float64 {
 	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Racks: racks, Nodes: nodes, ProcsPerNode: ppn})
-	lock := rmalocks.NewRMARW(machine, rmalocks.RWParams{TDC: cfg.tdc, TR: cfg.tr, TL: cfg.tl})
-	err := machine.Run(func(p *rmalocks.Proc) {
+	lock, err := rmalocks.NewLock(machine, "RMA-RW",
+		rmalocks.Tune("TDC", int64(cfg.tdc)), rmalocks.Tune("TR", cfg.tr), rmalocks.TuneLevels("TL", cfg.tl...))
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = machine.Run(func(p *rmalocks.Proc) {
 		rng := p.Rand()
 		for i := 0; i < iters; i++ {
 			if rng.Intn(100) < fwPct {
@@ -60,7 +64,7 @@ func main() {
 	fmt.Println("step 1: sweep T_DC (one counter every T_DC-th process)")
 	bestTDC, bestT := 0, 0.0
 	for _, tdc := range []int{2, 4, 8, 16, 32} {
-		th := throughput(config{tdc: tdc, tr: 1000, tl: []int64{0, 4, 8, 16}})
+		th := throughput(config{tdc: tdc, tr: 1000, tl: []int64{4, 8, 16}})
 		marker := ""
 		if th > bestT {
 			bestT, bestTDC = th, tdc
@@ -73,7 +77,7 @@ func main() {
 	fmt.Println("\nstep 2: sweep T_R (consecutive readers per counter)")
 	bestTR, bestT2 := int64(0), 0.0
 	for _, tr := range []int64{100, 500, 1000, 3000, 6000} {
-		th := throughput(config{tdc: bestTDC, tr: tr, tl: []int64{0, 4, 8, 16}})
+		th := throughput(config{tdc: bestTDC, tr: tr, tl: []int64{4, 8, 16}})
 		marker := ""
 		if th > bestT2 {
 			bestT2, bestTR = th, tr
@@ -91,10 +95,10 @@ func main() {
 	}
 	bestName, bestT3 := "", 0.0
 	for _, s := range []split{
-		{"2-8-32", []int64{0, 2, 8, 32}},
-		{"4-8-16", []int64{0, 4, 8, 16}},
-		{"8-8-8", []int64{0, 8, 8, 8}},
-		{"16-8-4", []int64{0, 16, 8, 4}},
+		{"2-8-32", []int64{2, 8, 32}},
+		{"4-8-16", []int64{4, 8, 16}},
+		{"8-8-8", []int64{8, 8, 8}},
+		{"16-8-4", []int64{16, 8, 4}},
 	} {
 		th := throughput(config{tdc: bestTDC, tr: bestTR, tl: s.tl})
 		marker := ""

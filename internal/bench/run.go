@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/workload"
@@ -16,6 +17,32 @@ func isRWScheme(name string) bool {
 		}
 	}
 	return false
+}
+
+// tunablesFor spells the parameter structs' T_L,i / T_DC / T_R fields as
+// the typed tunables of the named scheme. Zero fields stay unset, so
+// scheme and harness defaults apply, and keys the scheme does not
+// declare are left out, so one parameter struct serves every scheme of
+// a comparison (foMPI-RW beside RMA-RW).
+func tunablesFor(name string, tl []int64, tdc int, tr int64) scheme.Tunables {
+	d, err := scheme.Describe(name)
+	if err != nil {
+		return nil // foMPI-A runs lock-free; any other name fails in workload.Run
+	}
+	t := scheme.Tunables{}
+	set := func(key string, v int64) {
+		if v != 0 && d.Accepts(key, 0) {
+			t[key] = v
+		}
+	}
+	set("TDC", int64(tdc))
+	set("TR", tr)
+	for i := 1; i < len(tl); i++ {
+		if tl[i] > 0 {
+			set("TL"+strconv.Itoa(i), tl[i])
+		}
+	}
+	return t
 }
 
 // The three Run* entry points below are thin adapters over the unified
@@ -55,7 +82,7 @@ func mutexSpec(params MutexParams) workload.Spec {
 		Iters:        params.Iters,
 		Profile:      prof,
 		Workload:     wl,
-		Params:       workload.SchemeParams{TL: params.TL},
+		Tunables:     tunablesFor(params.Scheme, params.TL, 0, 0),
 		Engine:       params.Engine,
 	}
 }
@@ -122,7 +149,7 @@ func RunRW(params RWParams) (Result, error) {
 		Iters:        params.Iters,
 		Profile:      prof,
 		Workload:     wl,
-		Params:       workload.SchemeParams{TL: params.TL, TDC: params.TDC, TR: params.TR},
+		Tunables:     tunablesFor(params.Scheme, params.TL, params.TDC, params.TR),
 		Engine:       params.Engine,
 	})
 	if err != nil {
@@ -194,7 +221,7 @@ func RunDHT(params DHTParams) (DHTResult, error) {
 		Warmup:       -1, // the paper's DHT benchmark has no warm-up phase
 		Profile:      workload.Uniform{FW: params.FW},
 		Workload:     wl,
-		Params:       workload.SchemeParams{TL: params.TL, TDC: params.TDC, TR: params.TR},
+		Tunables:     tunablesFor(params.Scheme, params.TL, params.TDC, params.TR),
 		// Rank 0 only hosts the volume (the paper: P−1 clients).
 		Skip: func(rank, procs int) bool { return rank == 0 },
 	})

@@ -1,6 +1,6 @@
 // Package cache is sweepd's content-addressed result store. Entries are
 // keyed by a cell's canonical *input* encoding (sweep.Cell.Input, the
-// "cell/v1 ..." string covering every result-affecting parameter), so a
+// "cell/v2 ..." string covering every result-affecting parameter), so a
 // hit is decidable before the cell ever runs — unlike the output
 // fingerprint, which exists only after. The store is an in-memory LRU
 // with a byte budget, backed by one file per entry under a cache
@@ -68,6 +68,10 @@ type LoadReport struct {
 	Loaded int
 	// Corrupt lists files that failed validation and were skipped.
 	Corrupt []string
+	// Stale counts well-formed entries stored under another version of
+	// the address encoding (sweep.StaleInput). No lookup can reach them
+	// and no Put will overwrite them, so Open removes the files.
+	Stale int
 }
 
 // Store is the content-addressed cell store: lookups and stores by
@@ -94,7 +98,8 @@ type Store struct {
 // in-memory byte budget (<= 0 means 64 MiB). Existing entries are
 // validated and loaded freshest-first until the budget fills; malformed
 // files are skipped and listed in the report — a corrupt cache degrades
-// to recomputation, never to a failed daemon.
+// to recomputation, never to a failed daemon — and entries of another
+// address version are counted and deleted.
 func Open(dir string, budget int64) (*Store, LoadReport, error) {
 	if budget <= 0 {
 		budget = 64 << 20
@@ -145,6 +150,11 @@ func (s *Store) load() (LoadReport, error) {
 			continue
 		}
 		env, err := readEnvelope(name)
+		if err == nil && sweep.StaleInput(env.Input) {
+			rep.Stale++
+			os.Remove(name) // a file that stays is counted again next time, nothing worse
+			continue
+		}
 		// An entry is never smaller resident than on disk, so one whose
 		// payload alone overflows the budget is indexed undecoded (Get
 		// validates it if it is ever asked for).

@@ -117,6 +117,92 @@ func TestCrossProcessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineSharesCacheEntry: the engine is not part of a cell's
+// address (results are engine-invariant), so cells the fast engine
+// computed and stored are hits for the same grid on the reference
+// engine — and what is served is byte for byte what a cold, uncached
+// reference run produces.
+func TestEngineSharesCacheEntry(t *testing.T) {
+	store, _, err := cache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := cache.NewResultStore(store)
+	fast := testGrid()
+	fast.Engine = "fast"
+	if _, err := sweep.Run(mustCells(t, fast), sweep.Options{Workers: 2, Cache: rs}); err != nil {
+		t.Fatal(err)
+	}
+	ref := testGrid()
+	ref.Engine = "ref"
+	cells := mustCells(t, ref)
+	served, err := sweep.Run(cells, sweep.Options{Workers: 2, Cache: rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Hits != int64(len(cells)) || st.Misses != int64(len(cells)) {
+		t.Fatalf("hits/misses = %d/%d, want %d/%d: the fast run misses every cell, the ref run hits every one", st.Hits, st.Misses, len(cells), len(cells))
+	}
+	cold, err := sweep.Run(cells, sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		if !bytes.Equal(encodeOne(t, served[i]), encodeOne(t, cold[i])) {
+			t.Errorf("cell %s: the entry the fast engine stored is not what a cold ref run computes", cells[i].Key)
+		}
+	}
+}
+
+// TestStaleEntriesRemovedAtOpen: an entry written under another version
+// of the address encoding (testdata/v1-entry holds one, as the cell/v1
+// code wrote it) is well-formed but unreachable. Open counts it apart
+// from the corrupt ones and removes the file; current entries and
+// corrupt files are treated as before.
+func TestStaleEntriesRemovedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	fixtures, _ := filepath.Glob(filepath.Join("testdata", "v1-entry", "*.json"))
+	if len(fixtures) != 1 {
+		t.Fatalf("want one v1 fixture, found %v", fixtures)
+	}
+	raw, err := os.ReadFile(fixtures[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, filepath.Base(fixtures[0]))
+	if err := os.WriteFile(stale, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cells, results := computed(t)
+	plant(t, dir, cells[1].Input, []byte(`{"v":1,"truncated`))
+
+	// Under a one-byte budget no entry is decoded at load; the v1 file
+	// is recognised by its address alone.
+	for _, budget := range []int64{1, 0} {
+		if err := os.WriteFile(stale, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, rep, err := cache.Open(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stale != 1 || len(rep.Corrupt) != 1 {
+			t.Fatalf("budget %d: stale %d, corrupt %v; want 1 stale and the truncated file corrupt", budget, rep.Stale, rep.Corrupt)
+		}
+		if _, err := os.Stat(stale); !os.IsNotExist(err) {
+			t.Fatalf("budget %d: stale entry file still there (%v)", budget, err)
+		}
+		cache.NewResultStore(store).Put(cells[0].Input, results[0])
+	}
+	_, rep, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stale != 0 || rep.Entries != 1 || rep.Loaded != 1 || len(rep.Corrupt) != 1 {
+		t.Fatalf("reopen: %+v; want the current entry loaded, the corrupt file reported, nothing stale", rep)
+	}
+}
+
 // computed runs the test grid without a cache: the cells and the
 // results a cold local run gives them.
 func computed(tb testing.TB) ([]sweep.Cell, []sweep.CellResult) {

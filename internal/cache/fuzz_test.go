@@ -3,6 +3,7 @@ package cache_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rmalocks/internal/cache"
@@ -32,7 +33,10 @@ func FuzzEnvelope(f *testing.F) {
 	f.Add(envelopeOf(2, input, good))
 	f.Add(envelopeOf(1, input, bytes.Replace(good, []byte(`"locks":4`), []byte(`"locks":4 ,"zz":[]`), 1)))
 	f.Add(envelopeOf(1, input, bytes.Replace(good, []byte(`"locks":4`), []byte(`"locks":5`), 1)))
-	f.Add(envelopeOf(1, "cell/v1 elsewhere ppn=1", good))
+	f.Add(envelopeOf(1, "cell/v2 elsewhere ppn=1", good))
+	// Another version's address: load removes the file, lookup never
+	// finds one; both are plain misses.
+	f.Add(envelopeOf(1, strings.Replace(input, "cell/v2 ", "cell/v1 ", 1), good))
 	f.Add(envelopeOf(1, input, []byte(`null`)))
 	f.Add(envelopeOf(1, input, good)[:200])
 	f.Add([]byte(nil))

@@ -106,3 +106,16 @@ func TestWarmJobAllocBytes(t *testing.T) {
 		t.Errorf("a warm job allocated %d B, bound %d B: is a hit decoded or re-marshalled per job again?", warm, warmJobAllocBound)
 	}
 }
+
+// BenchmarkGridCells measures enumerating warmGrid — descriptions,
+// addresses and Spec closures for 240 cells — which a warm job pays
+// once at Submit and is the largest in-process piece of it.
+func BenchmarkGridCells(b *testing.B) {
+	g := warmGrid()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if cells, err := g.Cells(); err != nil || len(cells) != 240 {
+			b.Fatalf("%d cells, %v", len(cells), err)
+		}
+	}
+}

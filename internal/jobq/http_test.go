@@ -22,19 +22,19 @@ import (
 // cmd/sweepd assembles it.
 func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store) {
 	t.Helper()
-	metrics := obs.NewMetrics()
+	metrics := obs.NewRegistry()
 	store, _, err := cache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Register(metrics.Registry)
+	store.Register(metrics)
 	multi := obs.NewMultiProgress()
 	mgr := jobq.NewManager(jobq.Config{
 		Workers: 4, MaxJobs: 2,
 		Cache: cache.NewResultStore(store),
 		Obs:   metrics, Multi: multi,
 	})
-	srv := obs.NewServer(metrics.Registry, multi)
+	srv := obs.NewServer(metrics, multi)
 	jobq.NewAPI(mgr).Mount(srv)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); mgr.Shutdown() })
@@ -313,7 +313,7 @@ func getJobStatus(t *testing.T, ts *httptest.Server, id string) jobq.Status {
 func TestHTTPEventsOpenedBeforeStart(t *testing.T) {
 	gate := &gateCache{release: make(chan struct{})}
 	mgr := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: gate})
-	srv := obs.NewServer(obs.NewMetrics().Registry, nil)
+	srv := obs.NewServer(obs.NewRegistry(), nil)
 	jobq.NewAPI(mgr).Mount(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -55,7 +55,7 @@ type Config struct {
 	// they are scheduled (internal/cache's ResultStore).
 	Cache sweep.CellCache
 	// Obs attaches the daemon's live instruments to every job's cells.
-	Obs *obs.Metrics
+	Obs *obs.Registry
 	// Multi, when non-nil, receives each job's progress tracker for the
 	// /progress fan-in.
 	Multi *obs.MultiProgress
@@ -67,11 +67,12 @@ type Config struct {
 type Job struct {
 	ID    string
 	Label string
-	// cells is the enumerated grid — a Spec closure, an Input string and
-	// a captured Grid per cell — and is dropped when the job reaches a
-	// terminal state (ncells keeps the count for Status). What a retained
-	// job still holds is results: for cache-served cells, shallow values
-	// whose strings, maps and fragments are the cache's own.
+	// cells is the enumerated grid — a Spec closure over the cell's
+	// description and a slice of the grid's address string per cell —
+	// and is dropped when the job reaches a terminal state (ncells keeps
+	// the count for Status). What a retained job still holds is results:
+	// for cache-served cells, shallow values whose strings, maps and
+	// fragments are the cache's own.
 	cells  []sweep.Cell
 	ncells int
 	// degrade applies the fault-degradation join after the sweep (set

@@ -164,16 +164,6 @@ func (l *Lock) TW() int64 { return l.tw }
 // TR returns the reader threshold T_R.
 func (l *Lock) TR() int64 { return l.tr }
 
-// SetTR changes the reader threshold between runs (used by the adaptive
-// controller of package adaptive; the paper's §8 future-work extension).
-// It must not be called while a run is in progress.
-func (l *Lock) SetTR(tr int64) {
-	if tr < 1 || tr >= Bias/2 {
-		panic(fmt.Sprintf("rmarw: TR out of range: %d", tr))
-	}
-	l.tr = tr
-}
-
 // TDC returns the distributed-counter threshold T_DC.
 func (l *Lock) TDC() int { return l.tdc }
 

@@ -49,9 +49,13 @@ import (
 const maxShards = 4096
 
 // Registry is a metric container: a named set of counters, gauges and
-// histograms plus the phase table. All methods are safe for concurrent
-// use, and every method is nil-receiver-safe — a nil *Registry hands
-// out nil metrics whose methods no-op, so call sites need no obs-on
+// histograms plus the phase table. It is the handle threaded through
+// the stack (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs); sweep
+// grids share one across all cells (every instrument is
+// concurrency-safe and merge-by-sum). All methods are safe for
+// concurrent use, and every method is nil-receiver-safe — a nil
+// *Registry hands out nil metrics and no-op spans, so observability is
+// off at one nil check per site and call sites need no obs-on
 // conditionals.
 //
 // Metric constructors are get-or-create: asking for an existing name
@@ -70,28 +74,6 @@ func NewRegistry() *Registry {
 		metrics: make(map[string]metric),
 		phases:  make(map[string]*phaseStat),
 	}
-}
-
-// Metrics is the handle on the observability instruments that is threaded
-// through the stack (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs).
-// A nil *Metrics disables observability at one nil check per site; sweep
-// grids share one Metrics across all cells (every instrument is
-// concurrency-safe and merge-by-sum).
-type Metrics struct {
-	Registry *Registry
-}
-
-// NewMetrics builds a Metrics over a fresh registry.
-func NewMetrics() *Metrics {
-	return &Metrics{Registry: NewRegistry()}
-}
-
-// Span opens a phase span (no-op span when m is nil).
-func (m *Metrics) Span(name string) Span {
-	if m == nil {
-		return Span{}
-	}
-	return m.Registry.Span(name)
 }
 
 // metric is the common surface of every registered instrument.

@@ -98,9 +98,6 @@ func TestNilSafety(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Phases) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
-
-	var m *Metrics
-	m.Span("p").End()
 }
 
 // TestGetOrCreate checks that re-registration returns the same

@@ -29,9 +29,6 @@ type gridWire struct {
 	ZipfSSet      bool          `json:"zipfs_set,omitempty"`
 	ThinkNs       int64         `json:"think_ns,omitempty"`
 	ThinkJitterNs int64         `json:"think_jitter_ns,omitempty"`
-	TL            []int64       `json:"tl,omitempty"`
-	TDC           int           `json:"tdc,omitempty"`
-	TR            int64         `json:"tr,omitempty"`
 	Tunables      []tunableWire `json:"tunables,omitempty"`
 	// Faults carries the canonical fault-profile encodings (see
 	// internal/fault's grammar, e.g. "jitter=0.2,stall=50000@0.01").
@@ -73,7 +70,6 @@ func EncodeGrid(g Grid) ([]byte, error) {
 		Seed: g.Seed, SeedSet: g.SeedSet, FW: g.FW, Locks: g.Locks,
 		ZipfS: g.ZipfS, ZipfSSet: g.ZipfSSet,
 		ThinkNs: g.ThinkNs, ThinkJitterNs: g.ThinkJitterNs,
-		TL: g.Params.TL, TDC: g.Params.TDC, TR: g.Params.TR,
 		Engine: g.Engine,
 	}
 	for _, ax := range g.Tunables {
@@ -107,7 +103,6 @@ func DecodeGrid(data []byte) (Grid, error) {
 		ThinkNs: w.ThinkNs, ThinkJitterNs: w.ThinkJitterNs,
 		Engine: w.Engine,
 	}
-	g.Params.TL, g.Params.TDC, g.Params.TR = w.TL, w.TDC, w.TR
 	for _, ax := range w.Tunables {
 		g.Tunables = append(g.Tunables, TunableAxis{Key: ax.Key, Values: ax.Values})
 	}

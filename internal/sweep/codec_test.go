@@ -1,7 +1,10 @@
 package sweep_test
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"rmalocks/internal/fault"
@@ -17,7 +20,7 @@ func wireGrid(t *testing.T) sweep.Grid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sweep.Grid{
+	return sweep.Grid{
 		Schemes:       []string{workload.SchemeDMCS, workload.SchemeRMARW},
 		Workloads:     []string{"empty"},
 		Profiles:      []string{"uniform", "zipf"},
@@ -36,10 +39,6 @@ func wireGrid(t *testing.T) sweep.Grid {
 		Faults:        []*fault.Profile{nil, fp},
 		Engine:        "ref",
 	}
-	g.Params.TL = []int64{100, 200}
-	g.Params.TDC = 3
-	g.Params.TR = 750
-	return g
 }
 
 // TestGridCodecRoundTrip: decode(encode(g)) enumerates the identical
@@ -87,7 +86,7 @@ func TestGridCodecRejectsUnserializable(t *testing.T) {
 		field  string
 		mutate func(*sweep.Grid)
 	}{
-		{"Obs", func(g *sweep.Grid) { g.Obs = obs.NewMetrics() }},
+		{"Obs", func(g *sweep.Grid) { g.Obs = obs.NewRegistry() }},
 		{"Trace", func(g *sweep.Grid) { g.Trace = 1 }},
 		{"MemStats", func(g *sweep.Grid) { g.MemStats = true }},
 	} {
@@ -109,6 +108,13 @@ func TestGridCodecStrictDecode(t *testing.T) {
 	}
 	if _, err := sweep.DecodeGrid([]byte(`{"schemes":["x"],"faults":["no-such-fault=1"]}`)); err == nil {
 		t.Error("invalid fault spec accepted")
+	}
+	// The pre-registry scheme parameters left the wire with cell/v2.
+	for _, key := range []string{"tl", "tdc", "tr"} {
+		_, err := sweep.DecodeGrid([]byte(`{"schemes":["x"],"` + key + `":[1]}`))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("wire key %q: err = %v, want a rejection naming it", key, err)
+		}
 	}
 }
 
@@ -173,3 +179,74 @@ func TestCellInputSemantics(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeGrid feeds arbitrary bytes to the decoder of sweepd's POST
+// /jobs body. It must not panic; the retired scheme-parameter keys are
+// an error whatever else the body holds; and a body that decodes must
+// survive the wire again — re-encoded and decoded, the grid enumerates
+// the same cells under the same addresses, or fails the same way.
+func FuzzDecodeGrid(f *testing.F) {
+	// What benchmark/'s daemon workloads post: the 240-cell grid, plain
+	// and with daemon-dirty's TR axis.
+	const served = `{"schemes":["foMPI-Spin","D-MCS","RMA-MCS","foMPI-RW","RMA-RW"],"workloads":["empty","sharedop","counter","dht"],"profiles":["uniform","zipf","bursty","sweep"],"ps":[16,32,64],"ppn":16,"iters":50,"seed":1,"seed_set":true,"fw":0.1,"locks":8,"zipfs":1.2`
+	f.Add([]byte(served + `}`))
+	f.Add([]byte(served + `,"tunables":[{"key":"TR","values":[20000]}]}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"],"tr":900}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],"TL":[0,40,25],"tdc":16}`))
+	f.Add([]byte(`{"schemes":["D-MCS","foMPI-RW"],"workloads":["dht"],"profiles":["zipf"],"ps":[4,8],"locks":16,"zipfs_set":true,"think_ns":100,"think_jitter_ns":30,"faults":["jitter=0.2,stall=50000@0.01,seed=7","stall=100000@0.05,timeout=200000"],"engine":"ref"}`))
+	f.Add([]byte(`{"schemes":["x"],"tunables":[{"key":"TR","values":[1]},{"key":"TR","values":[2]}],"ps":[-1],"engine":"psim"}`))
+	f.Add([]byte(`{"schemes":["x"],"faults":["no-such-fault=1"]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		g, err := sweep.DecodeGrid(body)
+		var keys map[string]json.RawMessage
+		if json.Unmarshal(body, &keys) == nil {
+			for k := range keys {
+				// encoding/json matches field names case-insensitively.
+				if k := strings.ToLower(k); (k == "tl" || k == "tdc" || k == "tr") && err == nil {
+					t.Fatalf("body with retired key %q decoded", k)
+				}
+			}
+		}
+		if err != nil {
+			return
+		}
+		wire, err := sweep.EncodeGrid(g)
+		if err != nil {
+			t.Fatalf("decoded grid does not encode: %v", err)
+		}
+		g2, err := sweep.DecodeGrid(wire)
+		if err != nil {
+			t.Fatalf("re-encoded grid %s does not decode: %v", wire, err)
+		}
+		// omitempty drops a negative zero and it comes back positive: the
+		// same simulation, spelled differently in the address.
+		if negZero(g.FW) || negZero(g.ZipfS) {
+			return
+		}
+		n := len(g.Schemes) * len(g.Workloads) * len(g.Profiles) * max(len(g.Ps), 1) * (len(g.Faults) + 1)
+		for _, ax := range g.Tunables {
+			n *= max(len(ax.Values), 1)
+		}
+		if n > 1<<12 {
+			return // enumerating it would measure the fuzzer's memory, not the codec
+		}
+		cells, err := g.Cells()
+		cells2, err2 := g2.Cells()
+		if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+			t.Fatalf("enumeration: %v before the wire, %v after", err, err2)
+		}
+		if len(cells) != len(cells2) {
+			t.Fatalf("%d cells before the wire, %d after", len(cells), len(cells2))
+		}
+		for i := range cells {
+			if cells[i].Key != cells2[i].Key || cells[i].Input != cells2[i].Input {
+				t.Fatalf("cell %d: %q before the wire, %q after", i, cells[i].Input, cells2[i].Input)
+			}
+		}
+	})
+}
+
+func negZero(x float64) bool { return x == 0 && math.Signbit(x) }

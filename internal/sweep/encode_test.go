@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -207,8 +208,22 @@ func TestKeyNamesInput(t *testing.T) {
 			t.Fatalf("key %s names the input of %s", other.Key, c.Key)
 		}
 	}
-	if (sweep.Key{}).Names("") || cells[0].Key.Names("cell/v0 "+cells[0].Input[len("cell/v1 "):]) {
+	rest, ok := strings.CutPrefix(cells[0].Input, "cell/v2 ")
+	if !ok {
+		t.Fatalf("address %q does not start with the cell/v2 prefix", cells[0].Input)
+	}
+	if (sweep.Key{}).Names("") || cells[0].Key.Names("cell/v1 "+rest) {
 		t.Fatal("a key named an empty or differently versioned input")
+	}
+	// Another version's address is stale; the current one, and strings
+	// that are no cell address at all, are not.
+	for input, want := range map[string]bool{
+		"cell/v1 " + rest: true, "cell/v10 x": true,
+		cells[0].Input: false, "": false, "cell/v2": false, "cell/v x": false, "cell/v1": false, "some input": false,
+	} {
+		if got := sweep.StaleInput(input); got != want {
+			t.Errorf("StaleInput(%q) = %v, want %v", input, got, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // obsGrid is a small mixed-engine grid: enough cells that scrapes
 // genuinely overlap running cells under -race.
-func obsGrid(m *obs.Metrics) Grid {
+func obsGrid(m *obs.Registry) Grid {
 	return Grid{
 		Schemes:   []string{"RMA-MCS", "foMPI-Spin"},
 		Workloads: []string{"empty"},
@@ -27,7 +27,7 @@ func obsGrid(m *obs.Metrics) Grid {
 // -race failure; the test also checks the final progress state and
 // that attaching obs left every fingerprint identical to a bare run.
 func TestScrapeWhileRunning(t *testing.T) {
-	m := obs.NewMetrics()
+	m := obs.NewRegistry()
 	prog := obs.NewSweepProgress("race test")
 	grid := obsGrid(m)
 	cells, err := grid.Cells()
@@ -47,11 +47,11 @@ func TestScrapeWhileRunning(t *testing.T) {
 			default:
 			}
 			var sb strings.Builder
-			if err := m.Registry.WritePrometheus(&sb); err != nil {
+			if err := m.WritePrometheus(&sb); err != nil {
 				t.Error(err)
 				return
 			}
-			m.Registry.Snapshot()
+			m.Snapshot()
 		}
 	}()
 	go func() {
@@ -113,7 +113,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 	}
 
 	// The shared registry accumulated across cells: 8 cells × P iters.
-	iters := m.Registry.Snapshot().Counters["cell_iters_done_total"]
+	iters := m.Snapshot().Counters["cell_iters_done_total"]
 	var want int64
 	for _, c := range cells {
 		want += int64(c.Key.P * grid.Iters)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,15 +53,27 @@ type Key struct {
 	Faults string `json:"faults,omitempty"`
 }
 
-func (k Key) String() string {
-	s := fmt.Sprintf("%s/%s/%s/P=%d", k.Scheme, k.Workload, k.Profile, k.P)
+func (k Key) String() string { return string(k.appendTo(make([]byte, 0, 64))) }
+
+// appendTo appends the key's text form: what String returns and what a
+// cell's content address starts with (cellSpec.appendInput).
+func (k Key) appendTo(b []byte) []byte {
+	b = append(b, k.Scheme...)
+	b = append(b, '/')
+	b = append(b, k.Workload...)
+	b = append(b, '/')
+	b = append(b, k.Profile...)
+	b = append(b, "/P="...)
+	b = strconv.AppendInt(b, int64(k.P), 10)
 	if k.Tunables != "" {
-		s += "/" + k.Tunables
+		b = append(b, '/')
+		b = append(b, k.Tunables...)
 	}
 	if k.Faults != "" {
-		s += "/faults=" + k.Faults
+		b = append(b, "/faults="...)
+		b = append(b, k.Faults...)
 	}
-	return s
+	return b
 }
 
 // Cell is one independent simulation of a sweep.
@@ -68,8 +81,8 @@ type Cell struct {
 	// Key names the cell in reports and baselines.
 	Key Key
 	// Input is the canonical encoding of every result-affecting input
-	// parameter of the cell (see Grid.cellInput): because each cell is a
-	// deterministic function of its inputs, Input is a valid content
+	// parameter of the cell (see cellSpec.appendInput): because each cell
+	// is a deterministic function of its inputs, Input is a valid content
 	// address for the cell's result — the cache key of internal/cache.
 	// Empty marks the cell uncacheable (host-dependent MemStats output,
 	// or a trace sink that cannot be serialized).
@@ -369,9 +382,6 @@ type Grid struct {
 	// ThinkNs / ThinkJitterNs set post-release think time.
 	ThinkNs       int64
 	ThinkJitterNs int64
-	// Params tunes the lock schemes (legacy struct form, applied to
-	// every cell; see Tunables for the sweepable axis).
-	Params workload.SchemeParams
 	// Tunables adds the paper's lock parameter space as grid axes: the
 	// cross-product of every axis' values becomes extra cells, innermost
 	// in the canonical order, with the combination folded into each
@@ -410,11 +420,11 @@ type Grid struct {
 	Trace trace.Class
 	// Obs, when non-nil, attaches the live observability instruments to
 	// every cell (see workload.Spec.Obs): phase spans and per-rank
-	// iteration counters. One Metrics is shared across all cells (every
+	// iteration counters. One registry is shared across all cells (every
 	// instrument is concurrency-safe and merge-by-sum), so /metrics shows
 	// sweep-wide totals mid-run. Observation only: with Obs on or off
 	// every report and fingerprint is byte-identical (test-enforced).
-	Obs *obs.Metrics
+	Obs *obs.Registry
 }
 
 func (g Grid) fill() Grid {
@@ -538,6 +548,42 @@ func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
 	return out
 }
 
+// cellSpec is the one description of a cell: every input that can
+// change its result, each holding the value the run will use — the
+// grid's defaults filled, the lock count already clamped for the
+// sharded DHT. Cells builds one per cell and never writes it again;
+// Cell.Key, Cell.Input and Cell.Spec are all derived from it, so an
+// input cannot reach the run without also reaching the content address
+// (TestAddressCoversSpec perturbs every field and requires the address
+// to move).
+type cellSpec struct {
+	Key
+	// tun and fault are the typed forms of Key.Tunables and Key.Faults,
+	// which are their canonical encodings.
+	tun   scheme.Tunables
+	fault *fault.Profile
+
+	ppn, iters    int
+	seed          int64
+	fw            float64
+	locks         int
+	zipfs         float64
+	think, thinkj int64
+	faultMetrics  bool
+}
+
+// attachments is what a grid hands every cell's run that is not part of
+// the cell's identity: the engine (results are engine-invariant, the
+// differential suite's claim) and the in-process instruments. MemStats
+// and Trace do change what a cell reports, which is why cells carrying
+// them have no address at all (Cells).
+type attachments struct {
+	engine   string
+	memStats bool
+	trace    trace.Class
+	obs      *obs.Registry
+}
+
 // Cells enumerates the grid in canonical order: scheme outermost, then
 // workload, then profile, then P, then the tunables cross-product
 // (first axis outermost), then the fault axis (fault-free baseline
@@ -547,59 +593,112 @@ func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
 // fails the same way regardless of which schemes it names. An unknown
 // Engine name and a negative P or ProcsPerNode are errors too.
 func (g Grid) Cells() ([]Cell, error) {
+	specs, att, err := g.enumerate()
+	if err != nil {
+		return nil, err
+	}
+	// Host-dependent output (MemStats) and a trace sink cannot be served
+	// from a cache: such cells get no address.
+	cacheable := !att.memStats && att.trace == 0
+	cells := make([]Cell, len(specs))
+	var buf []byte
+	var ends []int
+	if cacheable {
+		buf = make([]byte, 0, 128*len(specs))
+		ends = make([]int, len(specs))
+	}
+	for i := range specs {
+		cs := &specs[i]
+		cells[i] = Cell{Key: cs.Key, Spec: func() (workload.Spec, error) { return cs.spec(att) }}
+		if cacheable {
+			buf = cs.appendInput(buf)
+			ends[i] = len(buf)
+		}
+	}
+	// The grid's addresses are one string, each cell's Input a slice of it.
+	all, start := string(buf), 0
+	for i, end := range ends {
+		cells[i].Input = all[start:end]
+		start = end
+	}
+	return cells, nil
+}
+
+// enumerate validates the grid and builds the description of every
+// cell, in canonical order, plus the attachments they share. Nothing
+// reads the grid after this.
+func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	g = g.fill()
 	// Engine names and rank counts arrive from flags and job specs; past
 	// this point they reach code that panics on a bad one.
 	if err := rma.CheckEngine(g.Engine); err != nil {
-		return nil, fmt.Errorf("sweep: engine: %w", err)
+		return nil, nil, fmt.Errorf("sweep: engine: %w", err)
 	}
 	for _, p := range g.Ps {
 		if p < 0 {
-			return nil, fmt.Errorf("sweep: ps: negative rank count %d", p)
+			return nil, nil, fmt.Errorf("sweep: ps: negative rank count %d", p)
 		}
 	}
 	if g.ProcsPerNode < 0 {
-		return nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
+		return nil, nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
 	}
 	if _, err := combos(g.Tunables); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, fp := range g.Faults {
 		if fp == nil {
 			continue
 		}
 		if err := fp.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: fault axis entry %d: %w", i, err)
+			return nil, nil, fmt.Errorf("sweep: fault axis entry %d: %w", i, err)
 		}
 	}
-	faultMetrics := len(g.Faults) > 0
-	// Every cell's Spec closure reads the filled grid; they share this
-	// one copy rather than capturing one each.
-	shared := &g
-	cells := make([]Cell, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
+	shared := cellSpec{
+		ppn: g.ProcsPerNode, iters: g.Iters, seed: g.Seed, fw: g.FW,
+		zipfs: g.ZipfS, think: g.ThinkNs, thinkj: g.ThinkJitterNs,
+		faultMetrics: len(g.Faults) > 0,
+	}
+	specs := make([]cellSpec, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
 	for _, schemeName := range g.Schemes {
 		tuns, err := combos(axesFor(schemeName, g.Tunables))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		tunKeys := make([]string, len(tuns))
+		for i, tun := range tuns {
+			tunKeys[i] = tun.Canonical()
 		}
 		faults := faultsFor(schemeName, g.Faults)
+		faultKeys := make([]string, len(faults))
+		for i, fp := range faults {
+			faultKeys[i] = fp.Canonical()
+		}
 		for _, wname := range g.Workloads {
 			for _, pname := range g.Profiles {
 				for _, p := range g.Ps {
-					for _, tun := range tuns {
-						for _, fp := range faults {
-							cells = append(cells, shared.cell(schemeName, wname, pname, p, tun, fp, faultMetrics))
+					cs := shared
+					cs.Scheme, cs.Workload, cs.Profile, cs.P = schemeName, wname, pname, p
+					// A sharded DHT needs one volume per lock: clamp the set to P.
+					cs.locks = g.Locks
+					if wname == "dht" && cs.locks > p {
+						cs.locks = p
+					}
+					for ti, tun := range tuns {
+						cs.tun, cs.Tunables = tun, tunKeys[ti]
+						for fi, fp := range faults {
+							cs.fault, cs.Faults = fp, faultKeys[fi]
+							specs = append(specs, cs)
 						}
 					}
 				}
 			}
 		}
 	}
-	return cells, nil
+	return specs, &attachments{engine: g.Engine, memStats: g.MemStats, trace: g.Trace, obs: g.Obs}, nil
 }
 
-// inputPrefix versions the content address (see Grid.cellInput).
-const inputPrefix = "cell/v1 "
+// inputPrefix versions the content address (see cellSpec.appendInput).
+const inputPrefix = "cell/v2 "
 
 // Names reports whether input is a content address of a cell with this
 // key: every address starts with the key it was built from, so a stored
@@ -613,68 +712,87 @@ func (k Key) Names(input string) bool {
 	return ok && strings.HasPrefix(rest, " ppn=")
 }
 
-// cellInput canonically encodes every result-affecting input of one
-// cell — the cell's content address (Cell.Input). The encoding is
-// versioned: any change to what a cell computes from its inputs must
-// bump the prefix, which cleanly invalidates all persisted cache
-// entries. Cells whose output is host-dependent (MemStats) or carries
-// an unserializable payload (a trace sink) return "" — uncacheable.
-// The grid is filled (fill) before cells are enumerated, so explicit
-// parameters and their defaults encode identically.
-func (g Grid) cellInput(key Key, faultMetrics bool) string {
-	if g.MemStats || g.Trace != 0 {
-		return ""
+// StaleInput reports whether input is a content address written under
+// another version of the encoding: "cell/v<n> " with n not the current
+// one. Nothing will ever ask for such an address again, so whatever is
+// stored under it can be dropped.
+func StaleInput(input string) bool {
+	rest, ok := strings.CutPrefix(input, "cell/v")
+	if !ok || strings.HasPrefix(input, inputPrefix) {
+		return false
 	}
-	return fmt.Sprintf(inputPrefix+"%s ppn=%d iters=%d seed=%d fw=%v locks=%d zipfs=%v think=%d thinkj=%d params=%+v fm=%v engine=%q",
-		key, g.ProcsPerNode, g.Iters, g.Seed, g.FW, g.Locks, g.ZipfS,
-		g.ThinkNs, g.ThinkJitterNs, g.Params, faultMetrics, g.Engine)
+	n := 0
+	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+		n++
+	}
+	return n > 0 && n < len(rest) && rest[n] == ' '
 }
 
-func (g *Grid) cell(schemeName, wname, pname string, p int, tun scheme.Tunables, fp *fault.Profile, faultMetrics bool) Cell {
-	key := Key{Scheme: schemeName, Workload: wname, Profile: pname, P: p,
-		Tunables: tun.Canonical(), Faults: fp.Canonical()}
-	return Cell{
-		Key:   key,
-		Input: g.cellInput(key, faultMetrics),
-		Spec: func() (workload.Spec, error) {
-			wl, err := workload.ByName(wname)
-			if err != nil {
-				return workload.Spec{}, err
-			}
-			// A sharded DHT needs one volume per lock: clamp the set to P.
-			nlocks := g.Locks
-			if wname == "dht" && nlocks > p {
-				nlocks = p
-			}
-			prof, err := workload.ProfileByName(pname, workload.ProfileOpts{
-				Locks: nlocks, FW: g.FW, ZipfS: g.ZipfS, ZipfSSet: g.ZipfSSet, Span: g.Iters,
-				ThinkNs: g.ThinkNs, ThinkJitterNs: g.ThinkJitterNs,
-			})
-			if err != nil {
-				return workload.Spec{}, err
-			}
-			spec := workload.Spec{
-				Scheme:       schemeName,
-				P:            p,
-				ProcsPerNode: g.ProcsPerNode,
-				Seed:         g.Seed,
-				Iters:        g.Iters,
-				Profile:      prof,
-				Workload:     wl,
-				Params:       g.Params,
-				Tunables:     tun.Clone(),
-				Faults:       fp.Clone(),
-				FaultMetrics: faultMetrics,
-				Engine:       g.Engine,
-				MemStats:     g.MemStats,
-				Obs:          g.Obs,
-			}
-			if g.Trace != 0 {
-				spec.Trace = trace.New(g.Trace)
-			}
-			return spec, nil
-		},
+// appendInput appends the cell's content address (Cell.Input): the
+// versioned prefix, the key, then every other field of the spec in a
+// fixed order and spelling (integers in decimal, floats in the shortest
+// form that round-trips). This is the only place an address is written.
+// Any change to what a cell computes from these inputs must bump the
+// prefix, which invalidates every persisted cache entry (DESIGN.md,
+// "The cache key is the cell's input").
+func (cs *cellSpec) appendInput(b []byte) []byte {
+	b = append(b, inputPrefix...)
+	b = cs.Key.appendTo(b)
+	b = append(b, " ppn="...)
+	b = strconv.AppendInt(b, int64(cs.ppn), 10)
+	b = append(b, " iters="...)
+	b = strconv.AppendInt(b, int64(cs.iters), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, cs.seed, 10)
+	b = append(b, " fw="...)
+	b = strconv.AppendFloat(b, cs.fw, 'g', -1, 64)
+	b = append(b, " locks="...)
+	b = strconv.AppendInt(b, int64(cs.locks), 10)
+	b = append(b, " zipfs="...)
+	b = strconv.AppendFloat(b, cs.zipfs, 'g', -1, 64)
+	b = append(b, " think="...)
+	b = strconv.AppendInt(b, cs.think, 10)
+	b = append(b, " thinkj="...)
+	b = strconv.AppendInt(b, cs.thinkj, 10)
+	b = append(b, " fm="...)
+	b = strconv.AppendBool(b, cs.faultMetrics)
+	return b
+}
+
+// spec builds the cell's workload.Spec from the description and the
+// grid's attachments.
+func (cs *cellSpec) spec(att *attachments) (workload.Spec, error) {
+	wl, err := workload.ByName(cs.Workload)
+	if err != nil {
+		return workload.Spec{}, err
 	}
+	// zipfs is the exponent to use as it stands: a zero was asked for.
+	prof, err := workload.ProfileByName(cs.Profile, workload.ProfileOpts{
+		Locks: cs.locks, FW: cs.fw, ZipfS: cs.zipfs, ZipfSSet: true, Span: cs.iters,
+		ThinkNs: cs.think, ThinkJitterNs: cs.thinkj,
+	})
+	if err != nil {
+		return workload.Spec{}, err
+	}
+	spec := workload.Spec{
+		Scheme:       cs.Scheme,
+		P:            cs.P,
+		ProcsPerNode: cs.ppn,
+		Seed:         cs.seed,
+		Iters:        cs.iters,
+		Profile:      prof,
+		Workload:     wl,
+		Tunables:     cs.tun.Clone(),
+		Faults:       cs.fault.Clone(),
+		FaultMetrics: cs.faultMetrics,
+		Engine:       att.engine,
+		MemStats:     att.memStats,
+		Obs:          att.obs,
+	}
+	if att.trace != 0 {
+		spec.Trace = trace.New(att.trace)
+	}
+	return spec, nil
 }
 
 // Table renders merged results as the workbench grid table; because the

@@ -55,7 +55,7 @@ func TestConformanceMatrix(t *testing.T) {
 			pr := pr
 			t.Run(scheme+"/"+pr.Name(), func(t *testing.T) {
 				mk := func(m *rma.Machine) locks.RWMutex {
-					set, err := workload.NewLockSet(m, scheme, 1, workload.SchemeParams{}, nil)
+					set, err := workload.NewLockSet(m, scheme, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,7 +94,7 @@ func TestConformanceThreeLevel(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			mk := func(m *rma.Machine) locks.RWMutex {
-				set, err := workload.NewLockSet(m, scheme, 1, workload.SchemeParams{}, nil)
+				set, err := workload.NewLockSet(m, scheme, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

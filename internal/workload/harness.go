@@ -41,53 +41,25 @@ const (
 // writer-only adaptation) followed by the RW locks.
 var Schemes = scheme.Names()
 
-// SchemeParams carries the per-scheme tuning knobs of the paper's
-// parameter space; zero fields select the defaults of internal/bench.
-// It predates the registry's typed Tunables (Spec.Tunables), which
-// override it key by key; keys a scheme does not declare are dropped,
-// matching the historical leniency of the per-scheme switch.
-type SchemeParams struct {
-	// TL holds the locality thresholds T_L,i (RMA-MCS and RMA-RW).
-	TL []int64
-	// TDC is the distributed-counter threshold T_DC (RMA-RW); default
-	// one counter per compute node.
-	TDC int
-	// TR is the reader threshold T_R (RMA-RW); default 1000.
-	TR int64
-}
-
-// tunables merges the legacy SchemeParams (lenient: keys the scheme
-// does not declare are dropped, zero fields stay unset) with the typed
-// tunables (strict: validated by the registry), tun winning key by key.
-// When the RMA-RW scheme ends up with no locality thresholds at all, it
-// receives the harness default T_L,1..2 = (40, 25) — T_W = 1000, the
-// paper's Fig. 4c middle — as the historical per-scheme switch did.
-// Levels below 2 (machines with racks) take the scheme default
+// tunables completes a run's typed tunables with the harness default:
+// an RMA-RW lock given no locality threshold at all receives
+// T_L,1..2 = (40, 25) — T_W = 1000, the paper's Fig. 4c middle. Levels
+// below 2 (machines with racks) take the scheme default
 // (rmarw.DefaultTL, the paper's 32); the harness's own runs always
 // build two-level machines (topology.ForProcs), so their reports are
 // unaffected by that default.
-func tunables(d *scheme.Descriptor, m *rma.Machine, ps SchemeParams, tun scheme.Tunables) scheme.Tunables {
+func tunables(d *scheme.Descriptor, m *rma.Machine, tun scheme.Tunables) scheme.Tunables {
 	levels := m.Topology().Levels()
-	t := scheme.Tunables{}
-	if ps.TDC != 0 && d.Accepts("TDC", levels) {
-		t["TDC"] = int64(ps.TDC)
+	if d.Name != SchemeRMARW || hasLevelKey(tun, "TL", levels) {
+		return tun
 	}
-	if ps.TR != 0 && d.Accepts("TR", levels) {
-		t["TR"] = ps.TR
+	t := tun.Clone()
+	if t == nil {
+		t = scheme.Tunables{}
 	}
-	for i := 1; i < len(ps.TL) && i <= levels; i++ {
-		if key := "TL" + strconv.Itoa(i); ps.TL[i] > 0 && d.Accepts(key, levels) {
-			t[key] = ps.TL[i]
-		}
-	}
-	for k, v := range tun {
-		t[k] = v
-	}
-	if d.Name == SchemeRMARW && ps.TL == nil && !hasLevelKey(t, "TL", levels) {
-		harnessTL := []int64{0, 40, 25}
-		for i := 1; i < len(harnessTL) && i <= levels; i++ {
-			t["TL"+strconv.Itoa(i)] = harnessTL[i]
-		}
+	harnessTL := []int64{0, 40, 25}
+	for i := 1; i < len(harnessTL) && i <= levels; i++ {
+		t["TL"+strconv.Itoa(i)] = harnessTL[i]
 	}
 	return t
 }
@@ -103,10 +75,10 @@ func hasLevelKey(t scheme.Tunables, base string, levels int) bool {
 
 // NewLockSet builds n instances of the named scheme on m through the
 // scheme registry, so every scheme presents the RWMutex interface
-// (mutex-only schemes through a writer-only adaptation). tun overrides
-// ps key by key and is validated strictly (typed errors for unknown or
-// out-of-range tunables). Call before m.Run.
-func NewLockSet(m *rma.Machine, name string, n int, ps SchemeParams, tun scheme.Tunables) ([]locks.RWMutex, error) {
+// (mutex-only schemes through a writer-only adaptation). tun is
+// validated strictly (typed errors for unknown or out-of-range
+// tunables). Call before m.Run.
+func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]locks.RWMutex, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -114,7 +86,7 @@ func NewLockSet(m *rma.Machine, name string, n int, ps SchemeParams, tun scheme.
 	if err != nil {
 		return nil, err
 	}
-	t := tunables(&d, m, ps, tun)
+	t := tunables(&d, m, tun)
 	set := make([]locks.RWMutex, n)
 	for i := range set {
 		l, err := scheme.New(m, name, t)
@@ -167,13 +139,10 @@ type Spec struct {
 	Profile Profile
 	// Workload is the critical-section body (default Empty).
 	Workload Workload
-	// Params tunes the scheme (legacy struct form; see Tunables).
-	Params SchemeParams
 	// Tunables sets scheme tunables by registry key (the paper's typed
-	// parameter space, e.g. "TR": 500, "TL2": 16), overriding Params
-	// key by key. Unlike Params, Tunables are validated strictly:
-	// unknown keys or out-of-range values fail the run with a typed
-	// error from internal/scheme. Non-empty tunables are recorded in
+	// parameter space, e.g. "TR": 500, "TL2": 16). They are validated
+	// strictly: unknown keys or out-of-range values fail the run with a
+	// typed error from internal/scheme. Non-empty tunables are recorded in
 	// Report.Tunables and its fingerprint; empty tunables leave reports
 	// byte-identical to pre-registry baselines. Ignored when NoLock or
 	// Make is set.
@@ -231,7 +200,7 @@ type Spec struct {
 	// iteration counter. Observe, never perturb: metric values never
 	// enter Report.Extra or fingerprints, so obs-on and obs-off runs are
 	// byte-identical (test-enforced), unlike MemStats.
-	Obs *obs.Metrics
+	Obs *obs.Registry
 }
 
 func (s *Spec) fill() {
@@ -292,7 +261,7 @@ func Run(spec Spec) (Report, error) {
 	case spec.Make != nil:
 		set, err = spec.Make(m, spec.Profile.Locks())
 	default:
-		set, err = NewLockSet(m, spec.Scheme, spec.Profile.Locks(), spec.Params, spec.Tunables)
+		set, err = NewLockSet(m, spec.Scheme, spec.Profile.Locks(), spec.Tunables)
 	}
 	if err != nil {
 		return Report{}, err
@@ -315,11 +284,8 @@ func Run(spec Spec) (Report, error) {
 	// One per-rank sharded counter per measured cycle is the harness's
 	// entire hot-path cost with obs on (a nil-check no-op with it off);
 	// the scheduler's Advance fast path is never instrumented.
-	var itersDone *obs.ShardedCounter
-	if spec.Obs != nil {
-		itersDone = spec.Obs.Registry.ShardedCounter("cell_iters_done_total",
-			"Measured workload cycles completed, summed over ranks and cells.", procs)
-	}
+	itersDone := spec.Obs.ShardedCounter("cell_iters_done_total",
+		"Measured workload cycles completed, summed over ranks and cells.", procs)
 	setupSpan.End()
 	runSpan := spec.Obs.Span("run")
 

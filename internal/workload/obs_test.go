@@ -10,7 +10,7 @@ import (
 
 // obsSpec is the shared cell of the observe-never-perturb tests: every
 // rank contends for one lock, so ranks block and are woken.
-func obsSpec(engine string, m *obs.Metrics) Spec {
+func obsSpec(engine string, m *obs.Registry) Spec {
 	return Spec{
 		Scheme:  SchemeRMAMCS,
 		P:       32,
@@ -37,7 +37,7 @@ func TestObsNeverPerturbs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := obs.NewMetrics()
+			m := obs.NewRegistry()
 			observed, err := Run(obsSpec(engine, m))
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +51,7 @@ func TestObsNeverPerturbs(t *testing.T) {
 					t.Fatalf("metric key %q leaked into Report.Extra", k)
 				}
 			}
-			snap := m.Registry.Snapshot()
+			snap := m.Snapshot()
 			for _, phase := range []string{"setup", "run", "drain"} {
 				if snap.Phases[phase].Spans != 1 {
 					t.Fatalf("phases = %+v, want one %s span", snap.Phases, phase)

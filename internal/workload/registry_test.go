@@ -133,32 +133,32 @@ func TestSpecTunablesRecorded(t *testing.T) {
 	}
 }
 
-// TestTunablesOverrideParams: Spec.Tunables wins over Spec.Params key
-// by key, and reaches the constructed lock.
-func TestTunablesOverrideParams(t *testing.T) {
+// TestTLTunableSuppressesHarnessDefault: with a TL tunable present, the
+// harness's TL default is not injected — the remaining levels take the
+// scheme default. Without one it is, into a copy: the caller's tunables
+// (a sweep cell's, recorded in its report) are never written.
+func TestTLTunableSuppressesHarnessDefault(t *testing.T) {
 	m := rma.NewMachine(topology.TwoLevel(2, 8))
-	set, err := workload.NewLockSet(m, workload.SchemeRMARW, 1,
-		workload.SchemeParams{TR: 500, TDC: 4}, scheme.Tunables{"TR": 9})
+	set, err := workload.NewLockSet(m, workload.SchemeRMARW, 1, scheme.Tunables{"TL2": 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rw := set[0].(scheme.Lock).Underlying().(*rmarw.Lock)
-	if rw.TR() != 9 {
-		t.Errorf("TR = %d, want tunable override 9", rw.TR())
+	if rw.TW() != rmarw.DefaultTL*5 {
+		t.Errorf("TW = %d, want %d (TL1 default %d, TL2 5)", rw.TW(), rmarw.DefaultTL*5, rmarw.DefaultTL)
 	}
-	if rw.TDC() != 4 {
-		t.Errorf("TDC = %d, want legacy param 4", rw.TDC())
-	}
-	// With a TL tunable present, the harness's historical TL default is
-	// not injected: the remaining levels take the scheme default.
-	set, err = workload.NewLockSet(m, workload.SchemeRMARW, 1,
-		workload.SchemeParams{}, scheme.Tunables{"TL2": 5})
+
+	tun := scheme.Tunables{"TR": 9}
+	set, err = workload.NewLockSet(m, workload.SchemeRMARW, 1, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rw = set[0].(scheme.Lock).Underlying().(*rmarw.Lock)
-	if rw.TW() != rmarw.DefaultTL*5 {
-		t.Errorf("TW = %d, want %d (TL1 default %d, TL2 5)", rw.TW(), rmarw.DefaultTL*5, rmarw.DefaultTL)
+	if rw.TR() != 9 || rw.TW() != 40*25 {
+		t.Errorf("TR = %d, TW = %d, want 9 and the harness default 1000", rw.TR(), rw.TW())
+	}
+	if tun.Canonical() != "TR=9" {
+		t.Errorf("NewLockSet wrote the harness default into its caller's tunables: %s", tun.Canonical())
 	}
 }
 

@@ -22,8 +22,7 @@
 // Describe returns a scheme's capabilities and its typed tunables —
 // the paper's T_DC, T_R, T_L,i parameter space (Figure 1) — with
 // documented defaults and validity ranges, and construction validates
-// tunables instead of silently defaulting. The per-scheme constructors
-// (NewRMARW, NewRMAMCS, ...) remain as deprecated thin wrappers.
+// tunables instead of silently defaulting.
 //
 // The machine runs one goroutine per simulated process; virtual time is
 // deterministic, so results are exactly reproducible. See the examples/
@@ -50,10 +49,6 @@ import (
 	"rmalocks/internal/fault"
 	"rmalocks/internal/jobq"
 	"rmalocks/internal/locks"
-	"rmalocks/internal/locks/dmcs"
-	"rmalocks/internal/locks/fompi"
-	"rmalocks/internal/locks/rmamcs"
-	"rmalocks/internal/locks/rmarw"
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
@@ -253,65 +248,6 @@ func Schemes() []string { return scheme.Names() }
 // Describe returns the named scheme's descriptor: capabilities plus
 // its tunables with documented defaults and validity ranges.
 func Describe(name string) (SchemeDescriptor, error) { return scheme.Describe(name) }
-
-// MCSParams configures the topology-aware RMA-MCS lock.
-//
-// Deprecated: use NewLock with Tune/TuneLevels options instead.
-type MCSParams struct {
-	// TL holds the locality thresholds T_L,i (index = level, 1-based;
-	// entry 0 ignored). Zero entries take the default (32).
-	TL []int64
-}
-
-// NewRMAMCS allocates the paper's topology-aware distributed MCS lock
-// (§3.5) on m. Call before m.Run.
-//
-// Deprecated: use NewLock(m, "RMA-MCS", ...) for validated, registry-
-// dispatched construction; this wrapper remains for source
-// compatibility.
-func NewRMAMCS(m *Machine, p MCSParams) *rmamcs.Lock {
-	return rmamcs.NewConfig(m, rmamcs.Config{TL: p.TL})
-}
-
-// NewDMCS allocates the topology-oblivious distributed MCS lock (§2.4).
-//
-// Deprecated: use NewLock(m, "D-MCS").
-func NewDMCS(m *Machine) *dmcs.Lock { return dmcs.New(m) }
-
-// NewFoMPISpin allocates the foMPI-style centralized spinlock baseline.
-//
-// Deprecated: use NewLock(m, "foMPI-Spin").
-func NewFoMPISpin(m *Machine) *fompi.SpinLock { return fompi.NewSpin(m) }
-
-// NewFoMPIRW allocates the foMPI-style centralized Reader-Writer lock
-// baseline.
-//
-// Deprecated: use NewLock(m, "foMPI-RW").
-func NewFoMPIRW(m *Machine) *fompi.RWLock { return fompi.NewRW(m) }
-
-// RWParams configures the RMA-RW lock (the paper's three-dimensional
-// parameter space, Figure 1).
-//
-// Deprecated: use NewLock with Tune/TuneLevels options instead.
-type RWParams struct {
-	// TDC is the distributed-counter threshold T_DC: one physical
-	// counter every TDC-th process. Default: one per compute node.
-	TDC int
-	// TR is the reader threshold T_R. Default 1000.
-	TR int64
-	// TL holds the locality thresholds T_L,i; T_W = Π T_L,i.
-	TL []int64
-}
-
-// NewRMARW allocates the paper's topology-aware distributed Reader-Writer
-// lock (§3) on m. Call before m.Run.
-//
-// Deprecated: use NewLock(m, "RMA-RW", ...) for validated, registry-
-// dispatched construction; this wrapper remains for source
-// compatibility.
-func NewRMARW(m *Machine, p RWParams) *rmarw.Lock {
-	return rmarw.NewConfig(m, rmarw.Config{TDC: p.TDC, TR: p.TR, TL: p.TL})
-}
 
 // Workload subsystem (see DESIGN.md, "The workload subsystem"): a
 // pluggable benchmark layer that runs any lock scheme against any

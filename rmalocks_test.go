@@ -11,9 +11,12 @@ import (
 func TestQuickstartShape(t *testing.T) {
 	// The package-level quick start must work exactly as documented.
 	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 2, ProcsPerNode: 4})
-	lock := rmalocks.NewRMARW(machine, rmalocks.RWParams{})
+	lock, err := rmalocks.NewLock(machine, "RMA-RW")
+	if err != nil {
+		t.Fatal(err)
+	}
 	counter := machine.Alloc(1)
-	err := machine.Run(func(p *rmalocks.Proc) {
+	err = machine.Run(func(p *rmalocks.Proc) {
 		for i := 0; i < 10; i++ {
 			if p.Rank() == 0 {
 				lock.AcquireWrite(p)
@@ -40,30 +43,30 @@ func TestQuickstartShape(t *testing.T) {
 
 func TestAllLockKindsViaFacade(t *testing.T) {
 	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 2, ProcsPerNode: 4, TimeLimit: 60_000_000_000})
-	mcs := rmalocks.NewRMAMCS(machine, rmalocks.MCSParams{TL: []int64{0, 0, 4}})
-	dm := rmalocks.NewDMCS(machine)
-	spin := rmalocks.NewFoMPISpin(machine)
-	frw := rmalocks.NewFoMPIRW(machine)
+	mcs := mustLock(t, machine, "RMA-MCS", rmalocks.Tune("TL2", 4))
+	dm := mustLock(t, machine, "D-MCS")
+	spin := mustLock(t, machine, "foMPI-Spin")
+	frw := mustLock(t, machine, "foMPI-RW")
 	var a, b, c, d int64
 	err := machine.Run(func(p *rmalocks.Proc) {
 		for i := 0; i < 5; i++ {
-			mcs.Acquire(p)
+			mcs.AcquireWrite(p)
 			va := a
 			p.Compute(50)
 			a = va + 1
-			mcs.Release(p)
+			mcs.ReleaseWrite(p)
 
-			dm.Acquire(p)
+			dm.AcquireWrite(p)
 			vb := b
 			p.Compute(50)
 			b = vb + 1
-			dm.Release(p)
+			dm.ReleaseWrite(p)
 
-			spin.Acquire(p)
+			spin.AcquireWrite(p)
 			vc := c
 			p.Compute(50)
 			c = vc + 1
-			spin.Release(p)
+			spin.ReleaseWrite(p)
 
 			frw.AcquireWrite(p)
 			vd := d
@@ -88,15 +91,15 @@ func TestThreeLevelMachineViaFacade(t *testing.T) {
 	if machine.Topology().Levels() != 3 {
 		t.Fatalf("levels=%d want 3", machine.Topology().Levels())
 	}
-	lock := rmalocks.NewRMAMCS(machine, rmalocks.MCSParams{})
+	lock := mustLock(t, machine, "RMA-MCS")
 	var n int64
 	err := machine.Run(func(p *rmalocks.Proc) {
 		for i := 0; i < 8; i++ {
-			lock.Acquire(p)
+			lock.AcquireWrite(p)
 			v := n
 			p.Compute(100)
 			n = v + 1
-			lock.Release(p)
+			lock.ReleaseWrite(p)
 		}
 	})
 	if err != nil {
@@ -188,12 +191,12 @@ func TestTraceFacade(t *testing.T) {
 	// locked program, analyze and export the stream via the facade.
 	sink := rmalocks.NewTraceSink(rmalocks.TraceAll)
 	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 2, ProcsPerNode: 4, Trace: sink})
-	lock := rmalocks.NewRMAMCS(machine, rmalocks.MCSParams{})
+	lock := mustLock(t, machine, "RMA-MCS")
 	err := machine.Run(func(p *rmalocks.Proc) {
 		for i := 0; i < 5; i++ {
-			lock.Acquire(p)
+			lock.AcquireWrite(p)
 			p.Compute(100)
-			lock.Release(p)
+			lock.ReleaseWrite(p)
 		}
 	})
 	if err != nil {
@@ -223,6 +226,15 @@ func TestTraceFacade(t *testing.T) {
 	if chrome.Len() == 0 || csv.Len() == 0 {
 		t.Fatal("empty export")
 	}
+}
+
+func mustLock(t *testing.T, m *rmalocks.Machine, name string, opts ...rmalocks.TuneOption) rmalocks.Lock {
+	t.Helper()
+	l, err := rmalocks.NewLock(m, name, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func sum64(xs []int64) int64 {
