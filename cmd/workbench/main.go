@@ -82,7 +82,7 @@ func main() {
 		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; breaks byte-identical baseline diffs)")
 		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-		traceOut   = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell")
+		traceOut   = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
 		tracecsv   = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
 		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
 		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-baseline/-csv; never falls back to a local run)")

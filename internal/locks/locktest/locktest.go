@@ -6,6 +6,8 @@
 package locktest
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"rmalocks/internal/locks"
@@ -47,47 +49,139 @@ func (o *Options) fill() {
 	}
 }
 
+// Sections records every critical section of a run as an interval of
+// virtual time, [Proc.Now at entry, Proc.Now at exit], and checks
+// exclusion on the intervals after the run. Virtual clocks are the same
+// whichever rank held the scheduler's token when, so the check does not
+// depend on how the host interleaves rank bodies: a rank runs its whole
+// critical section in one host slice (Compute does not yield), and
+// host-side "ranks inside" counters never see two.
+type Sections struct {
+	iv   []section
+	open []int64 // per rank: entry clock of the section it is in
+}
+
+type section struct {
+	start, end int64
+	rank       int
+	write      bool
+}
+
+// NewSections returns a recorder for a machine of procs ranks.
+func NewSections(procs int) *Sections {
+	return &Sections{open: make([]int64, procs)}
+}
+
+// Enter marks p's critical-section entry; call it right after the acquire
+// returns.
+func (s *Sections) Enter(p *rma.Proc) { s.open[p.Rank()] = p.Now() }
+
+// Exit closes the section p entered, exclusive when write is set; call it
+// right before the release.
+func (s *Sections) Exit(p *rma.Proc, write bool) {
+	r := p.Rank()
+	s.iv = append(s.iv, section{start: s.open[r], end: p.Now(), rank: r, write: write})
+}
+
+// Check returns one line per section that began before an earlier-starting
+// section it excludes had ended (a writer against anybody, a reader
+// against a writer), and whether any two readers overlapped.
+func (s *Sections) Check() (violations []string, readersOverlapped bool) {
+	sort.Slice(s.iv, func(i, j int) bool {
+		a, b := s.iv[i], s.iv[j]
+		if a.start != b.start {
+			return a.start < b.start
+		}
+		return a.rank < b.rank
+	})
+	clash := func(c, prev section) {
+		violations = append(violations, fmt.Sprintf(
+			"%s rank %d entered at %d ns while %s rank %d was inside [%d, %d] ns",
+			mode(c.write), c.rank, c.start, mode(prev.write), prev.rank, prev.start, prev.end))
+	}
+	var lastR, lastW section // the latest-ending reader and writer so far
+	for _, c := range s.iv {
+		if c.start < lastW.end {
+			clash(c, lastW)
+		}
+		if c.start < lastR.end {
+			if c.write {
+				clash(c, lastR)
+			} else {
+				readersOverlapped = true
+			}
+		}
+		if c.write && c.end > lastW.end {
+			lastW = c
+		} else if !c.write && c.end > lastR.end {
+			lastR = c
+		}
+	}
+	return violations, readersOverlapped
+}
+
+func mode(write bool) string {
+	if write {
+		return "writer"
+	}
+	return "reader"
+}
+
+// report turns a stress run's outcome into test failures.
+func report(t *testing.T, problems []string, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("stress run failed: %v", err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// exclusion summarises a Sections check as at most one problem line.
+func exclusion(what string, viol []string) []string {
+	if len(viol) == 0 {
+		return nil
+	}
+	return []string{fmt.Sprintf("%s violated %d times, first: %s", what, len(viol), viol[0])}
+}
+
 // StressMutex runs Iters acquire/release cycles on every process and
 // checks mutual exclusion plus a lost-update-free shared counter.
 func StressMutex(t *testing.T, topo *topology.Topology, mk MutexFactory, opt Options) {
 	t.Helper()
+	problems, err := stressMutex(topo, mk, opt)
+	report(t, problems, err)
+}
+
+func stressMutex(topo *topology.Topology, mk MutexFactory, opt Options) (problems []string, err error) {
 	opt.fill()
 	m := rma.NewMachineConfig(topo, rma.Config{Seed: opt.Seed, TimeLimit: opt.TimeLimit})
 	mu := mk(m)
-	var (
-		inCS    int
-		maxInCS int
-		counter int64 // deliberately unprotected: the lock must protect it
-		viol    int
-	)
-	err := m.Run(func(p *rma.Proc) {
+	counter := m.Alloc(1) // on rank 0, deliberately unprotected: the lock must protect it
+	cs := NewSections(topo.Procs())
+	err = m.Run(func(p *rma.Proc) {
 		for it := 0; it < opt.Iters; it++ {
 			mu.Acquire(p)
-			inCS++
-			if inCS > maxInCS {
-				maxInCS = inCS
-			}
-			if inCS != 1 {
-				viol++
-			}
-			v := counter
+			cs.Enter(p)
+			v := p.Get(0, counter)
 			p.Compute(opt.CSWork + int64(p.Rand().Intn(100)))
-			counter = v + 1
-			inCS--
+			p.Put(v+1, 0, counter)
+			cs.Exit(p, true)
 			mu.Release(p)
 			p.Compute(int64(p.Rand().Intn(200)) + 1)
 		}
 	})
 	if err != nil {
-		t.Fatalf("stress run failed: %v", err)
+		return nil, err
 	}
-	if viol != 0 {
-		t.Errorf("mutual exclusion violated %d times (max concurrent %d)", viol, maxInCS)
-	}
+	viol, _ := cs.Check()
+	problems = exclusion("mutual exclusion", viol)
 	want := int64(topo.Procs() * opt.Iters)
-	if counter != want {
-		t.Errorf("lost updates: counter=%d want %d", counter, want)
+	if got := m.At(0, counter); got != want {
+		problems = append(problems, fmt.Sprintf("lost updates: counter=%d want %d", got, want))
 	}
+	return problems, nil
 }
 
 // WriterPattern decides deterministically whether iteration it of rank r
@@ -128,49 +222,42 @@ func StressRW(t *testing.T, topo *topology.Topology, mk RWFactory, fwNum, fwDen 
 // counter; progress is enforced by the virtual-time limit.
 func StressRWPattern(t *testing.T, topo *topology.Topology, mk RWFactory, pat Pattern, opt Options) {
 	t.Helper()
+	problems, serialReaders, err := stressRW(topo, mk, pat, opt)
+	report(t, problems, err)
+	if serialReaders && topo.Procs() >= 4 {
+		t.Logf("note: readers never overlapped; workload may be too small")
+	}
+}
+
+func stressRW(topo *topology.Topology, mk RWFactory, pat Pattern, opt Options) (problems []string, serialReaders bool, err error) {
 	opt.fill()
 	m := rma.NewMachineConfig(topo, rma.Config{Seed: opt.Seed, TimeLimit: opt.TimeLimit})
 	rw := mk(m)
-	var (
-		readersIn     int
-		writersIn     int
-		maxReadersIn  int
-		violations    int
-		counter       int64
-		writerEntries int64
-	)
-	var readerEntries int64
-	err := m.Run(func(p *rma.Proc) {
+	counter := m.Alloc(1) // on rank 0, protected only by the lock under test
+	cs := NewSections(topo.Procs())
+	var writerEntries, readerEntries, torn int64
+	err = m.Run(func(p *rma.Proc) {
 		for it := 0; it < opt.Iters; it++ {
 			write, think := pat(p, it)
 			if write {
 				rw.AcquireWrite(p)
-				writersIn++
-				if writersIn != 1 || readersIn != 0 {
-					violations++
-				}
-				v := counter
+				cs.Enter(p)
+				v := p.Get(0, counter)
 				p.Compute(opt.CSWork + int64(p.Rand().Intn(100)))
-				counter = v + 1
+				p.Put(v+1, 0, counter)
 				writerEntries++
-				writersIn--
+				cs.Exit(p, true)
 				rw.ReleaseWrite(p)
 			} else {
 				rw.AcquireRead(p)
-				readersIn++
+				cs.Enter(p)
 				readerEntries++
-				if readersIn > maxReadersIn {
-					maxReadersIn = readersIn
-				}
-				if writersIn != 0 {
-					violations++
-				}
-				v := counter
+				v := p.Get(0, counter)
 				p.Compute(opt.CSWork + int64(p.Rand().Intn(100)))
-				if counter != v {
-					violations++ // a writer snuck in while we read
+				if p.Get(0, counter) != v {
+					torn++ // a writer snuck in while we read
 				}
-				readersIn--
+				cs.Exit(p, false)
 				rw.ReleaseRead(p)
 			}
 			p.Compute(int64(p.Rand().Intn(200)) + 1)
@@ -180,15 +267,15 @@ func StressRWPattern(t *testing.T, topo *topology.Topology, mk RWFactory, pat Pa
 		}
 	})
 	if err != nil {
-		t.Fatalf("stress run failed: %v", err)
+		return nil, false, err
 	}
-	if violations != 0 {
-		t.Errorf("reader/writer exclusion violated %d times", violations)
+	viol, readersOverlapped := cs.Check()
+	problems = exclusion("reader/writer exclusion", viol)
+	if torn != 0 {
+		problems = append(problems, fmt.Sprintf("counter changed under %d of %d readers", torn, readerEntries))
 	}
-	if counter != writerEntries {
-		t.Errorf("writer counter=%d want %d", counter, writerEntries)
+	if got := m.At(0, counter); got != writerEntries {
+		problems = append(problems, fmt.Sprintf("writer counter=%d want %d", got, writerEntries))
 	}
-	if readerEntries > 0 && topo.Procs() >= 4 && maxReadersIn < 2 {
-		t.Logf("note: readers never overlapped (maxReadersIn=%d); workload may be too small", maxReadersIn)
-	}
+	return problems, readerEntries > 0 && !readersOverlapped, nil
 }

@@ -187,16 +187,15 @@ func TestWriterDrainsActiveReaders(t *testing.T) {
 	topo := topology.TwoLevel(1, 4)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 240_000_000_000})
 	l := New(m)
-	var readersIn, violations int
+	cs := locktest.NewSections(topo.Procs())
 	err := m.Run(func(p *rma.Proc) {
 		if p.Rank() == 0 {
 			p.Compute(5_000) // let readers enter first
 			for i := 0; i < 5; i++ {
 				l.AcquireWrite(p)
-				if readersIn != 0 {
-					violations++
-				}
+				cs.Enter(p)
 				p.Compute(1_000)
+				cs.Exit(p, true)
 				l.ReleaseWrite(p)
 				p.Compute(2_000)
 			}
@@ -204,17 +203,17 @@ func TestWriterDrainsActiveReaders(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			l.AcquireRead(p)
-			readersIn++
+			cs.Enter(p)
 			p.Compute(20_000) // long reader CS
-			readersIn--
+			cs.Exit(p, false)
 			l.ReleaseRead(p)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if violations != 0 {
-		t.Errorf("writer entered with %d active readers", violations)
+	if viol, _ := cs.Check(); len(viol) != 0 {
+		t.Errorf("writer and readers overlapped %d times, first: %s", len(viol), viol[0])
 	}
 }
 

@@ -1,11 +1,12 @@
 package rma
 
-// Charge-coalescing equivalence at the raw RMA level: a protocol-shaped
-// program (FAO tail swaps, Put links, SpinUntil grant waits, barriers,
-// contended busy horizons) must be byte-identical — same MaxClock, same
-// final window memory, same op counts — on every engine × coalescing
-// combination. This is the substrate the workload-level differential
-// suite builds on.
+// Lazy publication against the eager oracle (NoCoalesce) at the raw RMA
+// level: a protocol-shaped program (FAO tail swaps, Put links, SpinUntil
+// grant waits, barriers, contended busy horizons) must be byte-identical —
+// same MaxClock, same final window memory, same op counts — on every
+// engine × publication-mode combination. This is the substrate the
+// workload-level differential suite builds on; FuzzLazyMatchesEager does
+// the same for arbitrary programs.
 
 import (
 	"fmt"
@@ -17,8 +18,8 @@ import (
 // runCoalesceProgram runs a token ring: each round, rank r spins on its
 // grant word, does contended counter traffic (busy-horizon
 // serialization) plus local compute, then grants its ring successor —
-// exercising SpinUntil wake-ups (the horizon-shrink path), coalesced
-// charge flushes at block/barrier points, and per-target occupancy.
+// exercising SpinUntil wake-ups (the horizon-shrink path), publication at
+// block/barrier points, and per-target occupancy.
 func runCoalesceProgram(t *testing.T, engine string, noCoalesce bool) (int64, []int64, Stats) {
 	t.Helper()
 	topo := topology.ForProcs(8, 4)
@@ -90,14 +91,14 @@ func TestCoalescingEquivalence(t *testing.T) {
 
 // TestNowIncludesPending pins the effective-clock contract: Now() must
 // advance by at least the charged duration after every op even while the
-// charge is still coalesced (unpublished to the scheduler).
+// charge is still unpublished to the scheduler.
 func TestNowIncludesPending(t *testing.T) {
 	topo := topology.ForProcs(2, 2)
 	m := NewMachine(topo)
 	off := m.Alloc(1)
 	err := m.Run(func(p *Proc) {
 		if p.Rank() != 0 {
-			p.Compute(1 << 30) // park far away: rank 0 coalesces freely
+			p.Compute(1 << 30) // far away: rank 0 never has to publish
 			return
 		}
 		last := p.Now()

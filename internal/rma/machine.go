@@ -53,8 +53,9 @@ func (o Op) String() string {
 // schedHandle abstracts the per-process scheduler handle behind the
 // operations the RMA layer needs, so one Machine can run on either the
 // fast-path scheduler (sim) or the reference one (refsim). Both engines
-// expose the same Horizon semantics, which keeps charge coalescing — and
-// therefore every interleaving — byte-identical between them.
+// expose the same Horizon semantics, which keeps lazy publication (see
+// Proc.sync) — and therefore every interleaving — byte-identical between
+// them.
 type schedHandle interface {
 	ID() int
 	Clock() int64
@@ -141,14 +142,17 @@ type Config struct {
 	// the token-owned fast-path scheduler, EngineRef for the reference
 	// one. Both produce byte-identical runs (test-enforced).
 	Engine string
-	// NoCoalesce disables charge coalescing, making every operation call
-	// the scheduler immediately. A verification knob: coalesced and
-	// uncoalesced runs must be byte-identical (test-enforced).
+	// NoCoalesce sends every charge to the scheduler at once, so a rank
+	// gives up the token wherever its clock passes another's. By default
+	// publication is lazy: charges accumulate and the scheduler hears of
+	// them before the rank's next operation another rank can observe (see
+	// Proc.spend). A verification knob — the eager run is the oracle the
+	// lazy one must match byte for byte (differential- and fuzz-tested).
 	NoCoalesce bool
 	// Trace, when non-nil, captures the run's event stream (see
 	// internal/trace): RMA op issue/land events, lock protocol events,
-	// scheduler handoffs and coalescing boundaries, per the sink's
-	// class mask. Tracing only observes — it never changes a single
+	// scheduler blocks and wakes, publication points and token hand-offs,
+	// per the sink's class mask. Tracing only observes — it never changes a single
 	// virtual-time decision (differential-tested), and a nil sink
 	// leaves the hot paths at one nil check.
 	Trace *trace.Sink
@@ -315,7 +319,7 @@ func (m *Machine) Run(body func(p *Proc)) error {
 			proc.chargeBuf = m.sink.Buf(proc.rank, trace.ClassCharge)
 		}
 		body(proc)
-		proc.flush() // publish coalesced time before exit
+		proc.flush() // the exit happens at the rank's effective clock; may yield
 	}
 	var eng engine
 	var err error
@@ -455,10 +459,11 @@ func (m *Machine) index(rank, offset int) int {
 // completion, updates the target's busy-until, and returns the duration
 // plus the virtual time at which the operation lands at the target. The
 // origin clock is the process's effective clock (published plus pending
-// coalesced charges), so coalescing never skews latency or occupancy.
+// charges), so lazy publication never skews latency or occupancy.
 // d is the topological distance from origin to target, computed once per
-// op by the caller. Caller must be the sole running process (guaranteed by
-// the scheduler).
+// op by the caller. The caller must have synced (Proc.sync): busy-until
+// updates are only in virtual-time order if every origin is the
+// scheduler's (clock, id) minimum when it makes one.
 func (m *Machine) charge(origin *Proc, target, d int, atomic bool) (dur, land int64) {
 	var rtt, occ int64
 	if atomic {

@@ -22,7 +22,7 @@ type Proc struct {
 	rng *rand.Rand
 	gen *procRand
 	// pending is virtual time charged but not yet published to the
-	// scheduler (charge coalescing, see spend). The process's effective
+	// scheduler (lazy publication, see spend). The process's effective
 	// clock is h.Clock() + pending.
 	pending int64
 	// fidx is the rank's running charge-event index, the event axis of
@@ -34,7 +34,7 @@ type Proc struct {
 	// Per-class trace buffers (nil when tracing or the class is off):
 	// opBuf receives RMA op issue/land events, lockBuf the lock
 	// protocol events emitted via the TraceXxx helpers, chargeBuf the
-	// coalescing flush boundaries.
+	// publication points (flush).
 	opBuf, lockBuf, chargeBuf *trace.Buf
 }
 
@@ -45,7 +45,7 @@ func (p *Proc) Rank() int { return p.rank }
 func (p *Proc) Machine() *Machine { return p.m }
 
 // Now returns the process's effective virtual clock in nanoseconds,
-// including charges coalesced but not yet published to the scheduler.
+// including charges not yet published to the scheduler.
 func (p *Proc) Now() int64 { return p.h.Clock() + p.pending }
 
 // Rand returns the process's deterministic random source, opened on first
@@ -127,16 +127,21 @@ func (g *procRand) Uint64() uint64 {
 // Int63 implements rand.Source.
 func (g *procRand) Int63() int64 { return int64(g.Uint64() &^ (1 << 63)) }
 
-// spend charges d nanoseconds of virtual time with charge coalescing:
-// while the effective clock stays at or below the scheduler's fast-path
-// horizon the charge only accumulates in p.pending — the scheduler would
-// not have rescheduled at the intermediate point anyway, so deferring the
-// publication is invisible to every other process (none of them runs in
-// between, and nobody reads the holder's clock while it holds the token).
-// Once a charge crosses the horizon, the accumulated time flushes through
-// a single Advance, which performs the genuine handoff at exactly the
-// clock an uncoalesced run would have reached. Yield points that publish
-// unconditionally (SpinUntil's block, Barrier, process exit) call flush.
+// spend charges d nanoseconds of virtual time. Publication is lazy: the
+// charge only accumulates in p.pending, and the scheduler hears of it at
+// the rank's next operation another rank can observe (sync), or where the
+// published clock itself is read (flush). Until then the rank keeps the
+// token whatever its effective clock: nothing it does in between — Flush,
+// Compute, back-off — touches state another rank reads, so running it
+// early is invisible, and the observable operations still happen in
+// (effective clock, rank) order because sync makes the rank the scheduler's
+// minimum first.
+//
+// The time limit is the one thing a charge can run into without an
+// observable operation following (a pure-Compute loop). The charge that
+// would cross it publishes what came before it, so the rank waits its turn
+// exactly as an eager run's would, and then goes to the scheduler alone:
+// the run dies on the same rank at the same clock as with NoCoalesce.
 func (p *Proc) spend(d int64) {
 	if d < 1 {
 		d = 1 // match sim.Advance's minimum step
@@ -145,26 +150,35 @@ func (p *Proc) spend(d int64) {
 		p.h.Advance(d)
 		return
 	}
-	p.pending += d
-	if p.h.Clock()+p.pending > p.h.Horizon() {
-		d = p.pending
-		p.pending = 0
-		if p.chargeBuf != nil {
-			p.chargeBuf.Emit(trace.EvFlush, p.h.Clock()+d, d, 0, 0)
-		}
+	if lim := p.m.limit; lim > 0 && p.Now()+d > lim {
+		p.flush()
 		p.h.Advance(d)
+		return
+	}
+	p.pending += d
+}
+
+// sync runs at the top of every operation another rank can observe — a
+// window access, the busy-until update of charge, a wake — and holds the
+// one horizon check of the layer: an effective clock past the horizon
+// means some rank is due first, so the pending time is published and the
+// token handed over until this rank is the (clock, id) minimum again. On
+// return the rank may issue at Now() as if every charge had gone to the
+// scheduler at once.
+func (p *Proc) sync() {
+	if p.h.Clock()+p.pending > p.h.Horizon() {
+		p.flush()
 	}
 }
 
-// flush publishes any coalesced-but-unpublished virtual time. At every
-// flush site the invariant "effective clock <= horizon" holds (spend
-// flushes whenever it is violated), so the Advance below never yields the
-// token; it only makes the published clock exact before the process
-// blocks, synchronizes, or exits — the points where other processes (or
-// the scheduler's barrier/wake logic) read it.
+// flush publishes the pending virtual time whatever the horizon, making
+// the scheduler's clock for this rank exact: before it blocks, enters a
+// barrier, aborts or exits — the points where the scheduler, or a waking
+// rank, reads that clock. It yields the token when the published clock
+// crosses the horizon, except right after sync, which leaves the effective
+// clock at or below it (SpinUntil relies on that).
 func (p *Proc) flush() {
-	if p.pending != 0 {
-		d := p.pending
+	if d := p.pending; d != 0 {
 		p.pending = 0
 		if p.chargeBuf != nil {
 			p.chargeBuf.Emit(trace.EvFlush, p.h.Clock()+d, d, 0, 0)
@@ -174,9 +188,9 @@ func (p *Proc) flush() {
 }
 
 // traceOp records one RMA operation issue in the trace stream: the
-// issue clock is the effective clock (identical whether or not charges
-// are being coalesced), land the virtual time the operation applies at
-// the target.
+// issue clock is the effective clock (identical whether charges are
+// published lazily or at once), land the virtual time the operation
+// applies at the target.
 func (p *Proc) traceOp(op int64, target int, land int64) {
 	if p.opBuf != nil {
 		p.opBuf.Emit(trace.EvOp, p.Now(), op, int64(target), land)
@@ -232,12 +246,14 @@ func (p *Proc) TraceAcquireTimeout(id int, write bool) {
 // fatal protocol conditions a rank detects mid-run, e.g. exhausted
 // bounded-acquire retries under a fault profile configured to abort.
 func (p *Proc) Abort(err error) {
+	p.flush() // the error carries the published clock, and ranks due earlier fail first
 	p.h.Abort(err)
 	panic("rma: scheduler Abort returned") // unreachable: Abort unwinds
 }
 
 // Put atomically places src in target's window at offset.
 func (p *Proc) Put(src int64, target, offset int) {
+	p.sync()
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
 	p.m.mem[i] = src
@@ -252,6 +268,7 @@ func (p *Proc) Put(src int64, target, offset int) {
 // Per the paper, the value is only guaranteed after a subsequent Flush; in
 // this simulation it is already the linearized value at issue time.
 func (p *Proc) Get(target, offset int) int64 {
+	p.sync()
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
 	v := p.m.mem[i]
@@ -265,6 +282,7 @@ func (p *Proc) Get(target, offset int) int64 {
 // Accumulate atomically applies op with operand oprd to the word at
 // target's window offset.
 func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
+	p.sync()
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
 	var nv int64
@@ -287,6 +305,7 @@ func (p *Proc) Accumulate(oprd int64, target, offset int, op Op) {
 // FAO atomically applies op with operand oprd to the word at target's
 // window offset and returns the word's previous value.
 func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
+	p.sync()
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
 	prev := p.m.mem[i]
@@ -311,6 +330,7 @@ func (p *Proc) FAO(oprd int64, target, offset int, op Op) int64 {
 // CAS atomically compares the word at target's window offset with cmp and,
 // if equal, replaces it with src; it returns the word's previous value.
 func (p *Proc) CAS(src, cmp int64, target, offset int) int64 {
+	p.sync()
 	i := p.m.index(target, offset)
 	d := p.m.topo.Distance(p.rank, target)
 	prev := p.m.mem[i]
@@ -356,6 +376,7 @@ const flushCost = 10
 // read latency. Use it for grant flags and status words; keep genuine
 // contention loops (e.g., spinlock CAS retries) as explicit loops.
 func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
+	p.sync()
 	idx := p.m.index(target, offset)
 	v := p.m.mem[idx]
 	if cond(v) {
@@ -367,11 +388,12 @@ func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
 		p.spend(dur)
 		return v
 	}
-	// Publish coalesced time before blocking: while we are blocked, the
+	// Publish pending time before blocking: while we are blocked, the
 	// granting write computes our wake-up clock against the published
-	// clock. flush never yields (see its comment), so the register/block
-	// pair below still happens in the same scheduler slice as the check
-	// above — no granting write can slip in between (no lost wake-up).
+	// clock. After the sync above this flush cannot yield, so the
+	// register/block pair below still happens in the same scheduler slice
+	// as the check — no granting write can slip in between (no lost
+	// wake-up).
 	p.flush()
 	for {
 		p.m.addWatcher(target, watcher{p: p, offset: offset, cond: cond})
@@ -395,6 +417,6 @@ func (p *Proc) Compute(d int64) {
 // Barrier synchronizes all processes of the machine: everyone blocks until
 // the last arrives, then all clocks jump to the maximum plus a fixed cost.
 func (p *Proc) Barrier() {
-	p.flush() // arrival clocks must be exact before synchronizing
+	p.flush() // arrival clocks must be exact before synchronizing; may yield
 	p.h.Barrier()
 }

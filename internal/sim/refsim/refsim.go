@@ -7,8 +7,8 @@
 // The differential determinism suite in internal/workload runs every lock
 // scheme × contention profile on both engines and requires byte-identical
 // reports and equal MaxClock. Horizon is provided for parity with the
-// fast engine (package rma's charge coalescing reads it); it computes
-// under the lock the exact value the fast engine caches, so coalescing
+// fast engine (package rma's lazy publication reads it); it computes
+// under the lock the exact value the fast engine caches, so publication
 // decisions — and therefore interleavings — match between engines.
 package refsim
 
@@ -156,8 +156,8 @@ func (s *Scheduler) MaxClock() int64 {
 // Horizon returns the largest clock the calling process can advance to
 // while keeping the execution token, computed fresh from the heap top —
 // the exact value the fast engine caches at dispatch (including the
-// time-limit clamp), so charge coalescing behaves identically on both
-// engines.
+// time-limit clamp), so rma's lazy publication behaves identically on
+// both engines.
 func (h *Handle) Horizon() int64 {
 	s := h.s
 	s.mu.Lock()
@@ -464,12 +464,12 @@ func (s *Scheduler) popMin() *proc {
 // token actually changes hands. Caller must hold s.mu.
 func (s *Scheduler) dispatchLocked() *proc {
 	next := s.popMin()
-	if s.tsink != nil && next != s.running {
+	if next.tb != nil && next != s.running {
 		prev := int64(-1)
 		if s.running != nil {
 			prev = int64(s.running.id)
 		}
-		s.tsink.Buf(next.id, trace.ClassSched).Emit(trace.EvDispatch, next.clock, prev, 0, 0)
+		next.tb.Emit(trace.EvDispatch, next.clock, prev, 0, 0)
 	}
 	s.running = next
 	return next

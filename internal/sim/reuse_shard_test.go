@@ -134,7 +134,7 @@ func TestShardedDispatchOrderMatchesSingleHeap(t *testing.T) {
 		var wantEvs []trace.Event
 		var wantMax int64
 		for _, ss := range shardSizes {
-			sink := trace.New(trace.ClassSched)
+			sink := trace.New(trace.ClassSched | trace.ClassCharge) // dispatches are ClassCharge
 			s := New(Config{Procs: procs, ShardSize: ss, BarrierCost: 11, Trace: sink})
 			if err := s.Run(body); err != nil {
 				t.Fatalf("trial %d shardSize %d: %v", trial, ss, err)

@@ -127,7 +127,8 @@ type Handle struct {
 	// Advance fast path stays byte-for-byte untouched by tracing — a
 	// fast-path advance is exactly the publication that no other process
 	// can observe, so the charge stream loses nothing by recording only
-	// handoffs (here) and coalescing boundaries (rma's EvFlush).
+	// slow-path publications and the dispatches they lead to (here) and
+	// rma's publication points (EvFlush).
 	tb *trace.Buf
 }
 
@@ -140,8 +141,9 @@ func (h *Handle) Clock() int64 { return h.hs.clock }
 // Horizon returns the largest virtual clock the calling process can
 // advance to while provably keeping the execution token: any Advance that
 // leaves the clock at or below Horizon() is guaranteed not to reschedule.
-// Callers (package rma) use it to coalesce consecutive charges into one
-// Advance without changing the interleaving. Valid only while the calling
+// Package rma, which publishes charged time lazily, reads it before every
+// operation another rank can observe: a clock past the horizon means some
+// rank is due first (see rma.Proc.sync). Valid only while the calling
 // process holds the token; a Wake may shrink it.
 func (h *Handle) Horizon() int64 { return h.hs.horizon }
 
@@ -200,8 +202,8 @@ type Config struct {
 	// ShardSize (property-tested).
 	ShardSize int
 	// Trace, when non-nil, receives scheduler events (ClassSched:
-	// dispatch/block/wake/barrier) and slow-path clock publications
-	// (ClassCharge). The sink is restarted for this run. The Advance
+	// block/wake/barrier) and slow-path clock publications and
+	// dispatches (ClassCharge). The sink is restarted for this run. The Advance
 	// fast path is byte-for-byte identical traced or not
 	// (BenchmarkAdvanceUncontended vs BenchmarkAdvanceTraced pin it).
 	Trace *trace.Sink
@@ -670,12 +672,12 @@ func (s *Scheduler) dispatch() int32 {
 		next = s.popMin()
 	}
 	s.hot[next].horizon = s.horizonFor(next)
-	if s.tsink != nil && next != s.running {
+	if tb := s.handles[next].tb; tb != nil && next != s.running {
 		prev := int64(-1)
 		if s.running >= 0 {
 			prev = int64(s.running)
 		}
-		s.tsink.Buf(int(next), trace.ClassSched).Emit(trace.EvDispatch, s.hot[next].clock, prev, 0, 0)
+		tb.Emit(trace.EvDispatch, s.hot[next].clock, prev, 0, 0)
 	}
 	s.running = next
 	return next

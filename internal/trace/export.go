@@ -128,8 +128,10 @@ func WriteChrome(w io.Writer, events []Event, meta Meta) error {
 				name = OpNames[e.Arg0]
 			}
 			instant(name, "rma", e, map[string]any{"target": e.Arg1, "land": e.Arg2})
-		case EvDispatch, EvBlock, EvWake, EvBarrier:
+		case EvBlock, EvWake, EvBarrier:
 			instant(e.Kind.String(), "sched", e, map[string]any{"a": e.Arg0})
+		case EvDispatch:
+			instant(e.Kind.String(), "charge", e, map[string]any{"a": e.Arg0})
 		case EvAdvance, EvFlush:
 			instant(e.Kind.String(), "charge", e, map[string]any{"d": e.Arg0})
 		}

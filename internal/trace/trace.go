@@ -13,19 +13,25 @@
 // — for dispatch/wake events — to a parked rank's buffer strictly before
 // the token handoff that resumes it, so capture needs no locks and no
 // atomics: an emission is a slice append plus a sequence increment. The
-// happens-before edges of the scheduler's mutex + wake channels make the
-// whole capture race-clean (the differential suite runs traced cells
-// under -race).
+// happens-before edges of the hand-off itself (a coroutine switch on the
+// default engine, mutex + wake channels on refsim) make the whole capture
+// race-clean (the differential suite runs traced cells under -race).
 //
 // Events carry the emitting rank's virtual clock; the canonical merged
 // order is (Clock, Rank, Seq). Because the simulation itself is a
 // deterministic function of the seed, so is the merged stream: two runs
-// of the same spec produce byte-identical traces, and the differential
-// suite requires the semantic classes (ClassSched | ClassOp | ClassLock)
-// to be byte-identical across scheduler engines and charge-coalescing
-// modes. The ClassCharge diagnostic class intentionally differs between
-// those combinations — it records exactly where virtual time was
-// published, which is the thing coalescing changes.
+// of the same spec produce byte-identical traces. The differential suite
+// holds it to two contracts. The semantic classes (ClassSched | ClassOp |
+// ClassLock) — blocks, wakes, barriers, RMA operations, lock protocol
+// events, with their clocks and Seq numbers — are byte-identical across
+// scheduler engines and publication modes (lazy, and eager under
+// rma.Config.NoCoalesce). The ClassCharge diagnostics record where
+// virtual time was published and where the token changed hands, which is
+// exactly what lazy publication moves: they differ between the two modes
+// by design. Within one mode the hand-offs (EvDispatch) and rma's
+// publication points (EvFlush) are still byte-identical across engines;
+// EvAdvance alone also depends on the engine (refsim records every
+// Advance, the default engine only those that leave its fast path).
 //
 // # Overhead guard
 //
@@ -48,6 +54,8 @@ type Kind uint8
 const (
 	// EvDispatch: the execution token was handed to Rank.
 	// Arg0 = previous holder's rank (-1 for the initial dispatch).
+	// Mode-dependent (ClassCharge): a lazy run hands the token over only
+	// before an operation another rank can observe.
 	EvDispatch Kind = iota
 	// EvBlock: Rank blocked (SpinUntil wait or scheduler Block).
 	EvBlock
@@ -70,11 +78,12 @@ const (
 	// Arg1 = mode.
 	EvRelease
 	// EvAdvance: Rank published virtual time to the scheduler.
-	// Arg0 = the published duration. Engine- and coalescing-dependent
-	// by design (ClassCharge).
+	// Arg0 = the published duration. Engine- and mode-dependent by
+	// design (ClassCharge).
 	EvAdvance
-	// EvFlush: Rank flushed coalesced-but-unpublished virtual time at a
-	// coalescing boundary. Arg0 = the flushed amount (ClassCharge).
+	// EvFlush: Rank published the virtual time it had charged but not yet
+	// told the scheduler about (rma's lazy publication). Arg0 = the
+	// published amount (ClassCharge).
 	EvFlush
 	// EvAcqTimeout: Rank's bounded lock acquire gave up at its deadline,
 	// resolving the pending EvAcqStart without an acquisition. Arg0 =
@@ -118,21 +127,25 @@ var OpNames = [...]string{"put", "get", "acc", "fao", "cas", "flush"}
 type Class uint8
 
 const (
-	// ClassSched covers scheduler events: dispatch, block, wake, barrier.
+	// ClassSched covers the scheduler events every run of a spec shares:
+	// block, wake, barrier.
 	ClassSched Class = 1 << iota
 	// ClassOp covers RMA operation issue/land events.
 	ClassOp
 	// ClassLock covers lock acquire-start/acquired/release events.
 	ClassLock
-	// ClassCharge covers virtual-time publication events (advance,
-	// coalesce flush). Engine- and coalescing-dependent by design;
-	// excluded from differential comparisons.
+	// ClassCharge covers publication and hand-off diagnostics (advance,
+	// flush, dispatch); mode-dependent by design: a lazy run publishes
+	// and hands over less often than an eager one. Compared across
+	// engines within a mode, never across modes.
 	ClassCharge
 )
 
-// ClassSemantic is the engine- and coalescing-independent event set: the
-// differential suite requires it byte-identical across all engine ×
-// coalescing combinations.
+// ClassSemantic is the engine- and mode-independent event set: the
+// differential suite requires it byte-identical, Seq numbers included,
+// across all four engine × publication-mode combinations. It says when
+// everything another rank can observe happened; who held the token in
+// between (EvDispatch) is ClassCharge.
 const ClassSemantic = ClassSched | ClassOp | ClassLock
 
 // ClassAll enables every class including the ClassCharge diagnostics.
@@ -141,7 +154,7 @@ const ClassAll = ClassSemantic | ClassCharge
 // KindClass returns the class an event kind belongs to.
 func KindClass(k Kind) Class {
 	switch k {
-	case EvDispatch, EvBlock, EvWake, EvBarrier:
+	case EvBlock, EvWake, EvBarrier:
 		return ClassSched
 	case EvOp:
 		return ClassOp

@@ -90,11 +90,16 @@ func TestBufResetKeepsSeq(t *testing.T) {
 }
 
 func TestKindClassAndFilter(t *testing.T) {
+	// EvDispatch is a ClassCharge diagnostic: who holds the token between
+	// observable operations depends on the publication mode.
 	cases := map[Kind]Class{
-		EvDispatch: ClassSched, EvBlock: ClassSched, EvWake: ClassSched, EvBarrier: ClassSched,
+		EvBlock: ClassSched, EvWake: ClassSched, EvBarrier: ClassSched,
 		EvOp:       ClassOp,
-		EvAcqStart: ClassLock, EvAcquired: ClassLock, EvRelease: ClassLock,
-		EvAdvance: ClassCharge, EvFlush: ClassCharge,
+		EvAcqStart: ClassLock, EvAcquired: ClassLock, EvRelease: ClassLock, EvAcqTimeout: ClassLock,
+		EvAdvance: ClassCharge, EvFlush: ClassCharge, EvDispatch: ClassCharge,
+	}
+	if len(cases) != int(numKinds) {
+		t.Errorf("class table covers %d of %d kinds", len(cases), numKinds)
 	}
 	for k, want := range cases {
 		if got := KindClass(k); got != want {
@@ -102,15 +107,15 @@ func TestKindClassAndFilter(t *testing.T) {
 		}
 	}
 	events := []Event{
-		{Kind: EvOp}, {Kind: EvAdvance}, {Kind: EvAcquired}, {Kind: EvDispatch},
+		{Kind: EvOp}, {Kind: EvAdvance}, {Kind: EvAcquired}, {Kind: EvDispatch}, {Kind: EvWake},
 	}
 	got := Filter(events, ClassSemantic)
 	if len(got) != 3 {
 		t.Fatalf("Filter(semantic) kept %d events, want 3", len(got))
 	}
 	for _, e := range got {
-		if e.Kind == EvAdvance {
-			t.Fatal("Filter kept a charge event under the semantic mask")
+		if e.Kind == EvAdvance || e.Kind == EvDispatch {
+			t.Fatalf("Filter kept the mode-dependent %v under the semantic mask", e.Kind)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package workload_test
 import (
 	"testing"
 
+	"rmalocks/internal/trace"
 	"rmalocks/internal/workload"
 )
 
@@ -84,4 +85,64 @@ func BenchmarkCellBackToBack(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// spinCell is a cell of the benchmark's spin-contended workload: every
+// rank writes under the one lock, so a centralized scheme spends the run
+// retrying, backing off and handing the token over.
+func spinCell(scheme string, p int) workload.Spec {
+	return workload.Spec{
+		Scheme:   scheme,
+		P:        p,
+		Iters:    10,
+		Warmup:   2, // the default for 10 iterations, spelled out for handoffs
+		Profile:  workload.Uniform{FW: 1, NumLocks: 1},
+		Workload: workload.Empty{},
+	}
+}
+
+// handoffs runs spec with the ClassCharge diagnostics captured and returns
+// how often the token changed hands (EvDispatch events; the scheduler keeps
+// no counter of its own) and over how many acquires, warm-up included.
+func handoffs(tb testing.TB, spec workload.Spec) (dispatches, acquires int) {
+	tb.Helper()
+	sink := trace.New(trace.ClassCharge)
+	spec.Trace = sink
+	if _, err := workload.Run(spec); err != nil {
+		tb.Fatal(err)
+	}
+	for r := 0; r < sink.Ranks(); r++ {
+		for _, e := range sink.RankEvents(r) {
+			if e.Kind == trace.EvDispatch {
+				dispatches++
+			}
+		}
+	}
+	return dispatches, spec.P * (spec.Iters + spec.Warmup)
+}
+
+// contendedHandoffs caches BenchmarkContendedCell's hand-offs per acquire:
+// the count is exact and the capture behind it is some 2.6M events, so the
+// benchmark function's repeated invocations share one.
+var contendedHandoffs float64
+
+// BenchmarkContendedCell measures the slow path end to end: one foMPI-RW
+// P=256 all-writer cell, where nearly every charge used to be a token
+// hand-off (coroutine switch, heap pop and push). handoffs/acq is the
+// count lazy publication brought down; ns/op divided by it bounds what one
+// hand-off costs.
+func BenchmarkContendedCell(b *testing.B) {
+	spec := spinCell(workload.SchemeFoMPIRW, 256)
+	if contendedHandoffs == 0 {
+		d, a := handoffs(b, spec)
+		contendedHandoffs = float64(d) / float64(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.Run(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(contendedHandoffs, "handoffs/acq")
 }

@@ -3,7 +3,7 @@ package workload_test
 // Fault-enabled differential suite: the deterministic perturbation
 // layer (internal/fault) must preserve the core guarantee — identical
 // configs produce byte-identical runs across all four engine ×
-// coalescing combinations — under jitter, congestion windows,
+// publication-mode combinations — under jitter, congestion windows,
 // stragglers, stalls, and the bounded-acquire timeout path. Runs under
 // -race in CI (the race and chaos-smoke jobs' Differential pattern).
 
@@ -16,6 +16,7 @@ import (
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/sim"
+	"rmalocks/internal/topology"
 	"rmalocks/internal/trace"
 	"rmalocks/internal/workload"
 )
@@ -122,12 +123,13 @@ func TestDifferentialFaultTimeoutPath(t *testing.T) {
 	}
 }
 
-// TestDifferentialFaultTraceStreams extends the semantic trace-stream
-// gate to faulted runs: under stalls, jitter and acquire timeouts, the
-// merged semantic event stream must stay byte-identical (raw CSV)
-// across the matrix, and every stream must replay cleanly through
-// trace.Validate's degradation invariants — mutual exclusion under
-// stalls, no lost wakeups, every timed-out acquire cleanly resolved.
+// TestDifferentialFaultTraceStreams extends the trace-stream gate (see
+// checkTraceStreams) to faulted runs: under stalls, jitter and acquire
+// timeouts the semantic stream stays byte-identical across the matrix and
+// the full stream across engines within a mode, and every stream replays
+// cleanly through trace.Validate's degradation invariants — mutual
+// exclusion under stalls, no lost wakeups, every timed-out acquire cleanly
+// resolved.
 func TestDifferentialFaultTraceStreams(t *testing.T) {
 	cases := []struct {
 		scheme string
@@ -140,61 +142,24 @@ func TestDifferentialFaultTraceStreams(t *testing.T) {
 		tc := tc
 		t.Run(tc.scheme, func(t *testing.T) {
 			t.Parallel()
-			var want string
-			sawTimeout := false
-			for i, ec := range engineCases {
-				sink := trace.New(trace.ClassSemantic)
-				_, err := workload.Run(workload.Spec{
-					Scheme: tc.scheme,
-					P:      16, ProcsPerNode: 4,
-					Seed:     13,
-					Iters:    10,
-					Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
-					Workload: &workload.SharedOp{},
-					Faults:   tc.prof(t),
-					Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
-					Trace: sink,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", ec.name, err)
-				}
-				events := sink.Events()
-				if err := trace.Validate(events); err != nil {
-					t.Fatalf("%s: replay validation: %v", ec.name, err)
-				}
-				for _, e := range events {
-					if e.Kind == trace.EvAcqTimeout {
-						sawTimeout = true
-					}
-				}
-				var b strings.Builder
-				if err := trace.WriteCSV(&b, events); err != nil {
-					t.Fatal(err)
-				}
-				got := b.String()
-				if i == 0 {
-					want = got
-					if len(events) == 0 {
-						t.Fatal("empty event stream")
-					}
-					continue
-				}
-				if got != want {
-					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",
-						ec.name, engineCases[0].name,
-						strings.Count(got, "\n"), strings.Count(want, "\n"))
-					a, bb := strings.Split(want, "\n"), strings.Split(got, "\n")
-					for j := 0; j < len(a) && j < len(bb); j++ {
-						if a[j] != bb[j] {
-							t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, a[j], bb[j])
-							break
-						}
-					}
+			events := checkTraceStreams(t, workload.Spec{
+				Scheme: tc.scheme,
+				P:      16, ProcsPerNode: 4,
+				Seed:     13,
+				Iters:    10,
+				Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
+				Workload: &workload.SharedOp{},
+				Faults:   tc.prof(t),
+			})
+			if tc.scheme != workload.SchemeFoMPISpin {
+				return
+			}
+			for _, e := range events {
+				if e.Kind == trace.EvAcqTimeout {
+					return
 				}
 			}
-			if tc.scheme == workload.SchemeFoMPISpin && !sawTimeout {
-				t.Error("expected EvAcqTimeout events under the timeout profile")
-			}
+			t.Error("expected EvAcqTimeout events under the timeout profile")
 		})
 	}
 }
@@ -286,6 +251,103 @@ func TestAbortConformanceAcrossEngines(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDifferentialAborts: a run that dies must die the same way on all four
+// engine × publication-mode combinations — same error text, failing rank
+// and virtual clock included. A lazy rank runs ahead of its published
+// clock, so this pins the two places where that could show: the charge
+// that crosses the time limit publishes what came before it and waits its
+// turn (a rank that computes forever must not fail ahead of one that is
+// due earlier, and must fail at all), and Abort publishes before it records
+// the clock.
+func TestDifferentialAborts(t *testing.T) {
+	exhaust, err := fault.Parse("timeout=1ns,retries=0,onexhaust=abort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(spec workload.Spec) func(engineCase) error {
+		return func(ec engineCase) error {
+			spec.Engine, spec.NoCoalesce = ec.engine, ec.noCoalesce
+			_, err := workload.Run(spec)
+			return err
+		}
+	}
+	// machine runs body on a bare P=8 machine; never is a window word
+	// nobody writes.
+	machine := func(limit int64, body func(p *rma.Proc, never int)) func(engineCase) error {
+		return func(ec engineCase) error {
+			m := rma.NewMachineConfig(topology.TwoLevel(2, 4), rma.Config{
+				TimeLimit: limit, Engine: ec.engine, NoCoalesce: ec.noCoalesce})
+			defer m.Release()
+			never := m.Alloc(1)
+			return m.Run(func(p *rma.Proc) { body(p, never) })
+		}
+	}
+	cases := []struct {
+		name string
+		is   error
+		run  func(engineCase) error
+	}{
+		{"time-limit", sim.ErrTimeLimit, cell(workload.Spec{
+			Scheme: workload.SchemeFoMPISpin,
+			P:      8, ProcsPerNode: 4,
+			Iters: 50, TimeLimit: 50_000,
+		})},
+		// The loop of rma's scratch_test dirty(): odd ranks park for good,
+		// even ranks charge local time forever in steps of their own, so
+		// the rank whose charge crosses the limit first in virtual time
+		// (rank 4) is not the one a lazy run lets loop first (rank 0).
+		{"compute-loop", sim.ErrTimeLimit, machine(1_000_000, func(p *rma.Proc, never int) {
+			r := p.Rank()
+			p.Put(int64(r)+1, (r+1)%p.Machine().Procs(), never)
+			p.Flush(r)
+			if r%2 == 1 {
+				p.SpinUntil(r, never, func(v int64) bool { return v == rma.Nil })
+			}
+			for {
+				p.Compute(10_000*int64(r+1) + int64(r))
+			}
+		})},
+		// A 1ns timeout with zero retries cannot succeed under write
+		// contention; onexhaust=abort calls Proc.Abort mid-protocol.
+		{"retries-exhausted", workload.ErrRetriesExhausted, cell(workload.Spec{
+			Scheme: workload.SchemeFoMPISpin,
+			P:      8, ProcsPerNode: 4,
+			Iters:   10,
+			Profile: workload.Uniform{FW: 1},
+			Faults:  exhaust,
+		})},
+		{"barrier-deadlock", sim.ErrDeadlock, machine(0, func(p *rma.Proc, never int) {
+			r := p.Rank()
+			p.FAO(1, 0, never, rma.OpSum)
+			p.Compute(100 * int64(8-r))
+			if r == 3 {
+				p.SpinUntil(r, never, func(v int64) bool { return v == rma.Nil })
+			}
+			p.Flush(0)
+			p.Barrier()
+		})},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var want string
+			for i, ec := range engineCases {
+				err := tc.run(ec)
+				if !errors.Is(err, tc.is) {
+					t.Fatalf("%s: got %v, want errors.Is(_, %v)", ec.name, err, tc.is)
+				}
+				if i == 0 {
+					want = err.Error()
+					t.Log(want)
+				} else if got := err.Error(); got != want {
+					t.Errorf("%s died differently from %s:\n a: %s\n b: %s", ec.name, engineCases[0].name, want, got)
+				}
+			}
+		})
+	}
 }
 
 // TestFaultConformanceSeedSensitivity pins that the fault stream really

@@ -2,11 +2,12 @@ package workload_test
 
 // Differential determinism suite: the token-owned fast-path scheduler
 // (internal/sim) against the reference engine (internal/sim/refsim), and
-// charge coalescing (internal/rma) against uncoalesced charging. For every
-// lock scheme × contention profile cell, all four engine/coalesce
+// lazy publication of virtual time (internal/rma) against the eager oracle
+// (NoCoalesce: every charge goes to the scheduler at once). For every
+// lock scheme × contention profile cell, all four engine × mode
 // combinations must produce byte-identical reports and equal MaxClock —
-// the fast path and the coalescer are pure optimisations, never allowed to
-// change a single virtual-time decision. Run under -race in CI to also
+// the fast path and lazy publication are pure optimisations, never allowed
+// to change a single virtual-time decision. Run under -race in CI to also
 // exercise the fast path's lock-free clock increments.
 
 import (
@@ -83,67 +84,121 @@ func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
 	}
 }
 
-// TestDifferentialTraceStreams is the trace ↔ coalescing interplay
-// gate: for every engine × coalescing combination, the merged semantic
-// event stream (scheduler handoffs, RMA ops, lock protocol — everything
-// except the ClassCharge publication diagnostics) must be byte-identical,
-// and must replay cleanly through trace.Validate. Charge coalescing may
-// move *when* virtual time is published, but never when anything
-// observable happens; this test pins that at per-event granularity.
-// The comparison is on the raw CSV, EvDispatch handoffs and Seq numbers
-// included. Runs under -race in CI (the race job's Differential pattern),
-// which also exercises the lock-free emission path of the fast engine.
+// traceCSV runs spec capturing the classes in mask and returns the merged
+// stream, replayed through trace.Validate, with its canonical CSV. A
+// ClassCharge capture leaves out EvAdvance, the one kind that depends on
+// the engine (refsim has no fast path and records every Advance, the
+// default engine only those that reach its slow path), and renumbers Seq
+// over what is left.
+func traceCSV(t *testing.T, spec workload.Spec, ec engineCase, mask trace.Class) ([]trace.Event, string) {
+	t.Helper()
+	sink := trace.New(mask)
+	spec.Engine, spec.NoCoalesce, spec.Trace = ec.engine, ec.noCoalesce, sink
+	if _, err := workload.Run(spec); err != nil {
+		t.Fatalf("%s: %v", ec.name, err)
+	}
+	events := sink.Events()
+	if len(events) == 0 {
+		t.Fatalf("%s: empty event stream", ec.name)
+	}
+	if err := trace.Validate(events); err != nil {
+		t.Fatalf("%s: replay validation (mask %#x): %v", ec.name, mask, err)
+	}
+	if mask&trace.ClassCharge != 0 {
+		kept := make([]trace.Event, 0, len(events))
+		seq := make([]uint32, spec.P)
+		for _, e := range events {
+			if e.Kind != trace.EvAdvance {
+				e.Seq = seq[e.Rank]
+				seq[e.Rank]++
+				kept = append(kept, e)
+			}
+		}
+		events = kept
+	}
+	var b strings.Builder
+	if err := trace.WriteCSV(&b, events); err != nil {
+		t.Fatal(err)
+	}
+	return events, b.String()
+}
+
+// sameStream fails with the first diverging line unless two CSV streams
+// are byte-identical.
+func sameStream(t *testing.T, what, aName, a, bName, b string) {
+	t.Helper()
+	if a == b {
+		return
+	}
+	t.Errorf("%s: %s diverged from %s (%d vs %d lines)", what, bName, aName,
+		strings.Count(b, "\n"), strings.Count(a, "\n"))
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for j := 0; j < len(al) && j < len(bl); j++ {
+		if al[j] != bl[j] {
+			t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, al[j], bl[j])
+			return
+		}
+	}
+}
+
+// checkTraceStreams holds spec to the trace subsystem's two contracts on
+// all four engine × publication-mode combinations, every stream replayed
+// through trace.Validate:
+//
+//   - the semantic capture — blocks, wakes, barriers, RMA ops, lock
+//     events, their clocks and their Seq numbers — is byte-identical on
+//     all four: lazy publication moves when a rank tells the scheduler
+//     its clock, never when anything another rank can observe happens;
+//   - the full capture, rma's publication points and the token hand-offs
+//     (EvFlush, EvDispatch) included, is byte-identical across engines
+//     within a mode. Across modes it differs by design: an eager run
+//     hands the token over after every charge, a lazy one only before an
+//     observable operation.
+//
+// It returns the semantic events of the first combination.
+func checkTraceStreams(t *testing.T, spec workload.Spec) []trace.Event {
+	t.Helper()
+	var semantic []trace.Event
+	var wantSemantic string
+	type stream struct{ name, csv string }
+	wantFull := map[bool]stream{} // the first full stream of each mode, by noCoalesce
+	for i, ec := range engineCases {
+		events, got := traceCSV(t, spec, ec, trace.ClassSemantic)
+		if i == 0 {
+			semantic, wantSemantic = events, got
+		}
+		sameStream(t, "semantic stream", engineCases[0].name, wantSemantic, ec.name, got)
+
+		_, full := traceCSV(t, spec, ec, trace.ClassAll)
+		if want, ok := wantFull[ec.noCoalesce]; ok {
+			sameStream(t, "full stream", want.name, want.csv, ec.name, full)
+		} else {
+			wantFull[ec.noCoalesce] = stream{ec.name, full}
+		}
+	}
+	if wantFull[false].csv == wantFull[true].csv {
+		t.Error("lazy and eager runs handed the token over at the same points: NoCoalesce is not an eager oracle here")
+	}
+	return semantic
+}
+
+// TestDifferentialTraceStreams is the trace ↔ publication-mode gate (see
+// checkTraceStreams) on every scheme. Runs under -race in CI (the race
+// job's Differential pattern), which also exercises the unlocked emission
+// paths of the fast engine.
 func TestDifferentialTraceStreams(t *testing.T) {
 	for _, scheme := range workload.Schemes {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
-			var want string
-			for i, ec := range engineCases {
-				sink := trace.New(trace.ClassSemantic)
-				spec := workload.Spec{
-					Scheme: scheme,
-					P:      16, ProcsPerNode: 4,
-					Seed:     13,
-					Iters:    10,
-					Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
-					Workload: &workload.SharedOp{},
-					Engine:   ec.engine, NoCoalesce: ec.noCoalesce,
-					Trace: sink,
-				}
-				if _, err := workload.Run(spec); err != nil {
-					t.Fatalf("%s: %v", ec.name, err)
-				}
-				events := sink.Events()
-				if err := trace.Validate(events); err != nil {
-					t.Fatalf("%s: replay validation: %v", ec.name, err)
-				}
-				var b strings.Builder
-				if err := trace.WriteCSV(&b, events); err != nil {
-					t.Fatal(err)
-				}
-				got := b.String()
-				if i == 0 {
-					want = got
-					if len(events) == 0 {
-						t.Fatal("empty event stream")
-					}
-					continue
-				}
-				if got != want {
-					t.Errorf("%s event stream diverged from %s (%d vs %d lines)",
-						ec.name, engineCases[0].name,
-						strings.Count(got, "\n"), strings.Count(want, "\n"))
-					// Show the first diverging line for debugging.
-					a, bb := strings.Split(want, "\n"), strings.Split(got, "\n")
-					for j := 0; j < len(a) && j < len(bb); j++ {
-						if a[j] != bb[j] {
-							t.Errorf("first divergence at line %d:\n a: %s\n b: %s", j, a[j], bb[j])
-							break
-						}
-					}
-				}
-			}
+			checkTraceStreams(t, workload.Spec{
+				Scheme: scheme,
+				P:      16, ProcsPerNode: 4,
+				Seed:     13,
+				Iters:    10,
+				Profile:  workload.Uniform{FW: 0.5, NumLocks: 2},
+				Workload: &workload.SharedOp{},
+			})
 		})
 	}
 }

@@ -175,8 +175,9 @@ type Spec struct {
 	// reference one. The differential determinism suite runs every cell
 	// on both and requires byte-identical reports.
 	Engine string
-	// NoCoalesce disables RMA charge coalescing (verification knob; see
-	// rma.Config.NoCoalesce).
+	// NoCoalesce publishes every RMA charge to the scheduler at once, the
+	// eager oracle of the default lazy publication (verification knob;
+	// see rma.Config.NoCoalesce).
 	NoCoalesce bool
 	// MemStats records host memory cost in Report.Extra after the run:
 	// "heap_bytes_per_rank" (live heap / P) and "sys_bytes_per_rank"

@@ -157,3 +157,43 @@ func TestFingerprintTraceGatingAndExtraOrder(t *testing.T) {
 		t.Fatal("traced-with-no-handoffs fingerprint must still be marked as traced")
 	}
 }
+
+// TestHandoffCounts pins how often the token changes hands per scheme on
+// the spin-contended shape (P=64, one lock, all writers), lazily and under
+// the eager oracle. The counts are exact — a run is a pure function of its
+// spec — so a change that brings per-charge yields back, or quietly alters
+// a protocol's operation sequence, fails here by name and not by timing.
+// Lazy publication only ever removes hand-offs, and on the two centralized
+// locks, whose acquire is CAS, Flush, back-off, retry, it removes at least
+// two in five.
+func TestHandoffCounts(t *testing.T) {
+	want := map[string]struct{ eager, lazy int }{
+		workload.SchemeFoMPISpin: {18659, 9453},
+		workload.SchemeFoMPIRW:   {32931, 18624},
+		workload.SchemeDMCS:      {5594, 4829},
+		workload.SchemeRMAMCS:    {6833, 6190},
+		workload.SchemeRMARW:     {6960, 6292},
+	}
+	for _, scheme := range workload.Schemes {
+		scheme := scheme
+		t.Run(scheme, func(t *testing.T) {
+			t.Parallel()
+			spec := spinCell(scheme, 64)
+			lazy, acquires := handoffs(t, spec)
+			spec.NoCoalesce = true
+			eager, _ := handoffs(t, spec)
+			t.Logf("hand-offs per acquire: eager %.1f, lazy %.1f (%d acquires)",
+				float64(eager)/float64(acquires), float64(lazy)/float64(acquires), acquires)
+			if w := want[scheme]; eager != w.eager || lazy != w.lazy {
+				t.Errorf("hand-offs eager %d lazy %d, pinned %d and %d", eager, lazy, w.eager, w.lazy)
+			}
+			if lazy > eager {
+				t.Errorf("lazy run handed the token over %d times, the eager one %d", lazy, eager)
+			}
+			centralized := scheme == workload.SchemeFoMPISpin || scheme == workload.SchemeFoMPIRW
+			if centralized && 10*lazy > 6*eager {
+				t.Errorf("lazy hand-offs %d are more than 0.6 of eager %d", lazy, eager)
+			}
+		})
+	}
+}

@@ -31,8 +31,8 @@
 //
 // # Tracing
 //
-// Every run can capture a deterministic event trace (scheduler
-// handoffs, RMA operations, lock acquire/release) at near-zero overhead
+// Every run can capture a deterministic event trace (scheduler blocks
+// and wakes, RMA operations, lock acquire/release) at near-zero overhead
 // via the trace API: attach NewTraceSink to MachineSpec.Trace or
 // WorkloadSpec.Trace, then analyze the merged stream (AnalyzeTrace:
 // Jain fairness, handoff-locality histograms, wait depth) or export it
@@ -456,11 +456,12 @@ func EncodeSweepGrid(g SweepGrid) ([]byte, error) { return sweep.EncodeGrid(g) }
 func DecodeSweepGrid(data []byte) (SweepGrid, error) { return sweep.DecodeGrid(data) }
 
 // Tracing & analysis (internal/trace, see DESIGN.md "Tracing &
-// analysis"): deterministic event capture of scheduler handoffs, RMA
+// analysis"): deterministic event capture of scheduler events, RMA
 // operations and lock protocols, with fairness/locality analyses,
 // Perfetto-loadable exports, and replay validation. The merged stream
-// is byte-identical across scheduler engines and coalescing modes for
-// the semantic classes (differential-tested).
+// is byte-identical across scheduler engines and publication modes for
+// the semantic classes (differential-tested); token hand-offs are a
+// TraceCharge diagnostic.
 type (
 	// TraceSink owns the per-rank event buffers of one traced run.
 	TraceSink = trace.Sink
