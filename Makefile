@@ -1,7 +1,10 @@
 GO ?= go
 
 # Sweep shape shared by `make sweep` (persist baseline) and
-# `make compare` (re-run + per-cell diff against it).
+# `make compare` (re-run + per-cell diff against it). The results of
+# this grid and of FAULT_FLAGS' are pinned per cell by
+# internal/sweep's TestGoldenFingerprints, which spells the same two
+# grids out: change them together.
 SWEEP_FLAGS = -profiles uniform,zipf,bursty,sweep -ps 16,32,64
 
 # Fault-injection sweep shape shared by `make faults` (persist baseline)
@@ -122,7 +125,7 @@ compare:
 
 # Fault-injection sweep with reproducibility check, persisted as the
 # degradation baseline (fault-free sibling cells + derived p99/p999
-# inflation metrics). Gated like results/sweep.json by faults-compare.
+# inflation metrics); faults-compare diffs a later build against it.
 faults:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench $(FAULT_FLAGS) -check -out results/faults.json > results/faults.txt

@@ -1,196 +1,47 @@
-// Package-level benchmarks: one testing.B benchmark per figure of the
-// paper's evaluation section. Each benchmark runs a representative
-// configuration of the corresponding experiment on the simulated machine
-// and reports the figure's metric (mln locks/s or µs) via b.ReportMetric.
-// Full sweeps over P and all parameter values are produced by
-// cmd/lockbench and cmd/dhtbench; EXPERIMENTS.md records the shape
+// Package-level benchmarks: every figure and ablation of the paper's
+// evaluation section (internal/bench's figure values) at one
+// representative process count, a sub-benchmark per series, reporting
+// the figure's own metric columns via b.ReportMetric. Full sweeps over P
+// are produced by cmd/lockbench; EXPERIMENTS.md records the shape
 // comparison against the paper.
 package rmalocks_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"rmalocks/internal/bench"
 	"rmalocks/internal/model"
 )
 
-// benchP is the process count used by the in-repo benchmarks: large
-// enough to span several nodes (the regime the paper targets), small
-// enough to keep `go test -bench=.` quick.
-const benchP = 64
+// benchScale is one process count large enough to span several nodes
+// (the regime the paper targets), small enough to keep `go test
+// -bench=.` quick.
+var benchScale = bench.Scale{Name: "bench", Ps: []int{64}, Iters: 30, DHTOps: 20}
 
-const benchIters = 30
-
-func reportMutex(b *testing.B, r bench.Result) {
-	b.ReportMetric(r.ThroughputMops, "mln-locks/s")
-	b.ReportMetric(r.Latency.Mean, "us-mean")
-	b.ReportMetric(r.Latency.P99, "us-p99")
-}
-
-func runMutexBench(b *testing.B, wl bench.Workload) {
-	for _, scheme := range bench.MutexSchemes {
-		scheme := scheme
-		b.Run(scheme, func(b *testing.B) {
-			var last bench.Result
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunMutex(bench.MutexParams{
-					Scheme: scheme, P: benchP, Workload: wl,
-					Iters: benchIters, Seed: int64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			reportMutex(b, last)
-		})
-	}
-}
-
-// BenchmarkFig3a_LB: latency benchmark, foMPI-Spin vs D-MCS vs RMA-MCS.
-func BenchmarkFig3a_LB(b *testing.B) { runMutexBench(b, bench.ECSB) }
-
-// BenchmarkFig3b_ECSB: empty-critical-section throughput.
-func BenchmarkFig3b_ECSB(b *testing.B) { runMutexBench(b, bench.ECSB) }
-
-// BenchmarkFig3c_SOB: single-operation throughput.
-func BenchmarkFig3c_SOB(b *testing.B) { runMutexBench(b, bench.SOB) }
-
-// BenchmarkFig3d_WCSB: workload-critical-section throughput.
-func BenchmarkFig3d_WCSB(b *testing.B) { runMutexBench(b, bench.WCSB) }
-
-// BenchmarkFig3e_WARB: wait-after-release throughput.
-func BenchmarkFig3e_WARB(b *testing.B) { runMutexBench(b, bench.WARB) }
-
-func runRWBench(b *testing.B, params bench.RWParams, label string) {
-	b.Run(label, func(b *testing.B) {
-		var last bench.Result
-		for i := 0; i < b.N; i++ {
-			p := params
-			p.P = benchP
-			p.Iters = benchIters
-			p.Seed = int64(i + 1)
-			r, err := bench.RunRW(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = r
-		}
-		reportMutex(b, last)
-	})
-}
-
-// BenchmarkFig4a_TDC: distributed-counter threshold sweep (SOB, F_W=2%).
-func BenchmarkFig4a_TDC(b *testing.B) {
-	for _, tdc := range []int{2, 16, 64} {
-		runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.SOB,
-			FW: 0.02, TDC: tdc}, fmt.Sprintf("TDC=%d", tdc))
-	}
-}
-
-// BenchmarkFig4b_TLProduct: Π T_L,i sweep (SOB, F_W=25%).
-func BenchmarkFig4b_TLProduct(b *testing.B) {
-	for _, tw := range []struct {
-		prod int64
-		tl   []int64
-	}{
-		{500, []int64{0, 50, 10}},
-		{2500, []int64{0, 100, 25}},
-		{7500, []int64{0, 100, 75}},
-	} {
-		runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.SOB,
-			FW: 0.25, TL: tw.tl}, fmt.Sprintf("TW=%d", tw.prod))
-	}
-}
-
-// BenchmarkFig4c_TLSplit: T_L,2–T_L,1 splits (SOB, F_W=25%).
-func BenchmarkFig4c_TLSplit(b *testing.B) {
-	for _, s := range []struct {
-		name string
-		tl   []int64
-	}{
-		{"50-20", []int64{0, 20, 50}},
-		{"25-40", []int64{0, 40, 25}},
-		{"10-100", []int64{0, 100, 10}},
-	} {
-		runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.SOB,
-			FW: 0.25, TL: s.tl}, s.name)
-	}
-}
-
-// BenchmarkFig4d_TLSplitLatency: the same splits under the latency
-// benchmark (F_W=25%); read the us-mean metric.
-func BenchmarkFig4d_TLSplitLatency(b *testing.B) {
-	for _, s := range []struct {
-		name string
-		tl   []int64
-	}{
-		{"50-20", []int64{0, 20, 50}},
-		{"10-100", []int64{0, 100, 10}},
-	} {
-		runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.ECSB,
-			FW: 0.25, TL: s.tl}, s.name)
-	}
-}
-
-// BenchmarkFig4e_TR: reader threshold sweep (ECSB, F_W=0.2%).
-func BenchmarkFig4e_TR(b *testing.B) {
-	for _, tr := range []int64{1000, 3000, 6000} {
-		runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.ECSB,
-			FW: 0.002, TR: tr}, fmt.Sprintf("TR=%d", tr))
-	}
-}
-
-// BenchmarkFig4f_TRxFW: T_R × F_W interplay (ECSB).
-func BenchmarkFig4f_TRxFW(b *testing.B) {
-	for _, fw := range []float64{0.02, 0.05} {
-		for _, tr := range []int64{3000, 5000} {
-			runRWBench(b, bench.RWParams{Scheme: bench.SchemeRMARW, Workload: bench.ECSB,
-				FW: fw, TR: tr}, fmt.Sprintf("TR=%d-FW=%g%%", tr, fw*100))
-		}
-	}
-}
-
-func runFig5(b *testing.B, wl bench.Workload) {
-	for _, scheme := range []string{bench.SchemeRMARW, bench.SchemeFoMPIRW} {
-		for _, fw := range []float64{0.002, 0.05} {
-			runRWBench(b, bench.RWParams{Scheme: scheme, Workload: wl, FW: fw},
-				fmt.Sprintf("%s-FW=%g%%", scheme, fw*100))
-		}
-	}
-}
-
-// BenchmarkFig5a_LB: RMA-RW vs foMPI-RW latency; read the us-mean metric.
-func BenchmarkFig5a_LB(b *testing.B) { runFig5(b, bench.ECSB) }
-
-// BenchmarkFig5b_ECSB: RMA-RW vs foMPI-RW ECSB throughput.
-func BenchmarkFig5b_ECSB(b *testing.B) { runFig5(b, bench.ECSB) }
-
-// BenchmarkFig5c_SOB: RMA-RW vs foMPI-RW SOB throughput.
-func BenchmarkFig5c_SOB(b *testing.B) { runFig5(b, bench.SOB) }
-
-// BenchmarkFig6_DHT: distributed hashtable total time per scheme and
-// writer fraction; read the ms-total metric.
-func BenchmarkFig6_DHT(b *testing.B) {
-	for _, fw := range []float64{0.20, 0.02, 0.0} {
-		for _, scheme := range []string{bench.SchemeFoMPIA, bench.SchemeFoMPIRW, bench.SchemeRMARW} {
-			scheme, fw := scheme, fw
-			b.Run(fmt.Sprintf("%s-FW=%g%%", scheme, fw*100), func(b *testing.B) {
-				var last bench.DHTResult
-				for i := 0; i < b.N; i++ {
-					r, err := bench.RunDHT(bench.DHTParams{
-						Scheme: scheme, P: benchP, FW: fw,
-						OpsPerProc: 20, Seed: int64(i + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
+// BenchmarkEvaluation runs as BenchmarkEvaluation/<figure>/<series
+// labels>, e.g. BenchmarkEvaluation/5b/RMA-RW-0.2%.
+func BenchmarkEvaluation(b *testing.B) {
+	for _, f := range append(bench.Figures(benchScale), bench.Ablations(benchScale)...) {
+		f := f
+		b.Run(f.Name, func(b *testing.B) {
+			for _, s := range f.Series {
+				one := f
+				one.Series = []bench.Series{s}
+				b.Run(strings.Join(s.Labels, "-"), func(b *testing.B) {
+					var rows [][]bench.Row
+					for i := 0; i < b.N; i++ {
+						var err error
+						if rows, err = bench.Run([]bench.Figure{one}); err != nil {
+							b.Fatal(err)
+						}
 					}
-					last = r
-				}
-				b.ReportMetric(last.TotalTimeMs, "ms-total")
-			})
-		}
+					for i, m := range one.Metrics {
+						b.ReportMetric(m(rows[0][0].Report), one.Columns[len(one.Columns)-len(one.Metrics)+i])
+					}
+				})
+			}
+		})
 	}
 }
 

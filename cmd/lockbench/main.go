@@ -1,14 +1,18 @@
-// Command lockbench regenerates the microbenchmark figures of the paper's
-// evaluation (Figures 3, 4 and 5) on the simulated machine.
+// Command lockbench regenerates the figures of the paper's evaluation
+// (Figures 3–6) and this repository's two ablations on the simulated
+// machine.
 //
 // Usage:
 //
 //	lockbench -figure 3b -scale medium
 //	lockbench -figure all -scale quick -csv
+//	lockbench -ablation all
 //
 // Figures: 3a–3e (RMA-MCS vs D-MCS vs foMPI-Spin), 4a–4f (RMA-RW
-// parameter studies), 5a–5c (RMA-RW vs foMPI-RW). Scales: quick, medium,
-// full (the paper's 8…1024 process sweep).
+// parameter studies), 5a–5c (RMA-RW vs foMPI-RW), 6 (the distributed
+// hashtable: foMPI-A vs foMPI-RW vs RMA-RW). Ablations: locality,
+// network. Scales: quick, medium, full (the paper's 8…1024 process
+// sweep). All cells of an invocation run as one sweep on every core.
 package main
 
 import (
@@ -34,41 +38,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	figs, name := bench.Figures(sc), *figure
 	if *ablation != "" {
-		names := []string{*ablation}
-		if *ablation == "all" {
-			names = bench.AblationNames
-		}
-		for _, name := range names {
-			t, err := bench.RunAblation(name, sc)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ablation %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			if *csv {
-				fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
-			} else {
-				fmt.Println(t.String())
-			}
-		}
-		return
+		figs, name = bench.Ablations(sc), *ablation
 	}
-	names := []string{*figure}
-	if *figure == "all" {
-		names = bench.FigureNames
+	start := time.Now()
+	figs, err = bench.Pick(figs, name)
+	var rows [][]bench.Row
+	if err == nil {
+		rows, err = bench.Run(figs)
 	}
-	for _, name := range names {
-		start := time.Now()
-		t, err := bench.RunFigure(name, sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for i, f := range figs {
+		t := f.Table(rows[i])
 		if *csv {
 			fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
 		} else {
 			fmt.Println(t.String())
 		}
-		fmt.Fprintf(os.Stderr, "[figure %s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	fmt.Fprintf(os.Stderr, "[%d tables done in %v]\n", len(figs), time.Since(start).Round(time.Millisecond))
 }

@@ -10,25 +10,33 @@ import (
 	"fmt"
 	"log"
 
-	"rmalocks/internal/bench"
+	"rmalocks"
 )
 
 func main() {
+	const (
+		procs = 64
+		ops   = 200 // per client
+	)
 	fmt.Println("Read-mostly KV store over the distributed hashtable (64 procs, F_W=0.2%)")
 	fmt.Println()
 	fmt.Printf("%-10s %12s %10s %10s %8s\n", "scheme", "total[ms]", "inserts", "lookups", "stored")
-	for _, scheme := range []string{bench.SchemeFoMPIA, bench.SchemeFoMPIRW, bench.SchemeRMARW} {
-		r, err := bench.RunDHT(bench.DHTParams{
-			Scheme:     scheme,
-			P:          64,
-			FW:         0.002,
-			OpsPerProc: 200,
+	for _, scheme := range []string{"foMPI-A", "foMPI-RW", "RMA-RW"} {
+		// foMPI-A is no lock at all: the hashtable's atomic operations.
+		atomic := scheme == "foMPI-A"
+		rep, err := rmalocks.RunWorkload(rmalocks.WorkloadSpec{
+			Scheme: scheme, NoLock: atomic, P: procs, Iters: ops,
+			Warmup:   -1, // the paper's DHT benchmark has none
+			Profile:  rmalocks.UniformProfile{FW: 0.002},
+			Workload: &rmalocks.DHTWorkload{Cells: procs*ops + 16, Atomic: atomic},
+			// Rank 0 only hosts the volume; the other ranks are its clients.
+			Skip: func(rank, procs int) bool { return rank == 0 },
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s %12.3f %10d %10d %8d\n",
-			r.Scheme, r.TotalTimeMs, r.Inserts, r.Lookups, r.Stored)
+			scheme, rep.MakespanMs, rep.Writes, rep.Reads, int(rep.Extra["stored"]))
 	}
 	fmt.Println()
 	fmt.Println("RMA-RW lets the read-dominated traffic proceed through per-node")

@@ -1,176 +1,192 @@
-// Package bench implements the paper's evaluation harness (§5): the five
-// microbenchmarks (LB, ECSB, SOB, WCSB, WARB), the reader/writer workload
-// generator, the distributed-hashtable benchmark, and per-figure runners
-// that regenerate every figure of the evaluation section as a text table.
+// Package bench holds the paper's evaluation (§5) as data: every figure
+// and ablation is a Figure value — a title, columns, metric projections
+// and labelled series of sweep cells — and one runner, Run, hands all
+// cells of an invocation to a single sweep.Run and orders the reports
+// into table rows. figures.go lists the values; claims.go re-checks the
+// paper's headline claims over the same rows.
 package bench
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
-	"rmalocks/internal/scheme"
 	"rmalocks/internal/stats"
+	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
 
-// Workload selects the critical-section and inter-acquire behaviour of a
-// benchmark iteration (§5, "Selection of Benchmarks").
-type Workload int
-
-const (
-	// ECSB: empty-critical-section benchmark.
-	ECSB Workload = iota
-	// SOB: single-operation benchmark (one remote memory access in the CS).
-	SOB
-	// WCSB: workload-critical-section benchmark (shared counter increment
-	// plus 1–4 µs of local work in the CS).
-	WCSB
-	// WARB: wait-after-release benchmark (1–4 µs pause between releases).
-	WARB
-)
-
-func (w Workload) String() string {
-	switch w {
-	case ECSB:
-		return "ECSB"
-	case SOB:
-		return "SOB"
-	case WCSB:
-		return "WCSB"
-	case WARB:
-		return "WARB"
-	default:
-		return fmt.Sprintf("Workload(%d)", int(w))
-	}
-}
-
-// Mutex scheme names (comparison targets of §5.1), aliased from the
-// workload harness so the two packages cannot drift.
+// Scheme names, aliased from the workload harness so the two packages
+// cannot drift.
 const (
 	SchemeFoMPISpin = workload.SchemeFoMPISpin
 	SchemeDMCS      = workload.SchemeDMCS
 	SchemeRMAMCS    = workload.SchemeRMAMCS
+	SchemeFoMPIRW   = workload.SchemeFoMPIRW
+	SchemeRMARW     = workload.SchemeRMARW
+	// SchemeFoMPIA labels the DHT's lock-free baseline: raw atomics and
+	// no lock, so not a scheme of the registry.
+	SchemeFoMPIA = "foMPI-A"
 )
 
-// RW scheme names (§5.2, §5.3).
-const (
-	SchemeFoMPIRW = workload.SchemeFoMPIRW
-	SchemeRMARW   = workload.SchemeRMARW
-	SchemeFoMPIA  = "foMPI-A" // DHT only: raw atomics, no lock
-)
-
-// MutexSchemes lists the mutex comparison targets in presentation
-// order, derived from the scheme registry (the writer-only schemes).
-var MutexSchemes = scheme.Mutexes()
-
-// ProcsPerNode is the paper's machine configuration: 16 MPI processes per
-// compute node (one per hardware thread).
-const ProcsPerNode = 16
-
-// timeLimit bounds one benchmark run (virtual ns); generous, but converts
-// protocol livelock into an error instead of a hang.
-const timeLimit = 1 << 42 // ~73 min virtual
-
-// MutexParams configures one mutex benchmark run.
-type MutexParams struct {
-	Scheme       string
-	P            int
-	Workload     Workload
-	Iters        int // measured acquire/release cycles per process
-	Seed         int64
-	ProcsPerNode int     // default ProcsPerNode
-	TL           []int64 // RMA-MCS locality thresholds (optional)
-	Engine       string  // scheduler engine ("" = fast path, "ref" = reference)
+// Scale selects the sweep size of the figures: Quick keeps unit tests
+// and in-repo benchmarks fast, Full mirrors the paper's process counts.
+type Scale struct {
+	Name   string
+	Ps     []int // swept process counts, ascending
+	Iters  int   // measured cycles per process
+	DHTOps int   // DHT operations per process
 }
 
-// RWParams configures one reader-writer benchmark run.
-type RWParams struct {
-	Scheme       string
-	P            int
-	Workload     Workload // ECSB or SOB
-	FW           float64  // writer fraction, e.g., 0.002 for 0.2%
-	Iters        int
-	Seed         int64
-	ProcsPerNode int
-	Engine       string // scheduler engine ("" = fast path, "ref" = reference)
-	// RMA-RW parameters (ignored by foMPI-RW).
-	TDC int
-	TR  int64
-	TL  []int64
+// Quick is the test-sized sweep.
+var Quick = Scale{Name: "quick", Ps: []int{8, 16, 32, 64}, Iters: 30, DHTOps: 12}
+
+// Medium covers the crossover region at moderate cost.
+var Medium = Scale{Name: "medium", Ps: []int{8, 16, 32, 64, 128, 256}, Iters: 40, DHTOps: 16}
+
+// Full mirrors the paper's sweep (16–1024 processes, plus 8 to show the
+// intra-node spike).
+var Full = Scale{Name: "full", Ps: []int{8, 16, 32, 64, 128, 256, 512, 1024}, Iters: 50, DHTOps: 20}
+
+// ScaleByName resolves a scale preset.
+func ScaleByName(name string) (Scale, error) {
+	for _, sc := range []Scale{Quick, Medium, Full} {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("bench: unknown scale %q (quick|medium|full)", name)
 }
 
-// Result is the outcome of one benchmark run.
-type Result struct {
-	Scheme string
-	P      int
-	// ThroughputMops is aggregate lock acquires per second, in millions
-	// (the paper's "mln locks/s").
-	ThroughputMops float64
-	// Latency summarizes per-operation acquire+release latency in µs.
-	Latency stats.Summary
-	// MakespanMs is the measured phase's virtual duration.
-	MakespanMs float64
-	// Ops is the number of measured acquire/release cycles.
-	Ops int64
-	// WarmupOps is the number of discarded warm-up cycles (lock-level
-	// statistics such as DirectEntries cover warm-up too).
-	WarmupOps int64
-	// RemoteOps is the number of RMA operations that left their rank.
-	RemoteOps int64
-	// DirectEntries counts RMA-MCS acquisitions that short-cut into the
-	// CS through an intra-element pass (0 for other schemes), including
-	// warm-up cycles.
-	DirectEntries int64
+// Metric projects one report onto a table column.
+type Metric func(workload.Report) float64
+
+// Figure is one table of the evaluation.
+type Figure struct {
+	// Name selects the figure on the command line ("3a", "locality").
+	Name  string
+	Title string
+	// Columns names every column: the label columns — "P" among them
+	// where the process count is printed — then one per Metric. Rows are
+	// ordered by the label columns from the left: the labels before "P"
+	// in series order, then P ascending, then the remaining labels in
+	// series order.
+	Columns []string
+	Metrics []Metric
+	Series  []Series
 }
 
-// DirectFraction returns the share of all acquisitions (including
-// warm-up) that short-cut via an intra-element pass.
-func (r Result) DirectFraction() float64 {
-	total := r.Ops + r.WarmupOps
-	if total == 0 {
-		return 0
-	}
-	return float64(r.DirectEntries) / float64(total)
+// Series is one labelled line of a figure: a row per cell.
+type Series struct {
+	// Labels fills the row's label columns, "P" aside.
+	Labels []string
+	// Grid enumerates the series' cells, one per process count.
+	Grid sweep.Grid
+	// Cells replaces Grid for a shape no grid coordinate expresses yet
+	// (the single-volume DHT with its lock-free baseline, a scaled
+	// latency model): hand-built cells, which have no content address.
+	Cells []sweep.Cell
 }
 
-func (r Result) String() string {
-	return fmt.Sprintf("%s P=%d: %.3f mln locks/s, mean latency %.2f µs",
-		r.Scheme, r.P, r.ThroughputMops, r.Latency.Mean)
+// Row is one table row: its label cells, P included, and the report its
+// metric cells are projected from.
+type Row struct {
+	Labels []string
+	Report workload.Report
 }
 
-func (p *MutexParams) fill() {
-	if p.ProcsPerNode == 0 {
-		p.ProcsPerNode = ProcsPerNode
+// Pick returns the figure or ablation of figs called name, or all of
+// them for "all".
+func Pick(figs []Figure, name string) ([]Figure, error) {
+	if name == "all" {
+		return figs, nil
 	}
-	if p.Iters == 0 {
-		p.Iters = 50
+	var have []string
+	for _, f := range figs {
+		if f.Name == name {
+			return []Figure{f}, nil
+		}
+		have = append(have, f.Name)
 	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
+	return nil, fmt.Errorf("bench: nothing named %q (have %v, or all)", name, have)
 }
 
-func (p *RWParams) fill() {
-	if p.ProcsPerNode == 0 {
-		p.ProcsPerNode = ProcsPerNode
+// Run executes every cell of figs in one sweep.Run on the worker pool —
+// a cell two figures share (3a and 3b print two metrics of the same
+// runs) once — and returns each figure's rows in table order.
+func Run(figs []Figure) ([][]Row, error) {
+	type rowRef struct {
+		labels   []string
+		panel, p int
+		cell     int // index into cells
 	}
-	if p.Iters == 0 {
-		p.Iters = 50
+	var cells []sweep.Cell
+	byInput := map[string]int{}
+	refs := make([][]rowRef, len(figs))
+	for fi, f := range figs {
+		nlabels := len(f.Columns) - len(f.Metrics)
+		pcol := slices.Index(f.Columns[:nlabels], "P")
+		lead := pcol // labels ordered before P: all of them without a P column
+		if pcol < 0 {
+			lead = nlabels
+		}
+		panel := 0
+		for si, s := range f.Series {
+			if si > 0 && !slices.Equal(s.Labels[:lead], f.Series[si-1].Labels[:lead]) {
+				panel++
+			}
+			sc := s.Cells
+			if sc == nil {
+				var err error
+				if sc, err = s.Grid.Cells(); err != nil {
+					return nil, fmt.Errorf("bench: figure %s: %w", f.Name, err)
+				}
+			}
+			for _, c := range sc {
+				at, shared := byInput[c.Input]
+				if !shared {
+					at = len(cells)
+					cells = append(cells, c)
+					if c.Input != "" {
+						byInput[c.Input] = at
+					}
+				}
+				labels := s.Labels
+				if pcol >= 0 {
+					labels = slices.Insert(slices.Clone(labels), pcol, strconv.Itoa(c.Key.P))
+				}
+				refs[fi] = append(refs[fi], rowRef{labels, panel, c.Key.P, at})
+			}
+		}
+		slices.SortStableFunc(refs[fi], func(a, b rowRef) int {
+			if a.panel != b.panel {
+				return a.panel - b.panel
+			}
+			return a.p - b.p
+		})
 	}
-	if p.Seed == 0 {
-		p.Seed = 1
+	results, err := sweep.Run(cells, sweep.Options{})
+	if err != nil {
+		return nil, err
 	}
-	if p.TDC == 0 {
-		p.TDC = p.ProcsPerNode // one counter per compute node (§6)
+	rows := make([][]Row, len(figs))
+	for fi := range figs {
+		for _, r := range refs[fi] {
+			rows[fi] = append(rows[fi], Row{Labels: r.labels, Report: results[r.cell].Report})
+		}
 	}
-	if p.TR == 0 {
-		p.TR = 1000
-	}
-	if p.TL == nil {
-		p.TL = []int64{0, 40, 25} // T_W = 1000, the paper's Fig. 4c middle
-	}
+	return rows, nil
 }
 
-// The per-workload critical-section bodies, lock construction, and the
-// measurement loop itself live in internal/workload; the Run* functions
-// in run.go translate this package's parameter structs into
-// workload.Spec values.
+// Table renders the figure's rows, as Run returned them.
+func (f Figure) Table(rows []Row) *stats.Table {
+	t := &stats.Table{Title: f.Title, Columns: f.Columns}
+	for _, r := range rows {
+		cells := append([]string(nil), r.Labels...)
+		for _, m := range f.Metrics {
+			cells = append(cells, stats.FmtF(m(r.Report)))
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}

@@ -2,205 +2,146 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
-	"rmalocks/internal/scheme"
-	"rmalocks/internal/stats"
-	"rmalocks/internal/sweep"
+	"rmalocks/internal/workload"
 )
 
 // Claim is one of the paper's headline results, re-checked against the
 // simulation. Holds reports whether the *shape* of the claim (who wins,
 // direction of the effect) reproduces; Detail carries the measured
-// numbers so EXPERIMENTS.md can record paper-vs-measured.
+// numbers and Paper what the paper reports, which EXPERIMENTS.md
+// records side by side.
 type Claim struct {
 	ID          string
 	Description string
+	Paper       string
 	Holds       bool
 	Detail      string
 }
 
-// VerifyClaims re-runs the minimal set of benchmarks needed to check the
-// paper's key claims at the largest process count of the scale. Every
-// measurement is an independent deterministic simulation, so they all
-// execute in parallel on the sweep engine's worker pool; the claims are
-// assembled from the filled slots afterwards, in a fixed order.
-func VerifyClaims(sc Scale) ([]Claim, error) {
-	P := sc.Ps[len(sc.Ps)-1]
-
-	var jobs []func() error
-	add := func(fn func() error) { jobs = append(jobs, fn) }
-
-	// --- §5.1 measurements: mutex latency/throughput plus the
-	// intra-node spike pair. ---
-	mutexRes := make([]Result, len(MutexSchemes))
-	for i, scheme := range MutexSchemes {
-		i, scheme := i, scheme
-		add(func() error {
-			r, err := RunMutex(MutexParams{Scheme: scheme, P: P, Workload: ECSB, Iters: sc.Iters})
-			mutexRes[i] = r
-			return err
-		})
-	}
-	var d16, d32 Result
-	add(func() error {
-		var err error
-		d16, err = RunMutex(MutexParams{Scheme: SchemeDMCS, P: 16, Workload: ECSB, Iters: sc.Iters})
-		return err
-	})
-	add(func() error {
-		var err error
-		d32, err = RunMutex(MutexParams{Scheme: SchemeDMCS, P: 32, Workload: ECSB, Iters: sc.Iters})
-		return err
-	})
-
-	// --- §5.2.4 measurements: RMA-RW vs foMPI-RW across F_W
-	// (registry-derived: every scheme with reader-writer semantics). ---
-	rwSchemes := scheme.RWCapable()
-	rwFWs := []float64{0.002, 0.02, 0.05}
-	rwRes := make([]Result, len(rwSchemes)*len(rwFWs))
-	for i, scheme := range rwSchemes {
-		for j, fw := range rwFWs {
-			slot, scheme, fw := i*len(rwFWs)+j, scheme, fw
-			add(func() error {
-				r, err := RunRW(RWParams{Scheme: scheme, P: P, Workload: ECSB, FW: fw, Iters: sc.Iters})
-				rwRes[slot] = r
-				return err
-			})
+// claimFigures lists what VerifyClaims measures: Figures 3b, 5b and 6 at
+// the largest process count of the scale, plus two pairs no figure
+// plots — D-MCS either side of the single-node regime, and RMA-RW at
+// the default T_R against one low enough to be reached (a counter sees
+// about 16·Iters reads in a run, so the thresholds of Figure 4e never
+// are).
+func claimFigures(sc Scale) []Figure {
+	one := sc.largest()
+	var figs []Figure
+	for _, f := range Figures(one) {
+		switch f.Name {
+		case "3b", "5b", "6":
+			figs = append(figs, f)
 		}
 	}
-
-	// --- §5.2.3 measurements: the T_R preference pair. ---
-	var trLo, trHi Result
-	add(func() error {
-		var err error
-		trLo, err = RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: ECSB, FW: 0.002, Iters: sc.Iters, TR: 1000})
-		return err
-	})
-	add(func() error {
-		var err error
-		trHi, err = RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: ECSB, FW: 0.002, Iters: sc.Iters, TR: 6000})
-		return err
-	})
-
-	// --- §5.3 measurements: the DHT case study — the lock-free
-	// foMPI-A baseline plus every RW-capable registry scheme. ---
-	dhtSchemes := append([]string{SchemeFoMPIA}, scheme.RWCapable()...)
-	dhtFWpair := []float64{0.05, 0.0}
-	dhtRes := make([]DHTResult, len(dhtSchemes)*len(dhtFWpair))
-	for i, scheme := range dhtSchemes {
-		for j, fw := range dhtFWpair {
-			slot, scheme, fw := i*len(dhtFWpair)+j, scheme, fw
-			add(func() error {
-				r, err := RunDHT(DHTParams{Scheme: scheme, P: P, FW: fw, OpsPerProc: sc.DHTOps})
-				dhtRes[slot] = r
-				return err
-			})
-		}
+	spike := sc.grid(SchemeDMCS, "empty", 1)
+	spike.Ps = []int{16, 32}
+	var tr []Series
+	for _, v := range []int64{trLow, trDefault} {
+		tr = append(tr, Series{Labels: []string{fmt.Sprint(v)}, Grid: one.grid(SchemeRMARW, "empty", 0.002, tune("TR", v))})
 	}
-
-	if err := sweep.ForEach(len(jobs), 0, func(i int) error { return jobs[i]() }); err != nil {
-		return nil, err
-	}
-
-	lat := map[string]float64{}
-	thr := map[string]float64{}
-	for i, scheme := range MutexSchemes {
-		lat[scheme] = mutexRes[i].Latency.Mean
-		thr[scheme] = mutexRes[i].ThroughputMops
-	}
-	rwThr := map[string]map[float64]float64{}
-	for i, scheme := range rwSchemes {
-		rwThr[scheme] = map[float64]float64{}
-		for j, fw := range rwFWs {
-			rwThr[scheme][fw] = rwRes[i*len(rwFWs)+j].ThroughputMops
-		}
-	}
-	dhtTime := map[string]map[float64]float64{}
-	for i, scheme := range dhtSchemes {
-		dhtTime[scheme] = map[float64]float64{}
-		for j, fw := range dhtFWpair {
-			dhtTime[scheme][fw] = dhtRes[i*len(dhtFWpair)+j].TotalTimeMs
-		}
-	}
-
-	var claims []Claim
-	claims = append(claims, Claim{
-		ID: "C1-latency",
-		Description: fmt.Sprintf("§5.1: RMA-MCS acquire+release latency beats foMPI-Spin and D-MCS at P=%d "+
-			"(paper: ≈10x and ≈4x at P=1024)", P),
-		Holds: lat[SchemeRMAMCS] < lat[SchemeDMCS] && lat[SchemeRMAMCS] < lat[SchemeFoMPISpin],
-		Detail: fmt.Sprintf("mean latency µs: RMA-MCS=%.1f D-MCS=%.1f foMPI-Spin=%.1f (ratios %.1fx, %.1fx)",
-			lat[SchemeRMAMCS], lat[SchemeDMCS], lat[SchemeFoMPISpin],
-			lat[SchemeFoMPISpin]/lat[SchemeRMAMCS], lat[SchemeDMCS]/lat[SchemeRMAMCS]),
-	})
-	claims = append(claims, Claim{
-		ID:          "C2-mutex-throughput",
-		Description: fmt.Sprintf("§5.1: RMA-MCS ECSB throughput beats D-MCS and foMPI-Spin at P=%d", P),
-		Holds:       thr[SchemeRMAMCS] > thr[SchemeDMCS] && thr[SchemeRMAMCS] > thr[SchemeFoMPISpin],
-		Detail: fmt.Sprintf("mln locks/s: RMA-MCS=%.2f D-MCS=%.2f foMPI-Spin=%.3f",
-			thr[SchemeRMAMCS], thr[SchemeDMCS], thr[SchemeFoMPISpin]),
-	})
-	claims = append(claims, Claim{
-		ID:          "C3-intranode-spike",
-		Description: "§5.1: ECSB throughput drops when leaving the single-node regime (P=16→32, D-MCS)",
-		Holds:       d32.ThroughputMops < d16.ThroughputMops,
-		Detail: fmt.Sprintf("D-MCS mln locks/s: P=16 %.2f → P=32 %.2f",
-			d16.ThroughputMops, d32.ThroughputMops),
-	})
-	gain := rwThr[SchemeRMARW][0.002] / rwThr[SchemeFoMPIRW][0.002]
-	claims = append(claims, Claim{
-		ID: "C4-rw-vs-fompi",
-		Description: fmt.Sprintf("§5.2.4: RMA-RW outperforms foMPI-RW at P=%d for every F_W "+
-			"(paper: >6x for P≥64)", P),
-		Holds: rwThr[SchemeRMARW][0.002] > rwThr[SchemeFoMPIRW][0.002] &&
-			rwThr[SchemeRMARW][0.02] > rwThr[SchemeFoMPIRW][0.02] &&
-			rwThr[SchemeRMARW][0.05] > rwThr[SchemeFoMPIRW][0.05],
-		Detail: fmt.Sprintf("mln locks/s at F_W=0.2%%: RMA-RW=%.2f foMPI-RW=%.2f (%.1fx); "+
-			"F_W=2%%: %.2f vs %.2f; F_W=5%%: %.2f vs %.2f",
-			rwThr[SchemeRMARW][0.002], rwThr[SchemeFoMPIRW][0.002], gain,
-			rwThr[SchemeRMARW][0.02], rwThr[SchemeFoMPIRW][0.02],
-			rwThr[SchemeRMARW][0.05], rwThr[SchemeFoMPIRW][0.05]),
-	})
-	claims = append(claims, Claim{
-		ID:          "C5-fw-ordering",
-		Description: "§5.2.4: lower writer fraction gives higher RW throughput (0.2% > 2% > 5%)",
-		Holds: rwThr[SchemeRMARW][0.002] > rwThr[SchemeRMARW][0.02] &&
-			rwThr[SchemeRMARW][0.02] > rwThr[SchemeRMARW][0.05],
-		Detail: fmt.Sprintf("RMA-RW mln locks/s: 0.2%%=%.2f 2%%=%.2f 5%%=%.2f",
-			rwThr[SchemeRMARW][0.002], rwThr[SchemeRMARW][0.02], rwThr[SchemeRMARW][0.05]),
-	})
-	claims = append(claims, Claim{
-		ID:          "C6-tr-preference",
-		Description: "§5.2.3: increasing T_R improves read-dominated throughput (F_W=0.2%)",
-		Holds:       trHi.ThroughputMops >= trLo.ThroughputMops,
-		Detail: fmt.Sprintf("mln locks/s: T_R=6000 %.2f vs T_R=1000 %.2f",
-			trHi.ThroughputMops, trLo.ThroughputMops),
-	})
-	claims = append(claims, Claim{
-		ID:          "C7-dht",
-		Description: fmt.Sprintf("§5.3: RMA-RW beats foMPI-RW on the DHT at F_W=5%%, P=%d", P),
-		Holds:       dhtTime[SchemeRMARW][0.05] < dhtTime[SchemeFoMPIRW][0.05],
-		Detail: fmt.Sprintf("total ms at F_W=5%%: RMA-RW=%.2f foMPI-RW=%.2f foMPI-A=%.2f; "+
-			"F_W=0%%: RMA-RW=%.2f foMPI-RW=%.2f",
-			dhtTime[SchemeRMARW][0.05], dhtTime[SchemeFoMPIRW][0.05], dhtTime[SchemeFoMPIA][0.05],
-			dhtTime[SchemeRMARW][0.0], dhtTime[SchemeFoMPIRW][0.0]),
-	})
-
-	return claims, nil
+	return append(figs,
+		Figure{Name: "spike", Columns: []string{"P"}, Series: []Series{{Grid: spike}}},
+		Figure{Name: "tr", Columns: []string{"T_R"}, Series: tr})
 }
 
-// ClaimsTable renders claims as a result table.
-func ClaimsTable(claims []Claim) *stats.Table {
-	t := &stats.Table{
-		Title:   "Headline-claim verification (shape, not absolute numbers)",
-		Columns: []string{"ID", "Holds", "Measured"},
+// Claim C6's reader thresholds.
+const trLow, trDefault = 100, 1000
+
+// VerifyClaims checks the paper's key claims at the largest process
+// count of the scale, over rows of the figures that plot them.
+func VerifyClaims(sc Scale) ([]Claim, error) {
+	P := sc.Ps[len(sc.Ps)-1]
+	figs := claimFigures(sc)
+	rows, err := Run(figs)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range claims {
-		ok := "yes"
-		if !c.Holds {
-			ok = "NO"
+	// at is the report of the named figure's row with these label cells.
+	at := func(name string, labels ...string) workload.Report {
+		for fi, f := range figs {
+			for _, r := range rows[fi] {
+				if f.Name == name && slices.Equal(r.Labels, labels) {
+					return r.Report
+				}
+			}
 		}
-		t.AddRow(c.ID, ok, c.Detail)
+		if err == nil {
+			err = fmt.Errorf("bench: claims: figure %s has no row %v", name, labels)
+		}
+		return workload.Report{}
 	}
-	return t
+	atP := strconv.Itoa(P)
+	lat := func(s string) float64 { return at("3b", atP, s).Latency.Mean }
+	thr := func(s string) float64 { return at("3b", atP, s).ThroughputMops }
+	rw := func(s string, fw float64) float64 { return at("5b", atP, s, fwLabel(fw)).ThroughputMops }
+	dht := func(s string, fw float64) float64 { return at("6", fwLabel(fw), atP, s).MakespanMs }
+	d16, d32 := at("spike", "16").ThroughputMops, at("spike", "32").ThroughputMops
+	trLo, trHi := at("tr", fmt.Sprint(trLow)).ThroughputMops, at("tr", fmt.Sprint(trDefault)).ThroughputMops
+
+	claims := []Claim{{
+		ID:          "C1-latency",
+		Description: fmt.Sprintf("§5.1: RMA-MCS acquire+release latency beats foMPI-Spin and D-MCS at P=%d", P),
+		Paper:       "≈10x below foMPI-Spin and ≈4x below D-MCS at P=1024",
+		Holds:       lat(SchemeRMAMCS) < lat(SchemeDMCS) && lat(SchemeRMAMCS) < lat(SchemeFoMPISpin),
+		Detail: fmt.Sprintf("mean latency µs: RMA-MCS=%.1f D-MCS=%.1f foMPI-Spin=%.1f (ratios %.1fx, %.1fx)",
+			lat(SchemeRMAMCS), lat(SchemeDMCS), lat(SchemeFoMPISpin),
+			lat(SchemeFoMPISpin)/lat(SchemeRMAMCS), lat(SchemeDMCS)/lat(SchemeRMAMCS)),
+	}, {
+		ID:          "C2-mutex-throughput",
+		Description: fmt.Sprintf("§5.1: RMA-MCS ECSB throughput beats D-MCS and foMPI-Spin at P=%d", P),
+		Paper:       "RMA-MCS highest of the three at scale",
+		Holds:       thr(SchemeRMAMCS) > thr(SchemeDMCS) && thr(SchemeRMAMCS) > thr(SchemeFoMPISpin),
+		Detail: fmt.Sprintf("mln locks/s: RMA-MCS=%.2f D-MCS=%.2f foMPI-Spin=%.3f",
+			thr(SchemeRMAMCS), thr(SchemeDMCS), thr(SchemeFoMPISpin)),
+	}, {
+		ID:          "C3-intranode-spike",
+		Description: "§5.1: ECSB throughput drops when leaving the single-node regime (P=16→32, D-MCS)",
+		Paper:       "throughput peaks while all processes share a node, then falls",
+		Holds:       d32 < d16,
+		Detail:      fmt.Sprintf("D-MCS mln locks/s: P=16 %.2f → P=32 %.2f", d16, d32),
+	}, {
+		ID:          "C4-rw-vs-fompi",
+		Description: fmt.Sprintf("§5.2.4: RMA-RW outperforms foMPI-RW at P=%d for every F_W", P),
+		Paper:       ">6x for P≥64",
+		Holds: rw(SchemeRMARW, 0.002) > rw(SchemeFoMPIRW, 0.002) &&
+			rw(SchemeRMARW, 0.02) > rw(SchemeFoMPIRW, 0.02) &&
+			rw(SchemeRMARW, 0.05) > rw(SchemeFoMPIRW, 0.05),
+		Detail: fmt.Sprintf("mln locks/s at F_W=0.2%%: RMA-RW=%.2f foMPI-RW=%.2f (%.1fx); "+
+			"F_W=2%%: %.2f vs %.2f; F_W=5%%: %.2f vs %.2f",
+			rw(SchemeRMARW, 0.002), rw(SchemeFoMPIRW, 0.002), rw(SchemeRMARW, 0.002)/rw(SchemeFoMPIRW, 0.002),
+			rw(SchemeRMARW, 0.02), rw(SchemeFoMPIRW, 0.02),
+			rw(SchemeRMARW, 0.05), rw(SchemeFoMPIRW, 0.05)),
+	}, {
+		ID:          "C5-fw-ordering",
+		Description: "§5.2.4: lower writer fraction gives higher RW throughput (0.2% > 2% > 5%)",
+		Paper:       "0.2% > 2% > 5%",
+		Holds:       rw(SchemeRMARW, 0.002) > rw(SchemeRMARW, 0.02) && rw(SchemeRMARW, 0.02) > rw(SchemeRMARW, 0.05),
+		Detail: fmt.Sprintf("RMA-RW mln locks/s: 0.2%%=%.2f 2%%=%.2f 5%%=%.2f",
+			rw(SchemeRMARW, 0.002), rw(SchemeRMARW, 0.02), rw(SchemeRMARW, 0.05)),
+	}, {
+		ID:          "C6-tr-preference",
+		Description: "§5.2.3: increasing T_R improves read-dominated throughput (F_W=0.2%)",
+		Paper:       "larger T_R, higher throughput at F_W=0.2%",
+		// Strict: two runs the threshold does not tell apart are not
+		// evidence of its effect.
+		Holds:  trHi > trLo,
+		Detail: fmt.Sprintf("mln locks/s: T_R=%d %.2f vs T_R=%d %.2f", trDefault, trHi, trLow, trLo),
+	}, {
+		ID:          "C7-dht",
+		Description: fmt.Sprintf("§5.3: RMA-RW beats foMPI-RW on the DHT at F_W=5%%, P=%d", P),
+		Paper:       "RMA-RW below foMPI-RW in total time; foMPI-A lowest",
+		Holds:       dht(SchemeRMARW, 0.05) < dht(SchemeFoMPIRW, 0.05),
+		Detail: fmt.Sprintf("total ms at F_W=5%%: RMA-RW=%.2f foMPI-RW=%.2f foMPI-A=%.2f; "+
+			"F_W=0%%: RMA-RW=%.2f foMPI-RW=%.2f",
+			dht(SchemeRMARW, 0.05), dht(SchemeFoMPIRW, 0.05), dht(SchemeFoMPIA, 0.05),
+			dht(SchemeRMARW, 0), dht(SchemeFoMPIRW, 0)),
+	}}
+	// A row at did not find is a bug in the lookups above, not a result.
+	if err != nil {
+		return nil, err
+	}
+	return claims, nil
 }

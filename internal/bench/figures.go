@@ -2,366 +2,244 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
-	"rmalocks/internal/stats"
+	"rmalocks/internal/rma"
+	"rmalocks/internal/scheme"
+	"rmalocks/internal/sweep"
+	"rmalocks/internal/workload"
 )
 
-// Scale selects the sweep size of the figure runners: Quick keeps unit
-// tests and in-repo benchmarks fast, Full mirrors the paper's process
-// counts.
-type Scale struct {
-	Name   string
-	Ps     []int // swept process counts
-	Iters  int   // measured cycles per process
-	DHTOps int   // DHT operations per process
-}
+// Metric columns and the projections behind them.
+const (
+	thrCol = "Throughput[mln/s]"
+	latCol = "MeanLatency[us]"
+)
 
-// Quick is the test-sized sweep.
-var Quick = Scale{Name: "quick", Ps: []int{8, 16, 32, 64}, Iters: 30, DHTOps: 12}
+func throughput(r workload.Report) float64  { return r.ThroughputMops }
+func meanLatency(r workload.Report) float64 { return r.Latency.Mean }
+func p99Latency(r workload.Report) float64  { return r.Latency.P99 }
+func totalTime(r workload.Report) float64   { return r.MakespanMs }
 
-// Medium covers the crossover region at moderate cost.
-var Medium = Scale{Name: "medium", Ps: []int{8, 16, 32, 64, 128, 256}, Iters: 40, DHTOps: 16}
-
-// Full mirrors the paper's sweep (16–1024 processes, plus 8 to show the
-// intra-node spike).
-var Full = Scale{Name: "full", Ps: []int{8, 16, 32, 64, 128, 256, 512, 1024}, Iters: 50, DHTOps: 20}
-
-// ScaleByName resolves a scale preset.
-func ScaleByName(name string) (Scale, error) {
-	switch name {
-	case "quick":
-		return Quick, nil
-	case "medium":
-		return Medium, nil
-	case "full":
-		return Full, nil
-	default:
-		return Scale{}, fmt.Errorf("bench: unknown scale %q (quick|medium|full)", name)
-	}
+// shortcutPct is the share of acquisitions that entered through an
+// intra-element pass; DirectEntries counts warm-up cycles, so they are
+// in the denominator too.
+func shortcutPct(r workload.Report) float64 {
+	return float64(r.DirectEntries) / float64(r.Ops+r.WarmupOps) * 100
 }
 
 // fwLabel formats a writer fraction the way the paper does ("0.2%").
 func fwLabel(fw float64) string { return fmt.Sprintf("%g%%", fw*100) }
 
-// Figure3 regenerates one subfigure of Figure 3 (§5.1): the RMA-MCS
-// comparison against foMPI-Spin and D-MCS. sub is "a" (LB latency) or
-// "b".."e" (ECSB/SOB/WCSB/WARB throughput).
-func Figure3(sub string, sc Scale) (*stats.Table, []Result, error) {
-	var (
-		wl      Workload
-		metric  string
-		latency bool
-	)
-	switch sub {
-	case "a":
-		wl, metric, latency = ECSB, "MeanLatency[us]", true
-	case "b":
-		wl, metric = ECSB, "Throughput[mln/s]"
-	case "c":
-		wl, metric = SOB, "Throughput[mln/s]"
-	case "d":
-		wl, metric = WCSB, "Throughput[mln/s]"
-	case "e":
-		wl, metric = WARB, "Throughput[mln/s]"
-	default:
-		return nil, nil, fmt.Errorf("bench: Figure3 sub %q (want a..e)", sub)
+// grid is the cell shape the microbenchmarks share: one lock under the
+// uniform profile, swept over the scale's process counts. The paper's
+// benchmark names map onto workloads: ECSB and LB are "empty", SOB is
+// "sharedop", WCSB is "counter", WARB is "empty" with think time.
+func (sc Scale) grid(schemeName, wl string, fw float64, tun ...sweep.TunableAxis) sweep.Grid {
+	return sweep.Grid{Schemes: []string{schemeName}, Workloads: []string{wl}, Profiles: []string{"uniform"},
+		Ps: sc.Ps, Iters: sc.Iters, FW: fw, Locks: 1, Tunables: tun}
+}
+
+// largest is the scale reduced to its largest process count.
+func (sc Scale) largest() Scale {
+	sc.Ps = sc.Ps[len(sc.Ps)-1:]
+	return sc
+}
+
+func tune(key string, v int64) sweep.TunableAxis {
+	return sweep.TunableAxis{Key: key, Values: []int64{v}}
+}
+
+// Figures lists the paper's Figures 3–6 at the scale. A figure is added
+// by adding a value here.
+func Figures(sc Scale) []Figure {
+	// §5.1: a series per mutex scheme, every entry exclusive.
+	mutexes := func(wl string, thinkNs, jitterNs int64) []Series {
+		var out []Series
+		for _, s := range scheme.Mutexes() {
+			g := sc.grid(s, wl, 1)
+			g.ThinkNs, g.ThinkJitterNs = thinkNs, jitterNs
+			out = append(out, Series{Labels: []string{s}, Grid: g})
+		}
+		return out
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Figure 3%s: %s, %s vs P", sub, wl, metric),
-		Columns: []string{"P", "Scheme", metric},
+	// §5.2: RMA-RW with one tunable moved off its default (T_DC one
+	// counter per node, T_R 1000, T_L,1–T_L,2 40–25).
+	rmaRW := func(label, wl string, fw float64, tun ...sweep.TunableAxis) Series {
+		return Series{Labels: []string{label}, Grid: sc.grid(SchemeRMARW, wl, fw, tun...)}
 	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, scheme := range MutexSchemes {
-			r, err := RunMutex(MutexParams{Scheme: scheme, P: P, Workload: wl, Iters: sc.Iters})
-			if err != nil {
-				return nil, nil, err
-			}
-			all = append(all, r)
-			v := r.ThroughputMops
-			if latency {
-				v = r.Latency.Mean
-			}
-			t.AddRow(fmt.Sprint(P), scheme, stats.FmtF(v))
+
+	var tdc, tw, splitThr, splitLat, tr, trFW []Series
+	for _, v := range []int64{64, 32, 16, 8, 4, 2} {
+		s := rmaRW(fmt.Sprint(v), "sharedop", 0.02, tune("TDC", v))
+		// A counter every T_DC-th process needs T_DC ≤ P.
+		s.Grid.Ps = slices.DeleteFunc(slices.Clone(sc.Ps), func(p int) bool { return int64(p) < v })
+		if len(s.Grid.Ps) > 0 { // an empty Ps would mean the grid's default
+			tdc = append(tdc, s)
 		}
 	}
-	return t, all, nil
-}
-
-// Figure4a regenerates Figure 4a (§5.2.1): T_DC sweep, SOB, F_W = 2%.
-func Figure4a(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4a: T_DC analysis, SOB, F_W=2%",
-		Columns: []string{"P", "T_DC", "Throughput[mln/s]"},
+	// Π T_L,i = T_W, as (T_L,1, T_L,2) near the paper's node-level values.
+	for _, v := range [][2]int64{{50, 10}, {100, 10}, {100, 25}, {100, 50}, {100, 75}} {
+		tw = append(tw, rmaRW(fmt.Sprint(v[0]*v[1]), "sharedop", 0.25, tune("TL1", v[0]), tune("TL2", v[1])))
 	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, tdc := range []int{64, 32, 16, 8, 4, 2} {
-			if tdc > P {
-				continue
-			}
-			r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: SOB,
-				FW: 0.02, Iters: sc.Iters, TDC: tdc})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Scheme = fmt.Sprintf("TDC=%d", tdc)
-			all = append(all, r)
-			t.AddRow(fmt.Sprint(P), fmt.Sprint(tdc), stats.FmtF(r.ThroughputMops))
+	// Splits of T_W = 1000, labelled T_L,2-T_L,1 as in the paper's legend.
+	for _, v := range [][2]int64{{50, 20}, {25, 40}, {10, 100}} {
+		label := fmt.Sprintf("%d-%d", v[0], v[1])
+		splitThr = append(splitThr, rmaRW(label, "sharedop", 0.25, tune("TL2", v[0]), tune("TL1", v[1])))
+		splitLat = append(splitLat, rmaRW(label, "empty", 0.25, tune("TL2", v[0]), tune("TL1", v[1])))
+	}
+	for _, v := range []int64{6000, 5000, 4000, 3000, 2000, 1000} {
+		tr = append(tr, rmaRW(fmt.Sprint(v), "empty", 0.002, tune("TR", v)))
+	}
+	for _, fw := range []float64{0.02, 0.05} {
+		for _, v := range []int64{3000, 4000, 5000} {
+			trFW = append(trFW, rmaRW(fmt.Sprintf("%d-%g", v, fw*100), "empty", fw, tune("TR", v)))
 		}
 	}
-	return t, all, nil
-}
-
-// tlForProduct picks (T_L,1, T_L,2) whose product is the requested T_W,
-// keeping the node-level threshold near the paper's values.
-func tlForProduct(prod int64) []int64 {
-	switch prod {
-	case 500:
-		return []int64{0, 50, 10}
-	case 1000:
-		return []int64{0, 100, 10}
-	case 2500:
-		return []int64{0, 100, 25}
-	case 5000:
-		return []int64{0, 100, 50}
-	case 7500:
-		return []int64{0, 100, 75}
-	default:
-		return []int64{0, prod, 1}
-	}
-}
-
-// Figure4b regenerates Figure 4b (§5.2.2): Π T_L,i sweep, SOB, F_W = 25%.
-func Figure4b(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4b: Π T_L,i analysis, SOB, F_W=25%",
-		Columns: []string{"P", "TL_product", "Throughput[mln/s]"},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, prod := range []int64{500, 1000, 2500, 5000, 7500} {
-			r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: SOB,
-				FW: 0.25, Iters: sc.Iters, TL: tlForProduct(prod)})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Scheme = fmt.Sprintf("TW=%d", prod)
-			all = append(all, r)
-			t.AddRow(fmt.Sprint(P), fmt.Sprint(prod), stats.FmtF(r.ThroughputMops))
-		}
-	}
-	return t, all, nil
-}
-
-// tlSplits are Figure 4c/4d's (T_L,2, T_L,1) splits of T_W = 1000,
-// labeled T_L,2-T_L,1 as in the paper's legend.
-var tlSplits = []struct {
-	label string
-	tl    []int64 // [_, T_L,1, T_L,2]
-}{
-	{"50-20", []int64{0, 20, 50}},
-	{"25-40", []int64{0, 40, 25}},
-	{"10-100", []int64{0, 100, 10}},
-}
-
-// Figure4c regenerates Figure 4c: T_L,i split sweep, SOB throughput,
-// F_W = 25%.
-func Figure4c(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4c: T_L,i analysis, SOB, F_W=25%",
-		Columns: []string{"P", "TL2-TL1", "Throughput[mln/s]"},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, s := range tlSplits {
-			r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: SOB,
-				FW: 0.25, Iters: sc.Iters, TL: s.tl})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Scheme = s.label
-			all = append(all, r)
-			t.AddRow(fmt.Sprint(P), s.label, stats.FmtF(r.ThroughputMops))
-		}
-	}
-	return t, all, nil
-}
-
-// Figure4d regenerates Figure 4d: T_L,i split sweep, LB latency, F_W = 25%.
-func Figure4d(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4d: T_L,i analysis, LB, F_W=25%",
-		Columns: []string{"P", "TL2-TL1", "MeanLatency[us]"},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, s := range tlSplits {
-			r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: ECSB,
-				FW: 0.25, Iters: sc.Iters, TL: s.tl})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Scheme = s.label
-			all = append(all, r)
-			t.AddRow(fmt.Sprint(P), s.label, stats.FmtF(r.Latency.Mean))
-		}
-	}
-	return t, all, nil
-}
-
-// Figure4e regenerates Figure 4e (§5.2.3): T_R sweep, ECSB, F_W = 0.2%.
-func Figure4e(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4e: T_R analysis, ECSB, F_W=0.2%",
-		Columns: []string{"P", "T_R", "Throughput[mln/s]"},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, tr := range []int64{6000, 5000, 4000, 3000, 2000, 1000} {
-			r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: ECSB,
-				FW: 0.002, Iters: sc.Iters, TR: tr})
-			if err != nil {
-				return nil, nil, err
-			}
-			r.Scheme = fmt.Sprintf("TR=%d", tr)
-			all = append(all, r)
-			t.AddRow(fmt.Sprint(P), fmt.Sprint(tr), stats.FmtF(r.ThroughputMops))
-		}
-	}
-	return t, all, nil
-}
-
-// Figure4f regenerates Figure 4f: T_R × F_W interplay, ECSB.
-func Figure4f(sc Scale) (*stats.Table, []Result, error) {
-	t := &stats.Table{
-		Title:   "Figure 4f: T_R analysis, ECSB, F_W in {2%, 5%}",
-		Columns: []string{"P", "T_R-FW", "Throughput[mln/s]"},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, fw := range []float64{0.02, 0.05} {
-			for _, tr := range []int64{3000, 4000, 5000} {
-				r, err := RunRW(RWParams{Scheme: SchemeRMARW, P: P, Workload: ECSB,
-					FW: fw, Iters: sc.Iters, TR: tr})
-				if err != nil {
-					return nil, nil, err
-				}
-				label := fmt.Sprintf("%d-%g", tr, fw*100)
-				r.Scheme = label
-				all = append(all, r)
-				t.AddRow(fmt.Sprint(P), label, stats.FmtF(r.ThroughputMops))
-			}
-		}
-	}
-	return t, all, nil
-}
-
-// Figure5 regenerates one subfigure of Figure 5 (§5.2.4): RMA-RW vs
-// foMPI-RW for F_W in {0.2%, 2%, 5%}. sub is "a" (LB latency), "b" (ECSB)
-// or "c" (SOB).
-func Figure5(sub string, sc Scale) (*stats.Table, []Result, error) {
-	var (
-		wl      Workload
-		metric  string
-		latency bool
-	)
-	switch sub {
-	case "a":
-		wl, metric, latency = ECSB, "MeanLatency[us]", true
-	case "b":
-		wl, metric = ECSB, "Throughput[mln/s]"
-	case "c":
-		wl, metric = SOB, "Throughput[mln/s]"
-	default:
-		return nil, nil, fmt.Errorf("bench: Figure5 sub %q (want a..c)", sub)
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Figure 5%s: RMA-RW vs foMPI-RW, %s, %s", sub, wl, metric),
-		Columns: []string{"P", "Scheme", "F_W", metric},
-	}
-	var all []Result
-	for _, P := range sc.Ps {
-		for _, scheme := range []string{SchemeRMARW, SchemeFoMPIRW} {
+	// §5.2.4: a series per RW scheme and writer fraction.
+	rwVs := func(wl string) []Series {
+		var out []Series
+		for _, s := range []string{SchemeRMARW, SchemeFoMPIRW} {
 			for _, fw := range []float64{0.002, 0.02, 0.05} {
-				r, err := RunRW(RWParams{Scheme: scheme, P: P, Workload: wl,
-					FW: fw, Iters: sc.Iters})
-				if err != nil {
-					return nil, nil, err
-				}
-				r.Scheme = fmt.Sprintf("%s-%s", scheme, fwLabel(fw))
-				all = append(all, r)
-				v := r.ThroughputMops
-				if latency {
-					v = r.Latency.Mean
-				}
-				t.AddRow(fmt.Sprint(P), scheme, fwLabel(fw), stats.FmtF(v))
+				out = append(out, Series{Labels: []string{s, fwLabel(fw)}, Grid: sc.grid(s, wl, fw)})
 			}
 		}
+		return out
 	}
-	return t, all, nil
-}
-
-// dhtFWs are Figure 6's writer fractions (subfigures a–d).
-var dhtFWs = []float64{0.20, 0.05, 0.02, 0.0}
-
-// Figure6 regenerates Figure 6 (§5.3): DHT total time for foMPI-A,
-// foMPI-RW and RMA-RW across P, for each writer fraction.
-func Figure6(sc Scale) (*stats.Table, []DHTResult, error) {
-	t := &stats.Table{
-		Title:   "Figure 6: DHT total time [ms], foMPI-A vs foMPI-RW vs RMA-RW",
-		Columns: []string{"F_W", "P", "Scheme", "TotalTime[ms]"},
-	}
-	var all []DHTResult
-	for _, fw := range dhtFWs {
-		for _, P := range sc.Ps {
-			for _, scheme := range []string{SchemeFoMPIA, SchemeFoMPIRW, SchemeRMARW} {
-				r, err := RunDHT(DHTParams{Scheme: scheme, P: P, FW: fw, OpsPerProc: sc.DHTOps})
-				if err != nil {
-					return nil, nil, err
-				}
-				all = append(all, r)
-				t.AddRow(fwLabel(fw), fmt.Sprint(P), scheme, stats.FmtF(r.TotalTimeMs))
+	// §5.3: a series per writer fraction (the paper's subfigures a–d)
+	// and scheme.
+	var dht []Series
+	for _, fw := range []float64{0.20, 0.05, 0.02, 0.0} {
+		for _, s := range []string{SchemeFoMPIA, SchemeFoMPIRW, SchemeRMARW} {
+			var cells []sweep.Cell
+			for _, p := range sc.Ps {
+				cells = append(cells, dhtCell(s, p, sc.DHTOps, fw))
 			}
+			dht = append(dht, Series{Labels: []string{fwLabel(fw), s}, Cells: cells})
 		}
 	}
-	return t, all, nil
+
+	mutexCols := func(metric string) []string { return []string{"P", "Scheme", metric} }
+	return []Figure{
+		{Name: "3a", Title: "Figure 3a: ECSB, MeanLatency[us] vs P",
+			Columns: mutexCols(latCol), Metrics: []Metric{meanLatency}, Series: mutexes("empty", 0, 0)},
+		{Name: "3b", Title: "Figure 3b: ECSB, Throughput[mln/s] vs P",
+			Columns: mutexCols(thrCol), Metrics: []Metric{throughput}, Series: mutexes("empty", 0, 0)},
+		{Name: "3c", Title: "Figure 3c: SOB, Throughput[mln/s] vs P",
+			Columns: mutexCols(thrCol), Metrics: []Metric{throughput}, Series: mutexes("sharedop", 0, 0)},
+		{Name: "3d", Title: "Figure 3d: WCSB, Throughput[mln/s] vs P",
+			Columns: mutexCols(thrCol), Metrics: []Metric{throughput}, Series: mutexes("counter", 0, 0)},
+		// Wait-after-release: a 1–4 µs pause between releases.
+		{Name: "3e", Title: "Figure 3e: WARB, Throughput[mln/s] vs P",
+			Columns: mutexCols(thrCol), Metrics: []Metric{throughput}, Series: mutexes("empty", 1000, 3000)},
+		{Name: "4a", Title: "Figure 4a: T_DC analysis, SOB, F_W=2%",
+			Columns: []string{"P", "T_DC", thrCol}, Metrics: []Metric{throughput}, Series: tdc},
+		{Name: "4b", Title: "Figure 4b: Π T_L,i analysis, SOB, F_W=25%",
+			Columns: []string{"P", "TL_product", thrCol}, Metrics: []Metric{throughput}, Series: tw},
+		{Name: "4c", Title: "Figure 4c: T_L,i analysis, SOB, F_W=25%",
+			Columns: []string{"P", "TL2-TL1", thrCol}, Metrics: []Metric{throughput}, Series: splitThr},
+		{Name: "4d", Title: "Figure 4d: T_L,i analysis, LB, F_W=25%",
+			Columns: []string{"P", "TL2-TL1", latCol}, Metrics: []Metric{meanLatency}, Series: splitLat},
+		{Name: "4e", Title: "Figure 4e: T_R analysis, ECSB, F_W=0.2%",
+			Columns: []string{"P", "T_R", thrCol}, Metrics: []Metric{throughput}, Series: tr},
+		{Name: "4f", Title: "Figure 4f: T_R analysis, ECSB, F_W in {2%, 5%}",
+			Columns: []string{"P", "T_R-FW", thrCol}, Metrics: []Metric{throughput}, Series: trFW},
+		{Name: "5a", Title: "Figure 5a: RMA-RW vs foMPI-RW, ECSB, MeanLatency[us]",
+			Columns: []string{"P", "Scheme", "F_W", latCol}, Metrics: []Metric{meanLatency}, Series: rwVs("empty")},
+		{Name: "5b", Title: "Figure 5b: RMA-RW vs foMPI-RW, ECSB, Throughput[mln/s]",
+			Columns: []string{"P", "Scheme", "F_W", thrCol}, Metrics: []Metric{throughput}, Series: rwVs("empty")},
+		{Name: "5c", Title: "Figure 5c: RMA-RW vs foMPI-RW, SOB, Throughput[mln/s]",
+			Columns: []string{"P", "Scheme", "F_W", thrCol}, Metrics: []Metric{throughput}, Series: rwVs("sharedop")},
+		{Name: "6", Title: "Figure 6: DHT total time [ms], foMPI-A vs foMPI-RW vs RMA-RW",
+			Columns: []string{"F_W", "P", "Scheme", "TotalTime[ms]"}, Metrics: []Metric{totalTime}, Series: dht},
+	}
 }
 
-// FigureNames lists every figure runner for CLI dispatch.
-var FigureNames = []string{"3a", "3b", "3c", "3d", "3e", "4a", "4b", "4c", "4d", "4e", "4f", "5a", "5b", "5c", "6"}
+// Ablations lists the studies DESIGN.md calls out, which probe a design
+// choice directly rather than reproduce a paper figure, at the scale's
+// largest process count.
+//
+//   - locality: the fairness-vs-locality trade of the node-level
+//     threshold T_L,2 of RMA-MCS (Figure 1's DQ axis) — throughput, tail
+//     latency and the share of acquisitions that short-cut within a node.
+//   - network: the Figure 3b comparison with the inter-node costs scaled,
+//     checking that the paper's ordering (RMA-MCS ≥ D-MCS ≥ foMPI-Spin at
+//     scale) is a property of having any expensive network, not of one
+//     calibration point.
+func Ablations(sc Scale) []Figure {
+	sc = sc.largest()
+	P := sc.Ps[0]
+	var locality, network []Series
+	for _, tl := range []int64{1, 2, 4, 8, 16, 32, 64, 128} {
+		locality = append(locality, Series{Labels: []string{fmt.Sprint(tl)},
+			Grid: sc.grid(SchemeRMAMCS, "empty", 1, tune("TL2", tl))})
+	}
+	for _, pct := range []int64{50, 100, 200, 400} {
+		for _, s := range scheme.Mutexes() {
+			network = append(network, Series{Labels: []string{fmt.Sprint(pct), s},
+				Cells: []sweep.Cell{netCell(s, P, sc.Iters, pct)}})
+		}
+	}
+	return []Figure{
+		{Name: "locality", Title: fmt.Sprintf("Ablation: T_L,2 fairness-vs-locality trade, RMA-MCS, ECSB, P=%d", P),
+			Columns: []string{"T_L2", thrCol, "MeanLat[us]", "P99Lat[us]", "Shortcut[%]"},
+			Metrics: []Metric{throughput, meanLatency, p99Latency, shortcutPct}, Series: locality},
+		{Name: "network", Title: fmt.Sprintf("Ablation: inter-node cost sensitivity, ECSB, P=%d", P),
+			Columns: []string{"NetScale[%]", "Scheme", thrCol}, Metrics: []Metric{throughput}, Series: network},
+	}
+}
 
-// RunFigure dispatches a figure by name and returns its table.
-func RunFigure(name string, sc Scale) (*stats.Table, error) {
-	switch name {
-	case "3a", "3b", "3c", "3d", "3e":
-		t, _, err := Figure3(name[1:], sc)
-		return t, err
-	case "4a":
-		t, _, err := Figure4a(sc)
-		return t, err
-	case "4b":
-		t, _, err := Figure4b(sc)
-		return t, err
-	case "4c":
-		t, _, err := Figure4c(sc)
-		return t, err
-	case "4d":
-		t, _, err := Figure4d(sc)
-		return t, err
-	case "4e":
-		t, _, err := Figure4e(sc)
-		return t, err
-	case "4f":
-		t, _, err := Figure4f(sc)
-		return t, err
-	case "5a", "5b", "5c":
-		t, _, err := Figure5(name[1:], sc)
-		return t, err
-	case "6":
-		t, _, err := Figure6(sc)
-		return t, err
-	default:
-		return nil, fmt.Errorf("bench: unknown figure %q", name)
+// dhtCell is one run of the paper's DHT benchmark (§5.3): P−1 processes
+// issue ops operations each against the volume of rank 0, an insert with
+// probability fw and a lookup of a random key otherwise, with no warm-up
+// phase; foMPI-A runs the atomic operation family under no lock.
+// NoLock, Skip and a disabled warm-up are not grid coordinates, so the
+// cell is built by hand.
+func dhtCell(schemeName string, P, ops int, fw float64) sweep.Cell {
+	return sweep.Cell{
+		Key: sweep.Key{Scheme: schemeName, Workload: "dht", Profile: "uniform", P: P},
+		Spec: func() (workload.Spec, error) {
+			atomic := schemeName == SchemeFoMPIA
+			return workload.Spec{
+				Scheme: schemeName, NoLock: atomic, P: P, Iters: ops, Warmup: -1,
+				Profile: workload.Uniform{FW: fw},
+				// Overflow cells for every insert the run can make.
+				Workload: &workload.DHTOps{Cells: P*ops + 16, Atomic: atomic},
+				Skip:     func(rank, procs int) bool { return rank == 0 },
+			}, nil
+		},
+	}
+}
+
+// netCell is an ECSB mutex run under scaleRemote(pct); the latency model
+// is not a grid coordinate, so the cell is built by hand.
+func netCell(schemeName string, P, iters int, pct int64) sweep.Cell {
+	return sweep.Cell{
+		Key: sweep.Key{Scheme: schemeName, Workload: "empty", Profile: "uniform", P: P},
+		Spec: func() (workload.Spec, error) {
+			return workload.Spec{Scheme: schemeName, P: P, Iters: iters, Latency: scaleRemote(pct)}, nil
+		},
+	}
+}
+
+// scaleRemote returns the default latency model with every entry at
+// distance >= 2 (inter-node and beyond) scaled to pct percent.
+func scaleRemote(pct int64) func(maxDist int) rma.LatencyModel {
+	return func(maxDist int) rma.LatencyModel {
+		lat := rma.DefaultLatency(maxDist)
+		scale := func(tab []int64) {
+			for d := 2; d < len(tab); d++ {
+				v := tab[d] * pct / 100
+				if v < 1 {
+					v = 1
+				}
+				tab[d] = v
+			}
+		}
+		scale(lat.DataRTT)
+		scale(lat.AtomicRTT)
+		scale(lat.DataOcc)
+		scale(lat.AtomicOcc)
+		return lat
 	}
 }

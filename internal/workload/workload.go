@@ -7,10 +7,9 @@
 //     Zipf-skewed, bursty, time-varying reader/writer ratio),
 //
 // — behind one generic harness (Run) that produces unified
-// throughput/latency reports via internal/stats. The former hard-coded
-// drivers in internal/bench (RunMutex, RunRW, RunDHT) are thin adapters
-// over this package; cmd/workbench enumerates scheme × workload ×
-// profile grids directly.
+// throughput/latency reports via internal/stats. internal/sweep turns a
+// grid of coordinates into Specs for it: cmd/workbench's grids and the
+// paper's figures (internal/bench) both run that way.
 //
 // Everything is driven by the machine's per-process seeded RNG, so a run
 // is a deterministic function of (Spec, MachineSpec.Seed).
