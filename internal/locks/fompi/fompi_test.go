@@ -120,3 +120,36 @@ func TestRWCentralizedHotSpot(t *testing.T) {
 		t.Error("no remote ops recorded for centralized lock")
 	}
 }
+
+// TestAcquireAllocatesNothing: an acquire's state lives in the lock, one
+// slot per rank, so neither an uncontended acquire nor one the scheduler
+// has to park (rma.Proc.Poll keeps the Retry) allocates.
+func TestAcquireAllocatesNothing(t *testing.T) {
+	m := rma.NewMachineConfig(topology.TwoLevel(1, 2), rma.Config{})
+	defer m.Release()
+	spin, rw := NewSpin(m), NewRW(m)
+	var allocs float64
+	err := m.Run(func(p *rma.Proc) {
+		cycle := func() {
+			spin.Acquire(p)
+			spin.Release(p)
+			rw.AcquireRead(p)
+			rw.ReleaseRead(p)
+			rw.AcquireWrite(p)
+			rw.ReleaseWrite(p)
+		}
+		if p.Rank() == 0 {
+			allocs = testing.AllocsPerRun(200, cycle)
+		} else {
+			for i := 0; i < 100; i++ {
+				cycle() // contends with rank 0's first hundred cycles
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("an acquire/release cycle of both locks allocated %.2f times", allocs)
+	}
+}

@@ -197,18 +197,40 @@ func (l *Lock) setCountersToWrite(p *rma.Proc) {
 		p.Accumulate(Bias, r, l.arriveOff, rma.OpSum)
 		p.Flush(r)
 	}
+	d := &drain{l: l, p: p}
 	for _, r := range l.counterRanks {
-		b := spinwait.Default()
-		for {
-			arr := p.Get(r, l.arriveOff)
-			dep := p.Get(r, l.departOff)
-			p.Flush(r)
-			if arr-Bias == dep {
-				break
-			}
-			b.Pause(p)
-		}
+		d.rank, d.b = r, spinwait.Default()
+		p.Poll(d)
 	}
+}
+
+// drain is a writer's wait for the readers counted in at one physical
+// counter to leave: read ARRIVE, read DEPART, back off and start over
+// unless they differ by exactly the bias. Two reads, so two tries
+// (rma.Retry makes one observable operation per try).
+type drain struct {
+	l       *Lock
+	p       *rma.Proc
+	rank    int
+	b       spinwait.Backoff
+	arrived int64
+	midway  bool // ARRIVE is read, DEPART is next
+}
+
+func (d *drain) Try() bool {
+	if !d.midway {
+		d.arrived = d.p.Get(d.rank, d.l.arriveOff)
+		d.midway = true
+		return false
+	}
+	dep := d.p.Get(d.rank, d.l.departOff)
+	d.p.Flush(d.rank)
+	d.midway = false
+	if d.arrived-Bias == dep {
+		return true
+	}
+	d.b.Pause(d.p)
+	return false
 }
 
 // resetCounter resets one physical counter: subtract the departures from
@@ -225,19 +247,10 @@ func (l *Lock) setCountersToWrite(p *rma.Proc) {
 //     reader-side reset must never strip it: a writer may have switched
 //     the counter to WRITE between the reader's TAIL probe and its reset,
 //     and losing that bias would wedge the writer's drain loop forever.
-func (l *Lock) resetCounter(p *rma.Proc, rank int, stripBias bool) {
-	b := spinwait.Default()
-	for {
-		prev := p.CAS(1, 0, rank, l.rlockOff)
-		p.Flush(rank)
-		if prev == 0 {
-			break
-		}
-		b.Pause(p)
-		// Jitter desynchronizes contenders: with a deterministic
-		// scheduler, symmetric spinning can lock into a periodic cycle.
-		p.Compute(int64(p.Rand().Intn(200)) + 1)
-	}
+func (l *Lock) resetCounter(t *latch, rank int, stripBias bool) {
+	p := t.p
+	t.rank, t.b = rank, spinwait.Default()
+	p.Poll(t)
 	arr := p.Get(rank, l.arriveOff)
 	dep := p.Get(rank, l.departOff)
 	p.Flush(rank)
@@ -252,10 +265,33 @@ func (l *Lock) resetCounter(p *rma.Proc, rank int, stripBias bool) {
 	p.Flush(rank)
 }
 
+// latch is the wait for one counter's reset latch: CAS it 0→1, back off
+// and retry.
+type latch struct {
+	l    *Lock
+	p    *rma.Proc
+	rank int
+	b    spinwait.Backoff
+}
+
+func (t *latch) Try() bool {
+	prev := t.p.CAS(1, 0, t.rank, t.l.rlockOff)
+	t.p.Flush(t.rank)
+	if prev == 0 {
+		return true
+	}
+	t.b.Pause(t.p)
+	// Jitter desynchronizes contenders: with a deterministic
+	// scheduler, symmetric spinning can lock into a periodic cycle.
+	t.p.Compute(int64(t.p.Rand().Intn(200)) + 1)
+	return false
+}
+
 // resetCounters hands the lock to the readers by resetting every counter.
 func (l *Lock) resetCounters(p *rma.Proc) {
+	t := &latch{l: l, p: p}
 	for _, r := range l.counterRanks {
-		l.resetCounter(p, r, true)
+		l.resetCounter(t, r, true)
 	}
 	l.ModeChanges++
 	l.trace("writer-reset", -1, 0)
@@ -300,7 +336,7 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 			tail := l.tree.ReadTail(p, 1, p.Rank())
 			l.trace("probe", p.Rank(), tail)
 			if tail == rma.Nil {
-				l.resetCounter(p, c, false)
+				l.resetCounter(&latch{l: l, p: p}, c, false)
 				l.trace("reader-reset", p.Rank(), 0)
 				barrier = false
 			}

@@ -41,50 +41,78 @@ type lazyOutcome struct {
 	events   []trace.Event // the semantic capture
 }
 
+// The instruction kinds of a fuzzed program, in the order of the op byte.
+const (
+	lazyPut = iota
+	lazyGet
+	lazyAcc
+	lazyFAO
+	lazyCAS
+	lazyFlush
+	lazyCompute
+	lazySpin
+	lazyBarrier
+	lazyPoll
+	lazyKinds
+)
+
 // lazyStep runs one three-byte instruction on p: op picks the operation and
 // which ranks take part (everybody in a Barrier, so barriers pair up), a
 // the target's distance from the rank and the window word, b the operand.
 // Operands stay below 16 so that CAS compares and SpinUntil thresholds hit.
 func lazyStep(p *Proc, base int, op, a, b byte, seen *int64) {
-	const (
-		put = iota
-		get
-		acc
-		fao
-		cas
-		flush
-		compute
-		spin
-		barrier
-		kinds
-	)
 	r, procs := p.Rank(), p.Machine().Procs()
-	kind, who := op%kinds, int(op/kinds)
-	if mod := who%4 + 1; kind != barrier && r%mod != (who/4)%mod {
+	kind, who := op%lazyKinds, int(op/lazyKinds)
+	if mod := who%4 + 1; kind != lazyBarrier && r%mod != (who/4)%mod {
 		return
 	}
 	target, off := (r+int(a&15))%procs, base+int(a>>4)%lazyWords
 	v, mode := int64(b&15), Op(b>>4&1)
 	see := func(x int64) { *seen = *seen*1000003 + x + 1 }
 	switch kind {
-	case put:
+	case lazyPut:
 		p.Put(v, target, off)
-	case get:
+	case lazyGet:
 		see(p.Get(target, off))
-	case acc:
+	case lazyAcc:
 		p.Accumulate(v, target, off, mode)
-	case fao:
+	case lazyFAO:
 		see(p.FAO(v, target, off, mode))
-	case cas:
+	case lazyCAS:
 		see(p.CAS(v, int64(b>>4), target, off))
-	case flush:
+	case lazyFlush:
 		p.Flush(target)
-	case compute:
+	case lazyCompute:
 		p.Compute(int64(b) * 37)
-	case spin:
+	case lazySpin:
 		see(p.SpinUntil(target, off, func(x int64) bool { return x >= int64(b&7) }))
-	case barrier:
+	case lazyBarrier:
 		p.Barrier()
+	case lazyPoll:
+		// A retry loop as the locks write them: b's top bit picks a CAS
+		// that has to win or a Get that has to see a threshold, then Flush
+		// and a doubling back-off capped at 800 ns. After eight tries it
+		// gives up, so a program nobody answers still ends.
+		tries, backoff := 0, int64(50)
+		p.Poll(RetryFunc(func() bool {
+			var got int64
+			var ok bool
+			if b>>7 != 0 {
+				got = p.CAS(v, int64(b>>4&7), target, off)
+				ok = got == int64(b>>4&7)
+			} else {
+				got = p.Get(target, off)
+				ok = got >= int64(b>>4&7)
+			}
+			p.Flush(target)
+			if tries++; ok || tries == 8 {
+				see(got)
+				return true
+			}
+			p.Compute(backoff)
+			backoff = min(2*backoff, 800)
+			return false
+		}))
 	}
 }
 
@@ -177,8 +205,8 @@ func checkLazyMatchesEager(t *testing.T, prog []byte) {
 
 // lazyPrograms seed the fuzzer, so they run in every plain go test beside
 // the corpus under testdata/fuzz. Instruction
-// bytes: op = kind + 9*who (kinds in lazyStep's order), a = distance |
-// word<<4, b = operand.
+// bytes: op = kind + lazyKinds*who (kinds in the constants' order), a =
+// distance | word<<4, b = operand.
 var lazyPrograms = [][]byte{
 	nil,
 	// P=8: a counter everybody bumps, flushes and back-off between tries,
@@ -186,17 +214,33 @@ var lazyPrograms = [][]byte{
 	{3, 0, 0, 3, 0, 1, 5, 0, 0, 6, 0, 9, 4, 0, 0x12, 5, 0, 0, 8, 0, 0, 1, 0, 0},
 	// P=4 under jitter: ring of Puts with SpinUntil waits (the wake path),
 	// odd ranks computing in between.
-	{1, 1, 0, 0, 1, 3, 6 + 9*1, 0, 40, 7, 0, 3, 2, 0x11, 0x15, 5, 1, 0, 8, 0, 0, 7, 0x10, 1},
+	{1, 1, 0, 0, 1, 3, 6 + lazyKinds*1, 0, 40, 7, 0, 3, 2, 0x11, 0x15, 5, 1, 0, 8, 0, 0, 7, 0x10, 1},
 	// P=6, stalls and stragglers, a 10µs limit that a Compute crosses.
 	{2, 2, 40, 3, 2, 2, 6, 0, 255, 6, 0, 255, 0, 1, 1, 6, 0, 255, 6, 0, 255, 6, 0, 255},
 	// P=2 under congestion: a SpinUntil nobody satisfies (deadlock).
 	{0, 3, 0, 0, 1, 1, 7, 0x20, 7, 8, 0, 0},
 	// P=4: odd ranks poll (Get, Flush) a word their even neighbour keeps
 	// rewriting between computes: what a Get returns is a matter of when.
-	{1, 0, 0, 9, 0, 1, 46, 3, 0, 50, 3, 0, 15, 0, 3, 9, 0, 2, 46, 3, 0, 50, 3, 0, 46, 3, 0,
-		15, 0, 20, 9, 0, 3, 46, 3, 0, 50, 3, 0, 46, 3, 0, 50, 3, 0, 46, 3, 0},
+	{1, 0, 0, 10, 0, 1, 51, 3, 0, 55, 3, 0, 16, 0, 3, 10, 0, 2, 51, 3, 0, 55, 3, 0, 51, 3, 0,
+		16, 0, 20, 10, 0, 3, 51, 3, 0, 55, 3, 0, 51, 3, 0, 55, 3, 0, 51, 3, 0},
 	// P=8: rank-filtered CAS retries with flushes, two barriers.
-	{7, 0, 0, 4 + 9*1, 0x03, 0x01, 5, 3, 0, 4 + 9*6, 0x03, 0x12, 8, 0, 0, 2 + 9*2, 0x13, 0x05, 6 + 9*3, 0, 200, 8, 0, 0, 1, 0x13, 0},
+	{7, 0, 0, 4 + lazyKinds*1, 0x03, 0x01, 5, 3, 0, 4 + lazyKinds*6, 0x03, 0x12, 8, 0, 0, 2 + lazyKinds*2, 0x13, 0x05, 6 + lazyKinds*3, 0, 200, 8, 0, 0, 1, 0x13, 0},
+	// P=8: every odd rank's word 0 is a spinlock it shares with its left
+	// neighbour — both poll a CAS 0→1, compute, put 0 back, twice — then
+	// the odd ranks poll a Get of a counter that neighbour bumps between
+	// computes.
+	{7, 0, 0, lazyPoll + lazyKinds*1, 0x01, 0x81, lazyPoll + lazyKinds*5, 0x00, 0x81, lazyCompute, 0, 9,
+		lazyPut + lazyKinds*1, 0x01, 0, lazyPut + lazyKinds*5, 0x00, 0,
+		lazyPoll + lazyKinds*1, 0x01, 0x81, lazyPoll + lazyKinds*5, 0x00, 0x81, lazyCompute, 0, 5,
+		lazyPut + lazyKinds*1, 0x01, 0, lazyPut + lazyKinds*5, 0x00, 0, lazyBarrier, 0, 0,
+		lazyAcc + lazyKinds*1, 0x10, 1, lazyCompute + lazyKinds*1, 0, 30, lazyAcc + lazyKinds*1, 0x10, 1,
+		lazyCompute + lazyKinds*1, 0, 30, lazyAcc + lazyKinds*1, 0x10, 1, lazyPoll + lazyKinds*5, 0x17, 0x30},
+	// P=6 under stalls and stragglers with a 14µs limit: polls nobody
+	// answers, so the limit falls into a try's operation or its back-off.
+	{2, 2, 60, lazyPut, 0, 1, lazyPoll, 0x11, 0x70, lazyPoll, 0x22, 0x85, lazyPoll, 0x11, 0x70},
+	// P=4 under jitter: polls between SpinUntil waits, so tries wake
+	// blocked ranks and run while their own rank's host is blocked.
+	{1, 1, 0, lazyPoll + lazyKinds*1, 0x11, 0x93, lazySpin + lazyKinds*5, 0x10, 3, lazyPut, 0x11, 3, lazyPoll, 0x01, 0xb3, lazySpin, 0x10, 3, lazyBarrier, 0, 0},
 }
 
 func FuzzLazyMatchesEager(f *testing.F) {

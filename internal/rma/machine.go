@@ -55,7 +55,9 @@ func (o Op) String() string {
 // fast-path scheduler (sim) or the reference one (refsim). Both engines
 // expose the same Horizon semantics, which keeps lazy publication (see
 // Proc.sync) — and therefore every interleaving — byte-identical between
-// them.
+// them. What only the fast one offers, sim.Handle.Poll, is deliberately not
+// here: Proc.Poll asks for it by type and otherwise runs the loop it stands
+// for, which is how the reference engine stays the oracle.
 type schedHandle interface {
 	ID() int
 	Clock() int64

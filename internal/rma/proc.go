@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rmalocks/internal/sim"
 	"rmalocks/internal/trace"
 )
 
 // Proc is the per-process handle of a simulated program: it carries the
 // process rank and implements the RMA operation set of the paper's
-// Listing 1. All methods must be called only from the process's own
-// goroutine (the body function passed to Machine.Run).
+// Listing 1. All methods must be called only by the process itself: from
+// the body function passed to Machine.Run, or from a Retry it handed to
+// Poll.
 type Proc struct {
 	m    *Machine
 	rank int
@@ -25,6 +27,13 @@ type Proc struct {
 	// scheduler (lazy publication, see spend). The process's effective
 	// clock is h.Clock() + pending.
 	pending int64
+	// stepAt is the effective clock, plus one, at which the Retry try in
+	// progress began, 0 outside one: a try keeps to the step contract (see
+	// Poll) exactly while Now() still reads that.
+	stepAt int64
+	// poll is the Retry of the Poll in progress while the scheduler makes
+	// its tries (see poller), nil otherwise.
+	poll Retry
 	// fidx is the rank's running charge-event index, the event axis of
 	// the deterministic fault schedule (see internal/fault). charge is
 	// called in the same per-rank order on every engine, so the index —
@@ -151,6 +160,9 @@ func (p *Proc) spend(d int64) {
 		return
 	}
 	if lim := p.m.limit; lim > 0 && p.Now()+d > lim {
+		if p.poll != nil {
+			p.cut(dying{p: p, d: d})
+		}
 		p.flush()
 		p.h.Advance(d)
 		return
@@ -166,6 +178,9 @@ func (p *Proc) spend(d int64) {
 // return the rank may issue at Now() as if every charge had gone to the
 // scheduler at once.
 func (p *Proc) sync() {
+	if p.stepAt != 0 && p.stepAt != p.Now()+1 {
+		panic(fmt.Sprintf("rma: rank %d: a Retry try issued an observable operation after charging time (one per try, first)", p.rank))
+	}
 	if p.h.Clock()+p.pending > p.h.Horizon() {
 		p.flush()
 	}
@@ -178,13 +193,22 @@ func (p *Proc) sync() {
 // crosses the horizon, except right after sync, which leaves the effective
 // clock at or below it (SpinUntil relies on that).
 func (p *Proc) flush() {
-	if d := p.pending; d != 0 {
+	if d := p.take(); d != 0 {
+		p.h.Advance(d)
+	}
+}
+
+// take empties pending into the caller's hands, who owes it to the
+// scheduler.
+func (p *Proc) take() int64 {
+	d := p.pending
+	if d != 0 {
 		p.pending = 0
 		if p.chargeBuf != nil {
 			p.chargeBuf.Emit(trace.EvFlush, p.h.Clock()+d, d, 0, 0)
 		}
-		p.h.Advance(d)
 	}
+	return d
 }
 
 // traceOp records one RMA operation issue in the trace stream: the
@@ -246,6 +270,9 @@ func (p *Proc) TraceAcquireTimeout(id int, write bool) {
 // fatal protocol conditions a rank detects mid-run, e.g. exhausted
 // bounded-acquire retries under a fault profile configured to abort.
 func (p *Proc) Abort(err error) {
+	if p.poll != nil {
+		p.cut(dying{p: p, err: err})
+	}
 	p.flush() // the error carries the published clock, and ranks due earlier fail first
 	p.h.Abort(err)
 	panic("rma: scheduler Abort returned") // unreachable: Abort unwinds
@@ -373,9 +400,11 @@ const flushCost = 10
 // waiting process polls a (usually local or intra-node) word, which on
 // real hardware costs nothing until the granting write arrives; here the
 // process blocks and resumes at the landing time of that write plus one
-// read latency. Use it for grant flags and status words; keep genuine
-// contention loops (e.g., spinlock CAS retries) as explicit loops.
+// read latency. Use it for grant flags and status words that one write
+// decides; a genuine contention loop (a spinlock's CAS retries, a drain
+// that re-reads a counter) is a Poll.
 func (p *Proc) SpinUntil(target, offset int, cond func(int64) bool) int64 {
+	p.notInTry("SpinUntil")
 	p.sync()
 	idx := p.m.index(target, offset)
 	v := p.m.mem[idx]
@@ -417,6 +446,134 @@ func (p *Proc) Compute(d int64) {
 // Barrier synchronizes all processes of the machine: everyone blocks until
 // the last arrives, then all clocks jump to the maximum plus a fixed cost.
 func (p *Proc) Barrier() {
+	p.notInTry("Barrier")
 	p.flush() // arrival clocks must be exact before synchronizing; may yield
 	p.h.Barrier()
+}
+
+// Retry is one try of something a process repeats until it succeeds: a
+// spinlock's CAS, one read of a word it waits to change.
+type Retry interface {
+	// Try makes one try and reports whether it succeeded. The step
+	// contract: it issues at most one operation another rank can observe
+	// (Put, Get, Accumulate, FAO, CAS), before anything that charges time
+	// (Flush, Compute, back-off), and never calls SpinUntil, Barrier or
+	// Poll. A loop body with two such operations is a Retry with two
+	// phases that makes one per try. What a try needs from one call to the
+	// next it keeps in its receiver.
+	Try() bool
+}
+
+// RetryFunc makes a Retry of a function.
+type RetryFunc func() bool
+
+// Try implements Retry.
+func (f RetryFunc) Try() bool { return f() }
+
+// Poll waits until r succeeds. It means exactly
+//
+//	for !r.Try() {
+//	}
+//
+// and is how the lock protocols spell a retry loop, because on the default
+// engine the loop need not run on the process's own stack: once a failed
+// try has charged the process past its horizon, the scheduler makes the
+// later tries in its place, each at the instant the process is the
+// (clock, rank) minimum — where sync would have resumed the loop — and
+// switches into the process only after the one that succeeds (see
+// sim.Handle.Poll). The step contract is what makes that possible: the
+// try's one observable operation comes first, where the process is the
+// minimum and need not wait, and nothing after it can yield. Whatever the
+// tries do — operations, charges, fault draws, trace events, their clocks
+// — is what the loop does, so the reference engine and NoCoalesce, which
+// run the loop as written, stay the oracle. A try that breaks the contract
+// panics with the rank on every engine and in both modes.
+func (p *Proc) Poll(r Retry) {
+	p.notInTry("Poll")
+	if p.try(r) {
+		return
+	}
+	h, fast := p.h.(*sim.Handle)
+	if !fast || p.m.nocoalesce {
+		for !p.try(r) {
+		}
+		return
+	}
+	p.poll = r
+	h.Poll((*poller)(p))
+	p.poll = nil
+}
+
+// try makes one try of r under the step contract, which sync and notInTry
+// enforce.
+func (p *Proc) try(r Retry) bool {
+	p.stepAt = p.Now() + 1
+	done := r.Try()
+	p.stepAt = 0
+	return done
+}
+
+func (p *Proc) notInTry(what string) {
+	if p.stepAt != 0 {
+		panic(fmt.Sprintf("rma: rank %d: %s inside a Retry try", p.rank, what))
+	}
+}
+
+// poller is a Proc as the scheduler's sim.Stepper: p.poll under lazy
+// publication.
+type poller Proc
+
+// Step makes tries of p.poll for as long as the loop would go on without
+// giving the token up: where the sync of the next try would find somebody
+// due first, it hands the scheduler the pending time in that sync's place.
+func (q *poller) Step() (d int64, done bool) {
+	p := (*Proc)(q)
+	defer func() {
+		if r := recover(); r != nil {
+			if r != (cutShort{}) {
+				panic(r)
+			}
+			p.stepAt = 0
+			d, done = p.take(), false
+		}
+	}()
+	for {
+		if d := p.pending; d != 0 && p.h.Clock()+d > p.h.Horizon() {
+			return p.take(), false
+		}
+		if p.try(p.poll) {
+			return 0, true
+		}
+	}
+}
+
+// cutShort unwinds a try that the scheduler may be making on another rank's
+// stack, at a point where the loop would publish its pending time and wait
+// for its turn with something left to do that ends the run.
+type cutShort struct{}
+
+// cut ends the try in progress and leaves last as the process's next try:
+// Step hands the pending time to the scheduler, and last runs when the
+// process is the minimum again — unless the run has died of another rank by
+// then, as it would have for the loop.
+func (p *Proc) cut(last Retry) {
+	p.poll = last
+	panic(cutShort{})
+}
+
+// dying is the last try of a process that ran into the end of the run inside
+// one: the charge that crosses the time limit, alone (see spend), or an
+// Abort.
+type dying struct {
+	p   *Proc
+	d   int64
+	err error
+}
+
+func (x dying) Try() bool {
+	if x.err != nil {
+		x.p.h.Abort(x.err)
+	}
+	x.p.h.Advance(x.d)
+	panic("rma: a charge past the time limit returned")
 }

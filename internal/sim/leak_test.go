@@ -25,6 +25,9 @@ func checkNoRankCoroutines(t *testing.T, s *Scheduler, baseline int) {
 		if c := s.coros[id]; c.next != nil || c.stop != nil || c.yield != nil {
 			t.Fatalf("rank %d: coroutine table entry survived Run", id)
 		}
+		if s.steps[id] != nil {
+			t.Fatalf("rank %d: step table entry survived Run", id)
+		}
 	}
 }
 
@@ -50,8 +53,9 @@ func TestNoCoroutineLeakAfterRelease(t *testing.T) {
 }
 
 // TestTeardownUnwindsParkedRanks covers every way a run can fail, each
-// with ranks parked in Block (rank 0), Advance (rank 1) and Barrier (ranks
-// 2, 3) at the moment of failure: Run must return the documented error,
+// with ranks parked in Block (rank 0), Advance (rank 1), Barrier (ranks
+// 2, 3) and Poll (rank 5, its step in the scheduler's hands) at the moment
+// of failure: Run must return the documented error,
 // every parked rank must have unwound through its deferred functions
 // before Run returns, and the core must be reusable at once.
 func TestTeardownUnwindsParkedRanks(t *testing.T) {
@@ -116,7 +120,7 @@ func TestTeardownUnwindsParkedRanks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			unwound := 0
-			s := New(Config{Procs: 5, ShardSize: 2, TimeLimit: tc.limit})
+			s := New(Config{Procs: 6, ShardSize: 2, TimeLimit: tc.limit})
 			err := s.Run(func(h *Handle) {
 				defer func() { unwound++ }()
 				switch h.ID() {
@@ -127,14 +131,22 @@ func TestTeardownUnwindsParkedRanks(t *testing.T) {
 					tc.far(h)
 				case 2, 3:
 					h.Barrier()
+				case 5:
+					// Tries until the run is over, except in the deadlock
+					// case, where it has to get out of the way.
+					tries := 0
+					h.Poll(stepFunc(func() (int64, bool) {
+						tries++
+						return 1 << 17, tc.name == "deadlock" && tries == 3
+					}))
 				default:
 					h.Advance(10)
 					tc.trigger(h)
 				}
 			})
 			tc.check(t, err)
-			if unwound != 5 {
-				t.Errorf("%d of 5 rank bodies unwound before Run returned", unwound)
+			if unwound != 6 {
+				t.Errorf("%d of 6 rank bodies unwound before Run returned", unwound)
 			}
 			checkNoRankCoroutines(t, s, baseline)
 			s.Release()

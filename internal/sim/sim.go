@@ -27,9 +27,12 @@
 // instant, and every switch between them is a coroutine switch (a
 // happens-before edge the race detector understands), the scheduler has no
 // mutex, no channels and no atomics. The price is a confinement rule: all
-// Handle methods must be called by the rank that currently holds the token
-// (Wake/WakeAt: by the holder, on a blocked rank's handle), and
-// Scheduler.Err, MaxClock and Release only after Run has returned.
+// Handle methods must be called on behalf of the rank that currently holds
+// the token — by its own body, or by its Stepper while the scheduler runs
+// that on the dispatching rank's stack (see Poll) — (Wake/WakeAt: for the
+// holder, on a blocked rank's handle), and Scheduler.Err, MaxClock and
+// Release only after Run has returned. Builds with -race check the rule at
+// every slow path and panic with both rank ids.
 //
 // Teardown: a failure (time limit, deadlock, Abort, a panicking body)
 // records the error, and the failing rank unwinds with an abortSignal
@@ -37,6 +40,17 @@
 // every coroutine that started and has not finished: the stopped rank's
 // pending yield returns false, which it turns into the same abortSignal,
 // so its deferred functions run and its coroutine ends before Run returns.
+//
+// # Polls
+//
+// A rank that retries an operation until it succeeds need not be switched
+// into for every failed try. Handle.Poll parks it with its retry step, and
+// whoever dispatches next runs that step inline whenever the rank is the
+// (clock, id) minimum: as the token holder, at the rank's clock, in the
+// rank's turn — so everything the step does happens exactly when the
+// rank's own loop would have done it — but on the dispatcher's stack. A
+// failed step costs a heap push and pop; the two coroutine switches are
+// paid once, when the step succeeds.
 //
 // # Token ownership and the fast path
 //
@@ -105,6 +119,10 @@ const (
 	stInHeap uint8 = 1 << iota
 	stBlocked
 	stExited
+	// stStepping: the rank is inside Poll. While it is also queued its step
+	// (Scheduler.steps) stands in for its coroutine: dispatch runs it
+	// inline.
+	stStepping
 )
 
 // Handle is a per-process handle passed to the process body. Its methods
@@ -161,7 +179,10 @@ type Scheduler struct {
 	// coros holds the coroutine of every rank that has started and not
 	// yet finished; entries are zero outside that window (and so outside
 	// Run), which is what lets the table be pooled without clearing.
-	coros   []coro
+	coros []coro
+	// steps holds the retry step of every rank inside Poll; like coros it
+	// is all-nil outside Run.
+	steps   []Stepper
 	handles []Handle
 	heap    shardHeap
 	// running is the current token holder (horizon cache owner); -1
@@ -228,6 +249,7 @@ type schedCore struct {
 	hot     []hotState
 	state   []uint8
 	coros   []coro
+	steps   []Stepper
 	handles []Handle
 	arrived []int32
 	shards  [][]int32
@@ -259,7 +281,8 @@ func New(cfg Config) *Scheduler {
 	s.core = core
 	s.hot = resizeHot(core.hot, n)
 	s.state = resizeState(core.state, n)
-	s.coros = resizeCoros(core.coros, n)
+	s.coros = resizeNil(core.coros, n)
+	s.steps = resizeNil(core.steps, n)
 	s.handles = resizeHandles(core.handles, n)
 	s.arrived = core.arrived[:0]
 	var tsink *trace.Sink
@@ -313,13 +336,14 @@ func resizeState(a []uint8, n int) []uint8 {
 	return a
 }
 
-// resizeCoros relies on the table being all-zero between runs (see
-// Scheduler.coros), over its whole capacity, so growing is the only work.
-func resizeCoros(cs []coro, n int) []coro {
-	if cap(cs) >= n {
-		return cs[:n]
+// resizeNil relies on the table being all-zero between runs (see
+// Scheduler.coros and steps), over its whole capacity, so growing is the
+// only work.
+func resizeNil[T any](a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:n]
 	}
-	return append(cs[:cap(cs)], make([]coro, n-cap(cs))...)
+	return append(a[:cap(a)], make([]T, n-cap(a))...)
 }
 
 func resizeHandles(hs []Handle, n int) []Handle {
@@ -338,9 +362,9 @@ func (s *Scheduler) Release() {
 		return
 	}
 	core.hot, core.state = s.hot, s.state
-	core.coros, core.handles, core.arrived = s.coros, s.handles, s.arrived
+	core.coros, core.steps, core.handles, core.arrived = s.coros, s.steps, s.handles, s.arrived
 	core.shards, core.top, core.topPos = s.heap.shards, s.heap.top, s.heap.topPos
-	s.hot, s.state, s.coros, s.handles, s.arrived = nil, nil, nil, nil, nil
+	s.hot, s.state, s.coros, s.steps, s.handles, s.arrived = nil, nil, nil, nil, nil, nil
 	s.heap = shardHeap{}
 	s.core = nil
 	s.running = -1
@@ -383,7 +407,9 @@ func (s *Scheduler) resume(id int32) {
 }
 
 // stopAll unwinds every coroutine that started and has not finished (a
-// parked rank's yield returns false, see park); a no-op after a clean run.
+// parked rank's yield returns false, see park) — a rank parked in Poll
+// among them — and drops the steps a failed run left behind; a no-op after
+// a clean run.
 func (s *Scheduler) stopAll() {
 	for id := int32(0); id < s.nextStart; id++ {
 		if stop := s.coros[id].stop; stop != nil {
@@ -391,6 +417,7 @@ func (s *Scheduler) stopAll() {
 			s.coros[id] = coro{}
 		}
 	}
+	clear(s.steps[:s.nextStart])
 }
 
 // run is the coroutine body of one simulated process.
@@ -400,7 +427,10 @@ func (h *Handle) run(yield func(struct{}) bool) {
 			if _, ok := r.(abortSignal); ok {
 				return // torn down by scheduler
 			}
-			h.s.fail(fmt.Errorf("sim: process %d panicked: %v\n%s", h.id, r, debug.Stack()))
+			// The panic is the token holder's: this rank's own, or that of
+			// a rank whose step it was running (see Poll), which unwinds
+			// this stack in its stead.
+			h.s.fail(fmt.Errorf("sim: process %d panicked: %v\n%s", h.s.running, r, debug.Stack()))
 		}
 	}()
 	h.s.coros[h.id].yield = yield
@@ -459,6 +489,9 @@ func (h *Handle) Advance(d int64) {
 func (h *Handle) advanceSlow(d int64) {
 	s := h.s
 	s.checkAborted()
+	h.confined()
+	// publish, spelled out: this is every hand-off of every scheme, and
+	// publish is too large to be inlined.
 	c := h.hs.clock + d
 	h.hs.clock = c
 	if s.timeLimit > 0 && c > s.timeLimit {
@@ -468,6 +501,7 @@ func (h *Handle) advanceSlow(d int64) {
 	if h.tb != nil {
 		h.tb.Emit(trace.EvAdvance, c, d, 0, 0)
 	}
+	s.notStepping(h.id, "Advance past the horizon")
 	s.push(h.id)
 	if s.dispatch() != h.id {
 		h.park()
@@ -480,6 +514,8 @@ func (h *Handle) Barrier() {
 	s := h.s
 	id := h.id
 	s.checkAborted()
+	h.confined()
+	s.notStepping(id, "Barrier")
 	s.state[id] |= stBlocked
 	if s.tsink != nil {
 		s.tsink.Buf(int(id), trace.ClassSched).Emit(trace.EvBarrier, h.hs.clock, 0, 0, 0)
@@ -508,6 +544,8 @@ func (h *Handle) Block() {
 	s := h.s
 	id := h.id
 	s.checkAborted()
+	h.confined()
+	s.notStepping(id, "Block")
 	s.state[id] |= stBlocked
 	if s.tsink != nil {
 		s.tsink.Buf(int(id), trace.ClassSched).Emit(trace.EvBlock, h.hs.clock, 0, 0, 0)
@@ -516,8 +554,10 @@ func (h *Handle) Block() {
 		s.fail(ErrDeadlock)
 		panic(abortSignal{})
 	}
-	s.dispatch()
-	h.park()
+	// A step served by dispatch may have woken the caller again.
+	if s.dispatch() != id {
+		h.park()
+	}
 }
 
 // releaseBarrier completes the current barrier: every arrived process's
@@ -585,9 +625,10 @@ func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
 // failure wins, wrapped with the aborting process and its virtual time,
 // errors.Is-visible), every parked process is unwound before Run returns,
 // and the calling process unwinds immediately — Abort never returns. Must
-// be called by the running process itself. All three engines surface
-// aborts identically (conformance-tested).
+// be called by the running process itself. Both engines surface aborts
+// identically (conformance-tested).
 func (h *Handle) Abort(err error) {
+	h.confined()
 	h.s.fail(fmt.Errorf("%w (process %d at %d ns)", err, h.id, h.hs.clock))
 	panic(abortSignal{})
 }
@@ -660,27 +701,155 @@ func (s *Scheduler) topKey() (clock int64, id int32, ok bool) {
 // virtual start entries), records it in s.running as the token holder and
 // caches its fast-path horizon. The caller then parks (or returns from its
 // body) so the trampoline resumes that rank — unless the minimum is the
-// caller itself, which simply keeps running. A genuine handoff (the token
-// changing hands) emits an EvDispatch event into the new holder's stream.
+// caller itself, which simply keeps running. A minimum that is parked in
+// Poll is not returned: its step runs here, on the caller's stack, and if
+// it fails the rank is queued again and the next minimum is taken. A
+// genuine handoff (the token changing hands) emits an EvDispatch event
+// into the new holder's stream; Arg1 marks the ones served here without a
+// switch into the rank's coroutine.
 func (s *Scheduler) dispatch() int32 {
-	var next int32
-	c, top, hok := s.heap.peek()
-	if s.nextStart < s.n && (!hok || c > 0 || (c == 0 && s.nextStart < top)) {
-		next = s.nextStart
-		s.nextStart++
-	} else {
-		next = s.popMin()
-	}
-	s.hot[next].horizon = s.horizonFor(next)
-	if tb := s.handles[next].tb; tb != nil && next != s.running {
-		prev := int64(-1)
-		if s.running >= 0 {
-			prev = int64(s.running)
+	for {
+		var next int32
+		c, top, hok := s.heap.peek()
+		if s.nextStart < s.n && (!hok || c > 0 || (c == 0 && s.nextStart < top)) {
+			next = s.nextStart
+			s.nextStart++
+		} else {
+			next = s.popMin()
 		}
-		tb.Emit(trace.EvDispatch, s.hot[next].clock, prev, 0, 0)
+		s.hot[next].horizon = s.horizonFor(next)
+		if s.state[next]&stStepping != 0 {
+			if s.inline(next) {
+				return next
+			}
+			continue
+		}
+		if tb := s.handles[next].tb; tb != nil && next != s.running {
+			tb.Emit(trace.EvDispatch, s.hot[next].clock, int64(s.running), 0, 0)
+		}
+		s.running = next
+		return next
+	}
+}
+
+// inline gives the token to rank next, which is parked in Poll, by running
+// its step here instead of switching into its coroutine, and reports
+// whether the step succeeded (see serve).
+func (s *Scheduler) inline(next int32) bool {
+	tb := s.handles[next].tb
+	if next == s.running {
+		tb = nil // not a handoff
+	}
+	var ev int
+	if tb != nil {
+		ev = tb.Len()
+		tb.Emit(trace.EvDispatch, s.hot[next].clock, int64(s.running), 1, 0)
 	}
 	s.running = next
-	return next
+	done := s.serve(next)
+	if done && tb != nil {
+		tb.At(ev).Arg1 = 0 // the caller switches into the rank after all
+	}
+	return done
+}
+
+// Stepper is the retry step of a rank waiting in Handle.Poll.
+type Stepper interface {
+	// Step makes one try for its rank, which holds the token. It reports
+	// done, or the virtual time d >= 0 the failed try cost. It may run on
+	// another rank's stack and therefore must never need to give the token
+	// up: through its rank's Handle it may read, Wake, Abort, and Advance
+	// up to the horizon; Block, Barrier, a nested Poll and an Advance past
+	// the horizon panic. A panic inside Step fails the run as its rank's.
+	Step() (d int64, done bool)
+}
+
+// Poll waits until st reports done, charging the calling process the
+// virtual time each failed try cost. It means exactly
+//
+//	for {
+//		d, done := st.Step()
+//		if done {
+//			return
+//		}
+//		h.Advance(d) // if d > 0
+//	}
+//
+// but only the tries up to the first charge that crosses the horizon run on
+// the caller's stack. The process then parks with its step, and the
+// scheduler makes every later try in its place (see dispatch) whenever the
+// process is the (clock, id) minimum — the instants at which the loop
+// above would have been resumed — and switches back into it after the one
+// that succeeds.
+func (h *Handle) Poll(st Stepper) {
+	s := h.s
+	id := h.id
+	s.checkAborted()
+	h.confined()
+	s.notStepping(id, "Poll")
+	s.state[id] |= stStepping
+	s.steps[id] = st
+	if !s.serve(id) && s.dispatch() != id {
+		h.park()
+	}
+}
+
+// serve runs the step of rank id, the token holder, until it succeeds —
+// id leaves its Poll, true — or charges id past its horizon: somebody else
+// is due first, id is queued at its new clock with the step still in
+// place, false. While nobody is due a failed try is followed by the next at
+// once, as in the loop.
+func (s *Scheduler) serve(id int32) bool {
+	st, hs := s.steps[id], &s.hot[id]
+	for {
+		d, done := st.Step()
+		if done {
+			s.state[id] &^= stStepping
+			s.steps[id] = nil
+			return true
+		}
+		if d <= 0 {
+			continue
+		}
+		if c := hs.clock + d; c <= hs.horizon {
+			hs.clock = c
+			continue
+		}
+		s.handles[id].publish(d)
+		s.push(id)
+		return false
+	}
+}
+
+// publish adds d to the clock of h's rank on the slow path, failing the run
+// when that crosses the time limit (advanceSlow has a copy).
+func (h *Handle) publish(d int64) {
+	c := h.hs.clock + d
+	h.hs.clock = c
+	if s := h.s; s.timeLimit > 0 && c > s.timeLimit {
+		s.fail(fmt.Errorf("%w (process %d at %d ns)", ErrTimeLimit, h.id, c))
+		panic(abortSignal{})
+	}
+	if h.tb != nil {
+		h.tb.Emit(trace.EvAdvance, c, d, 0, 0)
+	}
+}
+
+// notStepping panics when rank id asks for something that would give the
+// token up while its step is running: the step may be on another rank's
+// stack, which cannot be parked in its place.
+func (s *Scheduler) notStepping(id int32, what string) {
+	if s.state[id]&stStepping != 0 {
+		panic(fmt.Sprintf("sim: process %d: %s inside a Poll step", id, what))
+	}
+}
+
+// confined is the -race build's check of the confinement rule: h acts only
+// for the token holder.
+func (h *Handle) confined() {
+	if raceEnabled && h.s.running != h.id {
+		panic(fmt.Sprintf("sim: process %d used while process %d holds the token", h.id, h.s.running))
+	}
 }
 
 // horizonFor derives rank id's fast-path horizon from the pending

@@ -31,7 +31,8 @@
 // by design. Within one mode the hand-offs (EvDispatch) and rma's
 // publication points (EvFlush) are still byte-identical across engines;
 // EvAdvance alone also depends on the engine (refsim records every
-// Advance, the default engine only those that leave its fast path).
+// Advance, the default engine only those that leave its fast path), as
+// does EvDispatch's served-inline mark (Arg1).
 //
 // # Overhead guard
 //
@@ -54,6 +55,9 @@ type Kind uint8
 const (
 	// EvDispatch: the execution token was handed to Rank.
 	// Arg0 = previous holder's rank (-1 for the initial dispatch).
+	// Arg1 = 1 when the hand-off was served inline: Rank was parked in a
+	// poll and its retry step failed at this turn, so nobody switched into
+	// its coroutine (internal/sim; the reference engine never does this).
 	// Mode-dependent (ClassCharge): a lazy run hands the token over only
 	// before an operation another rank can observe.
 	EvDispatch Kind = iota
@@ -205,6 +209,10 @@ func (b *Buf) Emit(k Kind, clock, a0, a1, a2 int64) {
 
 // Len returns the number of buffered events.
 func (b *Buf) Len() int { return len(b.events) }
+
+// At returns the i-th buffered event, for an emitter that learns one of
+// its arguments only later.
+func (b *Buf) At(i int) *Event { return &b.events[i] }
 
 // Reset drops the buffered events but keeps counting Seq, so a
 // bounded-memory capture (e.g. a long benchmark) can truncate

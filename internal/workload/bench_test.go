@@ -103,8 +103,10 @@ func spinCell(scheme string, p int) workload.Spec {
 
 // handoffs runs spec with the ClassCharge diagnostics captured and returns
 // how often the token changed hands (EvDispatch events; the scheduler keeps
-// no counter of its own) and over how many acquires, warm-up included.
-func handoffs(tb testing.TB, spec workload.Spec) (dispatches, acquires int) {
+// no counter of its own), how many of those hand-offs the scheduler served
+// inline — a parked poll's failed try, no coroutine switch — and over how
+// many acquires, warm-up included.
+func handoffs(tb testing.TB, spec workload.Spec) (dispatches, inline, acquires int) {
 	tb.Helper()
 	sink := trace.New(trace.ClassCharge)
 	spec.Trace = sink
@@ -115,27 +117,30 @@ func handoffs(tb testing.TB, spec workload.Spec) (dispatches, acquires int) {
 		for _, e := range sink.RankEvents(r) {
 			if e.Kind == trace.EvDispatch {
 				dispatches++
+				inline += int(e.Arg1)
 			}
 		}
 	}
-	return dispatches, spec.P * (spec.Iters + spec.Warmup)
+	return dispatches, inline, spec.P * (spec.Iters + spec.Warmup)
 }
 
-// contendedHandoffs caches BenchmarkContendedCell's hand-offs per acquire:
-// the count is exact and the capture behind it is some 2.6M events, so the
-// benchmark function's repeated invocations share one.
-var contendedHandoffs float64
+// contendedHandoffs caches BenchmarkContendedCell's hand-offs and coroutine
+// switches per acquire: the counts are exact and the capture behind them is
+// some 2.6M events, so the benchmark function's repeated invocations share
+// one.
+var contendedHandoffs, contendedSwitches float64
 
 // BenchmarkContendedCell measures the slow path end to end: one foMPI-RW
 // P=256 all-writer cell, where nearly every charge used to be a token
 // hand-off (coroutine switch, heap pop and push). handoffs/acq is the
-// count lazy publication brought down; ns/op divided by it bounds what one
-// hand-off costs.
+// count lazy publication brought down, switches/acq the share of it that
+// still switches into a coroutine now that the scheduler makes a parked
+// poll's tries itself.
 func BenchmarkContendedCell(b *testing.B) {
 	spec := spinCell(workload.SchemeFoMPIRW, 256)
 	if contendedHandoffs == 0 {
-		d, a := handoffs(b, spec)
-		contendedHandoffs = float64(d) / float64(a)
+		d, in, a := handoffs(b, spec)
+		contendedHandoffs, contendedSwitches = float64(d)/float64(a), float64(d-in)/float64(a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,4 +150,5 @@ func BenchmarkContendedCell(b *testing.B) {
 		}
 	}
 	b.ReportMetric(contendedHandoffs, "handoffs/acq")
+	b.ReportMetric(contendedSwitches, "switches/acq")
 }

@@ -9,6 +9,7 @@ package workload_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,7 +261,10 @@ func TestAbortConformanceAcrossEngines(t *testing.T) {
 // that crosses the time limit publishes what came before it and waits its
 // turn (a rank that computes forever must not fail ahead of one that is
 // due earlier, and must fail at all), and Abort publishes before it records
-// the clock.
+// the clock. The poll cases pin the same two places inside a try the
+// default engine's scheduler makes on another rank's stack, where "waits
+// its turn" cannot be a yield: the run must still die of the polling rank,
+// at its clock.
 func TestDifferentialAborts(t *testing.T) {
 	exhaust, err := fault.Parse("timeout=1ns,retries=0,onexhaust=abort")
 	if err != nil {
@@ -284,11 +288,54 @@ func TestDifferentialAborts(t *testing.T) {
 			return m.Run(func(p *rma.Proc) { body(p, never) })
 		}
 	}
+	// poll retries a read of never on rank 0 with the given back-off until
+	// the run is over; last runs at the top of every try.
+	poll := func(p *rma.Proc, never int, backoff int64, last func(try int)) {
+		try := 0
+		p.Poll(rma.RetryFunc(func() bool {
+			try++
+			if last != nil {
+				last(try)
+			}
+			v := p.Get(0, never)
+			p.Flush(0)
+			p.Compute(backoff + int64(p.Rank()))
+			return v != 0
+		}))
+	}
 	cases := []struct {
 		name string
 		is   error
 		run  func(engineCase) error
 	}{
+		// Eight ranks poll one word. With next to no back-off all of a
+		// try's time is its Get, queued behind seven others at rank 0: the
+		// limit is crossed inside the operation's own charge.
+		{"poll-limit-in-operation", sim.ErrTimeLimit, machine(50_000, func(p *rma.Proc, never int) {
+			poll(p, never, 1, nil)
+		})},
+		// With a back-off of several round trips it is crossed there.
+		{"poll-limit-in-backoff", sim.ErrTimeLimit, machine(50_000, func(p *rma.Proc, never int) {
+			poll(p, never, 7_000, nil)
+		})},
+		// Rank 0 runs into the limit alone, in one charge, with everybody
+		// else parked in a poll at a fraction of it.
+		{"poll-limit-elsewhere", sim.ErrTimeLimit, machine(1_000_000, func(p *rma.Proc, never int) {
+			if p.Rank() != 0 {
+				poll(p, never, 500, nil)
+			}
+			p.Get(0, never)
+			p.Compute(20_000)
+			p.Compute(1_000_000)
+		})},
+		// Rank 3 gives up in its fourth try, the others parked around it.
+		{"poll-abort", workload.ErrRetriesExhausted, machine(1_000_000, func(p *rma.Proc, never int) {
+			poll(p, never, 500, func(try int) {
+				if p.Rank() == 3 && try == 4 {
+					p.Abort(fmt.Errorf("%w (rank 3 in try %d)", workload.ErrRetriesExhausted, try))
+				}
+			})
+		})},
 		{"time-limit", sim.ErrTimeLimit, cell(workload.Spec{
 			Scheme: workload.SchemeFoMPISpin,
 			P:      8, ProcsPerNode: 4,

@@ -86,10 +86,11 @@ func TestDifferentialEnginesAllSchemesProfiles(t *testing.T) {
 
 // traceCSV runs spec capturing the classes in mask and returns the merged
 // stream, replayed through trace.Validate, with its canonical CSV. A
-// ClassCharge capture leaves out EvAdvance, the one kind that depends on
-// the engine (refsim has no fast path and records every Advance, the
-// default engine only those that reach its slow path), and renumbers Seq
-// over what is left.
+// ClassCharge capture leaves out what depends on the engine — EvAdvance
+// (refsim has no fast path and records every Advance, the default engine
+// only those that reach its slow path), renumbering Seq over what is left,
+// and EvDispatch's served-inline mark (only the default engine runs a
+// parked poll's tries itself).
 func traceCSV(t *testing.T, spec workload.Spec, ec engineCase, mask trace.Class) ([]trace.Event, string) {
 	t.Helper()
 	sink := trace.New(mask)
@@ -109,6 +110,9 @@ func traceCSV(t *testing.T, spec workload.Spec, ec engineCase, mask trace.Class)
 		seq := make([]uint32, spec.P)
 		for _, e := range events {
 			if e.Kind != trace.EvAdvance {
+				if e.Kind == trace.EvDispatch {
+					e.Arg1 = 0
+				}
 				e.Seq = seq[e.Rank]
 				seq[e.Rank]++
 				kept = append(kept, e)

@@ -22,8 +22,8 @@ import (
 
 // ErrRetriesExhausted aborts a faulted run whose fault profile sets
 // onexhaust=abort once a rank runs out of bounded-acquire retries. It
-// surfaces through Run wrapped (errors.Is-visible) identically on all
-// three engines, like sim.ErrTimeLimit.
+// surfaces through Run wrapped (errors.Is-visible) identically on both
+// engines, like sim.ErrTimeLimit.
 var ErrRetriesExhausted = errors.New("workload: bounded-acquire retries exhausted")
 
 // Lock scheme names understood by the harness, aliased from the lock

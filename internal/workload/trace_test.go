@@ -160,32 +160,39 @@ func TestFingerprintTraceGatingAndExtraOrder(t *testing.T) {
 
 // TestHandoffCounts pins how often the token changes hands per scheme on
 // the spin-contended shape (P=64, one lock, all writers), lazily and under
-// the eager oracle. The counts are exact — a run is a pure function of its
-// spec — so a change that brings per-charge yields back, or quietly alters
-// a protocol's operation sequence, fails here by name and not by timing.
-// Lazy publication only ever removes hand-offs, and on the two centralized
-// locks, whose acquire is CAS, Flush, back-off, retry, it removes at least
-// two in five.
+// the eager oracle, and how many of the lazy run's hand-offs the scheduler
+// serves inline: a rank parked in a poll whose try fails at that turn, so
+// nobody switches into its coroutine. The counts are exact — a run is a
+// pure function of its spec — so a change that brings per-charge yields
+// back, quietly alters a protocol's operation sequence, or makes a retry
+// loop switch again fails here by name and not by timing. Lazy publication
+// only ever removes hand-offs, and on the two centralized locks, whose
+// acquire is CAS, Flush, back-off, retry, it removes at least two in five;
+// of those that are left, three in four are a failed try. The eager oracle
+// runs every poll as the loop it stands for and serves nothing inline.
 func TestHandoffCounts(t *testing.T) {
-	want := map[string]struct{ eager, lazy int }{
-		workload.SchemeFoMPISpin: {18659, 9453},
-		workload.SchemeFoMPIRW:   {32931, 18624},
-		workload.SchemeDMCS:      {5594, 4829},
-		workload.SchemeRMAMCS:    {6833, 6190},
-		workload.SchemeRMARW:     {6960, 6292},
+	want := map[string]struct{ eager, lazy, inline int }{
+		workload.SchemeFoMPISpin: {18659, 9453, 7113},
+		workload.SchemeFoMPIRW:   {32931, 18624, 16252},
+		workload.SchemeDMCS:      {5594, 4829, 0},
+		workload.SchemeRMAMCS:    {6833, 6190, 0},
+		workload.SchemeRMARW:     {6960, 6292, 0},
 	}
 	for _, scheme := range workload.Schemes {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
 			spec := spinCell(scheme, 64)
-			lazy, acquires := handoffs(t, spec)
+			lazy, inline, acquires := handoffs(t, spec)
 			spec.NoCoalesce = true
-			eager, _ := handoffs(t, spec)
-			t.Logf("hand-offs per acquire: eager %.1f, lazy %.1f (%d acquires)",
-				float64(eager)/float64(acquires), float64(lazy)/float64(acquires), acquires)
-			if w := want[scheme]; eager != w.eager || lazy != w.lazy {
-				t.Errorf("hand-offs eager %d lazy %d, pinned %d and %d", eager, lazy, w.eager, w.lazy)
+			eager, eagerInline, _ := handoffs(t, spec)
+			t.Logf("hand-offs per acquire: eager %.1f, lazy %.1f, %.1f of them inline (%d acquires)",
+				float64(eager)/float64(acquires), float64(lazy)/float64(acquires), float64(inline)/float64(acquires), acquires)
+			if w := want[scheme]; eager != w.eager || lazy != w.lazy || inline != w.inline {
+				t.Errorf("hand-offs eager %d lazy %d (%d inline), pinned %d and %d (%d)", eager, lazy, inline, w.eager, w.lazy, w.inline)
+			}
+			if eagerInline != 0 {
+				t.Errorf("the eager oracle served %d hand-offs inline: it is to run the plain loop", eagerInline)
 			}
 			if lazy > eager {
 				t.Errorf("lazy run handed the token over %d times, the eager one %d", lazy, eager)
@@ -193,6 +200,9 @@ func TestHandoffCounts(t *testing.T) {
 			centralized := scheme == workload.SchemeFoMPISpin || scheme == workload.SchemeFoMPIRW
 			if centralized && 10*lazy > 6*eager {
 				t.Errorf("lazy hand-offs %d are more than 0.6 of eager %d", lazy, eager)
+			}
+			if centralized && 4*inline < 3*lazy {
+				t.Errorf("%d of %d lazy hand-offs served inline, less than three in four", inline, lazy)
 			}
 		})
 	}
