@@ -118,8 +118,10 @@ var keys = []string{
 //	seed=42                   extra fault-stream seed
 //
 // Durations accept ns/us/ms/s suffixes (bare numbers are ns); fractions
-// accept percent ("1%") or decimal ("0.01"). Unknown keys return a
-// typed *UnknownKeyError, bad values a typed *ValueError.
+// accept percent ("1%") or decimal ("0.01"). A factor of 1, and retries=
+// without timeout=, change nothing and parse as absent, which is how
+// Canonical renders them. Unknown keys return a typed *UnknownKeyError,
+// bad values a typed *ValueError.
 func Parse(spec string) (*Profile, error) {
 	p := &Profile{}
 	retriesSet := false
@@ -158,6 +160,9 @@ func Parse(spec string) (*Profile, error) {
 					return nil, &ValueError{Key: key, Value: val, Reason: "want period > 0"}
 				}
 			}
+			if factor == 1 {
+				factor, duty, period = 0, 0, 0
+			}
 			p.CongestFactor, p.CongestDuty, p.CongestPeriod = factor, duty, period
 		case "stragglers":
 			factor, fracStr, ok := cutFloat(val, "x")
@@ -167,6 +172,9 @@ func Parse(spec string) (*Profile, error) {
 			frac, err := parseFrac(fracStr)
 			if err != nil || frac <= 0 || frac > 1 {
 				return nil, &ValueError{Key: key, Value: val, Reason: "want fraction in (0, 1]"}
+			}
+			if factor == 1 {
+				factor, frac = 0, 0
 			}
 			p.StragglerFactor, p.StragglerFrac = factor, frac
 		case "stall":
@@ -215,7 +223,10 @@ func Parse(spec string) (*Profile, error) {
 			return nil, &UnknownKeyError{Key: key, Have: keys}
 		}
 	}
-	if p.Timeout > 0 && !retriesSet {
+	switch {
+	case p.Timeout == 0:
+		p.Retries = 0
+	case !retriesSet:
 		p.Retries = DefaultRetries
 	}
 	if err := p.Validate(); err != nil {

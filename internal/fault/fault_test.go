@@ -156,3 +156,32 @@ func TestNewInjectorNilForTimeoutOnly(t *testing.T) {
 		t.Error("timeout-only profile should not report Perturbs")
 	}
 }
+
+// FuzzParseCanonical: a spec Parse accepts renders to a Canonical form
+// that parses back to the same profile and renders to itself; a spec it
+// rejects fails with a typed error, never a panic. The checked-in corpus
+// holds TestParseFull's and TestCanonicalRoundTrip's specs.
+func FuzzParseCanonical(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			var unk *UnknownKeyError
+			var val *ValueError
+			if !errors.As(err, &unk) && !errors.As(err, &val) {
+				t.Fatalf("Parse(%q): untyped error %T: %v", spec, err, err)
+			}
+			return
+		}
+		canon := p.Canonical()
+		p2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(Canonical(%q) = %q): %v", spec, canon, err)
+		}
+		if *p2 != *p {
+			t.Fatalf("round trip %q → %q: %+v != %+v", spec, canon, *p2, *p)
+		}
+		if c2 := p2.Canonical(); c2 != canon {
+			t.Fatalf("Canonical not a fixed point: %q → %q", canon, c2)
+		}
+	})
+}

@@ -68,18 +68,6 @@ type Lock struct {
 	WriteAcquires  int64
 	ModeChanges    int64 // WRITE→READ hand-overs (counter resets by writers)
 	ReaderBackoffs int64 // reader arrivals that had to back off
-
-	// Trace, when non-nil, receives protocol events (debugging aid; the
-	// simulator runs one process at a time, so no synchronization is
-	// needed). Events: "fao" (curr), "probe" (tail), "reader-reset",
-	// "writer-reset", "park", "unpark".
-	Trace func(event string, rank int, v int64)
-}
-
-func (l *Lock) trace(event string, rank int, v int64) {
-	if l.Trace != nil {
-		l.Trace(event, rank, v)
-	}
 }
 
 // New allocates an RMA-RW lock with default parameters.
@@ -294,7 +282,6 @@ func (l *Lock) resetCounters(p *rma.Proc) {
 		l.resetCounter(t, r, true)
 	}
 	l.ModeChanges++
-	l.trace("writer-reset", -1, 0)
 }
 
 // ---------------------------------------------------------------------
@@ -315,9 +302,7 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 	for {
 		if barrier {
 			// Wait for a counter reset (ours or a releasing writer's).
-			l.trace("park", p.Rank(), 0)
 			p.SpinUntil(c, l.arriveOff, func(v int64) bool { return v < l.tr })
-			l.trace("unpark", p.Rank(), 0)
 		}
 		// Increment the arrival counter.
 		curr := p.FAO(1, c, l.arriveOff, rma.OpSum)
@@ -329,15 +314,11 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 		// T_R reached (or WRITE mode: the bias dwarfs T_R).
 		barrier = true
 		l.ReaderBackoffs++
-		l.trace("fao", p.Rank(), curr)
 		if curr == l.tr {
 			// We are the first to reach T_R: pass the lock to the
 			// writers if any are waiting, otherwise reopen the counter.
-			tail := l.tree.ReadTail(p, 1, p.Rank())
-			l.trace("probe", p.Rank(), tail)
-			if tail == rma.Nil {
+			if l.tree.ReadTail(p, 1, p.Rank()) == rma.Nil {
 				l.resetCounter(&latch{l: l, p: p}, c, false)
-				l.trace("reader-reset", p.Rank(), 0)
 				barrier = false
 			}
 		}

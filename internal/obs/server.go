@@ -60,9 +60,15 @@ func NewServer(reg *Registry, prog ProgressReporter) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that connects and stalls cannot hold the
+// connection open. It covers the headers only: a long /progress?follow=1
+// or /jobs/{id}/events stream is unaffected.
+const readHeaderTimeout = 10 * time.Second
 
 // Handle mounts an additional route on the observability mux — how
 // cmd/sweepd's job API (POST /jobs, GET /jobs/{id}, ...) extends the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,5 +147,67 @@ func TestListenAndClose(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// listenShortHeaderTimeout starts srv on a loopback port with the header
+// timeout cut to d, and closes it when the test ends.
+func listenShortHeaderTimeout(t *testing.T, srv *Server, d time.Duration) {
+	t.Helper()
+	if got := srv.srv.ReadHeaderTimeout; got != readHeaderTimeout {
+		t.Fatalf("server header timeout %v, want %v", got, readHeaderTimeout)
+	}
+	srv.srv.ReadHeaderTimeout = d
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+}
+
+// TestStalledHeadersClosed: a client that connects and never finishes
+// its request headers has its connection closed by the server.
+func TestStalledHeadersClosed(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	listenShortHeaderTimeout(t, srv, 50*time.Millisecond)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil { // nil: the server closed it
+		t.Fatalf("stalled connection still open: %v", err)
+	}
+}
+
+// TestFollowOutlivesHeaderTimeout: the timeout covers reading headers
+// only, so a /progress?follow=1 stream that runs far longer completes.
+func TestFollowOutlivesHeaderTimeout(t *testing.T) {
+	srv, prog, _ := newTestServer(t)
+	prog.Start([]string{"c0", "c1"})
+	const timeout = 20 * time.Millisecond
+	listenShortHeaderTimeout(t, srv, timeout)
+	go func() {
+		time.Sleep(5 * timeout)
+		prog.CellRunning(0)
+		prog.CellDone(0, "fp0", nil)
+		time.Sleep(5 * timeout)
+		prog.CellRunning(1)
+		prog.CellDone(1, "fp1", nil)
+	}()
+	resp, err := http.Get("http://" + srv.Addr() + "/progress?follow=1&interval_ms=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream cut short: %v", err)
+	}
+	if s := string(body); !strings.Contains(s, `"fp1"`) || !strings.Contains(s, `"done":2`) {
+		t.Fatalf("stream missing its end:\n%s", s)
 	}
 }

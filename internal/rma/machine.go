@@ -298,7 +298,7 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		f(m)
 	}
 	m.ran = true
-	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink, ShardSize: m.topo.ProcsPerLeaf()}
+	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink}
 	wrap := func(h schedHandle) {
 		// Procs live in one flat slab indexed by rank (no per-rank boxing).
 		// The re-initialization clears everything a previous run on this

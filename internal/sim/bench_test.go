@@ -1,8 +1,8 @@
 package sim
 
-// Internal benchmarks for the sharded, id-based (no-boxing) min-heap
-// behind the genuine-handoff slow path. The engine-level benchmarks
-// (fast path vs refsim) live in bench_engines_test.go.
+// Internal benchmarks for the id-based (no-boxing) 4-ary min-heap behind
+// the genuine-handoff slow path. The engine-level benchmarks (fast path vs
+// refsim) live in bench_engines_test.go.
 
 import (
 	"fmt"
@@ -13,10 +13,9 @@ import (
 )
 
 // newBenchScheduler returns a scheduler with n procs pre-pushed at
-// pseudo-random clocks (steady-state heap shape). shardSize 0 keeps the
-// single-shard layout.
-func newBenchScheduler(n, shardSize int) *Scheduler {
-	s := New(Config{Procs: n, ShardSize: shardSize})
+// pseudo-random clocks (steady-state heap shape).
+func newBenchScheduler(n int) *Scheduler {
+	s := New(Config{Procs: n})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
 		s.hot[i].clock = rng.Int63n(1 << 20)
@@ -26,12 +25,12 @@ func newBenchScheduler(n, shardSize int) *Scheduler {
 }
 
 // BenchmarkProcHeapPushPop measures one genuine-handoff scheduling
-// decision on the sharded heap: pop the minimum rank, charge it time,
-// push it back.
+// decision on the heap: pop the minimum rank, charge it time, push it
+// back.
 func BenchmarkProcHeapPushPop(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			s := newBenchScheduler(n, 0)
+			s := newBenchScheduler(n)
 			rng := rand.New(rand.NewSource(2))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -51,35 +50,13 @@ func BenchmarkProcHeapPushPop(b *testing.B) {
 func BenchmarkProcHeapDrainRefill(b *testing.B) {
 	for _, n := range []int{16, 256, 4096, 65536} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			s := newBenchScheduler(n, 0)
+			s := newBenchScheduler(n)
 			drained := make([]int32, 0, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				drained = drained[:0]
-				for s.heap.size > 0 {
-					drained = append(drained, s.popMin())
-				}
-				for _, id := range drained {
-					s.push(id)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkProcHeapDrainRefillSharded is the same churn with the heap
-// sharded at the default machine shape (16 ranks per node).
-func BenchmarkProcHeapDrainRefillSharded(b *testing.B) {
-	for _, n := range []int{4096, 65536} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			s := newBenchScheduler(n, 16)
-			drained := make([]int32, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drained = drained[:0]
-				for s.heap.size > 0 {
+				for len(s.heap.ids) > 0 {
 					drained = append(drained, s.popMin())
 				}
 				for _, id := range drained {
@@ -92,14 +69,14 @@ func BenchmarkProcHeapDrainRefillSharded(b *testing.B) {
 
 // drainRefillSeconds times one full drain+refill of an n-rank heap,
 // minimum over trials runs.
-func drainRefillSeconds(n, shardSize, trials int) float64 {
-	s := newBenchScheduler(n, shardSize)
+func drainRefillSeconds(n, trials int) float64 {
+	s := newBenchScheduler(n)
 	drained := make([]int32, 0, n)
 	best := math.MaxFloat64
 	for t := 0; t < trials; t++ {
 		start := time.Now()
 		drained = drained[:0]
-		for s.heap.size > 0 {
+		for len(s.heap.ids) > 0 {
 			drained = append(drained, s.popMin())
 		}
 		for _, id := range drained {
@@ -115,35 +92,31 @@ func drainRefillSeconds(n, shardSize, trials int) float64 {
 // TestProcHeapDrainScalesNearNLogN is the regression gate for the
 // super-linear drain cost BENCH_5.json recorded on the binary *proc
 // heap: per-element-per-log cost at 2^20 ranks must stay within a
-// generous constant of the 2^12-rank cost, for both the single-shard
-// and the node-sharded layout. A return to super-linear growth (cache
-// thrash, accidental O(n) repair) blows the ratio far past the bound.
+// generous constant of the 2^12-rank cost. A return to super-linear
+// growth (cache thrash, accidental O(n) repair) blows the ratio far past
+// the bound.
 func TestProcHeapDrainScalesNearNLogN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-rank drain timing skipped in -short")
 	}
 	const small, big = 1 << 12, 1 << 20
-	for _, cfg := range []struct {
-		name      string
-		shardSize int
-	}{{"single-shard", 0}, {"sharded-16", 16}} {
-		t.Run(cfg.name, func(t *testing.T) {
-			perOp := func(n int) float64 {
-				sec := drainRefillSeconds(n, cfg.shardSize, 3)
-				return sec / (float64(n) * math.Log2(float64(n)))
-			}
-			cs, cb := perOp(small), perOp(big)
-			// Allow the big run an 8x per-op-per-log handicap: cache misses
-			// on a 4MB+ working set are real, super-linear algorithmic cost
-			// (the old heap showed >2x already at 256 vs 16) is not. The
-			// wall-clock floor guards against a zero-cost small measurement.
-			if cs <= 0 {
-				t.Fatalf("degenerate small-heap timing: %v s/op-log", cs)
-			}
-			if ratio := cb / cs; ratio > 8 {
-				t.Errorf("drain cost not near n log n: per-op-per-log %.3g (n=%d) vs %.3g (n=%d), ratio %.1f > 8",
-					cb, big, cs, small, ratio)
-			}
-		})
-	}
+	// "single-shard": the scheduler queues every pending rank in one heap.
+	t.Run("single-shard", func(t *testing.T) {
+		perOp := func(n int) float64 {
+			sec := drainRefillSeconds(n, 3)
+			return sec / (float64(n) * math.Log2(float64(n)))
+		}
+		cs, cb := perOp(small), perOp(big)
+		// Allow the big run an 8x per-op-per-log handicap: cache misses on
+		// a 4MB+ working set are real, super-linear algorithmic cost (the
+		// old heap showed >2x already at 256 vs 16) is not. The wall-clock
+		// floor guards against a zero-cost small measurement.
+		if cs <= 0 {
+			t.Fatalf("degenerate small-heap timing: %v s/op-log", cs)
+		}
+		if ratio := cb / cs; ratio > 8 {
+			t.Errorf("drain cost not near n log n: per-op-per-log %.3g (n=%d) vs %.3g (n=%d), ratio %.1f > 8",
+				cb, big, cs, small, ratio)
+		}
+	})
 }

@@ -120,7 +120,7 @@ func TestTeardownUnwindsParkedRanks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			unwound := 0
-			s := New(Config{Procs: 6, ShardSize: 2, TimeLimit: tc.limit})
+			s := New(Config{Procs: 6, TimeLimit: tc.limit})
 			err := s.Run(func(h *Handle) {
 				defer func() { unwound++ }()
 				switch h.ID() {
@@ -152,7 +152,7 @@ func TestTeardownUnwindsParkedRanks(t *testing.T) {
 			s.Release()
 
 			// Immediate reacquire of the core the failed run polluted.
-			s = New(Config{Procs: 5, ShardSize: 2, BarrierCost: 7})
+			s = New(Config{Procs: 5, BarrierCost: 7})
 			if err := s.Run(func(h *Handle) {
 				h.Advance(int64(10 * (h.ID() + 1)))
 				h.Barrier()

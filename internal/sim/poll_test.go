@@ -30,7 +30,7 @@ func loopPoll(h *Handle, st Stepper) {
 	}
 }
 
-// TestPollMatchesLoop runs random programs of Advance, Poll, Block/Wake and
+// TestPollMatchesLoop runs random programs of Advance, Poll, Block/WakeAt and
 // Barrier twice, once with Poll and once with the loop it stands for, and
 // requires the same tries at the same clocks in the same global order: the
 // scheduler makes a parked rank's tries exactly when the rank itself would
@@ -49,7 +49,7 @@ func TestPollMatchesLoop(t *testing.T) {
 		handles := make([]*Handle, procs)
 		blocked := make([]bool, procs)
 		running := procs
-		s := New(Config{Procs: procs, ShardSize: 3, BarrierCost: 5, Trace: sink})
+		s := New(Config{Procs: procs, BarrierCost: 5, Trace: sink})
 		err := s.Run(func(h *Handle) {
 			id := h.ID()
 			handles[id] = h
@@ -72,7 +72,7 @@ func TestPollMatchesLoop(t *testing.T) {
 						for q, b := range blocked {
 							if b && rng.Intn(3) == 0 {
 								blocked[q] = false
-								h.Wake(handles[q], h.Clock()+rng.Int63n(50))
+								handles[q].WakeAt(h.Clock() + rng.Int63n(50))
 							}
 						}
 						if tries == 0 {
@@ -97,7 +97,7 @@ func TestPollMatchesLoop(t *testing.T) {
 				for q, b := range blocked {
 					if b {
 						blocked[q] = false
-						h.Wake(handles[q], h.Clock())
+						handles[q].WakeAt(h.Clock())
 					}
 				}
 			}

@@ -249,7 +249,7 @@ func (h *Handle) Barrier() {
 }
 
 // Block removes the calling process from scheduling until another process
-// calls Wake on it.
+// calls WakeAt on its handle.
 func (h *Handle) Block() {
 	s := h.s
 	p := h.p
@@ -324,10 +324,6 @@ func (h *Handle) WakeAt(clock int64) {
 	s.push(q)
 	s.mu.Unlock()
 }
-
-// Wake makes the blocked process q runnable again with its virtual clock
-// advanced to at least clock; the caller keeps the execution token.
-func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
 
 // Abort terminates the simulation with err exactly like the fast
 // engine's Handle.Abort: first failure wins, the error is wrapped with

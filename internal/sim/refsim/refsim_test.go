@@ -95,7 +95,6 @@ func TestExitCompletesBarrier(t *testing.T) {
 func TestWakeExitedPanicsDistinctly(t *testing.T) {
 	s := New(sim.Config{Procs: 2})
 	s.procs[1].exited = true
-	h0 := &Handle{s: s, p: s.procs[0]}
 	h1 := &Handle{s: s, p: s.procs[1]}
 	defer func() {
 		msg, ok := recover().(string)
@@ -103,7 +102,7 @@ func TestWakeExitedPanicsDistinctly(t *testing.T) {
 			t.Fatalf("want exited panic, got %v", msg)
 		}
 	}()
-	h0.Wake(h1, 100)
+	h1.WakeAt(100)
 }
 
 func TestHorizonMatchesFastEngineFormula(t *testing.T) {

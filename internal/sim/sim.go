@@ -29,7 +29,7 @@
 // mutex, no channels and no atomics. The price is a confinement rule: all
 // Handle methods must be called on behalf of the rank that currently holds
 // the token — by its own body, or by its Stepper while the scheduler runs
-// that on the dispatching rank's stack (see Poll) — (Wake/WakeAt: for the
+// that on the dispatching rank's stack (see Poll) — (WakeAt: for the
 // holder, on a blocked rank's handle), and Scheduler.Err, MaxClock and
 // Release only after Run has returned. Builds with -race check the rule at
 // every slow path and panic with both rank ids.
@@ -61,7 +61,7 @@
 // (clock, id) tie-break, clamped to the time limit). As long as an Advance
 // stays at or below the horizon it is a heap-free, switch-free clock
 // increment: two compares and an add, zero allocations. Only a genuine
-// handoff (crossing the horizon) touches the sharded min-heap and yields.
+// handoff (crossing the horizon) touches the min-heap and yields.
 // The refsim subpackage preserves the original global-mutex, goroutine-
 // per-rank scheduler; the differential determinism suite in
 // internal/workload checks both engines produce byte-identical results.
@@ -70,7 +70,7 @@
 //
 // Per-process state is struct-of-arrays, indexed by rank id: clocks,
 // horizons and scheduling flags live in flat slices, the pending-process
-// queue (see shardHeap) traffics in int32 rank ids, and a Handle caches
+// queue (see procHeap) traffics in int32 rank ids, and a Handle caches
 // pointers into the clock/horizon slices so the fast path stays a plain
 // increment. Coroutines are created lazily, driven by dispatch: a rank
 // that has never run is represented implicitly by its (0, id) key — the
@@ -107,7 +107,7 @@ var ErrTimeLimit = errors.New("sim: virtual time limit exceeded")
 var ErrDeadlock = errors.New("sim: deadlock: all live processes blocked in barrier")
 
 // MaxProcs is the largest supported process count: rank ids are int32
-// throughout the scheduler core (heap entries, shard indices, handles).
+// throughout the scheduler core (heap entries, handles).
 const MaxProcs = math.MaxInt32
 
 // abortSignal is panicked inside a rank's coroutine when the simulation is
@@ -127,7 +127,7 @@ const (
 
 // Handle is a per-process handle passed to the process body. Its methods
 // must only be called from inside that process's body while it holds the
-// token (except Wake/WakeAt, which the current token holder calls on a
+// token (except WakeAt, which the current token holder calls on a
 // blocked process's handle).
 // Handles live in one flat slice owned by the scheduler; clock and
 // horizon cache pointers into the scheduler's SoA state so the Advance
@@ -162,7 +162,7 @@ func (h *Handle) Clock() int64 { return h.hs.clock }
 // Package rma, which publishes charged time lazily, reads it before every
 // operation another rank can observe: a clock past the horizon means some
 // rank is due first (see rma.Proc.sync). Valid only while the calling
-// process holds the token; a Wake may shrink it.
+// process holds the token; a WakeAt may shrink it.
 func (h *Handle) Horizon() int64 { return h.hs.horizon }
 
 // Scheduler coordinates the virtual clocks of a fixed set of processes.
@@ -184,7 +184,7 @@ type Scheduler struct {
 	// is all-nil outside Run.
 	steps   []Stepper
 	handles []Handle
-	heap    shardHeap
+	heap    procHeap
 	// running is the current token holder (horizon cache owner); -1
 	// before the first dispatch. A rank that yields has already set it
 	// to its successor: it is the trampoline's "resume this one next".
@@ -215,13 +215,6 @@ type Config struct {
 	// BarrierCost is the virtual time charged to every process by a
 	// barrier, on top of synchronizing clocks to the maximum.
 	BarrierCost int64
-	// ShardSize splits the pending-process heap into ceil(Procs/ShardSize)
-	// contiguous rank-range shards (package rma passes the topology's
-	// procs-per-leaf so shards mirror compute nodes). Zero or out-of-range
-	// values select a single shard. Sharding is transparent: (clock, id)
-	// keys are unique, so the dispatch order is identical for every
-	// ShardSize (property-tested).
-	ShardSize int
 	// Trace, when non-nil, receives scheduler events (ClassSched:
 	// block/wake/barrier) and slow-path clock publications and
 	// dispatches (ClassCharge). The sink is restarted for this run. The Advance
@@ -252,9 +245,7 @@ type schedCore struct {
 	steps   []Stepper
 	handles []Handle
 	arrived []int32
-	shards  [][]int32
-	top     []int32
-	topPos  []int32
+	queue   []int32
 }
 
 // New creates a scheduler for cfg.Procs processes, drawing the core from
@@ -303,7 +294,7 @@ func New(cfg Config) *Scheduler {
 			h.tb = tsink.Buf(i, trace.ClassCharge)
 		}
 	}
-	s.heap.init(s.hot, n, cfg.ShardSize, core)
+	s.heap.init(s.hot, n, core.queue)
 	return s
 }
 
@@ -363,9 +354,9 @@ func (s *Scheduler) Release() {
 	}
 	core.hot, core.state = s.hot, s.state
 	core.coros, core.steps, core.handles, core.arrived = s.coros, s.steps, s.handles, s.arrived
-	core.shards, core.top, core.topPos = s.heap.shards, s.heap.top, s.heap.topPos
+	core.queue = s.heap.ids
 	s.hot, s.state, s.coros, s.steps, s.handles, s.arrived = nil, nil, nil, nil, nil, nil
-	s.heap = shardHeap{}
+	s.heap = procHeap{}
 	s.core = nil
 	s.running = -1
 	corePool.Put(core)
@@ -536,10 +527,10 @@ func (h *Handle) Barrier() {
 }
 
 // Block removes the calling process from scheduling until another process
-// calls Wake on it. Use it for event-driven waiting (e.g., an MCS-style
-// spin on a local flag, where polling is free on real hardware and the
-// wake time is the landing time of the granting write). If no runnable
-// process remains the simulation aborts with ErrDeadlock.
+// calls WakeAt on its handle. Use it for event-driven waiting (e.g., an
+// MCS-style spin on a local flag, where polling is free on real hardware
+// and the wake time is the landing time of the granting write). If no
+// runnable process remains the simulation aborts with ErrDeadlock.
 func (h *Handle) Block() {
 	s := h.s
 	id := h.id
@@ -616,11 +607,6 @@ func (h *Handle) WakeAt(clock int64) {
 	}
 }
 
-// Wake makes the blocked process q runnable again with its virtual clock
-// advanced to at least clock. It must be called by the currently running
-// process; the caller keeps the execution token.
-func (h *Handle) Wake(q *Handle, clock int64) { q.WakeAt(clock) }
-
 // Abort terminates the simulation with err: the error is recorded (first
 // failure wins, wrapped with the aborting process and its virtual time,
 // errors.Is-visible), every parked process is unwound before Run returns,
@@ -678,7 +664,7 @@ func (s *Scheduler) checkAborted() {
 // hasRunnable reports whether any process is pending dispatch: queued in
 // the heap or not yet started.
 func (s *Scheduler) hasRunnable() bool {
-	return s.heap.size > 0 || s.nextStart < s.n
+	return len(s.heap.ids) > 0 || s.nextStart < s.n
 }
 
 // topKey returns the minimum pending (clock, id) across the real heap and
@@ -709,13 +695,13 @@ func (s *Scheduler) topKey() (clock int64, id int32, ok bool) {
 // switch into the rank's coroutine.
 func (s *Scheduler) dispatch() int32 {
 	for {
-		var next int32
-		c, top, hok := s.heap.peek()
-		if s.nextStart < s.n && (!hok || c > 0 || (c == 0 && s.nextStart < top)) {
-			next = s.nextStart
+		// A queued rank has started, so only the virtual start entry can
+		// carry id nextStart.
+		_, next, _ := s.topKey()
+		if next == s.nextStart {
 			s.nextStart++
 		} else {
-			next = s.popMin()
+			s.popMin()
 		}
 		s.hot[next].horizon = s.horizonFor(next)
 		if s.state[next]&stStepping != 0 {
@@ -758,7 +744,7 @@ type Stepper interface {
 	// Step makes one try for its rank, which holds the token. It reports
 	// done, or the virtual time d >= 0 the failed try cost. It may run on
 	// another rank's stack and therefore must never need to give the token
-	// up: through its rank's Handle it may read, Wake, Abort, and Advance
+	// up: through its rank's Handle it may read, WakeAt, Abort, and Advance
 	// up to the horizon; Block, Barrier, a nested Poll and an Advance past
 	// the horizon panic. A panic inside Step fails the run as its rank's.
 	Step() (d int64, done bool)

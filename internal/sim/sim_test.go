@@ -219,14 +219,13 @@ func TestWakeDuringTeardownAborts(t *testing.T) {
 	// blocked flag went stale while its goroutine unwinds.
 	s := New(Config{Procs: 2})
 	s.err = errors.New("teardown in progress")
-	h0 := &s.handles[0]
 	h1 := &s.handles[1] // target not blocked: already released/unwinding
 	defer func() {
 		if _, ok := recover().(abortSignal); !ok {
 			t.Fatalf("Wake under a recorded error must panic abortSignal")
 		}
 	}()
-	h0.Wake(h1, 100)
+	h1.WakeAt(100)
 }
 
 func TestWakeAfterTimeLimitTeardown(t *testing.T) {
@@ -260,7 +259,6 @@ func TestWakeExitedPanicsDistinctly(t *testing.T) {
 	// distinguished from merely non-blocked.
 	s := New(Config{Procs: 2})
 	s.state[1] |= stExited
-	h0 := &s.handles[0]
 	h1 := &s.handles[1]
 	defer func() {
 		r := recover()
@@ -272,12 +270,11 @@ func TestWakeExitedPanicsDistinctly(t *testing.T) {
 			t.Fatalf("panic %q does not mention the process exited", msg)
 		}
 	}()
-	h0.Wake(h1, 100)
+	h1.WakeAt(100)
 }
 
 func TestWakeNonBlockedStillPanics(t *testing.T) {
 	s := New(Config{Procs: 2})
-	h0 := &s.handles[0]
 	h1 := &s.handles[1]
 	defer func() {
 		msg, ok := recover().(string)
@@ -285,7 +282,7 @@ func TestWakeNonBlockedStillPanics(t *testing.T) {
 			t.Fatalf("want non-blocked panic, got %v", msg)
 		}
 	}()
-	h0.Wake(h1, 100)
+	h1.WakeAt(100)
 }
 
 func TestWakeShrinksHorizon(t *testing.T) {
@@ -308,7 +305,7 @@ func TestWakeShrinksHorizon(t *testing.T) {
 			return
 		}
 		h.Advance(5)
-		h.Wake(handles[0], 8)
+		handles[0].WakeAt(8)
 		h.Advance(100)
 		log = append(log, ev{1, h.Clock()})
 	})
