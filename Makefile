@@ -236,7 +236,7 @@ sweepd-smoke:
 	@echo "sweepd-smoke: OK — cold grid byte-identical to local run; tuned resubmit reused the 2 unchanged d-MCS cells; all-cached result file cmp-equal to the local one"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
-# CI runs the -smoke variant.
+# its test runs both this grid and the -smoke one.
 paramspace:
 	$(GO) run ./examples/paramspace
 

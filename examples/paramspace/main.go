@@ -26,13 +26,21 @@ func main() {
 	smoke := flag.Bool("smoke", false, "tiny grid for CI smoke runs")
 	jobs := flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
+	if err := explore(*smoke, *jobs); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// explore prints the registry, sweeps the slice and fails if a cell
+// fails or the registry accepts an out-of-range tunable; the test calls
+// it directly in both modes.
+func explore(smoke bool, jobs int) error {
 	// --- Discovery: the registry's view of the parameter space. ---
 	fmt.Println("Registered lock schemes:")
 	for _, name := range rmalocks.Schemes() {
 		d, err := rmalocks.Describe(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("  %-10s caps=%-8s %s\n", d.Name, d.Caps, d.Doc)
 		for _, spec := range d.Tunables {
@@ -47,7 +55,10 @@ func main() {
 	fmt.Println()
 
 	// --- The swept slice: RMA-RW under a read-dominated load (the
-	// regime where T_R and the locality thresholds matter most). ---
+	// regime where T_R and the locality thresholds matter most). T_R
+	// stays at 100 and above: T_R = 10 ends the T_DC = 1 cells in the
+	// protocol's reader tail-starvation (DESIGN.md, "Verification
+	// strategy"). ---
 	grid := rmalocks.SweepGrid{
 		Schemes:   []string{"RMA-RW"},
 		Workloads: []string{"empty"},
@@ -57,34 +68,36 @@ func main() {
 		FW:        0.02, // 2% writers: the paper's read-dominated point
 		Locks:     1,
 		Tunables: []rmalocks.SweepTunableAxis{
-			{Key: "TR", Values: []int64{10, 100, 1000}},
+			{Key: "TR", Values: []int64{100, 1000, 6000}},
 			{Key: "TL2", Values: []int64{4, 16, 64}},
 			{Key: "TDC", Values: []int64{1, 16}},
 		},
 	}
-	if *smoke {
+	if smoke {
 		grid.Ps = []int{16}
 		grid.Iters = 10
 		grid.Tunables = []rmalocks.SweepTunableAxis{
-			{Key: "TR", Values: []int64{10, 1000}},
+			{Key: "TR", Values: []int64{100, 1000}},
 			{Key: "TL2", Values: []int64{4, 32}},
 		}
 	}
 
 	cells, err := grid.Cells()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	results, err := rmalocks.RunSweep(cells, rmalocks.SweepOptions{Workers: *jobs})
+	results, err := rmalocks.RunSweep(cells, rmalocks.SweepOptions{Workers: jobs})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(rmalocks.SweepTable("RMA-RW parameter space: TR x TL2 x TDC (FW=2%)", results))
 
 	// A validation taste: the registry rejects what the paper's Figure 1
 	// would reject.
-	if _, err := rmalocks.NewLock(rmalocks.NewMachine(rmalocks.MachineSpec{}), "RMA-RW",
-		rmalocks.Tune("TR", -5)); err != nil {
-		fmt.Printf("validation works: %v\n", err)
+	_, err = rmalocks.NewLock(rmalocks.NewMachine(rmalocks.MachineSpec{}), "RMA-RW", rmalocks.Tune("TR", -5))
+	if err == nil {
+		return fmt.Errorf("paramspace: the registry accepted TR=-5")
 	}
+	fmt.Printf("validation works: %v\n", err)
+	return nil
 }

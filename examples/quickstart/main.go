@@ -12,10 +12,18 @@ import (
 )
 
 func main() {
+	if err := quickstart(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// quickstart runs the demo and fails unless the lock lost no update;
+// the test calls it directly.
+func quickstart() error {
 	// A 4-node machine with 8 processes per node (32 simulated ranks).
 	machine, err := rmalocks.NewMachineErr(rmalocks.MachineSpec{Nodes: 4, ProcsPerNode: 8})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The paper's Reader-Writer lock from the scheme registry, with its
@@ -24,7 +32,7 @@ func main() {
 	// are validated — try Tune("TR", -1) to see the typed error.
 	lock, err := rmalocks.NewLock(machine, "RMA-RW")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One shared word on rank 0, protected by the lock.
@@ -51,13 +59,17 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	writers := machine.Procs() / 8
+	got, want := machine.At(0, counter), int64(machine.Procs()/8*iters)
 	fmt.Printf("machine:        %v\n", machine.Topology())
 	fmt.Printf("scheme:         %s (caps %v)\n", lock.Name(), lock.Caps())
-	fmt.Printf("counter:        %d (want %d)\n", machine.At(0, counter), writers*iters)
+	fmt.Printf("counter:        %d (want %d)\n", got, want)
 	fmt.Printf("virtual time:   %.3f ms\n", float64(machine.MaxClock())/1e6)
 	fmt.Printf("rma ops:        %v\n", machine.Stats())
+	if got != want {
+		return fmt.Errorf("quickstart: counter %d, want %d: the lock lost an update", got, want)
+	}
+	return nil
 }

@@ -1,6 +1,6 @@
 package rmalocks_test
 
-// Tests of the registry-backed facade: NewLock/Tune/TuneLevels
+// Tests of the registry-backed facade: NewLock/Tune
 // construction, Schemes/Describe discovery, and the validating
 // NewMachineErr.
 
@@ -11,12 +11,13 @@ import (
 
 	"rmalocks"
 	"rmalocks/internal/locks/rmarw"
+	"rmalocks/internal/topology"
 )
 
 func TestNewLockWithTunables(t *testing.T) {
 	m := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 4, ProcsPerNode: 4})
 	lock, err := rmalocks.NewLock(m, "rma-rw",
-		rmalocks.Tune("TR", 500), rmalocks.TuneLevels("TL", 16, 32))
+		rmalocks.Tune("TR", 500), rmalocks.Tune("TL1", 16), rmalocks.Tune("TL2", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestNewMachineErrValidation(t *testing.T) {
 		}
 	}
 	// A rank count overflowing int32 rank ids is rejected with the
-	// typed, errors.As-matchable RankOverflowError.
+	// typed, errors.As-matchable topology.RankOverflowError.
 	if _, err := rmalocks.NewMachineErr(rmalocks.MachineSpec{Nodes: 1 << 20, ProcsPerNode: 1 << 12}); err == nil {
 		t.Error("2^32-rank spec accepted")
 	} else {
-		var roe *rmalocks.RankOverflowError
+		var roe *topology.RankOverflowError
 		if !errors.As(err, &roe) {
 			t.Errorf("overflow error %v is not a *RankOverflowError", err)
 		}

@@ -88,9 +88,10 @@ func TestKnownLimitationReaderTailStarvation(t *testing.T) {
 	// while the remaining readers complete enough entries after the
 	// final counter reset to refill ARRIVE to T_R: the counter then
 	// freezes at T_R and the parked reader spins forever. Without the
-	// accept-list, the checker must find that terminal state. Real
-	// configurations use T_R ≫ readers-per-counter, where a frozen
-	// counter at exactly T_R cannot happen silently.
+	// accept-list, the checker must find that terminal state. A T_R far
+	// above the readers per counter does not rule it out: a simulated
+	// run of 64 ranks with two readers per counter deadlocks at T_R = 20
+	// (internal/workload's TestRMARWReaderTailStarvation).
 	r := Check(RW{Writers: 0, Readers: 2, Iters: 2, TW: 2, TR: 1}, 0)
 	if !r.Deadlock {
 		t.Fatalf("expected the reader tail-starvation to be found, got %v", r)

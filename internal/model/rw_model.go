@@ -32,9 +32,10 @@ type RW struct {
 	// tail-starvation corner: with finite work, the last T_R arrivals
 	// after the final counter reset can refill ARRIVE to exactly T_R
 	// while a backed-off reader misses every ARRIVE < T_R window, leaving
-	// it spinning forever. The window only closes after T_R fresh
-	// arrivals, so real deployments with T_R ≫ readers-per-counter never
-	// hit it; exhaustive search without fairness assumptions always does.
+	// it spinning forever. Exhaustive search without fairness
+	// assumptions always finds it; a large T_R makes it rarer but does
+	// not rule it out (internal/workload's TestRMARWReaderTailStarvation
+	// hits it at T_R = 20 with two readers per counter).
 	AcceptReaderStarvation bool
 }
 

@@ -102,9 +102,10 @@ import (
 // in the simulated protocol.
 var ErrTimeLimit = errors.New("sim: virtual time limit exceeded")
 
-// ErrDeadlock is returned by Run when no process can make progress: every
-// live process is blocked in a barrier that can never complete.
-var ErrDeadlock = errors.New("sim: deadlock: all live processes blocked in barrier")
+// ErrDeadlock is returned by Run when no process can make progress:
+// every live process is blocked — in a barrier, or waiting on a window
+// word no running process will change.
+var ErrDeadlock = errors.New("sim: deadlock: no runnable process; every live process is blocked")
 
 // MaxProcs is the largest supported process count: rank ids are int32
 // throughout the scheduler core (heap entries, handles).

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -469,6 +470,63 @@ func (e DuplicateAxisError) Error() string {
 	return fmt.Sprintf("sweep: duplicate tunables axis %q", e.Key)
 }
 
+// RepeatedValueError reports a value listed twice on one grid axis. It
+// would enumerate two cells with the same Key, and baselines and
+// Compare index cells by that key.
+type RepeatedValueError struct {
+	// Axis is "schemes", "workloads", "profiles", "ps", "faults" or a
+	// tunable key.
+	Axis  string
+	Value string
+}
+
+func (e RepeatedValueError) Error() string {
+	return fmt.Sprintf("sweep: %s axis: value %s repeated", e.Axis, e.Value)
+}
+
+// repeated returns the first value of vals that an earlier one equals.
+// Axes are short, so a scan beats building a set.
+func repeated[T comparable](vals []T) (T, bool) {
+	for i, v := range vals {
+		if slices.Contains(vals[:i], v) {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// checkRepeats rejects a value repeated on any axis of the grid, with
+// a RepeatedValueError naming the axis and the value.
+func (g Grid) checkRepeats() error {
+	for _, ax := range []struct {
+		name string
+		vals []string
+	}{{"schemes", g.Schemes}, {"workloads", g.Workloads}, {"profiles", g.Profiles}} {
+		if v, ok := repeated(ax.vals); ok {
+			return RepeatedValueError{Axis: ax.name, Value: v}
+		}
+	}
+	if v, ok := repeated(g.Ps); ok {
+		return RepeatedValueError{Axis: "ps", Value: strconv.Itoa(v)}
+	}
+	for _, ax := range g.Tunables {
+		if v, ok := repeated(ax.Values); ok {
+			return RepeatedValueError{Axis: ax.Key, Value: strconv.FormatInt(v, 10)}
+		}
+	}
+	faults := make([]string, 0, len(g.Faults))
+	for _, fp := range g.Faults {
+		if fp != nil {
+			faults = append(faults, fp.Canonical())
+		}
+	}
+	if v, ok := repeated(faults); ok {
+		return RepeatedValueError{Axis: "faults", Value: v}
+	}
+	return nil
+}
+
 // combos expands the cross-product of the axes in declaration order
 // (first axis outermost). No axes — or axes with no values — yield the
 // single empty combination. Axis keys must be distinct; a repeated key
@@ -588,10 +646,11 @@ type attachments struct {
 // workload, then profile, then P, then the tunables cross-product
 // (first axis outermost), then the fault axis (fault-free baseline
 // first). Reports, baselines and diffs all follow this order. A
-// repeated tunables axis key yields a DuplicateAxisError — checked on
-// the full axis list, before per-scheme projection, so the same grid
-// fails the same way regardless of which schemes it names. An unknown
-// Engine name and a negative P or ProcsPerNode are errors too.
+// repeated tunables axis key yields a DuplicateAxisError and a value
+// repeated on one axis a RepeatedValueError — both checked on the full
+// axis lists, before per-scheme projection, so the same grid fails the
+// same way regardless of which schemes it names. An unknown Engine
+// name and a negative P or ProcsPerNode are errors too.
 func (g Grid) Cells() ([]Cell, error) {
 	specs, att, err := g.enumerate()
 	if err != nil {
@@ -643,6 +702,9 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 		return nil, nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
 	}
 	if _, err := combos(g.Tunables); err != nil {
+		return nil, nil, err
+	}
+	if err := g.checkRepeats(); err != nil {
 		return nil, nil, err
 	}
 	for i, fp := range g.Faults {

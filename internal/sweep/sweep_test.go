@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rmalocks/internal/fault"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
@@ -305,6 +306,50 @@ func TestCellsDuplicateAxis(t *testing.T) {
 	g.Schemes = []string{workload.SchemeFoMPISpin}
 	if _, err := g.Cells(); !errors.As(err, &dup) {
 		t.Fatalf("projection hid the duplicate axis: err = %v", err)
+	}
+}
+
+// TestCellsRepeatedValue: a value listed twice on one axis would
+// enumerate two cells with the same Key, so enumeration rejects it with
+// a typed error naming the axis and the value — on every axis, and
+// before per-scheme projection.
+func TestCellsRepeatedValue(t *testing.T) {
+	fp, err := fault.Parse("jitter=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := fault.Parse("jitter=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		edit        func(*sweep.Grid)
+		axis, value string
+	}{
+		{func(g *sweep.Grid) { g.Schemes = []string{"D-MCS", "RMA-RW", "D-MCS"} }, "schemes", "D-MCS"},
+		{func(g *sweep.Grid) { g.Workloads = []string{"empty", "empty"} }, "workloads", "empty"},
+		{func(g *sweep.Grid) { g.Profiles = []string{"uniform", "zipf", "zipf"} }, "profiles", "zipf"},
+		{func(g *sweep.Grid) { g.Ps = []int{16, 16} }, "ps", "16"},
+		{func(g *sweep.Grid) { g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{500, 500}}} }, "TR", "500"},
+		{func(g *sweep.Grid) { g.Faults = []*fault.Profile{fp, same} }, "faults", "jitter=0.2"},
+		// foMPI-Spin takes no TR axis: the repeat is still rejected.
+		{func(g *sweep.Grid) {
+			g.Schemes = []string{workload.SchemeFoMPISpin}
+			g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{7, 7}}}
+		}, "TR", "7"},
+	} {
+		g := sweep.Grid{
+			Schemes:   []string{workload.SchemeDMCS, workload.SchemeRMARW},
+			Workloads: []string{"empty"},
+			Profiles:  []string{"uniform"},
+			Ps:        []int{8},
+		}
+		tc.edit(&g)
+		_, err := g.Cells()
+		var rep sweep.RepeatedValueError
+		if !errors.As(err, &rep) || rep.Axis != tc.axis || rep.Value != tc.value {
+			t.Errorf("%s=%s: err = %v, want RepeatedValueError{%s %s}", tc.axis, tc.value, err, tc.axis, tc.value)
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package workload_test
 
 import (
+	"errors"
 	"testing"
 
 	"rmalocks/internal/rma"
+	"rmalocks/internal/scheme"
+	"rmalocks/internal/sim"
 	"rmalocks/internal/workload"
 )
 
@@ -290,5 +293,28 @@ func TestSkipRankStartUsesAlignedClock(t *testing.T) {
 	wantMops := float64(warm.Ops) / (warm.MakespanMs * 1e3)
 	if d := warm.ThroughputMops - wantMops; d > 1e-9 || d < -1e-9 {
 		t.Errorf("throughput %v inconsistent with makespan (want %v)", warm.ThroughputMops, wantMops)
+	}
+}
+
+// TestRMARWReaderTailStarvation pins where the reader tail-starvation
+// of the paper's RMA-RW protocol (internal/model's
+// TestKnownLimitationReaderTailStarvation) bites at full size: 64
+// ranks, 2% writers, 60 iterations, one counter per two ranks, T_L,2 =
+// 4 and T_R = 20 end with every live rank blocked, on both engines.
+// T_R far above the readers per counter is therefore no guarantee: on
+// this cell T_R = 2, 5 and 20 deadlock while 50 and 100 complete, and
+// EXPERIMENTS.md records T_R = 50 deadlocking on claim C6's cells. If a
+// protocol change makes this cell complete, this test says so.
+func TestRMARWReaderTailStarvation(t *testing.T) {
+	for _, engine := range []string{"fast", "ref"} {
+		_, err := workload.Run(workload.Spec{
+			Scheme: "RMA-RW", P: 64, ProcsPerNode: 16, Seed: 1, Iters: 60,
+			Profile:  workload.Uniform{NumLocks: 1, FW: 0.02},
+			Tunables: scheme.Tunables{"TDC": 2, "TL2": 4, "TR": 20},
+			Engine:   engine,
+		})
+		if !errors.Is(err, sim.ErrDeadlock) {
+			t.Errorf("engine %s: err = %v, want sim.ErrDeadlock", engine, err)
+		}
 	}
 }

@@ -9,7 +9,7 @@
 //
 //	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 4, ProcsPerNode: 16})
 //	lock, err := rmalocks.NewLock(machine, "RMA-RW",
-//		rmalocks.Tune("TR", 500), rmalocks.TuneLevels("TL", 16, 32))
+//		rmalocks.Tune("TR", 500), rmalocks.Tune("TL1", 16), rmalocks.Tune("TL2", 32))
 //	if err != nil { ... }
 //	err = machine.Run(func(p *rmalocks.Proc) {
 //		lock.AcquireRead(p)
@@ -24,36 +24,23 @@
 // documented defaults and validity ranges, and construction validates
 // tunables instead of silently defaulting.
 //
-// The machine runs one goroutine per simulated process; virtual time is
+// Each simulated process is a coroutine, created when the scheduler
+// first dispatches it; one process runs at a time and virtual time is
 // deterministic, so results are exactly reproducible. See the examples/
 // directory for complete programs and DESIGN.md for how the simulation
 // maps to the paper's Cray XC30 testbed.
-//
-// # Tracing
-//
-// Every run can capture a deterministic event trace (scheduler blocks
-// and wakes, RMA operations, lock acquire/release) at near-zero overhead
-// via the trace API: attach NewTraceSink to MachineSpec.Trace or
-// WorkloadSpec.Trace, then analyze the merged stream (AnalyzeTrace:
-// Jain fairness, handoff-locality histograms, wait depth) or export it
-// with WriteChromeTrace for Perfetto / chrome://tracing. See DESIGN.md,
-// "Tracing & analysis".
 package rmalocks
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 
 	"rmalocks/internal/cache"
 	"rmalocks/internal/fault"
 	"rmalocks/internal/jobq"
-	"rmalocks/internal/locks"
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/topology"
-	"rmalocks/internal/trace"
 	"rmalocks/internal/workload"
 )
 
@@ -64,23 +51,6 @@ type Proc = rma.Proc
 
 // Machine is a simulated distributed machine.
 type Machine = rma.Machine
-
-// Topology describes the machine's element hierarchy.
-type Topology = topology.Topology
-
-// RankOverflowError is returned (wrapped) by NewMachineErr when a spec's
-// total rank count would overflow the int32 rank ids used by the
-// scheduler core; match it with errors.As.
-type RankOverflowError = topology.RankOverflowError
-
-// Mutex is a distributed mutual-exclusion lock.
-type Mutex = locks.Mutex
-
-// RWMutex is a distributed Reader-Writer lock.
-type RWMutex = locks.RWMutex
-
-// Nil is the null rank (∅) used in queue pointers.
-const Nil = rma.Nil
 
 // MachineSpec describes a machine to simulate. The zero value of optional
 // fields selects the paper's defaults.
@@ -98,20 +68,6 @@ type MachineSpec struct {
 	// TimeLimit aborts a run after this much virtual time (ns); zero
 	// means no limit.
 	TimeLimit int64
-	// Engine selects the scheduler implementation: "" or "fast" for the
-	// token-owned fast-path scheduler, "ref" for the reference engine
-	// (differential verification; see DESIGN.md).
-	Engine string
-	// Trace, when non-nil, captures the run's deterministic event
-	// stream (see NewTraceSink); tracing never changes the simulation.
-	Trace *TraceSink
-	// Faults, when non-nil, perturbs the run with the deterministic
-	// fault-injection layer (see ParseFaults and DESIGN.md, "Fault
-	// injection & graceful degradation"): RTT jitter, congestion
-	// windows, straggler ranks and stall intervals, all a pure function
-	// of (Seed, Faults.Seed, rank, event index), so faulted runs stay
-	// byte-identical across engines.
-	Faults *FaultProfile
 }
 
 // NewMachine builds a simulated machine from spec using the calibrated
@@ -127,9 +83,9 @@ func NewMachine(spec MachineSpec) *Machine {
 
 // NewMachineErr builds a simulated machine from spec, returning a
 // descriptive error instead of panicking when the spec is invalid:
-// non-positive Nodes or ProcsPerNode, a negative Racks, or Nodes not a
+// non-positive Nodes or ProcsPerNode, a negative Racks, Nodes not a
 // multiple of Racks (each rack must hold the same number of compute
-// nodes).
+// nodes), or more ranks than the scheduler's int32 rank ids hold.
 func NewMachineErr(spec MachineSpec) (*Machine, error) {
 	if spec.Nodes == 0 {
 		spec.Nodes = 1
@@ -137,7 +93,7 @@ func NewMachineErr(spec MachineSpec) (*Machine, error) {
 	if spec.ProcsPerNode == 0 {
 		spec.ProcsPerNode = 16
 	}
-	var topo *Topology
+	var topo *topology.Topology
 	var err error
 	if spec.Racks != 0 {
 		if spec.Racks < 0 {
@@ -150,7 +106,7 @@ func NewMachineErr(spec MachineSpec) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rmalocks: invalid MachineSpec: %w", err)
 	}
-	return rma.NewMachineConfig(topo, rma.Config{Seed: spec.Seed, TimeLimit: spec.TimeLimit, Engine: spec.Engine, Trace: spec.Trace, Faults: spec.Faults}), nil
+	return rma.NewMachineConfig(topo, rma.Config{Seed: spec.Seed, TimeLimit: spec.TimeLimit}), nil
 }
 
 // NewMachineForProcs builds a two-level machine hosting exactly p
@@ -173,38 +129,12 @@ type (
 	// SchemeDescriptor declares one registered scheme: name, aliases,
 	// capabilities and tunable specs.
 	SchemeDescriptor = scheme.Descriptor
-	// SchemeTunable declares one tunable: key, doc, default and range.
-	SchemeTunable = scheme.TunableSpec
-	// SchemeCaps is the capability bitmask of a scheme.
-	SchemeCaps = scheme.Caps
 	// Tunables maps tunable keys ("TR", "TL2", ...) to values.
 	Tunables = scheme.Tunables
 )
 
-// Scheme capability bits.
-const (
-	// CapMutex marks schemes offering mutual exclusion (all of them).
-	CapMutex = scheme.CapMutex
-	// CapRW marks schemes with genuine reader-writer semantics.
-	CapRW = scheme.CapRW
-	// CapTimeout marks schemes supporting bounded (timeout) acquires;
-	// MCS-queue schemes lack it — a queued node cannot be unlinked — and
-	// are typed-rejected (CapabilityError) when a fault profile requests
-	// acquire timeouts.
-	CapTimeout = scheme.CapTimeout
-)
-
-// CapabilityError reports a scheme asked for a capability it lacks
-// (e.g. acquire timeouts on an MCS-queue lock); match with errors.As.
-type CapabilityError = scheme.CapabilityError
-
-// TryRWMutex is the bounded-acquire view of a lock: TryAcquire*For
-// either enter within the virtual-time budget or abandon cleanly.
-type TryRWMutex = locks.TryRWMutex
-
-// AsTimedLock resolves a registry lock's bounded-acquire view; ok is
-// false when the scheme lacks CapTimeout.
-func AsTimedLock(l Lock) (TryRWMutex, bool) { return scheme.AsTimed(l) }
+// CapRW marks schemes with genuine reader-writer semantics.
+const CapRW = scheme.CapRW
 
 // TuneOption sets tunables for NewLock.
 type TuneOption func(Tunables)
@@ -214,16 +144,6 @@ func Tune(key string, value int64) TuneOption {
 	return func(t Tunables) { t[key] = value }
 }
 
-// TuneLevels sets a per-level tunable family from level 1 (the root)
-// downwards: TuneLevels("TL", 16, 32) sets TL1=16, TL2=32.
-func TuneLevels(key string, values ...int64) TuneOption {
-	return func(t Tunables) {
-		for i, v := range values {
-			t[key+strconv.Itoa(i+1)] = v
-		}
-	}
-}
-
 // NewLock allocates one lock of the named scheme on m through the
 // registry, validating the tunables against the scheme's declared
 // specs (typed errors for unknown schemes, unknown tunables and
@@ -231,7 +151,7 @@ func TuneLevels(key string, values ...int64) TuneOption {
 // Call before m.Run.
 //
 //	lock, err := rmalocks.NewLock(m, "RMA-RW",
-//		rmalocks.Tune("TR", 500), rmalocks.TuneLevels("TL", 16, 32))
+//		rmalocks.Tune("TR", 500), rmalocks.Tune("TL2", 32))
 func NewLock(m *Machine, name string, opts ...TuneOption) (Lock, error) {
 	t := Tunables{}
 	for _, opt := range opts {
@@ -254,46 +174,18 @@ func Describe(name string) (SchemeDescriptor, error) { return scheme.Describe(na
 // critical-section workload under any contention profile, with
 // deterministic, seed-reproducible results.
 type (
-	// Workload supplies the critical-section body of a benchmark
-	// iteration (setup, per-iteration body, result extraction).
-	Workload = workload.Workload
-	// Profile is a contention generator deciding per-iteration intent.
-	Profile = workload.Profile
-	// Intent is one iteration's decision: lock index, read/write mode,
-	// post-release think time.
-	Intent = workload.Intent
 	// WorkloadSpec configures one harness run (scheme × workload ×
 	// profile on a machine).
 	WorkloadSpec = workload.Spec
 	// WorkloadReport is the unified throughput/latency outcome.
 	WorkloadReport = workload.Report
-
 	// UniformProfile picks locks uniformly with a fixed writer fraction.
 	UniformProfile = workload.Uniform
-	// BurstyProfile alternates burst and idle phases.
-	BurstyProfile = workload.Bursty
-	// RWSweepProfile sweeps the writer fraction over time.
-	RWSweepProfile = workload.RWSweep
-
 	// EmptyWorkload is the empty critical section (lock cost only).
 	EmptyWorkload = workload.Empty
-	// SharedOpWorkload performs one remote access per CS.
-	SharedOpWorkload = workload.SharedOp
-	// CounterComputeWorkload increments a shared counter plus local work.
-	CounterComputeWorkload = workload.CounterCompute
 	// DHTWorkload runs hashtable operations inside the CS.
 	DHTWorkload = workload.DHTOps
 )
-
-// WorkloadSchemes lists every lock scheme the workload harness can run.
-var WorkloadSchemes = workload.Schemes
-
-// NewZipfProfile builds a Zipf-skewed contention profile over numLocks
-// locks with skew exponent s (<0 selects 1.2; 0 degenerates to a
-// uniform draw) and writer fraction fw.
-func NewZipfProfile(numLocks int, s, fw float64) *workload.Zipf {
-	return workload.NewZipf(numLocks, s, fw)
-}
 
 // RunWorkload executes one workload benchmark and returns its report.
 // Results are a deterministic function of (spec, spec.Seed) — including
@@ -306,9 +198,9 @@ func RunWorkload(spec WorkloadSpec) (WorkloadReport, error) {
 // graceful degradation"): a seeded deterministic perturbation layer —
 // RTT jitter, link congestion windows, straggler ranks, stall
 // intervals — plus bounded-timeout acquires with capped exponential
-// backoff for CapTimeout schemes. The fault schedule is a pure
-// function of (machine seed, profile seed, rank, per-rank event
-// index), so faulted runs stay byte-identical across all engines.
+// backoff for schemes that can abandon an acquire. The fault schedule
+// is a pure function of (machine seed, profile seed, rank, per-rank
+// event index), so faulted runs stay byte-identical across all engines.
 type FaultProfile = fault.Profile
 
 // ParseFaults parses the workbench fault grammar, e.g.
@@ -317,24 +209,15 @@ type FaultProfile = fault.Profile
 // fault.ValueError).
 func ParseFaults(spec string) (*FaultProfile, error) { return fault.Parse(spec) }
 
-// ErrRetriesExhausted is the typed abort sentinel a bounded-acquire
-// run fails with when a rank exhausts its retry budget under
-// onexhaust=abort; match with errors.Is on RunWorkload's error.
-var ErrRetriesExhausted = workload.ErrRetriesExhausted
-
 // Sweep engine (internal/sweep, see DESIGN.md "The sweep engine"):
 // scheme × workload × profile × P grids executed host-parallel on a
 // bounded worker pool, merged in canonical cell order (byte-identical
-// for any worker count), persisted as JSON baselines, and diffed for
-// perf regressions.
+// for any worker count) and persisted as JSON baselines.
 type (
 	// SweepGrid enumerates a parameter grid into independent cells.
 	SweepGrid = sweep.Grid
 	// SweepCell is one independent simulation of a sweep.
 	SweepCell = sweep.Cell
-	// SweepKey identifies a grid cell (scheme/workload/profile/P, plus
-	// the canonical tunables encoding when the cell is tuned).
-	SweepKey = sweep.Key
 	// SweepTunableAxis is one sweepable tunable dimension of the grid
 	// (the paper's lock parameter space as a cross-product axis).
 	SweepTunableAxis = sweep.TunableAxis
@@ -344,8 +227,6 @@ type (
 	SweepCellResult = sweep.CellResult
 	// SweepRunFile is the persisted JSON baseline format (results/).
 	SweepRunFile = sweep.RunFile
-	// SweepDelta is a per-cell baseline comparison.
-	SweepDelta = sweep.Delta
 )
 
 // RunSweep executes every cell on a bounded worker pool and merges the
@@ -371,12 +252,6 @@ func SaveSweep(path, label string, results []SweepCellResult) error {
 // LoadSweep reads a baseline persisted by SaveSweep.
 func LoadSweep(path string) (SweepRunFile, error) { return sweep.Load(path) }
 
-// CompareSweeps diffs a current run against a baseline per cell; use
-// sweep.Regressions-style filtering via the returned deltas.
-func CompareSweeps(base, cur []SweepCellResult) []SweepDelta {
-	return sweep.Compare(base, cur)
-}
-
 // ApplySweepDegradation joins each faulted cell of a fault-axis sweep
 // (SweepGrid.Faults) to its fault-free sibling and derives graceful-
 // degradation metrics in place: tail-latency inflation (p99_infl,
@@ -400,8 +275,6 @@ type (
 	// ResultCacheReport summarizes a cache directory load: entries
 	// found, entries admitted to memory, corrupt files skipped.
 	ResultCacheReport = cache.LoadReport
-	// ResultCacheStats is a point-in-time cache counter snapshot.
-	ResultCacheStats = cache.Stats
 	// SweepCellCache is the cache hook of the sweep engine: RunSweep
 	// consults it per cell when SweepOptions.Cache is set.
 	SweepCellCache = sweep.CellCache
@@ -413,21 +286,7 @@ type (
 	// JobConfig wires a JobManager: worker-pool width, concurrent-job
 	// bound, cell cache, and observability hooks.
 	JobConfig = jobq.Config
-	// Job is one submitted sweep with its lifecycle state.
-	Job = jobq.Job
-	// JobStatus is the wire view of a job's state and progress counts.
-	JobStatus = jobq.Status
-	// SweepWireError names a grid field that cannot cross the wire.
-	SweepWireError = sweep.WireError
 )
-
-// ErrSweepCanceled is the typed sentinel RunSweep returns when
-// SweepOptions.Cancel fires mid-sweep; match with errors.Is.
-var ErrSweepCanceled = sweep.ErrCanceled
-
-// ErrJobsDraining rejects submissions to a JobManager that is shutting
-// down gracefully; match with errors.Is.
-var ErrJobsDraining = jobq.ErrDraining
 
 // OpenResultCache opens (or creates) a persistent result cache rooted
 // at dir with the given in-memory byte budget (<= 0 selects 64 MiB;
@@ -448,68 +307,9 @@ func NewJobManager(cfg JobConfig) *JobManager { return jobq.NewManager(cfg) }
 
 // EncodeSweepGrid encodes a grid as the sweepd wire format (POST
 // /jobs). Grids carrying process-local state (trace sinks, MemStats)
-// are rejected with a typed SweepWireError naming the field.
+// are rejected with an error naming the field.
 func EncodeSweepGrid(g SweepGrid) ([]byte, error) { return sweep.EncodeGrid(g) }
 
 // DecodeSweepGrid decodes a wire-format grid, rejecting unknown
 // fields; the decoded grid enumerates exactly the submitter's cells.
 func DecodeSweepGrid(data []byte) (SweepGrid, error) { return sweep.DecodeGrid(data) }
-
-// Tracing & analysis (internal/trace, see DESIGN.md "Tracing &
-// analysis"): deterministic event capture of scheduler events, RMA
-// operations and lock protocols, with fairness/locality analyses,
-// Perfetto-loadable exports, and replay validation. The merged stream
-// is byte-identical across scheduler engines and publication modes for
-// the semantic classes (differential-tested); token hand-offs are a
-// TraceCharge diagnostic.
-type (
-	// TraceSink owns the per-rank event buffers of one traced run.
-	TraceSink = trace.Sink
-	// TraceEvent is one fixed-size captured event.
-	TraceEvent = trace.Event
-	// TraceClass is the bitmask of captured event classes.
-	TraceClass = trace.Class
-	// TraceAnalysis is the one-stop summary of a merged event stream.
-	TraceAnalysis = trace.Analysis
-)
-
-// Trace class masks re-exported for sink construction.
-const (
-	TraceSched    = trace.ClassSched
-	TraceOps      = trace.ClassOp
-	TraceLocks    = trace.ClassLock
-	TraceCharge   = trace.ClassCharge
-	TraceSemantic = trace.ClassSemantic
-	TraceAll      = trace.ClassAll
-)
-
-// NewTraceSink builds a trace sink capturing the given classes (0 =
-// the semantic set). Attach it to MachineSpec.Trace or
-// WorkloadSpec.Trace; read the canonical stream with Events() after
-// the run.
-func NewTraceSink(mask TraceClass) *TraceSink { return trace.New(mask) }
-
-// AnalyzeTrace summarizes a traced machine run: Jain fairness over
-// per-rank acquisitions, the handoff-locality histogram over the
-// machine's topology, wait-queue depth and per-rank acquire waits.
-func AnalyzeTrace(m *Machine, sink *TraceSink) TraceAnalysis {
-	topo := m.Topology()
-	return trace.Summarize(sink.Events(), topo.Procs(), topo.Distance, topo.MaxDistance())
-}
-
-// WriteChromeTrace exports a sink's stream as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing); label names the run.
-func WriteChromeTrace(w io.Writer, m *Machine, sink *TraceSink, label string) error {
-	topo := m.Topology()
-	return trace.WriteChrome(w, sink.Events(), trace.Meta{Label: label, P: topo.Procs(), PPN: topo.ProcsPerLeaf()})
-}
-
-// WriteTraceCSV exports a sink's stream as raw event CSV.
-func WriteTraceCSV(w io.Writer, sink *TraceSink) error {
-	return trace.WriteCSV(w, sink.Events())
-}
-
-// ValidateTrace replays a merged event stream and checks capture and
-// lock-protocol invariants (mutual exclusion, matched acquire/release,
-// canonical order); see trace.Validate.
-func ValidateTrace(events []TraceEvent) error { return trace.Validate(events) }
