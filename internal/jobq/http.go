@@ -152,8 +152,10 @@ func (a *API) result(w http.ResponseWriter, id string) {
 // tracker writes its last line when every cell is terminal, a moment
 // before run publishes the job's own state; the response is held open
 // until it has, so the status read a client makes after EOF never sees
-// "running". The merged done channel covers jobs that never start —
-// canceled while queued — so a follower is never left hanging.
+// "running". The merged done channel covers jobs that never start or
+// stop early — canceled while queued or running, cells left
+// non-terminal — so a follower is never left hanging; the stream's last
+// lines are the tracker's state when the job ended.
 func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
 	interval := 250 * time.Millisecond
 	if ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms")); err == nil && ms > 0 {
@@ -166,10 +168,6 @@ func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
 		select {
 		case <-r.Context().Done():
 		case <-j.Done():
-			// Let the tracker emit the final transitions before the
-			// stream unblocks on done (cancel paths leave cells
-			// non-terminal, so the tracker alone would wait forever).
-			time.Sleep(2 * interval)
 		}
 	}()
 	j.Progress().StreamNDJSON(w, interval, done) //nolint:errcheck // client gone

@@ -62,6 +62,10 @@ type Lock struct {
 	departOff    int
 	rlockOff     int // per-counter reset latch (see resetCounter)
 	counterRanks []int
+	// waits holds every rank's wait at a counter in progress (a writer's
+	// drain, either side's reset latch), so that a wait the scheduler has
+	// to park (rma.Proc.Poll keeps the Retry) allocates nothing.
+	waits []counterWait
 
 	// Statistics (single-runner safe).
 	ReadAcquires   int64
@@ -127,6 +131,7 @@ func NewConfigErr(m *rma.Machine, cfg Config) (*Lock, error) {
 		tr:           tr,
 		counterRanks: topo.CounterRanks(tdc),
 		id:           m.RegisterLock(),
+		waits:        make([]counterWait, m.Procs()),
 	}
 	// The pre-check above already bounds Π T_L,i strictly below
 	// MaxInt64, so ProductTL cannot saturate here.
@@ -185,40 +190,74 @@ func (l *Lock) setCountersToWrite(p *rma.Proc) {
 		p.Accumulate(Bias, r, l.arriveOff, rma.OpSum)
 		p.Flush(r)
 	}
-	d := &drain{l: l, p: p}
 	for _, r := range l.counterRanks {
-		d.rank, d.b = r, spinwait.Default()
-		p.Poll(d)
+		p.Poll(l.waitAt(p, r, drainArrive))
 	}
 }
 
-// drain is a writer's wait for the readers counted in at one physical
-// counter to leave: read ARRIVE, read DEPART, back off and start over
-// unless they differ by exactly the bias. Two reads, so two tries
-// (rma.Retry makes one observable operation per try).
-type drain struct {
+// waitPhase is where a counterWait stands: every phase is one operation on
+// the counter, and one try (rma.Retry) makes one.
+type waitPhase uint8
+
+const (
+	// A writer's drain, waiting for the readers counted in at the counter
+	// to leave: read ARRIVE, read DEPART, back off and start over unless
+	// they differ by exactly the bias.
+	drainArrive waitPhase = iota
+	drainDepart
+	// The wait for the counter's reset latch: CAS it 0→1, back off and
+	// retry.
+	latchClaim
+)
+
+// counterWait is one rank's wait at one physical counter.
+type counterWait struct {
 	l       *Lock
 	p       *rma.Proc
 	rank    int
 	b       spinwait.Backoff
-	arrived int64
-	midway  bool // ARRIVE is read, DEPART is next
+	arrived int64 // drainDepart: ARRIVE as drainArrive read it
+	phase   waitPhase
 }
 
-func (d *drain) Try() bool {
-	if !d.midway {
-		d.arrived = d.p.Get(d.rank, d.l.arriveOff)
-		d.midway = true
+// waitAt readies p's wait slot for a wait at the counter on rank, starting
+// in phase first.
+func (l *Lock) waitAt(p *rma.Proc, rank int, first waitPhase) *counterWait {
+	w := &l.waits[p.Rank()]
+	*w = counterWait{l: l, p: p, rank: rank, b: spinwait.Default(), phase: first}
+	return w
+}
+
+// Try implements rma.Retry: one operation on the counter, then what
+// follows from its result.
+func (w *counterWait) Try() bool {
+	p, l := w.p, w.l
+	switch w.phase {
+	case drainArrive:
+		w.arrived = p.Get(w.rank, l.arriveOff)
+		w.phase = drainDepart
+		return false
+	case drainDepart:
+		dep := p.Get(w.rank, l.departOff)
+		p.Flush(w.rank)
+		w.phase = drainArrive
+		if w.arrived-Bias == dep {
+			return true
+		}
+		w.b.Pause(p)
+		return false
+	default: // latchClaim
+		prev := p.CAS(1, 0, w.rank, l.rlockOff)
+		p.Flush(w.rank)
+		if prev == 0 {
+			return true
+		}
+		w.b.Pause(p)
+		// Jitter desynchronizes contenders: with a deterministic
+		// scheduler, symmetric spinning can lock into a periodic cycle.
+		p.Compute(int64(p.Rand().Intn(200)) + 1)
 		return false
 	}
-	dep := d.p.Get(d.rank, d.l.departOff)
-	d.p.Flush(d.rank)
-	d.midway = false
-	if d.arrived-Bias == dep {
-		return true
-	}
-	d.b.Pause(d.p)
-	return false
 }
 
 // resetCounter resets one physical counter: subtract the departures from
@@ -235,10 +274,8 @@ func (d *drain) Try() bool {
 //     reader-side reset must never strip it: a writer may have switched
 //     the counter to WRITE between the reader's TAIL probe and its reset,
 //     and losing that bias would wedge the writer's drain loop forever.
-func (l *Lock) resetCounter(t *latch, rank int, stripBias bool) {
-	p := t.p
-	t.rank, t.b = rank, spinwait.Default()
-	p.Poll(t)
+func (l *Lock) resetCounter(p *rma.Proc, rank int, stripBias bool) {
+	p.Poll(l.waitAt(p, rank, latchClaim))
 	arr := p.Get(rank, l.arriveOff)
 	dep := p.Get(rank, l.departOff)
 	p.Flush(rank)
@@ -253,33 +290,10 @@ func (l *Lock) resetCounter(t *latch, rank int, stripBias bool) {
 	p.Flush(rank)
 }
 
-// latch is the wait for one counter's reset latch: CAS it 0→1, back off
-// and retry.
-type latch struct {
-	l    *Lock
-	p    *rma.Proc
-	rank int
-	b    spinwait.Backoff
-}
-
-func (t *latch) Try() bool {
-	prev := t.p.CAS(1, 0, t.rank, t.l.rlockOff)
-	t.p.Flush(t.rank)
-	if prev == 0 {
-		return true
-	}
-	t.b.Pause(t.p)
-	// Jitter desynchronizes contenders: with a deterministic
-	// scheduler, symmetric spinning can lock into a periodic cycle.
-	t.p.Compute(int64(t.p.Rand().Intn(200)) + 1)
-	return false
-}
-
 // resetCounters hands the lock to the readers by resetting every counter.
 func (l *Lock) resetCounters(p *rma.Proc) {
-	t := &latch{l: l, p: p}
 	for _, r := range l.counterRanks {
-		l.resetCounter(t, r, true)
+		l.resetCounter(p, r, true)
 	}
 	l.ModeChanges++
 }
@@ -318,7 +332,7 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 			// We are the first to reach T_R: pass the lock to the
 			// writers if any are waiting, otherwise reopen the counter.
 			if l.tree.ReadTail(p, 1, p.Rank()) == rma.Nil {
-				l.resetCounter(&latch{l: l, p: p}, c, false)
+				l.resetCounter(p, c, false)
 				barrier = false
 			}
 		}

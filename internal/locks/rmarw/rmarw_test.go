@@ -251,3 +251,39 @@ func TestDeterministicOutcome(t *testing.T) {
 		t.Errorf("nondeterministic: (%d,%d) vs (%d,%d)", mc1, t1, mc2, t2)
 	}
 }
+
+// TestWriteCycleAllocatesNothing: a writer's drain and reset latch live in
+// the lock, one slot per rank, so a write cycle that reaches the root —
+// counters switched to WRITE and drained on acquire, reset on release —
+// allocates nothing, whether its waits succeed at once or the scheduler
+// has to park them (rma.Proc.Poll keeps the Retry) behind the readers of
+// another node.
+func TestWriteCycleAllocatesNothing(t *testing.T) {
+	m := rma.NewMachineConfig(topology.TwoLevel(2, 1), rma.Config{})
+	defer m.Release()
+	l := New(m)
+	var allocs float64
+	err := m.Run(func(p *rma.Proc) {
+		if p.Rank() == 0 {
+			allocs = testing.AllocsPerRun(200, func() {
+				l.AcquireWrite(p)
+				l.ReleaseWrite(p)
+			})
+			return
+		}
+		for i := 0; i < 100; i++ { // overlaps rank 0's first cycles
+			l.AcquireRead(p)
+			p.Compute(500)
+			l.ReleaseRead(p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.ModeChanges < 200 {
+		t.Fatalf("%d counter resets, want one per write cycle: the cycles did not reach the root", l.ModeChanges)
+	}
+	if allocs != 0 {
+		t.Errorf("an RMA-RW write cycle allocated %.2f times", allocs)
+	}
+}

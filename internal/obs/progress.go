@@ -244,7 +244,9 @@ type flusher interface{ Flush() }
 // streaming: on every state change (polled at the given interval) it
 // emits the transitioned cells and a fresh SummaryLine, until the sweep
 // finishes or the writer errors (client gone). done receives an
-// optional external stop signal (may be nil).
+// optional external stop signal (may be nil); once it closes, the
+// changes made since the last poll are emitted and the stream ends, so
+// a stop signalled after the sweep's last transition never loses it.
 func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <-chan struct{}) error {
 	if p == nil {
 		return nil
@@ -259,6 +261,7 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 	// has no state for yet counts as changed.
 	var last []string
 	var ver uint64
+	stopped := false
 	for first := true; ; first = false {
 		p.mu.Lock()
 		// finished is read in the same critical section as the snapshot,
@@ -298,12 +301,12 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 				f.Flush()
 			}
 		}
-		if finished {
+		if finished || stopped {
 			return nil
 		}
 		select {
 		case <-done:
-			return nil
+			stopped = true
 		case <-time.After(interval):
 		}
 	}

@@ -1,8 +1,9 @@
 package sim
 
-// Internal benchmarks for the id-based (no-boxing) 4-ary min-heap behind
-// the genuine-handoff slow path. The engine-level benchmarks (fast path vs
-// refsim) live in bench_engines_test.go.
+// Internal benchmarks for the id-based (no-boxing) pending queue — a run
+// beside a 4-ary min-heap — behind the genuine-handoff slow path. The
+// engine-level benchmarks (fast path vs refsim) live in
+// bench_engines_test.go.
 
 import (
 	"fmt"
@@ -25,8 +26,8 @@ func newBenchScheduler(n int) *Scheduler {
 }
 
 // BenchmarkProcHeapPushPop measures one genuine-handoff scheduling
-// decision on the heap: pop the minimum rank, charge it time, push it
-// back.
+// decision on the queue: pop the minimum rank, charge it a random time,
+// push it back (mostly into the heap: the charges are not a herd's).
 func BenchmarkProcHeapPushPop(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
@@ -43,45 +44,66 @@ func BenchmarkProcHeapPushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHeapDrainRefill measures full heap churn: drain all procs
-// then refill, the pattern of a barrier release. The 4-ary sift keeps
-// per-element cost near log(n) well past the sizes where the former
-// binary *proc heap went super-linear (pointer-chasing cache misses).
+// BenchmarkProcHeapDrainRefill measures full queue churn: drain all procs,
+// then refill. A shuffled refill lands almost entirely in the 4-ary heap,
+// whose sift keeps per-element cost near log(n) well past the sizes where
+// the former binary *proc heap went super-linear (pointer-chasing cache
+// misses). The sorted refill is a barrier release: every push is an append
+// to the run.
 func BenchmarkProcHeapDrainRefill(b *testing.B) {
 	for _, n := range []int{16, 256, 4096, 65536} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			s := newBenchScheduler(n)
-			drained := make([]int32, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drained = drained[:0]
-				for len(s.heap.ids) > 0 {
-					drained = append(drained, s.popMin())
+		s := newBenchScheduler(n)
+		shuffled, sorted := refillOrders(s)
+		for _, c := range []struct {
+			name   string
+			refill []int32
+		}{{"procs", shuffled}, {"sorted/procs", sorted}} {
+			b.Run(fmt.Sprintf("%s=%d", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					drainRefill(s, c.refill)
 				}
-				for _, id := range drained {
-					s.push(id)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// drainRefillSeconds times one full drain+refill of an n-rank heap,
-// minimum over trials runs.
+// refillOrders returns the ids s holds queued, shuffled and in the
+// (clock, id) order a drain pops them in.
+func refillOrders(s *Scheduler) (shuffled, sorted []int32) {
+	for s.heap.queued() > 0 {
+		sorted = append(sorted, s.popMin())
+	}
+	shuffled = append([]int32(nil), sorted...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, id := range shuffled {
+		s.push(id)
+	}
+	return shuffled, sorted
+}
+
+// drainRefill pops every queued rank of s and pushes them back in the
+// order refill lists them.
+func drainRefill(s *Scheduler, refill []int32) {
+	for s.heap.queued() > 0 {
+		s.popMin()
+	}
+	for _, id := range refill {
+		s.push(id)
+	}
+}
+
+// drainRefillSeconds times one full drain and shuffled refill of an n-rank
+// queue, minimum over trials runs.
 func drainRefillSeconds(n, trials int) float64 {
 	s := newBenchScheduler(n)
-	drained := make([]int32, 0, n)
+	shuffled, _ := refillOrders(s)
 	best := math.MaxFloat64
 	for t := 0; t < trials; t++ {
 		start := time.Now()
-		drained = drained[:0]
-		for len(s.heap.ids) > 0 {
-			drained = append(drained, s.popMin())
-		}
-		for _, id := range drained {
-			s.push(id)
-		}
+		drainRefill(s, shuffled)
 		if el := time.Since(start).Seconds(); el < best {
 			best = el
 		}
@@ -100,7 +122,8 @@ func TestProcHeapDrainScalesNearNLogN(t *testing.T) {
 		t.Skip("million-rank drain timing skipped in -short")
 	}
 	const small, big = 1 << 12, 1 << 20
-	// "single-shard": the scheduler queues every pending rank in one heap.
+	// "single-shard": the scheduler queues every pending rank in one queue,
+	// and a shuffled refill puts nearly all of them in its heap.
 	t.Run("single-shard", func(t *testing.T) {
 		perOp := func(n int) float64 {
 			sec := drainRefillSeconds(n, 3)

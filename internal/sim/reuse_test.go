@@ -1,7 +1,7 @@
 package sim
 
 // Tests for the memory-flat core: pooled schedCore reuse must not leak
-// state between schedulers, and the id heap must pop in (clock, id) order.
+// state between schedulers, and the id queue must pop in (clock, id) order.
 
 import (
 	"errors"
@@ -87,8 +87,8 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 			t.Errorf("rank %d: stale coroutine survived reacquire", i)
 		}
 	}
-	if _, id, ok := s.heap.peek(); ok || len(s.heap.ids) != 0 {
-		t.Errorf("heap of a fresh scheduler holds %d ranks (top %d)", len(s.heap.ids), id)
+	if _, id, ok := s.heap.peek(); ok || s.heap.queued() != 0 {
+		t.Errorf("queue of a fresh scheduler holds %d ranks (top %d)", s.heap.queued(), id)
 	}
 	s.Release()
 
@@ -103,20 +103,29 @@ func TestReleaseReacquireNoStaleState(t *testing.T) {
 	}
 }
 
-// TestProcHeapMatchesSortedOracle drives the heap with random interleavings
-// of pushes and pops over up to 2^12 ids whose clocks collide often, so the
-// id tie-break decides most comparisons, and requires every peek and pop to
-// return the (clock, id) minimum of a sorted-slice oracle.
+// TestProcHeapMatchesSortedOracle drives the queue with random
+// interleavings of pushes and pops over up to 2^12 ids and requires every
+// peek and pop to return the (clock, id) minimum of a sorted-slice oracle.
+// Clocks collide often, so the id tie-break decides most comparisons. Half
+// the trials draw clocks uniformly from a few values; the other half push
+// near-monotone streams, the spinning herd's shape: clocks rise by one
+// every four ops with a jitter of three values, and one key in eight is the
+// last popped clock, which lands behind most of the run (a rank restarting
+// its back-off). Those trials must take every path of push — the append,
+// the insert before the tail, the heap — and wrap the ring.
 func TestProcHeapMatchesSortedOracle(t *testing.T) {
 	type key struct {
 		clock int64
 		id    int32
 	}
 	less := func(a, b key) bool { return a.clock < b.clock || (a.clock == b.clock && a.id < b.id) }
-	for trial := 0; trial < 40; trial++ {
+	var appended, inserted, heaped, wrapped int
+	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7919 + 1))
 		n := 1 + rng.Intn(1<<12)
 		clocks := 1 + rng.Int63n(16) // few distinct clocks: ties are the norm
+		herd := trial%2 == 1
+		var now int64 // the last popped clock
 		hot := make([]hotState, n)
 		var h procHeap
 		h.init(hot, n, nil)
@@ -126,7 +135,7 @@ func TestProcHeapMatchesSortedOracle(t *testing.T) {
 			idle[i] = int32(i)
 		}
 		// Fill-biased for the first half of the ops, drain-biased after, so
-		// the heap passes through every size up to about n.
+		// the queue passes through every size up to about n.
 		ops := 4 * n
 		for op := 0; op < ops || len(oracle) > 0; op++ {
 			pushPct := 75
@@ -139,8 +148,28 @@ func TestProcHeapMatchesSortedOracle(t *testing.T) {
 				idle[j] = idle[len(idle)-1]
 				idle = idle[:len(idle)-1]
 				k := key{rng.Int63n(clocks), id}
+				if herd {
+					k.clock = int64(op/4) + rng.Int63n(3)
+					if rng.Intn(8) == 0 {
+						k.clock = now
+					}
+				}
 				hot[id].clock = k.clock
+				inHeap := len(h.ids)
 				h.push(id)
+				if herd {
+					switch tail := h.run[(h.head+h.size-1)%n]; {
+					case len(h.ids) > inHeap:
+						heaped++
+					case tail == id:
+						appended++
+					default:
+						inserted++
+					}
+					if h.head+h.size > n {
+						wrapped++
+					}
+				}
 				at := sort.Search(len(oracle), func(i int) bool { return less(k, oracle[i]) })
 				oracle = append(oracle, key{})
 				copy(oracle[at+1:], oracle[at:])
@@ -154,14 +183,19 @@ func TestProcHeapMatchesSortedOracle(t *testing.T) {
 			if id := h.pop(); id != want.id {
 				t.Fatalf("trial %d (n=%d) op %d: pop %d, want %v", trial, n, op, id, want)
 			}
+			now = want.clock
 			oracle = oracle[1:]
 			idle = append(idle, want.id)
-			if len(h.ids) != len(oracle) {
-				t.Fatalf("trial %d: heap holds %d ids, oracle %d", trial, len(h.ids), len(oracle))
+			if h.queued() != len(oracle) {
+				t.Fatalf("trial %d: queue holds %d ids, oracle %d", trial, h.queued(), len(oracle))
 			}
 		}
 		if _, _, ok := h.peek(); ok {
-			t.Fatalf("trial %d: drained heap still has a minimum", trial)
+			t.Fatalf("trial %d: drained queue still has a minimum", trial)
 		}
+	}
+	if appended == 0 || inserted == 0 || heaped == 0 || wrapped == 0 {
+		t.Errorf("near-monotone pushes: %d appended, %d inserted before the tail, %d to the heap, %d with the ring wrapped; want every path taken",
+			appended, inserted, heaped, wrapped)
 	}
 }

@@ -49,19 +49,22 @@
 // (clock, id) minimum: as the token holder, at the rank's clock, in the
 // rank's turn — so everything the step does happens exactly when the
 // rank's own loop would have done it — but on the dispatcher's stack. A
-// failed step costs a heap push and pop; the two coroutine switches are
-// paid once, when the step succeeds.
+// failed step costs a re-queue and the next pop, in a spinning herd
+// usually an append to the pending queue's run and a take from its head
+// (see procHeap); the two coroutine switches are paid once, when the step
+// succeeds.
 //
 // # Token ownership and the fast path
 //
 // Everything the token holder does to its own virtual clock is invisible
 // to the other processes until the token is handed over. When a process is
 // dispatched it caches a horizon — the largest clock it can reach while
-// provably remaining the minimum (heap-top clock adjusted for the
-// (clock, id) tie-break, clamped to the time limit). As long as an Advance
-// stays at or below the horizon it is a heap-free, switch-free clock
-// increment: two compares and an add, zero allocations. Only a genuine
-// handoff (crossing the horizon) touches the min-heap and yields.
+// provably remaining the minimum (the pending minimum's clock adjusted for
+// the (clock, id) tie-break, clamped to the time limit). As long as an
+// Advance stays at or below the horizon it is a queue-free, switch-free
+// clock increment: two compares and an add, zero allocations. Only a
+// genuine handoff (crossing the horizon) touches the pending queue and
+// yields.
 // The refsim subpackage preserves the original global-mutex, goroutine-
 // per-rank scheduler; the differential determinism suite in
 // internal/workload checks both engines produce byte-identical results.
@@ -192,7 +195,7 @@ type Scheduler struct {
 	running int32
 	// nextStart is the first rank that has never been dispatched: ranks
 	// [nextStart, n) are implicitly pending at (clock 0, id), merged with
-	// the real heap by topKey. Dispatching one creates its coroutine,
+	// the queue by topKey. Dispatching one creates its coroutine,
 	// so coroutines materialize only as the simulation genuinely
 	// interleaves.
 	nextStart int32
@@ -355,7 +358,7 @@ func (s *Scheduler) Release() {
 	}
 	core.hot, core.state = s.hot, s.state
 	core.coros, core.steps, core.handles, core.arrived = s.coros, s.steps, s.handles, s.arrived
-	core.queue = s.heap.ids
+	core.queue = s.heap.buffer()
 	s.hot, s.state, s.coros, s.steps, s.handles, s.arrived = nil, nil, nil, nil, nil, nil
 	s.heap = procHeap{}
 	s.core = nil
@@ -517,7 +520,7 @@ func (h *Handle) Barrier() {
 		// Last arriver releases everyone.
 		s.releaseBarrier()
 	} else if !s.hasRunnable() {
-		// Non-arrived live processes are in the heap or not yet started;
+		// Non-arrived live processes are queued or not yet started;
 		// with neither, nobody can complete the barrier.
 		s.fail(ErrDeadlock)
 		panic(abortSignal{})
@@ -662,13 +665,13 @@ func (s *Scheduler) checkAborted() {
 	}
 }
 
-// hasRunnable reports whether any process is pending dispatch: queued in
-// the heap or not yet started.
+// hasRunnable reports whether any process is pending dispatch: queued or
+// not yet started.
 func (s *Scheduler) hasRunnable() bool {
-	return len(s.heap.ids) > 0 || s.nextStart < s.n
+	return s.heap.queued() > 0 || s.nextStart < s.n
 }
 
-// topKey returns the minimum pending (clock, id) across the real heap and
+// topKey returns the minimum pending (clock, id) across the queue and
 // the virtual start entries: rank nextStart, pending at clock 0, stands
 // for every not-yet-started rank (they all share clock 0, so the smallest
 // id is the only candidate).
@@ -684,7 +687,7 @@ func (s *Scheduler) topKey() (clock int64, id int32, ok bool) {
 	return c, top, hok
 }
 
-// dispatch removes the new minimum from the pending set (real heap or
+// dispatch removes the new minimum from the pending set (the queue or
 // virtual start entries), records it in s.running as the token holder and
 // caches its fast-path horizon. The caller then parks (or returns from its
 // body) so the trampoline resumes that rank — unless the minimum is the

@@ -96,24 +96,48 @@ func Encode(rf RunFile) ([]byte, error) {
 
 // Save writes the run as indented JSON, creating parent directories as
 // needed (results/ is the conventional home). The write goes through a
-// temporary file and rename, so an interrupted save never leaves a
-// truncated baseline behind.
+// temporary file in the target's directory and a rename, so an
+// interrupted save never leaves a truncated baseline behind. A target that
+// exists and is not a regular file (a device such as /dev/stdout, a FIFO)
+// is written in place: renaming over it would replace the node itself.
 func Save(path string, rf RunFile) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: save %s: %w", path, err)
-	}
-	data, err := Encode(rf)
-	if err != nil {
-		return fmt.Errorf("sweep: save %s: %w", path, err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("sweep: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := save(path, rf); err != nil {
 		return fmt.Errorf("sweep: save %s: %w", path, err)
 	}
 	return nil
+}
+
+func save(path string, rf RunFile) error {
+	data, err := Encode(rf)
+	if err != nil {
+		return err
+	}
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return os.WriteFile(path, data, 0o644)
+	}
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Load reads a run persisted by Save.
