@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"rmalocks/internal/fault"
@@ -39,6 +40,40 @@ type EmptyListError struct {
 
 func (e *EmptyListError) Error() string {
 	return fmt.Sprintf("workbench: -%s: empty list", e.Flag)
+}
+
+// BadEntryError reports a comma-list flag entry that does not parse as
+// what the flag takes: -ps wants positive rank counts.
+type BadEntryError struct {
+	Flag  string
+	Entry string
+}
+
+func (e *BadEntryError) Error() string {
+	return fmt.Sprintf("workbench: -%s: bad entry %q", e.Flag, e.Entry)
+}
+
+// parsePs parses the -ps sweep list; without one the run takes the
+// single -p.
+func parsePs(s string, single int) ([]int, error) {
+	if s == "" {
+		return []int{single}, nil
+	}
+	var ps []int
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v <= 0 {
+			return nil, &BadEntryError{Flag: "ps", Entry: part}
+		}
+		ps = append(ps, v)
+	}
+	if len(ps) == 0 {
+		return nil, &EmptyListError{Flag: "ps"}
+	}
+	return ps, nil
 }
 
 // splitNames splits a comma list ("all" selects the full set) and

@@ -103,3 +103,26 @@ func TestFaultAxesSet(t *testing.T) {
 		t.Fatalf("failed Set mutated the axes: %s", axes.String())
 	}
 }
+
+// TestParsePs pins -ps: a bad entry and an empty list are typed errors,
+// like every other list flag, and only an absent list falls back to -p.
+func TestParsePs(t *testing.T) {
+	if got, err := parsePs("", 64); err != nil || !reflect.DeepEqual(got, []int{64}) {
+		t.Errorf(`parsePs("") = %v, %v; want [64]`, got, err)
+	}
+	if got, err := parsePs(" 16, 32 ,64", 8); err != nil || !reflect.DeepEqual(got, []int{16, 32, 64}) {
+		t.Errorf("parsePs list = %v, %v", got, err)
+	}
+	var empty *EmptyListError
+	for _, s := range []string{",", " , "} {
+		if _, err := parsePs(s, 64); !errors.As(err, &empty) || empty.Flag != "ps" {
+			t.Errorf("parsePs(%q): got %v, want *EmptyListError for -ps", s, err)
+		}
+	}
+	var bad *BadEntryError
+	for _, s := range []string{"16,x", "0", "16,-4", "1e3"} {
+		if _, err := parsePs(s, 64); !errors.As(err, &bad) || bad.Flag != "ps" {
+			t.Errorf("parsePs(%q): got %v, want *BadEntryError for -ps", s, err)
+		}
+	}
+}

@@ -112,6 +112,10 @@ func main() {
 	if err == nil {
 		profileList, err = splitProfiles(*profiles)
 	}
+	var ps []int
+	if err == nil {
+		ps, err = parsePs(*psFlag, *p)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -135,7 +139,7 @@ func main() {
 			Schemes:   schemeList,
 			Workloads: workloadList,
 			Profiles:  profileList,
-			Ps:        parsePs(*psFlag, *p),
+			Ps:        ps,
 			Iters:     *iters, ProcsPerNode: *ppn, Seed: *seed, SeedSet: seedSet,
 			FW: *fw, Locks: *nlocks, ZipfS: *zipfS, ZipfSSet: zipfSSet, Engine: *engine,
 			MemStats: *memstats,
@@ -253,11 +257,7 @@ func run(opts runOpts) int {
 	} else {
 		fmt.Println(tb.String())
 	}
-	status := "deterministic per seed (re-run with -check to verify)"
-	if opts.check {
-		status = "all cells reproduced byte-identically"
-	}
-	fmt.Fprintf(os.Stderr, "[%d cells in %v; %s]\n", len(results), time.Since(start).Round(time.Millisecond), status)
+	fmt.Fprintln(os.Stderr, summary(results, time.Since(start), opts.check))
 
 	if opts.out != "" {
 		if err := sweep.Save(opts.out, sweep.NewRunFile(title, results)); err != nil {
@@ -292,6 +292,26 @@ func run(opts runOpts) int {
 		}
 	}
 	return 0
+}
+
+// summary is the line that closes a local run: how many cells, how long,
+// how many of them were taken from a sibling's run instead of simulated
+// (sweep.Run), and what was verified.
+func summary(results []sweep.CellResult, took time.Duration, check bool) string {
+	line := fmt.Sprintf("[%d cells in %v", len(results), took.Round(time.Millisecond))
+	derived := 0
+	for _, r := range results {
+		if r.Derived {
+			derived++
+		}
+	}
+	if derived > 0 {
+		line += fmt.Sprintf("; %d from a sibling's run", derived)
+	}
+	if check {
+		return line + "; all cells reproduced byte-identically]"
+	}
+	return line + "; deterministic per seed (re-run with -check to verify)]"
 }
 
 // diffBaseline loads a persisted run, prints per-cell deltas, and
@@ -416,28 +436,4 @@ func (t *tuneAxes) Set(s string) error {
 	}
 	*t = append(*t, sweep.TunableAxis{Key: key, Values: vals})
 	return nil
-}
-
-// parsePs parses the -ps sweep list, falling back to the single -p.
-func parsePs(s string, single int) []int {
-	if s == "" {
-		return []int{single}
-	}
-	var ps []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "workbench: bad -ps entry %q\n", part)
-			os.Exit(2)
-		}
-		ps = append(ps, v)
-	}
-	if len(ps) == 0 {
-		return []int{single}
-	}
-	return ps
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"rmalocks/internal/sweep"
 )
@@ -45,5 +46,29 @@ func TestTuneAxesSet(t *testing.T) {
 		if err := fresh.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted malformed input", bad)
 		}
+	}
+}
+
+// TestSummaryCountsDerivedCells pins the closing line of a local run:
+// it says how many cells came from a sibling's run. T_R = 400 and 800
+// never bind at this size, so each is derived from T_R = 200.
+func TestSummaryCountsDerivedCells(t *testing.T) {
+	cells, err := sweep.Grid{Schemes: []string{"RMA-RW", "foMPI-RW"}, Workloads: []string{"empty"},
+		Profiles: []string{"uniform"}, Ps: []int{8, 16}, Iters: 10, FW: 0.1,
+		Tunables: []sweep.TunableAxis{{Key: "TR", Values: []int64{200, 400, 800}}}}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sweep.Run(cells, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := summary(results, 1500*time.Microsecond, false)
+	want := "[8 cells in 2ms; 4 from a sibling's run; deterministic per seed (re-run with -check to verify)]"
+	if got != want {
+		t.Errorf("summary = %q, want %q", got, want)
+	}
+	if got := summary(results[6:], time.Millisecond, true); !strings.HasPrefix(got, "[2 cells in 1ms; all cells") {
+		t.Errorf("summary without derived cells = %q", got)
 	}
 }

@@ -115,11 +115,34 @@ func Pick(figs []Figure, name string) ([]Figure, error) {
 // a cell two figures share (3a and 3b print two metrics of the same
 // runs) once — and returns each figure's rows in table order.
 func Run(figs []Figure) ([][]Row, error) {
-	type rowRef struct {
-		labels   []string
-		panel, p int
-		cell     int // index into cells
+	cells, refs, err := plan(figs)
+	if err != nil {
+		return nil, err
 	}
+	results, err := sweep.Run(cells, sweep.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]Row, len(figs))
+	for fi := range figs {
+		for _, r := range refs[fi] {
+			rows[fi] = append(rows[fi], Row{Labels: r.labels, Report: results[r.cell].Report})
+		}
+	}
+	return rows, nil
+}
+
+// rowRef places one table row: its labels, its panel and P (the sort
+// keys), and the cell it reads.
+type rowRef struct {
+	labels   []string
+	panel, p int
+	cell     int // index into the cells plan returns
+}
+
+// plan lists the distinct cells of figs and, per figure, its rows in
+// table order.
+func plan(figs []Figure) ([]sweep.Cell, [][]rowRef, error) {
 	var cells []sweep.Cell
 	byInput := map[string]int{}
 	refs := make([][]rowRef, len(figs))
@@ -139,7 +162,7 @@ func Run(figs []Figure) ([][]Row, error) {
 			if sc == nil {
 				var err error
 				if sc, err = s.Grid.Cells(); err != nil {
-					return nil, fmt.Errorf("bench: figure %s: %w", f.Name, err)
+					return nil, nil, fmt.Errorf("bench: figure %s: %w", f.Name, err)
 				}
 			}
 			for _, c := range sc {
@@ -165,17 +188,7 @@ func Run(figs []Figure) ([][]Row, error) {
 			return a.p - b.p
 		})
 	}
-	results, err := sweep.Run(cells, sweep.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]Row, len(figs))
-	for fi := range figs {
-		for _, r := range refs[fi] {
-			rows[fi] = append(rows[fi], Row{Labels: r.labels, Report: results[r.cell].Report})
-		}
-	}
-	return rows, nil
+	return cells, refs, nil
 }
 
 // Table renders the figure's rows, as Run returned them.

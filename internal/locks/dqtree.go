@@ -24,7 +24,7 @@ type DQTree struct {
 	topo *topology.Topology
 	// TL[i] is the locality threshold T_L,i of level i (1-based; TL[0]
 	// unused). math.MaxInt64 disables hand-over at that level.
-	TL []int64
+	TL []Threshold
 	// Per-level window offsets (1-based, index 0 unused).
 	nextOff   []int
 	statusOff []int
@@ -46,7 +46,7 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 	t := &DQTree{
 		m:              m,
 		topo:           topo,
-		TL:             make([]int64, n+1),
+		TL:             make([]Threshold, n+1),
 		nextOff:        make([]int, n+1),
 		statusOff:      make([]int, n+1),
 		tailOff:        make([]int, n+1),
@@ -57,10 +57,11 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 	// runs: NEXT and TAIL of every level (∅), then STATUS of every level.
 	base := m.Alloc(3 * n)
 	for i := 1; i <= n; i++ {
-		t.TL[i] = math.MaxInt64
+		v := int64(math.MaxInt64)
 		if i < len(tl) && tl[i] > 0 {
-			t.TL[i] = tl[i]
+			v = tl[i]
 		}
+		t.TL[i] = NewThreshold(v)
 		t.nextOff[i] = base + i - 1
 		t.tailOff[i] = base + n + i - 1
 		t.statusOff[i] = base + 2*n + i - 1
@@ -73,6 +74,7 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 		for i := range t.Passes {
 			t.Passes[i] = 0
 			t.ParentReleases[i] = 0
+			t.TL[i].Reset()
 		}
 	})
 	return t
@@ -81,20 +83,28 @@ func NewDQTree(m *rma.Machine, tl []int64) *DQTree {
 // Levels returns N.
 func (t *DQTree) Levels() int { return t.topo.Levels() }
 
-// ProductTL returns Π T_L,i over all levels: the writer threshold T_W of
-// the paper. Saturates at MaxInt64.
-func (t *DQTree) ProductTL() int64 {
+// ProductTL returns Π tl[i] over i ≥ 1 (tl[0] unused, as in the T_L,i
+// notation), saturating at MaxInt64: the writer threshold T_W of the
+// paper, as RMA-RW's constructor and witness compute it.
+func ProductTL(tl []int64) int64 {
 	prod := int64(1)
-	for i := 1; i <= t.Levels(); i++ {
-		if t.TL[i] == math.MaxInt64 {
+	for _, v := range tl[1:] {
+		if v == math.MaxInt64 || prod > math.MaxInt64/v {
 			return math.MaxInt64
 		}
-		if prod > math.MaxInt64/t.TL[i] {
-			return math.MaxInt64
-		}
-		prod *= t.TL[i]
+		prod *= v
 	}
 	return prod
+}
+
+// Boxes returns the box of every T_L,i as the run left it (index 0
+// unused).
+func (t *DQTree) Boxes() []Box {
+	b := make([]Box, len(t.TL))
+	for i := range t.TL {
+		b[i] = t.TL[i].Box()
+	}
+	return b
 }
 
 // NodeRank returns the rank hosting the queue node that process p uses at

@@ -50,17 +50,19 @@ func TestNodeRanksDistinctPerSiblingElement(t *testing.T) {
 }
 
 func TestProductTL(t *testing.T) {
-	topo := topology.MustNew([]int{1, 2, 4}, 2)
-	m := rma.NewMachine(topo)
-	tr := NewDQTree(m, []int64{0, 2, 3, 5})
-	if got := tr.ProductTL(); got != 30 {
+	if got := ProductTL([]int64{0, 2, 3, 5}); got != 30 {
 		t.Errorf("ProductTL=%d want 30", got)
 	}
-	// Unlimited level => unlimited product.
-	m2 := rma.NewMachine(topo)
-	tr2 := NewDQTree(m2, []int64{0, 0, 3, 5})
-	if got := tr2.ProductTL(); got != math.MaxInt64 {
-		t.Errorf("ProductTL=%d want MaxInt64", got)
+	// Unlimited level => unlimited product; so is one that overflows.
+	for _, tl := range [][]int64{{0, math.MaxInt64, 3, 5}, {0, 1 << 40, 1 << 40}} {
+		if got := ProductTL(tl); got != math.MaxInt64 {
+			t.Errorf("ProductTL(%v)=%d want MaxInt64", tl, got)
+		}
+	}
+	// A zero T_L,i makes the tree's level unlimited.
+	tr := NewDQTree(rma.NewMachine(topology.MustNew([]int{1, 2, 4}, 2)), []int64{0, 0, 3, 5})
+	if got := tr.TL[1].Value(); got != math.MaxInt64 {
+		t.Errorf("T_L,1=%d want MaxInt64", got)
 	}
 }
 

@@ -25,8 +25,31 @@ func init() {
 				Default: DefaultTL, Min: 1, Max: math.MaxInt64, PerLevel: true},
 		},
 		New: func(m *rma.Machine, t scheme.Tunables) (scheme.Lock, error) {
-			l := NewConfig(m, Config{TL: t.LevelSlice("TL", m.Topology().Levels())})
-			return scheme.WrapMutex(SchemeName, l), nil
+			return scheme.WrapMutex(SchemeName, NewConfig(m, config(t, m.Topology().Levels()))), nil
 		},
 	})
+}
+
+// config maps registry tunables onto a Config, for the constructor and
+// the witness alike.
+func config(t scheme.Tunables, levels int) Config {
+	return Config{TL: t.LevelSlice("TL", levels)}
+}
+
+// Witness returns, after a run, what the run shows about locks it was
+// not built as: it admits registry tunables t when every T_L,i a lock
+// built from t would use lies in the box the run left
+// (locks.Threshold). T_L,1 is unlimited whatever t says (§3.5), so TL1
+// never matters.
+func (l *Lock) Witness() func(t scheme.Tunables) bool {
+	boxes := l.tree.Boxes()
+	n := len(boxes) - 1
+	return func(t scheme.Tunables) bool {
+		for i, v := range resolve(n, config(t, n)) {
+			if i > 0 && !boxes[i].Contains(v) {
+				return false
+			}
+		}
+		return true
+	}
 }

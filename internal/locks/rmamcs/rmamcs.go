@@ -46,6 +46,15 @@ func New(m *rma.Machine) *Lock { return NewConfig(m, Config{}) }
 // NewConfig allocates an RMA-MCS lock with explicit thresholds.
 func NewConfig(m *rma.Machine, cfg Config) *Lock {
 	n := m.Topology().Levels()
+	l := &Lock{tree: locks.NewDQTree(m, resolve(n, cfg)), n: n, id: m.RegisterLock()}
+	m.OnInit(func(*rma.Machine) { l.Acquires = 0; l.DirectEntries = 0 })
+	return l
+}
+
+// resolve returns the T_L,i (1-based) a lock on an n-level machine is
+// built with: defaults filled in, level 1 unlimited. The constructor and
+// the lock's witness both use it.
+func resolve(n int, cfg Config) []int64 {
 	tl := make([]int64, n+1)
 	for i := 2; i <= n; i++ {
 		tl[i] = DefaultTL
@@ -54,9 +63,7 @@ func NewConfig(m *rma.Machine, cfg Config) *Lock {
 		}
 	}
 	tl[1] = math.MaxInt64 // no readers to yield to at the root (§3.5)
-	l := &Lock{tree: locks.NewDQTree(m, tl), n: n, id: m.RegisterLock()}
-	m.OnInit(func(*rma.Machine) { l.Acquires = 0; l.DirectEntries = 0 })
-	return l
+	return tl
 }
 
 // Tree exposes the underlying DQ tree (for statistics and tests).
@@ -109,7 +116,7 @@ func (l *Lock) Release(p *rma.Proc) {
 
 func (l *Lock) releaseLevel(p *rma.Proc, i int) {
 	succ, status := l.tree.ReadNode(p, i)
-	if succ != rma.Nil && status < l.tree.TL[i] {
+	if succ != rma.Nil && l.tree.TL[i].Exceeds(status) {
 		// Pass the lock to succ at level i together with the number of
 		// past lock passings within this machine element.
 		l.tree.Pass(p, i, succ, status+1)

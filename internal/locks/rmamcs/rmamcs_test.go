@@ -148,10 +148,10 @@ func TestDefaultThresholds(t *testing.T) {
 	m := rma.NewMachine(topo)
 	l := New(m)
 	tree := l.Tree()
-	if tree.TL[2] != DefaultTL || tree.TL[3] != DefaultTL {
+	if tree.TL[2].Value() != DefaultTL || tree.TL[3].Value() != DefaultTL {
 		t.Errorf("defaults not applied: %v", tree.TL[1:])
 	}
-	if tree.TL[1] <= DefaultTL {
+	if tree.TL[1].Value() <= DefaultTL {
 		t.Error("root threshold must be unlimited for RMA-MCS")
 	}
 }

@@ -27,15 +27,44 @@ func init() {
 				Default: DefaultTL, Min: 1, Max: 1 << 31, PerLevel: true},
 		},
 		New: func(m *rma.Machine, t scheme.Tunables) (scheme.Lock, error) {
-			l, err := NewConfigErr(m, Config{
-				TDC: int(t.Value("TDC", 0)),
-				TR:  t.Value("TR", 0),
-				TL:  t.LevelSlice("TL", m.Topology().Levels()),
-			})
+			l, err := NewConfigErr(m, config(t, m.Topology().Levels()))
 			if err != nil {
 				return nil, err
 			}
 			return scheme.WrapRW(SchemeName, l), nil
 		},
 	})
+}
+
+// config maps registry tunables onto a Config, for the constructor and
+// the witness alike.
+func config(t scheme.Tunables, levels int) Config {
+	return Config{
+		TDC: int(t.Value("TDC", 0)),
+		TR:  t.Value("TR", 0),
+		TL:  t.LevelSlice("TL", levels),
+	}
+}
+
+// Witness returns, after a run, what the run shows about locks it was
+// not built as: it admits registry tunables t when a lock built from t
+// would resolve to this lock's T_DC — the counters are structure, not
+// a threshold — and to a T_R, T_W and T_L,i inside the boxes the run
+// left (locks.Threshold). A t the constructor would reject is never
+// admitted.
+func (l *Lock) Witness() func(t scheme.Tunables) bool {
+	tr, tw, tl := l.tr.Box(), l.tw.Box(), l.tree.Boxes()
+	topo, tdc := l.topo, l.tdc
+	return func(t scheme.Tunables) bool {
+		ps, err := resolve(topo, config(t, topo.Levels()))
+		if err != nil || ps.tdc != tdc || !tr.Contains(ps.tr) || !tw.Contains(ps.tw) {
+			return false
+		}
+		for i := 1; i < len(tl); i++ {
+			if !tl[i].Contains(ps.tl[i]) {
+				return false
+			}
+		}
+		return true
+	}
 }

@@ -54,8 +54,8 @@ type Lock struct {
 	topo *topology.Topology
 	n    int
 	tdc  int
-	tr   int64
-	tw   int64
+	tr   locks.Threshold
+	tw   locks.Threshold
 	id   int // trace lock id (Machine.RegisterLock)
 
 	arriveOff    int
@@ -93,50 +93,23 @@ func NewConfig(m *rma.Machine, cfg Config) *Lock {
 // panicking.
 func NewConfigErr(m *rma.Machine, cfg Config) (*Lock, error) {
 	topo := m.Topology()
-	n := topo.Levels()
-	tdc := cfg.TDC
-	if tdc == 0 {
-		tdc = topo.ProcsPerLeaf()
-	}
-	if tdc < 1 {
-		return nil, fmt.Errorf("rmarw: TDC must be >= 1, got %d", tdc)
-	}
-	tr := cfg.TR
-	if tr == 0 {
-		tr = 1000
-	}
-	if tr < 1 || tr >= Bias/2 {
-		return nil, fmt.Errorf("rmarw: TR out of range: %d", tr)
-	}
-	tl := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		tl[i] = DefaultTL
-		if i < len(cfg.TL) && cfg.TL[i] > 0 {
-			tl[i] = cfg.TL[i]
-		}
-	}
-	// Pre-check Π T_L,i before any window allocation happens, so an
-	// invalid configuration leaves the machine untouched.
-	prod := int64(1)
-	for i := 1; i <= n; i++ {
-		if tl[i] >= math.MaxInt64/prod {
-			return nil, fmt.Errorf("rmarw: T_W overflow; choose smaller T_L,i")
-		}
-		prod *= tl[i]
+	// Resolve before any window allocation happens, so an invalid
+	// configuration leaves the machine untouched.
+	ps, err := resolve(topo, cfg)
+	if err != nil {
+		return nil, err
 	}
 	l := &Lock{
 		topo:         topo,
-		n:            n,
-		tdc:          tdc,
-		tr:           tr,
-		counterRanks: topo.CounterRanks(tdc),
+		n:            topo.Levels(),
+		tdc:          ps.tdc,
+		tr:           locks.NewThreshold(ps.tr),
+		tw:           locks.NewThreshold(ps.tw),
+		counterRanks: topo.CounterRanks(ps.tdc),
 		id:           m.RegisterLock(),
 		waits:        make([]counterWait, m.Procs()),
 	}
-	// The pre-check above already bounds Π T_L,i strictly below
-	// MaxInt64, so ProductTL cannot saturate here.
-	l.tree = locks.NewDQTree(m, tl)
-	l.tw = l.tree.ProductTL()
+	l.tree = locks.NewDQTree(m, ps.tl)
 	// ARRIVE, DEPART and the latch: three consecutive words.
 	l.arriveOff = m.Alloc(3)
 	l.departOff = l.arriveOff + 1
@@ -147,15 +120,60 @@ func NewConfigErr(m *rma.Machine, cfg Config) (*Lock, error) {
 		}
 		l.ReadAcquires, l.WriteAcquires = 0, 0
 		l.ModeChanges, l.ReaderBackoffs = 0, 0
+		l.tr.Reset()
+		l.tw.Reset()
 	})
 	return l, nil
 }
 
-// TW returns the writer threshold T_W = Π T_L,i.
-func (l *Lock) TW() int64 { return l.tw }
+// params is what a Config comes to on a machine: the structural T_DC
+// and the thresholds, defaults filled in. The constructor builds from
+// it and a witness checks a run's boxes against it, so the two cannot
+// disagree on what a configuration means.
+type params struct {
+	tdc    int
+	tr, tw int64
+	tl     []int64 // T_L,i, 1-based
+}
 
-// TR returns the reader threshold T_R.
-func (l *Lock) TR() int64 { return l.tr }
+func resolve(topo *topology.Topology, cfg Config) (params, error) {
+	n := topo.Levels()
+	ps := params{tdc: cfg.TDC, tr: cfg.TR, tl: make([]int64, n+1)}
+	if ps.tdc == 0 {
+		ps.tdc = topo.ProcsPerLeaf()
+	}
+	if ps.tdc < 1 {
+		return params{}, fmt.Errorf("rmarw: TDC must be >= 1, got %d", ps.tdc)
+	}
+	if ps.tr == 0 {
+		ps.tr = 1000
+	}
+	if ps.tr < 1 || ps.tr >= Bias/2 {
+		return params{}, fmt.Errorf("rmarw: TR out of range: %d", ps.tr)
+	}
+	prod := int64(1)
+	for i := 1; i <= n; i++ {
+		ps.tl[i] = DefaultTL
+		if i < len(cfg.TL) && cfg.TL[i] > 0 {
+			ps.tl[i] = cfg.TL[i]
+		}
+		if ps.tl[i] >= math.MaxInt64/prod {
+			return params{}, fmt.Errorf("rmarw: T_W overflow; choose smaller T_L,i")
+		}
+		prod *= ps.tl[i]
+	}
+	// The check above bounds Π T_L,i strictly below MaxInt64, so
+	// ProductTL cannot saturate here.
+	ps.tw = locks.ProductTL(ps.tl)
+	return ps, nil
+}
+
+// TW returns the writer threshold T_W = Π T_L,i (a raw read: it pins
+// T_W's box for the rest of the run).
+func (l *Lock) TW() int64 { return l.tw.Value() }
+
+// TR returns the reader threshold T_R (a raw read, like TW).
+func (l *Lock) TR() int64 { return l.tr.Value() }
 
 // TDC returns the distributed-counter threshold T_DC.
 func (l *Lock) TDC() int { return l.tdc }
@@ -316,19 +334,19 @@ func (l *Lock) acquireRead(p *rma.Proc) {
 	for {
 		if barrier {
 			// Wait for a counter reset (ours or a releasing writer's).
-			p.SpinUntil(c, l.arriveOff, func(v int64) bool { return v < l.tr })
+			p.SpinUntil(c, l.arriveOff, func(v int64) bool { return l.tr.Exceeds(v) })
 		}
 		// Increment the arrival counter.
 		curr := p.FAO(1, c, l.arriveOff, rma.OpSum)
 		p.Flush(c)
-		if curr < l.tr {
+		if l.tr.Exceeds(curr) {
 			l.ReadAcquires++
 			return
 		}
 		// T_R reached (or WRITE mode: the bias dwarfs T_R).
 		barrier = true
 		l.ReaderBackoffs++
-		if curr == l.tr {
+		if l.tr.Equals(curr) {
 			// We are the first to reach T_R: pass the lock to the
 			// writers if any are waiting, otherwise reopen the counter.
 			if l.tree.ReadTail(p, 1, p.Rank()) == rma.Nil {
@@ -411,7 +429,7 @@ func (l *Lock) releaseLevel(p *rma.Proc, i int) {
 		return
 	}
 	succ, status := l.tree.ReadNode(p, i)
-	if succ != rma.Nil && status < l.tree.TL[i] {
+	if succ != rma.Nil && l.tree.TL[i].Exceeds(status) {
 		l.tree.Pass(p, i, succ, status+1)
 		return
 	}
@@ -434,7 +452,7 @@ func (l *Lock) releaseRoot(p *rma.Proc) {
 	succ, status := l.tree.ReadNode(p, 1)
 	countersReset := false
 	next := status + 1
-	if next == l.tw {
+	if l.tw.Equals(next) {
 		// Pass the lock to the readers.
 		l.resetCounters(p)
 		next = locks.StatusModeChange

@@ -118,7 +118,7 @@ func TestEffectiveDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	mcs := l2.Underlying().(*rmamcs.Lock)
-	if got := mcs.Tree().TL[2]; got != 32 {
+	if got := mcs.Tree().TL[2].Value(); got != 32 {
 		t.Errorf("RMA-MCS default TL2 = %d, want 32", got)
 	}
 }

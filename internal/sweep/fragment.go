@@ -81,7 +81,7 @@ func DecodeCell(payload []byte) (CellResult, error) {
 // may keep and hand to any number of readers.
 func SealCell(r CellResult) (CellResult, error) {
 	c := r.clone()
-	c.Trace = nil
+	c.Trace, c.Derived = nil, false
 	if r.frag != nil {
 		c.frag = r.frag
 		return c, nil

@@ -93,6 +93,11 @@ type Cell struct {
 	// (window offsets, DHT tables), so executions — including the -check
 	// re-run — must never share instances across workers.
 	Spec func() (workload.Spec, error)
+
+	// cs is the cell's description when Run may derive the cell from a
+	// sibling's run (see Run): set by Grid.Cells for addressed cells on
+	// the default engine, nil otherwise.
+	cs *cellSpec
 }
 
 // CellResult is the merged outcome of one cell, in canonical order.
@@ -114,6 +119,10 @@ type CellResult struct {
 	// (Grid.Trace); consumers (workbench -trace) export it. Never
 	// persisted: baselines carry only the trace-derived Report fields.
 	Trace *trace.Sink `json:"-"`
+	// Derived marks a result Run took from a sibling's run instead of
+	// simulating the cell (see Run). Never persisted, and not kept by a
+	// cache: it says how this Run got the result, not what the result is.
+	Derived bool `json:"-"`
 
 	// frag is this cell's encoding as it stands inside RunFile.Cells,
 	// nil until something has encoded it. It is immutable and always
@@ -232,6 +241,18 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // with a Cache attached, no matter which cells were served instead of
 // computed (a cached result is the byte-identical outcome of an earlier
 // run of the same Input).
+//
+// Siblings — cells that differ in their tunables only — may share one
+// simulation. A finished run's witness (workload.Witness) says which
+// tunables would have made every threshold comparison of the run come
+// out the same; a claimed cell that a finished sibling's witness admits
+// takes that sibling's report with its own Tunables and fingerprint
+// (CellResult.Derived) instead of running. Every sibling group's first
+// cell is claimed before any group's second, so the siblings of a group
+// usually find a finished run; a cell never waits for one still
+// running. Only Grid.Cells output on the default engine derives: the
+// reference engine, Check, and cells without an address (MemStats,
+// Trace, hand-built) always simulate.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -257,82 +278,219 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		}
 		pending = append(pending, i)
 	}
-	err := ForEach(len(pending), opts.Workers, func(pi int) error {
-		i := pending[pi]
-		c := cells[i]
-		if opts.Cancel != nil {
-			select {
-			case <-opts.Cancel:
-				// Drain semantics: this cell was never claimed for
-				// execution, so progress keeps it queued; cells already
-				// past this check complete normally (and still land in
-				// the cache).
-				return ErrCanceled
-			default:
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress.CellRunning(i)
-		}
-		rep, locks, sink, err := runOnce(c)
-		if err != nil {
-			err = fmt.Errorf("sweep: cell %s: %w", c.Key, err)
-			if opts.Progress != nil {
-				opts.Progress.CellDone(i, "", err)
-			}
-			return err
-		}
-		fp := rep.Fingerprint()
-		if opts.Check {
-			rep2, _, _, err := runOnce(c)
-			if err != nil {
-				err = fmt.Errorf("sweep: cell %s (check re-run): %w", c.Key, err)
-				if opts.Progress != nil {
-					opts.Progress.CellDone(i, fp, err)
-				}
-				return err
-			}
-			if rep2.Fingerprint() != fp {
-				err = fmt.Errorf("sweep: cell %s is NOT reproducible", c.Key)
-				if opts.Progress != nil {
-					opts.Progress.CellDone(i, fp, err)
-				}
-				return err
-			}
-		}
-		results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
-		if opts.Cache != nil && c.Input != "" {
-			// Encode the cell here, once: the cache stores this fragment
-			// and Encode splices it. A cell that does not marshal (a NaN
-			// in its report) is not cacheable and fails in Encode as it
-			// always has.
-			if frag, err := fragmentOf(results[i]); err == nil {
-				results[i].frag = frag
-				opts.Cache.Put(c.Input, results[i])
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress.CellDone(i, fp, nil)
-		}
-		return nil
+	if len(pending) == 0 {
+		return results, nil
+	}
+	order, sibs := claimOrder(cells, pending, opts.Check)
+	errs := make([]error, len(cells))
+	ForEach(len(order), opts.Workers, func(oi int) error {
+		i := order[oi]
+		errs[i] = runCell(cells[i], i, opts, results, sibs)
+		return nil // errs keeps each failure at its cell's index
 	})
-	if err != nil {
-		return nil, err
+	// The lowest-index failure, whatever order the cells were claimed in.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
 }
 
-func runOnce(c Cell) (workload.Report, int, *trace.Sink, error) {
+// siblings is what Run knows about sibling groups: cells whose
+// descriptions agree in everything but the tunables.
+type siblings struct {
+	// group is each cell's sibling group, -1 for a cell that has no
+	// pending sibling or may not derive.
+	group []int
+	mu    sync.Mutex
+	runs  [][]source // per group: the finished simulations
+}
+
+// source is a finished simulation a sibling may be derived from: its
+// result index and witness.
+type source struct {
+	i int
+	w workload.Witness
+}
+
+// from returns a finished sibling of cell i whose witness admits tun.
+func (s *siblings) from(i int, tun scheme.Tunables) (int, bool) {
+	g := s.group[i]
+	if g < 0 {
+		return 0, false
+	}
+	s.mu.Lock()
+	runs := s.runs[g]
+	s.mu.Unlock()
+	for _, r := range runs {
+		if r.w(tun) {
+			return r.i, true
+		}
+	}
+	return 0, false
+}
+
+// finished records cell i's simulation, once results[i] is final.
+func (s *siblings) finished(i int, w workload.Witness) {
+	if g := s.group[i]; g >= 0 && w != nil {
+		s.mu.Lock()
+		s.runs[g] = append(s.runs[g], source{i, w})
+		s.mu.Unlock()
+	}
+}
+
+// claimOrder groups the pending cells into siblings and returns the
+// order Run claims them in: every group's first cell in canonical order,
+// then every group's second, and so on. Without two pending cells in one
+// group the order is pending itself.
+func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
+	s := &siblings{group: make([]int, len(cells))}
+	for i := range s.group {
+		s.group[i] = -1
+	}
+	round := make([]int, len(pending)) // earlier pending siblings
+	var sizes []int
+	ids := map[string]int{}
+	var buf []byte
+	for pi, i := range pending {
+		cs := cells[i].cs
+		if cs == nil || check {
+			continue
+		}
+		sib := *cs
+		sib.Tunables, sib.tun = "", nil
+		buf = sib.appendInput(buf[:0])
+		g, ok := ids[string(buf)]
+		if !ok {
+			g = len(sizes)
+			ids[string(buf)] = g
+			sizes = append(sizes, 0)
+		}
+		s.group[i], round[pi] = g, sizes[g]
+		sizes[g]++
+	}
+	order := slices.Clone(pending)
+	paired := false
+	for i, g := range s.group {
+		if g >= 0 && sizes[g] == 1 {
+			s.group[i] = -1 // nothing to derive it from or for: no witness
+		}
+		paired = paired || s.group[i] >= 0
+	}
+	if !paired {
+		return order, s
+	}
+	s.runs = make([][]source, len(sizes))
+	byRound := make([]int, len(pending))
+	for pi := range byRound {
+		byRound[pi] = pi
+	}
+	slices.SortStableFunc(byRound, func(a, b int) int { return round[a] - round[b] })
+	for k, pi := range byRound {
+		order[k] = pending[pi]
+	}
+	return order, s
+}
+
+// runCell resolves cell i into results[i]: from a finished sibling when
+// one's witness admits the cell, by simulating it otherwise.
+func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) error {
+	if opts.Cancel != nil {
+		select {
+		case <-opts.Cancel:
+			// Drain semantics: this cell was never claimed for
+			// execution, so progress keeps it queued; cells already
+			// past this check complete normally (and still land in
+			// the cache).
+			return ErrCanceled
+		default:
+		}
+	}
+	if opts.Progress != nil {
+		opts.Progress.CellRunning(i)
+	}
+	if c.cs != nil {
+		if src, ok := sibs.from(i, c.cs.tun); ok {
+			r := results[src].clone()
+			r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
+			r.Fingerprint = r.Report.Fingerprint()
+			results[i] = r
+			store(opts, c, results, i)
+			if opts.Progress != nil {
+				opts.Progress.CellDone(i, r.Fingerprint, nil)
+			}
+			return nil
+		}
+	}
+	rep, locks, sink, w, err := runOnce(c, sibs.group[i] >= 0)
+	if err != nil {
+		err = fmt.Errorf("sweep: cell %s: %w", c.Key, err)
+		if opts.Progress != nil {
+			opts.Progress.CellDone(i, "", err)
+		}
+		return err
+	}
+	fp := rep.Fingerprint()
+	if opts.Check {
+		rep2, _, _, _, err := runOnce(c, false)
+		if err != nil {
+			err = fmt.Errorf("sweep: cell %s (check re-run): %w", c.Key, err)
+			if opts.Progress != nil {
+				opts.Progress.CellDone(i, fp, err)
+			}
+			return err
+		}
+		if rep2.Fingerprint() != fp {
+			err = fmt.Errorf("sweep: cell %s is NOT reproducible", c.Key)
+			if opts.Progress != nil {
+				opts.Progress.CellDone(i, fp, err)
+			}
+			return err
+		}
+	}
+	results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
+	store(opts, c, results, i)
+	sibs.finished(i, w)
+	if opts.Progress != nil {
+		opts.Progress.CellDone(i, fp, nil)
+	}
+	return nil
+}
+
+// store puts results[i] into the cache, if there is one and the cell has
+// an address.
+func store(opts Options, c Cell, results []CellResult, i int) {
+	if opts.Cache == nil || c.Input == "" {
+		return
+	}
+	// Encode the cell here, once: the cache stores this fragment and
+	// Encode splices it. A cell that does not marshal (a NaN in its
+	// report) is not cacheable and fails in Encode as it always has.
+	if frag, err := fragmentOf(results[i]); err == nil {
+		results[i].frag = frag
+		opts.Cache.Put(c.Input, results[i])
+	}
+}
+
+// runOnce simulates the cell; witnessed asks for the run's witness too.
+func runOnce(c Cell, witnessed bool) (workload.Report, int, *trace.Sink, workload.Witness, error) {
 	spec, err := c.Spec()
 	if err != nil {
-		return workload.Report{}, 0, nil, err
+		return workload.Report{}, 0, nil, nil, err
 	}
 	locks := 1
 	if spec.Profile != nil {
 		locks = spec.Profile.Locks()
 	}
-	rep, err := workload.Run(spec)
-	return rep, locks, spec.Trace, err
+	var rep workload.Report
+	var w workload.Witness
+	if witnessed {
+		rep, w, err = workload.RunWitness(spec)
+	} else {
+		rep, err = workload.Run(spec)
+	}
+	return rep, locks, spec.Trace, w, err
 }
 
 // Grid enumerates a scheme × workload × profile × P (× tunables, see
@@ -666,9 +824,15 @@ func (g Grid) Cells() ([]Cell, error) {
 		buf = make([]byte, 0, 128*len(specs))
 		ends = make([]int, len(specs))
 	}
+	// A cell derives from its siblings only where it could be served from a
+	// cache, and never on the reference engine: the oracle runs them all.
+	derivable := cacheable && att.engine != rma.EngineRef
 	for i := range specs {
 		cs := &specs[i]
 		cells[i] = Cell{Key: cs.Key, Spec: func() (workload.Spec, error) { return cs.spec(att) }}
+		if derivable {
+			cells[i].cs = cs
+		}
 		if cacheable {
 			buf = cs.appendInput(buf)
 			ends[i] = len(buf)

@@ -48,8 +48,7 @@ var Schemes = scheme.Names()
 // (rmarw.DefaultTL, the paper's 32); the harness's own runs always
 // build two-level machines (topology.ForProcs), so their reports are
 // unaffected by that default.
-func tunables(d *scheme.Descriptor, m *rma.Machine, tun scheme.Tunables) scheme.Tunables {
-	levels := m.Topology().Levels()
+func tunables(d *scheme.Descriptor, levels int, tun scheme.Tunables) scheme.Tunables {
 	if d.Name != SchemeRMARW || hasLevelKey(tun, "TL", levels) {
 		return tun
 	}
@@ -86,7 +85,7 @@ func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]lock
 	if err != nil {
 		return nil, err
 	}
-	t := tunables(&d, m, tun)
+	t := tunables(&d, m.Topology().Levels(), tun)
 	set := make([]locks.RWMutex, n)
 	for i := range set {
 		l, err := scheme.New(m, name, t)
@@ -96,6 +95,54 @@ func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]lock
 		set[i] = l
 	}
 	return set, nil
+}
+
+// A Witness is what a finished run shows about the runs it did not
+// make: it admits tunables t when a run of the same Spec with Tunables t
+// would make every decision this run made, and so produce this run's
+// Report with only its Tunables field changed. It is the AND of the
+// lock set's witnesses over t as the registry checks and the harness
+// completes it; a t either would reject is never admitted.
+type Witness func(t scheme.Tunables) bool
+
+// witnessed is a lock whose thresholds are tracked (rmarw, rmamcs). Its
+// Witness is called after a successful run, with tunables checked by the
+// registry and completed as the lock's own were.
+type witnessed interface {
+	Witness() func(t scheme.Tunables) bool
+}
+
+// witness collects the lock set's witnesses after a successful run; nil
+// when some lock tracks no thresholds.
+func witness(name string, levels int, set []locks.RWMutex) Witness {
+	d, err := scheme.Describe(name)
+	if err != nil {
+		return nil
+	}
+	ws := make([]func(scheme.Tunables) bool, len(set))
+	for i, l := range set {
+		sl, ok := l.(scheme.Lock)
+		if !ok {
+			return nil
+		}
+		wl, ok := sl.Underlying().(witnessed)
+		if !ok {
+			return nil
+		}
+		ws[i] = wl.Witness()
+	}
+	return func(t scheme.Tunables) bool {
+		if d.Check(t, levels) != nil {
+			return false
+		}
+		t = tunables(&d, levels, t)
+		for _, w := range ws {
+			if !w(t) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // Spec configures one harness run: a lock scheme (or custom factory), a
@@ -240,6 +287,18 @@ func (s *Spec) fill() {
 // acquire through release (the paper's LB measures exactly this with an
 // empty CS); think time is charged after the measurement point.
 func Run(spec Spec) (Report, error) {
+	rep, _, err := run(spec, false)
+	return rep, err
+}
+
+// RunWitness is Run that also returns the run's Witness. It is nil for a
+// scheme without tracked thresholds, a Make or NoLock spec, and a failed
+// run.
+func RunWitness(spec Spec) (Report, Witness, error) {
+	return run(spec, true)
+}
+
+func run(spec Spec, want bool) (Report, Witness, error) {
 	spec.fill()
 	setupSpan := spec.Obs.Span("setup")
 	topo := topology.ForProcs(spec.P, spec.ProcsPerNode)
@@ -265,11 +324,11 @@ func Run(spec Spec) (Report, error) {
 		set, err = NewLockSet(m, spec.Scheme, spec.Profile.Locks(), spec.Tunables)
 	}
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
 	timed, err := timedSet(spec, set)
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
 	spec.Workload.Setup(m)
 
@@ -355,7 +414,7 @@ func Run(spec Spec) (Report, error) {
 	})
 	runSpan.End()
 	if runErr != nil {
-		return Report{}, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
+		return Report{}, nil, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
 			specScheme(spec), spec.Workload.Name(), spec.Profile.Name(), spec.P, runErr)
 	}
 
@@ -397,8 +456,12 @@ func Run(spec Spec) (Report, error) {
 		rep.Extra["gc_pause_total_ns"] = float64(ms.PauseTotalNs)
 	}
 	spec.Workload.Extract(m, &rep)
+	var w Witness
+	if want && !spec.NoLock && spec.Make == nil {
+		w = witness(spec.Scheme, topo.Levels(), set)
+	}
 	drainSpan.End()
-	return rep, nil
+	return rep, w, nil
 }
 
 // applyTraceMetrics fills the trace-derived report fields from the
