@@ -1,21 +1,19 @@
 GO ?= go
 
-# Sweep shape shared by `make sweep` (persist baseline) and
-# `make compare` (re-run + per-cell diff against it). The results of
-# this grid and of FAULT_FLAGS' are pinned per cell by
-# internal/sweep's TestGoldenFingerprints, which spells the same two
-# grids out: change them together.
+# Sweep shape of `make sweep`. The results of this grid and of
+# FAULT_FLAGS' are pinned per cell by internal/sweep's
+# TestGoldenFingerprints, which spells the same two grids out: change
+# them together. Two run files of one grid are cmp-equal.
 SWEEP_FLAGS = -profiles uniform,zipf,bursty,sweep -ps 16,32,64
 
-# Fault-injection sweep shape shared by `make faults` (persist baseline)
-# and `make faults-compare` (re-run + diff). Two fault axes: a
+# Fault-injection sweep shape of `make faults`. Two fault axes: a
 # perturbation-only profile every scheme runs, and a stall profile with
 # bounded acquires that projects onto the CapTimeout schemes.
 FAULT_FLAGS = -profiles uniform,zipf -ps 16,64 \
 	-faults 'jitter=0.2,stragglers=4x5%,stall=50us@0.02' \
 	-faults 'stall=100us@0.05,timeout=200us'
 
-.PHONY: help build test fmt-check race bench bench-trajectory bench-smoke million-smoke scale grid sweep compare faults faults-compare trace obs-smoke sweepd-smoke paramspace faulttour clean
+.PHONY: help build test fmt-check race bench bench-trajectory bench-smoke million-smoke scale grid sweep faults trace obs-smoke sweepd-smoke paramspace faulttour clean
 
 help:
 	@echo "rmalocks targets:"
@@ -23,8 +21,7 @@ help:
 	@echo "  fmt-check              fail if gofmt would change any file"
 	@echo "  bench / bench-smoke    benchstat-compatible benchmarks (full / CI-short)"
 	@echo "  grid                   full scheme x workload x profile grid with -check"
-	@echo "  sweep / compare        persist the perf baseline / diff a re-run against it"
-	@echo "  faults / faults-compare  same for the fault-injection degradation baseline"
+	@echo "  sweep / faults         persist the P-sweep / fault-injection run as JSON"
 	@echo "  trace                  capture + summarize a Perfetto-loadable event trace"
 	@echo "  obs-smoke              sweep with the HTTP observability plane, scrape it"
 	@echo "  sweepd-smoke           sweep-as-a-service end-to-end: cache hits + byte-identity"
@@ -95,8 +92,8 @@ million-smoke:
 # Weak-scaling study for the memory-flat core: P from 2^10 to 2^20 on
 # the empty workload (pure lock handoff traffic) with per-rank memory
 # cost columns. Host-dependent (-memstats feeds Extra, which feeds the
-# fingerprint), so this baseline documents scaling shape — it is not a
-# byte-identical compare gate like results/sweep.json.
+# fingerprint), so results/scale.json documents scaling shape: unlike
+# results/sweep.json, two runs of it are not cmp-equal.
 scale:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench -schemes RMA-MCS -workloads empty \
@@ -113,27 +110,19 @@ grid:
 	$(GO) run ./cmd/workbench -profiles uniform,zipf,bursty,sweep -check > results/grid.txt
 	@cat results/grid.txt
 
-# P-sweep across the grid, persisted as the perf baseline JSON.
+# P-sweep across the grid, persisted as results/sweep.json.
 sweep:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench $(SWEEP_FLAGS) -out results/sweep.json > results/sweep.txt
 	@cat results/sweep.txt
 
-# Re-run the same grid and diff it per cell against the baseline.
-compare:
-	$(GO) run ./cmd/workbench $(SWEEP_FLAGS) -baseline results/sweep.json
-
-# Fault-injection sweep with reproducibility check, persisted as the
-# degradation baseline (fault-free sibling cells + derived p99/p999
-# inflation metrics); faults-compare diffs a later build against it.
+# Fault-injection sweep with reproducibility check, persisted as
+# results/faults.json (fault-free sibling cells + derived p99/p999
+# inflation metrics).
 faults:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench $(FAULT_FLAGS) -check -out results/faults.json > results/faults.txt
 	@cat results/faults.txt
-
-# Re-run the fault grid and diff it per cell against the baseline.
-faults-compare:
-	$(GO) run ./cmd/workbench $(FAULT_FLAGS) -baseline results/faults.json
 
 # Capture an event trace of one contended cell per scheme pair
 # (Perfetto-loadable Chrome JSON under results/) and summarize it:
@@ -185,11 +174,10 @@ obs-smoke:
 # axis (-tune TR=900 applies only to RMA-RW; the two d-MCS cells are
 # untouched), then resubmit the first grid unchanged. Asserts from
 # /metrics that exactly the unchanged cells hit the cache (2 of the
-# tuned grid, 4 of the repeat; 4 + 2 computed), that the daemon's cold
-# result is byte-identical per cell to a direct local workbench run, and
-# that the all-cached result file — stored fragments spliced by
-# sweep.Encode, never marshalled — is the local run's file byte for byte
-# once the informational "created" line is dropped. The final `kill`
+# tuned grid, 4 of the repeat; 4 + 2 computed), and that both the
+# daemon's cold result file and its all-cached one — stored fragments
+# spliced by sweep.Encode, never marshalled — are cmp-equal to a direct
+# local workbench run's file. The final `kill`
 # exercises graceful shutdown: the daemon must drain and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
@@ -215,9 +203,8 @@ sweepd-smoke:
 		kill $$pid 2>/dev/null; cat results/sweepd.err; exit 1; \
 	fi; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) \
-		-baseline results/sweepd-local.json \
+		-out results/sweepd-cold.json \
 		> results/sweepd-cold.txt 2> results/sweepd-cold.err; \
-	grep -q '\[4/4 cells byte-identical to baseline\]' results/sweepd-cold.err; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
 		> results/sweepd-tuned.txt 2> results/sweepd-tuned.err; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) \
@@ -230,10 +217,9 @@ sweepd-smoke:
 	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err
 	grep -q '4 served from cache' results/sweepd-warm.err
-	grep -v '^  "created": ' results/sweepd-local.json > results/sweepd-local.cmp
-	grep -v '^  "created": ' results/sweepd-warm.json > results/sweepd-warm.cmp
-	cmp results/sweepd-local.cmp results/sweepd-warm.cmp
-	@echo "sweepd-smoke: OK — cold grid byte-identical to local run; tuned resubmit reused the 2 unchanged d-MCS cells; all-cached result file cmp-equal to the local one"
+	cmp results/sweepd-cold.json results/sweepd-local.json
+	cmp results/sweepd-warm.json results/sweepd-local.json
+	@echo "sweepd-smoke: OK — cold and all-cached result files cmp-equal to the local run's; tuned resubmit reused the 2 unchanged d-MCS cells"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

@@ -17,8 +17,7 @@
 //	workbench -schemes foMPI-Spin -faults 'stall=100us@0.1,timeout=200us'
 //	                                        # bounded acquires (CapTimeout schemes only)
 //	workbench -p 128 -iters 100 -seed 3 -check -csv -j 4
-//	workbench -out results/sweep.json       # persist a baseline
-//	workbench -baseline results/sweep.json  # diff against it (perf gate)
+//	workbench -out results/sweep.json       # persist the run (cmp-equal for any -j)
 //	workbench -schemes RMA-MCS -p 32 -trace out.json   # capture + export a trace
 //	                                        # (Perfetto-loadable; see cmd/traceview)
 //	workbench -submit http://127.0.0.1:9139 -out results/sweep.json
@@ -51,8 +50,7 @@ type runOpts struct {
 	grid             sweep.Grid
 	jobs             int
 	check, csv       bool
-	out, baseline    string
-	tol              float64
+	out              string
 	cpuprof, memprof string
 	trace, tracecsv  string
 	listen           string
@@ -76,16 +74,14 @@ func main() {
 		check      = flag.Bool("check", false, "run every cell twice and verify byte-identical reports")
 		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		out        = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
-		baseline   = flag.String("baseline", "", "compare against a persisted run and report per-cell deltas")
-		tol        = flag.Float64("tol", 0, "throughput-regression tolerance in percent for -baseline (exit 1 beyond it)")
 		engine     = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
-		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; breaks byte-identical baseline diffs)")
+		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; the run file is then no longer a function of the grid alone)")
 		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 		traceOut   = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
 		tracecsv   = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
 		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
-		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-baseline/-csv; never falls back to a local run)")
+		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
 		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 	)
 	var tunes tuneAxes
@@ -146,8 +142,7 @@ func main() {
 			Tunables: tunes,
 			Faults:   faults,
 		},
-		jobs: *jobs, check: *check, csv: *csv,
-		out: *out, baseline: *baseline, tol: *tol,
+		jobs: *jobs, check: *check, csv: *csv, out: *out,
 		cpuprof: *cpuprof, memprof: *memprof,
 		trace: *traceOut, tracecsv: *tracecsv,
 		listen: *listen, metricsOut: *metricsOut,
@@ -171,8 +166,8 @@ func main() {
 	os.Exit(run(opts))
 }
 
-// gridTitle renders the run label shared by local tables, persisted
-// baselines, and daemon submissions.
+// gridTitle renders the run label shared by local tables, run files,
+// and daemon submissions.
 func gridTitle(grid sweep.Grid) string {
 	title := fmt.Sprintf("Workload grid: Ps=%v ppn=%d iters=%d seed=%d fw=%g",
 		grid.Ps, grid.ProcsPerNode, grid.Iters, grid.Seed, grid.FW)
@@ -260,11 +255,11 @@ func run(opts runOpts) int {
 	fmt.Fprintln(os.Stderr, summary(results, time.Since(start), opts.check))
 
 	if opts.out != "" {
-		if err := sweep.Save(opts.out, sweep.NewRunFile(title, results)); err != nil {
+		if err := sweep.Save(opts.out, sweep.RunFile{Label: title, Cells: results}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "[baseline saved to %s]\n", opts.out)
+		fmt.Fprintf(os.Stderr, "[run saved to %s]\n", opts.out)
 	}
 	mergeSpan.End()
 	if opts.metricsOut != "" {
@@ -281,12 +276,6 @@ func run(opts runOpts) int {
 	}
 	if opts.tracecsv != "" {
 		if err := exportTraces(opts.tracecsv, results, grid.ProcsPerNode, false); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if opts.baseline != "" {
-		if err := diffBaseline(opts.baseline, results, opts.tol); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -312,36 +301,6 @@ func summary(results []sweep.CellResult, took time.Duration, check bool) string 
 		return line + "; all cells reproduced byte-identically]"
 	}
 	return line + "; deterministic per seed (re-run with -check to verify)]"
-}
-
-// diffBaseline loads a persisted run, prints per-cell deltas, and
-// errors when throughput regressed beyond tolPct on any cell.
-func diffBaseline(path string, results []sweep.CellResult, tolPct float64) error {
-	base, err := sweep.Load(path)
-	if err != nil {
-		return err
-	}
-	deltas := sweep.Compare(base.Cells, results)
-	fmt.Println(sweep.CompareTable(fmt.Sprintf("Baseline diff vs %s", path), deltas).String())
-	identical := 0
-	for _, d := range deltas {
-		if d.Identical {
-			identical++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "[%d/%d cells byte-identical to baseline]\n", identical, len(deltas))
-	if regs := sweep.Regressions(deltas, tolPct); len(regs) > 0 {
-		for _, d := range regs {
-			if !d.InCur {
-				fmt.Fprintf(os.Stderr, "workbench: cell %s missing from current run\n", d.Key)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "workbench: cell %s regressed %.2f%% (%.4f → %.4f mln/s)\n",
-				d.Key, d.MopsPct, d.BaseMops, d.CurMops)
-		}
-		return fmt.Errorf("workbench: %d cell(s) regressed beyond %.2f%%", len(regs), tolPct)
-	}
-	return nil
 }
 
 // exportTraces writes one trace file per traced cell: the given path

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -49,13 +53,18 @@ func TestTuneAxesSet(t *testing.T) {
 	}
 }
 
-// TestSummaryCountsDerivedCells pins the closing line of a local run:
-// it says how many cells came from a sibling's run. T_R = 400 and 800
-// never bind at this size, so each is derived from T_R = 200.
-func TestSummaryCountsDerivedCells(t *testing.T) {
-	cells, err := sweep.Grid{Schemes: []string{"RMA-RW", "foMPI-RW"}, Workloads: []string{"empty"},
+// derivingGrid is an 8-cell grid in which T_R = 400 and 800 never bind,
+// so each of their RMA-RW cells is derived from T_R = 200's run.
+func derivingGrid() sweep.Grid {
+	return sweep.Grid{Schemes: []string{"RMA-RW", "foMPI-RW"}, Workloads: []string{"empty"},
 		Profiles: []string{"uniform"}, Ps: []int{8, 16}, Iters: 10, FW: 0.1,
-		Tunables: []sweep.TunableAxis{{Key: "TR", Values: []int64{200, 400, 800}}}}.Cells()
+		Tunables: []sweep.TunableAxis{{Key: "TR", Values: []int64{200, 400, 800}}}}
+}
+
+// TestSummaryCountsDerivedCells pins the closing line of a local run:
+// it says how many cells came from a sibling's run.
+func TestSummaryCountsDerivedCells(t *testing.T) {
+	cells, err := derivingGrid().Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,5 +79,28 @@ func TestSummaryCountsDerivedCells(t *testing.T) {
 	}
 	if got := summary(results[6:], time.Millisecond, true); !strings.HasPrefix(got, "[2 cells in 1ms; all cells") {
 		t.Errorf("summary without derived cells = %q", got)
+	}
+}
+
+// TestRunFileSameForAnyWorkerCount: two -out files of one grid are
+// cmp-equal whatever -j is, derived cells included (derivingGrid has
+// four, which TestSummaryCountsDerivedCells pins).
+func TestRunFileSameForAnyWorkerCount(t *testing.T) {
+	grid := derivingGrid()
+	dir := t.TempDir()
+	var files [][]byte
+	for _, jobs := range []int{1, 4} {
+		out := filepath.Join(dir, "j"+strconv.Itoa(jobs)+".json")
+		if code := run(runOpts{grid: grid, jobs: jobs, csv: true, out: out}); code != 0 {
+			t.Fatalf("run -j %d exited %d", jobs, code)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("-j 1 and -j 4 wrote different run files\n-j 1: %s\n-j 4: %s", files[0], files[1])
 	}
 }

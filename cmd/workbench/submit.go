@@ -76,7 +76,7 @@ func checkSubmitFlags(opts runOpts) error {
 }
 
 // runSubmit is client mode: post the grid to a sweepd daemon, stream
-// its progress events, fetch the result, and render/persist/diff it
+// its progress events, fetch the result, and render/persist it
 // exactly like a local run would.
 func runSubmit(daemon string, opts runOpts, title string) int {
 	if err := submitRemote(daemon, opts, title); err != nil {
@@ -176,11 +176,5 @@ func submitRemote(daemon string, opts runOpts, title string) error {
 	}
 	fmt.Fprintf(os.Stderr, "[%d cells in %v; %d served from cache]\n",
 		st.Done, time.Since(start).Round(time.Millisecond), st.Cached)
-
-	if opts.baseline != "" {
-		if err := diffBaseline(opts.baseline, rf.Cells, opts.tol); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -114,7 +114,7 @@ func (a *API) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // result serves the finished run file. The bytes are sweep.Encode
-// output with no Created stamp: a pure function of the submitted grid,
+// output, a pure function of the submitted grid,
 // byte-identical across cache states, worker counts, and daemons. They
 // are assembled per request from the cells' stored fragments — a copy,
 // not a marshal — and sent with their length, so a retained job keeps

@@ -93,8 +93,8 @@ func TestEncodeMatchesMarshalIndent(t *testing.T) {
 		"one cell":          {Label: "one", Cells: []sweep.CellResult{plain}},
 		"no label":          {Cells: []sweep.CellResult{plain}},
 		"html label":        {Label: `a<b>c&d "e" \ / é ✓ ` + " \x00\x7f\xff", Cells: []sweep.CellResult{plain}},
-		"created":           {Label: "stamped", Created: "2026-10-01T15:04:05Z", Cells: []sweep.CellResult{plain, tuned}},
-		"created, no label": {Created: "2026-10-01T15:04:05Z", Cells: []sweep.CellResult{}},
+		"two cells":         {Label: "two", Cells: []sweep.CellResult{plain, tuned}},
+		"zero, no label":    {Cells: []sweep.CellResult{}},
 		"nil extra":         {Label: "x", Cells: []sweep.CellResult{nilExtra}},
 		"empty extra":       {Label: "x", Cells: []sweep.CellResult{emptyExtra}},
 		"empty locality":    {Label: "x", Cells: []sweep.CellResult{emptyLocality}},
@@ -278,7 +278,7 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 		if n >= 128 && cells == nil {
 			cells = []sweep.CellResult{}
 		}
-		rf := sweep.RunFile{Label: label, Created: created, Cells: cells}
+		rf := sweep.RunFile{Label: label, Cells: cells}
 		want, werr := oracle(rf)
 		got, gerr := sweep.Encode(rf)
 		if (werr == nil) != (gerr == nil) {

@@ -15,12 +15,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGoldenFingerprints pins the results of the Makefile's two baseline
+// TestGoldenFingerprints pins the results of the Makefile's two sweep
 // grids — SWEEP_FLAGS (`make sweep`, 60 cells) and FAULT_FLAGS (`make
 // faults`, 48 cells, degradation metrics applied) — as key → fingerprint
 // tables, one line per cell: a change that moves a result fails here
-// naming the cells, where `make compare` only ever compared a build
-// with itself. The grids spell out workbench's flag defaults.
+// naming the cells. The grids spell out workbench's flag defaults.
 func TestGoldenFingerprints(t *testing.T) {
 	base := sweep.Grid{
 		Schemes: workload.Schemes, Workloads: []string{"empty"},

@@ -6,31 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // RunFile is the persisted form of one sweep run — the results/*.json
-// baseline format. Cells are stored in canonical grid order; every cell
-// carries its full Report plus the Fingerprint used by reproducibility
-// checks, so a baseline can both gate performance (Compare) and detect
-// any behavioural drift at all (fingerprint inequality).
+// format. Cells are stored in canonical grid order, each with its full
+// Report and Fingerprint. A run file holds nothing but the label and the
+// cells, so it is a pure function of its grid: two runs agree exactly
+// when their files are cmp-equal.
 type RunFile struct {
 	// Label describes the run (the grid title in workbench output).
 	Label string `json:"label,omitempty"`
-	// Created is an informational RFC3339 timestamp; it never takes
-	// part in comparisons.
-	Created string `json:"created,omitempty"`
 	// Cells holds the merged results in canonical order.
 	Cells []CellResult `json:"cells"`
-}
-
-// NewRunFile stamps a RunFile for persisting the given results.
-func NewRunFile(label string, results []CellResult) RunFile {
-	return RunFile{
-		Label:   label,
-		Created: time.Now().UTC().Format(time.RFC3339),
-		Cells:   results,
-	}
 }
 
 // Encode renders the run in the persisted format — the bytes of
@@ -39,14 +26,12 @@ func NewRunFile(label string, results []CellResult) RunFile {
 // GET /jobs/{id}/result: the header, then every cell's fragment (the
 // one it carries, or marshal + indent on the spot for a cell that has
 // none) joined in one buffer sized up front. A run of cache-served cells
-// is therefore a copy of stored bytes; cmd/sweepd leaves Created empty,
-// so a fetched result is byte-identical to a local `workbench -out`
-// file modulo the informational timestamp.
+// is therefore a copy of stored bytes, and a fetched result is
+// byte-identical to a local `workbench -out` file of the same grid.
 func Encode(rf RunFile) ([]byte, error) {
 	// Strings always marshal.
 	label, _ := json.Marshal(rf.Label)
-	created, _ := json.Marshal(rf.Created)
-	size := len(label) + len(created) + 64
+	size := len(label) + 64
 	for i := range rf.Cells {
 		// A cell without a fragment grows the buffer when it gets there.
 		size += len(fragPrefix) + len(rf.Cells[i].frag) + len(",\n")
@@ -57,11 +42,6 @@ func Encode(rf RunFile) ([]byte, error) {
 	if rf.Label != "" {
 		buf.WriteString(`  "label": `)
 		buf.Write(label)
-		buf.WriteString(",\n")
-	}
-	if rf.Created != "" {
-		buf.WriteString(`  "created": `)
-		buf.Write(created)
 		buf.WriteString(",\n")
 	}
 	switch {
@@ -97,7 +77,7 @@ func Encode(rf RunFile) ([]byte, error) {
 // Save writes the run as indented JSON, creating parent directories as
 // needed (results/ is the conventional home). The write goes through a
 // temporary file in the target's directory and a rename, so an
-// interrupted save never leaves a truncated baseline behind. A target that
+// interrupted save never leaves a truncated run file behind. A target that
 // exists and is not a regular file (a device such as /dev/stdout, a FIFO)
 // is written in place: renaming over it would replace the node itself.
 func Save(path string, rf RunFile) error {

@@ -9,9 +9,10 @@
 // workers changes wall-clock time but never the merged output. A
 // same-grid serial-vs-parallel equality test guards that property.
 //
-// Sweep runs persist as JSON (see persist.go) under results/, and
-// Compare (compare.go) diffs a run against a persisted baseline —
-// the repository's perf-regression gate.
+// Sweep runs persist as JSON (see persist.go) under results/. A run
+// file is a pure function of its grid, so two runs agree exactly when
+// their files are cmp-equal; what a grid's cells are is pinned per cell
+// by TestGoldenFingerprints.
 package sweep
 
 import (
@@ -570,7 +571,7 @@ type Grid struct {
 	Engine string
 	// MemStats enables host memory reporting per cell (see
 	// workload.Spec.MemStats): heap/sys bytes per rank land in
-	// Report.Extra. Host-dependent — forfeits byte-identical baselines.
+	// Report.Extra. Host-dependent — forfeits byte-identical run files.
 	MemStats bool
 	// Trace, when nonzero, attaches a fresh trace sink with this class
 	// mask to every cell (cells run in parallel, so sinks are per-cell),
@@ -619,7 +620,8 @@ type TunableAxis struct {
 // DuplicateAxisError reports a tunables axis key that appears more than
 // once in a grid. A repeated key cannot cross-product: later values
 // would overwrite earlier ones inside each combination, enumerating
-// duplicate cell Keys that silently collide in Compare.
+// duplicate cell Keys that silently collide in ApplyDegradation's join
+// and in the golden key → fingerprint tables.
 type DuplicateAxisError struct {
 	Key string
 }
@@ -629,8 +631,8 @@ func (e DuplicateAxisError) Error() string {
 }
 
 // RepeatedValueError reports a value listed twice on one grid axis. It
-// would enumerate two cells with the same Key, and baselines and
-// Compare index cells by that key.
+// would enumerate two cells with the same Key, and ApplyDegradation and
+// the golden tables index cells by that key.
 type RepeatedValueError struct {
 	// Axis is "schemes", "workloads", "profiles", "ps", "faults" or a
 	// tunable key.
@@ -803,7 +805,7 @@ type attachments struct {
 // Cells enumerates the grid in canonical order: scheme outermost, then
 // workload, then profile, then P, then the tunables cross-product
 // (first axis outermost), then the fault axis (fault-free baseline
-// first). Reports, baselines and diffs all follow this order. A
+// first). Reports and run files follow this order. A
 // repeated tunables axis key yields a DuplicateAxisError and a value
 // repeated on one axis a RepeatedValueError — both checked on the full
 // axis lists, before per-scheme projection, so the same grid fails the

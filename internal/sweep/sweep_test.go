@@ -1,7 +1,9 @@
 package sweep_test
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -144,42 +146,43 @@ func TestForEachRunsEveryJob(t *testing.T) {
 	}
 }
 
+// TestSaveLoadCompareRoundTrip: a run file is a pure function of its
+// grid. Loading one and encoding it again gives the saved bytes, and a
+// serial re-run of the same grid saves the same bytes as the parallel
+// run did — cmp equality is the one comparison two runs need.
 func TestSaveLoadCompareRoundTrip(t *testing.T) {
 	g := testGrid()
 	g.Ps = []int{8}
-	results, err := sweep.Run(mustCells(t, g), sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	save := func(name string, workers int) (string, []byte) {
+		t.Helper()
+		results, err := sweep.Run(mustCells(t, g), sweep.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "results", name)
+		if err := sweep.Save(path, sweep.RunFile{Label: "test run", Cells: results}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, data
 	}
-	path := filepath.Join(t.TempDir(), "results", "sweep.json")
-	if err := sweep.Save(path, sweep.NewRunFile("test run", results)); err != nil {
-		t.Fatal(err)
-	}
+	path, saved := save("parallel.json", 4)
 	loaded, err := sweep.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Label != "test run" || len(loaded.Cells) != len(results) {
-		t.Fatalf("round trip lost data: %+v", loaded)
-	}
-
-	// A re-run of the same grid against the loaded baseline must show
-	// zero deltas and byte-identical fingerprints on every cell.
-	rerun, err := sweep.Run(mustCells(t, g), sweep.Options{Workers: 1})
+	again, err := sweep.Encode(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := sweep.Compare(loaded.Cells, rerun)
-	if len(deltas) != len(results) {
-		t.Fatalf("deltas=%d want %d", len(deltas), len(results))
+	if !bytes.Equal(again, saved) {
+		t.Errorf("Encode(Load(file)) differs from the saved bytes\n got: %s\nwant: %s", again, saved)
 	}
-	for _, d := range deltas {
-		if !d.InBase || !d.InCur || !d.Identical || d.MopsPct != 0 || d.LatPct != 0 {
-			t.Errorf("cell %s not a clean round trip: %+v", d.Key, d)
-		}
-	}
-	if regs := sweep.Regressions(deltas, 0); len(regs) != 0 {
-		t.Errorf("clean round trip flagged regressions: %+v", regs)
+	if _, serial := save("serial.json", 1); !bytes.Equal(serial, saved) {
+		t.Errorf("-j 1 re-run saved different bytes\n got: %s\nwant: %s", serial, saved)
 	}
 }
 
@@ -370,42 +373,5 @@ func TestCellsRejectsBadEngineAndP(t *testing.T) {
 		if _, err := g.Cells(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v, want it to contain %q", err, tc.want)
 		}
-	}
-}
-
-func TestCompareDetectsMovementAndMissingCells(t *testing.T) {
-	g := testGrid()
-	g.Ps = []int{8}
-	base, err := sweep.Run(mustCells(t, g), sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Degrade one cell by 50% and drop another; add nothing new.
-	cur := make([]sweep.CellResult, len(base))
-	copy(cur, base)
-	cur[0].Report.ThroughputMops = base[0].Report.ThroughputMops / 2
-	cur[0].Fingerprint = "mutated"
-	cur = cur[:len(cur)-1]
-	dropped := base[len(base)-1].Key
-
-	deltas := sweep.Compare(base, cur)
-	if len(deltas) != len(base) {
-		t.Fatalf("deltas=%d want %d (dropped cells still reported)", len(deltas), len(base))
-	}
-	if d := deltas[0]; d.Identical || d.MopsPct > -49.9 || d.MopsPct < -50.1 {
-		t.Errorf("degraded cell not detected: %+v", d)
-	}
-	last := deltas[len(deltas)-1]
-	if last.Key != dropped || last.InCur || !last.InBase {
-		t.Errorf("missing cell not reported: %+v", last)
-	}
-
-	regs := sweep.Regressions(deltas, 5)
-	if len(regs) != 2 {
-		t.Fatalf("regressions=%d want 2 (one drop, one missing): %+v", len(regs), regs)
-	}
-	tbl := sweep.CompareTable("diff", deltas).String()
-	if !strings.Contains(tbl, "MISSING") || !strings.Contains(tbl, "identical") {
-		t.Errorf("compare table lacks match markers:\n%s", tbl)
 	}
 }

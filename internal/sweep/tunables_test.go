@@ -117,7 +117,8 @@ func TestEmptyTunablesKeyOmitted(t *testing.T) {
 // redesign: re-running cells of the committed PR2 baseline
 // (results/sweep.json) with the registry-dispatched harness and empty
 // tunables must reproduce their fingerprints byte-identically. The
-// P=16 slice keeps the test fast; `make compare` covers all 60 cells.
+// P=16 slice keeps the test fast; TestGoldenFingerprints pins all 60
+// cells.
 func TestBaselineStillByteIdentical(t *testing.T) {
 	const path = "../../results/sweep.json"
 	if _, err := os.Stat(path); err != nil {

@@ -212,7 +212,7 @@ func ParseFaults(spec string) (*FaultProfile, error) { return fault.Parse(spec) 
 // Sweep engine (internal/sweep, see DESIGN.md "The sweep engine"):
 // scheme × workload × profile × P grids executed host-parallel on a
 // bounded worker pool, merged in canonical cell order (byte-identical
-// for any worker count) and persisted as JSON baselines.
+// for any worker count) and persisted as JSON run files.
 type (
 	// SweepGrid enumerates a parameter grid into independent cells.
 	SweepGrid = sweep.Grid
@@ -225,7 +225,9 @@ type (
 	SweepOptions = sweep.Options
 	// SweepCellResult is the merged outcome of one cell.
 	SweepCellResult = sweep.CellResult
-	// SweepRunFile is the persisted JSON baseline format (results/).
+	// SweepRunFile is the persisted JSON run format (results/): a pure
+	// function of the grid, so two runs agree when their files are
+	// cmp-equal.
 	SweepRunFile = sweep.RunFile
 )
 
@@ -243,13 +245,13 @@ func SweepTable(title string, results []SweepCellResult) string {
 	return sweep.Table(title, results).String()
 }
 
-// SaveSweep persists a sweep run as a JSON baseline; LoadSweep reads
+// SaveSweep persists a sweep run as a JSON run file; LoadSweep reads
 // one back.
 func SaveSweep(path, label string, results []SweepCellResult) error {
-	return sweep.Save(path, sweep.NewRunFile(label, results))
+	return sweep.Save(path, sweep.RunFile{Label: label, Cells: results})
 }
 
-// LoadSweep reads a baseline persisted by SaveSweep.
+// LoadSweep reads a run file persisted by SaveSweep.
 func LoadSweep(path string) (SweepRunFile, error) { return sweep.Load(path) }
 
 // ApplySweepDegradation joins each faulted cell of a fault-axis sweep
