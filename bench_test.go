@@ -1,9 +1,10 @@
-// Package-level benchmarks: every figure and ablation of the paper's
-// evaluation section (internal/bench's figure values) at one
-// representative process count, a sub-benchmark per series, reporting
-// the figure's own metric columns via b.ReportMetric. Full sweeps over P
-// are produced by cmd/lockbench; EXPERIMENTS.md records the shape
-// comparison against the paper.
+// Package-level benchmarks: every figure of the paper's evaluation
+// section and every ablation (internal/bench's figure values) at one
+// representative process count, a sub-benchmark per series — one
+// sweep.Grid each, Figure 6's DHT benchmark and the network ablation's
+// scaled latencies included — reporting the figure's own metric columns
+// via b.ReportMetric. Full sweeps over P are produced by cmd/lockbench;
+// EXPERIMENTS.md records the shape comparison against the paper.
 package rmalocks_test
 
 import (

@@ -232,7 +232,7 @@ func run(opts runOpts) int {
 	cells, err := grid.Cells()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2 // the flags name a grid that does not enumerate
 	}
 	results, err := sweep.Run(cells, sweep.Options{Workers: opts.jobs, Check: opts.check, Progress: plane.progress()})
 	if err != nil {

@@ -104,3 +104,16 @@ func TestRunFileSameForAnyWorkerCount(t *testing.T) {
 		t.Errorf("-j 1 and -j 4 wrote different run files\n-j 1: %s\n-j 4: %s", files[0], files[1])
 	}
 }
+
+// TestGridTooLargeExitsTwo: flags naming more cells than a grid may
+// enumerate are a usage error, refused before a cell is built.
+func TestGridTooLargeExitsTwo(t *testing.T) {
+	grid := derivingGrid()
+	grid.Ps = nil
+	for p := 1; p <= 20000; p++ {
+		grid.Ps = append(grid.Ps, p)
+	}
+	if code := run(runOpts{grid: grid}); code != 2 {
+		t.Errorf("a %d-P grid exited %d, want 2", len(grid.Ps), code)
+	}
+}

@@ -17,31 +17,29 @@ import (
 // read-mostly traffic in less time than foMPI-RW; the test calls it
 // directly.
 func kvstore() error {
-	const (
-		procs = 64
-		ops   = 200 // per client
-	)
+	// The paper's DHT benchmark: rank 0 hosts the volume, the other 63
+	// ranks are its clients. foMPI-A is no lock at all: the hashtable's
+	// atomic operations.
+	cells, err := rmalocks.SweepGrid{
+		Schemes: []string{"foMPI-A", "foMPI-RW", "RMA-RW"}, Workloads: []string{"dhtvol"},
+		Profiles: []string{"uniform"}, Ps: []int{64}, Iters: 200, FW: 0.002,
+	}.Cells()
+	if err != nil {
+		return err
+	}
+	results, err := rmalocks.RunSweep(cells, rmalocks.SweepOptions{})
+	if err != nil {
+		return err
+	}
 	fmt.Println("Read-mostly KV store over the distributed hashtable (64 procs, F_W=0.2%)")
 	fmt.Println()
 	fmt.Printf("%-10s %12s %10s %10s %8s\n", "scheme", "total[ms]", "inserts", "lookups", "stored")
 	total := map[string]float64{}
-	for _, scheme := range []string{"foMPI-A", "foMPI-RW", "RMA-RW"} {
-		// foMPI-A is no lock at all: the hashtable's atomic operations.
-		atomic := scheme == "foMPI-A"
-		rep, err := rmalocks.RunWorkload(rmalocks.WorkloadSpec{
-			Scheme: scheme, NoLock: atomic, P: procs, Iters: ops,
-			Warmup:   -1, // the paper's DHT benchmark has none
-			Profile:  rmalocks.UniformProfile{FW: 0.002},
-			Workload: &rmalocks.DHTWorkload{Cells: procs*ops + 16, Atomic: atomic},
-			// Rank 0 only hosts the volume; the other ranks are its clients.
-			Skip: func(rank, procs int) bool { return rank == 0 },
-		})
-		if err != nil {
-			return err
-		}
-		total[scheme] = rep.MakespanMs
+	for _, r := range results {
+		rep := r.Report
+		total[rep.Scheme] = rep.MakespanMs
 		fmt.Printf("%-10s %12.3f %10d %10d %8d\n",
-			scheme, rep.MakespanMs, rep.Writes, rep.Reads, int(rep.Extra["stored"]))
+			rep.Scheme, rep.MakespanMs, rep.Writes, rep.Reads, int(rep.Extra["stored"]))
 	}
 	fmt.Println()
 	fmt.Printf("RMA-RW finishes %.1fx sooner than foMPI-RW: read-dominated\n", total["foMPI-RW"]/total["RMA-RW"])

@@ -24,9 +24,7 @@ const (
 	SchemeRMAMCS    = workload.SchemeRMAMCS
 	SchemeFoMPIRW   = workload.SchemeFoMPIRW
 	SchemeRMARW     = workload.SchemeRMARW
-	// SchemeFoMPIA labels the DHT's lock-free baseline: raw atomics and
-	// no lock, so not a scheme of the registry.
-	SchemeFoMPIA = "foMPI-A"
+	SchemeFoMPIA    = workload.SchemeFoMPIA
 )
 
 // Scale selects the sweep size of the figures: Quick keeps unit tests
@@ -82,10 +80,6 @@ type Series struct {
 	Labels []string
 	// Grid enumerates the series' cells, one per process count.
 	Grid sweep.Grid
-	// Cells replaces Grid for a shape no grid coordinate expresses yet
-	// (the single-volume DHT with its lock-free baseline, a scaled
-	// latency model): hand-built cells, which have no content address.
-	Cells []sweep.Cell
 }
 
 // Row is one table row: its label cells, P included, and the report its
@@ -158,21 +152,16 @@ func plan(figs []Figure) ([]sweep.Cell, [][]rowRef, error) {
 			if si > 0 && !slices.Equal(s.Labels[:lead], f.Series[si-1].Labels[:lead]) {
 				panel++
 			}
-			sc := s.Cells
-			if sc == nil {
-				var err error
-				if sc, err = s.Grid.Cells(); err != nil {
-					return nil, nil, fmt.Errorf("bench: figure %s: %w", f.Name, err)
-				}
+			sc, err := s.Grid.Cells()
+			if err != nil {
+				return nil, nil, fmt.Errorf("bench: figure %s: %w", f.Name, err)
 			}
 			for _, c := range sc {
 				at, shared := byInput[c.Input]
 				if !shared {
 					at = len(cells)
 					cells = append(cells, c)
-					if c.Input != "" {
-						byInput[c.Input] = at
-					}
+					byInput[c.Input] = at
 				}
 				labels := s.Labels
 				if pcol >= 0 {

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"rmalocks/internal/rma"
+	"rmalocks/internal/sweep"
 )
 
 // figure picks one figure or ablation by name and runs it.
@@ -169,6 +173,40 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
+// TestScaleRemoteOnlyTouchesRemote pins the network ablation: its series
+// differ from the Figure 3b cell only in the inter-node cost percent the
+// label names, and that percent scales the network alone — local and
+// intra-node costs stay calibrated.
+func TestScaleRemoteOnlyTouchesRemote(t *testing.T) {
+	abl, err := Pick(Ablations(Scale{Ps: []int{16}, Iters: 10}), "network")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := map[string]sweep.Grid{}
+	for _, s := range abl[0].Series {
+		if s.Labels[0] == "100" {
+			base[s.Labels[1]] = s.Grid
+		}
+	}
+	for _, s := range abl[0].Series {
+		g := s.Grid
+		if fmt.Sprint(g.RemotePct) != s.Labels[0] {
+			t.Errorf("series %v: RemotePct %d", s.Labels, g.RemotePct)
+		}
+		g.RemotePct = 100
+		if !reflect.DeepEqual(g, base[s.Labels[1]]) {
+			t.Errorf("series %v differs from the calibrated cell beyond RemotePct", s.Labels)
+		}
+	}
+	lat, cal := rma.RemoteLatency(2, 200), rma.RemoteLatency(2, 100)
+	if lat.DataRTT[0] != cal.DataRTT[0] || lat.DataRTT[1] != cal.DataRTT[1] {
+		t.Error("local/intra-node latencies must not change")
+	}
+	if lat.DataRTT[2] != cal.DataRTT[2]*2 {
+		t.Errorf("inter-node not doubled: %d vs %d", lat.DataRTT[2], cal.DataRTT[2])
+	}
+}
+
 func TestRunFigureSmokeTiny(t *testing.T) {
 	// Every figure must run at a scale its T_DC series do not all fit;
 	// the golden pins what the tables say at Quick.
@@ -225,17 +263,6 @@ func TestAblationNetworkOrderingRobust(t *testing.T) {
 	}
 }
 
-func TestScaleRemoteOnlyTouchesRemote(t *testing.T) {
-	lat := scaleRemote(200)(2)
-	base := scaleRemote(100)(2)
-	if lat.DataRTT[0] != base.DataRTT[0] || lat.DataRTT[1] != base.DataRTT[1] {
-		t.Error("local/intra-node latencies must not change")
-	}
-	if lat.DataRTT[2] != base.DataRTT[2]*2 {
-		t.Errorf("inter-node not doubled: %d vs %d", lat.DataRTT[2], base.DataRTT[2])
-	}
-}
-
 func TestRunAblationDispatch(t *testing.T) {
 	abl := Ablations(Scale{Ps: []int{16}, Iters: 10})
 	for _, f := range abl {
@@ -246,48 +273,76 @@ func TestRunAblationDispatch(t *testing.T) {
 	}
 }
 
-// TestOnlyUncoordinatedCellsLackAddress pins the seam to the sweep
-// engine: a cell born of a grid has a content address, a hand-built one
-// has none, and only the shapes still waiting for a grid coordinate —
-// the single-volume DHT (Figure 6, which claim C7 reads) and the scaled
-// latency model (the network ablation) — are built by hand. A PR that
-// adds one of those coordinates shortens the want lists.
-func TestOnlyUncoordinatedCellsLackAddress(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		figs []Figure
-		want []string // figures with hand-built cells
-	}{
-		{"figures", Figures(Quick), []string{"6"}},
-		{"ablations", Ablations(Quick), []string{"network"}},
-		{"claims", claimFigures(Quick), []string{"6"}},
-	} {
-		var got []string
-		for _, f := range c.figs {
-			byHand := false
+// TestEveryEvaluationCellAddressed pins the seam to the sweep engine:
+// every cell of the evaluation comes from a grid and has a content
+// address, so a cache can serve it and a sibling's run can derive it.
+func TestEveryEvaluationCellAddressed(t *testing.T) {
+	for _, figs := range [][]Figure{Figures(Quick), Ablations(Quick), claimFigures(Quick)} {
+		for _, f := range figs {
 			for _, s := range f.Series {
-				cells := s.Cells
-				if cells == nil {
-					var err error
-					if cells, err = s.Grid.Cells(); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					byHand = true
+				cells, err := s.Grid.Cells()
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, cell := range cells {
-					if (cell.Input == "") != (s.Cells != nil) {
-						t.Errorf("%s %s %v: cell %s: hand-built=%v, address %q",
-							c.name, f.Name, s.Labels, cell.Key, s.Cells != nil, cell.Input)
+				for _, c := range cells {
+					if !c.Key.Names(c.Input) {
+						t.Errorf("figure %s %v: cell %s has address %q", f.Name, s.Labels, c.Key, c.Input)
 					}
 				}
-			}
-			if byHand {
-				got = append(got, f.Name)
 			}
 		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: figures with address-less cells = %v, want %v", c.name, got, c.want)
+	}
+}
+
+// TestShapesCrossTheWire: the two shapes that used to be built by hand —
+// Figure 6's DHT benchmark and the network ablation's scaled latency —
+// are grids a daemon can be sent, and run to the figures' own reports.
+func TestShapesCrossTheWire(t *testing.T) {
+	sc := Scale{Ps: []int{8, 32}, Iters: 10, DHTOps: 8}
+	fig6, err := Pick(Figures(sc), "6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	network, err := Pick(Ablations(sc), "network")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(fig6, network...) {
+		rows, err := Run([]Figure{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for _, r := range rows[0] {
+			want[r.Report.Fingerprint()] = true
+		}
+		got := 0
+		for _, s := range f.Series {
+			data, err := sweep.EncodeGrid(s.Grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := sweep.DecodeGrid(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := g.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := sweep.Run(cells, sweep.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				if !want[r.Fingerprint] {
+					t.Errorf("figure %s %v: cell %s from the wire is not a row of the figure", f.Name, s.Labels, r.Key)
+				}
+				got++
+			}
+		}
+		if got != len(rows[0]) {
+			t.Errorf("figure %s: %d cells from the wire, %d rows", f.Name, got, len(rows[0]))
 		}
 	}
 }

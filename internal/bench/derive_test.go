@@ -12,7 +12,9 @@ import (
 // cells that differ only in thresholds no run reaches share one
 // simulation. In Figures 4e and 4f that is every T_R after the first of
 // a series: 20 + 16 cells, the witnesses' proof that both figures are
-// flat in T_R at this scale. The tables TestEvaluationGolden pins are
+// flat in T_R at this scale. Of the 270 cells the figures and ablations
+// name, 267 are distinct: the network ablation's 100 % cells are Figure
+// 3a/3b's cells at the largest P. The tables TestEvaluationGolden pins are
 // built from these derived reports. One worker makes the count exact;
 // with more, a sibling that is still running is not waited for.
 func TestQuickDerivedCells(t *testing.T) {
@@ -33,7 +35,7 @@ func TestQuickDerivedCells(t *testing.T) {
 			}
 		}
 	}
-	if len(cells) != 270 || derived != 79 || byTR != 36 {
-		t.Errorf("%d of %d cells derived, %d of them along T_R; want 79 of 270, 36", derived, len(cells), byTR)
+	if len(cells) != 267 || derived != 79 || byTR != 36 {
+		t.Errorf("%d of %d cells derived, %d of them along T_R; want 79 of 267, 36", derived, len(cells), byTR)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
@@ -111,11 +110,9 @@ func Figures(sc Scale) []Figure {
 	var dht []Series
 	for _, fw := range []float64{0.20, 0.05, 0.02, 0.0} {
 		for _, s := range []string{SchemeFoMPIA, SchemeFoMPIRW, SchemeRMARW} {
-			var cells []sweep.Cell
-			for _, p := range sc.Ps {
-				cells = append(cells, dhtCell(s, p, sc.DHTOps, fw))
-			}
-			dht = append(dht, Series{Labels: []string{fwLabel(fw), s}, Cells: cells})
+			g := sc.grid(s, "dhtvol", fw)
+			g.Iters = sc.DHTOps
+			dht = append(dht, Series{Labels: []string{fwLabel(fw), s}, Grid: g})
 		}
 	}
 
@@ -176,8 +173,9 @@ func Ablations(sc Scale) []Figure {
 	}
 	for _, pct := range []int64{50, 100, 200, 400} {
 		for _, s := range scheme.Mutexes() {
-			network = append(network, Series{Labels: []string{fmt.Sprint(pct), s},
-				Cells: []sweep.Cell{netCell(s, P, sc.Iters, pct)}})
+			g := sc.grid(s, "empty", 1)
+			g.RemotePct = pct
+			network = append(network, Series{Labels: []string{fmt.Sprint(pct), s}, Grid: g})
 		}
 	}
 	return []Figure{
@@ -186,60 +184,5 @@ func Ablations(sc Scale) []Figure {
 			Metrics: []Metric{throughput, meanLatency, p99Latency, shortcutPct}, Series: locality},
 		{Name: "network", Title: fmt.Sprintf("Ablation: inter-node cost sensitivity, ECSB, P=%d", P),
 			Columns: []string{"NetScale[%]", "Scheme", thrCol}, Metrics: []Metric{throughput}, Series: network},
-	}
-}
-
-// dhtCell is one run of the paper's DHT benchmark (§5.3): P−1 processes
-// issue ops operations each against the volume of rank 0, an insert with
-// probability fw and a lookup of a random key otherwise, with no warm-up
-// phase; foMPI-A runs the atomic operation family under no lock.
-// NoLock, Skip and a disabled warm-up are not grid coordinates, so the
-// cell is built by hand.
-func dhtCell(schemeName string, P, ops int, fw float64) sweep.Cell {
-	return sweep.Cell{
-		Key: sweep.Key{Scheme: schemeName, Workload: "dht", Profile: "uniform", P: P},
-		Spec: func() (workload.Spec, error) {
-			atomic := schemeName == SchemeFoMPIA
-			return workload.Spec{
-				Scheme: schemeName, NoLock: atomic, P: P, Iters: ops, Warmup: -1,
-				Profile: workload.Uniform{FW: fw},
-				// Overflow cells for every insert the run can make.
-				Workload: &workload.DHTOps{Cells: P*ops + 16, Atomic: atomic},
-				Skip:     func(rank, procs int) bool { return rank == 0 },
-			}, nil
-		},
-	}
-}
-
-// netCell is an ECSB mutex run under scaleRemote(pct); the latency model
-// is not a grid coordinate, so the cell is built by hand.
-func netCell(schemeName string, P, iters int, pct int64) sweep.Cell {
-	return sweep.Cell{
-		Key: sweep.Key{Scheme: schemeName, Workload: "empty", Profile: "uniform", P: P},
-		Spec: func() (workload.Spec, error) {
-			return workload.Spec{Scheme: schemeName, P: P, Iters: iters, Latency: scaleRemote(pct)}, nil
-		},
-	}
-}
-
-// scaleRemote returns the default latency model with every entry at
-// distance >= 2 (inter-node and beyond) scaled to pct percent.
-func scaleRemote(pct int64) func(maxDist int) rma.LatencyModel {
-	return func(maxDist int) rma.LatencyModel {
-		lat := rma.DefaultLatency(maxDist)
-		scale := func(tab []int64) {
-			for d := 2; d < len(tab); d++ {
-				v := tab[d] * pct / 100
-				if v < 1 {
-					v = 1
-				}
-				tab[d] = v
-			}
-		}
-		scale(lat.DataRTT)
-		scale(lat.AtomicRTT)
-		scale(lat.DataOcc)
-		scale(lat.AtomicOcc)
-		return lat
 	}
 }

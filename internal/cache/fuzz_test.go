@@ -3,6 +3,8 @@ package cache_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -85,6 +87,86 @@ func FuzzEnvelope(f *testing.F) {
 			if want, _ := json.MarshalIndent(sweep.RunFile{Cells: []sweep.CellResult{r}}, "", "  "); !bytes.Equal(encodeOne(t, r), append(want, '\n')) {
 				t.Fatalf("%s served a fragment that MarshalIndent would not write", route)
 			}
+		}
+	})
+}
+
+// FuzzIndex writes arbitrary bytes where Flush keeps the recency order.
+// The index only orders the load: whatever it holds, Open must not
+// panic, and with a budget that fits everything it loads and serves the
+// same entries as a directory without an index.
+func FuzzIndex(f *testing.F) {
+	cells, results := computed(f)
+	seed := f.TempDir()
+	store, _, err := cache.Open(seed, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rs := cache.NewResultStore(store)
+	for i, c := range cells {
+		rs.Put(c.Input, results[i])
+	}
+	rs.Get(cells[2].Input)
+	if err := store.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	flushed, err := os.ReadFile(filepath.Join(seed, "index.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(seed, "index.json")); err != nil {
+		f.Fatal(err)
+	}
+	entries, err := os.ReadDir(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(seed, e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	_, plain, err := cache.Open(seed, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if plain.Loaded != len(cells) {
+		f.Fatalf("without an index: %+v, want all %d entries loaded", plain, len(cells))
+	}
+
+	f.Add(flushed)
+	f.Add([]byte(`["index","index",""]`))
+	f.Add([]byte(`["` + address(cells[0].Input) + `","` + address(cells[0].Input) + `","no-such-entry"]`))
+	f.Add(flushed[:len(flushed)/2])
+
+	f.Fuzz(func(t *testing.T, index []byte) {
+		dir := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, rep, err := cache.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Entries != plain.Entries || rep.Loaded != plain.Loaded || len(rep.Corrupt) != 0 || rep.Stale != 0 ||
+			store.Stats().Resident != len(cells) {
+			t.Fatalf("index %q: loaded %+v, without it %+v", index, rep, plain)
+		}
+		rs := cache.NewResultStore(store)
+		for i, c := range cells {
+			r, ok := rs.Get(c.Input)
+			if !ok || r.Fingerprint != results[i].Fingerprint {
+				t.Fatalf("index %q: cell %s served=%v", index, c.Key, ok)
+			}
+		}
+		if st := store.Stats(); st.Hits != int64(len(cells)) || st.Resident != len(cells) {
+			t.Fatalf("index %q: %+v, want every lookup a hit", index, st)
 		}
 	})
 }

@@ -13,7 +13,8 @@ import (
 	"rmalocks/internal/sweep"
 )
 
-// maxBodyBytes bounds POST /jobs request bodies — grids are small.
+// maxBodyBytes bounds POST /jobs request bodies — grids are small; a
+// longer body is answered 413, not cut to its first megabyte.
 const maxBodyBytes = 1 << 20
 
 // API is the job HTTP surface, mounted on the observability mux:
@@ -59,8 +60,13 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -214,6 +214,10 @@ func TestHTTPErrors(t *testing.T) {
 		{grid + `"engine":"bogus"}`, "engine"},
 		{grid + `"ps":[-3]}`, "ps"},
 		{grid + `"ppn":-1}`, "ppn"},
+		{grid + `"ps":[1,2,3,4,5,6,7,8],"tunables":[{"key":"A","values":[1,2,3,4,5,6,7,8]},` +
+			`{"key":"B","values":[1,2,3,4,5,6,7,8]},{"key":"C","values":[1,2,3,4,5,6,7,8]},` +
+			`{"key":"D","values":[1,2,3,4,5,6,7,8]},{"key":"E","values":[1,2,3,4,5,6,7,8]}]}`, "cells"},
+		{grid + `"ps":[8]} {"schemes":["x"]} garbage`, "after the grid"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -250,6 +254,26 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(raw), "/jobs") {
 		t.Errorf("index page does not list /jobs: %q", raw)
+	}
+}
+
+// TestHTTPBodyTooLarge: a body over the limit is refused whole with 413,
+// not decoded from its first megabyte.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	grid, err := sweep.EncodeGrid(testGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(grid, bytes.Repeat([]byte(" "), 1<<20)...)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of %d bytes: %d %s, want 413", len(body), resp.StatusCode, raw)
 	}
 }
 

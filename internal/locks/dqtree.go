@@ -194,18 +194,6 @@ func (t *DQTree) Detach(p *rma.Proc, i int) int64 {
 	return p.SpinUntil(node, t.nextOff[i], func(v int64) bool { return v != rma.Nil })
 }
 
-// TailValue reads the TAIL of element elem's DQ at level i directly from
-// machine memory (diagnostics; valid after a run or in OnInit).
-func (t *DQTree) TailValue(m *rma.Machine, i, elem int) int64 {
-	return m.At(t.topo.TailRank(i, elem), t.tailOff[i])
-}
-
-// NodeState reads a queue node's (NEXT, STATUS) words directly from
-// machine memory (diagnostics).
-func (t *DQTree) NodeState(m *rma.Machine, i, nodeRank int) (next, status int64) {
-	return m.At(nodeRank, t.nextOff[i]), m.At(nodeRank, t.statusOff[i])
-}
-
 // ReadTail returns the current TAIL of the DQ that process rank belongs to
 // at level i (used by RMA-RW readers to detect waiting writers).
 func (t *DQTree) ReadTail(p *rma.Proc, i int, rank int) int64 {

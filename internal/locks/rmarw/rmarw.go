@@ -181,13 +181,6 @@ func (l *Lock) TDC() int { return l.tdc }
 // CounterRanks returns the ranks hosting physical counters.
 func (l *Lock) CounterRanks() []int { return l.counterRanks }
 
-// CounterState reads a physical counter's (ARRIVE, DEPART, latch) words
-// directly from machine memory; valid in OnInit callbacks and after a run
-// (diagnostics and tests).
-func (l *Lock) CounterState(m *rma.Machine, rank int) (arrive, depart, latch int64) {
-	return m.At(rank, l.arriveOff), m.At(rank, l.departOff), m.At(rank, l.rlockOff)
-}
-
 // Tree exposes the underlying DQ tree (statistics, tests).
 func (l *Lock) Tree() *locks.DQTree { return l.tree }
 

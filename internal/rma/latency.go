@@ -92,26 +92,18 @@ func (m LatencyModel) extend(maxDist int) LatencyModel {
 	}
 }
 
-// Scale returns a copy of the model with all round-trip latencies and
-// occupancies multiplied by num/den; used for sensitivity/ablation studies.
-func (m LatencyModel) Scale(num, den int64) LatencyModel {
-	sc := func(t []int64) []int64 {
-		out := make([]int64, len(t))
-		for i, v := range t {
-			w := v * num / den
-			if w < 1 {
-				w = 1
-			}
-			out[i] = w
+// RemoteLatency returns DefaultLatency(maxDist) with every entry at
+// distance 2 and beyond (inter-node and deeper) scaled to pct percent,
+// each at least 1 ns: the network-cost coordinate of a sweep, where 100
+// is the calibrated model itself.
+func RemoteLatency(maxDist int, pct int64) LatencyModel {
+	m := DefaultLatency(maxDist)
+	for _, t := range [][]int64{m.DataRTT, m.AtomicRTT, m.DataOcc, m.AtomicOcc} {
+		for d := 2; d < len(t); d++ {
+			t[d] = max(t[d]*pct/100, 1)
 		}
-		return out
 	}
-	return LatencyModel{
-		DataRTT:   sc(m.DataRTT),
-		AtomicRTT: sc(m.AtomicRTT),
-		DataOcc:   sc(m.DataOcc),
-		AtomicOcc: sc(m.AtomicOcc),
-	}
+	return m
 }
 
 func (m LatencyModel) validate(maxDist int) error {

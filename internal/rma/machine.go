@@ -208,9 +208,6 @@ func NewMachineConfig(topo *topology.Topology, cfg Config) *Machine {
 // Topology returns the machine's topology.
 func (m *Machine) Topology() *topology.Topology { return m.topo }
 
-// Latency returns the machine's latency model.
-func (m *Machine) Latency() LatencyModel { return m.lat }
-
 // Procs returns P.
 func (m *Machine) Procs() int { return m.topo.Procs() }
 

@@ -2,6 +2,7 @@ package rma
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -333,9 +334,18 @@ func TestLatencyModelValidateAndScale(t *testing.T) {
 	if err := lat.validate(3); err != nil {
 		t.Fatal(err)
 	}
-	half := lat.Scale(1, 2)
-	if half.DataRTT[2] != lat.DataRTT[2]/2 {
-		t.Errorf("Scale: got %d want %d", half.DataRTT[2], lat.DataRTT[2]/2)
+	// Only the network is scaled: local and intra-node costs stay.
+	for _, pct := range []int64{50, 200} {
+		sc := RemoteLatency(3, pct)
+		if sc.DataRTT[0] != lat.DataRTT[0] || sc.AtomicRTT[1] != lat.AtomicRTT[1] {
+			t.Errorf("RemoteLatency(%d): local or intra-node cost changed", pct)
+		}
+		if sc.DataRTT[2] != lat.DataRTT[2]*pct/100 || sc.AtomicOcc[3] != lat.AtomicOcc[3]*pct/100 {
+			t.Errorf("RemoteLatency(%d): inter-node %d, want %d", pct, sc.DataRTT[2], lat.DataRTT[2]*pct/100)
+		}
+	}
+	if !reflect.DeepEqual(RemoteLatency(3, 100), lat) {
+		t.Error("RemoteLatency(100) is not the calibrated model")
 	}
 	// Extending deeper hierarchies keeps tables monotone.
 	deep := DefaultLatency(6)

@@ -22,7 +22,7 @@ func specGrid(t *testing.T) Grid {
 	return Grid{
 		Schemes: []string{workload.SchemeRMARW}, Workloads: []string{"dht"}, Profiles: []string{"zipf"},
 		Ps: []int{4}, ProcsPerNode: 2, Iters: 7, Seed: 3, FW: 0.25, Locks: 16, ZipfS: 1.1,
-		ThinkNs: 50, ThinkJitterNs: 20,
+		ThinkNs: 50, ThinkJitterNs: 20, RemotePct: 200,
 		Tunables: []TunableAxis{{Key: "TR", Values: []int64{500}}},
 		Faults:   []*fault.Profile{fp},
 	}
@@ -119,8 +119,8 @@ func TestCellDerivedFromSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Engine != "" || spec.Obs != nil || spec.Iters != 7 || spec.Profile.Locks() != 4 {
-			t.Errorf("cell %d spec: engine %q, obs %v, iters %d, locks %d", i, spec.Engine, spec.Obs, spec.Iters, spec.Profile.Locks())
+		if spec.Engine != "" || spec.Obs != nil || spec.Iters != 7 || spec.Profile.Locks() != 4 || spec.RemotePct != 200 {
+			t.Errorf("cell %d spec: engine %q, obs %v, iters %d, locks %d, remote %d%%", i, spec.Engine, spec.Obs, spec.Iters, spec.Profile.Locks(), spec.RemotePct)
 		}
 	}
 	for _, engine := range []string{"fast", "ref"} {
@@ -137,6 +137,42 @@ func TestCellDerivedFromSpec(t *testing.T) {
 			if spec, err := c.Spec(); err != nil || spec.Engine != engine || spec.Obs != g.Obs {
 				t.Errorf("engine %q: cell %d spec carries engine %q, obs %v (%v)", engine, i, spec.Engine, spec.Obs, err)
 			}
+		}
+	}
+}
+
+// TestAddressesSpelledOut pins addresses literally: a change that moves
+// an existing address — a field spelled differently, reordered, or
+// written where it used to be left out — fails here, not as a cache
+// that silently stops hitting. The network scale is written only off
+// its default, so the first two were addresses before it existed.
+func TestAddressesSpelledOut(t *testing.T) {
+	fp, err := fault.Parse("jitter=0.2,stall=50us@0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := Grid{Schemes: []string{"RMA-RW"}, Workloads: []string{"sharedop"}, Profiles: []string{"zipf"},
+		Ps: []int{32}, Iters: 20, FW: 0.25, Faults: []*fault.Profile{fp},
+		Tunables: []TunableAxis{{Key: "TR", Values: []int64{500}}, {Key: "TL1", Values: []int64{16}}}}
+	scaled := tuned
+	scaled.RemotePct = 400
+	for _, c := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Schemes: []string{"RMA-RW"}, Workloads: []string{"empty"}, Profiles: []string{"uniform"}},
+			"cell/v2 RMA-RW/empty/uniform/P=64 ppn=16 iters=50 seed=1 fw=0 locks=8 zipfs=1.2 think=0 thinkj=0 fm=false"},
+		{tuned, "cell/v2 RMA-RW/sharedop/zipf/P=32/TL1=16,TR=500/faults=jitter=0.2,stall=50000@0.01" +
+			" ppn=16 iters=20 seed=1 fw=0.25 locks=8 zipfs=1.2 think=0 thinkj=0 fm=true"},
+		{scaled, "cell/v2 RMA-RW/sharedop/zipf/P=32/TL1=16,TR=500/faults=jitter=0.2,stall=50000@0.01" +
+			" ppn=16 iters=20 seed=1 fw=0.25 locks=8 zipfs=1.2 think=0 thinkj=0 fm=true remote=400"},
+	} {
+		cells, err := c.g.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cells[len(cells)-1].Input; got != c.want {
+			t.Errorf("address moved:\n have %q\n want %q", got, c.want)
 		}
 	}
 }

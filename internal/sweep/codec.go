@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"rmalocks/internal/fault"
 )
@@ -29,6 +30,7 @@ type gridWire struct {
 	ZipfSSet      bool          `json:"zipfs_set,omitempty"`
 	ThinkNs       int64         `json:"think_ns,omitempty"`
 	ThinkJitterNs int64         `json:"think_jitter_ns,omitempty"`
+	RemotePct     int64         `json:"remote_pct,omitempty"`
 	Tunables      []tunableWire `json:"tunables,omitempty"`
 	// Faults carries the canonical fault-profile encodings (see
 	// internal/fault's grammar, e.g. "jitter=0.2,stall=50000@0.01").
@@ -70,7 +72,7 @@ func EncodeGrid(g Grid) ([]byte, error) {
 		Seed: g.Seed, SeedSet: g.SeedSet, FW: g.FW, Locks: g.Locks,
 		ZipfS: g.ZipfS, ZipfSSet: g.ZipfSSet,
 		ThinkNs: g.ThinkNs, ThinkJitterNs: g.ThinkJitterNs,
-		Engine: g.Engine,
+		RemotePct: g.RemotePct, Engine: g.Engine,
 	}
 	for _, ax := range g.Tunables {
 		w.Tunables = append(w.Tunables, tunableWire{Key: ax.Key, Values: ax.Values})
@@ -85,9 +87,10 @@ func EncodeGrid(g Grid) ([]byte, error) {
 }
 
 // DecodeGrid unmarshals a grid from its JSON wire form. Decoding is
-// strict — unknown fields are rejected, so a typo'd submission fails
-// eagerly instead of silently sweeping defaults — and fault profiles
-// are re-parsed through internal/fault's validating grammar.
+// strict — unknown fields and anything but white space after the grid
+// are rejected, so a typo'd or spliced submission fails eagerly instead
+// of silently sweeping defaults — and fault profiles are re-parsed
+// through internal/fault's validating grammar.
 func DecodeGrid(data []byte) (Grid, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -95,13 +98,16 @@ func DecodeGrid(data []byte) (Grid, error) {
 	if err := dec.Decode(&w); err != nil {
 		return Grid{}, fmt.Errorf("sweep: decode grid: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, fmt.Errorf("sweep: decode grid: data after the grid")
+	}
 	g := Grid{
 		Schemes: w.Schemes, Workloads: w.Workloads, Profiles: w.Profiles,
 		Ps: w.Ps, ProcsPerNode: w.ProcsPerNode, Iters: w.Iters,
 		Seed: w.Seed, SeedSet: w.SeedSet, FW: w.FW, Locks: w.Locks,
 		ZipfS: w.ZipfS, ZipfSSet: w.ZipfSSet,
 		ThinkNs: w.ThinkNs, ThinkJitterNs: w.ThinkJitterNs,
-		Engine: w.Engine,
+		RemotePct: w.RemotePct, Engine: w.Engine,
 	}
 	for _, ax := range w.Tunables {
 		g.Tunables = append(g.Tunables, TunableAxis{Key: ax.Key, Values: ax.Values})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,6 +36,7 @@ func wireGrid(t *testing.T) sweep.Grid {
 		ZipfSSet:      true,
 		ThinkNs:       1500,
 		ThinkJitterNs: 200,
+		RemotePct:     250,
 		Tunables:      []sweep.TunableAxis{{Key: "TR", Values: []int64{500, 1000}}},
 		Faults:        []*fault.Profile{nil, fp},
 		Engine:        "ref",
@@ -100,9 +102,21 @@ func TestGridCodecRejectsUnserializable(t *testing.T) {
 	}
 }
 
-// TestGridCodecStrictDecode: unknown fields and bad fault specs are
-// rejected eagerly.
+// TestGridCodecStrictDecode: unknown fields, bad fault specs and
+// anything after the grid are rejected eagerly.
 func TestGridCodecStrictDecode(t *testing.T) {
+	for _, body := range []string{
+		`{"schemes":["RMA-RW"]} {"schemes":["x"]} garbage`,
+		`{"schemes":["RMA-RW"]}{}`,
+		`{"schemes":["RMA-RW"]}]`,
+	} {
+		if g, err := sweep.DecodeGrid([]byte(body)); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error for the data after the grid", body, g)
+		}
+	}
+	if _, err := sweep.DecodeGrid([]byte("{\"schemes\":[\"RMA-RW\"]}\r\n\t ")); err != nil {
+		t.Errorf("white space after the grid: %v", err)
+	}
 	if _, err := sweep.DecodeGrid([]byte(`{"schemes":["x"],"typo_field":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
@@ -115,6 +129,39 @@ func TestGridCodecStrictDecode(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Errorf("wire key %q: err = %v, want a rejection naming it", key, err)
 		}
+	}
+}
+
+// TestGridCellBound: a small body can name a grid of millions of cells;
+// it is refused before a cell is built.
+func TestGridCellBound(t *testing.T) {
+	var ps strings.Builder
+	for p := 1; p <= 5000; p++ {
+		if p > 1 {
+			ps.WriteByte(',')
+		}
+		ps.WriteString(strconv.Itoa(p))
+	}
+	body := `{"schemes":["foMPI-Spin","D-MCS","RMA-MCS","foMPI-RW","RMA-RW"],"workloads":["empty","sharedop","counter","dht"],` +
+		`"profiles":["uniform","zipf","bursty","sweep"],"ps":[` + ps.String() + `]}`
+	g, err := sweep.DecodeGrid([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tooMany sweep.TooManyCellsError
+	if _, err := g.Cells(); !errors.As(err, &tooMany) {
+		t.Fatalf("%d-byte body naming 400000 cells: err %v, want a TooManyCellsError", len(body), err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { g.Cells() }); allocs > 4 {
+		t.Errorf("refusing the grid took %v allocations: it enumerated", allocs)
+	}
+	// The bound is on the product, so it cannot wrap around.
+	huge := sweep.Grid{Schemes: []string{"RMA-RW"}, Workloads: []string{"empty"}, Profiles: []string{"uniform"}}
+	for i := 0; i < 64; i++ {
+		huge.Tunables = append(huge.Tunables, sweep.TunableAxis{Key: "K" + strconv.Itoa(i), Values: []int64{1, 2, 3, 4}})
+	}
+	if _, err := huge.Cells(); !errors.As(err, &tooMany) {
+		t.Errorf("4^64 cells: err %v, want a TooManyCellsError", err)
 	}
 }
 
@@ -196,6 +243,9 @@ func FuzzDecodeGrid(f *testing.F) {
 	f.Add([]byte(`{"schemes":["D-MCS","foMPI-RW"],"workloads":["dht"],"profiles":["zipf"],"ps":[4,8],"locks":16,"zipfs_set":true,"think_ns":100,"think_jitter_ns":30,"faults":["jitter=0.2,stall=50000@0.01,seed=7","stall=100000@0.05,timeout=200000"],"engine":"ref"}`))
 	f.Add([]byte(`{"schemes":["x"],"tunables":[{"key":"TR","values":[1]},{"key":"TR","values":[2]}],"ps":[-1],"engine":"psim"}`))
 	f.Add([]byte(`{"schemes":["x"],"faults":["no-such-fault=1"]}`))
+	f.Add([]byte(`{"schemes":["foMPI-A","RMA-RW"],"workloads":["dhtvol"],"profiles":["uniform"],"ps":[8],"iters":12,"fw":0.05,"locks":1}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],"ps":[32],"fw":1,"locks":1,"remote_pct":400}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"]} {"schemes":["x"]} garbage`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(nil))
 

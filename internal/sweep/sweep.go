@@ -78,7 +78,8 @@ func (k Key) appendTo(b []byte) []byte {
 	return b
 }
 
-// Cell is one independent simulation of a sweep.
+// Cell is one independent simulation of a sweep. Grid.Cells is the only
+// source of cells: every cell is a grid cell.
 type Cell struct {
 	// Key names the cell in reports and baselines.
 	Key Key
@@ -89,17 +90,17 @@ type Cell struct {
 	// Empty marks the cell uncacheable (host-dependent MemStats output,
 	// or a trace sink that cannot be serialized).
 	Input string
-	// Spec builds a fresh workload.Spec for one execution. A fresh value
-	// per call is required: Workload implementations carry per-run state
-	// (window offsets, DHT tables), so executions — including the -check
-	// re-run — must never share instances across workers.
-	Spec func() (workload.Spec, error)
 
-	// cs is the cell's description when Run may derive the cell from a
-	// sibling's run (see Run): set by Grid.Cells for addressed cells on
-	// the default engine, nil otherwise.
-	cs *cellSpec
+	// cs is the cell's description and att what its grid attaches.
+	cs  *cellSpec
+	att *attachments
 }
+
+// Spec builds a fresh workload.Spec for one execution. A fresh value
+// per call is required: Workload implementations carry per-run state
+// (window offsets, DHT tables), so executions — including the -check
+// re-run — must never share instances across workers.
+func (c Cell) Spec() (workload.Spec, error) { return c.cs.spec(c.att) }
 
 // CellResult is the merged outcome of one cell, in canonical order.
 //
@@ -253,7 +254,7 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // usually find a finished run; a cell never waits for one still
 // running. Only Grid.Cells output on the default engine derives: the
 // reference engine, Check, and cells without an address (MemStats,
-// Trace, hand-built) always simulate.
+// Trace) always simulate.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -355,11 +356,13 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 	ids := map[string]int{}
 	var buf []byte
 	for pi, i := range pending {
-		cs := cells[i].cs
-		if cs == nil || check {
+		// A cell derives only where it could be served from a cache, and
+		// never on the reference engine: the oracle runs every cell.
+		c := cells[i]
+		if c.Input == "" || c.att.engine == rma.EngineRef || check {
 			continue
 		}
-		sib := *cs
+		sib := *c.cs
 		sib.Tunables, sib.tun = "", nil
 		buf = sib.appendInput(buf[:0])
 		g, ok := ids[string(buf)]
@@ -411,18 +414,16 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 	if opts.Progress != nil {
 		opts.Progress.CellRunning(i)
 	}
-	if c.cs != nil {
-		if src, ok := sibs.from(i, c.cs.tun); ok {
-			r := results[src].clone()
-			r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
-			r.Fingerprint = r.Report.Fingerprint()
-			results[i] = r
-			store(opts, c, results, i)
-			if opts.Progress != nil {
-				opts.Progress.CellDone(i, r.Fingerprint, nil)
-			}
-			return nil
+	if src, ok := sibs.from(i, c.cs.tun); ok {
+		r := results[src].clone()
+		r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
+		r.Fingerprint = r.Report.Fingerprint()
+		results[i] = r
+		store(opts, c, results, i)
+		if opts.Progress != nil {
+			opts.Progress.CellDone(i, r.Fingerprint, nil)
 		}
+		return nil
 	}
 	rep, locks, sink, w, err := runOnce(c, sibs.group[i] >= 0)
 	if err != nil {
@@ -498,7 +499,8 @@ func runOnce(c Cell, witnessed bool) (workload.Report, int, *trace.Sink, workloa
 // Tunables) parameter space with shared cell parameters.
 //
 // Zero fields select the defaults of the paper's evaluation setup:
-// Ps {64}, ProcsPerNode 16, Iters 50, Seed 1, Locks 8, ZipfS 1.2.
+// Ps {64}, ProcsPerNode 16, Iters 50, Seed 1, Locks 8, ZipfS 1.2,
+// RemotePct 100.
 // FW, ThinkNs and ThinkJitterNs default to 0 (zero is their natural
 // meaning). For the two fields where zero is also a legitimate explicit
 // setting — Seed and ZipfS — the SeedSet/ZipfSSet flags suppress the
@@ -542,6 +544,9 @@ type Grid struct {
 	// ThinkNs / ThinkJitterNs set post-release think time.
 	ThinkNs       int64
 	ThinkJitterNs int64
+	// RemotePct scales the calibrated inter-node latencies to this
+	// percent (workload.Spec.RemotePct; default 100).
+	RemotePct int64
 	// Tunables adds the paper's lock parameter space as grid axes: the
 	// cross-product of every axis' values becomes extra cells, innermost
 	// in the canonical order, with the combination folded into each
@@ -606,6 +611,9 @@ func (g Grid) fill() Grid {
 	if g.ZipfS == 0 && !g.ZipfSSet {
 		g.ZipfS = 1.2
 	}
+	if g.RemotePct == 0 {
+		g.RemotePct = 100
+	}
 	return g
 }
 
@@ -654,6 +662,39 @@ func repeated[T comparable](vals []T) (T, bool) {
 	}
 	var zero T
 	return zero, false
+}
+
+// maxCells bounds the cells one grid may enumerate: far above any grid
+// this repository runs (the benchmark's largest is 1040 cells), and far
+// below what would exhaust a daemon's memory — a cell description costs
+// about half a kilobyte before it runs.
+const maxCells = 1 << 16
+
+// TooManyCellsError reports a grid whose axis lengths multiply past
+// maxCells. It is returned before any cell is built.
+type TooManyCellsError struct{}
+
+func (TooManyCellsError) Error() string {
+	return fmt.Sprintf("sweep: grid axes multiply past %d cells", maxCells)
+}
+
+// checkSize bounds the product of the grid's axis lengths, an upper
+// bound on what it enumerates (the per-scheme projection of the
+// tunables and fault axes only removes cells). The running product is
+// held at maxCells+1, so no length of a slice in memory overflows it.
+func (g Grid) checkSize() error {
+	lens := []int{len(g.Schemes), len(g.Workloads), len(g.Profiles), len(g.Ps), len(g.Faults) + 1}
+	for _, ax := range g.Tunables {
+		lens = append(lens, max(len(ax.Values), 1))
+	}
+	n := 1
+	for _, l := range lens {
+		n = min(n*l, maxCells+1)
+	}
+	if n > maxCells {
+		return TooManyCellsError{}
+	}
+	return nil
 }
 
 // checkRepeats rejects a value repeated on any axis of the grid, with
@@ -768,8 +809,8 @@ func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
 
 // cellSpec is the one description of a cell: every input that can
 // change its result, each holding the value the run will use — the
-// grid's defaults filled, the lock count already clamped for the
-// sharded DHT. Cells builds one per cell and never writes it again;
+// grid's defaults filled, the lock count already fitted to the workload
+// (workload.LockSet). Cells builds one per cell and never writes it again;
 // Cell.Key, Cell.Input and Cell.Spec are all derived from it, so an
 // input cannot reach the run without also reaching the content address
 // (TestAddressCoversSpec perturbs every field and requires the address
@@ -788,6 +829,7 @@ type cellSpec struct {
 	zipfs         float64
 	think, thinkj int64
 	faultMetrics  bool
+	remotePct     int64
 }
 
 // attachments is what a grid hands every cell's run that is not part of
@@ -810,7 +852,8 @@ type attachments struct {
 // repeated on one axis a RepeatedValueError — both checked on the full
 // axis lists, before per-scheme projection, so the same grid fails the
 // same way regardless of which schemes it names. An unknown Engine
-// name and a negative P or ProcsPerNode are errors too.
+// name, a negative P, ProcsPerNode or RemotePct, and axes that multiply
+// past maxCells (a TooManyCellsError) are errors too.
 func (g Grid) Cells() ([]Cell, error) {
 	specs, att, err := g.enumerate()
 	if err != nil {
@@ -826,15 +869,9 @@ func (g Grid) Cells() ([]Cell, error) {
 		buf = make([]byte, 0, 128*len(specs))
 		ends = make([]int, len(specs))
 	}
-	// A cell derives from its siblings only where it could be served from a
-	// cache, and never on the reference engine: the oracle runs them all.
-	derivable := cacheable && att.engine != rma.EngineRef
 	for i := range specs {
 		cs := &specs[i]
-		cells[i] = Cell{Key: cs.Key, Spec: func() (workload.Spec, error) { return cs.spec(att) }}
-		if derivable {
-			cells[i].cs = cs
-		}
+		cells[i] = Cell{Key: cs.Key, cs: cs, att: att}
 		if cacheable {
 			buf = cs.appendInput(buf)
 			ends[i] = len(buf)
@@ -854,6 +891,9 @@ func (g Grid) Cells() ([]Cell, error) {
 // reads the grid after this.
 func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	g = g.fill()
+	if err := g.checkSize(); err != nil {
+		return nil, nil, err
+	}
 	// Engine names and rank counts arrive from flags and job specs; past
 	// this point they reach code that panics on a bad one.
 	if err := rma.CheckEngine(g.Engine); err != nil {
@@ -866,6 +906,9 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	}
 	if g.ProcsPerNode < 0 {
 		return nil, nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
+	}
+	if g.RemotePct < 0 {
+		return nil, nil, fmt.Errorf("sweep: remote_pct: negative percent %d", g.RemotePct)
 	}
 	if _, err := combos(g.Tunables); err != nil {
 		return nil, nil, err
@@ -884,7 +927,7 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	shared := cellSpec{
 		ppn: g.ProcsPerNode, iters: g.Iters, seed: g.Seed, fw: g.FW,
 		zipfs: g.ZipfS, think: g.ThinkNs, thinkj: g.ThinkJitterNs,
-		faultMetrics: len(g.Faults) > 0,
+		faultMetrics: len(g.Faults) > 0, remotePct: g.RemotePct,
 	}
 	specs := make([]cellSpec, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
 	for _, schemeName := range g.Schemes {
@@ -906,11 +949,7 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 				for _, p := range g.Ps {
 					cs := shared
 					cs.Scheme, cs.Workload, cs.Profile, cs.P = schemeName, wname, pname, p
-					// A sharded DHT needs one volume per lock: clamp the set to P.
-					cs.locks = g.Locks
-					if wname == "dht" && cs.locks > p {
-						cs.locks = p
-					}
+					cs.locks = workload.LockSet(wname, g.Locks, p)
 					for ti, tun := range tuns {
 						cs.tun, cs.Tunables = tun, tunKeys[ti]
 						for fi, fp := range faults {
@@ -959,7 +998,9 @@ func StaleInput(input string) bool {
 // appendInput appends the cell's content address (Cell.Input): the
 // versioned prefix, the key, then every other field of the spec in a
 // fixed order and spelling (integers in decimal, floats in the shortest
-// form that round-trips). This is the only place an address is written.
+// form that round-trips); the network scale only when it is not the
+// calibrated 100 %, so addresses written before it existed still
+// stand. This is the only place an address is written.
 // Any change to what a cell computes from these inputs must bump the
 // prefix, which invalidates every persisted cache entry (DESIGN.md,
 // "The cache key is the cell's input").
@@ -984,6 +1025,10 @@ func (cs *cellSpec) appendInput(b []byte) []byte {
 	b = strconv.AppendInt(b, cs.thinkj, 10)
 	b = append(b, " fm="...)
 	b = strconv.AppendBool(b, cs.faultMetrics)
+	if cs.remotePct != 100 {
+		b = append(b, " remote="...)
+		b = strconv.AppendInt(b, cs.remotePct, 10)
+	}
 	return b
 }
 
@@ -1013,6 +1058,7 @@ func (cs *cellSpec) spec(att *attachments) (workload.Spec, error) {
 		Tunables:     cs.tun.Clone(),
 		Faults:       cs.fault.Clone(),
 		FaultMetrics: cs.faultMetrics,
+		RemotePct:    cs.remotePct,
 		Engine:       att.engine,
 		MemStats:     att.memStats,
 		Obs:          att.obs,

@@ -243,9 +243,6 @@ func New(mask Class) *Sink {
 	return &Sink{mask: mask}
 }
 
-// Mask returns the enabled event classes.
-func (s *Sink) Mask() Class { return s.mask }
-
 // Has reports whether every class in c is enabled.
 func (s *Sink) Has(c Class) bool { return s.mask&c == c }
 

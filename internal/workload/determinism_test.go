@@ -71,7 +71,6 @@ func TestDeterminismDHT(t *testing.T) {
 			Iters: 12, Warmup: -1,
 			Profile:  workload.Uniform{FW: 0.4},
 			Workload: &workload.DHTOps{Slots: 64, Cells: 256},
-			Skip:     func(rank, procs int) bool { return rank == 0 },
 		}
 	}
 	a, err := workload.Run(mk())

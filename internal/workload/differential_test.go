@@ -208,7 +208,7 @@ func TestDifferentialTraceStreams(t *testing.T) {
 }
 
 // TestDifferentialDHT pins the engines against each other on the DHT
-// workload (Skip rank, sharded locks): the heaviest user of SpinUntil
+// benchmark (rank 0 hosting the volume): the heaviest user of SpinUntil
 // wake-ups and therefore of the horizon-shrink path.
 func TestDifferentialDHT(t *testing.T) {
 	mk := func(engine string, noCoalesce bool) workload.Spec {
@@ -219,7 +219,6 @@ func TestDifferentialDHT(t *testing.T) {
 			Iters: 10, Warmup: -1,
 			Profile:  workload.Uniform{FW: 0.4},
 			Workload: &workload.DHTOps{Slots: 64, Cells: 256},
-			Skip:     func(rank, procs int) bool { return rank == 0 },
 			Engine:   engine, NoCoalesce: noCoalesce,
 		}
 	}

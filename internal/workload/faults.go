@@ -23,9 +23,9 @@ const (
 // custom Make locks) without bounded-acquire support are typed-rejected
 // with a *scheme.CapabilityError — an MCS-queue node cannot be
 // abandoned, so pretending to time out would corrupt the queue. Returns
-// nil when the spec does not request timeouts.
+// nil when the spec does not request timeouts or runs no lock.
 func timedSet(spec Spec, set []locks.RWMutex) ([]locks.TryRWMutex, error) {
-	if spec.NoLock || spec.Faults == nil || spec.Faults.Timeout <= 0 {
+	if set == nil || spec.Faults == nil || spec.Faults.Timeout <= 0 {
 		return nil, nil
 	}
 	timed := make([]locks.TryRWMutex, len(set))

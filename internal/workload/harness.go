@@ -34,7 +34,22 @@ const (
 	SchemeRMAMCS    = rmamcs.SchemeName
 	SchemeFoMPIRW   = fompi.SchemeRW
 	SchemeRMARW     = rmarw.SchemeName
+	// SchemeFoMPIA is the paper's lock-free DHT baseline (§5.3): no lock,
+	// the workload's atomic operation family instead. A scheme coordinate,
+	// not a registry scheme: Schemes does not list it.
+	SchemeFoMPIA = "foMPI-A"
 )
+
+// AtomicFamilyError reports SchemeFoMPIA on a workload that has no
+// atomic operation family: without a lock its critical sections would
+// race.
+type AtomicFamilyError struct {
+	Workload string
+}
+
+func (e *AtomicFamilyError) Error() string {
+	return fmt.Sprintf("workload: %s runs no lock, and workload %q has no atomic operation family", SchemeFoMPIA, e.Workload)
+}
 
 // Schemes lists every lock scheme the harness can run, derived from the
 // scheme registry in presentation order: the mutexes (run through a
@@ -150,16 +165,12 @@ func witness(name string, levels int, set []locks.RWMutex) Witness {
 // dimensions. Zero fields select the defaults of the paper's evaluation
 // setup.
 type Spec struct {
-	// Scheme selects the lock scheme (one of Schemes). Ignored when
-	// NoLock or Make is set.
+	// Scheme selects the lock scheme: one of Schemes, or SchemeFoMPIA
+	// for no lock at all. Ignored when Make is set.
 	Scheme string
 	// Make optionally overrides the lock factory; it must build n
 	// RWMutex instances on m before the run starts.
 	Make func(m *rma.Machine, n int) ([]locks.RWMutex, error)
-	// NoLock runs the workload bodies without any lock (the paper's
-	// foMPI-A lock-free baseline; only sound for workloads that are
-	// themselves concurrency-safe, such as DHTOps with Atomic).
-	NoLock bool
 
 	// P is the process count (default 64).
 	P int
@@ -170,16 +181,16 @@ type Spec struct {
 	// TimeLimit bounds one run in virtual ns (default ~73 virtual
 	// minutes), converting protocol livelock into an error.
 	TimeLimit int64
-	// Latency optionally overrides the machine's latency model
-	// (ablation studies).
-	Latency func(maxDist int) rma.LatencyModel
+	// RemotePct scales the calibrated inter-node latencies to this
+	// percent (rma.RemoteLatency); 0 and 100 are the calibrated model.
+	RemotePct int64
 
 	// Iters is the number of measured cycles per participating process
 	// (default 50).
 	Iters int
 	// Warmup is the number of discarded cycles before the measured
-	// phase; 0 selects the paper's 10% (Iters/10+1), negative disables
-	// warm-up entirely.
+	// phase; 0 selects the paper's 10% (Iters/10+1) — none for the DHT
+	// benchmark (DHTOps) — and negative disables warm-up entirely.
 	Warmup int
 	// Profile is the contention generator (default Uniform{FW: 1}: an
 	// all-write single-lock workload).
@@ -191,13 +202,9 @@ type Spec struct {
 	// strictly: unknown keys or out-of-range values fail the run with a
 	// typed error from internal/scheme. Non-empty tunables are recorded in
 	// Report.Tunables and its fingerprint; empty tunables leave reports
-	// byte-identical to pre-registry baselines. Ignored when NoLock or
-	// Make is set.
+	// byte-identical to pre-registry baselines. Ignored when Make is
+	// set or Scheme is SchemeFoMPIA.
 	Tunables scheme.Tunables
-	// Skip marks ranks that sit out the benchmark loop (they still
-	// participate in the start barrier and then exit, like the paper's
-	// DHT volume host).
-	Skip func(rank, procs int) bool
 
 	// Faults, when non-nil, runs the cell under the deterministic
 	// perturbation profile (see internal/fault): jitter, congestion,
@@ -267,18 +274,31 @@ func (s *Spec) fill() {
 	if s.Iters == 0 {
 		s.Iters = 50
 	}
-	if s.Warmup == 0 {
-		s.Warmup = s.Iters/10 + 1
-	}
-	if s.Warmup < 0 {
-		s.Warmup = 0
-	}
 	if s.Profile == nil {
 		s.Profile = Uniform{FW: 1}
 	}
 	if s.Workload == nil {
 		s.Workload = Empty{}
 	}
+	bench := hostedDHT(s.Workload)
+	if s.Warmup == 0 && bench == nil {
+		s.Warmup = s.Iters/10 + 1
+	}
+	if s.Warmup < 0 {
+		s.Warmup = 0
+	}
+	if bench != nil && bench.Cells == 0 {
+		bench.Cells = s.P*(s.Iters+s.Warmup) + 16
+	}
+}
+
+// first is the lowest rank that runs cycles: 1 when rank 0 only hosts
+// the DHT benchmark's volume.
+func (s *Spec) first() int {
+	if hostedDHT(s.Workload) != nil {
+		return 1
+	}
+	return 0
 }
 
 // Run executes one workload benchmark: build the machine and lock set,
@@ -292,8 +312,8 @@ func Run(spec Spec) (Report, error) {
 }
 
 // RunWitness is Run that also returns the run's Witness. It is nil for a
-// scheme without tracked thresholds, a Make or NoLock spec, and a failed
-// run.
+// scheme without tracked thresholds (SchemeFoMPIA among them), a Make
+// spec, and a failed run.
 func RunWitness(spec Spec) (Report, Witness, error) {
 	return run(spec, true)
 }
@@ -305,8 +325,8 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	cfg := rma.Config{Seed: spec.Seed, TimeLimit: spec.TimeLimit,
 		Engine: spec.Engine, NoCoalesce: spec.NoCoalesce, Trace: spec.Trace,
 		Faults: spec.Faults}
-	if spec.Latency != nil {
-		lat := spec.Latency(topo.MaxDistance())
+	if pct := spec.RemotePct; pct != 0 && pct != 100 {
+		lat := rma.RemoteLatency(topo.MaxDistance(), pct)
 		cfg.Latency = &lat
 	}
 	m := rma.NewMachineConfig(topo, cfg)
@@ -316,8 +336,15 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 
 	var set []locks.RWMutex
 	var err error
+	noLock := spec.Make == nil && spec.Scheme == SchemeFoMPIA
 	switch {
-	case spec.NoLock:
+	case noLock:
+		// Only the hashtable has an atomic operation family.
+		if d, ok := spec.Workload.(*DHTOps); ok {
+			d.Atomic = true
+		} else {
+			err = &AtomicFamilyError{Workload: spec.Workload.Name()}
+		}
 	case spec.Make != nil:
 		set, err = spec.Make(m, spec.Profile.Locks())
 	default:
@@ -349,9 +376,10 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	setupSpan.End()
 	runSpan := spec.Obs.Span("run")
 
+	first := spec.first()
 	runErr := m.Run(func(p *rma.Proc) {
 		r := p.Rank()
-		if spec.Skip != nil && spec.Skip(r, procs) {
+		if r < first {
 			p.Barrier()
 			if r == 0 {
 				start = p.Now()
@@ -364,7 +392,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 			t0 := p.Now()
 			acquired := true
 			switch {
-			case spec.NoLock:
+			case noLock:
 				spec.Workload.Body(p, in)
 			case timed != nil:
 				if acquired = acquireTimed(p, timed[in.Lock], in.Write, spec.Faults, fc); acquired {
@@ -421,7 +449,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	drainSpan := spec.Obs.Span("drain")
 	rep := summarize(spec, m, start, bufs)
 	rep.DirectEntries = directEntries(set)
-	if !spec.NoLock && spec.Make == nil && len(spec.Tunables) > 0 {
+	if !noLock && spec.Make == nil && len(spec.Tunables) > 0 {
 		rep.Tunables = spec.Tunables.Canonical()
 	}
 	if spec.Faults != nil {
@@ -438,7 +466,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 		fc.apply(&rep)
 	}
 	if spec.Trace != nil {
-		applyTraceMetrics(&rep, spec.Trace, topo, start, spec.Skip)
+		applyTraceMetrics(&rep, spec.Trace, topo, start, first)
 	}
 	if spec.MemStats {
 		// Read after the run, while the machine/scheduler buffers are
@@ -457,7 +485,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	}
 	spec.Workload.Extract(m, &rep)
 	var w Witness
-	if want && !spec.NoLock && spec.Make == nil {
+	if want && spec.Make == nil {
 		w = witness(spec.Scheme, topo.Levels(), set)
 	}
 	drainSpan.End()
@@ -469,8 +497,8 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 // Jain fairness index over participating ranks' lock acquisitions, and
 // the handoff-locality histogram — topology distance between
 // consecutive holders of each lock, the paper's locality claim made
-// measurable per cell.
-func applyTraceMetrics(rep *Report, sink *trace.Sink, topo *topology.Topology, start int64, skip func(rank, procs int) bool) {
+// measurable per cell. Ranks below first ran no cycles.
+func applyTraceMetrics(rep *Report, sink *trace.Sink, topo *topology.Topology, start int64, first int) {
 	events := sink.Events()
 	// Keep only the measured phase; warm-up handoffs would otherwise
 	// skew fairness between cells with different warm-up shares.
@@ -480,28 +508,16 @@ func applyTraceMetrics(rep *Report, sink *trace.Sink, topo *topology.Topology, s
 			measured = append(measured, e)
 		}
 	}
-	procs := topo.Procs()
-	counts := trace.Acquisitions(measured, procs)
-	participant := counts[:0:0]
-	for r := 0; r < procs; r++ {
-		if skip != nil && skip(r, procs) {
-			continue
-		}
-		participant = append(participant, counts[r])
-	}
-	rep.Fairness = trace.Jain(participant)
+	counts := trace.Acquisitions(measured, topo.Procs())
+	rep.Fairness = trace.Jain(counts[first:])
 	rep.HandoffLocality = trace.LocalityHist(measured, topo.Distance, topo.MaxDistance())
 }
 
 func specScheme(spec Spec) string {
-	switch {
-	case spec.NoLock:
-		return "nolock"
-	case spec.Make != nil && spec.Scheme == "":
+	if spec.Make != nil && spec.Scheme == "" {
 		return "custom"
-	default:
-		return spec.Scheme
 	}
+	return spec.Scheme
 }
 
 // directEntries sums the intra-element shortcut count over every RMA-MCS

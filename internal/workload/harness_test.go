@@ -111,10 +111,12 @@ func TestRunSweepShiftsMix(t *testing.T) {
 	}
 }
 
+// TestRunSkipRanks: in the DHT benchmark rank 0 only hosts the volume,
+// and nobody warms up.
 func TestRunSkipRanks(t *testing.T) {
 	rep, err := workload.Run(workload.Spec{
-		Scheme: workload.SchemeRMARW, P: 8, Iters: 10, Warmup: -1,
-		Skip: func(rank, procs int) bool { return rank == 0 },
+		Scheme: workload.SchemeRMARW, P: 8, Iters: 10,
+		Workload: &workload.DHTOps{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +130,17 @@ func TestRunSkipRanks(t *testing.T) {
 }
 
 func TestRunNoLockDHT(t *testing.T) {
-	w := &workload.DHTOps{Slots: 64, Cells: 256, Atomic: true}
+	w := &workload.DHTOps{Slots: 64, Cells: 256}
 	rep, err := workload.Run(workload.Spec{
-		NoLock: true, P: 8, Iters: 12, Warmup: -1,
+		Scheme: workload.SchemeFoMPIA, P: 8, Iters: 12,
 		Profile:  workload.Uniform{FW: 0.5},
 		Workload: w,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !w.Atomic {
+		t.Error("foMPI-A ran the plain operation family")
 	}
 	if rep.Writes == 0 {
 		t.Fatalf("no inserts happened: %+v", rep)
@@ -143,8 +148,13 @@ func TestRunNoLockDHT(t *testing.T) {
 	if rep.Extra["stored"] <= 0 {
 		t.Errorf("stored=%v despite %d inserts", rep.Extra["stored"], rep.Writes)
 	}
-	if rep.Scheme != "nolock" {
-		t.Errorf("Scheme=%q want nolock", rep.Scheme)
+	if rep.Scheme != workload.SchemeFoMPIA {
+		t.Errorf("Scheme=%q want %s", rep.Scheme, workload.SchemeFoMPIA)
+	}
+	// Without an atomic family, no lock would be a race.
+	var fam *workload.AtomicFamilyError
+	if _, err := workload.Run(workload.Spec{Scheme: workload.SchemeFoMPIA, P: 8, Iters: 4}); !errors.As(err, &fam) || fam.Workload != "empty" {
+		t.Errorf("foMPI-A on the empty workload: err %v, want an AtomicFamilyError", err)
 	}
 }
 
@@ -252,18 +262,20 @@ func (w countingWorkload) Body(p *rma.Proc, in workload.Intent) { w.counts[in.Lo
 func (countingWorkload) Extract(*rma.Machine, *workload.Report) {}
 
 func TestSkipRankStartUsesAlignedClock(t *testing.T) {
-	// When rank 0 sits out (Spec.Skip), it is still the rank that samples
-	// the measured-phase start time — which must be the post-barrier
-	// aligned clock, not its pre-barrier arrival time. If it were not,
-	// the makespan would absorb the other ranks' warm-up phase: pinning
-	// makespan/throughput as invariant under the warm-up length proves
-	// the start really is taken after clocks align. (foMPI-Spin with an
-	// uncontended single participant consumes no RNG, so the measured
-	// phase is byte-identical regardless of how many warm-up cycles ran.)
+	// When rank 0 sits out (it hosts the DHT benchmark's volume), it is
+	// still the rank that samples the measured-phase start time — which
+	// must be the post-barrier aligned clock, not its pre-barrier arrival
+	// time. If it were not, the makespan would absorb the other ranks'
+	// warm-up phase: pinning makespan/throughput as invariant under the
+	// warm-up length proves the start really is taken after clocks
+	// align. (foMPI-Spin with an uncontended single participant looking
+	// up keys in an empty table costs the same whichever keys it draws,
+	// so the measured phase is identical however many warm-up cycles
+	// ran.)
 	run := func(warmup int) workload.Report {
 		rep, err := workload.Run(workload.Spec{
 			Scheme: workload.SchemeFoMPISpin, P: 2, Iters: 20, Warmup: warmup,
-			Skip: func(rank, procs int) bool { return rank == 0 },
+			Profile: workload.Uniform{FW: 0}, Workload: &workload.DHTOps{},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -155,12 +155,8 @@ func summarize(spec Spec, m *rma.Machine, start int64, b *runBufs) Report {
 	var reads, writes int64
 	rlat, wlat, ends := b.rlat, b.wlat, b.ends
 	all, rs, ws := b.all[:0], b.rs[:0], b.ws[:0]
-	participants := 0
-	for r := range ends {
-		if spec.Skip != nil && spec.Skip(r, len(ends)) {
-			continue
-		}
-		participants++
+	first := spec.first()
+	for r := first; r < len(ends); r++ {
 		if ends[r] > end {
 			end = ends[r]
 		}
@@ -181,7 +177,7 @@ func summarize(spec Spec, m *rma.Machine, start int64, b *runBufs) Report {
 		Ops:            ops,
 		Reads:          reads,
 		Writes:         writes,
-		WarmupOps:      int64(spec.Warmup * participants),
+		WarmupOps:      int64(spec.Warmup * (len(ends) - first)),
 		ThroughputMops: throughputMops(ops, end-start),
 		Latency:        stats.SummarizeInPlace(all),
 		ReadLatency:    stats.SummarizeInPlace(rs),

@@ -55,10 +55,10 @@ func TestWitness(t *testing.T) {
 
 	for _, spec := range []workload.Spec{
 		{Scheme: "foMPI-Spin"},
-		{Scheme: "RMA-RW", NoLock: true, Workload: &workload.DHTOps{Atomic: true}},
+		{Scheme: workload.SchemeFoMPIA, Workload: &workload.DHTOps{}},
 	} {
 		if run(spec) != nil {
-			t.Errorf("%s (nolock %v): a witness, want none", spec.Scheme, spec.NoLock)
+			t.Errorf("%s: a witness, want none", spec.Scheme)
 		}
 	}
 	if _, w, err := workload.RunWitness(workload.Spec{Scheme: "RMA-RW", P: 32, TimeLimit: 1000}); err == nil || w != nil {

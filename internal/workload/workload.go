@@ -106,21 +106,23 @@ func (w *CounterCompute) Extract(m *rma.Machine, r *Report) {
 
 // DHTOps runs key-value operations against the distributed hashtable of
 // the paper's §5.3: a write intent inserts a uniformly random key, a
-// read intent looks one up. With ShardByLock, lock k of the set guards
-// the volume of rank k (a sharded store whose per-volume contention
-// follows the profile's lock distribution); otherwise every operation
-// targets the single volume Vol, as in the paper's benchmark.
+// read intent looks one up. With ShardByLock ("dht"), lock k of the set
+// guards the volume of rank k (a sharded store whose per-volume
+// contention follows the profile's lock distribution). Without it
+// ("dhtvol") it is the paper's DHT benchmark: every operation targets
+// the volume of rank 0, which hosts it and runs no cycles; the run has
+// no warm-up phase unless the Spec asks for one, and the volume has an
+// overflow cell for every insert the run can make (Spec.fill,
+// Spec.first).
 type DHTOps struct {
-	// Slots and Cells give the per-volume geometry (defaults 512 and
-	// 4096).
+	// Slots and Cells give the per-volume geometry (defaults 512, and
+	// 4096 sharded).
 	Slots, Cells int
-	// Vol is the single target volume when ShardByLock is false.
-	Vol int
 	// Keyspace bounds the random keys (default 1<<30).
 	Keyspace int64
-	// Atomic selects the lock-free CAS/FAO operation family (the paper's
-	// foMPI-A, run without any lock); otherwise the Plain family is used
-	// and the surrounding lock provides exclusion.
+	// Atomic selects the lock-free CAS/FAO operation family, which
+	// SchemeFoMPIA turns on; otherwise the Plain family is used and the
+	// surrounding lock provides exclusion.
 	Atomic bool
 	// ShardByLock maps lock index to volume rank. Only sound when the
 	// profile's lock-set size is at most the process count, so no two
@@ -131,7 +133,21 @@ type DHTOps struct {
 	Table *dht.Table
 }
 
-func (*DHTOps) Name() string { return "dht" }
+func (w *DHTOps) Name() string {
+	if w.ShardByLock {
+		return "dht"
+	}
+	return "dhtvol"
+}
+
+// hostedDHT returns w if it is the paper's DHT benchmark, the
+// single-volume DHTOps, and nil otherwise.
+func hostedDHT(w Workload) *DHTOps {
+	if d, ok := w.(*DHTOps); ok && !d.ShardByLock {
+		return d
+	}
+	return nil
+}
 
 func (w *DHTOps) Setup(m *rma.Machine) {
 	slots, cells := w.Slots, w.Cells
@@ -151,7 +167,7 @@ func (w *DHTOps) volume(p *rma.Proc, in Intent) int {
 	if w.ShardByLock {
 		return in.Lock % p.Machine().Procs()
 	}
-	return w.Vol
+	return 0
 }
 
 func (w *DHTOps) Body(p *rma.Proc, in Intent) {
@@ -176,7 +192,7 @@ func (w *DHTOps) Extract(m *rma.Machine, r *Report) {
 			stored += w.Table.Count(m, vol)
 		}
 	} else {
-		stored = w.Table.Count(m, w.Vol)
+		stored = w.Table.Count(m, 0)
 	}
 	r.Extra["stored"] = float64(stored)
 	r.Extra["overflows"] = float64(w.Table.Overflows)
@@ -184,7 +200,20 @@ func (w *DHTOps) Extract(m *rma.Machine, r *Report) {
 
 // WorkloadNames lists the named critical-section workloads for CLI
 // dispatch.
-var WorkloadNames = []string{"empty", "sharedop", "counter", "dht"}
+var WorkloadNames = []string{"empty", "sharedop", "counter", "dht", "dhtvol"}
+
+// LockSet is the lock-set size a run of the named workload takes when a
+// grid asks for locks at P ranks: the sharded DHT needs a volume per
+// lock, and the DHT benchmark's one volume takes one lock.
+func LockSet(name string, locks, p int) int {
+	switch {
+	case name == "dht" && locks > p:
+		return p
+	case name == "dhtvol":
+		return 1
+	}
+	return locks
+}
 
 // ByName builds one of the named workloads with default geometry. Fresh
 // value per call: workloads carry per-run state.
@@ -198,6 +227,8 @@ func ByName(name string) (Workload, error) {
 		return &CounterCompute{}, nil
 	case "dht":
 		return &DHTOps{ShardByLock: true}, nil
+	case "dhtvol":
+		return &DHTOps{}, nil
 	default:
 		return nil, errUnknown("workload", name, WorkloadNames)
 	}

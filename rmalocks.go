@@ -183,8 +183,6 @@ type (
 	UniformProfile = workload.Uniform
 	// EmptyWorkload is the empty critical section (lock cost only).
 	EmptyWorkload = workload.Empty
-	// DHTWorkload runs hashtable operations inside the CS.
-	DHTWorkload = workload.DHTOps
 )
 
 // RunWorkload executes one workload benchmark and returns its report.

@@ -124,7 +124,7 @@ func TestWorkloadFacade(t *testing.T) {
 		rep, err := rmalocks.RunWorkload(rmalocks.WorkloadSpec{
 			Scheme: "RMA-RW", P: 16, ProcsPerNode: 4, Iters: 12, Seed: 9,
 			Profile:  rmalocks.UniformProfile{NumLocks: 4, FW: 0.25},
-			Workload: &rmalocks.DHTWorkload{Slots: 16, Cells: 512, ShardByLock: true},
+			Workload: rmalocks.EmptyWorkload{},
 		})
 		if err != nil {
 			t.Fatal(err)
