@@ -174,11 +174,14 @@ obs-smoke:
 # axis (-tune TR=900 applies only to RMA-RW; the two d-MCS cells are
 # untouched), then resubmit the first grid unchanged. Asserts from
 # /metrics that exactly the unchanged cells hit the cache (2 of the
-# tuned grid, 4 of the repeat; 4 + 2 computed), and that both the
-# daemon's cold result file and its all-cached one — stored fragments
-# spliced by sweep.Encode, never marshalled — are cmp-equal to a direct
-# local workbench run's file. The final `kill`
-# exercises graceful shutdown: the daemon must drain and exit 0.
+# tuned grid, 4 of the repeat; 4 + 2 missed), that the tuned grid's two
+# RMA-RW misses were derived from the cold job's stored entries, whose
+# witnesses admit T_R = 900 (no counter gets near it at this size),
+# and that the daemon's cold result file, its tuned one and its
+# all-cached one — stored fragments spliced by sweep.Encode, never
+# marshalled — are cmp-equal to direct local workbench runs' files.
+# The final `kill` exercises graceful shutdown: the daemon must drain
+# and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
 	-ps 16 -iters 20 -locks 4
@@ -190,6 +193,8 @@ sweepd-smoke:
 	rm -rf results/sweepd-cache
 	./results/workbench-sweepd $(SWEEPD_GRID) -out results/sweepd-local.json \
 		> results/sweepd-local.txt
+	./results/workbench-sweepd $(SWEEPD_GRID) -tune TR=900 -out results/sweepd-tuned-local.json \
+		> results/sweepd-tuned-local.txt
 	@set -e; \
 	./results/sweepd -listen $(SWEEPD_ADDR) -cache-dir results/sweepd-cache \
 		2> results/sweepd.err & \
@@ -206,6 +211,7 @@ sweepd-smoke:
 		-out results/sweepd-cold.json \
 		> results/sweepd-cold.txt 2> results/sweepd-cold.err; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
+		-out results/sweepd-tuned.json \
 		> results/sweepd-tuned.txt 2> results/sweepd-tuned.err; \
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) \
 		-out results/sweepd-warm.json \
@@ -215,11 +221,13 @@ sweepd-smoke:
 	grep -q '^sweepd_cache_hits_total 6$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_misses_total 6$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_derived_total 2$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err
 	grep -q '4 served from cache' results/sweepd-warm.err
 	cmp results/sweepd-cold.json results/sweepd-local.json
+	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
-	@echo "sweepd-smoke: OK — cold and all-cached result files cmp-equal to the local run's; tuned resubmit reused the 2 unchanged d-MCS cells"
+	@echo "sweepd-smoke: OK — cold, tuned and all-cached result files cmp-equal to the local runs'; tuned resubmit reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

@@ -13,6 +13,11 @@
 // Open's load, or the Get that reads it back from disk) and dropped
 // when it is evicted; a hit after that is one hash and one map lookup.
 // DESIGN.md, "What a hit costs", has the rules this rests on.
+//
+// An entry may also carry the witness of the run that produced it
+// (workload.Witness): the store keeps an index of them by sibling group
+// (sweep.SiblingOf), so a cell no entry holds can be derived from a
+// stored sibling whose witness admits it (ResultStore.Sibling).
 package cache
 
 import (
@@ -31,7 +36,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
+	"rmalocks/internal/workload"
 )
 
 // envelopeVersion versions the on-disk entry layout; bumping it orphans
@@ -42,11 +49,22 @@ const envelopeVersion = 1
 // stored verbatim so a load can verify the file really holds the entry
 // its name promises (names are sha256(input) — a renamed or truncated
 // file fails the check and is reported as corrupt, not served).
+// Witness is the canonical text of the witness of the run that produced
+// Data, empty when there is none.
 type envelope struct {
-	V     int             `json:"v"`
-	Input string          `json:"input"`
-	Sum   string          `json:"sha256"`
-	Data  json.RawMessage `json:"data"`
+	V       int             `json:"v"`
+	Input   string          `json:"input"`
+	Sum     string          `json:"sha256"`
+	Data    json.RawMessage `json:"data"`
+	Witness string          `json:"witness,omitempty"`
+}
+
+// sibling is one stored witness of a sibling group, with the input of
+// an entry stored with it: the result any cell it admits derives from.
+type sibling struct {
+	w     workload.Witness
+	text  string // w.Canonical()
+	input string
 }
 
 // entry is one resident cache entry. res is handed out by value to
@@ -86,9 +104,13 @@ type Store struct {
 	entries map[string]*entry // key -> entry
 	lru     *list.List        // front = most recent; values are *entry
 	bytes   int64
+	// sibs maps a sibling group to the distinct witnesses stored in it,
+	// resident or not. Lists only grow; a reader may keep one it copied.
+	sibs map[string][]sibling
 
 	hits      atomic.Int64
 	misses    atomic.Int64
+	derived   atomic.Int64
 	evictions atomic.Int64
 	corrupt   atomic.Int64
 	putErr    atomic.Int64
@@ -99,7 +121,8 @@ type Store struct {
 // validated and loaded freshest-first until the budget fills; malformed
 // files are skipped and listed in the report — a corrupt cache degrades
 // to recomputation, never to a failed daemon — and entries of another
-// address version are counted and deleted.
+// address version are counted and deleted. The witness of every
+// well-formed entry, resident or not, goes into the sibling index.
 func Open(dir string, budget int64) (*Store, LoadReport, error) {
 	if budget <= 0 {
 		budget = 64 << 20
@@ -109,6 +132,7 @@ func Open(dir string, budget int64) (*Store, LoadReport, error) {
 		budget:  budget,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
+		sibs:    make(map[string][]sibling),
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, LoadReport{}, fmt.Errorf("cache: open %s: %w", dir, err)
@@ -159,13 +183,21 @@ func (s *Store) load() (LoadReport, error) {
 		// payload alone overflows the budget is indexed undecoded (Get
 		// validates it if it is ever asked for).
 		fits := err == nil && s.bytes+int64(len(env.Data)) <= s.budget
+		var group string
+		var sib sibling
+		if err == nil && env.Witness != "" {
+			group, sib, err = parseSibling(env.Input, env.Witness)
+		}
 		var res sweep.CellResult
-		if fits {
+		if fits && err == nil {
 			res, err = decodeEntry(env)
 		}
 		if err != nil {
 			rep.Corrupt = append(rep.Corrupt, filepath.Base(name))
 			continue
+		}
+		if group != "" {
+			s.index(group, sib)
 		}
 		rep.Entries++
 		e := &entry{key: env.Sum, res: res, size: sweep.CellFootprint(res)}
@@ -221,6 +253,38 @@ func keyOf(input string) string {
 	return string(addr[:])
 }
 
+// parseSibling validates the witness text stored beside input: it must
+// be canonical, name the scheme input names and admit input's own
+// tunables. It returns input's sibling group and the index entry.
+func parseSibling(input, text string) (string, sibling, error) {
+	w, err := workload.ParseWitness(text)
+	if err != nil {
+		return "", sibling{}, err
+	}
+	group, name, tun, ok := sweep.SiblingOf(input)
+	switch {
+	case !ok:
+		return "", sibling{}, errors.New("cache: witness stored under an address without a sibling group")
+	case w.Scheme != name:
+		return "", sibling{}, fmt.Errorf("cache: a %s witness stored for a %s cell", w.Scheme, name)
+	case !w.Admits(tun):
+		return "", sibling{}, errors.New("cache: witness does not admit its own cell")
+	}
+	return group, sibling{w: w, text: text, input: input}, nil
+}
+
+// index adds a witness to its group unless the group has it already.
+func (s *Store) index(group string, sib sibling) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, o := range s.sibs[group] {
+		if o.text == sib.text {
+			return
+		}
+	}
+	s.sibs[group] = append(s.sibs[group], sib)
+}
+
 // decodeEntry derives an envelope's resident form. The payload must be
 // the canonical encoding of a cell whose key the envelope's input
 // names; anything else is a corrupt entry, because the bytes served
@@ -236,31 +300,12 @@ func decodeEntry(env envelope) (sweep.CellResult, error) {
 	return res, nil
 }
 
-// lookup is the one read path. A resident entry costs the hash and a
-// map lookup; an evicted (or never-admitted) one is read from disk,
-// validated, decoded and re-admitted. A file that is there but fails
-// any check is a corrupt entry: counted as such and as a miss, never
-// resident, and overwritten by the Put that follows the recompute.
+// lookup is the one read path. A file that is there but fails any of
+// fetch's checks is a corrupt entry: counted as such and as a miss,
+// never resident, and overwritten by the Put that follows the
+// recompute.
 func (s *Store) lookup(input string) (sweep.CellResult, bool) {
-	addr := addrOf(input)
-	s.mu.Lock()
-	if e, ok := s.entries[string(addr[:])]; ok {
-		s.lru.MoveToFront(e.elem)
-		res := e.res
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return res, true
-	}
-	s.mu.Unlock()
-	key := string(addr[:])
-	env, err := readEnvelope(filepath.Join(s.dir, key+".json"))
-	if err == nil && env.Input != input {
-		err = errors.New("cache: address collision")
-	}
-	var res sweep.CellResult
-	if err == nil {
-		res, err = decodeEntry(env)
-	}
+	res, err := s.fetch(input)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.corrupt.Add(1)
@@ -268,20 +313,74 @@ func (s *Store) lookup(input string) (sweep.CellResult, bool) {
 		s.misses.Add(1)
 		return sweep.CellResult{}, false
 	}
-	s.admit(key, res)
 	s.hits.Add(1)
 	return res, true
 }
 
+// fetch returns the entry for input. A resident entry costs the hash and
+// a map lookup; an evicted (or never-admitted) one is read from disk,
+// validated — its witness too — decoded and re-admitted.
+func (s *Store) fetch(input string) (sweep.CellResult, error) {
+	addr := addrOf(input)
+	s.mu.Lock()
+	if e, ok := s.entries[string(addr[:])]; ok {
+		s.lru.MoveToFront(e.elem)
+		res := e.res
+		s.mu.Unlock()
+		return res, nil
+	}
+	s.mu.Unlock()
+	key := string(addr[:])
+	env, err := readEnvelope(filepath.Join(s.dir, key+".json"))
+	if err == nil && env.Input != input {
+		err = errors.New("cache: address collision")
+	}
+	if err == nil && env.Witness != "" {
+		_, _, err = parseSibling(input, env.Witness)
+	}
+	var res sweep.CellResult
+	if err == nil {
+		res, err = decodeEntry(env)
+	}
+	if err != nil {
+		return sweep.CellResult{}, err
+	}
+	s.admit(key, res)
+	return res, nil
+}
+
+// sibling returns the result of an entry of group whose witness admits
+// t, and that witness: a derived cell, counted as such and neither a
+// hit nor a miss. A stored sibling whose entry can no longer be read is
+// passed over.
+func (s *Store) sibling(group string, t scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
+	s.mu.Lock()
+	sibs := s.sibs[group]
+	s.mu.Unlock()
+	for _, sib := range sibs {
+		if !sib.w.Admits(t) {
+			continue
+		}
+		if res, err := s.fetch(sib.input); err == nil {
+			s.derived.Add(1)
+			return res, sib.w, true
+		}
+	}
+	return sweep.CellResult{}, workload.Witness{}, false
+}
+
 // store makes res the entry for input: a sealed copy becomes resident
-// and its payload is persisted atomically. Disk errors are counted but
-// not fatal (the resident entry still serves this process); a result
-// that does not marshal, or whose key input does not name, is counted
-// and dropped.
+// and its payload is persisted atomically, with the witness Run attached
+// (sweep.CellWitness) indexed and stored beside it — unless it fails the
+// checks a load makes, when the entry is stored without one. Disk errors
+// are counted but not fatal (the resident entry still serves this
+// process); a result that does not marshal, or whose key input does not
+// name, is counted and dropped.
 func (s *Store) store(input string, res sweep.CellResult) {
 	if input == "" {
 		return
 	}
+	w := sweep.CellWitness(res)
 	res, err := sweep.SealCell(res)
 	if err != nil || !res.Key.Names(input) {
 		s.putErr.Add(1)
@@ -289,9 +388,16 @@ func (s *Store) store(input string, res sweep.CellResult) {
 	}
 	key := keyOf(input)
 	s.admit(key, res)
+	var text string
+	if w.Scheme != "" {
+		if group, sib, err := parseSibling(input, w.Canonical()); err == nil {
+			s.index(group, sib)
+			text = sib.text
+		}
+	}
 	// Marshal compacts a RawMessage, so handing it the fragment writes
 	// the compact payload without keeping or rebuilding one.
-	env := envelope{V: envelopeVersion, Input: input, Sum: key, Data: sweep.CellFragment(res)}
+	env := envelope{V: envelopeVersion, Input: input, Sum: key, Data: sweep.CellFragment(res), Witness: text}
 	raw, err := json.Marshal(env)
 	if err == nil {
 		err = writeAtomic(filepath.Join(s.dir, key+".json"), raw)
@@ -418,11 +524,16 @@ func (s *Store) Flush() error {
 
 // Stats is a point-in-time view of the store's counters. Every lookup
 // is a hit or a miss; Corrupt counts the misses that found an entry on
-// disk and rejected it. Bytes is what the resident entries hold: decoded
-// cells and their fragments, not just payload lengths.
+// disk and rejected it. Derived counts cells served a stored sibling's
+// result (ResultStore.Sibling), which are neither. PutErrors counts the
+// stores that were refused or did not reach disk. Bytes is what the
+// resident entries hold: decoded cells and their fragments, not just
+// payload lengths.
 type Stats struct {
 	Hits, Misses, Evictions int64
+	Derived                 int64
 	Corrupt                 int64
+	PutErrors               int64
 	Bytes                   int64
 	Resident                int
 }
@@ -433,8 +544,8 @@ func (s *Store) Stats() Stats {
 	bytes, resident := s.bytes, s.lru.Len()
 	s.mu.Unlock()
 	return Stats{
-		Hits: s.hits.Load(), Misses: s.misses.Load(),
-		Evictions: s.evictions.Load(), Corrupt: s.corrupt.Load(),
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Derived: s.derived.Load(),
+		Evictions: s.evictions.Load(), Corrupt: s.corrupt.Load(), PutErrors: s.putErr.Load(),
 		Bytes: bytes, Resident: resident,
 	}
 }
@@ -448,7 +559,7 @@ type registry interface {
 }
 
 // Register exposes the store's counters on an obs registry:
-// sweepd_cache_{hits,misses,evictions,corrupt}_total and
+// sweepd_cache_{hits,misses,derived,evictions,corrupt}_total and
 // sweepd_cache_bytes.
 func (s *Store) Register(r registry) {
 	if r == nil {
@@ -460,6 +571,9 @@ func (s *Store) Register(r registry) {
 	r.CounterFunc("sweepd_cache_misses_total",
 		"Result-cache lookups that required computing the cell.",
 		func() int64 { return s.misses.Load() })
+	r.CounterFunc("sweepd_cache_derived_total",
+		"Missed cells derived from a stored sibling whose witness admits them, instead of computed.",
+		func() int64 { return s.derived.Load() })
 	r.CounterFunc("sweepd_cache_evictions_total",
 		"Entries evicted from the in-memory LRU by the byte budget.",
 		func() int64 { return s.evictions.Load() })

@@ -18,7 +18,10 @@ import (
 // by a lookup. Neither may panic, and whatever either serves must be a
 // cell whose stored payload is exactly its own canonical encoding and
 // whose fragment is exactly what MarshalIndent writes — a file can be
-// refused, never served as bytes a local run would not produce.
+// refused, never served as bytes a local run would not produce. The
+// same holds for the entry served as a derivation source (Sibling) to
+// a cell of its own sibling group: its witness is refused, or the
+// entry is served as stored.
 func FuzzEnvelope(f *testing.F) {
 	cells, results := computed(f)
 	input := cells[0].Input
@@ -86,6 +89,22 @@ func FuzzEnvelope(f *testing.F) {
 			}
 			if want, _ := json.MarshalIndent(sweep.RunFile{Cells: []sweep.CellResult{r}}, "", "  "); !bytes.Equal(encodeOne(t, r), append(want, '\n')) {
 				t.Fatalf("%s served a fragment that MarshalIndent would not write", route)
+			}
+		}
+		group, _, tun, ok := sweep.SiblingOf(asked)
+		if !ok {
+			return
+		}
+		for route, store := range map[string]*cache.Store{"lookup": lazy, "load": eager} {
+			r, w, ok := cache.NewResultStore(store).Sibling(group, tun)
+			if !ok {
+				continue
+			}
+			if !w.Admits(tun) || !r.Key.Names(asked) {
+				t.Fatalf("%s: Sibling served %s with witness %q for its own tunables", route, r.Key, w.Canonical())
+			}
+			if canon, err := json.Marshal(r); err != nil || !bytes.Equal(canon, hdr.Data) {
+				t.Fatalf("%s: Sibling served a payload that is not its own canonical encoding", route)
 			}
 		}
 	})

@@ -1,6 +1,10 @@
 package cache
 
-import "rmalocks/internal/sweep"
+import (
+	"rmalocks/internal/scheme"
+	"rmalocks/internal/sweep"
+	"rmalocks/internal/workload"
+)
 
 // ResultStore is the Store as a sweep.CellCache. Get hands out the
 // resident value itself — decoded and indented when the entry became
@@ -24,3 +28,9 @@ func (r *ResultStore) Get(input string) (sweep.CellResult, bool) { return r.stor
 // Put implements sweep.CellCache. The store keeps its own sealed copy,
 // reusing the fragment sweep.Run attached.
 func (r *ResultStore) Put(input string, res sweep.CellResult) { r.store.store(input, res) }
+
+// Sibling implements sweep.CellCache: the result of a stored entry of
+// the sibling group whose witness admits t, counted as derived.
+func (r *ResultStore) Sibling(group string, t scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
+	return r.store.sibling(group, t)
+}

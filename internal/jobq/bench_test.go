@@ -25,9 +25,9 @@ func warmGrid() sweep.Grid {
 }
 
 // warmManager returns a manager whose cache already holds every cell of
-// warmGrid, resident, and the encoded result of the cold job that
-// filled it.
-func warmManager(tb testing.TB) (*jobq.Manager, []byte) {
+// warmGrid, resident, the store, and the encoded result of the cold job
+// that filled it.
+func warmManager(tb testing.TB) (*jobq.Manager, *cache.Store, []byte) {
 	tb.Helper()
 	store, _, err := cache.Open(tb.TempDir(), 0)
 	if err != nil {
@@ -39,38 +39,42 @@ func warmManager(tb testing.TB) (*jobq.Manager, []byte) {
 	if st := store.Stats(); st.Resident != 240 || st.Hits != 0 {
 		tb.Fatalf("cold fill left %d resident entries and %d hits, want 240 and 0", st.Resident, st.Hits)
 	}
-	return m, cold
+	return m, store, cold
 }
 
-// warmJob is one pass of the daemon's warm path without the socket:
-// Submit, wait for done, Result, Encode.
+// warmJob is one pass of the daemon's warm path without the socket.
 func warmJob(tb testing.TB, m *jobq.Manager) []byte {
 	tb.Helper()
-	j, err := m.Submit(warmGrid(), "bench/daemon")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	<-j.Done()
-	rf, err := m.Result(j.ID)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	data, err := sweep.Encode(rf)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return jobBytes(tb, m, warmGrid(), "bench/daemon")
 }
 
 // BenchmarkWarmJob measures a job whose every cell is a resident cache
 // hit: what `daemon-warm` pays per job apart from HTTP.
 func BenchmarkWarmJob(b *testing.B) {
-	m, cold := warmManager(b)
+	m, _, cold := warmManager(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(cold)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		warmJob(b, m)
+	}
+}
+
+// BenchmarkDerivedJob measures a job of warmGrid with a TR no job has
+// asked for, on a warm store: 192 resident hits, and 48 RMA-RW cells
+// derived from the stored default-TR entries, whose witnesses admit any
+// T_R of 1000 or more at this size. It is what a `daemon-dirty` job
+// pays apart from HTTP.
+func BenchmarkDerivedJob(b *testing.B) {
+	m, store, _ := warmManager(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jobBytes(b, m, withTR(warmGrid(), 20001+int64(i)), "bench/dirty")
+	}
+	b.StopTimer()
+	if st := store.Stats(); st.Derived != int64(48*b.N) {
+		b.Fatalf("%d cells derived in %d jobs, want 48 a job", st.Derived, b.N)
 	}
 }
 
@@ -89,7 +93,7 @@ func TestWarmJobAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 240-cell cold fill takes 20 s under -race, and the detector's own allocations are not the job's")
 	}
-	m, cold := warmManager(t)
+	m, _, cold := warmManager(t)
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

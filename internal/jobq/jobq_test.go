@@ -9,6 +9,7 @@ import (
 
 	"rmalocks/internal/cache"
 	"rmalocks/internal/jobq"
+	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
@@ -128,6 +129,9 @@ func (g *gateCache) Get(string) (sweep.CellResult, bool) {
 	return sweep.CellResult{}, false
 }
 func (g *gateCache) Put(string, sweep.CellResult) {}
+func (g *gateCache) Sibling(string, scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
+	return sweep.CellResult{}, workload.Witness{}, false
+}
 
 // TestMaxJobsQueueingAndQueuedCancel: with one job slot the second job
 // waits in queued state, and canceling it there never runs a cell.
@@ -181,6 +185,9 @@ type cancelOnFirstPut struct {
 func (c *cancelOnFirstPut) Get(string) (sweep.CellResult, bool) { return sweep.CellResult{}, false }
 func (c *cancelOnFirstPut) Put(string, sweep.CellResult) {
 	c.once.Do(func() { (<-c.jobCh).Cancel() })
+}
+func (c *cancelOnFirstPut) Sibling(string, scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
+	return sweep.CellResult{}, workload.Witness{}, false
 }
 
 // TestCancelDrainsInFlightCell: cancel mid-run completes the in-flight

@@ -2,6 +2,7 @@ package locks
 
 import (
 	"math"
+	"strconv"
 
 	"rmalocks/internal/rma"
 	"rmalocks/internal/topology"
@@ -85,7 +86,7 @@ func (t *DQTree) Levels() int { return t.topo.Levels() }
 
 // ProductTL returns Π tl[i] over i ≥ 1 (tl[0] unused, as in the T_L,i
 // notation), saturating at MaxInt64: the writer threshold T_W of the
-// paper, as RMA-RW's constructor and witness compute it.
+// paper, as RMA-RW's constructor and Resolve compute it.
 func ProductTL(tl []int64) int64 {
 	prod := int64(1)
 	for _, v := range tl[1:] {
@@ -97,14 +98,12 @@ func ProductTL(tl []int64) int64 {
 	return prod
 }
 
-// Boxes returns the box of every T_L,i as the run left it (index 0
-// unused).
-func (t *DQTree) Boxes() []Box {
-	b := make([]Box, len(t.TL))
-	for i := range t.TL {
-		b[i] = t.TL[i].Box()
+// Boxes adds the box of every T_L,i as the run left it to boxes, under
+// the tunable key of its level ("TL1", "TL2", ...).
+func (t *DQTree) Boxes(boxes map[string]Box) {
+	for i := 1; i < len(t.TL); i++ {
+		boxes["TL"+strconv.Itoa(i)] = t.TL[i].Box()
 	}
-	return b
 }
 
 // NodeRank returns the rank hosting the queue node that process p uses at

@@ -2,9 +2,12 @@ package rmamcs
 
 import (
 	"math"
+	"strconv"
 
+	"rmalocks/internal/locks"
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
+	"rmalocks/internal/topology"
 )
 
 // SchemeName is the canonical registry name of this lock.
@@ -27,29 +30,34 @@ func init() {
 		New: func(m *rma.Machine, t scheme.Tunables) (scheme.Lock, error) {
 			return scheme.WrapMutex(SchemeName, NewConfig(m, config(t, m.Topology().Levels()))), nil
 		},
+		Resolve: resolved,
 	})
 }
 
 // config maps registry tunables onto a Config, for the constructor and
-// the witness alike.
+// Resolve alike.
 func config(t scheme.Tunables, levels int) Config {
 	return Config{TL: t.LevelSlice("TL", levels)}
 }
 
-// Witness returns, after a run, what the run shows about locks it was
-// not built as: it admits registry tunables t when every T_L,i a lock
-// built from t would use lies in the box the run left
-// (locks.Threshold). T_L,1 is unlimited whatever t says (§3.5), so TL1
-// never matters.
-func (l *Lock) Witness() func(t scheme.Tunables) bool {
-	boxes := l.tree.Boxes()
-	n := len(boxes) - 1
-	return func(t scheme.Tunables) bool {
-		for i, v := range resolve(n, config(t, n)) {
-			if i > 0 && !boxes[i].Contains(v) {
-				return false
-			}
+// resolved is the descriptor's Resolve: every T_L,i the constructor's
+// resolve gives, T_L,1 unlimited whatever t says (§3.5). No counters:
+// T_DC is 0.
+func resolved(topo *topology.Topology, t scheme.Tunables) (scheme.Resolved, error) {
+	n := topo.Levels()
+	th := make(map[string]int64, n)
+	for i, v := range resolve(n, config(t, n)) {
+		if i > 0 {
+			th["TL"+strconv.Itoa(i)] = v
 		}
-		return true
 	}
+	return scheme.Resolved{Thresholds: th}, nil
+}
+
+// Boxes returns, after a run, the box of every T_L,i as the run left it
+// (locks.Threshold), under the keys Resolve uses.
+func (l *Lock) Boxes() map[string]locks.Box {
+	boxes := make(map[string]locks.Box, l.n)
+	l.tree.Boxes(boxes)
+	return boxes
 }

@@ -53,7 +53,7 @@ func NewConfig(m *rma.Machine, cfg Config) *Lock {
 
 // resolve returns the T_L,i (1-based) a lock on an n-level machine is
 // built with: defaults filled in, level 1 unlimited. The constructor and
-// the lock's witness both use it.
+// the descriptor's Resolve both use it.
 func resolve(n int, cfg Config) []int64 {
 	tl := make([]int64, n+1)
 	for i := 2; i <= n; i++ {

@@ -1,8 +1,12 @@
 package rmarw
 
 import (
+	"strconv"
+
+	"rmalocks/internal/locks"
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
+	"rmalocks/internal/topology"
 )
 
 // SchemeName is the canonical registry name of this lock.
@@ -33,11 +37,12 @@ func init() {
 			}
 			return scheme.WrapRW(SchemeName, l), nil
 		},
+		Resolve: resolved,
 	})
 }
 
 // config maps registry tunables onto a Config, for the constructor and
-// the witness alike.
+// Resolve alike.
 func config(t scheme.Tunables, levels int) Config {
 	return Config{
 		TDC: int(t.Value("TDC", 0)),
@@ -46,25 +51,25 @@ func config(t scheme.Tunables, levels int) Config {
 	}
 }
 
-// Witness returns, after a run, what the run shows about locks it was
-// not built as: it admits registry tunables t when a lock built from t
-// would resolve to this lock's T_DC — the counters are structure, not
-// a threshold — and to a T_R, T_W and T_L,i inside the boxes the run
-// left (locks.Threshold). A t the constructor would reject is never
-// admitted.
-func (l *Lock) Witness() func(t scheme.Tunables) bool {
-	tr, tw, tl := l.tr.Box(), l.tw.Box(), l.tree.Boxes()
-	topo, tdc := l.topo, l.tdc
-	return func(t scheme.Tunables) bool {
-		ps, err := resolve(topo, config(t, topo.Levels()))
-		if err != nil || ps.tdc != tdc || !tr.Contains(ps.tr) || !tw.Contains(ps.tw) {
-			return false
-		}
-		for i := 1; i < len(tl); i++ {
-			if !tl[i].Contains(ps.tl[i]) {
-				return false
-			}
-		}
-		return true
+// resolved is the descriptor's Resolve: the constructor's own resolve,
+// keyed as Boxes keys the boxes.
+func resolved(topo *topology.Topology, t scheme.Tunables) (scheme.Resolved, error) {
+	ps, err := resolve(topo, config(t, topo.Levels()))
+	if err != nil {
+		return scheme.Resolved{}, err
 	}
+	th := map[string]int64{"TR": ps.tr, "TW": ps.tw}
+	for i := 1; i < len(ps.tl); i++ {
+		th["TL"+strconv.Itoa(i)] = ps.tl[i]
+	}
+	return scheme.Resolved{TDC: ps.tdc, Thresholds: th}, nil
+}
+
+// Boxes returns, after a run, the box of every tracked threshold — T_R,
+// T_W and each T_L,i — as the run left it (locks.Threshold), under the
+// keys Resolve uses.
+func (l *Lock) Boxes() map[string]locks.Box {
+	boxes := map[string]locks.Box{"TR": l.tr.Box(), "TW": l.tw.Box()}
+	l.tree.Boxes(boxes)
+	return boxes
 }

@@ -128,8 +128,8 @@ func NewConfigErr(m *rma.Machine, cfg Config) (*Lock, error) {
 
 // params is what a Config comes to on a machine: the structural T_DC
 // and the thresholds, defaults filled in. The constructor builds from
-// it and a witness checks a run's boxes against it, so the two cannot
-// disagree on what a configuration means.
+// it and the descriptor's Resolve reports it, so a witness checks a
+// run's boxes against what a configuration really means.
 type params struct {
 	tdc    int
 	tr, tw int64

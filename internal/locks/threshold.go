@@ -68,3 +68,7 @@ type Box struct{ Lo, Hi int64 }
 
 // Contains reports Lo ≤ v ≤ Hi.
 func (b Box) Contains(v int64) bool { return b.Lo <= v && v <= b.Hi }
+
+// Intersect returns the values both boxes hold: what a set of locks
+// built with one threshold value shows, when each lock left its own box.
+func (b Box) Intersect(o Box) Box { return Box{Lo: max(b.Lo, o.Lo), Hi: min(b.Hi, o.Hi)} }

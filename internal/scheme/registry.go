@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rmalocks/internal/rma"
+	"rmalocks/internal/topology"
 )
 
 // Descriptor declares one lock scheme: its identity, capabilities, the
@@ -33,6 +34,19 @@ type Descriptor struct {
 	// still return errors for machine-dependent constraints (e.g. T_W
 	// overflow).
 	New func(m *rma.Machine, t Tunables) (Lock, error)
+	// Resolve maps validated tunables to what a lock built from them on
+	// topo runs with: the same mapping New builds from, so the two
+	// cannot disagree. Nil for a scheme whose locks track no thresholds.
+	Resolve func(topo *topology.Topology, t Tunables) (Resolved, error)
+}
+
+// Resolved is what a scheme's tunables come to on a machine: the
+// structural counter threshold T_DC (0 for a scheme without counters)
+// and the value of every tracked threshold (locks.Threshold) under its
+// key — "TR", "TW", "TL1", ... — as the locks report their boxes.
+type Resolved struct {
+	TDC        int
+	Thresholds map[string]int64
 }
 
 var (

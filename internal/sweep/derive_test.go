@@ -3,6 +3,8 @@ package sweep
 import (
 	"slices"
 	"testing"
+
+	"rmalocks/internal/fault"
 )
 
 // rmaRWGrid is one RMA-RW series of the Quick evaluation at P=64.
@@ -146,6 +148,50 @@ func TestClaimOrder(t *testing.T) {
 		order, _ := claimOrder(cells, pending[:len(cells)], check)
 		if !slices.Equal(order, pending[:len(cells)]) {
 			t.Errorf("check=%v, %d cells: claim order %v, want canonical", check, len(cells), order)
+		}
+	}
+}
+
+// TestSiblingOfMatchesClaimOrder: the sibling group of an address,
+// recomputed from the address alone as a cache does on load, is the
+// group Run puts the cell in, and the scheme and tunables are the
+// cell's. Strings that are not current addresses have no group.
+func TestSiblingOfMatchesClaimOrder(t *testing.T) {
+	jitter, err := fault.Parse("jitter=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{Schemes: []string{"foMPI-Spin", "RMA-MCS", "RMA-RW"}, Workloads: []string{"empty", "dht"},
+		Profiles: []string{"uniform", "zipf"}, Ps: []int{8, 16}, Iters: 5,
+		Tunables: []TunableAxis{axis("TR", 200, 400), axis("TL2", 4, 8)}, Faults: []*fault.Profile{jitter}}
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := make([]int, len(cells))
+	for i := range pending {
+		pending[i] = i
+	}
+	_, s := claimOrder(cells, pending, false)
+	for i, c := range cells {
+		group, name, tun, ok := SiblingOf(c.Input)
+		if !ok || group != s.addr[s.group[i]] || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
+			t.Errorf("SiblingOf(%q) = %q, %q, %v, %v; Run's group %q", c.Input, group, name, tun, ok, s.addr[s.group[i]])
+		}
+	}
+	for _, in := range []string{
+		"",
+		"cell/v1 RMA-RW/empty/uniform/P=8 ppn=16",
+		"cell/v2 RMA-RW/empty/uniform/P=8",
+		"cell/v2 RMA-RW/empty/uniform/P=08 ppn=16",
+		"cell/v2 RMA-RW/empty/P=8 ppn=16",
+		"cell/v2 RMA-RW/empty/uniform/P=8/ ppn=16",
+		"cell/v2 RMA-RW/empty/uniform/P=8/TR=01 ppn=16",
+		"cell/v2 RMA-RW/empty/uniform/P=8/TR=1/TR=2 ppn=16",
+		"cell/v2 RMA-RW/empty/uniform/P=8/faults=jitter=0.2/TR=1 ppn=16",
+	} {
+		if _, _, _, ok := SiblingOf(in); ok {
+			t.Errorf("SiblingOf(%q) found a group", in)
 		}
 	}
 }

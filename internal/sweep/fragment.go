@@ -8,6 +8,8 @@ import (
 	"maps"
 	"slices"
 	"unsafe"
+
+	"rmalocks/internal/workload"
 )
 
 // A cell's run-file fragment is its compact JSON encoding re-indented
@@ -81,7 +83,7 @@ func DecodeCell(payload []byte) (CellResult, error) {
 // may keep and hand to any number of readers.
 func SealCell(r CellResult) (CellResult, error) {
 	c := r.clone()
-	c.Trace, c.Derived = nil, false
+	c.Trace, c.Derived, c.witness = nil, false, nil
 	if r.frag != nil {
 		c.frag = r.frag
 		return c, nil
@@ -96,6 +98,16 @@ func SealCell(r CellResult) (CellResult, error) {
 
 // CellFragment returns the fragment r carries, nil if none. Read-only.
 func CellFragment(r CellResult) []byte { return r.frag }
+
+// CellWitness returns the witness Run attached to a result it handed to
+// CellCache.Put: what the run that produced it shows about its
+// siblings. It is the zero Witness on any other result. Read-only.
+func CellWitness(r CellResult) workload.Witness {
+	if r.witness == nil {
+		return workload.Witness{}
+	}
+	return *r.witness
+}
 
 // CellFootprint estimates the bytes r keeps resident: the struct, its
 // strings, map and slice, and the fragment. It is what internal/cache

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rmalocks/internal/fault"
@@ -19,7 +20,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // grids — SWEEP_FLAGS (`make sweep`, 60 cells) and FAULT_FLAGS (`make
 // faults`, 48 cells, degradation metrics applied) — as key → fingerprint
 // tables, one line per cell: a change that moves a result fails here
-// naming the cells. The grids spell out workbench's flag defaults.
+// naming the cells. The grids spell out workbench's flag defaults. Each
+// table's first line names the address version it was pinned under, and
+// -update refuses a changed table until the version is bumped
+// (sweep.Golden).
 func TestGoldenFingerprints(t *testing.T) {
 	base := sweep.Grid{
 		Schemes: workload.Schemes, Workloads: []string{"empty"},
@@ -56,17 +60,9 @@ func TestGoldenFingerprints(t *testing.T) {
 				fmt.Fprintf(&buf, "%s %s\n", r.Key, r.Fingerprint)
 			}
 			golden := filepath.Join("testdata", "golden", c.name+".txt")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
+			want, err := sweep.Golden(golden, buf.Bytes(), *update)
 			if err != nil {
-				t.Fatalf("read golden (regenerate with -update): %v", err)
+				t.Fatal(err)
 			}
 			if got := buf.Bytes(); !bytes.Equal(got, want) {
 				gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
@@ -78,5 +74,35 @@ func TestGoldenFingerprints(t *testing.T) {
 				t.Fatalf("%s grid drifted from %s (regenerate with -update if intended)", c.name, golden)
 			}
 		})
+	}
+}
+
+// TestGoldenRefusesUnversionedChange: -update rewrites a golden table
+// only when its results are unchanged or were pinned under another
+// address version; a table pinned under another version fails without
+// -update.
+func TestGoldenRefusesUnversionedChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table.txt")
+	if _, err := sweep.Golden(path, []byte("a 1\n"), true); err != nil {
+		t.Fatalf("first -update: %v", err)
+	}
+	if got, err := sweep.Golden(path, []byte("a 1\n"), false); err != nil || string(got) != "a 1\n" {
+		t.Fatalf("pinned table %q, %v; want %q", got, err, "a 1\n")
+	}
+	if _, err := sweep.Golden(path, []byte("a 1\n"), true); err != nil {
+		t.Fatalf("-update of an unchanged table: %v", err)
+	}
+	_, err := sweep.Golden(path, []byte("a 2\n"), true)
+	if err == nil || !strings.Contains(err.Error(), "bump inputPrefix") {
+		t.Fatalf("-update of a changed table under the same address version: %v, want a refusal", err)
+	}
+	if err := os.WriteFile(path, []byte("# results of address cell/v1\na 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.Golden(path, []byte("a 1\n"), false); err == nil {
+		t.Fatal("a table pinned under another address version passed")
+	}
+	if _, err := sweep.Golden(path, []byte("a 2\n"), true); err != nil {
+		t.Fatalf("-update of a table pinned under another address version: %v", err)
 	}
 }

@@ -131,6 +131,12 @@ type CellResult struct {
 	// the encoding of the exported fields above: whoever changes those
 	// on a copy drops it (clone).
 	frag []byte
+	// witness is what the run that produced the report shows about its
+	// siblings (workload.Witness), set only on the value Run hands to
+	// CellCache.Put, for the cache to store beside the result
+	// (CellWitness). Like Derived, it is not part of the result. A
+	// pointer, because every result a job retains carries the field.
+	witness *workload.Witness
 }
 
 // Options configures a sweep execution.
@@ -169,9 +175,16 @@ type Options struct {
 // Put receives may be shared between the cache and any number of
 // callers, so both sides treat it as read-only (see CellResult); a
 // cache that keeps a Put value takes its own copy (SealCell).
+//
+// Sibling is derivation across runs: it returns a stored result of the
+// sibling group group (SiblingOf) whose stored witness (CellWitness of
+// what Put received) admits t, and that witness. Run asks it for a cell
+// that missed and that no sibling in the run covers; it is neither a
+// hit nor a miss. A cache that keeps no witnesses always says false.
 type CellCache interface {
 	Get(input string) (CellResult, bool)
 	Put(input string, r CellResult)
+	Sibling(group string, t scheme.Tunables) (CellResult, workload.Witness, bool)
 }
 
 // ErrCanceled reports a sweep aborted through Options.Cancel. In-flight
@@ -252,9 +265,12 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (CellResult.Derived) instead of running. Every sibling group's first
 // cell is claimed before any group's second, so the siblings of a group
 // usually find a finished run; a cell never waits for one still
-// running. Only Grid.Cells output on the default engine derives: the
-// reference engine, Check, and cells without an address (MemStats,
-// Trace) always simulate.
+// running. With a Cache attached every cell that could derive also
+// records its witness for the Cache to store, and a claimed cell no
+// sibling of this run covers asks the Cache for a stored one
+// (CellCache.Sibling). Only Grid.Cells output on the default engine
+// derives: the reference engine, Check, and cells without an address
+// (MemStats, Trace) always simulate.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -284,6 +300,7 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		return results, nil
 	}
 	order, sibs := claimOrder(cells, pending, opts.Check)
+	sibs.cache = opts.Cache
 	errs := make([]error, len(cells))
 	ForEach(len(order), opts.Workers, func(oi int) error {
 		i := order[oi]
@@ -302,9 +319,15 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 // siblings is what Run knows about sibling groups: cells whose
 // descriptions agree in everything but the tunables.
 type siblings struct {
-	// group is each cell's sibling group, -1 for a cell that has no
-	// pending sibling or may not derive.
+	// group is each cell's sibling group, -1 for a cell that may not
+	// derive; addr and size are per group: its address (SiblingOf) and
+	// its pending cells.
 	group []int
+	addr  []string
+	size  []int
+	// cache, when set, stores every derivable cell's witness and is
+	// asked for a sibling when this run has none.
+	cache CellCache
 	mu    sync.Mutex
 	runs  [][]source // per group: the finished simulations
 }
@@ -316,26 +339,33 @@ type source struct {
 	w workload.Witness
 }
 
-// from returns a finished sibling of cell i whose witness admits tun.
-func (s *siblings) from(i int, tun scheme.Tunables) (int, bool) {
+// witnessed reports whether cell i's run should produce its witness:
+// a sibling of this run may need it, or the cache stores it.
+func (s *siblings) witnessed(i int) bool {
 	g := s.group[i]
-	if g < 0 {
-		return 0, false
+	return g >= 0 && (s.cache != nil || s.size[g] > 1)
+}
+
+// from returns a finished sibling of cell i whose witness admits tun.
+func (s *siblings) from(i int, tun scheme.Tunables) (source, bool) {
+	g := s.group[i]
+	if g < 0 || s.size[g] < 2 {
+		return source{}, false
 	}
 	s.mu.Lock()
 	runs := s.runs[g]
 	s.mu.Unlock()
 	for _, r := range runs {
-		if r.w(tun) {
-			return r.i, true
+		if r.w.Admits(tun) {
+			return r, true
 		}
 	}
-	return 0, false
+	return source{}, false
 }
 
 // finished records cell i's simulation, once results[i] is final.
 func (s *siblings) finished(i int, w workload.Witness) {
-	if g := s.group[i]; g >= 0 && w != nil {
+	if g := s.group[i]; g >= 0 && s.size[g] > 1 && w.Scheme != "" {
 		s.mu.Lock()
 		s.runs[g] = append(s.runs[g], source{i, w})
 		s.mu.Unlock()
@@ -352,7 +382,6 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 		s.group[i] = -1
 	}
 	round := make([]int, len(pending)) // earlier pending siblings
-	var sizes []int
 	ids := map[string]int{}
 	var buf []byte
 	for pi, i := range pending {
@@ -367,25 +396,20 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 		buf = sib.appendInput(buf[:0])
 		g, ok := ids[string(buf)]
 		if !ok {
-			g = len(sizes)
-			ids[string(buf)] = g
-			sizes = append(sizes, 0)
+			g = len(s.size)
+			addr := string(buf)
+			ids[addr] = g
+			s.addr = append(s.addr, addr)
+			s.size = append(s.size, 0)
 		}
-		s.group[i], round[pi] = g, sizes[g]
-		sizes[g]++
+		s.group[i], round[pi] = g, s.size[g]
+		s.size[g]++
 	}
+	s.runs = make([][]source, len(s.size))
 	order := slices.Clone(pending)
-	paired := false
-	for i, g := range s.group {
-		if g >= 0 && sizes[g] == 1 {
-			s.group[i] = -1 // nothing to derive it from or for: no witness
-		}
-		paired = paired || s.group[i] >= 0
-	}
-	if !paired {
+	if !slices.ContainsFunc(s.size, func(n int) bool { return n > 1 }) {
 		return order, s
 	}
-	s.runs = make([][]source, len(sizes))
 	byRound := make([]int, len(pending))
 	for pi := range byRound {
 		byRound[pi] = pi
@@ -397,8 +421,9 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 	return order, s
 }
 
-// runCell resolves cell i into results[i]: from a finished sibling when
-// one's witness admits the cell, by simulating it otherwise.
+// runCell resolves cell i into results[i]: from a finished sibling of
+// this run when one's witness admits the cell, from one the cache
+// stored otherwise, by simulating it when neither does.
 func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) error {
 	if opts.Cancel != nil {
 		select {
@@ -415,17 +440,16 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 		opts.Progress.CellRunning(i)
 	}
 	if src, ok := sibs.from(i, c.cs.tun); ok {
-		r := results[src].clone()
-		r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
-		r.Fingerprint = r.Report.Fingerprint()
-		results[i] = r
-		store(opts, c, results, i)
-		if opts.Progress != nil {
-			opts.Progress.CellDone(i, r.Fingerprint, nil)
-		}
+		derive(c, i, results[src.i], src.w, opts, results)
 		return nil
 	}
-	rep, locks, sink, w, err := runOnce(c, sibs.group[i] >= 0)
+	if g := sibs.group[i]; g >= 0 && sibs.cache != nil {
+		if r, w, ok := sibs.cache.Sibling(sibs.addr[g], c.cs.tun); ok {
+			derive(c, i, r, w, opts, results)
+			return nil
+		}
+	}
+	rep, locks, sink, w, err := runOnce(c, sibs.witnessed(i))
 	if err != nil {
 		err = fmt.Errorf("sweep: cell %s: %w", c.Key, err)
 		if opts.Progress != nil {
@@ -452,7 +476,7 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 		}
 	}
 	results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
-	store(opts, c, results, i)
+	store(opts, c, results, i, w)
 	sibs.finished(i, w)
 	if opts.Progress != nil {
 		opts.Progress.CellDone(i, fp, nil)
@@ -460,9 +484,24 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 	return nil
 }
 
-// store puts results[i] into the cache, if there is one and the cell has
-// an address.
-func store(opts Options, c Cell, results []CellResult, i int) {
+// derive makes results[i] cell c's result from src, the result of a
+// sibling whose witness w admits c: src's report with c's key, tunables
+// and fingerprint. It is the one place a derived cell is built, whether
+// its sibling ran in this Run or came from the cache.
+func derive(c Cell, i int, src CellResult, w workload.Witness, opts Options, results []CellResult) {
+	r := src.clone()
+	r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
+	r.Fingerprint = r.Report.Fingerprint()
+	results[i] = r
+	store(opts, c, results, i, w)
+	if opts.Progress != nil {
+		opts.Progress.CellDone(i, r.Fingerprint, nil)
+	}
+}
+
+// store puts results[i] into the cache with the witness of the run that
+// produced it, if there is a cache and the cell has an address.
+func store(opts Options, c Cell, results []CellResult, i int, w workload.Witness) {
 	if opts.Cache == nil || c.Input == "" {
 		return
 	}
@@ -471,7 +510,12 @@ func store(opts Options, c Cell, results []CellResult, i int) {
 	// report) is not cacheable and fails in Encode as it always has.
 	if frag, err := fragmentOf(results[i]); err == nil {
 		results[i].frag = frag
-		opts.Cache.Put(c.Input, results[i])
+		r := results[i]
+		if w.Scheme != "" {
+			wc := w // only a witness that is stored escapes
+			r.witness = &wc
+		}
+		opts.Cache.Put(c.Input, r)
 	}
 }
 
@@ -479,7 +523,7 @@ func store(opts Options, c Cell, results []CellResult, i int) {
 func runOnce(c Cell, witnessed bool) (workload.Report, int, *trace.Sink, workload.Witness, error) {
 	spec, err := c.Spec()
 	if err != nil {
-		return workload.Report{}, 0, nil, nil, err
+		return workload.Report{}, 0, nil, workload.Witness{}, err
 	}
 	locks := 1
 	if spec.Profile != nil {
@@ -993,6 +1037,57 @@ func StaleInput(input string) bool {
 		n++
 	}
 	return n > 0 && n < len(rest) && rest[n] == ' '
+}
+
+// SiblingOf splits a content address into the address of its sibling
+// group — the same cell with its tunables cleared, exactly what Run
+// groups the cells it claims by — and the scheme and tunables the
+// address names. ok is false for anything that is not an address of
+// the current version.
+func SiblingOf(input string) (group, schemeName string, tun scheme.Tunables, ok bool) {
+	rest, ok := strings.CutPrefix(input, inputPrefix)
+	end := strings.Index(rest, " ppn=")
+	if !ok || end < 0 {
+		return "", "", nil, false
+	}
+	// Key.appendTo: scheme/workload/profile/P=<p>[/<tunables>][/faults=<f>];
+	// neither the tunables nor a fault profile contain a '/'.
+	parts := strings.Split(rest[:end], "/")
+	if len(parts) < 4 || !strings.HasPrefix(parts[3], "P=") || !isDecimal(parts[3][2:]) {
+		return "", "", nil, false
+	}
+	more := parts[4:]
+	if len(more) > 0 && !strings.HasPrefix(more[0], "faults=") {
+		if tun, ok = parseTunables(more[0]); !ok {
+			return "", "", nil, false
+		}
+		more = more[1:]
+	}
+	if len(more) > 1 || len(more) == 1 && !strings.HasPrefix(more[0], "faults=") {
+		return "", "", nil, false
+	}
+	g := append([]byte(inputPrefix), strings.Join(append(parts[:4:4], more...), "/")...)
+	return string(append(g, rest[end:]...)), parts[0], tun, true
+}
+
+func isDecimal(s string) bool {
+	n, err := strconv.Atoi(s)
+	return err == nil && strconv.Itoa(n) == s
+}
+
+// parseTunables reads the canonical encoding Tunables.Canonical writes,
+// and only that.
+func parseTunables(s string) (scheme.Tunables, bool) {
+	t := scheme.Tunables{}
+	for _, kv := range strings.Split(s, ",") {
+		k, v, ok := strings.Cut(kv, "=")
+		n, err := strconv.ParseInt(v, 10, 64)
+		if !ok || err != nil {
+			return nil, false
+		}
+		t[k] = n
+	}
+	return t, t.Canonical() == s
 }
 
 // appendInput appends the cell's content address (Cell.Input): the

@@ -112,54 +112,6 @@ func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]lock
 	return set, nil
 }
 
-// A Witness is what a finished run shows about the runs it did not
-// make: it admits tunables t when a run of the same Spec with Tunables t
-// would make every decision this run made, and so produce this run's
-// Report with only its Tunables field changed. It is the AND of the
-// lock set's witnesses over t as the registry checks and the harness
-// completes it; a t either would reject is never admitted.
-type Witness func(t scheme.Tunables) bool
-
-// witnessed is a lock whose thresholds are tracked (rmarw, rmamcs). Its
-// Witness is called after a successful run, with tunables checked by the
-// registry and completed as the lock's own were.
-type witnessed interface {
-	Witness() func(t scheme.Tunables) bool
-}
-
-// witness collects the lock set's witnesses after a successful run; nil
-// when some lock tracks no thresholds.
-func witness(name string, levels int, set []locks.RWMutex) Witness {
-	d, err := scheme.Describe(name)
-	if err != nil {
-		return nil
-	}
-	ws := make([]func(scheme.Tunables) bool, len(set))
-	for i, l := range set {
-		sl, ok := l.(scheme.Lock)
-		if !ok {
-			return nil
-		}
-		wl, ok := sl.Underlying().(witnessed)
-		if !ok {
-			return nil
-		}
-		ws[i] = wl.Witness()
-	}
-	return func(t scheme.Tunables) bool {
-		if d.Check(t, levels) != nil {
-			return false
-		}
-		t = tunables(&d, levels, t)
-		for _, w := range ws {
-			if !w(t) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // Spec configures one harness run: a lock scheme (or custom factory), a
 // contention profile, a critical-section workload, and the machine
 // dimensions. Zero fields select the defaults of the paper's evaluation
@@ -311,9 +263,9 @@ func Run(spec Spec) (Report, error) {
 	return rep, err
 }
 
-// RunWitness is Run that also returns the run's Witness. It is nil for a
-// scheme without tracked thresholds (SchemeFoMPIA among them), a Make
-// spec, and a failed run.
+// RunWitness is Run that also returns the run's Witness. It is the
+// zero Witness for a scheme without tracked thresholds (SchemeFoMPIA
+// among them), a Make spec, and a failed run.
 func RunWitness(spec Spec) (Report, Witness, error) {
 	return run(spec, true)
 }
@@ -351,11 +303,11 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 		set, err = NewLockSet(m, spec.Scheme, spec.Profile.Locks(), spec.Tunables)
 	}
 	if err != nil {
-		return Report{}, nil, err
+		return Report{}, Witness{}, err
 	}
 	timed, err := timedSet(spec, set)
 	if err != nil {
-		return Report{}, nil, err
+		return Report{}, Witness{}, err
 	}
 	spec.Workload.Setup(m)
 
@@ -442,7 +394,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	})
 	runSpan.End()
 	if runErr != nil {
-		return Report{}, nil, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
+		return Report{}, Witness{}, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
 			specScheme(spec), spec.Workload.Name(), spec.Profile.Name(), spec.P, runErr)
 	}
 
@@ -486,7 +438,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	spec.Workload.Extract(m, &rep)
 	var w Witness
 	if want && spec.Make == nil {
-		w = witness(spec.Scheme, topo.Levels(), set)
+		w = witness(spec, topo, set)
 	}
 	drainSpan.End()
 	return rep, w, nil

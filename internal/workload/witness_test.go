@@ -48,7 +48,7 @@ func TestWitness(t *testing.T) {
 		{"no completion", harness, scheme.Tunables{"TL1": 40}, true},
 		{"every default spelled out", harness, scheme.Tunables{"TL2": 25, "TL1": 40, "TR": 1000, "TDC": 0}, true},
 	} {
-		if got := tc.w(tc.t); got != tc.admit {
+		if got := tc.w.Admits(tc.t); got != tc.admit {
 			t.Errorf("%s: witness admits %v = %v, want %v", tc.name, tc.t, got, tc.admit)
 		}
 	}
@@ -57,11 +57,73 @@ func TestWitness(t *testing.T) {
 		{Scheme: "foMPI-Spin"},
 		{Scheme: workload.SchemeFoMPIA, Workload: &workload.DHTOps{}},
 	} {
-		if run(spec) != nil {
+		if run(spec).Scheme != "" {
 			t.Errorf("%s: a witness, want none", spec.Scheme)
 		}
 	}
-	if _, w, err := workload.RunWitness(workload.Spec{Scheme: "RMA-RW", P: 32, TimeLimit: 1000}); err == nil || w != nil {
-		t.Errorf("a run over its time limit: err %v, witness %v; want an error and none", err, w != nil)
+	if _, w, err := workload.RunWitness(workload.Spec{Scheme: "RMA-RW", P: 32, TimeLimit: 1000}); err == nil || w.Scheme != "" {
+		t.Errorf("a run over its time limit: err %v, witness %q; want an error and none", err, w.Canonical())
 	}
+}
+
+// TestWitnessText pins the witness's one text form: a run's witness
+// renders, parses back to a witness that admits what it admitted, and
+// renders to the same bytes; any other spelling is refused.
+func TestWitnessText(t *testing.T) {
+	_, w, err := workload.RunWitness(workload.Spec{Scheme: "RMA-RW", P: 32, Iters: 10,
+		Profile: workload.Uniform{FW: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := w.Canonical()
+	back, err := workload.ParseWitness(text)
+	if err != nil || back.Canonical() != text {
+		t.Fatalf("ParseWitness(%q) = %q, %v", text, back.Canonical(), err)
+	}
+	for _, tun := range []scheme.Tunables{nil, {"TR": 6000}, {"TR": 1}, {"TDC": 1}} {
+		if back.Admits(tun) != w.Admits(tun) {
+			t.Errorf("parsed witness admits %v = %v, the run's %v", tun, back.Admits(tun), w.Admits(tun))
+		}
+	}
+	if z, err := workload.ParseWitness(""); err != nil || z.Scheme != "" || z.Admits(nil) {
+		t.Errorf(`ParseWitness("") = %+v, %v; want the zero witness, admitting nothing`, z, err)
+	}
+	for _, bad := range []string{
+		"RMA-RW P=+32 ppn=16 TDC=16",                           // a sign
+		"RMA-RW ppn=16 P=32 TDC=16",                            // order
+		"RMA-RW P=32 ppn=16 TDC=16 TR=5..1",                    // an empty box
+		"RMA-RW P=32 ppn=16 TDC=16 TW=1..2 TR=1..2",            // box order
+		"RMA-RW P=32 ppn=16 TDC=16 TR=1..2 TR=1..2",            // a box twice
+		"RMA-RW P=32 ppn=16 TDC=16 TR=1..2 ",                   // trailing space
+		"RMA-RW  P=32 ppn=16 TDC=16",                           // double space
+		"RMA-RW P=32 ppn=16 TDC=16 TR=01..2",                   // a leading zero
+		"P=32 ppn=16 TDC=16 TR=1..2",                           // no scheme
+		"RMA-RW P=32 ppn=16 TDC=16 TR=1-2",                     // not a range
+		"RMA-RW P=32 ppn=16 TDC=16 =1..2",                      // no key
+		"RMA-RW P=32 ppn=16 TDC=16 TR=1..99999999999999999999", // out of range
+	} {
+		if _, err := workload.ParseWitness(bad); err == nil {
+			t.Errorf("ParseWitness(%q) accepted a non-canonical witness", bad)
+		}
+	}
+}
+
+// FuzzWitness: ParseWitness never panics, a witness it accepts renders
+// back to the input byte for byte, and Admits never panics on one —
+// whatever machine, scheme or boxes it names. The checked-in corpus
+// holds witnesses of real runs and near misses of the text form.
+func FuzzWitness(f *testing.F) {
+	tuns := []scheme.Tunables{nil, {"TR": 500}, {"TL1": 4, "TL2": 8, "TDC": 1}, {"TR": 0}, {"TL3": 2}}
+	f.Fuzz(func(t *testing.T, s string) {
+		w, err := workload.ParseWitness(s)
+		if err != nil {
+			return
+		}
+		if c := w.Canonical(); c != s {
+			t.Fatalf("ParseWitness(%q) re-renders as %q", s, c)
+		}
+		for _, tun := range tuns {
+			w.Admits(tun)
+		}
+	})
 }
