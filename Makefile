@@ -172,16 +172,17 @@ obs-smoke:
 # Sweep-service smoke: start sweepd on a fresh cache, submit a 4-cell
 # grid through the workbench client, resubmit with one changed tunables
 # axis (-tune TR=900 applies only to RMA-RW; the two d-MCS cells are
-# untouched), then resubmit the first grid unchanged. Asserts from
-# /metrics that exactly the unchanged cells hit the cache (2 of the
-# tuned grid, 4 of the repeat; 4 + 2 missed), that the tuned grid's two
-# RMA-RW misses were derived from the cold job's stored entries, whose
-# witnesses admit T_R = 900 (no counter gets near it at this size),
-# and that the daemon's cold result file, its tuned one and its
-# all-cached one — stored fragments spliced by sweep.Encode, never
-# marshalled — are cmp-equal to direct local workbench runs' files.
-# The final `kill` exercises graceful shutdown: the daemon must drain
-# and exit 0.
+# untouched), resubmit the first grid unchanged, then the tuned grid
+# again. Asserts from /metrics that exactly the unchanged cells hit the
+# cache (2 of each tuned job, 4 of the repeat; 4 + 2 + 2 missed), that
+# each tuned job's two RMA-RW misses were derived from the cold job's
+# stored entries, whose witnesses admit T_R = 900 (no counter gets near
+# it at this size) — derived cells are never stored, so the second tuned
+# job derives them again and the cache holds only the cold job's 4
+# entry files — and that the daemon's result files, stored fragments
+# spliced by sweep.Encode, are cmp-equal to direct local workbench runs'
+# files. The final `kill` exercises graceful shutdown: the daemon must
+# drain and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
 	-ps 16 -iters 20 -locks 4
@@ -216,18 +217,24 @@ sweepd-smoke:
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) \
 		-out results/sweepd-warm.json \
 		> results/sweepd-warm.txt 2> results/sweepd-warm.err; \
+	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
+		-out results/sweepd-tuned2.json \
+		> results/sweepd-tuned2.txt 2> results/sweepd-tuned2.err; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
-	grep -q '^sweepd_cache_hits_total 6$$' results/sweepd-scrape.prom
-	grep -q '^sweepd_cache_misses_total 6$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_misses_total 8$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
-	grep -q '^sweepd_cache_derived_total 2$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_derived_total 4$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err
 	grep -q '4 served from cache' results/sweepd-warm.err
+	grep -q '2 served from cache' results/sweepd-tuned2.err
+	test "$$(ls results/sweepd-cache | grep -v '^index.json$$' | wc -l)" -eq 4
 	cmp results/sweepd-cold.json results/sweepd-local.json
 	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
-	@echo "sweepd-smoke: OK — cold, tuned and all-cached result files cmp-equal to the local runs'; tuned resubmit reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings"
+	cmp results/sweepd-tuned2.json results/sweepd-tuned-local.json
+	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs'; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

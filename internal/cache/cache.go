@@ -14,10 +14,10 @@
 // when it is evicted; a hit after that is one hash and one map lookup.
 // DESIGN.md, "What a hit costs", has the rules this rests on.
 //
-// An entry may also carry the witness of the run that produced it
-// (workload.Witness): the store keeps an index of them by sibling group
-// (sweep.SiblingOf), so a cell no entry holds can be derived from a
-// stored sibling whose witness admits it (ResultStore.Sibling).
+// An entry holds a simulated cell, never a derived one, with the witness
+// of its run (workload.Witness) if it has one, indexed by sibling group
+// (sweep.SiblingOf): a cell no entry holds derives, each time it is
+// asked for, from a stored sibling whose witness admits it (Sibling).
 package cache
 
 import (
@@ -374,15 +374,15 @@ func (s *Store) sibling(group string, t scheme.Tunables) (sweep.CellResult, work
 // (sweep.CellWitness) indexed and stored beside it — unless it fails the
 // checks a load makes, when the entry is stored without one. Disk errors
 // are counted but not fatal (the resident entry still serves this
-// process); a result that does not marshal, or whose key input does not
-// name, is counted and dropped.
+// process); a result that does not marshal, whose key input does not
+// name, or that Run derived instead of simulating is counted and dropped.
 func (s *Store) store(input string, res sweep.CellResult) {
 	if input == "" {
 		return
 	}
 	w := sweep.CellWitness(res)
 	res, err := sweep.SealCell(res)
-	if err != nil || !res.Key.Names(input) {
+	if err != nil || res.Derived || !res.Key.Names(input) {
 		s.putErr.Add(1)
 		return
 	}

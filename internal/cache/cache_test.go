@@ -435,6 +435,35 @@ func TestPutRefusesWhatItCouldNotServe(t *testing.T) {
 	}
 }
 
+// TestPutRefusesDerived: a result Run derived from a sibling is not
+// stored — no file, nothing resident, one counted failed store — so
+// every entry on disk is a simulated run's. The same cell simulated is.
+func TestPutRefusesDerived(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := cache.NewResultStore(store)
+	cells, results := computed(t)
+	derived := results[0]
+	derived.Derived = true
+	rs.Put(cells[0].Input, derived)
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(names) != 0 {
+		t.Errorf("a derived result left files behind: %v", names)
+	}
+	if st := store.Stats(); st.PutErrors != 1 || st.Resident != 0 {
+		t.Errorf("after a derived Put: %+v, want 1 failed store and nothing resident", st)
+	}
+	rs.Put(cells[0].Input, results[0])
+	if r, ok := rs.Get(cells[0].Input); !ok || r.Derived || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[0])) {
+		t.Error("the simulated result was not stored")
+	}
+	if st := store.Stats(); st.PutErrors != 1 {
+		t.Errorf("%d failed stores, want only the derived one", st.PutErrors)
+	}
+}
+
 // TestAddressMismatchRejected: a valid envelope under the wrong file
 // name (e.g. copied by hand) must not be served.
 func TestAddressMismatchRejected(t *testing.T) {

@@ -2,6 +2,7 @@ package jobq_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -30,6 +31,34 @@ func localBytes(tb testing.TB, g sweep.Grid, label string) []byte {
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// rmaRW counts g's RMA-RW cells: the ones a TR axis dirties.
+func rmaRW(tb testing.TB, g sweep.Grid) int {
+	tb.Helper()
+	n := 0
+	for _, c := range mustCells(tb, g) {
+		if c.Key.Scheme == workload.SchemeRMARW {
+			n++
+		}
+	}
+	return n
+}
+
+// entryFiles counts the entry files in a cache directory.
+func entryFiles(tb testing.TB, dir string) int {
+	tb.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := 0
+	for _, name := range names {
+		if filepath.Base(name) != "index.json" {
+			n++
+		}
+	}
+	return n
 }
 
 // jobBytes submits g, waits for the job and returns its encoded result:
@@ -72,12 +101,7 @@ func TestJobsDeriveAcrossJobs(t *testing.T) {
 	if got := jobBytes(t, m, g, "fill"); !bytes.Equal(got, localBytes(t, g, "fill")) {
 		t.Fatal("the filling job differs from a local run")
 	}
-	rw := 0
-	for _, c := range mustCells(t, g) {
-		if c.Key.Scheme == workload.SchemeRMARW {
-			rw++
-		}
-	}
+	rw := rmaRW(t, g)
 
 	trs := []int64{20001, 20002}
 	got := make([][]byte, len(trs))
@@ -108,6 +132,56 @@ func TestJobsDeriveAcrossJobs(t *testing.T) {
 	defer m.Shutdown()
 	if got := jobBytes(t, m, withTR(g, 20003), "reopened"); !bytes.Equal(got, localBytes(t, withTR(g, 20003), "reopened")) {
 		t.Error("TR=20003 after reopening: job differs from a local run")
+	}
+	if st := store.Stats(); st.Derived != int64(rw) {
+		t.Errorf("after reopening, %d cells derived, want %d", st.Derived, rw)
+	}
+}
+
+// TestDerivedCellsAreNotStored: a derived cell is a function of its
+// sibling's entry and its own tunables, so the store keeps only the
+// fill's simulated cells. The same dirty job twice returns a local
+// run's bytes both times; the second time its RMA-RW cells miss and
+// derive again rather than hit. Neither job adds a file or a resident
+// entry, and after reopening the directory a third run derives every
+// RMA-RW cell again.
+func TestDerivedCellsAreNotStored(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	g := testGrid()
+	jobBytes(t, m, g, "fill")
+	filled := len(mustCells(t, g))
+	dirty := withTR(g, 20001)
+	rw := rmaRW(t, dirty)
+	local := localBytes(t, dirty, "dirty")
+	for run := 1; run <= 2; run++ {
+		before := store.Stats()
+		if got := jobBytes(t, m, dirty, "dirty"); !bytes.Equal(got, local) {
+			t.Fatalf("dirty job %d differs from a local run", run)
+		}
+		st := store.Stats()
+		if derived, hits := st.Derived-before.Derived, st.Hits-before.Hits; derived != int64(rw) || hits != int64(filled-rw) {
+			t.Errorf("dirty job %d: %d derived, %d hits; want every RMA-RW cell derived (%d) and only the other %d hits",
+				run, derived, hits, rw, filled-rw)
+		}
+		if files := entryFiles(t, dir); files != filled || st.Resident != filled {
+			t.Errorf("after dirty job %d: %d entry files, %d resident; want the fill's %d", run, files, st.Resident, filled)
+		}
+	}
+	m.Shutdown()
+
+	store, rep, err := cache.Open(dir, 1)
+	if err != nil || rep.Entries != filled {
+		t.Fatalf("reopen: %+v, %v; want the fill's %d entries", rep, err, filled)
+	}
+	m = jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	defer m.Shutdown()
+	if got := jobBytes(t, m, dirty, "dirty"); !bytes.Equal(got, local) {
+		t.Error("dirty job after reopening differs from a local run")
 	}
 	if st := store.Stats(); st.Derived != int64(rw) {
 		t.Errorf("after reopening, %d cells derived, want %d", st.Derived, rw)

@@ -60,7 +60,7 @@ func NewServer(reg *Registry, prog ProgressReporter) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s
 }
 
@@ -69,6 +69,12 @@ func NewServer(reg *Registry, prog ProgressReporter) *Server {
 // connection open. It covers the headers only: a long /progress?follow=1
 // or /jobs/{id}/events stream is unaffected.
 const readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests before the server closes it, so clients that never close
+// theirs cannot pile up connections over a long uptime. A connection
+// inside a response — a long stream included — is not idle.
+const idleTimeout = 2 * time.Minute
 
 // Handle mounts an additional route on the observability mux — how
 // cmd/sweepd's job API (POST /jobs, GET /jobs/{id}, ...) extends the

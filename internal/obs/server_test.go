@@ -211,3 +211,77 @@ func TestFollowOutlivesHeaderTimeout(t *testing.T) {
 		t.Fatalf("stream missing its end:\n%s", s)
 	}
 }
+
+// listenShortIdleTimeout starts srv on a loopback port with the
+// keep-alive idle timeout cut to d, and closes it when the test ends.
+func listenShortIdleTimeout(t *testing.T, srv *Server, d time.Duration) {
+	t.Helper()
+	if got := srv.srv.IdleTimeout; got != idleTimeout {
+		t.Fatalf("server idle timeout %v, want %v", got, idleTimeout)
+	}
+	srv.srv.IdleTimeout = d
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+}
+
+// TestIdleConnectionClosed: a keep-alive connection that sends nothing
+// after its response is closed by the server, while a
+// /progress?follow=1 stream that runs many idle timeouts longer on
+// another connection completes.
+func TestIdleConnectionClosed(t *testing.T) {
+	srv, prog, _ := newTestServer(t)
+	prog.Start([]string{"c0", "c1"})
+	const timeout = 20 * time.Millisecond
+	listenShortIdleTimeout(t, srv, timeout)
+
+	stream := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + srv.Addr() + "/progress?follow=1&interval_ms=5")
+		if err != nil {
+			stream <- "get: " + err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			stream <- "stream cut short: " + err.Error()
+			return
+		}
+		stream <- string(body)
+	}()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.Close {
+		t.Fatal("the server asked to close a keep-alive connection after its response")
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(br); err != nil { // nil: the server closed it
+		t.Fatalf("idle connection still open: %v", err)
+	}
+
+	time.Sleep(5 * timeout)
+	prog.CellRunning(0)
+	prog.CellDone(0, "fp0", nil)
+	time.Sleep(5 * timeout)
+	prog.CellRunning(1)
+	prog.CellDone(1, "fp1", nil)
+	if s := <-stream; !strings.Contains(s, `"fp1"`) || !strings.Contains(s, `"done":2`) {
+		t.Fatalf("stream missing its end:\n%s", s)
+	}
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"rmalocks/internal/fault"
@@ -194,4 +195,62 @@ func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 			t.Errorf("SiblingOf(%q) found a group", in)
 		}
 	}
+}
+
+// FuzzSiblingOf drives the parser that takes a stored entry's address
+// back to its sibling group, the only route by which a derived cell
+// reaches stored bytes. Whatever the address, SiblingOf must not panic,
+// and a group it returns is an address of its own, with no tunables,
+// in the same group. For every cell of a grid DecodeGrid accepts, it
+// returns the group claimOrder puts the cell in, the cell's scheme and
+// its tunables.
+func FuzzSiblingOf(f *testing.F) {
+	const grid = `{"schemes":["foMPI-Spin","RMA-MCS","RMA-RW"],"workloads":["empty","dht"],"profiles":["uniform"],"ps":[8,16],"iters":5,"tunables":[{"key":"TR","values":[200,400]},{"key":"TL2","values":[4,8]}]`
+	f.Add([]byte(grid+`}`), "cell/v2 RMA-RW/empty/uniform/P=8/TL2=4,TR=200 ppn=16 iters=5")
+	f.Add([]byte(grid+`,"faults":["jitter=0.2"],"engine":"ref"}`), "cell/v2 RMA-RW/empty/uniform/P=8/faults=jitter=0.2 ppn=16")
+	f.Add([]byte(`{"schemes":["RMA-RW"],"workloads":["dhtvol"],"profiles":["zipf"],"ps":[4],"remote_pct":400}`), "cell/v2 RMA-RW/empty/uniform/P=8/TR=1/TR=2 ppn=16")
+	f.Add([]byte(nil), "cell/v2 RMA-RW/empty/uniform/P=08 ppn=16")
+	f.Fuzz(func(t *testing.T, body []byte, input string) {
+		if group, name, tun, ok := SiblingOf(input); ok {
+			g2, name2, tun2, ok2 := SiblingOf(group)
+			if !ok2 || g2 != group || name2 != name || len(tun2) != 0 {
+				t.Fatalf("SiblingOf(%q) = %q, but SiblingOf of that = %q, %q, %v, %v", input, group, g2, name2, tun2, ok2)
+			}
+			if (len(tun) == 0) != (group == input) {
+				t.Fatalf("SiblingOf(%q) = %q with tunables %v", input, group, tun)
+			}
+		}
+		g, err := DecodeGrid(body)
+		if err != nil {
+			return
+		}
+		n := len(g.Schemes) * len(g.Workloads) * len(g.Profiles) * max(len(g.Ps), 1) * (len(g.Faults) + 1)
+		for _, ax := range g.Tunables {
+			n *= max(len(ax.Values), 1)
+		}
+		if n > 1<<10 {
+			return // enumerating it would measure the fuzzer's memory, not the parser
+		}
+		// The engine is not part of the address, and claimOrder groups
+		// only the default engine's cells.
+		g.Engine = ""
+		cells, err := g.Cells()
+		if err != nil {
+			return
+		}
+		pending := make([]int, len(cells))
+		for i := range pending {
+			pending[i] = i
+		}
+		_, s := claimOrder(cells, pending, false)
+		for i, c := range cells {
+			if !strings.HasPrefix(c.Input, inputPrefix) {
+				t.Fatalf("cell %s has address %q", c.Key, c.Input)
+			}
+			group, name, tun, ok := SiblingOf(c.Input)
+			if !ok || group != s.addr[s.group[i]] || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
+				t.Fatalf("SiblingOf(%q) = %q, %q, %v, %v; claimOrder's group %q", c.Input, group, name, tun, ok, s.addr[s.group[i]])
+			}
+		}
+	})
 }

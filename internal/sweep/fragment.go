@@ -83,7 +83,7 @@ func DecodeCell(payload []byte) (CellResult, error) {
 // may keep and hand to any number of readers.
 func SealCell(r CellResult) (CellResult, error) {
 	c := r.clone()
-	c.Trace, c.Derived, c.witness = nil, false, nil
+	c.Trace, c.witness = nil, nil
 	if r.frag != nil {
 		c.frag = r.frag
 		return c, nil

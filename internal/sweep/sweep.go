@@ -122,8 +122,8 @@ type CellResult struct {
 	// persisted: baselines carry only the trace-derived Report fields.
 	Trace *trace.Sink `json:"-"`
 	// Derived marks a result Run took from a sibling's run instead of
-	// simulating the cell (see Run). Never persisted, and not kept by a
-	// cache: it says how this Run got the result, not what the result is.
+	// simulating the cell (see Run). Never persisted, and never stored
+	// by a cache: it says how this Run got the result, not what it is.
 	Derived bool `json:"-"`
 
 	// frag is this cell's encoding as it stands inside RunFile.Cells,
@@ -171,16 +171,17 @@ type Options struct {
 // Implementations must be safe for concurrent use; internal/cache's
 // ResultStore is the canonical one. Get may miss spuriously (eviction,
 // corruption) — the cell is then recomputed — but a hit must return a
-// result produced by a run of the same Input. What Get returns and what
-// Put receives may be shared between the cache and any number of
-// callers, so both sides treat it as read-only (see CellResult); a
-// cache that keeps a Put value takes its own copy (SealCell).
+// result produced by a run of the same Input, and Put receives only
+// those, never a derived one. What Get returns and what Put receives may
+// be shared between the cache and any number of callers, so both sides
+// treat it as read-only (see CellResult); a cache that keeps a Put value
+// takes its own copy (SealCell).
 //
 // Sibling is derivation across runs: it returns a stored result of the
 // sibling group group (SiblingOf) whose stored witness (CellWitness of
-// what Put received) admits t, and that witness. Run asks it for a cell
-// that missed and that no sibling in the run covers; it is neither a
-// hit nor a miss. A cache that keeps no witnesses always says false.
+// what Put received) admits t, and that witness. Run asks it, each time,
+// for a cell that missed and that no sibling in the run covers. A cache
+// that keeps no witnesses always says false.
 type CellCache interface {
 	Get(input string) (CellResult, bool)
 	Put(input string, r CellResult)
@@ -265,8 +266,8 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (CellResult.Derived) instead of running. Every sibling group's first
 // cell is claimed before any group's second, so the siblings of a group
 // usually find a finished run; a cell never waits for one still
-// running. With a Cache attached every cell that could derive also
-// records its witness for the Cache to store, and a claimed cell no
+// running. With a Cache attached every simulated cell that could derive
+// also records its witness for the Cache to store, and a claimed cell no
 // sibling of this run covers asks the Cache for a stored one
 // (CellCache.Sibling). Only Grid.Cells output on the default engine
 // derives: the reference engine, Check, and cells without an address
@@ -325,7 +326,7 @@ type siblings struct {
 	group []int
 	addr  []string
 	size  []int
-	// cache, when set, stores every derivable cell's witness and is
+	// cache, when set, stores every simulated cell's witness and is
 	// asked for a sibling when this run has none.
 	cache CellCache
 	mu    sync.Mutex
@@ -440,12 +441,12 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 		opts.Progress.CellRunning(i)
 	}
 	if src, ok := sibs.from(i, c.cs.tun); ok {
-		derive(c, i, results[src.i], src.w, opts, results)
+		derive(c, i, results[src.i], opts, results)
 		return nil
 	}
 	if g := sibs.group[i]; g >= 0 && sibs.cache != nil {
-		if r, w, ok := sibs.cache.Sibling(sibs.addr[g], c.cs.tun); ok {
-			derive(c, i, r, w, opts, results)
+		if r, _, ok := sibs.cache.Sibling(sibs.addr[g], c.cs.tun); ok {
+			derive(c, i, r, opts, results)
 			return nil
 		}
 	}
@@ -485,22 +486,21 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 }
 
 // derive makes results[i] cell c's result from src, the result of a
-// sibling whose witness w admits c: src's report with c's key, tunables
+// sibling whose witness admits c: src's report with c's key, tunables
 // and fingerprint. It is the one place a derived cell is built, whether
-// its sibling ran in this Run or came from the cache.
-func derive(c Cell, i int, src CellResult, w workload.Witness, opts Options, results []CellResult) {
+// its sibling ran in this Run or came from the cache; it stores nothing.
+func derive(c Cell, i int, src CellResult, opts Options, results []CellResult) {
 	r := src.clone()
 	r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
 	r.Fingerprint = r.Report.Fingerprint()
 	results[i] = r
-	store(opts, c, results, i, w)
 	if opts.Progress != nil {
 		opts.Progress.CellDone(i, r.Fingerprint, nil)
 	}
 }
 
-// store puts results[i] into the cache with the witness of the run that
-// produced it, if there is a cache and the cell has an address.
+// store puts results[i], a simulated cell's, into the cache with the
+// witness of its run, if there is a cache and the cell has an address.
 func store(opts Options, c Cell, results []CellResult, i int, w workload.Witness) {
 	if opts.Cache == nil || c.Input == "" {
 		return
