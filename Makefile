@@ -223,7 +223,7 @@ sweepd-smoke:
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
 	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
-	grep -q '^sweepd_cache_misses_total 8$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_misses_total 4$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_derived_total 4$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err

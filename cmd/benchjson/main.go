@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -164,12 +165,14 @@ func parse(r io.Reader, pr int, filter []string) (File, error) {
 }
 
 // parseCols parses the measurement columns: alternating "<value> <unit>"
-// pairs, e.g. "38.84 ns/op  0 B/op  0 allocs/op  3200 ops/run".
+// pairs, e.g. "38.84 ns/op  0 B/op  0 allocs/op  3200 ops/run". A value
+// must be a finite number: JSON has no NaN or Inf, so one would make
+// the whole trajectory file unwritable.
 func parseCols(b *Benchmark, rest string) error {
 	fields := strings.Fields(rest)
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("bad value %q", fields[i])
 		}
 		switch unit := fields[i+1]; unit {

@@ -118,7 +118,7 @@ func newDaemon(cfg config) (*daemon, error) {
 	mgr := jobq.NewManager(jobq.Config{
 		Workers: cfg.workers,
 		MaxJobs: cfg.maxJobs,
-		Cache:   cache.NewResultStore(store),
+		Cache:   store,
 		Obs:     metrics,
 		Multi:   multi,
 	})

@@ -8,20 +8,22 @@
 // leaves a torn entry visible, and loads tolerate corruption by
 // skipping (and reporting) bad files rather than refusing to start.
 //
-// A resident entry is a decoded sweep.CellResult with its run-file
-// fragment attached, derived once when the entry becomes resident (Put,
-// Open's load, or the Get that reads it back from disk) and dropped
-// when it is evicted; a hit after that is one hash and one map lookup.
-// DESIGN.md, "What a hit costs", has the rules this rests on.
+// Every well-formed entry is one run: a simulated cell, never a derived
+// one, with the witness of its run (workload.Witness) if it has one,
+// indexed by input and, if witnessed, by sibling group (sweep.SiblingOf).
+// Get, the one read path, answers input with its own run (a hit) or
+// else with a run of its group whose witness admits it (a derivation).
+// Open builds the index and Put keeps it: a file that appears later is
+// not served until the next Open.
 //
-// An entry holds a simulated cell, never a derived one, with the witness
-// of its run (workload.Witness) if it has one, indexed by sibling group
-// (sweep.SiblingOf): a cell no entry holds derives, each time it is
-// asked for, from a stored sibling whose witness admits it (Sibling).
+// A resident run holds a decoded sweep.CellResult with its run-file
+// fragment attached, derived once when the run becomes resident (Put,
+// Open's load, or the Get that reads it back from its file) and dropped
+// when it is evicted; a hit after that is one map lookup on the input.
+// DESIGN.md, "What a hit costs", has the rules this rests on.
 package cache
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -31,12 +33,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
@@ -59,19 +61,19 @@ type envelope struct {
 	Witness string          `json:"witness,omitempty"`
 }
 
-// sibling is one stored witness of a sibling group, with the input of
-// an entry stored with it: the result any cell it admits derives from.
-type sibling struct {
+// run is one well-formed entry, resident or not: its input, file key
+// and witness (zero when it has none) and, while resident (elem is not
+// nil; guarded by Store.mu), its decoded result. res is handed out by
+// value to every lookup it answers and never written after admission;
+// the compact payload is not kept (the file has it, and the fragment
+// compacts back to it).
+type run struct {
+	input string
+	key   string // sha256(input), also the file name stem
 	w     workload.Witness
 	text  string // w.Canonical()
-	input string
-}
+	group string // sweep.SiblingOf(input)
 
-// entry is one resident cache entry. res is handed out by value to
-// every hit and never written after admission; the compact payload is
-// not kept (the file has it, and the fragment compacts back to it).
-type entry struct {
-	key  string           // sha256(input), also the file name stem
 	res  sweep.CellResult // decoded cell, run-file fragment attached
 	size int64            // sweep.CellFootprint(res), charged to the budget
 	elem *list.Element
@@ -92,21 +94,20 @@ type LoadReport struct {
 	Stale int
 }
 
-// Store is the content-addressed cell store: lookups and stores by
-// canonical input string, sha256 of the input as the address. Safe for
-// concurrent use. ResultStore is its sweep.CellCache face; Get and Put
-// here are the same entries seen as payload bytes.
+// Store is the content-addressed cell store, and the sweep.CellCache
+// that sweepd's jobs run against. Safe for concurrent use.
 type Store struct {
 	dir    string
 	budget int64
 
-	mu      sync.Mutex
-	entries map[string]*entry // key -> entry
-	lru     *list.List        // front = most recent; values are *entry
-	bytes   int64
-	// sibs maps a sibling group to the distinct witnesses stored in it,
-	// resident or not. Lists only grow; a reader may keep one it copied.
-	sibs map[string][]sibling
+	mu   sync.Mutex
+	runs map[string]*run // input -> run
+	// groups maps a sibling group to its witnessed runs, resident or
+	// not. A list is appended to or replaced, never edited in place, so
+	// a reader may keep one it copied.
+	groups map[string][]*run
+	lru    *list.List // resident runs, front = most recent; values are *run
+	bytes  int64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -119,20 +120,21 @@ type Store struct {
 // Open opens (creating if needed) a store rooted at dir with the given
 // in-memory byte budget (<= 0 means 64 MiB). Existing entries are
 // validated and loaded freshest-first until the budget fills; malformed
-// files are skipped and listed in the report — a corrupt cache degrades
-// to recomputation, never to a failed daemon — and entries of another
-// address version are counted and deleted. The witness of every
-// well-formed entry, resident or not, goes into the sibling index.
+// files are skipped, listed in the report and counted corrupt — a
+// corrupt cache degrades to recomputation, never to a failed daemon —
+// entries of another address version are counted and deleted, and so
+// are the temp files of writes a crash cut short. Every well-formed
+// entry, resident or not, is indexed.
 func Open(dir string, budget int64) (*Store, LoadReport, error) {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
 	s := &Store{
-		dir:     dir,
-		budget:  budget,
-		entries: make(map[string]*entry),
-		lru:     list.New(),
-		sibs:    make(map[string][]sibling),
+		dir:    dir,
+		budget: budget,
+		runs:   make(map[string]*run),
+		groups: make(map[string][]*run),
+		lru:    list.New(),
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, LoadReport{}, fmt.Errorf("cache: open %s: %w", dir, err)
@@ -141,16 +143,21 @@ func Open(dir string, budget int64) (*Store, LoadReport, error) {
 	if err != nil {
 		return nil, rep, err
 	}
+	s.corrupt.Add(int64(len(rep.Corrupt)))
 	return s, rep, nil
 }
 
-// load scans dir for entry files, validates each, and admits the
-// freshest into memory within the budget. The optional index.json
-// (written by Flush) supplies the recency order; entries absent from
-// the index rank last in name order, so a cache without an index still
-// loads deterministically.
+// load scans dir for entry files, validates and indexes each, and
+// admits the freshest into memory within the budget. The optional
+// index.json (written by Flush) supplies the recency order; entries
+// absent from the index rank last in name order, so a cache without an
+// index still loads deterministically.
 func (s *Store) load() (LoadReport, error) {
 	var rep LoadReport
+	temps, _ := filepath.Glob(filepath.Join(s.dir, ".tmp-*"))
+	for _, name := range temps {
+		os.Remove(name)
+	}
 	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
 	if err != nil {
 		return rep, fmt.Errorf("cache: scan %s: %w", s.dir, err)
@@ -183,10 +190,9 @@ func (s *Store) load() (LoadReport, error) {
 		// payload alone overflows the budget is indexed undecoded (Get
 		// validates it if it is ever asked for).
 		fits := err == nil && s.bytes+int64(len(env.Data)) <= s.budget
-		var group string
-		var sib sibling
+		r := &run{input: env.Input, key: env.Sum}
 		if err == nil && env.Witness != "" {
-			group, sib, err = parseSibling(env.Input, env.Witness)
+			err = r.witness(env.Witness)
 		}
 		var res sweep.CellResult
 		if fits && err == nil {
@@ -196,17 +202,14 @@ func (s *Store) load() (LoadReport, error) {
 			rep.Corrupt = append(rep.Corrupt, filepath.Base(name))
 			continue
 		}
-		if group != "" {
-			s.index(group, sib)
-		}
+		s.index(r)
 		rep.Entries++
-		e := &entry{key: env.Sum, res: res, size: sweep.CellFootprint(res)}
-		if !fits || s.bytes+e.size > s.budget {
+		size := sweep.CellFootprint(res)
+		if !fits || s.bytes+size > s.budget {
 			continue // over budget: stays on disk, not resident
 		}
-		e.elem = s.lru.PushBack(e) // names are sorted freshest-first
-		s.entries[e.key] = e
-		s.bytes += e.size
+		r.res, r.size, r.elem = res, size, s.lru.PushBack(r) // names are sorted freshest-first
+		s.bytes += size
 		rep.Loaded++
 	}
 	return rep, nil
@@ -239,50 +242,57 @@ func stem(name string) string {
 	return strings.TrimSuffix(filepath.Base(name), ".json")
 }
 
-// addrOf is the content address: hex sha256 of the canonical input. As
-// an array it indexes the entry map without allocating (a hit needs the
-// address for nothing else); keyOf is the same address as a string.
-func addrOf(input string) (addr [2 * sha256.Size]byte) {
-	sum := sha256.Sum256([]byte(input))
-	hex.Encode(addr[:], sum[:])
-	return addr
-}
-
+// keyOf is the content address, hex sha256 of the canonical input: the
+// file name stem of input's entry (the index is keyed by the input).
 func keyOf(input string) string {
-	addr := addrOf(input)
-	return string(addr[:])
+	sum := sha256.Sum256([]byte(input))
+	return hex.EncodeToString(sum[:])
 }
 
-// parseSibling validates the witness text stored beside input: it must
-// be canonical, name the scheme input names and admit input's own
-// tunables. It returns input's sibling group and the index entry.
-func parseSibling(input, text string) (string, sibling, error) {
+// witness validates the witness text stored beside r's input and sets
+// it: it must be canonical, name the scheme the input names and admit
+// the input's own tunables. r is unchanged when the text fails.
+func (r *run) witness(text string) error {
 	w, err := workload.ParseWitness(text)
 	if err != nil {
-		return "", sibling{}, err
+		return err
 	}
-	group, name, tun, ok := sweep.SiblingOf(input)
+	group, name, tun, ok := sweep.SiblingOf(r.input)
 	switch {
 	case !ok:
-		return "", sibling{}, errors.New("cache: witness stored under an address without a sibling group")
+		return errors.New("cache: witness stored under an address without a sibling group")
 	case w.Scheme != name:
-		return "", sibling{}, fmt.Errorf("cache: a %s witness stored for a %s cell", w.Scheme, name)
+		return fmt.Errorf("cache: a %s witness stored for a %s cell", w.Scheme, name)
 	case !w.Admits(tun):
-		return "", sibling{}, errors.New("cache: witness does not admit its own cell")
+		return errors.New("cache: witness does not admit its own cell")
 	}
-	return group, sibling{w: w, text: text, input: input}, nil
+	r.w, r.text, r.group = w, text, group
+	return nil
 }
 
-// index adds a witness to its group unless the group has it already.
-func (s *Store) index(group string, sib sibling) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, o := range s.sibs[group] {
-		if o.text == sib.text {
-			return
-		}
+// index adds r to the index, replacing the run of the same input if
+// there is one. The caller holds mu, or is Open.
+func (s *Store) index(r *run) {
+	s.drop(s.runs[r.input])
+	s.runs[r.input] = r
+	if r.group != "" {
+		s.groups[r.group] = append(s.groups[r.group], r)
 	}
-	s.sibs[group] = append(s.sibs[group], sib)
+}
+
+// drop removes r from the index and from memory, unless it is nil or
+// has been dropped already. The caller holds mu.
+func (s *Store) drop(r *run) {
+	if r == nil || s.runs[r.input] != r {
+		return
+	}
+	delete(s.runs, r.input)
+	if r.group != "" {
+		s.groups[r.group] = slices.DeleteFunc(slices.Clone(s.groups[r.group]), func(o *run) bool { return o == r })
+	}
+	if r.elem != nil {
+		s.unload(r)
+	}
 }
 
 // decodeEntry derives an envelope's resident form. The payload must be
@@ -300,83 +310,87 @@ func decodeEntry(env envelope) (sweep.CellResult, error) {
 	return res, nil
 }
 
-// lookup is the one read path. A file that is there but fails any of
-// fetch's checks is a corrupt entry: counted as such and as a miss,
-// never resident, and overwritten by the Put that follows the
-// recompute.
-func (s *Store) lookup(input string) (sweep.CellResult, bool) {
-	res, err := s.fetch(input)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			s.corrupt.Add(1)
+// Get implements sweep.CellCache, as the store's one read path: input's
+// own run (a hit), else a run of its sibling group whose witness admits
+// its tunables (derived; the result is the sibling's, Key and all),
+// else a miss — each lookup counts exactly one. It hands out the
+// resident value itself, shared by every job it answers and read-only
+// by the rule on sweep.CellResult: a hit decodes nothing, and the
+// result it lands in encodes nothing (sweep.Encode splices its fragment).
+func (s *Store) Get(input string) (sweep.CellResult, bool) {
+	s.mu.Lock()
+	own := s.runs[input]
+	s.mu.Unlock()
+	if own != nil {
+		if res, ok := s.serve(own); ok {
+			s.hits.Add(1)
+			return res, true
 		}
-		s.misses.Add(1)
-		return sweep.CellResult{}, false
 	}
-	s.hits.Add(1)
-	return res, true
+	if group, _, tun, ok := sweep.SiblingOf(input); ok {
+		s.mu.Lock()
+		runs := s.groups[group]
+		s.mu.Unlock()
+		for _, r := range runs {
+			if !r.w.Admits(tun) {
+				continue
+			}
+			if res, ok := s.serve(r); ok {
+				s.derived.Add(1)
+				return res, true
+			}
+		}
+	}
+	s.misses.Add(1)
+	return sweep.CellResult{}, false
 }
 
-// fetch returns the entry for input. A resident entry costs the hash and
-// a map lookup; an evicted (or never-admitted) one is read from disk,
-// validated — its witness too — decoded and re-admitted.
-func (s *Store) fetch(input string) (sweep.CellResult, error) {
-	addr := addrOf(input)
+// serve returns r's result: the resident one, or else the one its file
+// holds, which must pass every check a load makes and still hold the
+// input and witness text the load indexed; it is then made resident. A
+// run whose file fails is dropped from the index, and counted corrupt
+// unless the file is gone; the Put that follows the recompute stores it
+// afresh.
+func (s *Store) serve(r *run) (sweep.CellResult, bool) {
 	s.mu.Lock()
-	if e, ok := s.entries[string(addr[:])]; ok {
-		s.lru.MoveToFront(e.elem)
-		res := e.res
+	if r.elem != nil {
+		s.lru.MoveToFront(r.elem)
+		res := r.res
 		s.mu.Unlock()
-		return res, nil
+		return res, true
 	}
 	s.mu.Unlock()
-	key := string(addr[:])
-	env, err := readEnvelope(filepath.Join(s.dir, key+".json"))
-	if err == nil && env.Input != input {
-		err = errors.New("cache: address collision")
-	}
-	if err == nil && env.Witness != "" {
-		_, _, err = parseSibling(input, env.Witness)
+	env, err := readEnvelope(filepath.Join(s.dir, r.key+".json"))
+	if err == nil && (env.Input != r.input || env.Witness != r.text) {
+		err = errors.New("cache: entry is not the run indexed under its address")
 	}
 	var res sweep.CellResult
 	if err == nil {
 		res, err = decodeEntry(env)
 	}
-	if err != nil {
-		return sweep.CellResult{}, err
-	}
-	s.admit(key, res)
-	return res, nil
-}
-
-// sibling returns the result of an entry of group whose witness admits
-// t, and that witness: a derived cell, counted as such and neither a
-// hit nor a miss. A stored sibling whose entry can no longer be read is
-// passed over.
-func (s *Store) sibling(group string, t scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
 	s.mu.Lock()
-	sibs := s.sibs[group]
-	s.mu.Unlock()
-	for _, sib := range sibs {
-		if !sib.w.Admits(t) {
-			continue
+	defer s.mu.Unlock()
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.corrupt.Add(1)
 		}
-		if res, err := s.fetch(sib.input); err == nil {
-			s.derived.Add(1)
-			return res, sib.w, true
-		}
+		s.drop(r)
+		return sweep.CellResult{}, false
 	}
-	return sweep.CellResult{}, workload.Witness{}, false
+	if s.runs[r.input] == r && r.elem == nil {
+		s.admit(r, res)
+	}
+	return res, true
 }
 
-// store makes res the entry for input: a sealed copy becomes resident
-// and its payload is persisted atomically, with the witness Run attached
-// (sweep.CellWitness) indexed and stored beside it — unless it fails the
-// checks a load makes, when the entry is stored without one. Disk errors
-// are counted but not fatal (the resident entry still serves this
+// Put implements sweep.CellCache: a sealed copy of res (sweep.SealCell)
+// becomes input's run, resident, and is persisted atomically with the
+// witness Run attached (sweep.CellWitness) — unless that fails the
+// checks a load makes, when the run is stored without one. Disk errors
+// are counted but not fatal (the resident run still serves this
 // process); a result that does not marshal, whose key input does not
 // name, or that Run derived instead of simulating is counted and dropped.
-func (s *Store) store(input string, res sweep.CellResult) {
+func (s *Store) Put(input string, res sweep.CellResult) {
 	if input == "" {
 		return
 	}
@@ -386,79 +400,45 @@ func (s *Store) store(input string, res sweep.CellResult) {
 		s.putErr.Add(1)
 		return
 	}
-	key := keyOf(input)
-	s.admit(key, res)
-	var text string
+	// A cell's Input is a slice of its grid's whole address block; the
+	// index keeps a copy of its own, not the block.
+	r := &run{input: strings.Clone(input), key: keyOf(input)}
 	if w.Scheme != "" {
-		if group, sib, err := parseSibling(input, w.Canonical()); err == nil {
-			s.index(group, sib)
-			text = sib.text
-		}
+		r.witness(w.Canonical()) // a witness that fails is not stored
 	}
+	s.mu.Lock()
+	s.index(r)
+	s.admit(r, res)
+	s.mu.Unlock()
 	// Marshal compacts a RawMessage, so handing it the fragment writes
 	// the compact payload without keeping or rebuilding one.
-	env := envelope{V: envelopeVersion, Input: input, Sum: key, Data: sweep.CellFragment(res), Witness: text}
+	env := envelope{V: envelopeVersion, Input: r.input, Sum: r.key, Data: sweep.CellFragment(res), Witness: r.text}
 	raw, err := json.Marshal(env)
 	if err == nil {
-		err = writeAtomic(filepath.Join(s.dir, key+".json"), raw)
+		err = writeAtomic(filepath.Join(s.dir, r.key+".json"), raw)
 	}
 	if err != nil {
 		s.putErr.Add(1)
 	}
 }
 
-// Get returns the payload cached for input — the compact canonical
-// JSON of the cell, exactly the envelope's data on disk.
-func (s *Store) Get(input string) ([]byte, bool) {
-	res, ok := s.lookup(input)
-	if !ok {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, sweep.CellFragment(res)); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-// Put stores a payload for input. It must be the canonical encoding of
-// a cell that input addresses (what Get returns, what json.Marshal
-// gives a sweep.CellResult); any other payload could not be served and
-// is counted and dropped.
-func (s *Store) Put(input string, data []byte) {
-	res, err := sweep.DecodeCell(data)
-	if err != nil {
-		s.putErr.Add(1)
-		return
-	}
-	s.store(input, res)
-}
-
-// admit inserts (or refreshes) an in-memory entry, evicting from the
-// LRU tail to stay within budget. Eviction drops the decoded value and
-// its fragment with the entry; the file stays.
-func (s *Store) admit(key string, res sweep.CellResult) {
-	size := sweep.CellFootprint(res)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		s.bytes += size - e.size
-		e.res, e.size = res, size
-		s.lru.MoveToFront(e.elem)
-	} else {
-		e = &entry{key: key, res: res, size: size}
-		e.elem = s.lru.PushFront(e)
-		s.entries[key] = e
-		s.bytes += size
-	}
+// admit makes res the resident result of r, which is not resident,
+// evicting from the LRU tail to stay within budget. The caller holds mu.
+func (s *Store) admit(r *run, res sweep.CellResult) {
+	r.res, r.size, r.elem = res, sweep.CellFootprint(res), s.lru.PushFront(r)
+	s.bytes += r.size
 	for s.bytes > s.budget && s.lru.Len() > 1 {
-		tail := s.lru.Back()
-		ev := tail.Value.(*entry)
-		s.lru.Remove(tail)
-		delete(s.entries, ev.key)
-		s.bytes -= ev.size
+		s.unload(s.lru.Back().Value.(*run))
 		s.evictions.Add(1)
 	}
+}
+
+// unload drops r's decoded value and its fragment; the run stays
+// indexed and its file stays. The caller holds mu.
+func (s *Store) unload(r *run) {
+	s.lru.Remove(r.elem)
+	s.bytes -= r.size
+	r.res, r.size, r.elem = sweep.CellResult{}, 0, nil
 }
 
 // writeAtomic writes data via a temp file + rename so readers (and
@@ -512,7 +492,7 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	keys := make([]string, 0, s.lru.Len())
 	for el := s.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
+		keys = append(keys, el.Value.(*run).key)
 	}
 	s.mu.Unlock()
 	raw, err := json.Marshal(keys)
@@ -523,12 +503,12 @@ func (s *Store) Flush() error {
 }
 
 // Stats is a point-in-time view of the store's counters. Every lookup
-// is a hit or a miss; Corrupt counts the misses that found an entry on
-// disk and rejected it. Derived counts cells served a stored sibling's
-// result (ResultStore.Sibling), which are neither. PutErrors counts the
-// stores that were refused or did not reach disk. Bytes is what the
-// resident entries hold: decoded cells and their fragments, not just
-// payload lengths.
+// (Get) is exactly one of a hit, a derivation from a sibling's run
+// (Derived) or a miss. Corrupt counts the entries refused: the files
+// Open skipped, once each, and the runs a lookup found changed on disk
+// and dropped. PutErrors counts the stores that were refused or did not
+// reach disk. Bytes is what the resident runs hold: decoded cells and
+// their fragments, not just payload lengths.
 type Stats struct {
 	Hits, Misses, Evictions int64
 	Derived                 int64
@@ -566,19 +546,19 @@ func (s *Store) Register(r registry) {
 		return
 	}
 	r.CounterFunc("sweepd_cache_hits_total",
-		"Result-cache lookups served without recomputation.",
+		"Result-cache lookups answered by the cell's own stored run.",
 		func() int64 { return s.hits.Load() })
 	r.CounterFunc("sweepd_cache_misses_total",
-		"Result-cache lookups that required computing the cell.",
+		"Result-cache lookups that found neither the cell's own run nor an admitting sibling's, so the cell is computed.",
 		func() int64 { return s.misses.Load() })
 	r.CounterFunc("sweepd_cache_derived_total",
-		"Missed cells derived from a stored sibling whose witness admits them, instead of computed.",
+		"Result-cache lookups answered by a stored sibling's run whose witness admits the cell, which is derived instead of computed.",
 		func() int64 { return s.derived.Load() })
 	r.CounterFunc("sweepd_cache_evictions_total",
 		"Entries evicted from the in-memory LRU by the byte budget.",
 		func() int64 { return s.evictions.Load() })
 	r.CounterFunc("sweepd_cache_corrupt_total",
-		"Misses that found an entry on disk and rejected it (recomputed and overwritten).",
+		"Entries refused: files Open skipped, and indexed runs a lookup found changed on disk (recomputed and overwritten).",
 		func() int64 { return s.corrupt.Load() })
 	r.GaugeFunc("sweepd_cache_bytes",
 		"Bytes resident in the in-memory result cache: decoded cells and their run-file fragments.",

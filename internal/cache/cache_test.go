@@ -63,9 +63,8 @@ func TestHitVsMissByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := cache.NewResultStore(store)
 
-	cold := runBytes(t, rs)
+	cold := runBytes(t, store)
 	st := store.Stats()
 	if st.Hits != 0 {
 		t.Fatalf("cold run recorded %d hits", st.Hits)
@@ -74,7 +73,7 @@ func TestHitVsMissByteIdentity(t *testing.T) {
 		t.Fatal("cold run recorded no misses")
 	}
 
-	warm := runBytes(t, rs)
+	warm := runBytes(t, store)
 	st2 := store.Stats()
 	if want := int64(len(mustCells(t, testGrid()))); st2.Hits != want {
 		t.Fatalf("warm run hits = %d, want %d (every cell)", st2.Hits, want)
@@ -93,7 +92,7 @@ func TestCrossProcessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runBytes(t, cache.NewResultStore(store))
+	cold := runBytes(t, store)
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestCrossProcessRoundTrip(t *testing.T) {
 	if want := len(mustCells(t, testGrid())); rep.Entries != want || rep.Loaded != want {
 		t.Fatalf("reopen found %d/%d entries, want %d", rep.Loaded, rep.Entries, want)
 	}
-	warm := runBytes(t, cache.NewResultStore(store2))
+	warm := runBytes(t, store2)
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("cross-process warm run output differs from cold run")
 	}
@@ -121,35 +120,55 @@ func TestCrossProcessRoundTrip(t *testing.T) {
 // address (results are engine-invariant), so cells the fast engine
 // computed and stored are hits for the same grid on the reference
 // engine — and what is served is byte for byte what a cold, uncached
-// reference run produces.
+// reference run produces. The cache path is engine-blind for
+// derivations too: a dirty reference-engine grid (TR=20001) derives its
+// RMA-RW cells from the fast engine's entries, and hits the rest.
 func TestEngineSharesCacheEntry(t *testing.T) {
 	store, _, err := cache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := cache.NewResultStore(store)
 	fast := testGrid()
 	fast.Engine = "fast"
-	if _, err := sweep.Run(mustCells(t, fast), sweep.Options{Workers: 2, Cache: rs}); err != nil {
+	if _, err := sweep.Run(mustCells(t, fast), sweep.Options{Workers: 2, Cache: store}); err != nil {
 		t.Fatal(err)
 	}
 	ref := testGrid()
 	ref.Engine = "ref"
 	cells := mustCells(t, ref)
-	served, err := sweep.Run(cells, sweep.Options{Workers: 2, Cache: rs})
+	served, err := sweep.Run(cells, sweep.Options{Workers: 2, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Hits != int64(len(cells)) || st.Misses != int64(len(cells)) {
 		t.Fatalf("hits/misses = %d/%d, want %d/%d: the fast run misses every cell, the ref run hits every one", st.Hits, st.Misses, len(cells), len(cells))
 	}
+	sameAsCold(t, cells, served)
+
+	dirty := withTR(ref, 20001)
+	cells = mustCells(t, dirty)
+	before := store.Stats()
+	if served, err = sweep.Run(cells, sweep.Options{Workers: 2, Cache: store}); err != nil {
+		t.Fatal(err)
+	}
+	rw := int64(len(rmaRW(t, dirty)))
+	if st := store.Stats(); st.Derived-before.Derived != rw || st.Hits-before.Hits != int64(len(cells))-rw || st.Misses != before.Misses {
+		t.Fatalf("dirty ref run: %+v after %+v; want its %d RMA-RW cells derived and the rest hits", st, before, rw)
+	}
+	sameAsCold(t, cells, served)
+}
+
+// sameAsCold fails for every cell whose served result is not byte for
+// byte what a cold, uncached run of the cell produces.
+func sameAsCold(t *testing.T, cells []sweep.Cell, served []sweep.CellResult) {
+	t.Helper()
 	cold, err := sweep.Run(cells, sweep.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cells {
 		if !bytes.Equal(encodeOne(t, served[i]), encodeOne(t, cold[i])) {
-			t.Errorf("cell %s: the entry the fast engine stored is not what a cold ref run computes", cells[i].Key)
+			t.Errorf("cell %s: what the cache served is not what a cold reference run computes", cells[i].Key)
 		}
 	}
 }
@@ -192,7 +211,7 @@ func TestStaleEntriesRemovedAtOpen(t *testing.T) {
 		if _, err := os.Stat(stale); !os.IsNotExist(err) {
 			t.Fatalf("budget %d: stale entry file still there (%v)", budget, err)
 		}
-		cache.NewResultStore(store).Put(cells[0].Input, results[0])
+		store.Put(cells[0].Input, results[0])
 	}
 	_, rep, err := cache.Open(dir, 0)
 	if err != nil {
@@ -241,9 +260,8 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := cache.NewResultStore(store)
 	for i, c := range cells {
-		rs.Put(c.Input, results[i])
+		store.Put(c.Input, results[i])
 	}
 	st := store.Stats()
 	if st.Evictions == 0 || st.Resident >= len(cells) {
@@ -256,7 +274,7 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 	// the same cell and the same payload bytes.
 	var got []sweep.CellResult
 	for i, c := range cells {
-		r, ok := rs.Get(c.Input)
+		r, ok := store.Get(c.Input)
 		if !ok {
 			t.Fatalf("entry %d lost after eviction (disk fallback failed)", i)
 		}
@@ -266,8 +284,8 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 		if sweep.CellFragment(r) == nil {
 			t.Fatalf("entry %d was handed out without its fragment", i)
 		}
-		payload, ok := store.Get(c.Input)
-		if want, _ := json.Marshal(results[i]); !ok || !bytes.Equal(payload, want) {
+		var payload bytes.Buffer
+		if want, _ := json.Marshal(results[i]); json.Compact(&payload, sweep.CellFragment(r)) != nil || !bytes.Equal(payload.Bytes(), want) {
 			t.Fatalf("entry %d payload corrupted", i)
 		}
 		got = append(got, r)
@@ -275,8 +293,8 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 	// What is charged is exactly what the resident entries hold: the
 	// most recently used ones, with nothing left over for the evicted.
 	st = store.Stats()
-	if st.Hits != int64(2*len(cells)) || st.Misses != 0 {
-		t.Fatalf("hits/misses = %d/%d, want %d/0", st.Hits, st.Misses, 2*len(cells))
+	if st.Hits != int64(len(cells)) || st.Misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want %d/0", st.Hits, st.Misses, len(cells))
 	}
 	var held int64
 	for _, r := range got[len(got)-st.Resident:] {
@@ -296,7 +314,7 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 		t.Fatalf("one-byte budget indexed %d and loaded %d entries, want %d and 0", rep.Entries, rep.Loaded, len(cells))
 	}
 	for i, c := range cells {
-		r, ok := cache.NewResultStore(disk).Get(c.Input)
+		r, ok := disk.Get(c.Input)
 		if !ok || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[i])) {
 			t.Fatalf("entry %d not served from disk under a one-byte budget", i)
 		}
@@ -338,25 +356,26 @@ func plant(tb testing.TB, dir, input string, raw []byte) {
 // truncated file, an empty one, a payload that is valid JSON and decodes
 // but is not the canonical encoding of what it decodes to, and another
 // cell's payload under this cell's address. Open must report (not fail
-// on) them, a sweep must count each as a corrupt miss, recompute those
-// cells rather than serve a byte of them, and heal the cache.
+// on) them and count each corrupt, a sweep must miss each, recompute
+// those cells rather than serve a byte of them, and heal the cache.
 func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runBytes(t, cache.NewResultStore(store))
+	cold := runBytes(t, store)
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	cells := mustCells(t, testGrid())
 	payload := func(i int) []byte {
-		data, ok := store.Get(cells[i].Input)
+		r, ok := store.Get(cells[i].Input)
 		if !ok {
 			t.Fatalf("cold run left no entry for cell %d", i)
 		}
+		data, _ := json.Marshal(r)
 		return data
 	}
 	plant(t, dir, cells[0].Input, []byte(`{"v":1,"truncated`))
@@ -379,13 +398,13 @@ func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 	if len(rep.Corrupt) != damaged || rep.Loaded != len(cells)-damaged {
 		t.Fatalf("corrupt report = %v with %d loaded, want %d corrupt and %d loaded", rep.Corrupt, rep.Loaded, damaged, len(cells)-damaged)
 	}
-	warm := runBytes(t, cache.NewResultStore(store2))
+	warm := runBytes(t, store2)
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("recomputed-after-corruption output differs from cold run")
 	}
 	st := store2.Stats()
 	if st.Misses != damaged || st.Corrupt != damaged || st.Hits != int64(len(cells)-damaged) {
-		t.Fatalf("hits/misses/corrupt = %d/%d/%d, want %d/%d/%d: every lookup is a hit or a miss, and each damaged entry a corrupt one",
+		t.Fatalf("hits/misses/corrupt = %d/%d/%d, want %d/%d/%d: every lookup is a hit or a miss, and each damaged entry a corrupt one, counted once",
 			st.Hits, st.Misses, st.Corrupt, len(cells)-damaged, damaged, damaged)
 	}
 
@@ -399,9 +418,9 @@ func TestCorruptEntryDegradesToRecompute(t *testing.T) {
 	}
 }
 
-// TestPutRefusesWhatItCouldNotServe: the byte API takes only canonical
-// cell payloads under an address that names the cell; the rest would be
-// corrupt entries the moment they were written.
+// TestPutRefusesWhatItCouldNotServe: Put takes a cell only under an
+// address that names it; the rest would be corrupt entries the moment
+// they were written.
 func TestPutRefusesWhatItCouldNotServe(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)
@@ -409,29 +428,22 @@ func TestPutRefusesWhatItCouldNotServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells, results := computed(t)
-	good, _ := json.Marshal(results[0])
-	for name, tc := range map[string]struct {
-		input string
-		data  []byte
-	}{
-		"not a cell":       {cells[0].Input, []byte(`{"x":1}`)},
-		"not JSON":         {cells[0].Input, []byte(`{"key":`)},
-		"indented":         {cells[0].Input, append([]byte(" "), good...)},
-		"another address":  {cells[1].Input, good},
-		"no address":       {"", good},
-		"unversioned addr": {"some input", good},
+	for name, input := range map[string]string{
+		"another address":  cells[1].Input,
+		"no address":       "",
+		"unversioned addr": "some input",
 	} {
-		store.Put(tc.input, tc.data)
-		if _, ok := store.Get(tc.input); ok {
-			t.Errorf("%s: payload was accepted and served", name)
+		store.Put(input, results[0])
+		if _, ok := store.Get(input); ok {
+			t.Errorf("%s: result was accepted and served", name)
 		}
 	}
 	if names, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(names) != 0 {
-		t.Errorf("refused payloads left files behind: %v", names)
+		t.Errorf("refused results left files behind: %v", names)
 	}
-	store.Put(cells[0].Input, good)
-	if data, ok := store.Get(cells[0].Input); !ok || !bytes.Equal(data, good) {
-		t.Error("canonical payload under its own address was not stored")
+	store.Put(cells[0].Input, results[0])
+	if r, ok := store.Get(cells[0].Input); !ok || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[0])) {
+		t.Error("a cell under its own address was not stored")
 	}
 }
 
@@ -444,23 +456,58 @@ func TestPutRefusesDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := cache.NewResultStore(store)
 	cells, results := computed(t)
 	derived := results[0]
 	derived.Derived = true
-	rs.Put(cells[0].Input, derived)
+	store.Put(cells[0].Input, derived)
 	if names, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(names) != 0 {
 		t.Errorf("a derived result left files behind: %v", names)
 	}
 	if st := store.Stats(); st.PutErrors != 1 || st.Resident != 0 {
 		t.Errorf("after a derived Put: %+v, want 1 failed store and nothing resident", st)
 	}
-	rs.Put(cells[0].Input, results[0])
-	if r, ok := rs.Get(cells[0].Input); !ok || r.Derived || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[0])) {
+	store.Put(cells[0].Input, results[0])
+	if r, ok := store.Get(cells[0].Input); !ok || r.Derived || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[0])) {
 		t.Error("the simulated result was not stored")
 	}
 	if st := store.Stats(); st.PutErrors != 1 {
 		t.Errorf("%d failed stores, want only the derived one", st.PutErrors)
+	}
+}
+
+// TestCrashLeavesNoLitter plants what a write cut short by a crash can
+// leave beside good entries: a temp file writeAtomic never renamed, and
+// a torn entry file. Open loads the good entries, reports the torn one,
+// and removes the temp file.
+func TestCrashLeavesNoLitter(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, results := computed(t)
+	for i := 1; i < 4; i++ {
+		store.Put(cells[i].Input, results[i])
+	}
+	temp := filepath.Join(dir, ".tmp-123456")
+	if err := os.WriteFile(temp, []byte(`{"v":1,"input":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plant(t, dir, cells[0].Input, []byte(`{"v":1,"input":`))
+	store, rep, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != 3 || rep.Loaded != 3 || len(rep.Corrupt) != 1 || rep.Corrupt[0] != address(cells[0].Input)+".json" {
+		t.Fatalf("reopen after a crash: %+v; want the 3 good entries loaded and the torn one reported", rep)
+	}
+	if _, err := os.Stat(temp); !os.IsNotExist(err) {
+		t.Fatalf("the crash's temp file is still there (%v)", err)
+	}
+	for i := 1; i < 4; i++ {
+		if r, ok := store.Get(cells[i].Input); !ok || !bytes.Equal(encodeOne(t, r), encodeOne(t, results[i])) {
+			t.Errorf("good entry %d not served after a crash", i)
+		}
 	}
 }
 
@@ -473,7 +520,7 @@ func TestAddressMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells, results := computed(t)
-	cache.NewResultStore(store).Put(cells[0].Input, results[0])
+	store.Put(cells[0].Input, results[0])
 	names, _ := filepath.Glob(filepath.Join(dir, "*.json"))
 	if len(names) != 1 {
 		t.Fatalf("want 1 entry file, got %d", len(names))

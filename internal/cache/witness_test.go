@@ -73,10 +73,12 @@ func rewriteWitness(tb testing.TB, dir, input string, edit func(string) string) 
 // TestTamperedWitnessRecomputes damages the witness of three of the four
 // stored RMA-RW entries: one no longer canonical, one naming another
 // scheme, one whose T_R box leaves out the entry's own T_R. Open reports
-// each as corrupt. None of them is a derivation source: of a dirty run's
-// RMA-RW cells only the intact entry's sibling derives, the rest
-// compute, and the bytes are a local run's. The tampered entries
-// themselves are corrupt misses that recompute.
+// and counts each as corrupt, and indexes none of them. None of them is
+// a derivation source: of a dirty run's RMA-RW cells only the intact
+// entry's sibling derives, the rest compute, and the bytes are a local
+// run's. A rerun of the tampered entries' own cells then derives each
+// from the dirty run's stored sibling: no miss, and nothing counted
+// corrupt twice.
 func TestTamperedWitnessRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)
@@ -84,7 +86,7 @@ func TestTamperedWitnessRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := testGrid()
-	cold := runGrid(t, g, cache.NewResultStore(store))
+	cold := runGrid(t, g, store)
 	rw := rmaRW(t, g)
 	if len(rw) != 4 {
 		t.Fatalf("%d RMA-RW cells, want 4", len(rw))
@@ -105,41 +107,48 @@ func TestTamperedWitnessRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Corrupt) != tampered {
-		t.Fatalf("Open reported %v corrupt, want the %d tampered entries", rep.Corrupt, tampered)
+	if st := store.Stats(); len(rep.Corrupt) != tampered || st.Corrupt != tampered {
+		t.Fatalf("Open reported %v corrupt and counted %d, want the %d tampered entries", rep.Corrupt, st.Corrupt, tampered)
 	}
-	rs := cache.NewResultStore(store)
 	dirty := withTR(g, 20001)
-	if got := runGrid(t, dirty, rs); !bytes.Equal(got, runGrid(t, dirty, nil)) {
+	if got := runGrid(t, dirty, store); !bytes.Equal(got, runGrid(t, dirty, nil)) {
 		t.Fatal("dirty run against tampered witnesses differs from a local run")
 	}
 	if st := store.Stats(); st.Derived != int64(len(rw)-tampered) {
 		t.Fatalf("%d cells derived, want %d: only the intact witness may be a source", st.Derived, len(rw)-tampered)
 	}
 	before := store.Stats()
-	if got := runGrid(t, g, rs); !bytes.Equal(got, cold) {
+	if got := runGrid(t, g, store); !bytes.Equal(got, cold) {
 		t.Fatal("rerun after tampering differs from the cold run")
 	}
 	st := store.Stats()
-	if misses, corrupt := st.Misses-before.Misses, st.Corrupt-before.Corrupt; misses != tampered || corrupt != tampered {
-		t.Fatalf("rerun: %d misses, %d corrupt; want each tampered entry a corrupt miss (%d)", misses, corrupt, tampered)
+	if misses, corrupt, derived := st.Misses-before.Misses, st.Corrupt-before.Corrupt, st.Derived-before.Derived; misses != 0 || corrupt != 0 || derived != tampered {
+		t.Fatalf("rerun: %d misses, %d corrupt, %d derived; want each tampered entry's cell derived (%d) and nothing else", misses, corrupt, derived, tampered)
 	}
 }
 
 // TestUnwritableDirDegradesToCompute replaces the cache directory with a
-// regular file after Open, which stops every write even for root. A
-// dirty run with derived cells (TR=20001, admitted by the stored
-// default-TR witnesses) and computed ones (TR=8 binds) still returns a
-// local run's bytes, and every store it attempted is counted as failed:
-// one per computed cell, since derived cells are never stored.
+// regular file after two Opens of the warm directory, which stops every
+// write even for root. A dirty run with derived cells (TR=20001,
+// admitted by the stored default-TR witnesses) and computed ones (TR=8
+// binds) still returns a local run's bytes, and every store it attempted
+// is counted as failed: one per computed cell, since derived cells are
+// never stored. The two stores run it on 1 and on 8 workers: every
+// lookup is made before any cell runs, so their counters are equal.
 func TestUnwritableDirDegradesToCompute(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	store, _, err := cache.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := cache.NewResultStore(store)
-	runGrid(t, testGrid(), rs)
+	runGrid(t, testGrid(), store)
+	workers := []int{1, 8}
+	stores := make([]*cache.Store, len(workers))
+	for i := range stores {
+		if stores[i], _, err = cache.Open(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +156,25 @@ func TestUnwritableDirDegradesToCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := withTR(testGrid(), 8, 20001)
-	if got := runGrid(t, dirty, rs); !bytes.Equal(got, runGrid(t, dirty, nil)) {
-		t.Fatal("dirty run into an unwritable cache differs from a local run")
-	}
+	local := runGrid(t, dirty, nil)
 	rw := len(rmaRW(t, dirty))
-	st := store.Stats()
-	if st.Derived != int64(rw/2) {
-		t.Errorf("%d cells derived, want the %d TR=20001 cells", st.Derived, rw/2)
-	}
-	if st.PutErrors != int64(rw/2) {
-		t.Errorf("%d failed stores, want one per computed TR=8 cell: %d", st.PutErrors, rw/2)
+	for i, store := range stores {
+		results, err := sweep.Run(mustCells(t, dirty), sweep.Options{Workers: workers[i], Cache: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sweep.Encode(sweep.RunFile{Label: "witness", Cells: results}); err != nil || !bytes.Equal(got, local) {
+			t.Fatalf("%d workers: dirty run into an unwritable cache differs from a local run (%v)", workers[i], err)
+		}
+		st := store.Stats()
+		if st.Derived != int64(rw/2) {
+			t.Errorf("%d workers: %d cells derived, want the %d TR=20001 cells", workers[i], st.Derived, rw/2)
+		}
+		if st.PutErrors != int64(rw/2) {
+			t.Errorf("%d workers: %d failed stores, want one per computed TR=8 cell: %d", workers[i], st.PutErrors, rw/2)
+		}
+		if first := stores[0].Stats(); st != first {
+			t.Errorf("%d workers: %+v; %d workers: %+v", workers[i], st, workers[0], first)
+		}
 	}
 }

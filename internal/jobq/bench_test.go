@@ -33,7 +33,7 @@ func warmManager(tb testing.TB) (*jobq.Manager, *cache.Store, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m := jobq.NewManager(jobq.Config{MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	m := jobq.NewManager(jobq.Config{MaxJobs: 1, Cache: store})
 	tb.Cleanup(m.Shutdown)
 	cold := warmJob(tb, m)
 	if st := store.Stats(); st.Resident != 240 || st.Hits != 0 {

@@ -96,7 +96,7 @@ func TestJobsDeriveAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 2, Cache: cache.NewResultStore(store)})
+	m := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 2, Cache: store})
 	g := testGrid()
 	if got := jobBytes(t, m, g, "fill"); !bytes.Equal(got, localBytes(t, g, "fill")) {
 		t.Fatal("the filling job differs from a local run")
@@ -128,7 +128,7 @@ func TestJobsDeriveAcrossJobs(t *testing.T) {
 	if err != nil || rep.Loaded != 0 {
 		t.Fatalf("reopen: %+v, %v; want nothing resident", rep, err)
 	}
-	m = jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	m = jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: store})
 	defer m.Shutdown()
 	if got := jobBytes(t, m, withTR(g, 20003), "reopened"); !bytes.Equal(got, localBytes(t, withTR(g, 20003), "reopened")) {
 		t.Error("TR=20003 after reopening: job differs from a local run")
@@ -151,7 +151,7 @@ func TestDerivedCellsAreNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	m := jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: store})
 	g := testGrid()
 	jobBytes(t, m, g, "fill")
 	filled := len(mustCells(t, g))
@@ -178,7 +178,7 @@ func TestDerivedCellsAreNotStored(t *testing.T) {
 	if err != nil || rep.Entries != filled {
 		t.Fatalf("reopen: %+v, %v; want the fill's %d entries", rep, err, filled)
 	}
-	m = jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	m = jobq.NewManager(jobq.Config{Workers: 2, MaxJobs: 1, Cache: store})
 	defer m.Shutdown()
 	if got := jobBytes(t, m, dirty, "dirty"); !bytes.Equal(got, local) {
 		t.Error("dirty job after reopening differs from a local run")

@@ -31,7 +31,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store)
 	multi := obs.NewMultiProgress()
 	mgr := jobq.NewManager(jobq.Config{
 		Workers: 4, MaxJobs: 2,
-		Cache: cache.NewResultStore(store),
+		Cache: store,
 		Obs:   metrics, Multi: multi,
 	})
 	srv := obs.NewServer(metrics, multi)

@@ -52,7 +52,7 @@ type Config struct {
 	// submissions queue in arrival order.
 	MaxJobs int
 	// Cache, when non-nil, resolves cells by content address before
-	// they are scheduled (internal/cache's ResultStore).
+	// they are scheduled (internal/cache's Store).
 	Cache sweep.CellCache
 	// Obs attaches the daemon's live instruments to every job's cells.
 	Obs *obs.Registry

@@ -9,7 +9,6 @@ import (
 
 	"rmalocks/internal/cache"
 	"rmalocks/internal/jobq"
-	"rmalocks/internal/scheme"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
@@ -88,7 +87,7 @@ func TestJobCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 1, Cache: cache.NewResultStore(store)})
+	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 1, Cache: store})
 	defer m.Shutdown()
 
 	j1, err := m.Submit(testGrid(), "grid")
@@ -129,9 +128,6 @@ func (g *gateCache) Get(string) (sweep.CellResult, bool) {
 	return sweep.CellResult{}, false
 }
 func (g *gateCache) Put(string, sweep.CellResult) {}
-func (g *gateCache) Sibling(string, scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
-	return sweep.CellResult{}, workload.Witness{}, false
-}
 
 // TestMaxJobsQueueingAndQueuedCancel: with one job slot the second job
 // waits in queued state, and canceling it there never runs a cell.
@@ -185,9 +181,6 @@ type cancelOnFirstPut struct {
 func (c *cancelOnFirstPut) Get(string) (sweep.CellResult, bool) { return sweep.CellResult{}, false }
 func (c *cancelOnFirstPut) Put(string, sweep.CellResult) {
 	c.once.Do(func() { (<-c.jobCh).Cancel() })
-}
-func (c *cancelOnFirstPut) Sibling(string, scheme.Tunables) (sweep.CellResult, workload.Witness, bool) {
-	return sweep.CellResult{}, workload.Witness{}, false
 }
 
 // TestCancelDrainsInFlightCell: cancel mid-run completes the in-flight

@@ -71,7 +71,7 @@ func TestWarmFaultJobsShareNothingMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 2, Cache: cache.NewResultStore(store)})
+	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 2, Cache: store})
 	defer m.Shutdown()
 	result := func(name string) []byte {
 		j, err := m.Submit(faultGrid(t), "faults")
@@ -115,16 +115,16 @@ func TestWarmFaultJobsShareNothingMutable(t *testing.T) {
 	}
 	// Nothing wrote through a served value: every entry still decodes
 	// to, and is stored as, the cell the cold job computed.
-	rs := cache.NewResultStore(store)
 	for i, c := range cells {
-		r, ok := rs.Get(c.Input)
+		r, ok := store.Get(c.Input)
 		if !ok {
 			t.Fatalf("cell %s left the cache", c.Key)
 		}
 		if got, _ := json.Marshal(r); !bytes.Equal(got, stored[i]) {
 			t.Errorf("cell %s: cached value was edited\n got %s\nwant %s", c.Key, got, stored[i])
 		}
-		if payload, _ := store.Get(c.Input); !bytes.Equal(payload, stored[i]) {
+		var payload bytes.Buffer
+		if err := json.Compact(&payload, sweep.CellFragment(r)); err != nil || !bytes.Equal(payload.Bytes(), stored[i]) {
 			t.Errorf("cell %s: cached fragment no longer matches its value", c.Key)
 		}
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -153,10 +154,37 @@ func TestClaimOrder(t *testing.T) {
 	}
 }
 
+// sameGroups reports the first cell for which SiblingOf disagrees with
+// claimOrder's groups s: two cells share a SiblingOf group address
+// exactly when claimOrder puts them in one group, and SiblingOf names
+// each cell's scheme and tunables. It returns "" when they agree.
+func sameGroups(cells []Cell, s *siblings) string {
+	addr := map[int]string{}
+	group := map[string]int{}
+	for i, c := range cells {
+		a, name, tun, ok := SiblingOf(c.Input)
+		g := s.group[i]
+		if prev, seen := addr[g]; !seen {
+			addr[g] = a
+		} else if prev != a {
+			ok = false
+		}
+		if prev, seen := group[a]; !seen {
+			group[a] = g
+		} else if prev != g {
+			ok = false
+		}
+		if !ok || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
+			return fmt.Sprintf("SiblingOf(%q) = %q, %q, %v, %v; claimOrder's group %d", c.Input, a, name, tun, ok, g)
+		}
+	}
+	return ""
+}
+
 // TestSiblingOfMatchesClaimOrder: the sibling group of an address,
-// recomputed from the address alone as a cache does on load, is the
-// group Run puts the cell in, and the scheme and tunables are the
-// cell's. Strings that are not current addresses have no group.
+// recomputed from the address alone as a cache does, groups the cells as
+// Run does, and the scheme and tunables are the cell's. Strings that are
+// not current addresses have no group.
 func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 	jitter, err := fault.Parse("jitter=0.2")
 	if err != nil {
@@ -174,11 +202,8 @@ func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 		pending[i] = i
 	}
 	_, s := claimOrder(cells, pending, false)
-	for i, c := range cells {
-		group, name, tun, ok := SiblingOf(c.Input)
-		if !ok || group != s.addr[s.group[i]] || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
-			t.Errorf("SiblingOf(%q) = %q, %q, %v, %v; Run's group %q", c.Input, group, name, tun, ok, s.addr[s.group[i]])
-		}
+	if msg := sameGroups(cells, s); msg != "" {
+		t.Error(msg)
 	}
 	for _, in := range []string{
 		"",
@@ -201,9 +226,9 @@ func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 // back to its sibling group, the only route by which a derived cell
 // reaches stored bytes. Whatever the address, SiblingOf must not panic,
 // and a group it returns is an address of its own, with no tunables,
-// in the same group. For every cell of a grid DecodeGrid accepts, it
-// returns the group claimOrder puts the cell in, the cell's scheme and
-// its tunables.
+// in the same group. For the cells of a grid DecodeGrid accepts, it
+// groups them as claimOrder does and returns each cell's scheme and
+// tunables.
 func FuzzSiblingOf(f *testing.F) {
 	const grid = `{"schemes":["foMPI-Spin","RMA-MCS","RMA-RW"],"workloads":["empty","dht"],"profiles":["uniform"],"ps":[8,16],"iters":5,"tunables":[{"key":"TR","values":[200,400]},{"key":"TL2","values":[4,8]}]`
 	f.Add([]byte(grid+`}`), "cell/v2 RMA-RW/empty/uniform/P=8/TL2=4,TR=200 ppn=16 iters=5")
@@ -243,14 +268,13 @@ func FuzzSiblingOf(f *testing.F) {
 			pending[i] = i
 		}
 		_, s := claimOrder(cells, pending, false)
-		for i, c := range cells {
+		for _, c := range cells {
 			if !strings.HasPrefix(c.Input, inputPrefix) {
 				t.Fatalf("cell %s has address %q", c.Key, c.Input)
 			}
-			group, name, tun, ok := SiblingOf(c.Input)
-			if !ok || group != s.addr[s.group[i]] || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
-				t.Fatalf("SiblingOf(%q) = %q, %q, %v, %v; claimOrder's group %q", c.Input, group, name, tun, ok, s.addr[s.group[i]])
-			}
+		}
+		if msg := sameGroups(cells, s); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }

@@ -155,11 +155,12 @@ type Options struct {
 	Progress Progress
 	// Cache, when non-nil, memoizes cell results by their content
 	// address (Cell.Input). Run resolves every cacheable cell against it
-	// up front — hits land in the merged output without executing, so a
-	// warm re-run recomputes only the dirty cells — and stores freshly
+	// up front — hits land in the merged output without executing and
+	// cells a stored sibling's run covers derive from it, so a warm
+	// re-run recomputes only the dirty cells — and stores freshly
 	// computed results back. Because cells are deterministic functions
 	// of their Input, the merged output is byte-identical whether a cell
-	// was served or computed (test-enforced).
+	// was served, derived or computed (test-enforced).
 	Cache CellCache
 	// Cancel, when non-nil, aborts the sweep when closed: workers stop
 	// claiming new cells, in-flight cells run to completion (and still
@@ -169,23 +170,19 @@ type Options struct {
 
 // CellCache memoizes cell results by content address (Cell.Input).
 // Implementations must be safe for concurrent use; internal/cache's
-// ResultStore is the canonical one. Get may miss spuriously (eviction,
-// corruption) — the cell is then recomputed — but a hit must return a
-// result produced by a run of the same Input, and Put receives only
-// those, never a derived one. What Get returns and what Put receives may
-// be shared between the cache and any number of callers, so both sides
-// treat it as read-only (see CellResult); a cache that keeps a Put value
-// takes its own copy (SealCell).
-//
-// Sibling is derivation across runs: it returns a stored result of the
-// sibling group group (SiblingOf) whose stored witness (CellWitness of
-// what Put received) admits t, and that witness. Run asks it, each time,
-// for a cell that missed and that no sibling in the run covers. A cache
-// that keeps no witnesses always says false.
+// Store is the canonical one. Get may miss spuriously (eviction,
+// corruption) — the cell is then recomputed — but what it returns must
+// be the result of a run of the same Input (its Key is the cell's), or
+// of a sibling's run (SiblingOf: the same address up to the tunables)
+// whose witness — CellWitness of what Put received — admits the cell's
+// tunables; Run derives the cell from the latter. Put receives only
+// simulated results, never a derived one. What Get returns and what Put
+// receives may be shared between the cache and any number of callers,
+// so both sides treat it as read-only (see CellResult); a cache that
+// keeps a Put value takes its own copy (SealCell).
 type CellCache interface {
 	Get(input string) (CellResult, bool)
 	Put(input string, r CellResult)
-	Sibling(group string, t scheme.Tunables) (CellResult, workload.Witness, bool)
 }
 
 // ErrCanceled reports a sweep aborted through Options.Cancel. In-flight
@@ -208,7 +205,8 @@ type Progress interface {
 	// executes.
 	CellCached(i int, fingerprint string)
 	// CellDone marks cell i finished: its report fingerprint on success,
-	// the error otherwise.
+	// the error otherwise. A cell derived from a sibling's run the cache
+	// holds is done in Run's pre-pass, without CellRunning.
 	CellDone(i int, fingerprint string, err error)
 }
 
@@ -266,12 +264,15 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (CellResult.Derived) instead of running. Every sibling group's first
 // cell is claimed before any group's second, so the siblings of a group
 // usually find a finished run; a cell never waits for one still
-// running. With a Cache attached every simulated cell that could derive
-// also records its witness for the Cache to store, and a claimed cell no
-// sibling of this run covers asks the Cache for a stored one
-// (CellCache.Sibling). Only Grid.Cells output on the default engine
-// derives: the reference engine, Check, and cells without an address
-// (MemStats, Trace) always simulate.
+// running. With a Cache attached the pre-pass asks it for every cell
+// with an address (unless Check), on either engine: a cell answered with
+// its own run is served (CellCached), one answered with a stored
+// sibling's run derives from it (CellDone), and only the rest reach the
+// pool, so what the Cache counts does not depend on timing. Every
+// simulated cell that could derive records its witness for the Cache to
+// store. In-run derivation needs an address and the default engine: the
+// reference engine, Check, and cells without an address (MemStats,
+// Trace) simulate.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -281,13 +282,18 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		opts.Progress.Start(keys)
 	}
 	results := make([]CellResult, len(cells))
-	// Cache pre-pass: resolve hits up front, so only dirty cells reach
-	// the worker pool and progress knows immediately which cells are
-	// instantaneous (the ETA extrapolates from computed cells only).
+	// Cache pre-pass: resolve hits and derivations up front, so only
+	// dirty cells reach the worker pool and progress knows immediately
+	// which cells are instantaneous (the ETA extrapolates from computed
+	// cells only).
 	pending := make([]int, 0, len(cells))
 	for i, c := range cells {
 		if opts.Cache != nil && !opts.Check && c.Input != "" {
-			if r, ok := opts.Cache.Get(c.Input); ok && r.Key == c.Key {
+			if r, ok := opts.Cache.Get(c.Input); ok {
+				if r.Key != c.Key {
+					derive(c, i, r, opts, results) // a stored sibling's run
+					continue
+				}
 				results[i] = r
 				if opts.Progress != nil {
 					opts.Progress.CellCached(i, r.Fingerprint)
@@ -301,7 +307,7 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		return results, nil
 	}
 	order, sibs := claimOrder(cells, pending, opts.Check)
-	sibs.cache = opts.Cache
+	sibs.cached = opts.Cache != nil
 	errs := make([]error, len(cells))
 	ForEach(len(order), opts.Workers, func(oi int) error {
 		i := order[oi]
@@ -321,16 +327,13 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 // descriptions agree in everything but the tunables.
 type siblings struct {
 	// group is each cell's sibling group, -1 for a cell that may not
-	// derive; addr and size are per group: its address (SiblingOf) and
-	// its pending cells.
+	// derive; size is per group: its pending cells.
 	group []int
-	addr  []string
 	size  []int
-	// cache, when set, stores every simulated cell's witness and is
-	// asked for a sibling when this run has none.
-	cache CellCache
-	mu    sync.Mutex
-	runs  [][]source // per group: the finished simulations
+	// cached says a cache stores every simulated cell's witness.
+	cached bool
+	mu     sync.Mutex
+	runs   [][]source // per group: the finished simulations
 }
 
 // source is a finished simulation a sibling may be derived from: its
@@ -344,7 +347,7 @@ type source struct {
 // a sibling of this run may need it, or the cache stores it.
 func (s *siblings) witnessed(i int) bool {
 	g := s.group[i]
-	return g >= 0 && (s.cache != nil || s.size[g] > 1)
+	return g >= 0 && (s.cached || s.size[g] > 1)
 }
 
 // from returns a finished sibling of cell i whose witness admits tun.
@@ -398,9 +401,7 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 		g, ok := ids[string(buf)]
 		if !ok {
 			g = len(s.size)
-			addr := string(buf)
-			ids[addr] = g
-			s.addr = append(s.addr, addr)
+			ids[string(buf)] = g
 			s.size = append(s.size, 0)
 		}
 		s.group[i], round[pi] = g, s.size[g]
@@ -423,8 +424,8 @@ func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
 }
 
 // runCell resolves cell i into results[i]: from a finished sibling of
-// this run when one's witness admits the cell, from one the cache
-// stored otherwise, by simulating it when neither does.
+// this run when one's witness admits the cell, by simulating it
+// otherwise.
 func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) error {
 	if opts.Cancel != nil {
 		select {
@@ -443,12 +444,6 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 	if src, ok := sibs.from(i, c.cs.tun); ok {
 		derive(c, i, results[src.i], opts, results)
 		return nil
-	}
-	if g := sibs.group[i]; g >= 0 && sibs.cache != nil {
-		if r, _, ok := sibs.cache.Sibling(sibs.addr[g], c.cs.tun); ok {
-			derive(c, i, r, opts, results)
-			return nil
-		}
 	}
 	rep, locks, sink, w, err := runOnce(c, sibs.witnessed(i))
 	if err != nil {
@@ -488,7 +483,7 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 // derive makes results[i] cell c's result from src, the result of a
 // sibling whose witness admits c: src's report with c's key, tunables
 // and fingerprint. It is the one place a derived cell is built, whether
-// its sibling ran in this Run or came from the cache; it stores nothing.
+// its sibling ran in this Run or the cache holds it; it stores nothing.
 func derive(c Cell, i int, src CellResult, opts Options, results []CellResult) {
 	r := src.clone()
 	r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true

@@ -296,9 +296,9 @@ func OpenResultCache(dir string, budgetBytes int64) (*ResultCache, ResultCacheRe
 	return cache.Open(dir, budgetBytes)
 }
 
-// NewSweepCellCache adapts a ResultCache to the sweep engine's cache
-// hook (SweepOptions.Cache / JobConfig.Cache).
-func NewSweepCellCache(c *ResultCache) SweepCellCache { return cache.NewResultStore(c) }
+// NewSweepCellCache returns a ResultCache as the sweep engine's cache
+// hook (SweepOptions.Cache / JobConfig.Cache), which it implements.
+func NewSweepCellCache(c *ResultCache) SweepCellCache { return c }
 
 // NewJobManager builds an idle job manager; pair it with jobq.NewAPI
 // to serve the sweepd HTTP job API, or use cmd/sweepd for the
