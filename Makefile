@@ -22,7 +22,7 @@ help:
 	@echo "  bench / bench-smoke    benchstat-compatible benchmarks (full / CI-short)"
 	@echo "  grid                   full scheme x workload x profile grid with -check"
 	@echo "  sweep / faults         persist the P-sweep / fault-injection run as JSON"
-	@echo "  trace                  capture + summarize a Perfetto-loadable event trace"
+	@echo "  trace                  capture a Perfetto-loadable event trace, print its analysis"
 	@echo "  obs-smoke              sweep with the HTTP observability plane, scrape it"
 	@echo "  sweepd-smoke           sweep-as-a-service end-to-end: cache hits + byte-identity"
 	@echo "  million-smoke / scale  2^20-rank cell / weak-scaling study"
@@ -125,13 +125,17 @@ faults:
 	@cat results/faults.txt
 
 # Capture an event trace of one contended cell per scheme pair
-# (Perfetto-loadable Chrome JSON under results/) and summarize it:
-# Jain fairness, handoff-locality histogram, wait tails.
+# (Perfetto-loadable Chrome JSON under results/). workbench prints each
+# traced cell's analysis to stderr: Jain fairness, handoff-locality
+# histogram, wait tails, hottest locks, op counts. The target fails
+# unless both cells' analyses were printed.
 trace:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench -schemes RMA-MCS,D-MCS -workloads empty \
-		-profiles uniform -p 32 -iters 40 -fw 1 -trace results/trace.json
-	$(GO) run ./cmd/traceview results/trace_*.json
+		-profiles uniform -p 32 -iters 40 -fw 1 -trace results/trace.json \
+		2> results/trace.err || { cat results/trace.err; exit 1; }
+	@cat results/trace.err
+	test "$$(grep -c '^handoff locality' results/trace.err)" -eq 2
 
 # Observability smoke: run a sweep with the HTTP plane listening, scrape
 # /metrics (until the first cell's run span has closed) and /progress

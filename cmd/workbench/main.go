@@ -19,7 +19,8 @@
 //	workbench -p 128 -iters 100 -seed 3 -check -csv -j 4
 //	workbench -out results/sweep.json       # persist the run (cmp-equal for any -j)
 //	workbench -schemes RMA-MCS -p 32 -trace out.json   # capture + export a trace
-//	                                        # (Perfetto-loadable; see cmd/traceview)
+//	                                        # (Perfetto-loadable) and print its analysis:
+//	                                        # fairness, handoff locality, wait tails
 //	workbench -submit http://127.0.0.1:9139 -out results/sweep.json
 //	                                        # run the grid on a sweepd daemon: streams
 //	                                        # progress, fetches the byte-stable result
@@ -31,16 +32,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"rmalocks/internal/rma"
+	"rmalocks/internal/stats"
 	"rmalocks/internal/sweep"
+	"rmalocks/internal/topology"
 	"rmalocks/internal/trace"
 	"rmalocks/internal/workload"
 )
@@ -78,8 +83,8 @@ func main() {
 		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; the run file is then no longer a function of the grid alone)")
 		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-		traceOut   = flag.String("trace", "", "capture event traces and export Chrome trace-event JSON (Perfetto-loadable; summarize with traceview); multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
-		tracecsv   = flag.String("tracecsv", "", "capture event traces and export raw event CSV; multi-cell grids get one file per cell")
+		traceOut   = flag.String("trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
+		tracecsv   = flag.String("tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
 		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
 		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
 		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
@@ -280,6 +285,11 @@ func run(opts runOpts) int {
 			return 1
 		}
 	}
+	for _, r := range results {
+		if r.Trace != nil {
+			printAnalysis(os.Stderr, r, grid.ProcsPerNode)
+		}
+	}
 	return 0
 }
 
@@ -350,6 +360,82 @@ func exportTraces(path string, results []sweep.CellResult, ppn int, chrome bool)
 		fmt.Fprintf(os.Stderr, "[trace: %d events of cell %s written to %s]\n", len(events), r.Key, p)
 	}
 	return nil
+}
+
+// traceTop is how many ranks and locks the trace analysis lists.
+const traceTop = 4
+
+// printAnalysis writes trace.Summarize of one traced cell: acquisitions
+// and their Jain fairness, the peak wait depth, the handoff-locality
+// histogram (the paper's locality claim, measured), the acquire-wait
+// summary with the slowest ranks by P99 and the locks with the most
+// cumulative wait, and the RMA op counts.
+func printAnalysis(w io.Writer, r sweep.CellResult, ppn int) {
+	p := r.Key.P
+	topo := topology.ForProcs(p, ppn)
+	a := trace.Summarize(r.Trace.Events(), p, topo.Distance, topo.MaxDistance())
+
+	fmt.Fprintf(w, "== %s (P=%d, ppn=%d, %s)\n", r.Key, p, ppn, topo)
+	var acquired int64
+	for _, c := range a.Acquired {
+		acquired += c
+	}
+	fmt.Fprintf(w, "events=%d acquisitions=%d Jain-fairness=%.4f max-wait-depth=%d\n",
+		a.Events, acquired, a.Fairness, a.MaxWaitDepth)
+	var handoffs int64
+	for _, c := range a.Locality {
+		handoffs += c
+	}
+	if handoffs > 0 {
+		fmt.Fprintf(w, "handoff locality (distance: count, share):")
+		for d, c := range a.Locality {
+			fmt.Fprintf(w, "  d%d: %d (%.1f%%)", d, c, 100*float64(c)/float64(handoffs))
+		}
+		fmt.Fprintf(w, "  intra-element=%.1f%%\n", 100*a.IntraFrac)
+	}
+	if a.Wait.N > 0 {
+		s := a.Wait
+		fmt.Fprintf(w, "acquire wait [µs]: mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f (n=%d)\n",
+			s.Mean, s.P50, s.P95, s.P99, s.Max, s.N)
+		tails := append([]trace.RankLatency(nil), a.PerRank...)
+		sort.SliceStable(tails, func(i, j int) bool { return tails[i].Wait.P99 > tails[j].Wait.P99 })
+		fmt.Fprintf(w, "slowest ranks by P99 wait:")
+		for _, t := range tails[:min(traceTop, len(tails))] {
+			fmt.Fprintf(w, "  r%d: p99=%.2fµs (n=%d)", t.Rank, t.Wait.P99, t.Wait.N)
+		}
+		fmt.Fprintln(w)
+	}
+	if len(a.PerLock) > 0 {
+		hot := append([]trace.LockLatency(nil), a.PerLock...)
+		sort.SliceStable(hot, func(i, j int) bool { return hot[i].Wait.SampleTotal > hot[j].Wait.SampleTotal })
+		n := min(traceTop, len(hot))
+		tb := &stats.Table{
+			Title:   fmt.Sprintf("hottest locks by cumulative wait (top %d of %d)", n, len(hot)),
+			Columns: []string{"Lock", "Waits", "Total[ms]", "Mean[us]", "P95[us]", "P99[us]", "Max[us]"},
+		}
+		for _, l := range hot[:n] {
+			s := l.Wait
+			tb.AddRow(fmt.Sprintf("L%d", l.Lock), fmt.Sprint(s.N),
+				fmt.Sprintf("%.3f", s.SampleTotal/1e3), fmt.Sprintf("%.2f", s.Mean),
+				fmt.Sprintf("%.2f", s.P95), fmt.Sprintf("%.2f", s.P99), fmt.Sprintf("%.2f", s.Max))
+		}
+		fmt.Fprintln(w, tb.String())
+	}
+	ops := make([]int, 0, len(trace.OpNames))
+	for op, c := range a.Ops {
+		if c > 0 {
+			ops = append(ops, op)
+		}
+	}
+	if len(ops) > 0 {
+		sort.Slice(ops, func(i, j int) bool { return trace.OpNames[ops[i]] < trace.OpNames[ops[j]] })
+		fmt.Fprintf(w, "rma ops:")
+		for _, op := range ops {
+			fmt.Fprintf(w, "  %s=%d", trace.OpNames[op], a.Ops[op])
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
 }
 
 // tuneAxes accumulates repeated -tune flags into sweep tunable axes.

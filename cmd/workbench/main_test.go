@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"rmalocks/internal/sweep"
+	"rmalocks/internal/topology"
+	"rmalocks/internal/trace"
 )
 
 // TestTuneAxesSet pins the -tune flag grammar, in particular that a
@@ -115,5 +118,87 @@ func TestGridTooLargeExitsTwo(t *testing.T) {
 	}
 	if code := run(runOpts{grid: grid}); code != 2 {
 		t.Errorf("a %d-P grid exited %d, want 2", len(grid.Ps), code)
+	}
+}
+
+// captureOutput runs f with os.Stdout and os.Stderr redirected to files
+// and returns what it wrote to each.
+func captureOutput(t *testing.T, f func()) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i, name := range []string{"stdout", "stderr"} {
+		fh, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		files[i] = fh
+	}
+	saved := [2]*os.File{os.Stdout, os.Stderr}
+	os.Stdout, os.Stderr = files[0], files[1]
+	f()
+	os.Stdout, os.Stderr = saved[0], saved[1]
+	var out [2]string
+	for i, fh := range files {
+		data, err := os.ReadFile(fh.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(data)
+	}
+	return out[0], out[1]
+}
+
+// TestTraceAnalysisOnStderr: a traced run prints the cell's analysis,
+// trace.Summarize of the cell's events, to stderr, and stdout holds the
+// table alone.
+func TestTraceAnalysisOnStderr(t *testing.T) {
+	grid := sweep.Grid{Schemes: []string{"RMA-MCS"}, Workloads: []string{"empty"},
+		Profiles: []string{"uniform"}, Ps: []int{32}, ProcsPerNode: 16, Iters: 10, FW: 1,
+		Trace: trace.ClassSemantic}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	stdout, stderr := captureOutput(t, func() {
+		if code := run(runOpts{grid: grid, trace: path}); code != 0 {
+			t.Errorf("traced run exited %d", code)
+		}
+	})
+
+	cells, err := grid.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sweep.Run(cells, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sweep.Table(gridTitle(grid), results).String() + "\n"; stdout != want {
+		t.Errorf("stdout is not the table alone:\n%s\nwant:\n%s", stdout, want)
+	}
+
+	topo := topology.ForProcs(32, 16)
+	a := trace.Summarize(results[0].Trace.Events(), 32, topo.Distance, topo.MaxDistance())
+	if a.MaxWaitDepth == 0 || a.Locality[1] == 0 {
+		t.Fatalf("contended cell analyzed to depth %d, locality %v", a.MaxWaitDepth, a.Locality)
+	}
+	want := []string{
+		"== RMA-MCS/empty/uniform/P=32 (P=32, ppn=16, ",
+		fmt.Sprintf("events=%d ", a.Events),
+		fmt.Sprintf("Jain-fairness=%.4f max-wait-depth=%d\n", a.Fairness, a.MaxWaitDepth),
+		fmt.Sprintf("intra-element=%.1f%%\n", 100*a.IntraFrac),
+		"slowest ranks by P99 wait:",
+		"hottest locks by cumulative wait (top 4 of 8)",
+		"rma ops:",
+	}
+	for d, c := range a.Locality {
+		want = append(want, fmt.Sprintf("  d%d: %d (", d, c))
+	}
+	for _, w := range want {
+		if !strings.Contains(stderr, w) {
+			t.Errorf("stderr lacks %q:\n%s", w, stderr)
+		}
+	}
+	if n := strings.Count(stderr, "handoff locality"); n != 1 {
+		t.Errorf("stderr holds %d analyses of a one-cell grid, want 1", n)
 	}
 }

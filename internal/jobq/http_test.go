@@ -413,3 +413,41 @@ func TestHTTPEventsEOFMeansTerminal(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPOneFailingCell: a grid with exactly one cell that fails when
+// its lock is built (T_R = -1 is outside RMA-RW's range; the D-MCS cell
+// takes no T_R and runs) fails the job, and the job's status and its
+// events summary both count that one failure.
+func TestHTTPOneFailingCell(t *testing.T) {
+	ts, mgr, _ := newTestServer(t)
+	g := testGrid()
+	g.Profiles, g.Ps = []string{"uniform"}, []int{8}
+	g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{-1}}}
+	j, err := mgr.Submit(g, "one-failing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, j)
+	if st.State != jobq.StateFailed || st.Cells != 2 || st.Failed != 1 {
+		t.Fatalf("status %+v, want state failed with 1 of 2 cells failed", st)
+	}
+	if !strings.Contains(st.Error, "out of range") {
+		t.Errorf("job error %q does not name the rejected tunable", st.Error)
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/" + j.ID + "/events?interval_ms=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := strings.Split(strings.TrimSpace(string(events)), "\n")
+	last := lines[len(lines)-1]
+	var sum obs.SummaryLine
+	if err := json.Unmarshal([]byte(last), &sum); err != nil || !sum.Summary {
+		t.Fatalf("events stream ends with %q (%v), want a summary", last, err)
+	}
+	if !strings.Contains(last, `"failed":1`) {
+		t.Errorf("events summary %s, want \"failed\":1", last)
+	}
+}

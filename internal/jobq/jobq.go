@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"rmalocks/internal/obs"
 	"rmalocks/internal/sweep"
@@ -79,9 +78,9 @@ type Job struct {
 	// for grids with a fault axis), mirroring the workbench pipeline so
 	// daemon results match local runs byte for byte.
 	degrade bool
-	prog    *obs.SweepProgress
-
-	counts jobCounts
+	// prog is the job's one record of its cells' progress: /progress,
+	// the events stream and Status all read it.
+	prog *obs.SweepProgress
 
 	cancel     chan struct{}
 	cancelOnce sync.Once
@@ -96,31 +95,6 @@ type Job struct {
 	state   string
 	err     error
 	results []sweep.CellResult
-}
-
-// jobCounts mirrors the progress tracker's aggregates as atomics so
-// Status never contends with sweep workers.
-type jobCounts struct {
-	done, cached, failed atomic.Int64
-}
-
-// jobProgress fans sweep.Progress callbacks into both the job's obs
-// tracker and its atomic counters.
-type jobProgress struct{ j *Job }
-
-func (p jobProgress) Start(keys []string) { p.j.prog.Start(keys) }
-func (p jobProgress) CellRunning(i int)   { p.j.prog.CellRunning(i) }
-func (p jobProgress) CellCached(i int, fp string) {
-	p.j.counts.done.Add(1)
-	p.j.counts.cached.Add(1)
-	p.j.prog.CellCached(i, fp)
-}
-func (p jobProgress) CellDone(i int, fp string, err error) {
-	p.j.counts.done.Add(1)
-	if err != nil {
-		p.j.counts.failed.Add(1)
-	}
-	p.j.prog.CellDone(i, fp, err)
 }
 
 // Status is the wire view of a job (GET /jobs, GET /jobs/{id}).
@@ -151,12 +125,8 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	state, err := j.state, j.err
 	j.mu.Unlock()
-	s := Status{
-		ID: j.ID, Label: j.Label, State: state, Cells: j.ncells,
-		Done:   int(j.counts.done.Load()),
-		Cached: int(j.counts.cached.Load()),
-		Failed: int(j.counts.failed.Load()),
-	}
+	s := Status{ID: j.ID, Label: j.Label, State: state, Cells: j.ncells}
+	s.Done, s.Cached, s.Failed = j.prog.Counts()
 	if err != nil {
 		s.Error = err.Error()
 	}
@@ -277,7 +247,7 @@ func (m *Manager) run(j *Job) {
 		Workers:  m.cfg.Workers,
 		Cache:    m.cfg.Cache,
 		Cancel:   j.cancel,
-		Progress: jobProgress{j},
+		Progress: j.prog,
 	})
 	switch {
 	case errors.Is(err, sweep.ErrCanceled):

@@ -32,6 +32,7 @@ type SweepProgress struct {
 	done    int
 	running int
 	cached  int
+	failed  int
 	// ver increments on every state change; the follow stream uses it
 	// to ship only transitions.
 	ver uint64
@@ -65,7 +66,7 @@ func (p *SweepProgress) Start(keys []string) {
 	for i, k := range keys {
 		p.cells[i] = cellStat{key: k, state: StateQueued}
 	}
-	p.done, p.running, p.cached = 0, 0, 0
+	p.done, p.running, p.cached, p.failed = 0, 0, 0, 0
 	p.ver++
 }
 
@@ -126,6 +127,7 @@ func (p *SweepProgress) CellDone(i int, fingerprint string, err error) {
 	if err != nil {
 		c.state = StateFailed
 		c.err = err.Error()
+		p.failed++
 	}
 	if !c.startedAt.IsZero() {
 		c.elapsed = time.Since(c.startedAt)
@@ -173,7 +175,6 @@ type SummaryLine struct {
 // snapshotLocked renders the current state. Caller holds p.mu.
 func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
 	lines := make([]CellLine, len(p.cells))
-	failed := 0
 	for i, c := range p.cells {
 		lines[i] = CellLine{Cell: c.key, State: c.state, Fingerprint: c.fingerprint, Error: c.err}
 		switch c.state {
@@ -181,9 +182,6 @@ func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
 			lines[i].ElapsedMs = float64(time.Since(c.startedAt)) / 1e6
 		case StateDone, StateFailed:
 			lines[i].ElapsedMs = float64(c.elapsed) / 1e6
-		}
-		if c.state == StateFailed {
-			failed++
 		}
 	}
 	elapsed := time.Duration(0)
@@ -193,7 +191,7 @@ func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
 	sum := SummaryLine{
 		Summary: true, Title: p.title,
 		Total: len(p.cells), Done: p.done, Running: p.running,
-		Queued: len(p.cells) - p.done - p.running, Failed: failed,
+		Queued: len(p.cells) - p.done - p.running, Failed: p.failed,
 		Cached:    p.cached,
 		ElapsedMs: float64(elapsed) / 1e6, EtaMs: -1,
 	}
@@ -209,6 +207,17 @@ func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
 		sum.EtaMs = float64(perCell*time.Duration(len(p.cells)-p.done)) / 1e6
 	}
 	return lines, sum
+}
+
+// Counts returns how many cells are terminal, how many of those were
+// served from the cache, and how many failed.
+func (p *SweepProgress) Counts() (done, cached, failed int) {
+	if p == nil {
+		return 0, 0, 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.done, p.cached, p.failed
 }
 
 // version returns the state-change counter.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"sort"
+
 	"rmalocks/internal/stats"
 )
 
@@ -86,9 +88,10 @@ type DepthPoint struct {
 }
 
 // DepthSeries derives the aggregate wait-queue depth over time from
-// EvAcqStart (+1) and EvAcquired (-1) events, which must be in
-// canonical order. Consecutive steps at the same clock collapse into
-// the last value.
+// EvAcqStart (+1) and EvAcquired or EvAcqTimeout (-1) events, which
+// must be in canonical order: a timed-out attempt was a waiter until it
+// gave up. Consecutive steps at the same clock collapse into the last
+// value.
 func DepthSeries(events []Event) []DepthPoint {
 	var out []DepthPoint
 	depth := 0
@@ -97,7 +100,7 @@ func DepthSeries(events []Event) []DepthPoint {
 		switch e.Kind {
 		case EvAcqStart:
 			d = 1
-		case EvAcquired:
+		case EvAcquired, EvAcqTimeout:
 			d = -1
 		default:
 			continue
@@ -127,34 +130,51 @@ func MaxDepth(series []DepthPoint) int {
 // the same lock and returns the per-rank acquire waits in µs, indexed
 // by rank over 0..n-1. Unmatched events are skipped (e.g. a stream
 // filtered to the measured phase may open with an Acquired whose start
-// fell before the cut).
+// fell before the cut), and so is an attempt that timed out.
 func WaitTimes(events []Event, n int) [][]float64 {
 	waits := make([][]float64, n)
+	eachWait(events, func(e Event, w float64) {
+		if int(e.Rank) < n {
+			waits[e.Rank] = append(waits[e.Rank], w)
+		}
+	})
+	return waits
+}
+
+// eachWait calls f with every EvAcquired that resolves a pending
+// EvAcqStart of its rank and lock, and with that acquire's wait in µs.
+func eachWait(events []Event, f func(acquired Event, wait float64)) {
 	type key struct {
 		rank int32
 		lock int64
 	}
 	pending := map[key]int64{}
 	for _, e := range events {
+		k := key{e.Rank, e.Arg0}
 		switch e.Kind {
 		case EvAcqStart:
-			pending[key{e.Rank, e.Arg0}] = e.Clock
+			pending[k] = e.Clock
+		case EvAcqTimeout:
+			delete(pending, k)
 		case EvAcquired:
-			k := key{e.Rank, e.Arg0}
 			if start, ok := pending[k]; ok {
 				delete(pending, k)
-				if int(e.Rank) < n {
-					waits[e.Rank] = append(waits[e.Rank], float64(e.Clock-start)/1e3)
-				}
+				f(e, float64(e.Clock-start)/1e3)
 			}
 		}
 	}
-	return waits
 }
 
 // RankLatency summarizes one rank's acquire-wait distribution.
 type RankLatency struct {
 	Rank int
+	Wait stats.Summary // µs
+}
+
+// LockLatency summarizes the acquire waits on one lock; Wait.SampleTotal
+// is the cumulative wait the lock cost.
+type LockLatency struct {
+	Lock int64
 	Wait stats.Summary // µs
 }
 
@@ -176,9 +196,11 @@ type Analysis struct {
 	// MaxWaitDepth is the peak number of simultaneous waiters.
 	MaxWaitDepth int
 	// Wait summarizes acquire waits over all ranks (µs); PerRank splits
-	// it by rank (tail-latency inspection).
+	// it by rank (tail-latency inspection) and PerLock by lock id (where
+	// the contention went), each in ascending order.
 	Wait    stats.Summary
 	PerRank []RankLatency
+	PerLock []LockLatency
 	// Ops counts RMA operations by code (index = OpPut..OpFlush).
 	Ops []int64
 }
@@ -201,9 +223,8 @@ func Summarize(events []Event, n int, dist func(a, b int) int, maxDist int) Anal
 	}
 	a.IntraFrac = FractionAtMost(a.Locality, cutoff)
 	a.MaxWaitDepth = MaxDepth(DepthSeries(events))
-	waits := WaitTimes(events, n)
 	var all []float64
-	for r, ws := range waits {
+	for r, ws := range WaitTimes(events, n) {
 		if len(ws) == 0 {
 			continue
 		}
@@ -211,6 +232,12 @@ func Summarize(events []Event, n int, dist func(a, b int) int, maxDist int) Anal
 		a.PerRank = append(a.PerRank, RankLatency{Rank: r, Wait: stats.Summarize(ws)})
 	}
 	a.Wait = stats.Summarize(all)
+	perLock := map[int64][]float64{}
+	eachWait(events, func(e Event, w float64) { perLock[e.Arg0] = append(perLock[e.Arg0], w) })
+	for id, ws := range perLock {
+		a.PerLock = append(a.PerLock, LockLatency{Lock: id, Wait: stats.Summarize(ws)})
+	}
+	sort.Slice(a.PerLock, func(i, j int) bool { return a.PerLock[i].Lock < a.PerLock[j].Lock })
 	for _, e := range events {
 		if e.Kind == EvOp && e.Arg0 >= 0 && int(e.Arg0) < len(a.Ops) {
 			a.Ops[e.Arg0]++

@@ -91,6 +91,34 @@ func TestDepthSeriesAndWaits(t *testing.T) {
 	if len(waits[1]) != 1 || waits[1][0] != 0.028 {
 		t.Fatalf("rank 1 waits = %v", waits[1])
 	}
+
+	// A timed-out attempt waits until it gives up and then leaves the
+	// queue: it counts toward the depth while pending, never after, and
+	// yields no wait sample.
+	timeout := []Event{
+		{Clock: 10, Rank: 0, Seq: 0, Kind: EvAcqStart, Arg0: 0},
+		{Clock: 12, Rank: 1, Seq: 0, Kind: EvAcqStart, Arg0: 0},
+		{Clock: 15, Rank: 2, Seq: 0, Kind: EvAcqStart, Arg0: 0},
+		{Clock: 20, Rank: 0, Seq: 1, Kind: EvAcquired, Arg0: 0},
+		{Clock: 30, Rank: 1, Seq: 1, Kind: EvAcqTimeout, Arg0: 0},
+		{Clock: 40, Rank: 2, Seq: 1, Kind: EvAcquired, Arg0: 0},
+		{Clock: 50, Rank: 1, Seq: 2, Kind: EvAcqStart, Arg0: 0},
+		{Clock: 70, Rank: 1, Seq: 3, Kind: EvAcquired, Arg0: 0},
+	}
+	series = DepthSeries(timeout)
+	if MaxDepth(series) != 3 {
+		t.Fatalf("max depth with a timeout = %d, want 3 (series %v)", MaxDepth(series), series)
+	}
+	if last := series[len(series)-1]; last.Depth != 0 {
+		t.Fatalf("final depth with a timeout = %d, want 0 (series %v)", last.Depth, series)
+	}
+	waits = WaitTimes(timeout, 3)
+	if len(waits[1]) != 1 || waits[1][0] != 0.02 { // the retry's 20ns, not the timed-out 18ns
+		t.Fatalf("rank 1 waits = %v, want only the retry's", waits[1])
+	}
+	if len(waits[2]) != 1 || waits[2][0] != 0.025 {
+		t.Fatalf("rank 2 waits = %v", waits[2])
+	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -126,6 +154,9 @@ func TestSummarize(t *testing.T) {
 	}
 	if a.Wait.N != 2 {
 		t.Fatalf("Wait.N = %d", a.Wait.N)
+	}
+	if len(a.PerLock) != 1 || a.PerLock[0].Lock != 0 || a.PerLock[0].Wait.N != 2 || a.PerLock[0].Wait.SampleTotal != 0.008 {
+		t.Fatalf("PerLock = %+v, want lock 0 with 2 waits totalling 0.008µs", a.PerLock)
 	}
 }
 

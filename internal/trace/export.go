@@ -7,8 +7,9 @@ import (
 	"io"
 )
 
-// Meta carries run metadata embedded in exported traces so a viewer
-// (cmd/traceview) can rebuild the machine topology.
+// Meta carries run metadata embedded in exported traces (the Chrome
+// file's otherData, which Perfetto shows as trace metadata): the run's
+// label and the machine shape it ran on.
 type Meta struct {
 	// Label describes the run (grid cell key, seed, ...).
 	Label string
