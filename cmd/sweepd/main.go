@@ -21,7 +21,7 @@
 //	GET    /jobs/{id}/events  NDJSON progress stream until terminal
 //	DELETE /jobs/{id}         cancel (in-flight cells drain)
 //	GET    /metrics           Prometheus text (incl. sweepd_cache_*)
-//	GET    /progress          multi-job NDJSON fan-in (?follow=1)
+//	GET    /debug/pprof/      the standard pprof handlers
 //
 // Submit with `workbench -submit http://host:port <grid flags>`.
 //
@@ -114,15 +114,13 @@ func newDaemon(cfg config) (*daemon, error) {
 	}
 	store.Register(metrics)
 
-	multi := obs.NewMultiProgress()
 	mgr := jobq.NewManager(jobq.Config{
 		Workers: cfg.workers,
 		MaxJobs: cfg.maxJobs,
 		Cache:   store,
 		Obs:     metrics,
-		Multi:   multi,
 	})
-	srv := obs.NewServer(metrics, multi)
+	srv := obs.NewServer(metrics, nil)
 	jobq.NewAPI(mgr).Mount(srv)
 	return &daemon{metrics: metrics, store: store, mgr: mgr, srv: srv}, nil
 }

@@ -64,10 +64,10 @@ func (o *obsPlane) span(name string) obs.Span {
 	return o.metrics.Span(name)
 }
 
-// writeMetrics persists the merged post-run snapshot — counters, gauges,
-// histograms and the phase table — as indented JSON: the side-channel
-// benchmark/ reads its per-layer phase metrics from, deliberately NOT
-// part of any Report or fingerprint.
+// writeMetrics persists the merged post-run snapshot — counters, gauges
+// and the phase table — as indented JSON: the side-channel benchmark/
+// reads its per-layer phase metrics from, deliberately NOT part of any
+// Report or fingerprint.
 func (o *obsPlane) writeMetrics(path string) error {
 	if o == nil {
 		return nil

@@ -163,9 +163,9 @@ func (a *API) result(w http.ResponseWriter, id string) {
 // non-terminal — so a follower is never left hanging; the stream's last
 // lines are the tracker's state when the job ended.
 func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
-	interval := 250 * time.Millisecond
-	if ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms")); err == nil && ms > 0 {
-		interval = time.Duration(ms) * time.Millisecond
+	ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms"))
+	if err != nil {
+		ms = 0 // StreamNDJSON's default
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	done := make(chan struct{})
@@ -176,7 +176,7 @@ func (a *API) events(w http.ResponseWriter, r *http.Request, j *Job) {
 		case <-j.Done():
 		}
 	}()
-	j.Progress().StreamNDJSON(w, interval, done) //nolint:errcheck // client gone
+	j.Progress().StreamNDJSON(w, time.Duration(ms)*time.Millisecond, done) //nolint:errcheck // client gone
 	select {
 	case <-j.Done():
 	case <-r.Context().Done():

@@ -17,9 +17,9 @@ import (
 	"rmalocks/internal/sweep"
 )
 
-// newTestServer wires the full daemon stack — metrics, cache, multi
-// progress, manager, job API — onto an httptest server, exactly as
-// cmd/sweepd assembles it.
+// newTestServer wires the full daemon stack — metrics, cache, manager,
+// job API — onto an httptest server, exactly as cmd/sweepd assembles
+// it.
 func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store) {
 	t.Helper()
 	metrics := obs.NewRegistry()
@@ -28,13 +28,12 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store)
 		t.Fatal(err)
 	}
 	store.Register(metrics)
-	multi := obs.NewMultiProgress()
 	mgr := jobq.NewManager(jobq.Config{
 		Workers: 4, MaxJobs: 2,
 		Cache: store,
-		Obs:   metrics, Multi: multi,
+		Obs:   metrics,
 	})
-	srv := obs.NewServer(metrics, multi)
+	srv := obs.NewServer(metrics, nil)
 	jobq.NewAPI(mgr).Mount(srv)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); mgr.Shutdown() })
@@ -43,7 +42,12 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store)
 
 func submitGrid(t *testing.T, ts *httptest.Server, label string) jobq.Status {
 	t.Helper()
-	body, err := sweep.EncodeGrid(testGrid())
+	return submitGridOf(t, ts, label, testGrid())
+}
+
+func submitGridOf(t *testing.T, ts *httptest.Server, label string, g sweep.Grid) jobq.Status {
+	t.Helper()
+	body, err := sweep.EncodeGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,38 +281,90 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPProgressFanIn: the daemon's progress API is /jobs plus each
+// job's events stream; there is no fan-in of every job's cells. Each
+// finished job's events carry its own cells alone and end with
+// done == total, GET /jobs lists both jobs done, and /progress is
+// neither served nor listed.
 func TestHTTPProgressFanIn(t *testing.T) {
 	ts, _, _ := newTestServer(t)
+	small := testGrid()
+	small.Ps = []int{8}
+	grids := map[string]sweep.Grid{}
 	st1 := submitGrid(t, ts, "a")
+	grids[st1.ID] = testGrid()
 	awaitState(t, ts, st1.ID, jobq.StateDone)
-	st2 := submitGrid(t, ts, "b")
+	st2 := submitGridOf(t, ts, "b", small)
+	grids[st2.ID] = small
 	awaitState(t, ts, st2.ID, jobq.StateDone)
 
-	resp, err := http.Get(ts.URL + "/progress")
+	for id, g := range grids {
+		want := map[string]bool{}
+		for _, c := range mustCells(t, g) {
+			want[c.Key.String()] = true
+		}
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != len(want)+1 {
+			t.Fatalf("%s events has %d lines, want %d cells + summary", id, len(lines), len(want))
+		}
+		for _, line := range lines[:len(lines)-1] {
+			var c obs.CellLine
+			if err := json.Unmarshal([]byte(line), &c); err != nil {
+				t.Fatal(err)
+			}
+			if !want[c.Cell] {
+				t.Fatalf("%s events carries cell %q, not one of its own", id, c.Cell)
+			}
+			delete(want, c.Cell)
+		}
+		var sum obs.SummaryLine
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
+			t.Fatal(err)
+		}
+		if !sum.Summary || sum.Total != len(lines)-1 || sum.Done != sum.Total {
+			t.Fatalf("%s events summary %+v, want done == total == %d", id, sum, len(lines)-1)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
+	var list []jobq.Status
+	err = json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	// Per job: cells + summary; plus one trailing aggregate summary.
-	if want := 2*(st1.Cells+1) + 1; len(lines) != want {
-		t.Fatalf("/progress has %d lines, want %d", len(lines), want)
+	if err != nil || len(list) != 2 {
+		t.Fatalf("GET /jobs = %+v (%v), want both jobs", list, err)
 	}
-	var agg obs.SummaryLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &agg); err != nil {
+	for _, st := range list {
+		n := len(mustCells(t, grids[st.ID]))
+		if st.State != jobq.StateDone || st.Cells != n || st.Done != n {
+			t.Fatalf("GET /jobs lists %+v, want its %d cells done", st, n)
+		}
+	}
+
+	resp, err = http.Get(ts.URL + "/progress")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Total != 2*st1.Cells || agg.Done != agg.Total || agg.EtaMs != 0 {
-		t.Fatalf("aggregate summary %+v, want total=done=%d eta=0", agg, 2*st1.Cells)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /progress = %d, want 404", resp.StatusCode)
 	}
-	// Cell lines carry their owning job's name.
-	var first obs.CellLine
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+	resp, err = http.Get(ts.URL + "/")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Job != st1.ID {
-		t.Fatalf("first cell line job = %q, want %q", first.Job, st1.ID)
+	index, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if strings.Contains(string(index), "/progress") {
+		t.Fatalf("index page lists /progress:\n%s", index)
 	}
 }
 

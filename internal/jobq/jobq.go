@@ -55,9 +55,6 @@ type Config struct {
 	Cache sweep.CellCache
 	// Obs attaches the daemon's live instruments to every job's cells.
 	Obs *obs.Registry
-	// Multi, when non-nil, receives each job's progress tracker for the
-	// /progress fan-in.
-	Multi *obs.MultiProgress
 }
 
 // Job is one submitted sweep. Fields are immutable after Submit except
@@ -78,8 +75,8 @@ type Job struct {
 	// for grids with a fault axis), mirroring the workbench pipeline so
 	// daemon results match local runs byte for byte.
 	degrade bool
-	// prog is the job's one record of its cells' progress: /progress,
-	// the events stream and Status all read it.
+	// prog is the job's one record of its cells' progress: the events
+	// stream and Status read it.
 	prog *obs.SweepProgress
 
 	cancel     chan struct{}
@@ -213,9 +210,6 @@ func (m *Manager) Submit(g sweep.Grid, label string) (*Job, error) {
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	if m.cfg.Multi != nil {
-		m.cfg.Multi.Add(id, j.prog)
-	}
 	go m.run(j)
 	return j, nil
 }

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestProgressCachedCells drives the cached-cell lifecycle: cached
@@ -63,11 +63,33 @@ func TestProgressAllCachedEta(t *testing.T) {
 	}
 }
 
+// TestProgressDerivedCellEta: a cell that sweep.Run's pre-pass derives
+// from a stored sibling is done without ever running. Like a cache hit
+// it takes no time, so it is not a rate to extrapolate from: with only
+// cached and derived completions the ETA stays unknown.
+func TestProgressDerivedCellEta(t *testing.T) {
+	p := NewSweepProgress("derived")
+	p.Start([]string{"a", "b", "c", "d"})
+	p.CellCached(0, "fp-a")
+	p.CellDone(1, "fp-b", nil) // derived: no CellRunning
+	time.Sleep(20 * time.Millisecond)
+	_, sum := decodeProgress(t, p)
+	if sum.Done != 2 || sum.Cached != 1 || sum.EtaMs != -1 {
+		t.Fatalf("summary after a cache hit and a derivation = %+v, want done=2 cached=1 eta=-1", sum)
+	}
+
+	p.CellRunning(2)
+	p.CellDone(2, "fp-c", nil)
+	if _, sum = decodeProgress(t, p); sum.EtaMs < 0 {
+		t.Fatalf("eta after the first computed completion = %v, want >= 0", sum.EtaMs)
+	}
+}
+
 // TestProgressEndpointEta pins the satellite guarantees at the HTTP
 // layer: /progress never serves a bogus ETA when nothing has computed
 // yet, and serves 0 when everything resolved from cache.
 func TestProgressEndpointEta(t *testing.T) {
-	readSummary := func(p ProgressReporter) SummaryLine {
+	readSummary := func(p *SweepProgress) SummaryLine {
 		t.Helper()
 		srv := NewServer(nil, p)
 		rec := httptest.NewRecorder()
@@ -106,67 +128,6 @@ func TestProgressEndpointEta(t *testing.T) {
 	all.CellCached(1, "fp")
 	if sum := readSummary(all); sum.EtaMs != 0 {
 		t.Errorf("all-cached eta = %v, want 0", sum.EtaMs)
-	}
-}
-
-// TestMultiProgressAggregate checks the fan-in: per-job summaries keyed
-// by job name, cell lines annotated, and the aggregate line summing
-// counts with a max-of-jobs ETA discipline.
-func TestMultiProgressAggregate(t *testing.T) {
-	a := NewSweepProgress("job-1")
-	a.Start([]string{"x", "y"})
-	a.CellRunning(0)
-	a.CellDone(0, "fp-x", nil)
-	b := NewSweepProgress("job-2")
-	b.Start([]string{"z"})
-	b.CellCached(0, "fp-z")
-
-	m := NewMultiProgress()
-	m.Add("job-1", a)
-	m.Add("job-2", b)
-
-	var sb strings.Builder
-	if err := m.WriteNDJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var cells []CellLine
-	var sums []SummaryLine
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	for sc.Scan() {
-		var probe map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
-		}
-		if probe["summary"] == true {
-			var s SummaryLine
-			json.Unmarshal(sc.Bytes(), &s) //nolint:errcheck
-			sums = append(sums, s)
-			continue
-		}
-		var c CellLine
-		json.Unmarshal(sc.Bytes(), &c) //nolint:errcheck
-		cells = append(cells, c)
-	}
-	if len(cells) != 3 {
-		t.Fatalf("cell lines = %d, want 3", len(cells))
-	}
-	if cells[0].Job != "job-1" || cells[2].Job != "job-2" {
-		t.Fatalf("cell job annotations = %q, %q", cells[0].Job, cells[2].Job)
-	}
-	if len(sums) != 3 {
-		t.Fatalf("summary lines = %d, want 2 jobs + aggregate", len(sums))
-	}
-	if sums[0].Title != "job-1" || sums[1].Title != "job-2" || sums[2].Title != "" {
-		t.Fatalf("summary titles = %q, %q, %q", sums[0].Title, sums[1].Title, sums[2].Title)
-	}
-	agg := sums[2]
-	if agg.Total != 3 || agg.Done != 2 || agg.Cached != 1 {
-		t.Fatalf("aggregate = %+v", agg)
-	}
-	// job-1 has a computed completion (finite eta); job-2 is finished
-	// (eta 0): the aggregate takes the max — job-1's finite eta.
-	if agg.EtaMs < 0 {
-		t.Fatalf("aggregate eta = %v, want finite", agg.EtaMs)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package obs is the deterministic-safe observability subsystem: live
-// counters, gauges and histograms sharded per rank (the same lock-free
-// shard pattern as internal/trace's per-rank buffers — every writer owns
-// its slot, merges happen at read time), named phase spans (setup / run /
-// drain / merge) with wall-clock timing, and the scrape surfaces built on
-// top: a Prometheus text exposition (server.go: /metrics), an NDJSON
-// sweep-progress stream (/progress), and a merged JSON snapshot
-// (workbench -metrics-out).
+// counters sharded per rank (the same lock-free shard pattern as
+// internal/trace's per-rank buffers — every writer owns its slot, merges
+// happen at read time), counters and gauges read from their owner at
+// scrape time, named phase spans (setup / run / drain / merge) with
+// wall-clock timing, and the scrape surfaces built on top: a Prometheus
+// text exposition (server.go: /metrics), an NDJSON sweep-progress
+// stream (/progress), and a merged JSON snapshot (workbench
+// -metrics-out).
 //
 // # Observe, never perturb
 //
@@ -48,15 +49,14 @@ import (
 // core count can use.
 const maxShards = 4096
 
-// Registry is a metric container: a named set of counters, gauges and
-// histograms plus the phase table. It is the handle threaded through
-// the stack (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs); sweep
-// grids share one across all cells (every instrument is
-// concurrency-safe and merge-by-sum). All methods are safe for
-// concurrent use, and every method is nil-receiver-safe — a nil
-// *Registry hands out nil metrics and no-op spans, so observability is
-// off at one nil check per site and call sites need no obs-on
-// conditionals.
+// Registry is a metric container: a named set of counters and gauges
+// plus the phase table. It is the handle threaded through the stack
+// (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs); sweep grids
+// share one across all cells (every instrument is concurrency-safe and
+// merge-by-sum). All methods are safe for concurrent use, and every
+// method is nil-receiver-safe — a nil *Registry hands out nil metrics
+// and no-op spans, so observability is off at one nil check per site
+// and call sites need no obs-on conditionals.
 //
 // Metric constructors are get-or-create: asking for an existing name
 // with the same type returns the registered instance (parallel sweep
@@ -80,7 +80,7 @@ func NewRegistry() *Registry {
 type metric interface {
 	metricName() string
 	metricHelp() string
-	metricType() string // "counter" | "gauge" | "histogram"
+	metricType() string // "counter" | "gauge"
 	// expose writes the exposition sample lines (not the HELP/TYPE
 	// header) in Prometheus text format.
 	expose(w io.Writer)
@@ -102,28 +102,6 @@ func (r *Registry) register(name, typ string, make func() metric) metric {
 	m := make()
 	r.metrics[name] = m
 	return m
-}
-
-// Counter returns the named monotonically-increasing counter,
-// registering it on first use. Nil registries return a nil counter
-// (whose methods no-op).
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, "counter", func() metric {
-		return &Counter{nm: name, hp: help}
-	}).(*Counter)
-}
-
-// Gauge returns the named settable gauge, registering it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, "gauge", func() metric {
-		return &Gauge{nm: name, hp: help}
-	}).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time by
@@ -168,86 +146,6 @@ func (r *Registry) ShardedCounter(name, help string, writers int) *ShardedCounte
 		return newShardedCounter(name, help, writers)
 	}).(*ShardedCounter)
 }
-
-// Histogram returns the named histogram with the given upper bucket
-// bounds (ascending; an implicit +Inf bucket is appended) sharded for
-// the given writer count, registering it on first use.
-func (r *Registry) Histogram(name, help string, bounds []int64, writers int) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, "histogram", func() metric {
-		return newHistogram(name, help, bounds, writers)
-	}).(*Histogram)
-}
-
-// Counter is a monotonically-increasing atomic counter.
-type Counter struct {
-	nm, hp string
-	v      atomic.Int64
-}
-
-// Add increments the counter by d; no-op on a nil counter.
-func (c *Counter) Add(d int64) {
-	if c != nil {
-		c.v.Add(d)
-	}
-}
-
-// Inc increments the counter by one; no-op on a nil counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-func (c *Counter) metricName() string { return c.nm }
-func (c *Counter) metricHelp() string { return c.hp }
-func (c *Counter) metricType() string { return "counter" }
-func (c *Counter) expose(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", c.nm, c.Value())
-}
-func (c *Counter) snap(s *Snapshot) { s.Counters[c.nm] = c.Value() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	nm, hp string
-	v      atomic.Int64
-}
-
-// Set replaces the gauge value; no-op on a nil gauge.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by d; no-op on a nil gauge.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-func (g *Gauge) metricName() string { return g.nm }
-func (g *Gauge) metricHelp() string { return g.hp }
-func (g *Gauge) metricType() string { return "gauge" }
-func (g *Gauge) expose(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", g.nm, g.Value())
-}
-func (g *Gauge) snap(s *Snapshot) { s.Gauges[g.nm] = float64(g.Value()) }
 
 // gaugeFunc is a gauge computed at read time.
 type gaugeFunc struct {
@@ -335,117 +233,6 @@ func (c *ShardedCounter) expose(w io.Writer) {
 }
 func (c *ShardedCounter) snap(s *Snapshot) { s.Counters[c.nm] = c.Value() }
 
-// Histogram counts observations into fixed buckets, sharded per writer
-// like ShardedCounter. Bounds are int64 because every observed quantity
-// here is a nanosecond duration or a queue depth.
-type Histogram struct {
-	nm, hp string
-	bounds []int64
-	mask   int
-	// cells is laid out shard-major: shard s owns
-	// cells[s*(len(bounds)+2) : (s+1)*(len(bounds)+2)], the bucket
-	// counts followed by the +Inf count and the value sum. Shards are
-	// padded out to whole cache lines by construction (stride rounded
-	// up below would over-engineer: one simulation writes a few dozen
-	// histogram points per grant, not per Advance).
-	cells []atomic.Int64
-}
-
-func newHistogram(name, help string, bounds []int64, writers int) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", name, bounds))
-		}
-	}
-	n := shardCount(writers)
-	b := append([]int64(nil), bounds...)
-	return &Histogram{
-		nm: name, hp: help, bounds: b, mask: n - 1,
-		cells: make([]atomic.Int64, n*(len(b)+2)),
-	}
-}
-
-// Observe records v through writer's shard; no-op on a nil histogram.
-func (h *Histogram) Observe(writer int, v int64) {
-	if h == nil {
-		return
-	}
-	stride := len(h.bounds) + 2
-	base := (writer & h.mask) * stride
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.cells[base+i].Add(1)               // bucket (or the +Inf slot at len(bounds))
-	h.cells[base+len(h.bounds)+1].Add(v) // sum
-}
-
-// merged returns cumulative bucket counts (one per bound plus +Inf),
-// the total count and the value sum.
-func (h *Histogram) merged() (cum []int64, count, sum int64) {
-	if h == nil {
-		return nil, 0, 0
-	}
-	stride := len(h.bounds) + 2
-	raw := make([]int64, len(h.bounds)+1)
-	for s := 0; s <= h.mask; s++ {
-		base := s * stride
-		for i := range raw {
-			raw[i] += h.cells[base+i].Load()
-		}
-		sum += h.cells[base+len(h.bounds)+1].Load()
-	}
-	cum = make([]int64, len(raw))
-	for i, c := range raw {
-		count += c
-		cum[i] = count
-	}
-	return cum, count, sum
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	_, n, _ := h.merged()
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	_, _, s := h.merged()
-	return s
-}
-
-func (h *Histogram) metricName() string { return h.nm }
-func (h *Histogram) metricHelp() string { return h.hp }
-func (h *Histogram) metricType() string { return "histogram" }
-func (h *Histogram) expose(w io.Writer) {
-	cum, count, sum := h.merged()
-	for i, b := range h.bounds {
-		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", h.nm, b, cum[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.nm, cum[len(cum)-1])
-	fmt.Fprintf(w, "%s_sum %d\n", h.nm, sum)
-	fmt.Fprintf(w, "%s_count %d\n", h.nm, count)
-}
-func (h *Histogram) snap(s *Snapshot) {
-	cum, count, sum := h.merged()
-	hs := HistogramSnapshot{Count: count, Sum: sum}
-	for i, b := range h.bounds {
-		hs.Buckets = append(hs.Buckets, BucketSnapshot{Le: strconv.FormatInt(b, 10), Count: cum[i]})
-	}
-	hs.Buckets = append(hs.Buckets, BucketSnapshot{Le: "+Inf", Count: cum[len(cum)-1]})
-	s.Histograms[h.nm] = hs
-}
-
-// ExpBuckets returns bounds start, start*factor, ... (n bounds), the
-// usual shape for nanosecond-duration and depth histograms.
-func ExpBuckets(start, factor int64, n int) []int64 {
-	b := make([]int64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // phaseStat accumulates one named phase: how many spans completed and the
 // cumulative wall-clock nanoseconds across them.
 type phaseStat struct {
@@ -492,38 +279,23 @@ type PhaseSnapshot struct {
 	WallNs int64 `json:"wall_ns"`
 }
 
-// BucketSnapshot is one histogram bucket's cumulative count.
-type BucketSnapshot struct {
-	Le    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// HistogramSnapshot is one histogram's merged state.
-type HistogramSnapshot struct {
-	Buckets []BucketSnapshot `json:"buckets"`
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-}
-
 // Snapshot is the merged post-run view of a registry, the side-channel
 // payload of `workbench -metrics-out`. Maps marshal with sorted keys,
 // so the JSON layout is deterministic (values are host wall-clock
 // measurements and are not).
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Phases     map[string]PhaseSnapshot     `json:"phases,omitempty"`
+	Counters map[string]int64         `json:"counters,omitempty"`
+	Gauges   map[string]float64       `json:"gauges,omitempty"`
+	Phases   map[string]PhaseSnapshot `json:"phases,omitempty"`
 }
 
 // Snapshot merges every metric and phase into a Snapshot (empty on a
 // nil registry).
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Phases:     map[string]PhaseSnapshot{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]float64{},
+		Phases:   map[string]PhaseSnapshot{},
 	}
 	if r == nil {
 		return s

@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,18 +14,14 @@ import (
 // they drift silently.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_last_total", "Sorts last.").Add(7)
-	r.Counter("aa_first_total", "Sorts first.").Add(3)
-	r.Gauge("mid_gauge", "A settable gauge.").Set(-4)
+	r.CounterFunc("zz_last_total", "Sorts last.", func() int64 { return 7 })
+	r.CounterFunc("aa_first_total", "Sorts first.", func() int64 { return 3 })
+	r.GaugeFunc("mid_gauge", "A negative gauge.", func() float64 { return -4 })
 	r.GaugeFunc("mid_ratio", "A derived gauge.", func() float64 { return 0.25 })
 	sc := r.ShardedCounter("sharded_total", "A sharded counter.", 64)
 	for w := 0; w < 64; w++ {
 		sc.Add(w, 2)
 	}
-	h := r.Histogram("depth", "A depth histogram.", []int64{1, 4, 16}, 8)
-	h.Observe(0, 1)
-	h.Observe(3, 3)
-	h.Observe(5, 100)
 	r.Span("run").End() // wall ns is live; pin only names below
 
 	var sb strings.Builder
@@ -36,15 +33,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	want := `# HELP aa_first_total Sorts first.
 # TYPE aa_first_total counter
 aa_first_total 3
-# HELP depth A depth histogram.
-# TYPE depth histogram
-depth_bucket{le="1"} 1
-depth_bucket{le="4"} 2
-depth_bucket{le="16"} 2
-depth_bucket{le="+Inf"} 3
-depth_sum 104
-depth_count 3
-# HELP mid_gauge A settable gauge.
+# HELP mid_gauge A negative gauge.
 # TYPE mid_gauge gauge
 mid_gauge -4
 # HELP mid_ratio A derived gauge.
@@ -82,13 +71,11 @@ zz_last_total 7
 // configuration must cost one nil check, never a panic.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	r.Counter("c", "").Inc()
-	r.Gauge("g", "").Set(1)
+	r.CounterFunc("c", "", func() int64 { return 1 })
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	r.ShardedCounter("s", "", 8).Add(3, 1)
-	r.Histogram("h", "", []int64{1}, 8).Observe(0, 5)
 	r.Span("x").End()
-	if v := r.Counter("c", "").Value(); v != 0 {
+	if v := r.ShardedCounter("s", "", 8).Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -101,20 +88,26 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestGetOrCreate checks that re-registration returns the same
-// instance (shared sweep registry) and that a type clash panics.
+// instance (shared sweep registry), that a re-registered func keeps the
+// first function, and that a type clash panics.
 func TestGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "h")
-	b := r.Counter("x_total", "h")
+	a := r.ShardedCounter("x_total", "h", 4)
+	b := r.ShardedCounter("x_total", "h", 64)
 	if a != b {
 		t.Fatal("re-registered counter is a different instance")
+	}
+	r.CounterFunc("f_total", "h", func() int64 { return 1 })
+	r.CounterFunc("f_total", "h", func() int64 { return 2 })
+	if v := r.Snapshot().Counters["f_total"]; v != 1 {
+		t.Fatalf("re-registered func reads %d, want the first function's 1", v)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering as a different type did not panic")
 		}
 	}()
-	r.Gauge("x_total", "h")
+	r.GaugeFunc("x_total", "h", func() float64 { return 0 })
 }
 
 // TestShardedCounterExact checks writer folding keeps counts exact for
@@ -131,27 +124,6 @@ func TestShardedCounterExact(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets checks bucket assignment at the boundaries and
-// the cumulative merge.
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "", ExpBuckets(1, 2, 3), 4) // bounds 1,2,4
-	for _, v := range []int64{0, 1, 2, 3, 4, 5} {
-		h.Observe(int(v), int64(v))
-	}
-	cum, count, sum := h.merged()
-	if count != 6 || sum != 15 {
-		t.Fatalf("count=%d sum=%d, want 6/15", count, sum)
-	}
-	// cumulative: ≤1: {0,1}=2, ≤2: +{2}=3, ≤4: +{3,4}=5, +Inf: +{5}=6
-	want := []int64{2, 3, 5, 6}
-	for i, w := range want {
-		if cum[i] != w {
-			t.Fatalf("cum=%v, want %v", cum, want)
-		}
-	}
-}
-
 // TestConcurrentWritesAndScrapes hammers one registry from writer and
 // scraper goroutines; meaningful under -race (the mid-sweep scrape
 // case), and checks the merged totals afterwards.
@@ -159,8 +131,8 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	const writers, perWriter = 8, 1000
 	sc := r.ShardedCounter("hammer_total", "", writers)
-	h := r.Histogram("hammer_hist", "", ExpBuckets(1, 4, 6), writers)
-	c := r.Counter("plain_total", "")
+	var plain atomic.Int64
+	r.CounterFunc("plain_total", "", plain.Load)
 	stop := make(chan struct{})
 	var scrapes sync.WaitGroup
 	scrapes.Add(2)
@@ -189,8 +161,7 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				sc.Add(w, 1)
-				h.Observe(w, int64(i%100))
-				c.Inc()
+				plain.Add(1)
 				r.Span("run").End()
 			}
 		}(w)
@@ -201,13 +172,10 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 	if v := sc.Value(); v != writers*perWriter {
 		t.Fatalf("sharded total = %d, want %d", v, writers*perWriter)
 	}
-	if v := c.Value(); v != writers*perWriter {
+	snap := r.Snapshot()
+	if v := snap.Counters["plain_total"]; v != writers*perWriter {
 		t.Fatalf("plain total = %d, want %d", v, writers*perWriter)
 	}
-	if n := h.Count(); n != writers*perWriter {
-		t.Fatalf("hist count = %d, want %d", n, writers*perWriter)
-	}
-	snap := r.Snapshot()
 	ph := snap.Phases["run"]
 	if ph.Spans != writers*perWriter {
 		t.Fatalf("phase spans=%d, want %d", ph.Spans, writers*perWriter)
@@ -222,16 +190,5 @@ func TestSpanWall(t *testing.T) {
 	sp.End()
 	if w := r.Snapshot().Phases["p"].WallNs; w < int64(time.Millisecond) {
 		t.Fatalf("span wall = %dns, want >= 1ms", w)
-	}
-}
-
-// TestExpBuckets pins the generator.
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(64, 4, 4)
-	want := []int64{64, 256, 1024, 4096}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
 	}
 }

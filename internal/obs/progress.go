@@ -18,12 +18,13 @@ const (
 	StateCached = "cached"
 )
 
-// SweepProgress tracks per-cell sweep status for the /progress
-// endpoint. It implements sweep.Progress (Start / CellRunning /
-// CellDone) without importing package sweep, mirroring how the trace
-// sink plugs into the engines. All methods are goroutine-safe: sweep
-// workers update concurrently with HTTP readers, and nothing here can
-// reach back into a simulation — progress is observational only.
+// SweepProgress tracks per-cell sweep status for workbench's /progress
+// endpoint and sweepd's /jobs and /jobs/{id}/events. It implements
+// sweep.Progress (Start / CellRunning / CellDone) without importing
+// package sweep, mirroring how the trace sink plugs into the engines.
+// All methods are goroutine-safe: sweep workers update concurrently
+// with HTTP readers, and nothing here can reach back into a simulation
+// — progress is observational only.
 type SweepProgress struct {
 	mu      sync.Mutex
 	started time.Time
@@ -33,6 +34,11 @@ type SweepProgress struct {
 	running int
 	cached  int
 	failed  int
+	// computed counts completions of cells that went through
+	// CellRunning, the ETA's base: a cache hit or a derivation from a
+	// stored sibling completes in ~0 time and would drag the per-cell
+	// mean toward zero.
+	computed int
 	// ver increments on every state change; the follow stream uses it
 	// to ship only transitions.
 	ver uint64
@@ -66,14 +72,13 @@ func (p *SweepProgress) Start(keys []string) {
 	for i, k := range keys {
 		p.cells[i] = cellStat{key: k, state: StateQueued}
 	}
-	p.done, p.running, p.cached, p.failed = 0, 0, 0, 0
+	p.done, p.running, p.cached, p.failed, p.computed = 0, 0, 0, 0, 0
 	p.ver++
 }
 
 // CellCached marks cell i as resolved from the result cache — terminal,
 // instantaneous, never run. Implements sweep.Progress. Cached cells
-// count as done but are excluded from the ETA extrapolation base (they
-// complete in ~0 time and would drag the per-cell mean toward zero).
+// count as done but are not in the ETA base.
 func (p *SweepProgress) CellCached(i int, fingerprint string) {
 	if p == nil {
 		return
@@ -108,7 +113,9 @@ func (p *SweepProgress) CellRunning(i int) {
 }
 
 // CellDone records cell i's outcome: its report fingerprint on
-// success, the error otherwise. Implements sweep.Progress.
+// success, the error otherwise. Implements sweep.Progress. A cell done
+// without CellRunning (derived from a stored sibling) is not in the
+// ETA base.
 func (p *SweepProgress) CellDone(i int, fingerprint string, err error) {
 	if p == nil {
 		return
@@ -121,6 +128,7 @@ func (p *SweepProgress) CellDone(i int, fingerprint string, err error) {
 	c := &p.cells[i]
 	if c.state == StateRunning {
 		p.running--
+		p.computed++
 	}
 	c.state = StateDone
 	c.fingerprint = fingerprint
@@ -143,10 +151,6 @@ type CellLine struct {
 	Fingerprint string  `json:"fingerprint,omitempty"`
 	Error       string  `json:"error,omitempty"`
 	ElapsedMs   float64 `json:"elapsed_ms,omitempty"`
-	// Job names the owning job on multi-job expositions (sweepd's
-	// /progress fan-in); empty on single-sweep streams, keeping the
-	// workbench NDJSON schema byte-identical to pre-sweepd output.
-	Job string `json:"job,omitempty"`
 }
 
 // SummaryLine is the trailing NDJSON line of /progress: aggregate
@@ -165,10 +169,11 @@ type SummaryLine struct {
 	Cached    int     `json:"cached,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// EtaMs extrapolates time to completion from the mean rate of
-	// *computed* completions — cache hits are instantaneous and excluded
-	// from the base. -1 until the first computed cell completes (no
-	// bogus extrapolation from zero or cache-only completions); 0 once
-	// every cell is terminal, including the all-cells-cached case.
+	// *computed* completions — cells that ran; cache hits and
+	// derivations are instantaneous and excluded from the base. -1 until
+	// the first computed cell completes (no bogus extrapolation from
+	// zero or instantaneous completions); 0 once every cell is terminal,
+	// including the all-cells-cached case.
 	EtaMs float64 `json:"eta_ms"`
 }
 
@@ -196,14 +201,10 @@ func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
 		ElapsedMs: float64(elapsed) / 1e6, EtaMs: -1,
 	}
 	// ETA: remaining cells × mean wall time per computed completion.
-	// Cached completions are excluded from the base — they resolve
-	// instantaneously during the pre-pass and would extrapolate a bogus
-	// near-zero ETA for cells that still have to compute.
-	computed := p.done - p.cached
 	if p.done == len(p.cells) {
 		sum.EtaMs = 0
-	} else if computed > 0 {
-		perCell := elapsed / time.Duration(computed)
+	} else if p.computed > 0 {
+		perCell := elapsed / time.Duration(p.computed)
 		sum.EtaMs = float64(perCell*time.Duration(len(p.cells)-p.done)) / 1e6
 	}
 	return lines, sum
@@ -218,13 +219,6 @@ func (p *SweepProgress) Counts() (done, cached, failed int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.done, p.cached, p.failed
-}
-
-// version returns the state-change counter.
-func (p *SweepProgress) version() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ver
 }
 
 // WriteNDJSON writes the current snapshot as NDJSON: one CellLine per
@@ -250,12 +244,13 @@ func (p *SweepProgress) WriteNDJSON(w io.Writer) error {
 type flusher interface{ Flush() }
 
 // StreamNDJSON writes the snapshot like WriteNDJSON and then keeps
-// streaming: on every state change (polled at the given interval) it
-// emits the transitioned cells and a fresh SummaryLine, until the sweep
-// finishes or the writer errors (client gone). done receives an
-// optional external stop signal (may be nil); once it closes, the
-// changes made since the last poll are emitted and the stream ends, so
-// a stop signalled after the sweep's last transition never loses it.
+// streaming: on every state change (polled at the given interval,
+// 250 ms when it is not positive) it emits the transitioned cells and a
+// fresh SummaryLine, until the sweep finishes or the writer errors
+// (client gone). done receives an optional external stop signal (may
+// be nil); once it closes, the changes made since the last poll are
+// emitted and the stream ends, so a stop signalled after the sweep's
+// last transition never loses it.
 func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <-chan struct{}) error {
 	if p == nil {
 		return nil

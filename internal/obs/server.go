@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,21 +11,13 @@ import (
 	"time"
 )
 
-// ProgressReporter is the /progress data source: a single sweep's
-// tracker (*SweepProgress, the workbench) or the multi-job fan-in
-// (*MultiProgress, sweepd). Both render NDJSON snapshots and follow
-// streams.
-type ProgressReporter interface {
-	WriteNDJSON(w io.Writer) error
-	StreamNDJSON(w io.Writer, interval time.Duration, done <-chan struct{}) error
-}
-
 // Server is the HTTP observability plane (`workbench -listen`): the
 // first slice of cmd/sweepd. It serves
 //
 //	/metrics         Prometheus text exposition of the registry
 //	/progress        per-cell sweep status as NDJSON (?follow=1 streams
-//	                 state transitions until the sweep finishes)
+//	                 state transitions until the sweep finishes); only
+//	                 on a server built with a tracker
 //	/debug/pprof/*   the standard pprof handlers on this mux
 //
 // All endpoints are read-only: a scrape never blocks or perturbs a
@@ -35,7 +26,7 @@ type ProgressReporter interface {
 // boundaries).
 type Server struct {
 	reg  *Registry
-	prog ProgressReporter
+	prog *SweepProgress
 	mux  *http.ServeMux
 	ln   net.Listener
 	srv  *http.Server
@@ -44,14 +35,17 @@ type Server struct {
 	extra []string // extra route patterns, listed by the index page
 }
 
-// NewServer builds an unstarted server over the given registry and
-// progress reporter (either may be nil; the endpoints degrade to empty
-// expositions).
-func NewServer(reg *Registry, prog ProgressReporter) *Server {
+// NewServer builds an unstarted server over the given registry (nil
+// serves an empty exposition) and sweep tracker. /progress is mounted
+// only when prog is non-nil: sweepd passes nil, its jobs' progress is
+// /jobs and /jobs/{id}/events.
+func NewServer(reg *Registry, prog *SweepProgress) *Server {
 	s := &Server{reg: reg, prog: prog}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/progress", s.handleProgress)
+	if prog != nil {
+		s.mux.HandleFunc("/progress", s.handleProgress)
+	}
 	// net/http/pprof registers on DefaultServeMux at import; wire the
 	// same handlers onto our private mux instead.
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -128,16 +122,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.prog == nil {
-		fmt.Fprintln(w, `{"summary":true,"total":0,"done":0,"running":0,"queued":0,"failed":0,"elapsed_ms":0,"eta_ms":-1}`)
-		return
-	}
 	if follow, _ := strconv.ParseBool(r.URL.Query().Get("follow")); follow {
-		interval := 250 * time.Millisecond
-		if ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms")); err == nil && ms > 0 {
-			interval = time.Duration(ms) * time.Millisecond
+		ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms"))
+		if err != nil {
+			ms = 0 // StreamNDJSON's default
 		}
-		s.prog.StreamNDJSON(w, interval, r.Context().Done()) //nolint:errcheck // client gone
+		s.prog.StreamNDJSON(w, time.Duration(ms)*time.Millisecond, r.Context().Done()) //nolint:errcheck // client gone
 		return
 	}
 	s.prog.WriteNDJSON(w) //nolint:errcheck // client gone
@@ -148,7 +138,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprint(w, "rmalocks observability plane\n\n/metrics\n/progress (?follow=1)\n/debug/pprof/\n")
+	fmt.Fprint(w, "rmalocks observability plane\n\n/metrics\n")
+	if s.prog != nil {
+		fmt.Fprint(w, "/progress (?follow=1)\n")
+	}
+	fmt.Fprint(w, "/debug/pprof/\n")
 	s.mu.Lock()
 	extra := append([]string(nil), s.extra...)
 	s.mu.Unlock()

@@ -21,7 +21,7 @@ func newTestServer(t *testing.T) (*Server, *SweepProgress, *Registry) {
 // TestMetricsEndpoint checks content type and exposition body.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _, reg := newTestServer(t)
-	reg.Counter("hits_total", "Hits.").Add(5)
+	reg.CounterFunc("hits_total", "Hits.", func() int64 { return 5 })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -128,7 +128,7 @@ func TestPprofEndpoint(t *testing.T) {
 // TestListenAndClose binds :0, scrapes over TCP, and shuts down.
 func TestListenAndClose(t *testing.T) {
 	srv, _, reg := newTestServer(t)
-	reg.Counter("up", "").Inc()
+	reg.CounterFunc("up", "", func() int64 { return 1 })
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -284,7 +284,7 @@ type (
 	// cancellation, cache-aware cell scheduling.
 	JobManager = jobq.Manager
 	// JobConfig wires a JobManager: worker-pool width, concurrent-job
-	// bound, cell cache, and observability hooks.
+	// bound, cell cache, and metric registry.
 	JobConfig = jobq.Config
 )
 
