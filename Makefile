@@ -13,12 +13,13 @@ FAULT_FLAGS = -profiles uniform,zipf -ps 16,64 \
 	-faults 'jitter=0.2,stragglers=4x5%,stall=50us@0.02' \
 	-faults 'stall=100us@0.05,timeout=200us'
 
-.PHONY: help build test fmt-check race bench bench-trajectory bench-smoke million-smoke scale grid sweep faults trace obs-smoke sweepd-smoke paramspace faulttour clean
+.PHONY: help build test fmt-check portable race bench bench-trajectory bench-smoke million-smoke scale grid sweep faults trace obs-smoke sweepd-smoke paramspace faulttour clean
 
 help:
 	@echo "rmalocks targets:"
 	@echo "  build / test / race    compile everything, run the test suite (+ -race)"
 	@echo "  fmt-check              fail if gofmt would change any file"
+	@echo "  portable               cross-build; fail on a fused multiply-add in rmalocks code"
 	@echo "  bench / bench-smoke    benchstat-compatible benchmarks (full / CI-short)"
 	@echo "  grid                   full scheme x workload x profile grid with -check"
 	@echo "  sweep / faults         persist the P-sweep / fault-injection run as JSON"
@@ -49,6 +50,28 @@ race:
 # gofmt -l prints the files it would rewrite; any name is a failure.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
+
+# Results are a pure function of the grid on every platform only if no
+# compiler fuses x*y + z into one multiply-add, which rounds once instead
+# of twice. The Go compilers for these three architectures do, unless
+# the product is converted with float64(...). This target cross-builds
+# both commands for each and fails on any fused multiply-add mnemonic
+# (FMADD, FMSUB, FNMADD, FNMSUB and their suffixed forms) in a rmalocks/
+# function, naming the source line. On a 2-core box: ≈80 s from an
+# empty build cache (three standard libraries), ≈3 s warm.
+PORTABLE_ARCHS = arm64 ppc64le riscv64
+
+portable:
+	@mkdir -p results/portable
+	@fused=0; for arch in $(PORTABLE_ARCHS); do for cmd in workbench sweepd; do \
+		bin=results/portable/$$cmd-$$arch; \
+		GOARCH=$$arch $(GO) build -o $$bin ./cmd/$$cmd || exit 1; \
+		out=$$($(GO) tool objdump -s '^rmalocks/' $$bin | \
+			grep -E '[[:space:]]FN?M(ADD|SUB)[A-Z]*[[:space:]]'); \
+		if [ -n "$$out" ]; then echo "$$out" | sed "s|^|$$arch $$cmd: |"; fused=1; fi; \
+	done; done; \
+	if [ $$fused -ne 0 ]; then echo "portable: fused multiply-adds above; round the product with float64(...)"; exit 1; fi
+	@echo "portable: no fused multiply-add in rmalocks code on $(PORTABLE_ARCHS)"
 
 # Benchmarks are benchstat-compatible: `make bench`, change code,
 # `make bench` again, then `benchstat` the two results/bench.txt copies.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -130,81 +129,5 @@ func TestSignalDrainsMidJob(t *testing.T) {
 	// Draining daemons refuse new work.
 	if _, err := d.mgr.Submit(slowGrid(), "late"); !errors.Is(err, jobq.ErrDraining) {
 		t.Fatalf("submit after drain: %v, want ErrDraining", err)
-	}
-}
-
-// TestDaemonWarmRestart reuses a cache directory across daemon
-// processes: the second daemon serves the whole grid from cache and the
-// results match byte for byte.
-func TestDaemonWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	grid := sweep.Grid{
-		Schemes:   []string{workload.SchemeDMCS, workload.SchemeRMARW},
-		Workloads: []string{"empty"},
-		Profiles:  []string{"uniform", "zipf"},
-		Ps:        []int{8, 16},
-		Iters:     12,
-		FW:        0.2,
-		Locks:     4,
-	}
-
-	runJob := func() ([]byte, jobq.Status) {
-		d, err := newDaemon(config{cacheDir: dir, cacheBytes: 1 << 20, maxJobs: 1, workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		base := "http://" + d.addr()
-		body, err := sweep.EncodeGrid(grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+"/jobs?label=restart", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st jobq.Status
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusCreated {
-			t.Fatalf("submit: %d %v", resp.StatusCode, err)
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			if st = getStatus(t, base, st.ID); st.State == jobq.StateDone {
-				break
-			}
-			if st.State == jobq.StateFailed || time.Now().After(deadline) {
-				t.Fatalf("job state %s (%s)", st.State, st.Error)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		resp, err = http.Get(base + "/jobs/" + st.ID + "/result")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("result: %d %s", resp.StatusCode, data)
-		}
-		if err := d.shutdown(); err != nil {
-			t.Fatal(err)
-		}
-		return data, st
-	}
-
-	cold, st1 := runJob()
-	warm, st2 := runJob()
-	if st1.Cached != 0 {
-		t.Fatalf("cold daemon cached %d cells", st1.Cached)
-	}
-	if st2.Cached != st2.Cells {
-		t.Fatalf("warm daemon cached %d/%d cells", st2.Cached, st2.Cells)
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("warm-restart result differs from cold result")
 	}
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -82,29 +80,6 @@ func TestSummaryCountsDerivedCells(t *testing.T) {
 	}
 	if got := summary(results[6:], time.Millisecond, true); !strings.HasPrefix(got, "[2 cells in 1ms; all cells") {
 		t.Errorf("summary without derived cells = %q", got)
-	}
-}
-
-// TestRunFileSameForAnyWorkerCount: two -out files of one grid are
-// cmp-equal whatever -j is, derived cells included (derivingGrid has
-// four, which TestSummaryCountsDerivedCells pins).
-func TestRunFileSameForAnyWorkerCount(t *testing.T) {
-	grid := derivingGrid()
-	dir := t.TempDir()
-	var files [][]byte
-	for _, jobs := range []int{1, 4} {
-		out := filepath.Join(dir, "j"+strconv.Itoa(jobs)+".json")
-		if code := run(runOpts{grid: grid, jobs: jobs, csv: true, out: out}); code != 0 {
-			t.Fatalf("run -j %d exited %d", jobs, code)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, data)
-	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Errorf("-j 1 and -j 4 wrote different run files\n-j 1: %s\n-j 4: %s", files[0], files[1])
 	}
 }
 

@@ -55,124 +55,6 @@ func runBytes(tb testing.TB, c sweep.CellCache) []byte {
 	return data
 }
 
-// TestHitVsMissByteIdentity is the core guarantee: a sweep served
-// entirely from cache persists byte-identically to the cold run that
-// populated it.
-func TestHitVsMissByteIdentity(t *testing.T) {
-	store, _, err := cache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cold := runBytes(t, store)
-	st := store.Stats()
-	if st.Hits != 0 {
-		t.Fatalf("cold run recorded %d hits", st.Hits)
-	}
-	if st.Misses == 0 {
-		t.Fatal("cold run recorded no misses")
-	}
-
-	warm := runBytes(t, store)
-	st2 := store.Stats()
-	if want := int64(len(mustCells(t, testGrid()))); st2.Hits != want {
-		t.Fatalf("warm run hits = %d, want %d (every cell)", st2.Hits, want)
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("warm (all-cached) run output differs from cold run")
-	}
-}
-
-// TestCrossProcessRoundTrip reopens the cache directory with a fresh
-// store — a new daemon process — and checks entries survive with
-// fingerprints intact.
-func TestCrossProcessRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	store, _, err := cache.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := runBytes(t, store)
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, rep, err := cache.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Corrupt) != 0 {
-		t.Fatalf("clean reopen reported corrupt entries: %v", rep.Corrupt)
-	}
-	if want := len(mustCells(t, testGrid())); rep.Entries != want || rep.Loaded != want {
-		t.Fatalf("reopen found %d/%d entries, want %d", rep.Loaded, rep.Entries, want)
-	}
-	warm := runBytes(t, store2)
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("cross-process warm run output differs from cold run")
-	}
-	if st := store2.Stats(); st.Misses != 0 {
-		t.Fatalf("cross-process warm run recorded %d misses", st.Misses)
-	}
-}
-
-// TestEngineSharesCacheEntry: the engine is not part of a cell's
-// address (results are engine-invariant), so cells the fast engine
-// computed and stored are hits for the same grid on the reference
-// engine — and what is served is byte for byte what a cold, uncached
-// reference run produces. The cache path is engine-blind for
-// derivations too: a dirty reference-engine grid (TR=20001) derives its
-// RMA-RW cells from the fast engine's entries, and hits the rest.
-func TestEngineSharesCacheEntry(t *testing.T) {
-	store, _, err := cache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := testGrid()
-	fast.Engine = "fast"
-	if _, err := sweep.Run(mustCells(t, fast), sweep.Options{Workers: 2, Cache: store}); err != nil {
-		t.Fatal(err)
-	}
-	ref := testGrid()
-	ref.Engine = "ref"
-	cells := mustCells(t, ref)
-	served, err := sweep.Run(cells, sweep.Options{Workers: 2, Cache: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats(); st.Hits != int64(len(cells)) || st.Misses != int64(len(cells)) {
-		t.Fatalf("hits/misses = %d/%d, want %d/%d: the fast run misses every cell, the ref run hits every one", st.Hits, st.Misses, len(cells), len(cells))
-	}
-	sameAsCold(t, cells, served)
-
-	dirty := withTR(ref, 20001)
-	cells = mustCells(t, dirty)
-	before := store.Stats()
-	if served, err = sweep.Run(cells, sweep.Options{Workers: 2, Cache: store}); err != nil {
-		t.Fatal(err)
-	}
-	rw := int64(len(rmaRW(t, dirty)))
-	if st := store.Stats(); st.Derived-before.Derived != rw || st.Hits-before.Hits != int64(len(cells))-rw || st.Misses != before.Misses {
-		t.Fatalf("dirty ref run: %+v after %+v; want its %d RMA-RW cells derived and the rest hits", st, before, rw)
-	}
-	sameAsCold(t, cells, served)
-}
-
-// sameAsCold fails for every cell whose served result is not byte for
-// byte what a cold, uncached run of the cell produces.
-func sameAsCold(t *testing.T, cells []sweep.Cell, served []sweep.CellResult) {
-	t.Helper()
-	cold, err := sweep.Run(cells, sweep.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
-		if !bytes.Equal(encodeOne(t, served[i]), encodeOne(t, cold[i])) {
-			t.Errorf("cell %s: what the cache served is not what a cold reference run computes", cells[i].Key)
-		}
-	}
-}
-
 // TestStaleEntriesRemovedAtOpen: an entry written under another version
 // of the address encoding (testdata/v1-entry holds one, as the cell/v1
 // code wrote it) is well-formed but unreachable. Open counts it apart

@@ -89,7 +89,8 @@ func jobBytes(tb testing.TB, m *jobq.Manager, g sweep.Grid, label string) []byte
 // has asked for, derive every RMA-RW cell from those entries and still
 // return a local run's bytes; after the store is closed and reopened
 // with a one-byte budget, a third TR derives too: the sibling index is
-// rebuilt from disk, from entries over budget as well.
+// rebuilt from disk, from entries over budget as well. Kept beside the
+// identity matrix for its concurrent jobs and what the store holds.
 func TestJobsDeriveAcrossJobs(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)
@@ -144,7 +145,8 @@ func TestJobsDeriveAcrossJobs(t *testing.T) {
 // run's bytes both times; the second time its RMA-RW cells miss and
 // derive again rather than hit. Neither job adds a file or a resident
 // entry, and after reopening the directory a third run derives every
-// RMA-RW cell again.
+// RMA-RW cell again. Kept beside the identity matrix: it checks the files
+// on disk, which the matrix does not look at.
 func TestDerivedCellsAreNotStored(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := cache.Open(dir, 0)

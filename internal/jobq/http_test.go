@@ -28,16 +28,28 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobq.Manager, *cache.Store)
 		t.Fatal(err)
 	}
 	store.Register(metrics)
-	mgr := jobq.NewManager(jobq.Config{
+	ts, mgr := serveJobs(t, jobq.Config{
 		Workers: 4, MaxJobs: 2,
 		Cache: store,
 		Obs:   metrics,
 	})
+	return ts, mgr, store
+}
+
+// serveJobs serves the job API of a manager built from cfg, and the
+// metrics of cfg.Obs when it is set.
+func serveJobs(t *testing.T, cfg jobq.Config) (*httptest.Server, *jobq.Manager) {
+	t.Helper()
+	mgr := jobq.NewManager(cfg)
+	metrics := cfg.Obs
+	if metrics == nil {
+		metrics = obs.NewRegistry()
+	}
 	srv := obs.NewServer(metrics, nil)
 	jobq.NewAPI(mgr).Mount(srv)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); mgr.Shutdown() })
-	return ts, mgr, store
+	return ts, mgr
 }
 
 func submitGrid(t *testing.T, ts *httptest.Server, label string) jobq.Status {

@@ -1,13 +1,11 @@
 package jobq_test
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
-	"rmalocks/internal/cache"
 	"rmalocks/internal/jobq"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
@@ -35,41 +33,6 @@ func waitTerminal(t *testing.T, j *jobq.Job) jobq.Status {
 	return j.Status()
 }
 
-// TestJobResultMatchesDirectRun: the daemon path (submit → run →
-// Result → Encode) must produce the exact bytes of a direct local
-// sweep of the same grid.
-func TestJobResultMatchesDirectRun(t *testing.T) {
-	results, err := sweep.Run(mustCells(t, testGrid()), sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sweep.Encode(sweep.RunFile{Label: "grid", Cells: results})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 2})
-	defer m.Shutdown()
-	j, err := m.Submit(testGrid(), "grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, j); st.State != jobq.StateDone {
-		t.Fatalf("job state %s (error %q), want done", st.State, st.Error)
-	}
-	rf, err := m.Result(j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sweep.Encode(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("job result bytes differ from direct sweep run")
-	}
-}
-
 func mustCells(tb testing.TB, g sweep.Grid) []sweep.Cell {
 	tb.Helper()
 	cells, err := g.Cells()
@@ -77,44 +40,6 @@ func mustCells(tb testing.TB, g sweep.Grid) []sweep.Cell {
 		tb.Fatal(err)
 	}
 	return cells
-}
-
-// TestJobCacheReuse: resubmitting an identical grid against a shared
-// cache resolves every cell without recomputation and yields identical
-// result bytes.
-func TestJobCacheReuse(t *testing.T) {
-	store, _, err := cache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := jobq.NewManager(jobq.Config{Workers: 4, MaxJobs: 1, Cache: store})
-	defer m.Shutdown()
-
-	j1, err := m.Submit(testGrid(), "grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1 := waitTerminal(t, j1)
-	if st1.State != jobq.StateDone || st1.Cached != 0 {
-		t.Fatalf("cold job: state %s cached %d, want done/0", st1.State, st1.Cached)
-	}
-
-	j2, err := m.Submit(testGrid(), "grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := waitTerminal(t, j2)
-	if st2.State != jobq.StateDone || st2.Cached != st2.Cells {
-		t.Fatalf("warm job: state %s cached %d/%d, want all cells cached", st2.State, st2.Cached, st2.Cells)
-	}
-
-	rf1, _ := m.Result(j1.ID)
-	rf2, _ := m.Result(j2.ID)
-	b1, _ := sweep.Encode(rf1)
-	b2, _ := sweep.Encode(rf2)
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("cached job result bytes differ from computed job")
-	}
 }
 
 // gateCache blocks every Get until released — a deterministic way to

@@ -71,6 +71,8 @@ func TestVirtualTimeOrder(t *testing.T) {
 	}
 }
 
+// TestDeterminism checks the scheduler's event order itself, below the
+// reports the identity matrix compares.
 func TestDeterminism(t *testing.T) {
 	run := func() []int {
 		var order []int

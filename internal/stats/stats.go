@@ -45,11 +45,11 @@ func SummarizeInPlace(s []float64) Summary {
 	var sum, sq float64
 	for _, x := range s {
 		sum += x
-		sq += x * x
+		sq += float64(x * x) // float64 rounds: never a fused multiply-add (make portable)
 	}
 	n := float64(len(s))
 	mean := sum / n
-	variance := sq/n - mean*mean
+	variance := sq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -83,14 +83,14 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac) // rounded, as in SummarizeInPlace
 }
 
 // Table is a simple column-aligned result table, one per figure.

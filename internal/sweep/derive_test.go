@@ -23,7 +23,8 @@ func axis(key string, vals ...int64) TunableAxis { return TunableAxis{Key: key, 
 // reference engine (which never derives). The pinned derived counts keep
 // it from passing vacuously: a witness that admitted nothing would
 // derive nothing, one that admitted too much would derive a binding
-// cell and fail the comparison.
+// cell and fail the comparison. Kept beside the identity matrix: it pins
+// derived counts on the evaluation's grids, not on the identity grid.
 func TestDerivedCellsEqualColdRuns(t *testing.T) {
 	var fig4bc []Grid
 	// Figure 4b's (T_L,1, T_L,2) pairs, then 4c's splits of T_W = 1000

@@ -74,41 +74,6 @@ func TestFaultAxisInvalidProfile(t *testing.T) {
 	}
 }
 
-// TestFaultSweepWorkerInvariance is the determinism-under-faults gate
-// at the sweep layer: the same faulted grid with 1 and 4 workers must
-// merge byte-identically, and -check must pass (each cell reproduces).
-func TestFaultSweepWorkerInvariance(t *testing.T) {
-	serial, err := sweep.Run(mustCells(t, faultGrid(t)), sweep.Options{Workers: 1, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := sweep.Run(mustCells(t, faultGrid(t)), sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Fingerprint != parallel[i].Fingerprint {
-			t.Errorf("cell %s: fingerprints differ between -j 1 and -j 4", serial[i].Key)
-		}
-	}
-	if sweep.Table("g", serial).String() != sweep.Table("g", parallel).String() {
-		t.Error("rendered tables differ between worker counts")
-	}
-	// Faulted cells must carry the fault metrics; the baseline cells the
-	// axis enumerates must carry the percentiles (FaultMetrics mode) but
-	// no fault counters.
-	for _, r := range serial {
-		if _, ok := r.Report.Extra["lat_p99"]; !ok {
-			t.Errorf("cell %s: missing lat_p99 under a fault axis", r.Key)
-		}
-		_, hasTimeouts := r.Report.Extra["timeouts"]
-		wantTimeouts := strings.Contains(r.Key.Faults, "timeout=")
-		if hasTimeouts != wantTimeouts {
-			t.Errorf("cell %s: timeouts key present=%v want %v", r.Key, hasTimeouts, wantTimeouts)
-		}
-	}
-}
-
 // TestApplyDegradation pins the baseline join and the derived metrics.
 func TestApplyDegradation(t *testing.T) {
 	g := faultGrid(t)

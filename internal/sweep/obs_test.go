@@ -26,6 +26,7 @@ func obsGrid(m *obs.Registry) Grid {
 // workers writing metrics and progress. Any unsynchronized access is a
 // -race failure; the test also checks the final progress state and
 // that attaching obs left every fingerprint identical to a bare run.
+// Kept beside the identity matrix for its concurrent scrapes under -race.
 func TestScrapeWhileRunning(t *testing.T) {
 	m := obs.NewRegistry()
 	prog := obs.NewSweepProgress("race test")

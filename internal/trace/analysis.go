@@ -28,7 +28,7 @@ func Jain(counts []int64) float64 {
 	for _, c := range counts {
 		x := float64(c)
 		sum += x
-		sq += x * x
+		sq += float64(x * x) // float64 rounds: never a fused multiply-add (make portable)
 	}
 	if sq == 0 {
 		return 0

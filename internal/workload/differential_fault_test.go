@@ -6,6 +6,8 @@ package workload_test
 // publication-mode combinations — under jitter, congestion windows,
 // stragglers, stalls, and the bounded-acquire timeout path. Runs under
 // -race in CI (the race and chaos-smoke jobs' Differential pattern).
+// Kept beside the identity matrix for the same reason as
+// differential_test.go: the eager oracle and trace-stream equality.
 
 import (
 	"errors"

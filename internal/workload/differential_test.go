@@ -8,7 +8,9 @@ package workload_test
 // combinations must produce byte-identical reports and equal MaxClock —
 // the fast path and lazy publication are pure optimisations, never allowed
 // to change a single virtual-time decision. Run under -race in CI to also
-// exercise the fast path's lock-free clock increments.
+// exercise the fast path's lock-free clock increments. It stays beside
+// internal/jobq's identity matrix, because no grid can select the eager
+// oracle and the matrix compares reports, not trace streams.
 
 import (
 	"fmt"

@@ -25,7 +25,8 @@ func obsSpec(engine string, m *obs.Registry) Spec {
 // attached, every engine produces a report byte-identical (by
 // fingerprint) to its unobserved run, and no metric key leaks into
 // Report.Extra — while the instruments did record the run: one span per
-// phase and one count per measured cycle.
+// phase and one count per measured cycle. The identity matrix's obs rows
+// cannot see the latter, so this test stays.
 func TestObsNeverPerturbs(t *testing.T) {
 	for _, engine := range []string{"", rma.EngineRef} {
 		name := engine

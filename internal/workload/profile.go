@@ -246,7 +246,7 @@ func (s RWSweep) FWAt(it int) float64 {
 	if frac < 0 {
 		frac = 0
 	}
-	return s.FWStart + (s.FWEnd-s.FWStart)*frac
+	return s.FWStart + float64((s.FWEnd-s.FWStart)*frac) // float64 rounds: never fused (make portable)
 }
 
 func (s RWSweep) Next(p *rma.Proc, it int) Intent {
