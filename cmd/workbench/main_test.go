@@ -69,7 +69,7 @@ func TestSummaryCountsDerivedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sweep.Run(cells, sweep.Options{Workers: 1})
+	results, err := sweep.Run(cells, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,13 @@ import (
 // flat in T_R at this scale. Of the 270 cells the figures and ablations
 // name, 267 are distinct: the network ablation's 100 % cells are Figure
 // 3a/3b's cells at the largest P. The tables TestEvaluationGolden pins are
-// built from these derived reports. One worker makes the count exact;
-// with more, a sibling that is still running is not waited for.
+// built from these derived reports.
 func TestQuickDerivedCells(t *testing.T) {
 	cells, _, err := plan(append(Figures(Quick), Ablations(Quick)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sweep.Run(cells, sweep.Options{Workers: 1})
+	results, err := sweep.Run(cells, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

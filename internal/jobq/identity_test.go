@@ -51,9 +51,9 @@ func identityGrid(tb testing.TB, trs ...int64) sweep.Grid {
 	}
 }
 
-// What a store counts of identityGrid(8, 1000), 360 cells: a run by one
-// worker derives 75 of them from a sibling's run and stores the other
-// 285; over a store filled by identityGrid(2000), 199 cells hit, 110
+// What a store counts of identityGrid(8, 1000), 360 cells: a run, on
+// any number of workers, derives 75 of them from a sibling's run and
+// stores the other 285; over a store filled by identityGrid(2000), 199 cells hit, 110
 // derive and the 51 that T_R = 8 (or T_L,2 = 1) binds are simulated.
 const (
 	identityCells = 360
@@ -173,13 +173,10 @@ func covered(i int, a string, j int, b string) bool {
 }
 
 // fill runs g into store on the default engine, the one that records
-// witnesses, so a reference-engine row is served and derives from them;
-// and with one worker, so a sibling group's first run has always
-// finished when the rest of the group is claimed, and the cells that
-// derive in-run (and are not stored) are always the same.
+// witnesses, so a reference-engine row is served and derives from them.
 func fill(t *testing.T, g sweep.Grid, store *cache.Store) {
 	t.Helper()
-	sweepRun(t, g, 1, store, "none")
+	sweepRun(t, g, 8, store, "none")
 }
 
 // identityRow runs identityGrid as row r says and returns the run file

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -68,7 +67,9 @@ func TestDerivedCellsEqualColdRuns(t *testing.T) {
 				}
 				cold = append(cold, cells...)
 			}
-			got, err := Run(hot, Options{Workers: 1})
+			// Four workers: a group runs on one of them, so the derived
+			// cells are those of a serial run.
+			got, err := Run(hot, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,16 +77,8 @@ func TestDerivedCellsEqualColdRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Workers deriving from one another's runs, for -race.
-			par, err := Run(hot, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
 			derived := 0
 			for i := range got {
-				if par[i].Fingerprint != want[i].Fingerprint {
-					t.Errorf("%s (4 workers, derived %v) differs from its cold run", par[i].Key, par[i].Derived)
-				}
 				if got[i].Derived {
 					derived++
 				}
@@ -104,89 +97,29 @@ func TestDerivedCellsEqualColdRuns(t *testing.T) {
 	}
 }
 
-// TestClaimOrder pins the order Run claims cells in: every sibling
-// group's first cell before any group's second, and a grid without
-// tunable axes — or with derivation off — in canonical order.
-func TestClaimOrder(t *testing.T) {
-	g := Grid{Schemes: []string{"foMPI-Spin", "RMA-MCS", "RMA-RW"}, Workloads: []string{"empty"},
-		Profiles: []string{"uniform"}, Ps: []int{8, 16}, Iters: 5,
-		Tunables: []TunableAxis{axis("TR", 200, 400), axis("TL2", 4, 8)}}
-	cells, err := g.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for _, c := range cells {
-		keys = append(keys, c.Key.String())
-	}
-	pending := make([]int, len(cells))
-	for i := range pending {
-		pending[i] = i
-	}
-	order, _ := claimOrder(cells, pending, false)
-	var got []string
-	for _, i := range order {
-		got = append(got, keys[i])
-	}
-	want := []string{
-		"foMPI-Spin/empty/uniform/P=8", "foMPI-Spin/empty/uniform/P=16",
-		"RMA-MCS/empty/uniform/P=8/TL2=4", "RMA-MCS/empty/uniform/P=16/TL2=4",
-		"RMA-RW/empty/uniform/P=8/TL2=4,TR=200", "RMA-RW/empty/uniform/P=16/TL2=4,TR=200",
-		"RMA-MCS/empty/uniform/P=8/TL2=8", "RMA-MCS/empty/uniform/P=16/TL2=8",
-		"RMA-RW/empty/uniform/P=8/TL2=8,TR=200", "RMA-RW/empty/uniform/P=16/TL2=8,TR=200",
-		"RMA-RW/empty/uniform/P=8/TL2=4,TR=400", "RMA-RW/empty/uniform/P=16/TL2=4,TR=400",
-		"RMA-RW/empty/uniform/P=8/TL2=8,TR=400", "RMA-RW/empty/uniform/P=16/TL2=8,TR=400",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("claim order:\n got %q\nwant %q", got, want)
-	}
-	for _, check := range []bool{false, true} {
-		cells := cells
-		if !check {
-			g.Tunables = nil
-			if cells, err = g.Cells(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		order, _ := claimOrder(cells, pending[:len(cells)], check)
-		if !slices.Equal(order, pending[:len(cells)]) {
-			t.Errorf("check=%v, %d cells: claim order %v, want canonical", check, len(cells), order)
-		}
-	}
-}
-
 // sameGroups reports the first cell for which SiblingOf disagrees with
-// claimOrder's groups s: two cells share a SiblingOf group address
-// exactly when claimOrder puts them in one group, and SiblingOf names
-// each cell's scheme and tunables. It returns "" when they agree.
-func sameGroups(cells []Cell, s *siblings) string {
-	addr := map[int]string{}
-	group := map[string]int{}
-	for i, c := range cells {
+// the cell's own description: the group address is the cell's with its
+// tunables cleared, and the scheme and tunables are the cell's. It
+// returns "" when they agree.
+func sameGroups(cells []Cell) string {
+	var buf []byte
+	for _, c := range cells {
+		sib := *c.cs
+		sib.Tunables, sib.tun = "", nil
+		buf = sib.appendInput(buf[:0])
 		a, name, tun, ok := SiblingOf(c.Input)
-		g := s.group[i]
-		if prev, seen := addr[g]; !seen {
-			addr[g] = a
-		} else if prev != a {
-			ok = false
-		}
-		if prev, seen := group[a]; !seen {
-			group[a] = g
-		} else if prev != g {
-			ok = false
-		}
-		if !ok || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
-			return fmt.Sprintf("SiblingOf(%q) = %q, %q, %v, %v; claimOrder's group %d", c.Input, a, name, tun, ok, g)
+		if !ok || a != string(buf) || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
+			return fmt.Sprintf("SiblingOf(%q) = %q, %q, %v, %v; want %q", c.Input, a, name, tun, ok, buf)
 		}
 	}
 	return ""
 }
 
-// TestSiblingOfMatchesClaimOrder: the sibling group of an address,
-// recomputed from the address alone as a cache does, groups the cells as
-// Run does, and the scheme and tunables are the cell's. Strings that are
-// not current addresses have no group.
-func TestSiblingOfMatchesClaimOrder(t *testing.T) {
+// TestSiblingOfClearsTunables: the sibling group of an address,
+// recomputed from the address alone, is the cell's description with its
+// tunables cleared, and the scheme and tunables are the cell's. Strings
+// that are not current addresses have no group.
+func TestSiblingOfClearsTunables(t *testing.T) {
 	jitter, err := fault.Parse("jitter=0.2")
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +131,7 @@ func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := make([]int, len(cells))
-	for i := range pending {
-		pending[i] = i
-	}
-	_, s := claimOrder(cells, pending, false)
-	if msg := sameGroups(cells, s); msg != "" {
+	if msg := sameGroups(cells); msg != "" {
 		t.Error(msg)
 	}
 	for _, in := range []string{
@@ -228,7 +156,7 @@ func TestSiblingOfMatchesClaimOrder(t *testing.T) {
 // reaches stored bytes. Whatever the address, SiblingOf must not panic,
 // and a group it returns is an address of its own, with no tunables,
 // in the same group. For the cells of a grid DecodeGrid accepts, it
-// groups them as claimOrder does and returns each cell's scheme and
+// returns each cell's description with the tunables cleared, scheme and
 // tunables.
 func FuzzSiblingOf(f *testing.F) {
 	const grid = `{"schemes":["foMPI-Spin","RMA-MCS","RMA-RW"],"workloads":["empty","dht"],"profiles":["uniform"],"ps":[8,16],"iters":5,"tunables":[{"key":"TR","values":[200,400]},{"key":"TL2","values":[4,8]}]`
@@ -257,24 +185,16 @@ func FuzzSiblingOf(f *testing.F) {
 		if n > 1<<10 {
 			return // enumerating it would measure the fuzzer's memory, not the parser
 		}
-		// The engine is not part of the address, and claimOrder groups
-		// only the default engine's cells.
-		g.Engine = ""
 		cells, err := g.Cells()
 		if err != nil {
 			return
 		}
-		pending := make([]int, len(cells))
-		for i := range pending {
-			pending[i] = i
-		}
-		_, s := claimOrder(cells, pending, false)
 		for _, c := range cells {
 			if !strings.HasPrefix(c.Input, inputPrefix) {
 				t.Fatalf("cell %s has address %q", c.Key, c.Input)
 			}
 		}
-		if msg := sameGroups(cells, s); msg != "" {
+		if msg := sameGroups(cells); msg != "" {
 			t.Fatal(msg)
 		}
 	})

@@ -5,9 +5,11 @@
 //
 // Every cell is a byte-deterministic simulation (see DESIGN.md,
 // "Determinism") with no shared mutable state, so the grid is
-// embarrassingly parallel across host cores: distributing cells over
-// workers changes wall-clock time but never the merged output. A
-// same-grid serial-vs-parallel equality test guards that property.
+// embarrassingly parallel across host cores. The pool's unit of work is
+// a sibling group (see Run): distributing groups over workers changes
+// wall-clock time but never the merged output, nor which cells derive
+// from a sibling's run. internal/jobq's identity matrix guards that
+// property across worker counts, engines and cache states.
 //
 // Sweep runs persist as JSON (see persist.go) under results/. A run
 // file is a pure function of its grid, so two runs agree exactly when
@@ -256,23 +258,23 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // computed (a cached result is the byte-identical outcome of an earlier
 // run of the same Input).
 //
-// Siblings — cells that differ in their tunables only — may share one
-// simulation. A finished run's witness (workload.Witness) says which
-// tunables would have made every threshold comparison of the run come
-// out the same; a claimed cell that a finished sibling's witness admits
-// takes that sibling's report with its own Tunables and fingerprint
-// (CellResult.Derived) instead of running. Every sibling group's first
-// cell is claimed before any group's second, so the siblings of a group
-// usually find a finished run; a cell never waits for one still
-// running. With a Cache attached the pre-pass asks it for every cell
-// with an address (unless Check), on either engine: a cell answered with
-// its own run is served (CellCached), one answered with a stored
-// sibling's run derives from it (CellDone), and only the rest reach the
-// pool, so what the Cache counts does not depend on timing. Every
-// simulated cell that could derive records its witness for the Cache to
-// store. In-run derivation needs an address and the default engine: the
-// reference engine, Check, and cells without an address (MemStats,
-// Trace) simulate.
+// Siblings — cells whose addresses share a SiblingOf group, differing in
+// their tunables only — may share one simulation. A run's witness
+// (workload.Witness) says which tunables would have made every threshold
+// comparison of the run come out the same. The pool's unit of work is a
+// sibling group: one worker runs the group's pending cells in canonical
+// order, and a cell that the witness of an earlier run of its group
+// admits takes that run's report with its own Tunables and fingerprint
+// (CellResult.Derived) instead of simulating. Which cells derive is thus
+// a function of the cells, whatever the worker count. With a Cache
+// attached the pre-pass asks it for every cell with an address (unless
+// Check), on either engine: a cell answered with its own run is served
+// (CellCached), one answered with a stored sibling's run derives from it
+// (CellDone), and only the rest reach the pool. Every simulated cell
+// that could derive records its witness for the Cache to store.
+// Derivation needs an address and the default engine: on the reference
+// engine, under Check, and without an address (MemStats, Trace) a cell
+// is a group of one and simulates.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -306,15 +308,18 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if len(pending) == 0 {
 		return results, nil
 	}
-	order, sibs := claimOrder(cells, pending, opts.Check)
-	sibs.cached = opts.Cache != nil
+	groups := siblingGroups(cells, pending, opts.Check)
 	errs := make([]error, len(cells))
-	ForEach(len(order), opts.Workers, func(oi int) error {
-		i := order[oi]
-		errs[i] = runCell(cells[i], i, opts, results, sibs)
+	ForEach(len(groups), opts.Workers, func(g int) error {
+		group := groups[g]
+		witnessed := mayDerive(cells[group[0]], opts.Check) && (opts.Cache != nil || len(group) > 1)
+		var runs []source // the group's simulations so far
+		for _, i := range group {
+			errs[i] = runCell(cells[i], i, opts, results, witnessed, &runs)
+		}
 		return nil // errs keeps each failure at its cell's index
 	})
-	// The lowest-index failure, whatever order the cells were claimed in.
+	// The lowest-index failure, whatever worker ran which group.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -323,110 +328,46 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	return results, nil
 }
 
-// siblings is what Run knows about sibling groups: cells whose
-// descriptions agree in everything but the tunables.
-type siblings struct {
-	// group is each cell's sibling group, -1 for a cell that may not
-	// derive; size is per group: its pending cells.
-	group []int
-	size  []int
-	// cached says a cache stores every simulated cell's witness.
-	cached bool
-	mu     sync.Mutex
-	runs   [][]source // per group: the finished simulations
+// mayDerive reports whether cell c may derive from a sibling's run: only
+// where it could be served from a cache, and never on the reference
+// engine or under Check, which run every cell.
+func mayDerive(c Cell, check bool) bool {
+	return c.Input != "" && c.att.engine != rma.EngineRef && !check
 }
 
-// source is a finished simulation a sibling may be derived from: its
-// result index and witness.
+// siblingGroups partitions the pending cells into sibling groups
+// (SiblingOf), ordered by their first cells, each in canonical order. A
+// cell that may not derive is a group of its own.
+func siblingGroups(cells []Cell, pending []int, check bool) [][]int {
+	groups := make([][]int, 0, len(pending))
+	ids := map[string]int{}
+	for _, i := range pending {
+		if c := cells[i]; mayDerive(c, check) {
+			if addr, _, _, ok := SiblingOf(c.Input); ok {
+				if g, seen := ids[addr]; seen {
+					groups[g] = append(groups[g], i)
+					continue
+				}
+				ids[addr] = len(groups)
+			}
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// source is a simulation a sibling may be derived from: its result index
+// and witness.
 type source struct {
 	i int
 	w workload.Witness
 }
 
-// witnessed reports whether cell i's run should produce its witness:
-// a sibling of this run may need it, or the cache stores it.
-func (s *siblings) witnessed(i int) bool {
-	g := s.group[i]
-	return g >= 0 && (s.cached || s.size[g] > 1)
-}
-
-// from returns a finished sibling of cell i whose witness admits tun.
-func (s *siblings) from(i int, tun scheme.Tunables) (source, bool) {
-	g := s.group[i]
-	if g < 0 || s.size[g] < 2 {
-		return source{}, false
-	}
-	s.mu.Lock()
-	runs := s.runs[g]
-	s.mu.Unlock()
-	for _, r := range runs {
-		if r.w.Admits(tun) {
-			return r, true
-		}
-	}
-	return source{}, false
-}
-
-// finished records cell i's simulation, once results[i] is final.
-func (s *siblings) finished(i int, w workload.Witness) {
-	if g := s.group[i]; g >= 0 && s.size[g] > 1 && w.Scheme != "" {
-		s.mu.Lock()
-		s.runs[g] = append(s.runs[g], source{i, w})
-		s.mu.Unlock()
-	}
-}
-
-// claimOrder groups the pending cells into siblings and returns the
-// order Run claims them in: every group's first cell in canonical order,
-// then every group's second, and so on. Without two pending cells in one
-// group the order is pending itself.
-func claimOrder(cells []Cell, pending []int, check bool) ([]int, *siblings) {
-	s := &siblings{group: make([]int, len(cells))}
-	for i := range s.group {
-		s.group[i] = -1
-	}
-	round := make([]int, len(pending)) // earlier pending siblings
-	ids := map[string]int{}
-	var buf []byte
-	for pi, i := range pending {
-		// A cell derives only where it could be served from a cache, and
-		// never on the reference engine: the oracle runs every cell.
-		c := cells[i]
-		if c.Input == "" || c.att.engine == rma.EngineRef || check {
-			continue
-		}
-		sib := *c.cs
-		sib.Tunables, sib.tun = "", nil
-		buf = sib.appendInput(buf[:0])
-		g, ok := ids[string(buf)]
-		if !ok {
-			g = len(s.size)
-			ids[string(buf)] = g
-			s.size = append(s.size, 0)
-		}
-		s.group[i], round[pi] = g, s.size[g]
-		s.size[g]++
-	}
-	s.runs = make([][]source, len(s.size))
-	order := slices.Clone(pending)
-	if !slices.ContainsFunc(s.size, func(n int) bool { return n > 1 }) {
-		return order, s
-	}
-	byRound := make([]int, len(pending))
-	for pi := range byRound {
-		byRound[pi] = pi
-	}
-	slices.SortStableFunc(byRound, func(a, b int) int { return round[a] - round[b] })
-	for k, pi := range byRound {
-		order[k] = pending[pi]
-	}
-	return order, s
-}
-
-// runCell resolves cell i into results[i]: from a finished sibling of
-// this run when one's witness admits the cell, by simulating it
-// otherwise.
-func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) error {
+// runCell resolves cell i into results[i]: from one of runs, the earlier
+// simulations of its group, when one's witness admits the cell, by
+// simulating it otherwise. witnessed asks the simulation for its
+// witness, with which it joins runs.
+func runCell(c Cell, i int, opts Options, results []CellResult, witnessed bool, runs *[]source) error {
 	if opts.Cancel != nil {
 		select {
 		case <-opts.Cancel:
@@ -441,11 +382,13 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 	if opts.Progress != nil {
 		opts.Progress.CellRunning(i)
 	}
-	if src, ok := sibs.from(i, c.cs.tun); ok {
-		derive(c, i, results[src.i], opts, results)
-		return nil
+	for _, src := range *runs {
+		if src.w.Admits(c.cs.tun) {
+			derive(c, i, results[src.i], opts, results)
+			return nil
+		}
 	}
-	rep, locks, sink, w, err := runOnce(c, sibs.witnessed(i))
+	rep, locks, sink, w, err := runOnce(c, witnessed)
 	if err != nil {
 		err = fmt.Errorf("sweep: cell %s: %w", c.Key, err)
 		if opts.Progress != nil {
@@ -473,7 +416,9 @@ func runCell(c Cell, i int, opts Options, results []CellResult, sibs *siblings) 
 	}
 	results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
 	store(opts, c, results, i, w)
-	sibs.finished(i, w)
+	if w.Scheme != "" {
+		*runs = append(*runs, source{i, w})
+	}
 	if opts.Progress != nil {
 		opts.Progress.CellDone(i, fp, nil)
 	}
@@ -1035,8 +980,8 @@ func StaleInput(input string) bool {
 }
 
 // SiblingOf splits a content address into the address of its sibling
-// group — the same cell with its tunables cleared, exactly what Run
-// groups the cells it claims by — and the scheme and tunables the
+// group — the same cell with its tunables cleared, what Run groups its
+// cells by — and the scheme and tunables the
 // address names. ok is false for anything that is not an address of
 // the current version.
 func SiblingOf(input string) (group, schemeName string, tun scheme.Tunables, ok bool) {
