@@ -111,6 +111,45 @@ func TestWarmJobAllocBytes(t *testing.T) {
 	}
 }
 
+// derivedJobAllocBound is the ceiling on bytes one job of warmGrid with
+// a new TR may allocate: a warm job's, plus 48 derived cells. Spliced
+// from their sources' fragments they allocate 1.08 MB a job: a warm
+// job's 0.85 MB, a fragment and a fingerprint per derived cell, and the
+// store's sibling lookups. Where derive re-formatted each fingerprint
+// and Encode marshalled and indented each derived cell, this same job
+// allocated 1.86 MB, about 16 KB more per cell; the bound sits between.
+const derivedJobAllocBound = 1536 << 10
+
+// TestDerivedJobAllocBytes bounds the bytes a job of 48 derived cells
+// allocates, so a marshal or a formatted fingerprint coming back onto
+// the derived path fails a test rather than a benchmark.
+func TestDerivedJobAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 240-cell cold fill takes 20 s under -race, and the detector's own allocations are not the job's")
+	}
+	m, store, _ := warmManager(t)
+	tr := int64(20001)
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		jobBytes(t, m, withTR(warmGrid(), tr), "bench/dirty")
+		runtime.ReadMemStats(&after)
+		tr++
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	derived := run()
+	for i := 0; i < 4; i++ {
+		derived = min(derived, run())
+	}
+	if st := store.Stats(); st.Derived != 5*48 {
+		t.Fatalf("%d cells derived in 5 jobs, want 48 a job", st.Derived)
+	}
+	t.Logf("derived job %d B (bound %d B)", derived, derivedJobAllocBound)
+	if derived >= derivedJobAllocBound {
+		t.Errorf("a job of 48 derived cells allocated %d B, bound %d B: is a derived cell marshalled or its fingerprint formatted again?", derived, derivedJobAllocBound)
+	}
+}
+
 // BenchmarkGridCells measures enumerating warmGrid — descriptions,
 // addresses and Spec closures for 240 cells — which a warm job pays
 // once at Submit and is the largest in-process piece of it.

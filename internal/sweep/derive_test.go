@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,8 +19,11 @@ func axis(key string, vals ...int64) TunableAxis { return TunableAxis{Key: key, 
 
 // TestDerivedCellsEqualColdRuns is the differential test of derivation:
 // every cell of grids where thresholds bind and where they do not, run
-// with derivation on, must carry the fingerprint of a cold run on the
-// reference engine (which never derives). The pinned derived counts keep
+// with derivation on, must carry the fingerprint, and encode to the
+// bytes, of a cold run on the reference engine (which never derives).
+// The derived cells' bytes are spliced from their sources' over the TR,
+// TL1/TL2 and TDC axes, so the byte comparison holds the splice to the
+// encoder. The pinned derived counts keep
 // it from passing vacuously: a witness that admitted nothing would
 // derive nothing, one that admitted too much would derive a binding
 // cell and fail the comparison. Kept beside the identity matrix: it pins
@@ -88,6 +92,23 @@ func TestDerivedCellsEqualColdRuns(t *testing.T) {
 				if got[i].Fingerprint != want[i].Fingerprint {
 					t.Errorf("%s (derived %v) differs from its cold run:\n got %s\nwant %s",
 						got[i].Key, got[i].Derived, got[i].Fingerprint, want[i].Fingerprint)
+				}
+				// A derived cell's bytes are spliced, not marshalled: a
+				// fragment one byte off keeps the fingerprint right.
+				if got[i].Derived && got[i].frag == nil {
+					t.Errorf("%s: derived without a fragment", got[i].Key)
+				}
+				g, err := Encode(RunFile{Cells: got[i : i+1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := Encode(RunFile{Cells: want[i : i+1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(g, w) {
+					t.Errorf("%s (derived %v) encodes differently from its cold run:\n got %s\nwant %s",
+						got[i].Key, got[i].Derived, g, w)
 				}
 			}
 			if derived != tc.derived {

@@ -230,16 +230,19 @@ func TestKeyNamesInput(t *testing.T) {
 // FuzzEncodeMatchesMarshalIndent drives labels, map keys and float bit
 // patterns through both encoders: equal bytes, or an error from both
 // (NaN and the infinities). Cells alternate between bare, sealed and
-// decoded so spliced and on-the-spot fragments meet in one file.
+// decoded so spliced and on-the-spot fragments meet in one file. Beside
+// each one sits a sibling derived by the splice (Retune) from a source
+// of the same route with the fuzzed tunables and faults, retuned to the
+// target tunables: its fingerprint must be its report's, its fragment,
+// when its source had one, the encoder's.
 func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
-	f.Add("label", "", "stored", "", math.Float64bits(1.5), math.Float64bits(-0.0), uint8(3))
-	f.Add(`<>&"\`, "2026-10-01T00:00:00Z", "a b", "TR=500", math.Float64bits(1e21), math.Float64bits(5e-324), uint8(7))
-	f.Add("", "x", "\xff\x00", "é", math.Float64bits(math.NaN()), uint64(0), uint8(1))
-	f.Add("inf", "", "", "", uint64(0), math.Float64bits(math.Inf(-1)), uint8(0))
-	f.Fuzz(func(t *testing.T, label, created, extraKey, tunables string, bitsA, bitsB uint64, n uint8) {
+	f.Add("label", "", "stored", "", math.Float64bits(1.5), math.Float64bits(-0.0), uint8(3), "TR=500", "")
+	f.Add(`<>&"\`, "2026-10-01T00:00:00Z", "a b", "TR=500", math.Float64bits(1e21), math.Float64bits(5e-324), uint8(7), "", "jitter=0.2")
+	f.Add("", "x", "\xff\x00", "é", math.Float64bits(math.NaN()), uint64(0), uint8(1), "<>&", "\xe2")
+	f.Add("inf", "", "", "", uint64(0), math.Float64bits(math.Inf(-1)), uint8(0), "", "")
+	f.Fuzz(func(t *testing.T, label, created, extraKey, tunables string, bitsA, bitsB uint64, n uint8, target, faults string) {
 		a, b := math.Float64frombits(bitsA), math.Float64frombits(bitsB)
-		var cells []sweep.CellResult
-		for i := 0; i < int(n%8); i++ {
+		cell := func(i int, edit func(*sweep.CellResult)) sweep.CellResult {
 			c := sampleCell(func(r *sweep.CellResult) {
 				r.Key.Tunables, r.Report.Tunables = tunables, tunables
 				r.Key.Workload = label
@@ -251,6 +254,9 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 					r.Report.Extra = nil
 					r.Report.Fairness = b
 					r.Report.HandoffLocality = []int64{int64(bitsA), int64(i)}
+				}
+				if edit != nil {
+					edit(r)
 				}
 			})
 			switch i % 3 {
@@ -264,7 +270,7 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 					switch {
 					case err == nil:
 						c = d
-					case utf8.ValidString(label) && utf8.ValidString(created) && utf8.ValidString(extraKey) && utf8.ValidString(tunables):
+					case utf8.ValidString(label) && utf8.ValidString(created) && utf8.ValidString(extraKey) && utf8.ValidString(tunables) && utf8.ValidString(faults):
 						t.Fatalf("DecodeCell rejected json.Marshal's own output: %v\n%s", err, payload)
 					}
 					// Marshal writes an invalid byte as the escape \ufffd and
@@ -273,7 +279,36 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 					// recompute it.
 				}
 			}
-			cells = append(cells, c)
+			return c
+		}
+		var cells []sweep.CellResult
+		for i := 0; i < int(n%8); i++ {
+			src := cell(i, func(r *sweep.CellResult) {
+				r.Key.Faults, r.Report.Faults = faults, faults
+				r.Fingerprint = r.Report.Fingerprint()
+			})
+			key := src.Key
+			key.Tunables = target
+			d, ok := sweep.Retune(src, key)
+			if !ok {
+				t.Fatalf("Retune refused a source whose fingerprint and fragment are its own")
+			}
+			// A source's fingerprint is its report's unless JSON dropped
+			// part of the report: omitempty drops a Fairness of -0, so a
+			// decoded source's report says 0 where its fingerprint says
+			// "fair=-0". The splice keeps the fingerprint, as a hit does.
+			if src.Fingerprint == src.Report.Fingerprint() {
+				if want := d.Report.Fingerprint(); d.Fingerprint != want {
+					t.Fatalf("spliced fingerprint differs from the report's\n got: %s\nwant: %s", d.Fingerprint, want)
+				}
+			}
+			if d.Key != key || d.Report.Tunables != target || !d.Derived {
+				t.Fatalf("derived cell %+v is not %s's", d.Key, key)
+			}
+			if (sweep.CellFragment(d) == nil) != (sweep.CellFragment(src) == nil) {
+				t.Fatalf("source fragment %v, derived fragment %v", sweep.CellFragment(src) != nil, sweep.CellFragment(d) != nil)
+			}
+			cells = append(cells, cell(i, nil), d)
 		}
 		if n >= 128 && cells == nil {
 			cells = []sweep.CellResult{}

@@ -24,6 +24,10 @@ import (
 // element (TestEncodeMatchesMarshalIndent and its fuzz target hold the
 // two together). Encode splices fragments; internal/cache keeps one per
 // resident entry, so a served cell is never decoded or marshalled again.
+// A derived cell's fragment is its source's with the three members
+// that hold the tunables spliced (retune), so a derived cell is never
+// marshalled either; a source Run simulated without a cache is encoded
+// once, for all its derived siblings and itself.
 const (
 	fragPrefix = "    "
 	fragIndent = "  "
@@ -124,6 +128,120 @@ func CellFootprint(r CellResult) int64 {
 		n += 16 + len(k) + 8 + 8
 	}
 	return int64(n)
+}
+
+// The members a derived cell's fragment differs in from its source's,
+// as json.Indent lays them out at run-file depth. Each starts a line of
+// its own, and a string never holds a raw newline, so no marker can
+// match inside a value.
+const (
+	keyP      = "\n        \"p\": "
+	keyTun    = ",\n        \"tunables\": "
+	reportP   = "\n        \"P\": "
+	reportTun = ",\n        \"Tunables\": "
+	fragEnd   = "\"\n    }" // the fingerprint's closing quote, the cell's brace
+)
+
+// retune returns src as the result of the sibling cell key names, which
+// differs from src.Key in its tunables only: src's report with key's
+// tunables. Its fingerprint and fragment are src's with the three
+// places that hold the tunables spliced — key.tunables, report.Tunables
+// and the fingerprint's tail (workload.Report.Retune) — so nothing is
+// formatted or marshalled again. A src without a fragment (it does not
+// marshal) gives a result without one. ok is false when key is not a
+// sibling of src's, or src's fingerprint is not its report's, or its
+// fragment not its encoding. The result shares src's map and slice,
+// which nobody writes through (CellResult).
+func retune(src CellResult, key Key) (r CellResult, ok bool) {
+	sib := key
+	sib.Tunables = src.Key.Tunables
+	if sib != src.Key {
+		return CellResult{}, false
+	}
+	fp, cut, ok := src.Report.Retune(src.Fingerprint, key.Tunables)
+	if !ok {
+		return CellResult{}, false
+	}
+	r = src
+	r.Key, r.Report.Tunables, r.Fingerprint = key, key.Tunables, fp
+	r.Trace, r.Derived, r.frag, r.witness = nil, true, nil, nil
+	if src.frag == nil {
+		return r, true
+	}
+	frag := src.frag
+	k0, k1, ok := member(frag, 0, keyP, keyTun, src.Key.Tunables)
+	if !ok {
+		return CellResult{}, false
+	}
+	r0, r1, ok := member(frag, k1, reportP, reportTun, src.Report.Tunables)
+	if !ok {
+		return CellResult{}, false
+	}
+	tun := jsonEscape(key.Tunables)
+	oldTail, newTail := jsonEscape(src.Fingerprint[cut:]), jsonEscape(fp[cut:])
+	f1 := len(frag) - len(fragEnd)
+	f0 := f1 - len(oldTail)
+	if f0 < r1 || string(frag[f0:f1]) != oldTail || string(frag[f1:]) != fragEnd {
+		return CellResult{}, false
+	}
+	size := len(frag) - (k1 - k0) - (r1 - r0) - len(oldTail) + len(newTail)
+	if key.Tunables != "" {
+		size += len(keyTun) + len(reportTun) + 2*(len(tun)+2)
+	}
+	b := make([]byte, 0, size)
+	b = appendMember(append(b, frag[:k0]...), keyTun, tun, key.Tunables != "")
+	b = appendMember(append(b, frag[k1:r0]...), reportTun, tun, key.Tunables != "")
+	b = append(append(append(b, frag[r1:f0]...), newTail...), fragEnd...)
+	r.frag = b
+	return r, true
+}
+
+// member finds, in frag from offset from, the optional string member
+// name that follows the integer member after p: the span [start, end)
+// it occupies, empty at the integer's end when val is "". ok is false
+// unless the span holds exactly val's member.
+func member(frag []byte, from int, p, name, val string) (start, end int, ok bool) {
+	i := bytes.Index(frag[from:], []byte(p))
+	if i < 0 {
+		return 0, 0, false
+	}
+	start = from + i + len(p)
+	for start < len(frag) && (frag[start] == '-' || '0' <= frag[start] && frag[start] <= '9') {
+		start++
+	}
+	rest := frag[start:]
+	if val == "" {
+		return start, start, !bytes.HasPrefix(rest, []byte(name))
+	}
+	esc := jsonEscape(val)
+	n := len(name) + len(esc) + 2
+	ok = len(rest) >= n && string(rest[:len(name)]) == name &&
+		rest[len(name)] == '"' && string(rest[len(name)+1:n-1]) == esc && rest[n-1] == '"'
+	return start, start + n, ok
+}
+
+// appendMember appends a string member, name and quoted esc, if set.
+func appendMember(b []byte, name, esc string, set bool) []byte {
+	if !set {
+		return b
+	}
+	b = append(b, name...)
+	b = append(b, '"')
+	b = append(b, esc...)
+	return append(b, '"')
+}
+
+// jsonEscape returns s as json.Marshal writes it between the quotes:
+// s itself, without allocating, when no byte needs an escape, as in
+// every canonical tunables or fault encoding.
+func jsonEscape(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // strings always marshal
+			return string(q[1 : len(q)-1])
+		}
+	}
+	return s
 }
 
 // clone copies r's map and slice; the fragment is dropped, because the

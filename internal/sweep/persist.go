@@ -25,9 +25,11 @@ type RunFile struct {
 // one assembly path for `workbench -out`, Save and sweepd's
 // GET /jobs/{id}/result: the header, then every cell's fragment (the
 // one it carries, or marshal + indent on the spot for a cell that has
-// none) joined in one buffer sized up front. A run of cache-served cells
-// is therefore a copy of stored bytes, and a fetched result is
-// byte-identical to a local `workbench -out` file of the same grid.
+// none) joined in one buffer sized up front. Cache-served and derived
+// cells, and the runs derived cells came from, carry one, so a run of
+// such cells is a copy of stored and spliced bytes in a buffer of
+// exactly its size, and a fetched result is byte-identical to a local
+// `workbench -out` file of the same grid.
 func Encode(rf RunFile) ([]byte, error) {
 	// Strings always marshal.
 	label, _ := json.Marshal(rf.Label)

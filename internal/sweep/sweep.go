@@ -109,11 +109,13 @@ func (c Cell) Spec() (workload.Spec, error) { return c.cs.spec(c.att) }
 // A result that came out of a CellCache — or that Run computed with one
 // attached — is shared with the cache and with every other job served
 // the same cell: read it, copy it, never write through its Report.Extra
-// or HandoffLocality. Code that derives a changed cell builds a new
-// value (ApplyDegradation does). Such a result also carries its
-// run-file fragment (see fragment.go) in an unexported field, which a
-// freshly computed one does not, so tests compare cells by their
-// encoding or Fingerprint, not with reflect.DeepEqual.
+// or HandoffLocality. So is a derived result (Derived), which shares
+// them with the run it came from. Code that changes a cell builds a
+// new value (ApplyDegradation does). Such results, and a simulated one
+// that a sibling derived from, also carry their run-file fragment (see
+// fragment.go) in an unexported field, which another freshly computed
+// one does not, so tests compare cells by their encoding or
+// Fingerprint, not with reflect.DeepEqual.
 type CellResult struct {
 	Key         Key             `json:"key"`
 	Locks       int             `json:"locks"`
@@ -293,7 +295,10 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		if opts.Cache != nil && !opts.Check && c.Input != "" {
 			if r, ok := opts.Cache.Get(c.Input); ok {
 				if r.Key != c.Key {
-					derive(c, i, r, opts, results) // a stored sibling's run
+					if derive(c, i, &r, opts, results) { // a stored sibling's run
+						continue
+					}
+					pending = append(pending, i)
 					continue
 				}
 				results[i] = r
@@ -383,8 +388,7 @@ func runCell(c Cell, i int, opts Options, results []CellResult, witnessed bool, 
 		opts.Progress.CellRunning(i)
 	}
 	for _, src := range *runs {
-		if src.w.Admits(c.cs.tun) {
-			derive(c, i, results[src.i], opts, results)
+		if src.w.Admits(c.cs.tun) && derive(c, i, &results[src.i], opts, results) {
 			return nil
 		}
 	}
@@ -426,17 +430,28 @@ func runCell(c Cell, i int, opts Options, results []CellResult, witnessed bool, 
 }
 
 // derive makes results[i] cell c's result from src, the result of a
-// sibling whose witness admits c: src's report with c's key, tunables
-// and fingerprint. It is the one place a derived cell is built, whether
+// sibling whose witness admits c: src's report with c's key and
+// tunables, its fingerprint and fragment spliced from src's (retune),
+// so a derived cell is neither formatted nor marshalled. A src without
+// a fragment, simulated in this Run without a cache, is encoded here
+// once and keeps it: its other derived siblings splice it, and Encode
+// writes it. derive is the one place a derived cell is built, whether
 // its sibling ran in this Run or the cache holds it; it stores nothing.
-func derive(c Cell, i int, src CellResult, opts Options, results []CellResult) {
-	r := src.clone()
-	r.Key, r.Report.Tunables, r.Trace, r.Derived = c.Key, c.Key.Tunables, nil, true
-	r.Fingerprint = r.Report.Fingerprint()
+// It returns false, and builds nothing, when src's fingerprint or
+// fragment is not its own: the cell is then simulated.
+func derive(c Cell, i int, src *CellResult, opts Options, results []CellResult) bool {
+	if src.frag == nil {
+		src.frag, _ = fragmentOf(*src) // nil still if src does not marshal
+	}
+	r, ok := retune(*src, c.Key)
+	if !ok {
+		return false
+	}
 	results[i] = r
 	if opts.Progress != nil {
 		opts.Progress.CellDone(i, r.Fingerprint, nil)
 	}
+	return true
 }
 
 // store puts results[i], a simulated cell's, into the cache with the

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"rmalocks/internal/rma"
@@ -118,7 +119,8 @@ func (r Report) String() string {
 // in sorted-key order (map iteration order must never leak in), and the
 // trace-only fields are appended only when the run was traced, so
 // untraced fingerprints are byte-identical to those of pre-trace
-// baselines.
+// baselines. The tunables and faults come last (tailOf), so a sibling's
+// fingerprint is this one with its tail swapped (Retune).
 func (r Report) Fingerprint() string {
 	keys := make([]string, 0, len(r.Extra))
 	for k := range r.Extra {
@@ -133,18 +135,65 @@ func (r Report) Fingerprint() string {
 	if r.HandoffLocality != nil || r.Fairness != 0 {
 		tracePart = fmt.Sprintf(" fair=%v hloc=%v", r.Fairness, r.HandoffLocality)
 	}
-	tunPart := ""
-	if r.Tunables != "" {
-		tunPart = fmt.Sprintf(" tun=%s", r.Tunables)
-	}
-	faultPart := ""
-	if r.Faults != "" {
-		faultPart = fmt.Sprintf(" faults=%s", r.Faults)
-	}
-	return fmt.Sprintf("%s/%s/%s P=%d ops=%d r=%d w=%d warm=%d thr=%v lat=%+v rlat=%+v wlat=%+v mk=%v clk=%d rem=%d de=%d extra=%s%s%s%s",
+	var tail strings.Builder
+	writeTail(&tail, r.Tunables, r.Faults)
+	return fmt.Sprintf("%s/%s/%s P=%d ops=%d r=%d w=%d warm=%d thr=%v lat=%+v rlat=%+v wlat=%+v mk=%v clk=%d rem=%d de=%d extra=%s%s%s",
 		r.Scheme, r.Workload, r.Profile, r.P, r.Ops, r.Reads, r.Writes, r.WarmupOps,
 		r.ThroughputMops, r.Latency, r.ReadLatency, r.WriteLatency,
-		r.MakespanMs, r.MaxClock, r.RemoteOps, r.DirectEntries, extra, tracePart, tunPart, faultPart)
+		r.MakespanMs, r.MaxClock, r.RemoteOps, r.DirectEntries, extra, tracePart, tail.String())
+}
+
+// tailOf is the tail of a fingerprint that holds the run's tunables and
+// faults, " tun=T faults=F": a label and a value each, written only when
+// the value is set. Nothing before the tail depends on Tunables, and it
+// starts with a space when it is not empty.
+func tailOf(tunables, faults string) [2][2]string {
+	return [2][2]string{{" tun=", tunables}, {" faults=", faults}}
+}
+
+func writeTail(b *strings.Builder, tunables, faults string) {
+	for _, part := range tailOf(tunables, faults) {
+		if part[1] != "" {
+			b.WriteString(part[0])
+			b.WriteString(part[1])
+		}
+	}
+}
+
+// cutTail returns fp without the tail, and false if fp does not end
+// with it.
+func cutTail(fp, tunables, faults string) (string, bool) {
+	parts := tailOf(tunables, faults)
+	for i := len(parts) - 1; i >= 0; i-- {
+		if parts[i][1] == "" {
+			continue
+		}
+		var ok bool
+		if fp, ok = strings.CutSuffix(fp, parts[i][1]); !ok {
+			return "", false
+		}
+		if fp, ok = strings.CutSuffix(fp, parts[i][0]); !ok {
+			return "", false
+		}
+	}
+	return fp, true
+}
+
+// Retune returns the fingerprint of r with its Tunables set to tunables,
+// given fp, r's own fingerprint: fp with its tunables-and-faults tail
+// swapped, so nothing before the tail is formatted again. cut is where
+// the tail starts, in fp and in the result alike. ok is false when fp
+// does not end with r's tail, so it cannot be r's fingerprint.
+func (r Report) Retune(fp, tunables string) (retuned string, cut int, ok bool) {
+	head, ok := cutTail(fp, r.Tunables, r.Faults)
+	if !ok {
+		return "", 0, false
+	}
+	var b strings.Builder
+	b.Grow(len(head) + len(" tun=") + len(tunables) + len(" faults=") + len(r.Faults))
+	b.WriteString(head)
+	writeTail(&b, tunables, r.Faults)
+	return b.String(), len(head), true
 }
 
 // summarize assembles a Report from the raw per-rank samples in b. The
