@@ -208,11 +208,15 @@ obs-smoke:
 # job derives them again and the cache holds only the cold job's 4
 # entry files — and that the daemon's result files, stored fragments
 # spliced by sweep.Encode, are cmp-equal to direct local workbench runs'
-# files. The final `kill` exercises graceful shutdown: the daemon must
-# drain and exit 0.
+# files. A grid with an entry no scheme of it takes (SWEEPD_REJECT) is
+# refused with 400 before a job exists. The final `kill` exercises
+# graceful shutdown: the daemon must drain and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
 	-ps 16 -iters 20 -locks 4
+# SWEEPD_GRID's shape with D-MCS alone and a TR axis, which no scheme of
+# it takes: the daemon answers 400 naming TR and mints no job.
+SWEEPD_REJECT = {"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform","zipf"],"ps":[16],"iters":20,"locks":4,"tunables":[{"key":"TR","values":[900]}]}
 
 sweepd-smoke:
 	@mkdir -p results
@@ -247,6 +251,9 @@ sweepd-smoke:
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
 		-out results/sweepd-tuned2.json \
 		> results/sweepd-tuned2.txt 2> results/sweepd-tuned2.err; \
+	curl -s -o results/sweepd-reject.json -w '%{http_code}' -d '$(SWEEPD_REJECT)' \
+		http://$(SWEEPD_ADDR)/jobs > results/sweepd-reject.code; \
+	curl -sf http://$(SWEEPD_ADDR)/jobs -o results/sweepd-jobs.json; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
 	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
@@ -257,11 +264,14 @@ sweepd-smoke:
 	grep -q '4 served from cache' results/sweepd-warm.err
 	grep -q '2 served from cache' results/sweepd-tuned2.err
 	test "$$(ls results/sweepd-cache | grep -v '^index.json$$' | wc -l)" -eq 4
+	test "$$(cat results/sweepd-reject.code)" -eq 400
+	grep -q '\\"TR\\"' results/sweepd-reject.json
+	test "$$(grep -o '"id":' results/sweepd-jobs.json | wc -l)" -eq 4
 	cmp results/sweepd-cold.json results/sweepd-local.json
 	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
 	cmp results/sweepd-tuned2.json results/sweepd-tuned-local.json
-	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs'; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries"
+	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs'; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

@@ -3,9 +3,10 @@ package main
 import (
 	"errors"
 	"slices"
+	"strconv"
 	"testing"
 
-	"rmalocks/internal/scheme"
+	"rmalocks/internal/sweep"
 	"rmalocks/internal/workload"
 )
 
@@ -28,45 +29,67 @@ func FuzzTuneAxis(f *testing.F) {
 }
 
 // FuzzFlagLists: no comma list panics -schemes, -workloads, -profiles or
-// -ps. An accepted list is non-empty and each entry passes the registry
-// check that accepted it (a -ps entry is positive); a rejected one is a
-// typed error. Seeds: testdata/fuzz.
+// -ps. A list either fails to parse, as a typed error (only -ps can:
+// its entries are integers), or Grid.Cells accepts the grid it makes —
+// and then every entry names some cell — or refuses it with a typed
+// error. Seeds: testdata/fuzz.
 func FuzzFlagLists(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
-		checkList(t, "schemes", s, splitSchemes, func(name string) bool {
-			_, err := scheme.Describe(name)
-			return err == nil
-		})
-		checkList(t, "workloads", s, splitWorkloads, func(name string) bool {
-			_, err := workload.ByName(name)
-			return err == nil
-		})
-		checkList(t, "profiles", s, splitProfiles, func(name string) bool {
-			return slices.Contains(workload.ProfileNames, name)
-		})
-		checkList(t, "ps", s, func(s string) ([]int, error) { return parsePs(s, 64) },
-			func(p int) bool { return p > 0 })
+		for _, ax := range []struct {
+			flag string
+			all  []string
+			set  func(*sweep.Grid, []string)
+			of   func(sweep.Key) string
+		}{
+			{"schemes", workload.Schemes, func(g *sweep.Grid, v []string) { g.Schemes = v }, func(k sweep.Key) string { return k.Scheme }},
+			{"workloads", workload.WorkloadNames, func(g *sweep.Grid, v []string) { g.Workloads = v }, func(k sweep.Key) string { return k.Workload }},
+			{"profiles", workload.ProfileNames, func(g *sweep.Grid, v []string) { g.Profiles = v }, func(k sweep.Key) string { return k.Profile }},
+		} {
+			g := oneCellGrid()
+			entries := splitList(s, ax.all)
+			ax.set(&g, entries)
+			checkList(t, ax.flag, s, g, entries, ax.of)
+		}
+		ps, err := parsePs(s, 64)
+		if err != nil {
+			var bad *BadEntryError
+			if !errors.As(err, &bad) {
+				t.Fatalf("-ps %q: untyped error %v", s, err)
+			}
+			return
+		}
+		g := oneCellGrid()
+		g.Ps = ps
+		entries := make([]string, len(ps))
+		for i, p := range ps {
+			entries[i] = strconv.Itoa(p)
+		}
+		checkList(t, "ps", s, g, entries, func(k sweep.Key) string { return strconv.Itoa(k.P) })
 	})
 }
 
-func checkList[T any](t *testing.T, flag, s string, parse func(string) ([]T, error), valid func(T) bool) {
+func oneCellGrid() sweep.Grid {
+	return sweep.Grid{Schemes: []string{"RMA-RW"}, Workloads: []string{"empty"}, Profiles: []string{"uniform"}, Ps: []int{8}}
+}
+
+// checkList enumerates g, the one-cell grid with list s on one axis
+// (entries): a typed error, or cells in which every entry is a
+// coordinate.
+func checkList(t *testing.T, flag, s string, g sweep.Grid, entries []string, of func(sweep.Key) string) {
 	t.Helper()
-	list, err := parse(s)
+	cells, err := g.Cells()
 	if err != nil {
-		var unknown *UnknownNameError
-		var empty *EmptyListError
-		var bad *BadEntryError
-		if !errors.As(err, &unknown) && !errors.As(err, &empty) && !errors.As(err, &bad) {
+		var ae sweep.AxisError
+		var rep sweep.RepeatedValueError
+		var many sweep.TooManyCellsError
+		if !errors.As(err, &ae) && !errors.As(err, &rep) && !errors.As(err, &many) {
 			t.Fatalf("-%s %q: untyped error %v", flag, s, err)
 		}
 		return
 	}
-	if len(list) == 0 {
-		t.Fatalf("-%s %q accepted as an empty list", flag, s)
-	}
-	for _, v := range list {
-		if !valid(v) {
-			t.Fatalf("-%s %q accepted entry %v, which the registry rejects", flag, s, v)
+	for _, e := range entries {
+		if !slices.ContainsFunc(cells, func(c sweep.Cell) bool { return of(c.Key) == e }) {
+			t.Fatalf("-%s %q: entry %q names no cell of the grid", flag, s, e)
 		}
 	}
 }

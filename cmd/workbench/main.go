@@ -11,6 +11,9 @@
 //	workbench -schemes RMA-RW,foMPI-RW -workloads dht -fw 0.2 -locks 8
 //	workbench -schemes RMA-RW -tune TR=250,500,1000 -tune TL2=16,32
 //	                                        # sweep the paper's lock parameter space
+//	workbench -schemes foMPI-A,foMPI-RW,RMA-RW -workloads dhtvol -profiles uniform -p 16
+//	                                        # the paper's DHT evaluation (Fig. 6): foMPI-A
+//	                                        # runs no lock, the hashtable's atomics instead
 //	workbench -faults 'jitter=0.2,stragglers=4x1%,stall=50us@0.01'
 //	                                        # fault axis: each profile next to a fault-free
 //	                                        # baseline cell, with degradation metrics derived
@@ -26,7 +29,11 @@
 //	                                        # progress, fetches the byte-stable result
 //
 // Every run is a deterministic function of the seed; -check re-runs each
-// cell and verifies the reports are byte-identical.
+// cell and verifies the reports are byte-identical. The flags only spell
+// a sweep.Grid: Grid.Cells decides whether it names something to run
+// (an unknown name, an empty list, a P below 1, a -tune key or a
+// -faults profile no listed scheme takes exit 2), as it does for grids
+// posted to sweepd.
 package main
 
 import (
@@ -42,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"rmalocks/internal/rma"
 	"rmalocks/internal/stats"
 	"rmalocks/internal/sweep"
 	"rmalocks/internal/topology"
@@ -64,7 +70,7 @@ type runOpts struct {
 
 func main() {
 	var (
-		schemes    = flag.String("schemes", "all", "comma-separated lock schemes, or 'all' ("+strings.Join(workload.Schemes, ",")+")")
+		schemes    = flag.String("schemes", "all", "comma-separated lock schemes (registry names or aliases, or "+workload.SchemeFoMPIA+": no lock, DHT workloads only), or 'all' ("+strings.Join(workload.Schemes, ",")+")")
 		workloads  = flag.String("workloads", "empty", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
 		profiles   = flag.String("profiles", "uniform,zipf,bursty", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
 		p          = flag.Int("p", 64, "process count (ignored when -ps is set)")
@@ -95,28 +101,7 @@ func main() {
 	flag.Var(&faults, "faults", "fault-injection profile 'jitter=0.2,stragglers=4x1%,stall=50us@0.01,timeout=200us' (repeatable; each profile becomes an extra cell next to a fault-free baseline cell)")
 	flag.Parse()
 
-	// Validate before profiling starts: flag errors must exit cleanly,
-	// not crash a sweep worker or truncate a profile.
-	if err := rma.CheckEngine(*engine); err != nil {
-		fmt.Fprintf(os.Stderr, "workbench: -engine: %v\n", err)
-		os.Exit(2)
-	}
-	schemeList, err := splitSchemes(*schemes)
-	if err == nil {
-		err = validateTuneKeys(schemeList, tunes)
-	}
-	var workloadList []string
-	if err == nil {
-		workloadList, err = splitWorkloads(*workloads)
-	}
-	var profileList []string
-	if err == nil {
-		profileList, err = splitProfiles(*profiles)
-	}
-	var ps []int
-	if err == nil {
-		ps, err = parsePs(*psFlag, *p)
-	}
+	ps, err := parsePs(*psFlag, *p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -137,9 +122,9 @@ func main() {
 
 	opts := runOpts{
 		grid: sweep.Grid{
-			Schemes:   schemeList,
-			Workloads: workloadList,
-			Profiles:  profileList,
+			Schemes:   splitList(*schemes, workload.Schemes),
+			Workloads: splitList(*workloads, workload.WorkloadNames),
+			Profiles:  splitList(*profiles, workload.ProfileNames),
 			Ps:        ps,
 			Iters:     *iters, ProcsPerNode: *ppn, Seed: *seed, SeedSet: seedSet,
 			FW: *fw, Locks: *nlocks, ZipfS: *zipfS, ZipfSSet: zipfSSet, Engine: *engine,
@@ -156,6 +141,13 @@ func main() {
 		// Tracing a sweep fills the per-cell Jain/locality columns and
 		// keeps each cell's raw sink for export.
 		opts.grid.Trace = trace.ClassSemantic
+	}
+	// The grid is checked before profiling starts or anything is
+	// submitted: one that would run nothing, or something other than
+	// what the flags name, is a usage error.
+	if _, err := opts.grid.Cells(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *submit != "" {
 		// Client mode: the daemon computes; local-only modes are
@@ -245,11 +237,6 @@ func run(opts runOpts) int {
 		return 1
 	}
 	mergeSpan := plane.span("merge")
-	if len(grid.Faults) > 0 {
-		// Join each faulted cell to its fault-free sibling and derive the
-		// degradation metrics before anything renders or persists.
-		sweep.ApplyDegradation(results)
-	}
 
 	tb := sweep.Table(title, results)
 	if opts.csv {
@@ -459,11 +446,6 @@ func (t *tuneAxes) Set(s string) error {
 	if !ok || key == "" {
 		return fmt.Errorf("want KEY=v1,v2,..., got %q", s)
 	}
-	for _, ax := range *t {
-		if ax.Key == key {
-			return fmt.Errorf("duplicate -tune axis %q", key)
-		}
-	}
 	var vals []int64
 	for _, part := range strings.Split(list, ",") {
 		part = strings.TrimSpace(part)
@@ -475,9 +457,6 @@ func (t *tuneAxes) Set(s string) error {
 			return fmt.Errorf("bad value %q in -tune %s", part, s)
 		}
 		vals = append(vals, v)
-	}
-	if len(vals) == 0 {
-		return fmt.Errorf("-tune %s has no values", s)
 	}
 	*t = append(*t, sweep.TunableAxis{Key: key, Values: vals})
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +14,8 @@ import (
 	"rmalocks/internal/trace"
 )
 
-// TestTuneAxesSet pins the -tune flag grammar, in particular that a
-// repeated axis key is rejected at flag parsing with a clear error —
-// the first line of defense before Grid.Cells' typed
-// DuplicateAxisError.
+// TestTuneAxesSet pins the -tune flag grammar. What the axes mean — a
+// key given twice, an axis with no values — is Grid.Cells' to judge.
 func TestTuneAxesSet(t *testing.T) {
 	var axes tuneAxes
 	if err := axes.Set("TR=250,500,1000"); err != nil {
@@ -38,15 +37,17 @@ func TestTuneAxesSet(t *testing.T) {
 		}
 	}
 
-	err := axes.Set("TR=42")
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("repeated -tune key: err = %v, want duplicate-axis error", err)
+	if err := axes.Set("TR=42"); err != nil {
+		t.Fatal(err)
 	}
-	if len(axes) != 2 {
-		t.Fatalf("failed Set mutated the axes: %+v", axes)
+	g := derivingGrid()
+	g.Tunables = axes
+	var dup sweep.DuplicateAxisError
+	if _, err := g.Cells(); !errors.As(err, &dup) || dup.Key != "TR" {
+		t.Errorf("repeated -tune key: err = %v, want a DuplicateAxisError", err)
 	}
 
-	for _, bad := range []string{"", "TR", "=1,2", "TR=", "TR=a,b"} {
+	for _, bad := range []string{"", "TR", "=1,2", "TR=a,b"} {
 		var fresh tuneAxes
 		if err := fresh.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted malformed input", bad)
@@ -94,6 +95,50 @@ func TestGridTooLargeExitsTwo(t *testing.T) {
 	if code := run(runOpts{grid: grid}); code != 2 {
 		t.Errorf("a %d-P grid exited %d, want 2", len(grid.Ps), code)
 	}
+}
+
+// TestFoMPIARuns: -schemes foMPI-A, the paper's lock-free DHT baseline
+// (Fig. 6), runs beside the locks, and its table is sweep.Run's.
+func TestFoMPIARuns(t *testing.T) {
+	grid := flagGrid("foMPI-A,RMA-RW", "dhtvol", "uniform")
+	grid.Ps, grid.Iters, grid.FW = []int{16}, 10, 0.05
+	stdout, stderr := captureOutput(t, func() {
+		if code := run(runOpts{grid: grid}); code != 0 {
+			t.Errorf("exited %d", code)
+		}
+	})
+	results, err := sweep.Run(mustCells(t, grid), sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sweep.Table(gridTitle(grid), results).String() + "\n"; stdout != want || results[0].Key.Scheme != "foMPI-A" {
+		t.Errorf("stdout:\n%s\nwant sweep.Run's table:\n%s\nstderr: %s", stdout, want, stderr)
+	}
+}
+
+// TestGridThatRunsNothingExitsTwo: flags naming an entry the grid would
+// not run are a usage error that names the entry.
+func TestGridThatRunsNothingExitsTwo(t *testing.T) {
+	var faults faultAxes
+	if err := faults.Set("timeout=200us"); err != nil {
+		t.Fatal(err)
+	}
+	grid := flagGrid("D-MCS", "empty", "uniform")
+	grid.Faults = faults
+	var code int
+	_, stderr := captureOutput(t, func() { code = run(runOpts{grid: grid}) })
+	if code != 2 || !strings.Contains(stderr, "timeout=200000") {
+		t.Errorf("exited %d with %q, want 2 and the profile named", code, stderr)
+	}
+}
+
+func mustCells(t *testing.T, g sweep.Grid) []sweep.Cell {
+	t.Helper()
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }
 
 // captureOutput runs f with os.Stdout and os.Stderr redirected to files

@@ -87,7 +87,6 @@ func tour(smoke bool, jobs int) error {
 	if err != nil {
 		return err
 	}
-	rmalocks.ApplySweepDegradation(results)
 	fmt.Println(rmalocks.SweepTable("Graceful (timeout+backoff) vs convoy (queue behind a stalled holder)", results))
 
 	// Pull the p99 inflation of the two faulted variants under

@@ -220,9 +220,12 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown job result = %d, want 404", code)
 	}
 
-	// Malformed grid JSON, and a well-formed grid whose engine or rank
+	// Malformed grid JSON, a well-formed grid whose engine or rank
 	// counts the simulator would panic on (on a sweep worker, taking the
-	// daemon with it) → 400 with a JSON error body naming the field.
+	// daemon with it), and one with an entry it would not run (an
+	// unknown name, an axis no scheme takes, a P below 1, a tunables
+	// axis with no values) → 400 with a JSON error body naming the field
+	// or the entry, and no job.
 	const grid = `{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],`
 	for _, tc := range []struct{ body, want string }{
 		{`{"bogus_field":1}`, "error"},
@@ -234,6 +237,11 @@ func TestHTTPErrors(t *testing.T) {
 			`{"key":"B","values":[1,2,3,4,5,6,7,8]},{"key":"C","values":[1,2,3,4,5,6,7,8]},` +
 			`{"key":"D","values":[1,2,3,4,5,6,7,8]},{"key":"E","values":[1,2,3,4,5,6,7,8]}]}`, "cells"},
 		{grid + `"ps":[8]} {"schemes":["x"]} garbage`, "after the grid"},
+		{`{"schemes":["RMA-MSC"],"workloads":["empty"],"profiles":["uniform"]}`, `\"RMA-MSC\"`},
+		{grid + `"tunables":[{"key":"TR","values":[1,2]}]}`, `\"TR\"`},
+		{grid + `"faults":["timeout=200000"]}`, `\"timeout=200000\"`},
+		{grid + `"ps":[0]}`, `ps axis: \"0\"`},
+		{`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"],"tunables":[{"key":"TR","values":[]}]}`, "TR axis: no values"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -244,6 +252,9 @@ func TestHTTPErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
 			t.Errorf("POST %s: %d %s, want 400 + error body naming %q", tc.body, resp.StatusCode, raw, tc.want)
 		}
+	}
+	if jobs := mgr.Statuses(); len(jobs) != 0 {
+		t.Errorf("rejected grids minted %d jobs", len(jobs))
 	}
 	// The daemon is still there and serves a valid job.
 	awaitState(t, ts, submitGrid(t, ts, "after-rejects").ID, jobq.StateDone)

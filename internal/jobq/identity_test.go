@@ -71,7 +71,7 @@ var identityAxes = [7][]string{
 	{"off", "100", "5"}, // GC percent
 	{"none", "cold", "warm", "reopened", "onebyte", "across"},
 	{"none", "obs", "trace"},
-	{"run", "jobq"}, // sweep.Run + ApplyDegradation, or jobq over HTTP
+	{"run", "jobq"}, // sweep.Run, or jobq over HTTP
 }
 
 // feasible reports whether value a of axis i and value b of axis j > i
@@ -241,9 +241,10 @@ func identityRow(t *testing.T, r [7]string, warm *cache.Store, dir string) []byt
 	return data
 }
 
-// sweepRun delivers g as workbench does: sweep.Run, then the
-// degradation join of the fault axis. A traced row drops what tracing
-// adds to a report, so its bytes must be an untraced run's.
+// sweepRun delivers g as workbench does: sweep.Run, which finishes the
+// fault axis with the degradation join. A traced row drops what tracing
+// adds to a report (its trace fields and the join's Jain delta), so its
+// bytes must be an untraced run's.
 func sweepRun(t *testing.T, g sweep.Grid, workers int, store *cache.Store, instr string) []byte {
 	t.Helper()
 	opts := sweep.Options{Workers: workers}
@@ -275,9 +276,9 @@ func sweepRun(t *testing.T, g sweep.Grid, workers int, store *cache.Store, instr
 		}
 		rep := &results[i].Report
 		rep.Fairness, rep.HandoffLocality = 0, nil
+		delete(rep.Extra, sweep.ExtraJainDelta)
 		results[i].Trace, results[i].Fingerprint = nil, rep.Fingerprint()
 	}
-	sweep.ApplyDegradation(results)
 	data, err := sweep.Encode(sweep.RunFile{Label: "identity", Cells: results})
 	if err != nil {
 		t.Fatal(err)

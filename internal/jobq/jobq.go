@@ -71,10 +71,6 @@ type Job struct {
 	// fragments are the cache's own.
 	cells  []sweep.Cell
 	ncells int
-	// degrade applies the fault-degradation join after the sweep (set
-	// for grids with a fault axis), mirroring the workbench pipeline so
-	// daemon results match local runs byte for byte.
-	degrade bool
 	// prog is the job's one record of its cells' progress: the events
 	// stream and Status read it.
 	prog *obs.SweepProgress
@@ -172,18 +168,15 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Submit enumerates the grid (rejecting malformed grids eagerly, before
-// a job ID is ever minted), registers the job, and schedules it. The
-// daemon's instruments are attached server-side; submitted grids are
-// wire-form and carry none.
+// Submit enumerates the grid (rejecting, before a job ID is ever
+// minted, every grid Grid.Cells rejects), registers the job, and
+// schedules it. The daemon's instruments are attached server-side;
+// submitted grids are wire-form and carry none.
 func (m *Manager) Submit(g sweep.Grid, label string) (*Job, error) {
 	g.Obs = m.cfg.Obs
 	cells, err := g.Cells()
 	if err != nil {
 		return nil, fmt.Errorf("jobq: submit: %w", err)
-	}
-	if len(cells) == 0 {
-		return nil, errors.New("jobq: submit: grid enumerates no cells")
 	}
 
 	m.mu.Lock()
@@ -195,7 +188,6 @@ func (m *Manager) Submit(g sweep.Grid, label string) (*Job, error) {
 	id := fmt.Sprintf("job-%d", m.nextID)
 	j := &Job{
 		ID: id, Label: label, cells: cells, ncells: len(cells),
-		degrade: len(g.Faults) > 0,
 		prog:    obs.NewSweepProgress(id),
 		cancel:  make(chan struct{}),
 		done:    make(chan struct{}),
@@ -249,11 +241,6 @@ func (m *Manager) run(j *Job) {
 	case err != nil:
 		j.setState(StateFailed, err)
 	default:
-		if j.degrade {
-			// results is this job's own slice; the cells in it may be the
-			// cache's, which ApplyDegradation replaces rather than edits.
-			sweep.ApplyDegradation(results)
-		}
 		j.mu.Lock()
 		j.results = results
 		j.mu.Unlock()

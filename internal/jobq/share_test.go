@@ -41,18 +41,26 @@ func faultGrid(tb testing.TB) sweep.Grid {
 // after must still produce the cold job's bytes and a local run's, and
 // must leave every cache entry the encoding of what it was stored as.
 func TestWarmFaultJobsShareNothingMutable(t *testing.T) {
-	local, err := sweep.Run(mustCells(t, faultGrid(t)), sweep.Options{Workers: 4})
+	// A local run with a cache of its own: the cache stores the cells
+	// before the degradation join, and Run returns them after it.
+	ref, _, err := cache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pre-degradation payloads are what the cache stores.
+	local, err := sweep.Run(mustCells(t, faultGrid(t)), sweep.Options{Workers: 4, Cache: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stored := make([][]byte, len(local))
-	for i, r := range local {
+	for i, c := range mustCells(t, faultGrid(t)) {
+		r, ok := ref.Get(c.Input)
+		if !ok {
+			t.Fatalf("cell %s: the local run stored nothing", c.Key)
+		}
 		if stored[i], err = json.Marshal(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sweep.ApplyDegradation(local)
 	want, err := sweep.Encode(sweep.RunFile{Label: "faults", Cells: local})
 	if err != nil {
 		t.Fatal(err)

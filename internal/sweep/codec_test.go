@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -229,9 +230,12 @@ func TestCellInputSemantics(t *testing.T) {
 
 // FuzzDecodeGrid feeds arbitrary bytes to the decoder of sweepd's POST
 // /jobs body. It must not panic; the retired scheme-parameter keys are
-// an error whatever else the body holds; and a body that decodes must
+// an error whatever else the body holds; a body that decodes must
 // survive the wire again — re-encoded and decoded, the grid enumerates
-// the same cells under the same addresses, or fails the same way.
+// the same cells under the same addresses, or fails the same way; and
+// nothing is silently dropped: when Cells accepts the grid, each of its
+// schemes, workloads, profiles, Ps, tunable keys and fault profiles is
+// a coordinate of some cell.
 func FuzzDecodeGrid(f *testing.F) {
 	// What benchmark/'s daemon workloads post: the 240-cell grid, plain
 	// and with daemon-dirty's TR axis.
@@ -246,6 +250,18 @@ func FuzzDecodeGrid(f *testing.F) {
 	f.Add([]byte(`{"schemes":["foMPI-A","RMA-RW"],"workloads":["dhtvol"],"profiles":["uniform"],"ps":[8],"iters":12,"fw":0.05,"locks":1}`))
 	f.Add([]byte(`{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],"ps":[32],"fw":1,"locks":1,"remote_pct":400}`))
 	f.Add([]byte(`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"]} {"schemes":["x"]} garbage`))
+	// Entries that run nothing, each of which Cells rejects.
+	const axes = `"workloads":["empty"],"profiles":["uniform"]`
+	f.Add([]byte(`{"schemes":["RMA-MSC"],` + axes + `}`))
+	f.Add([]byte(`{"schemes":[],` + axes + `}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],"workloads":["dth"],"profiles":["uniform"]}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],"workloads":["empty"],"profiles":[]}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],` + axes + `,"ps":[0]}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],` + axes + `,"tunables":[{"key":"TR","values":[]}]}`))
+	f.Add([]byte(`{"schemes":["RMA-RW"],` + axes + `,"tunables":[{"key":"TX","values":[1,2]}]}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"tunables":[{"key":"TR","values":[1,2]}]}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"faults":["timeout=200000"]}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"faults":[""]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(nil))
 
@@ -295,6 +311,32 @@ func FuzzDecodeGrid(f *testing.F) {
 			if cells[i].Key != cells2[i].Key || cells[i].Input != cells2[i].Input {
 				t.Fatalf("cell %d: %q before the wire, %q after", i, cells[i].Input, cells2[i].Input)
 			}
+		}
+		if err != nil {
+			return
+		}
+		named := func(axis, entry string, in func(sweep.Key) bool) {
+			if !slices.ContainsFunc(cells, func(c sweep.Cell) bool { return in(c.Key) }) {
+				t.Fatalf("%s entry %q names no cell of the %d", axis, entry, len(cells))
+			}
+		}
+		for _, s := range g.Schemes {
+			named("schemes", s, func(k sweep.Key) bool { return k.Scheme == s })
+		}
+		for _, w := range g.Workloads {
+			named("workloads", w, func(k sweep.Key) bool { return k.Workload == w })
+		}
+		for _, p := range g.Profiles {
+			named("profiles", p, func(k sweep.Key) bool { return k.Profile == p })
+		}
+		for _, p := range g.Ps {
+			named("ps", strconv.Itoa(p), func(k sweep.Key) bool { return k.P == p })
+		}
+		for _, ax := range g.Tunables {
+			named("tunables", ax.Key, func(k sweep.Key) bool { return strings.Contains(","+k.Tunables, ","+ax.Key+"=") })
+		}
+		for _, fp := range g.Faults {
+			named("faults", fp.Canonical(), func(k sweep.Key) bool { return k.Faults == fp.Canonical() })
 		}
 	})
 }

@@ -5,7 +5,8 @@ package sweep
 // variants. ApplyDegradation joins each faulted cell back to its
 // baseline and derives relative graceful-degradation metrics, so the
 // persisted results/faults.json answers "how much worse" directly
-// instead of leaving the division to the reader.
+// instead of leaving the division to the reader. Run applies it to the
+// cells of every grid with a fault axis, so no caller does.
 
 // Extra keys written by ApplyDegradation into faulted cells' reports.
 const (

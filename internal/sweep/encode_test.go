@@ -293,14 +293,8 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 			if !ok {
 				t.Fatalf("Retune refused a source whose fingerprint and fragment are its own")
 			}
-			// A source's fingerprint is its report's unless JSON dropped
-			// part of the report: omitempty drops a Fairness of -0, so a
-			// decoded source's report says 0 where its fingerprint says
-			// "fair=-0". The splice keeps the fingerprint, as a hit does.
-			if src.Fingerprint == src.Report.Fingerprint() {
-				if want := d.Report.Fingerprint(); d.Fingerprint != want {
-					t.Fatalf("spliced fingerprint differs from the report's\n got: %s\nwant: %s", d.Fingerprint, want)
-				}
+			if want := d.Report.Fingerprint(); d.Fingerprint != want {
+				t.Fatalf("spliced fingerprint differs from the report's\n got: %s\nwant: %s", d.Fingerprint, want)
 			}
 			if d.Key != key || d.Report.Tunables != target || !d.Derived {
 				t.Fatalf("derived cell %+v is not %s's", d.Key, key)

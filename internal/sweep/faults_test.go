@@ -74,7 +74,8 @@ func TestFaultAxisInvalidProfile(t *testing.T) {
 	}
 }
 
-// TestApplyDegradation pins the baseline join and the derived metrics.
+// TestApplyDegradation pins the baseline join and the derived metrics,
+// which Run applies to a grid with a fault axis.
 func TestApplyDegradation(t *testing.T) {
 	g := faultGrid(t)
 	g.Trace = trace.ClassSemantic // so jain_delta is computable
@@ -82,7 +83,6 @@ func TestApplyDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep.ApplyDegradation(results)
 	// The degradation invariants must hold on every traced fault-sweep
 	// cell: mutual exclusion under stalls, no lost wakeups, every
 	// timed-out acquire cleanly resolved.

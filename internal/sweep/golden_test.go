@@ -54,7 +54,6 @@ func TestGoldenFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep.ApplyDegradation(results)
 			var buf bytes.Buffer
 			for _, r := range results {
 				fmt.Fprintf(&buf, "%s %s\n", r.Key, r.Fingerprint)

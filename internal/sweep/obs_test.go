@@ -123,3 +123,46 @@ func TestScrapeWhileRunning(t *testing.T) {
 		t.Fatalf("cell_iters_done_total = %d, want %d", iters, want)
 	}
 }
+
+// runningRecorder is a Progress that records which cells were running.
+type runningRecorder struct {
+	mu      sync.Mutex
+	running map[int]int
+}
+
+func (r *runningRecorder) Start([]string)              {}
+func (r *runningRecorder) CellCached(int, string)      {}
+func (r *runningRecorder) CellDone(int, string, error) {}
+func (r *runningRecorder) CellRunning(i int) {
+	r.mu.Lock()
+	r.running[i]++
+	r.mu.Unlock()
+}
+
+// TestDerivedCellsAreNotRunning: the ETA extrapolates from simulated
+// cells only, so a cell derived from an earlier run of its group never
+// reports CellRunning, and a simulated one reports it once.
+func TestDerivedCellsAreNotRunning(t *testing.T) {
+	cells, err := rmaRWGrid("empty", 0.002, axis("TR", 200, 500, 1000, 6000)).Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &runningRecorder{running: map[int]int{}}
+	results, err := Run(cells, Options{Workers: 2, Progress: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := 0
+	for i, r := range results {
+		want := 1
+		if r.Derived {
+			derived, want = derived+1, 0
+		}
+		if rec.running[i] != want {
+			t.Errorf("cell %s (derived %v): %d CellRunning, want %d", r.Key, r.Derived, rec.running[i], want)
+		}
+	}
+	if derived != 3 {
+		t.Fatalf("%d cells derived, want 3", derived)
+	}
+}

@@ -209,8 +209,9 @@ type Progress interface {
 	// executes.
 	CellCached(i int, fingerprint string)
 	// CellDone marks cell i finished: its report fingerprint on success,
-	// the error otherwise. A cell derived from a sibling's run the cache
-	// holds is done in Run's pre-pass, without CellRunning.
+	// the error otherwise. A cell derived from a sibling's run is done
+	// without CellRunning: in Run's pre-pass when the cache holds the
+	// run, on its group's worker when the run was this Run's.
 	CellDone(i int, fingerprint string, err error)
 }
 
@@ -277,6 +278,10 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // Derivation needs an address and the default engine: on the reference
 // engine, under Check, and without an address (MemStats, Trace) a cell
 // is a group of one and simulates.
+//
+// Cells of a grid with a fault axis finish with the degradation join
+// (ApplyDegradation) once every cell has its result; what the Cache
+// stores, and what Progress reports, are the cells before it.
 func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
@@ -310,9 +315,21 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		}
 		pending = append(pending, i)
 	}
-	if len(pending) == 0 {
-		return results, nil
+	if len(pending) > 0 {
+		if err := runGroups(cells, pending, opts, results); err != nil {
+			return nil, err
+		}
 	}
+	if slices.ContainsFunc(cells, func(c Cell) bool { return c.cs.faultMetrics }) {
+		ApplyDegradation(results)
+	}
+	return results, nil
+}
+
+// runGroups resolves the pending cells into results on the worker pool,
+// one sibling group per unit of work, and returns the lowest-index
+// failure, whatever worker ran which group.
+func runGroups(cells []Cell, pending []int, opts Options, results []CellResult) error {
 	groups := siblingGroups(cells, pending, opts.Check)
 	errs := make([]error, len(cells))
 	ForEach(len(groups), opts.Workers, func(g int) error {
@@ -324,13 +341,12 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		}
 		return nil // errs keeps each failure at its cell's index
 	})
-	// The lowest-index failure, whatever worker ran which group.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // mayDerive reports whether cell c may derive from a sibling's run: only
@@ -384,13 +400,15 @@ func runCell(c Cell, i int, opts Options, results []CellResult, witnessed bool, 
 		default:
 		}
 	}
-	if opts.Progress != nil {
-		opts.Progress.CellRunning(i)
-	}
 	for _, src := range *runs {
 		if src.w.Admits(c.cs.tun) && derive(c, i, &results[src.i], opts, results) {
 			return nil
 		}
+	}
+	// Only a cell that simulates is running: the ETA extrapolates from
+	// those alone.
+	if opts.Progress != nil {
+		opts.Progress.CellRunning(i)
 	}
 	rep, locks, sink, w, err := runOnce(c, witnessed)
 	if err != nil {
@@ -507,13 +525,16 @@ func runOnce(c Cell, witnessed bool) (workload.Report, int, *trace.Sink, workloa
 // the default parameter space byte-identically (persisted baselines
 // never move).
 type Grid struct {
-	// Schemes, Workloads and Profiles name the axes (workload.Schemes,
-	// workload.WorkloadNames, workload.ProfileNames).
+	// Schemes, Workloads and Profiles name the axes (workload.Schemes
+	// by registry name or alias, or workload.SchemeFoMPIA;
+	// workload.WorkloadNames; workload.ProfileNames). Cells rejects an
+	// empty axis and a name it does not know.
 	Schemes   []string
 	Workloads []string
 	Profiles  []string
 	// Ps is the process-count axis (e.g. 16→512 to reproduce the
-	// paper's scaling figures in one invocation). Default {64}.
+	// paper's scaling figures in one invocation); every P is at least 1.
+	// Default {64}.
 	Ps []int
 
 	// ProcsPerNode is the machine shape (default 16).
@@ -552,8 +573,9 @@ type Grid struct {
 	// cell's Key and report fingerprint. An axis applies only to the
 	// schemes whose registry descriptor accepts its key (e.g. a TR axis
 	// sweeps RMA-RW but leaves foMPI-Spin with a single untuned cell),
-	// so mixed-scheme grids stay enumerable. An empty list reproduces
-	// the pre-tunables grid byte-identically.
+	// so mixed-scheme grids stay enumerable; an axis that no scheme of
+	// the grid accepts, or that has no values, is an AxisError. An empty
+	// list reproduces the pre-tunables grid byte-identically.
 	Tunables []TunableAxis
 	// Faults adds a fault-injection axis: each profile becomes an extra
 	// cell, innermost in the canonical order (inside the tunables
@@ -561,12 +583,13 @@ type Grid struct {
 	// the cell Key and report fingerprint. A non-empty axis always
 	// enumerates the fault-free cell first — the degradation baseline —
 	// and switches every cell (including fault-free ones) to
-	// FaultMetrics mode so tail-latency percentiles are comparable;
-	// ApplyDegradation then derives per-cell inflation metrics. Profiles
-	// that request acquire timeouts apply only to schemes whose registry
-	// descriptor advertises CapTimeout (mirroring the tunables-axis
-	// projection; an MCS-queue node cannot abandon its slot). An empty
-	// axis reproduces the pre-fault grid byte-identically.
+	// FaultMetrics mode so tail-latency percentiles are comparable; Run
+	// then derives per-cell inflation metrics (ApplyDegradation).
+	// Profiles that request acquire timeouts apply only to schemes whose
+	// registry descriptor advertises CapTimeout (mirroring the
+	// tunables-axis projection; an MCS-queue node cannot abandon its
+	// slot), and one that no scheme of the grid can run is an AxisError.
+	// An empty axis reproduces the pre-fault grid byte-identically.
 	Faults []*fault.Profile
 	// Engine selects the scheduler implementation for every cell ("" or
 	// "fast" = token-owned fast path, "ref" = reference engine; Cells
@@ -696,9 +719,15 @@ func (g Grid) checkSize() error {
 	return nil
 }
 
-// checkRepeats rejects a value repeated on any axis of the grid, with
-// a RepeatedValueError naming the axis and the value.
+// checkRepeats rejects a tunables axis key given twice, with a
+// DuplicateAxisError, and a value repeated on any axis of the grid,
+// with a RepeatedValueError naming the axis and the value.
 func (g Grid) checkRepeats() error {
+	for i, ax := range g.Tunables {
+		if slices.ContainsFunc(g.Tunables[:i], func(prev TunableAxis) bool { return prev.Key == ax.Key }) {
+			return DuplicateAxisError{Key: ax.Key}
+		}
+	}
 	for _, ax := range []struct {
 		name string
 		vals []string
@@ -728,20 +757,11 @@ func (g Grid) checkRepeats() error {
 }
 
 // combos expands the cross-product of the axes in declaration order
-// (first axis outermost). No axes — or axes with no values — yield the
-// single empty combination. Axis keys must be distinct; a repeated key
-// yields a DuplicateAxisError rather than a silent first-wins skip.
-func combos(axes []TunableAxis) ([]scheme.Tunables, error) {
+// (first axis outermost); no axes yield the single empty combination.
+// The keys are distinct and every axis has values (Cells checks both).
+func combos(axes []TunableAxis) []scheme.Tunables {
 	out := []scheme.Tunables{nil}
-	seen := map[string]bool{}
 	for _, ax := range axes {
-		if seen[ax.Key] {
-			return nil, DuplicateAxisError{Key: ax.Key}
-		}
-		seen[ax.Key] = true
-		if len(ax.Values) == 0 {
-			continue
-		}
 		next := make([]scheme.Tunables, 0, len(out)*len(ax.Values))
 		for _, base := range out {
 			for _, v := range ax.Values {
@@ -755,22 +775,15 @@ func combos(axes []TunableAxis) ([]scheme.Tunables, error) {
 		}
 		out = next
 	}
-	return out, nil
+	return out
 }
 
 // axesFor projects the grid's tunable axes onto one scheme: only axes
 // whose key the scheme's descriptor accepts take part in its
 // cross-product, so a mixed-scheme grid never enumerates meaningless
-// (and duplicate-keyed) cells. Unknown schemes keep every axis; the
-// run surfaces the registry's typed error.
-func axesFor(schemeName string, axes []TunableAxis) []TunableAxis {
-	if len(axes) == 0 {
-		return nil
-	}
-	d, err := scheme.Describe(schemeName)
-	if err != nil {
-		return axes
-	}
+// (and duplicate-keyed) cells. Cells has checked that every axis some
+// scheme of the grid accepts.
+func axesFor(d *scheme.Descriptor, axes []TunableAxis) []TunableAxis {
 	var out []TunableAxis
 	for _, ax := range axes {
 		if d.Accepts(ax.Key, 0) {
@@ -784,26 +797,131 @@ func axesFor(schemeName string, axes []TunableAxis) []TunableAxis {
 // fault-free baseline cell always leads, and profiles that bound
 // acquires (Timeout > 0) take part only when the scheme's descriptor
 // advertises CapTimeout — mirroring axesFor, so a mixed-scheme grid
-// never enumerates cells the workload layer would typed-reject.
-// Unknown schemes keep every profile; the run surfaces the registry's
-// (or capability) typed error. An empty axis yields the single
-// fault-free combination with metrics off.
-func faultsFor(schemeName string, profiles []*fault.Profile) []*fault.Profile {
-	if len(profiles) == 0 {
-		return []*fault.Profile{nil}
-	}
+// never enumerates cells the workload layer would typed-reject. An
+// empty axis yields the single fault-free combination with metrics off.
+func faultsFor(d *scheme.Descriptor, profiles []*fault.Profile) []*fault.Profile {
 	out := []*fault.Profile{nil}
-	d, err := scheme.Describe(schemeName)
 	for _, fp := range profiles {
-		if fp == nil {
+		if fp == nil || fp.Timeout > 0 && !d.Caps.Has(scheme.CapTimeout) {
 			continue // the baseline cell is always enumerated exactly once
-		}
-		if fp.Timeout > 0 && err == nil && !d.Caps.Has(scheme.CapTimeout) {
-			continue
 		}
 		out = append(out, fp)
 	}
 	return out
+}
+
+// describe returns the descriptor of a grid's scheme entry: the
+// registry's (names and aliases), or, for workload.SchemeFoMPIA, which
+// runs no lock, one that accepts no tunable and has no capability.
+func describe(name string) (scheme.Descriptor, error) {
+	if name == workload.SchemeFoMPIA {
+		return scheme.Descriptor{Name: name}, nil
+	}
+	return scheme.Describe(name)
+}
+
+// AxisError reports a grid axis entry that would run nothing, or an
+// axis with no entries at all. Cells rejects such a grid rather than
+// enumerate a different one from what was asked for: a dropped entry, an
+// untuned cell for a tunables axis no scheme takes, a cell keyed P=0
+// that runs at the default P.
+type AxisError struct {
+	// Axis is "schemes", "workloads", "profiles", "ps", "tunables",
+	// "faults", or a tunable key when that axis has no values.
+	Axis string
+	// Value is the entry, "" when the axis is empty.
+	Value string
+	// Why says what is wrong with the entry.
+	Why string
+	// Have lists what the axis accepts, when that is a set of names.
+	Have []string
+}
+
+func (e AxisError) Error() string {
+	msg := fmt.Sprintf("sweep: %s axis: %s", e.Axis, e.Why)
+	if e.Value != "" {
+		msg = fmt.Sprintf("sweep: %s axis: %q: %s", e.Axis, e.Value, e.Why)
+	}
+	if len(e.Have) > 0 {
+		msg += " (have " + strings.Join(e.Have, ",") + ")"
+	}
+	return msg
+}
+
+// checkEntries rejects, with an AxisError, every grid entry that would
+// run nothing: an empty schemes, workloads or profiles axis, a name the
+// axis does not know, a P below 1, a tunables axis with no values or
+// whose key no scheme of the grid accepts, and a fault profile that
+// perturbs nothing or that no scheme of the grid can run. Names are
+// checked, values are not: a tunable out of its range is a run error of
+// the cells that take it. It returns the descriptors of the grid's
+// schemes, in order.
+func (g Grid) checkEntries() ([]scheme.Descriptor, error) {
+	names := []struct {
+		axis string
+		vals []string
+		have []string
+	}{
+		{"schemes", g.Schemes, workload.Schemes},
+		{"workloads", g.Workloads, workload.WorkloadNames},
+		{"profiles", g.Profiles, workload.ProfileNames},
+	}
+	for _, ax := range names {
+		if len(ax.vals) == 0 {
+			return nil, AxisError{Axis: ax.axis, Why: "no values"}
+		}
+	}
+	descs := make([]scheme.Descriptor, len(g.Schemes))
+	for i, name := range g.Schemes {
+		d, err := describe(name)
+		if err != nil {
+			have := append(slices.Clip(workload.Schemes), workload.SchemeFoMPIA)
+			return nil, AxisError{Axis: "schemes", Value: name, Why: "unknown scheme", Have: have}
+		}
+		descs[i] = d
+	}
+	for _, ax := range names[1:] {
+		for _, v := range ax.vals {
+			if !slices.Contains(ax.have, v) {
+				return nil, AxisError{Axis: ax.axis, Value: v, Why: "unknown name", Have: ax.have}
+			}
+		}
+	}
+	for _, p := range g.Ps {
+		if p < 1 {
+			return nil, AxisError{Axis: "ps", Value: strconv.Itoa(p), Why: "not a rank count"}
+		}
+	}
+	for _, ax := range g.Tunables {
+		if len(ax.Values) == 0 {
+			return nil, AxisError{Axis: ax.Key, Why: "no values"}
+		}
+		if !slices.ContainsFunc(descs, func(d scheme.Descriptor) bool { return d.Accepts(ax.Key, 0) }) {
+			var have []string
+			for _, d := range descs {
+				for _, ts := range d.Tunables {
+					k := ts.Key
+					if ts.PerLevel {
+						k += "<level>"
+					}
+					if !slices.Contains(have, k) {
+						have = append(have, k)
+					}
+				}
+			}
+			return nil, AxisError{Axis: "tunables", Value: ax.Key, Why: "no scheme of the grid accepts the key", Have: have}
+		}
+	}
+	for _, fp := range g.Faults {
+		switch {
+		case fp == nil:
+		case fp.Canonical() == "":
+			return nil, AxisError{Axis: "faults", Why: "an entry perturbs nothing (the fault-free cell is always enumerated)"}
+		case fp.Timeout > 0 && !slices.ContainsFunc(descs, func(d scheme.Descriptor) bool { return d.Caps.Has(scheme.CapTimeout) }):
+			return nil, AxisError{Axis: "faults", Value: fp.Canonical(), Why: "no scheme of the grid can time out an acquire"}
+		}
+	}
+	return descs, nil
 }
 
 // cellSpec is the one description of a cell: every input that can
@@ -846,13 +964,18 @@ type attachments struct {
 // Cells enumerates the grid in canonical order: scheme outermost, then
 // workload, then profile, then P, then the tunables cross-product
 // (first axis outermost), then the fault axis (fault-free baseline
-// first). Reports and run files follow this order. A
-// repeated tunables axis key yields a DuplicateAxisError and a value
-// repeated on one axis a RepeatedValueError — both checked on the full
-// axis lists, before per-scheme projection, so the same grid fails the
-// same way regardless of which schemes it names. An unknown Engine
-// name, a negative P, ProcsPerNode or RemotePct, and axes that multiply
-// past maxCells (a TooManyCellsError) are errors too.
+// first). Reports and run files follow this order.
+//
+// Cells is where a grid is checked, for every caller alike: axes that
+// multiply past maxCells are a TooManyCellsError, before anything else
+// is looked at; a repeated tunables axis key is a DuplicateAxisError
+// and a value repeated on one axis a RepeatedValueError — both checked
+// on the full axis lists, before per-scheme projection, so the same
+// grid fails the same way regardless of which schemes it names; and an
+// entry that would run nothing is an AxisError naming the axis and the
+// entry (see checkEntries). An unknown Engine name, a negative
+// ProcsPerNode or RemotePct, and an invalid fault profile are errors
+// too. A grid that passes enumerates every entry it names in some cell.
 func (g Grid) Cells() ([]Cell, error) {
 	specs, att, err := g.enumerate()
 	if err != nil {
@@ -893,24 +1016,16 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	if err := g.checkSize(); err != nil {
 		return nil, nil, err
 	}
-	// Engine names and rank counts arrive from flags and job specs; past
-	// this point they reach code that panics on a bad one.
+	// Engine names and machine shapes arrive from flags and job specs;
+	// past this point they reach code that panics on a bad one.
 	if err := rma.CheckEngine(g.Engine); err != nil {
 		return nil, nil, fmt.Errorf("sweep: engine: %w", err)
-	}
-	for _, p := range g.Ps {
-		if p < 0 {
-			return nil, nil, fmt.Errorf("sweep: ps: negative rank count %d", p)
-		}
 	}
 	if g.ProcsPerNode < 0 {
 		return nil, nil, fmt.Errorf("sweep: ppn: negative ranks per node %d", g.ProcsPerNode)
 	}
 	if g.RemotePct < 0 {
 		return nil, nil, fmt.Errorf("sweep: remote_pct: negative percent %d", g.RemotePct)
-	}
-	if _, err := combos(g.Tunables); err != nil {
-		return nil, nil, err
 	}
 	if err := g.checkRepeats(); err != nil {
 		return nil, nil, err
@@ -923,22 +1038,23 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 			return nil, nil, fmt.Errorf("sweep: fault axis entry %d: %w", i, err)
 		}
 	}
+	descs, err := g.checkEntries()
+	if err != nil {
+		return nil, nil, err
+	}
 	shared := cellSpec{
 		ppn: g.ProcsPerNode, iters: g.Iters, seed: g.Seed, fw: g.FW,
 		zipfs: g.ZipfS, think: g.ThinkNs, thinkj: g.ThinkJitterNs,
 		faultMetrics: len(g.Faults) > 0, remotePct: g.RemotePct,
 	}
 	specs := make([]cellSpec, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
-	for _, schemeName := range g.Schemes {
-		tuns, err := combos(axesFor(schemeName, g.Tunables))
-		if err != nil {
-			return nil, nil, err
-		}
+	for si, schemeName := range g.Schemes {
+		tuns := combos(axesFor(&descs[si], g.Tunables))
 		tunKeys := make([]string, len(tuns))
 		for i, tun := range tuns {
 			tunKeys[i] = tun.Canonical()
 		}
-		faults := faultsFor(schemeName, g.Faults)
+		faults := faultsFor(&descs[si], g.Faults)
 		faultKeys := make([]string, len(faults))
 		for i, fp := range faults {
 			faultKeys[i] = fp.Canonical()

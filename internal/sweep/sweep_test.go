@@ -41,9 +41,9 @@ func testGrid() sweep.Grid {
 
 func TestGridCanonicalOrder(t *testing.T) {
 	cells := mustCells(t, sweep.Grid{
-		Schemes:   []string{"A", "B"},
-		Workloads: []string{"w"},
-		Profiles:  []string{"p", "q"},
+		Schemes:   []string{"D-MCS", "RMA-RW"},
+		Workloads: []string{"empty"},
+		Profiles:  []string{"uniform", "zipf"},
 		Ps:        []int{1, 2},
 	})
 	var got []string
@@ -51,8 +51,8 @@ func TestGridCanonicalOrder(t *testing.T) {
 		got = append(got, c.Key.String())
 	}
 	want := []string{
-		"A/w/p/P=1", "A/w/p/P=2", "A/w/q/P=1", "A/w/q/P=2",
-		"B/w/p/P=1", "B/w/p/P=2", "B/w/q/P=1", "B/w/q/P=2",
+		"D-MCS/empty/uniform/P=1", "D-MCS/empty/uniform/P=2", "D-MCS/empty/zipf/P=1", "D-MCS/empty/zipf/P=2",
+		"RMA-RW/empty/uniform/P=1", "RMA-RW/empty/uniform/P=2", "RMA-RW/empty/zipf/P=1", "RMA-RW/empty/zipf/P=2",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order:\n got %v\nwant %v", got, want)
@@ -69,9 +69,9 @@ func TestRunCheckMode(t *testing.T) {
 
 func TestRunPropagatesCellErrors(t *testing.T) {
 	g := testGrid()
-	g.Schemes = []string{"no-such-scheme"}
-	if _, err := sweep.Run(mustCells(t, g), sweep.Options{}); err == nil {
-		t.Fatal("want error for unknown scheme")
+	g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{-1}}}
+	if _, err := sweep.Run(mustCells(t, g), sweep.Options{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("err = %v, want the out-of-range T_R of a cell", err)
 	}
 }
 
@@ -331,13 +331,68 @@ func TestCellsRejectsBadEngineAndP(t *testing.T) {
 	}{
 		{func(g *sweep.Grid) { g.Engine = "psim" }, `engine: rma: unknown engine "psim"`},
 		{func(g *sweep.Grid) { g.Engine = "bogus" }, `engine: rma: unknown engine "bogus"`},
-		{func(g *sweep.Grid) { g.Ps = []int{8, -3} }, "ps: negative rank count -3"},
+		{func(g *sweep.Grid) { g.Ps = []int{8, -3} }, `ps axis: "-3": not a rank count`},
 		{func(g *sweep.Grid) { g.ProcsPerNode = -1 }, "ppn: negative ranks per node -1"},
 	} {
 		g := testGrid()
 		tc.edit(&g)
 		if _, err := g.Cells(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v, want it to contain %q", err, tc.want)
+		}
+	}
+}
+
+// TestCellsRejectsEntriesThatRunNothing: an entry a grid names but would
+// not run — an unknown name, an empty axis, a P below 1, a tunables
+// axis or fault profile no scheme of the grid takes — is an AxisError
+// naming the axis and the entry, never a grid that runs something else.
+func TestCellsRejectsEntriesThatRunNothing(t *testing.T) {
+	timeout := mustFault(t, "timeout=200us")
+	for _, tc := range []struct {
+		edit        func(*sweep.Grid)
+		axis, value string
+		have        string // in the error, when the axis lists what it accepts
+	}{
+		{func(g *sweep.Grid) { g.Schemes = []string{"D-MCS", "RMA-MSC"} }, "schemes", "RMA-MSC", "foMPI-A"},
+		{func(g *sweep.Grid) { g.Schemes = []string{"fompi-a"} }, "schemes", "fompi-a", "RMA-RW"},
+		{func(g *sweep.Grid) { g.Workloads = []string{"dth"} }, "workloads", "dth", "dhtvol"},
+		{func(g *sweep.Grid) { g.Profiles = []string{"unifrom"} }, "profiles", "unifrom", "bursty"},
+		{func(g *sweep.Grid) { g.Schemes = nil }, "schemes", "", ""},
+		{func(g *sweep.Grid) { g.Workloads = []string{} }, "workloads", "", ""},
+		{func(g *sweep.Grid) { g.Profiles = nil }, "profiles", "", ""},
+		{func(g *sweep.Grid) { g.Ps = []int{0} }, "ps", "0", ""},
+		{func(g *sweep.Grid) { g.Tunables = []sweep.TunableAxis{{Key: "TR"}} }, "TR", "", ""},
+		{func(g *sweep.Grid) {
+			g.Schemes = []string{"D-MCS", "foMPI-Spin"}
+			g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{1, 2}}}
+		}, "tunables", "TR", ""},
+		{func(g *sweep.Grid) { g.Tunables = []sweep.TunableAxis{{Key: "TX", Values: []int64{1, 2}}} }, "tunables", "TX", "TL<level>"},
+		{func(g *sweep.Grid) {
+			g.Schemes = []string{"D-MCS"}
+			g.Faults = []*fault.Profile{timeout}
+		}, "faults", "timeout=200000", ""},
+		{func(g *sweep.Grid) { g.Faults = []*fault.Profile{{}} }, "faults", "", ""},
+	} {
+		g := testGrid()
+		tc.edit(&g)
+		_, err := g.Cells()
+		var ae sweep.AxisError
+		if !errors.As(err, &ae) || ae.Axis != tc.axis || ae.Value != tc.value || !strings.Contains(err.Error(), tc.have) {
+			t.Errorf("%s %q: err = %v, want an AxisError naming them", tc.axis, tc.value, err)
+		}
+	}
+
+	// What the checks accept: aliases, foMPI-A, a per-level key, a
+	// timeout profile beside a scheme that can time out.
+	for _, edit := range []func(*sweep.Grid){
+		func(g *sweep.Grid) { g.Schemes = []string{"rmarw", "foMPI-A"}; g.Workloads = []string{"dhtvol"} },
+		func(g *sweep.Grid) { g.Tunables = []sweep.TunableAxis{{Key: "TL2", Values: []int64{8}}} },
+		func(g *sweep.Grid) { g.Schemes = append(g.Schemes, "foMPI-Spin"); g.Faults = []*fault.Profile{timeout} },
+	} {
+		g := testGrid()
+		edit(&g)
+		if _, err := g.Cells(); err != nil {
+			t.Errorf("%+v: %v", g, err)
 		}
 	}
 }

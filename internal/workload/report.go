@@ -133,7 +133,13 @@ func (r Report) Fingerprint() string {
 	}
 	tracePart := ""
 	if r.HandoffLocality != nil || r.Fairness != 0 {
-		tracePart = fmt.Sprintf(" fair=%v hloc=%v", r.Fairness, r.HandoffLocality)
+		// JSON omits a Fairness of -0 and decodes it as 0: write what a
+		// decoded report writes.
+		fair := r.Fairness
+		if fair == 0 {
+			fair = 0
+		}
+		tracePart = fmt.Sprintf(" fair=%v hloc=%v", fair, r.HandoffLocality)
 	}
 	var tail strings.Builder
 	writeTail(&tail, r.Tunables, r.Faults)

@@ -231,7 +231,10 @@ type (
 
 // RunSweep executes every cell on a bounded worker pool and merges the
 // results in canonical cell order: output is byte-identical regardless
-// of the worker count.
+// of the worker count. A grid with a fault axis (SweepGrid.Faults)
+// comes back with its degradation metrics: each faulted cell joined to
+// its fault-free sibling, with tail-latency inflation (p99_infl,
+// p999_infl) and, for traced grids, the Jain fairness delta.
 func RunSweep(cells []SweepCell, opts SweepOptions) ([]SweepCellResult, error) {
 	return sweep.Run(cells, opts)
 }
@@ -251,12 +254,6 @@ func SaveSweep(path, label string, results []SweepCellResult) error {
 
 // LoadSweep reads a run file persisted by SaveSweep.
 func LoadSweep(path string) (SweepRunFile, error) { return sweep.Load(path) }
-
-// ApplySweepDegradation joins each faulted cell of a fault-axis sweep
-// (SweepGrid.Faults) to its fault-free sibling and derives graceful-
-// degradation metrics in place: tail-latency inflation (p99_infl,
-// p999_infl) and, for traced grids, the Jain fairness delta.
-func ApplySweepDegradation(results []SweepCellResult) { sweep.ApplyDegradation(results) }
 
 // Sweep service & result cache (cmd/sweepd, internal/cache,
 // internal/jobq; see DESIGN.md "Sweep service & result cache"): grids
