@@ -69,10 +69,10 @@ type envelope struct {
 // compacts back to it).
 type run struct {
 	input string
-	key   string // sha256(input), also the file name stem
-	w     workload.Witness
-	text  string // w.Canonical()
-	group string // sweep.SiblingOf(input)
+	key   string         // sha256(input), also the file name stem
+	w     workload.Judge // w.Admits answers for the stored witness
+	text  string         // the witness' Canonical text
+	group string         // sweep.SiblingOf(input)
 
 	res  sweep.CellResult // decoded cell, run-file fragment attached
 	size int64            // sweep.CellFootprint(res), charged to the budget
@@ -251,22 +251,25 @@ func keyOf(input string) string {
 
 // witness validates the witness text stored beside r's input and sets
 // it: it must be canonical, name the scheme the input names and admit
-// the input's own tunables. r is unchanged when the text fails.
+// the input's own tunables. Its scheme and machine are resolved here,
+// once, for every lookup it will answer. r is unchanged when the text
+// fails.
 func (r *run) witness(text string) error {
 	w, err := workload.ParseWitness(text)
 	if err != nil {
 		return err
 	}
 	group, name, tun, ok := sweep.SiblingOf(r.input)
+	judge := w.Judge()
 	switch {
 	case !ok:
 		return errors.New("cache: witness stored under an address without a sibling group")
 	case w.Scheme != name:
 		return fmt.Errorf("cache: a %s witness stored for a %s cell", w.Scheme, name)
-	case !w.Admits(tun):
+	case !judge.Admits(tun):
 		return errors.New("cache: witness does not admit its own cell")
 	}
-	r.w, r.text, r.group = w, text, group
+	r.w, r.text, r.group = judge, text, group
 	return nil
 }
 

@@ -3,6 +3,7 @@ package jobq_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"rmalocks/internal/cache"
 	"rmalocks/internal/jobq"
@@ -161,4 +162,59 @@ func BenchmarkGridCells(b *testing.B) {
 			b.Fatalf("%d cells, %v", len(cells), err)
 		}
 	}
+}
+
+// eventsStreamAllocBound is the ceiling on bytes one events stream of a
+// finished warm job may allocate: 240 cell lines of ≈700 B each and a
+// summary, 170 KB sent. The stream appends them into a pooled buffer
+// beside a pooled snapshot, and allocates only its ticker. A snapshot
+// allocated per stream is 21 KB, an Encode per line at least 23 KB, and
+// a buffer grown from nil 340 KB.
+const eventsStreamAllocBound = 8 << 10
+
+// TestEventsStreamAllocBytes bounds the bytes one events stream of a
+// warm job allocates, so a per-line encoder or a per-stream buffer
+// coming back onto the stream fails a test rather than a benchmark.
+func TestEventsStreamAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 240-cell cold fill takes 20 s under -race, and the detector's own allocations are not the stream's")
+	}
+	m, _, _ := warmManager(t)
+	j, err := m.Submit(warmGrid(), "bench/daemon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	var sent int
+	stream := func() uint64 {
+		var w countWriter
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := j.Progress().StreamNDJSON(&w, time.Millisecond, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = int(w)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc := stream()
+	for i := 0; i < 4; i++ {
+		alloc = min(alloc, stream())
+	}
+	t.Logf("events stream %d B for %d B sent (bound %d B)", alloc, sent, eventsStreamAllocBound)
+	if sent < 240*500 {
+		t.Fatalf("the stream sent %d B, want every cell's line", sent)
+	}
+	if alloc >= eventsStreamAllocBound {
+		t.Errorf("an events stream allocated %d B, bound %d B: is a line encoded on its own, or the stream's buffer grown from nil, again?", alloc, eventsStreamAllocBound)
+	}
+}
+
+// countWriter counts the bytes written to it and keeps none.
+type countWriter int
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	*w += countWriter(len(p))
+	return len(p), nil
 }

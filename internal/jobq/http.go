@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rmalocks/internal/obs"
@@ -119,12 +120,21 @@ func (a *API) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// resultBufs holds the buffers results are assembled in, so a request
+// reuses an earlier one's instead of allocating (and page-faulting) a
+// fresh half megabyte. A buffer larger than maxPooledResult is left to
+// the collector.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResult = 8 << 20
+
 // result serves the finished run file. The bytes are sweep.Encode
 // output, a pure function of the submitted grid,
 // byte-identical across cache states, worker counts, and daemons. They
 // are assembled per request from the cells' stored fragments — a copy,
-// not a marshal — and sent with their length, so a retained job keeps
-// no encoded result and the client reads no chunk framing.
+// not a marshal — into a pooled buffer, and sent with their length in
+// one Write, so a retained job keeps no encoded result and the client
+// reads no chunk framing.
 func (a *API) result(w http.ResponseWriter, id string) {
 	rf, err := a.mgr.Result(id)
 	if err != nil {
@@ -143,14 +153,20 @@ func (a *API) result(w http.ResponseWriter, id string) {
 		httpError(w, code, err)
 		return
 	}
-	data, err := sweep.Encode(rf)
+	buf := resultBufs.Get().(*[]byte)
+	data, err := sweep.AppendEncode((*buf)[:0], rf)
 	if err != nil {
+		resultBufs.Put(buf)
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data) //nolint:errcheck
+	w.Write(data) //nolint:errcheck // a Write keeps nothing of data once it returns
+	if cap(data) <= maxPooledResult {
+		*buf = data
+		resultBufs.Put(buf)
+	}
 }
 
 // events streams the job's progress as NDJSON until the job reaches a

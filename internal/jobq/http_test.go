@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,6 +175,64 @@ func TestHTTPSubmitResultEvents(t *testing.T) {
 	}
 }
 
+// TestHTTPConcurrentResults: results are assembled in pooled buffers,
+// so many GET /result requests at once, on two jobs of different sizes,
+// must each still read exactly sweep.Encode's bytes for their job.
+// Under -race this is the pool's safety check: a buffer handed back
+// before its Write returned, or held by two requests, is a race or a
+// torn body.
+func TestHTTPConcurrentResults(t *testing.T) {
+	ts, mgr, _ := newTestServer(t)
+	small := testGrid()
+	small.Ps = []int{8}
+	want := map[string][]byte{}
+	for _, job := range []struct {
+		label string
+		g     sweep.Grid
+	}{{"results-big", testGrid()}, {"results-small", small}} {
+		st := submitGridOf(t, ts, job.label, job.g)
+		awaitState(t, ts, st.ID, jobq.StateDone)
+		rf, err := mgr.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[st.ID], err = sweep.Encode(rf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for id := range want {
+		ids = append(ids, id)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				id := ids[(c+i)%len(ids)]
+				resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want[id]) {
+					errs <- fmt.Errorf("GET %s/result: status %d, %d B (%v), want %d B equal to sweep.Encode's", id, resp.StatusCode, len(got), err, len(want[id]))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestHTTPCacheHitsAcrossSubmissions(t *testing.T) {
 	ts, _, store := newTestServer(t)
 	st1 := submitGrid(t, ts, "cold")
@@ -224,7 +284,7 @@ func TestHTTPErrors(t *testing.T) {
 	// counts the simulator would panic on (on a sweep worker, taking the
 	// daemon with it), and one with an entry it would not run (an
 	// unknown name, an axis no scheme takes, a P below 1, a tunables
-	// axis with no values) → 400 with a JSON error body naming the field
+	// axis with no values, foMPI-A with no workload it can run) → 400 with a JSON error body naming the field
 	// or the entry, and no job.
 	const grid = `{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],`
 	for _, tc := range []struct{ body, want string }{
@@ -242,6 +302,8 @@ func TestHTTPErrors(t *testing.T) {
 		{grid + `"faults":["timeout=200000"]}`, `\"timeout=200000\"`},
 		{grid + `"ps":[0]}`, `ps axis: \"0\"`},
 		{`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"],"tunables":[{"key":"TR","values":[]}]}`, "TR axis: no values"},
+		{`{"schemes":["foMPI-A","RMA-RW"],"workloads":["empty","counter"],"profiles":["uniform"]}`, `schemes axis: \"foMPI-A\"`},
+		{`{"schemes":["foMPI-A"],"workloads":["dht","empty"],"profiles":["uniform"]}`, `workloads axis: \"empty\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -177,9 +177,10 @@ type SummaryLine struct {
 	EtaMs float64 `json:"eta_ms"`
 }
 
-// snapshotLocked renders the current state. Caller holds p.mu.
-func (p *SweepProgress) snapshotLocked() ([]CellLine, SummaryLine) {
-	lines := make([]CellLine, len(p.cells))
+// snapshotLocked renders the current state, the cells' lines into
+// lines' storage. Caller holds p.mu.
+func (p *SweepProgress) snapshotLocked(lines []CellLine) ([]CellLine, SummaryLine) {
+	lines = slices.Grow(lines[:0], len(p.cells))[:len(p.cells)]
 	for i, c := range p.cells {
 		lines[i] = CellLine{Cell: c.key, State: c.state, Fingerprint: c.fingerprint, Error: c.err}
 		switch c.state {
@@ -222,21 +223,23 @@ func (p *SweepProgress) Counts() (done, cached, failed int) {
 }
 
 // WriteNDJSON writes the current snapshot as NDJSON: one CellLine per
-// cell in canonical order, then one SummaryLine.
+// cell in canonical order, then one SummaryLine, in one Write.
 func (p *SweepProgress) WriteNDJSON(w io.Writer) error {
 	if p == nil {
 		return nil
 	}
+	s := getNDJSON()
+	defer putNDJSON(s)
+	var sum SummaryLine
 	p.mu.Lock()
-	lines, sum := p.snapshotLocked()
+	s.lines, sum = p.snapshotLocked(s.lines)
 	p.mu.Unlock()
-	enc := json.NewEncoder(w)
-	for _, l := range lines {
-		if err := enc.Encode(l); err != nil {
-			return err
-		}
+	for i := range s.lines {
+		s.buf = appendCellLine(s.buf, &s.lines[i])
 	}
-	return enc.Encode(sum)
+	s.buf = appendSummaryLine(s.buf, &sum)
+	_, err := w.Write(s.buf)
+	return err
 }
 
 // flusher lets the streaming writer push each update through an
@@ -250,7 +253,8 @@ type flusher interface{ Flush() }
 // (client gone). done receives an optional external stop signal (may
 // be nil); once it closes, the changes made since the last poll are
 // emitted and the stream ends, so a stop signalled after the sweep's
-// last transition never loses it.
+// last transition never loses it. Each tick is one Write and one Flush
+// of a buffer the stream reuses.
 func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <-chan struct{}) error {
 	if p == nil {
 		return nil
@@ -258,12 +262,14 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 	if interval <= 0 {
 		interval = 250 * time.Millisecond
 	}
-	enc := json.NewEncoder(w)
-	// last[i] is the state cell i was last emitted in. Start may install
-	// the cell list after the stream has opened (a job still queued), so
-	// last is sized to the list on every tick, under the lock; a cell it
-	// has no state for yet counts as changed.
-	var last []string
+	s := getNDJSON()
+	defer putNDJSON(s)
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	// s.last[i] is the state cell i was last emitted in. Start may
+	// install the cell list after the stream has opened (a job still
+	// queued), so it is sized to the list on every tick, under the lock;
+	// a cell it has no state for yet counts as changed.
 	var ver uint64
 	stopped := false
 	for first := true; ; first = false {
@@ -275,17 +281,16 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		var changed []CellLine
 		var sum SummaryLine
 		if emit {
-			var lines []CellLine
-			lines, sum = p.snapshotLocked()
-			if n := len(lines); n > len(last) {
-				last = append(last, make([]string, n-len(last))...)
+			s.lines, sum = p.snapshotLocked(s.lines)
+			if n := len(s.lines); n > len(s.last) {
+				s.last = append(s.last, make([]string, n-len(s.last))...)
 			} else {
-				last = last[:n]
+				s.last = s.last[:n]
 			}
-			changed = lines[:0] // filtered in place
-			for i, l := range lines {
-				if l.State != last[i] {
-					last[i] = l.State
+			changed = s.lines[:0] // filtered in place
+			for i, l := range s.lines {
+				if l.State != s.last[i] {
+					s.last[i] = l.State
 					changed = append(changed, l)
 				}
 			}
@@ -293,12 +298,12 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		}
 		p.mu.Unlock()
 		if emit {
-			for _, l := range changed {
-				if err := enc.Encode(l); err != nil {
-					return err
-				}
+			s.buf = s.buf[:0]
+			for i := range changed {
+				s.buf = appendCellLine(s.buf, &changed[i])
 			}
-			if err := enc.Encode(sum); err != nil {
+			s.buf = appendSummaryLine(s.buf, &sum)
+			if _, err := w.Write(s.buf); err != nil {
 				return err
 			}
 			if f, ok := w.(flusher); ok {
@@ -311,7 +316,7 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		select {
 		case <-done:
 			stopped = true
-		case <-time.After(interval):
+		case <-tick.C:
 		}
 	}
 }

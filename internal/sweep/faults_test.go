@@ -74,6 +74,49 @@ func TestFaultAxisInvalidProfile(t *testing.T) {
 	}
 }
 
+// TestNilFaultsAreNoFaultAxis: a fault axis holding only nil entries
+// enumerates no faulted cell, so it is no fault axis at all. Its cells
+// are the plain grid's, address and fingerprint, and so are those of
+// its wire round trip, which drops nil entries: a grid posted to sweepd
+// computes what a local run of it computes.
+func TestNilFaultsAreNoFaultAxis(t *testing.T) {
+	plain := testGrid()
+	plain.Ps = []int{8}
+	nilFaults := plain
+	nilFaults.Faults = []*fault.Profile{nil}
+	data, err := sweep.EncodeGrid(nilFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := sweep.DecodeGrid(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustCells(t, plain)
+	wantRes, err := sweep.Run(want, sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]sweep.Grid{"{nil} faults": nilFaults, "its wire round trip": wire} {
+		cells := mustCells(t, g)
+		if len(cells) != len(want) {
+			t.Fatalf("%s: %d cells, want %d", name, len(cells), len(want))
+		}
+		res, err := sweep.Run(cells, sweep.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			if c.Key != want[i].Key || c.Input != want[i].Input {
+				t.Errorf("%s: cell %d is %s at %q, want %s at %q", name, i, c.Key, c.Input, want[i].Key, want[i].Input)
+			}
+			if res[i].Fingerprint != wantRes[i].Fingerprint {
+				t.Errorf("%s: cell %s fingerprint %q, want %q", name, c.Key, res[i].Fingerprint, wantRes[i].Fingerprint)
+			}
+		}
+	}
+}
+
 // TestApplyDegradation pins the baseline join and the derived metrics,
 // which Run applies to a grid with a fault axis.
 func TestApplyDegradation(t *testing.T) {

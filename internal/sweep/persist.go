@@ -21,16 +21,21 @@ type RunFile struct {
 }
 
 // Encode renders the run in the persisted format — the bytes of
-// json.MarshalIndent(rf, "", "  ") plus a trailing newline — and is the
-// one assembly path for `workbench -out`, Save and sweepd's
+// json.MarshalIndent(rf, "", "  ") plus a trailing newline — in a
+// buffer of its own: AppendEncode(nil, rf).
+func Encode(rf RunFile) ([]byte, error) { return AppendEncode(nil, rf) }
+
+// AppendEncode appends the run's persisted form to b, and is the one
+// assembly path for `workbench -out`, Save and sweepd's
 // GET /jobs/{id}/result: the header, then every cell's fragment (the
 // one it carries, or marshal + indent on the spot for a cell that has
-// none) joined in one buffer sized up front. Cache-served and derived
-// cells, and the runs derived cells came from, carry one, so a run of
-// such cells is a copy of stored and spliced bytes in a buffer of
-// exactly its size, and a fetched result is byte-identical to a local
-// `workbench -out` file of the same grid.
-func Encode(rf RunFile) ([]byte, error) {
+// none), with b grown once, up front, to the size the fragments add up
+// to. Cache-served and derived cells, and the runs derived cells came
+// from, carry one, so a run of such cells is a copy of stored and
+// spliced bytes, and a fetched result is byte-identical to a local
+// `workbench -out` file of the same grid. A caller that hands in a
+// reused buffer assembles a result without allocating one.
+func AppendEncode(b []byte, rf RunFile) ([]byte, error) {
 	// Strings always marshal.
 	label, _ := json.Marshal(rf.Label)
 	size := len(label) + 64
@@ -38,7 +43,9 @@ func Encode(rf RunFile) ([]byte, error) {
 		// A cell without a fragment grows the buffer when it gets there.
 		size += len(fragPrefix) + len(rf.Cells[i].frag) + len(",\n")
 	}
-	var buf bytes.Buffer
+	// The writes go through a bytes.Buffer over b: it grows b by
+	// doubling where append would grow a large slice by a quarter.
+	buf := bytes.NewBuffer(b)
 	buf.Grow(size)
 	buf.WriteString("{\n")
 	if rf.Label != "" {
@@ -66,7 +73,7 @@ func Encode(rf RunFile) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := json.Indent(&buf, payload, fragPrefix, fragIndent); err != nil {
+			if err := json.Indent(buf, payload, fragPrefix, fragIndent); err != nil {
 				return nil, err
 			}
 		}

@@ -59,6 +59,17 @@ type Key struct {
 
 func (k Key) String() string { return string(k.appendTo(make([]byte, 0, 64))) }
 
+// keyText is c.Key.String(), sliced out of c's address, which starts
+// with it, when c has one: a job's progress keys cost no allocation.
+func (c Cell) keyText() string {
+	var a [128]byte
+	k := c.Key.appendTo(a[:0])
+	if rest, ok := strings.CutPrefix(c.Input, inputPrefix); ok && len(rest) >= len(k) && rest[:len(k)] == string(k) {
+		return rest[:len(k)]
+	}
+	return string(k)
+}
+
 // appendTo appends the key's text form: what String returns and what a
 // cell's content address starts with (cellSpec.appendInput).
 func (k Key) appendTo(b []byte) []byte {
@@ -286,7 +297,7 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 	if opts.Progress != nil {
 		keys := make([]string, len(cells))
 		for i, c := range cells {
-			keys[i] = c.Key.String()
+			keys[i] = c.keyText()
 		}
 		opts.Progress.Start(keys)
 	}
@@ -378,10 +389,10 @@ func siblingGroups(cells []Cell, pending []int, check bool) [][]int {
 }
 
 // source is a simulation a sibling may be derived from: its result index
-// and witness.
+// and its witness, resolved once for the siblings it is asked about.
 type source struct {
 	i int
-	w workload.Witness
+	w workload.Judge
 }
 
 // runCell resolves cell i into results[i]: from one of runs, the earlier
@@ -439,7 +450,7 @@ func runCell(c Cell, i int, opts Options, results []CellResult, witnessed bool, 
 	results[i] = CellResult{Key: c.Key, Locks: locks, Report: rep, Fingerprint: fp, Trace: sink}
 	store(opts, c, results, i, w)
 	if w.Scheme != "" {
-		*runs = append(*runs, source{i, w})
+		*runs = append(*runs, source{i, w.Judge()})
 	}
 	if opts.Progress != nil {
 		opts.Progress.CellDone(i, fp, nil)
@@ -850,9 +861,11 @@ func (e AxisError) Error() string {
 
 // checkEntries rejects, with an AxisError, every grid entry that would
 // run nothing: an empty schemes, workloads or profiles axis, a name the
-// axis does not know, a P below 1, a tunables axis with no values or
-// whose key no scheme of the grid accepts, and a fault profile that
-// perturbs nothing or that no scheme of the grid can run. Names are
+// axis does not know, foMPI-A beside no workload with an atomic
+// operation family or such a workload beside foMPI-A alone, a P below
+// 1, a tunables axis with no values or whose key no scheme of the grid
+// accepts, and a fault profile that perturbs nothing or that no scheme
+// of the grid can run. Names are
 // checked, values are not: a tunable out of its range is a run error of
 // the cells that take it. It returns the descriptors of the grid's
 // schemes, in order.
@@ -885,6 +898,19 @@ func (g Grid) checkEntries() ([]scheme.Descriptor, error) {
 			if !slices.Contains(ax.have, v) {
 				return nil, AxisError{Axis: ax.axis, Value: v, Why: "unknown name", Have: ax.have}
 			}
+		}
+	}
+	// foMPI-A runs only the workloads that have an atomic operation
+	// family, the way a tunables axis projects onto the schemes that
+	// take its key (enumerate).
+	if slices.Contains(g.Schemes, workload.SchemeFoMPIA) {
+		atomic := slices.DeleteFunc(slices.Clone(workload.WorkloadNames), func(w string) bool { return !workload.HasAtomicFamily(w) })
+		lockless := !slices.ContainsFunc(g.Schemes, func(s string) bool { return s != workload.SchemeFoMPIA })
+		if !slices.ContainsFunc(g.Workloads, workload.HasAtomicFamily) {
+			return nil, AxisError{Axis: "schemes", Value: workload.SchemeFoMPIA, Why: "runs no lock, and no workload of the grid has an atomic operation family", Have: atomic}
+		}
+		if i := slices.IndexFunc(g.Workloads, func(w string) bool { return !workload.HasAtomicFamily(w) }); i >= 0 && lockless {
+			return nil, AxisError{Axis: "workloads", Value: g.Workloads[i], Why: "has no atomic operation family, and the grid's one scheme runs no lock", Have: atomic}
 		}
 	}
 	for _, p := range g.Ps {
@@ -1045,7 +1071,8 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 	shared := cellSpec{
 		ppn: g.ProcsPerNode, iters: g.Iters, seed: g.Seed, fw: g.FW,
 		zipfs: g.ZipfS, think: g.ThinkNs, thinkj: g.ThinkJitterNs,
-		faultMetrics: len(g.Faults) > 0, remotePct: g.RemotePct,
+		faultMetrics: slices.ContainsFunc(g.Faults, func(fp *fault.Profile) bool { return fp != nil }),
+		remotePct:    g.RemotePct,
 	}
 	specs := make([]cellSpec, 0, len(g.Schemes)*len(g.Workloads)*len(g.Profiles)*len(g.Ps))
 	for si, schemeName := range g.Schemes {
@@ -1060,6 +1087,9 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 			faultKeys[i] = fp.Canonical()
 		}
 		for _, wname := range g.Workloads {
+			if schemeName == workload.SchemeFoMPIA && !workload.HasAtomicFamily(wname) {
+				continue // foMPI-A runs only an atomic operation family
+			}
 			for _, pname := range g.Profiles {
 				for _, p := range g.Ps {
 					cs := shared
@@ -1122,43 +1152,74 @@ func SiblingOf(input string) (group, schemeName string, tun scheme.Tunables, ok 
 		return "", "", nil, false
 	}
 	// Key.appendTo: scheme/workload/profile/P=<p>[/<tunables>][/faults=<f>];
-	// neither the tunables nor a fault profile contain a '/'.
-	parts := strings.Split(rest[:end], "/")
-	if len(parts) < 4 || !strings.HasPrefix(parts[3], "P=") || !isDecimal(parts[3][2:]) {
+	// neither the tunables nor a fault profile contain a '/'. parts are
+	// substrings of input, so the group is input with the tunables'
+	// segment cut out: input itself when there is none.
+	var parts [6]string
+	n := 0
+	for key := rest[:end]; ; n++ {
+		if n == len(parts) {
+			return "", "", nil, false
+		}
+		seg, more, found := strings.Cut(key, "/")
+		parts[n] = seg
+		if !found {
+			n++
+			break
+		}
+		key = more
+	}
+	if n < 4 || !strings.HasPrefix(parts[3], "P=") || !isDecimal(parts[3][2:]) {
 		return "", "", nil, false
 	}
-	more := parts[4:]
+	more := parts[4:n]
+	group = input
 	if len(more) > 0 && !strings.HasPrefix(more[0], "faults=") {
 		if tun, ok = parseTunables(more[0]); !ok {
 			return "", "", nil, false
 		}
+		// The tunables' segment, its '/' included, starts after the
+		// four segments before it and their slashes.
+		at := len(inputPrefix) + len(parts[0]) + len(parts[1]) + len(parts[2]) + len(parts[3]) + 3
+		group = input[:at] + input[at+1+len(more[0]):]
 		more = more[1:]
 	}
 	if len(more) > 1 || len(more) == 1 && !strings.HasPrefix(more[0], "faults=") {
 		return "", "", nil, false
 	}
-	g := append([]byte(inputPrefix), strings.Join(append(parts[:4:4], more...), "/")...)
-	return string(append(g, rest[end:]...)), parts[0], tun, true
+	return group, parts[0], tun, true
 }
 
+// isDecimal reports whether s is an int as strconv.Itoa writes it.
 func isDecimal(s string) bool {
-	n, err := strconv.Atoi(s)
-	return err == nil && strconv.Itoa(n) == s
+	_, err := strconv.Atoi(s)
+	return err == nil && canonicalInt(s)
+}
+
+// canonicalInt reports whether s, which parses as an integer, is
+// spelled as strconv.FormatInt spells it: no sign but a minus, and no
+// leading zero (so no "-0").
+func canonicalInt(s string) bool {
+	return s[0] != '+' && (strings.TrimPrefix(s, "-")[0] != '0' || s == "0")
 }
 
 // parseTunables reads the canonical encoding Tunables.Canonical writes,
-// and only that.
+// and only that: keys in strictly increasing order, each value as
+// strconv.FormatInt writes it.
 func parseTunables(s string) (scheme.Tunables, bool) {
 	t := scheme.Tunables{}
-	for _, kv := range strings.Split(s, ",") {
+	prev := ""
+	for more := true; more; {
+		var kv string
+		kv, s, more = strings.Cut(s, ",")
 		k, v, ok := strings.Cut(kv, "=")
 		n, err := strconv.ParseInt(v, 10, 64)
-		if !ok || err != nil {
+		if !ok || err != nil || !canonicalInt(v) || len(t) > 0 && k <= prev {
 			return nil, false
 		}
-		t[k] = n
+		t[k], prev = n, k
 	}
-	return t, t.Canonical() == s
+	return t, true
 }
 
 // appendInput appends the cell's content address (Cell.Input): the

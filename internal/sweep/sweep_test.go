@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -372,6 +373,14 @@ func TestCellsRejectsEntriesThatRunNothing(t *testing.T) {
 			g.Faults = []*fault.Profile{timeout}
 		}, "faults", "timeout=200000", ""},
 		{func(g *sweep.Grid) { g.Faults = []*fault.Profile{{}} }, "faults", "", ""},
+		{func(g *sweep.Grid) {
+			g.Schemes = []string{"foMPI-A", "RMA-RW"}
+			g.Workloads = []string{"empty", "counter"}
+		}, "schemes", "foMPI-A", "dht,dhtvol"},
+		{func(g *sweep.Grid) {
+			g.Schemes = []string{"foMPI-A"}
+			g.Workloads = []string{"dht", "sharedop"}
+		}, "workloads", "sharedop", "dht,dhtvol"},
 	} {
 		g := testGrid()
 		tc.edit(&g)
@@ -382,10 +391,12 @@ func TestCellsRejectsEntriesThatRunNothing(t *testing.T) {
 		}
 	}
 
-	// What the checks accept: aliases, foMPI-A, a per-level key, a
-	// timeout profile beside a scheme that can time out.
+	// What the checks accept: aliases, foMPI-A, foMPI-A beside a
+	// workload without an atomic family that another scheme runs, a
+	// per-level key, a timeout profile beside a scheme that can time out.
 	for _, edit := range []func(*sweep.Grid){
 		func(g *sweep.Grid) { g.Schemes = []string{"rmarw", "foMPI-A"}; g.Workloads = []string{"dhtvol"} },
+		func(g *sweep.Grid) { g.Schemes = []string{"foMPI-A", "RMA-RW"}; g.Workloads = []string{"empty", "dht"} },
 		func(g *sweep.Grid) { g.Tunables = []sweep.TunableAxis{{Key: "TL2", Values: []int64{8}}} },
 		func(g *sweep.Grid) { g.Schemes = append(g.Schemes, "foMPI-Spin"); g.Faults = []*fault.Profile{timeout} },
 	} {
@@ -394,5 +405,32 @@ func TestCellsRejectsEntriesThatRunNothing(t *testing.T) {
 		if _, err := g.Cells(); err != nil {
 			t.Errorf("%+v: %v", g, err)
 		}
+	}
+}
+
+// TestFoMPIAProjectsOntoAtomicWorkloads: foMPI-A enumerates only the
+// workloads that have an atomic operation family, so a grid that puts
+// it beside one without (run by the grid's other scheme) runs to the
+// end instead of failing its lockless cells after every other cell has
+// simulated.
+func TestFoMPIAProjectsOntoAtomicWorkloads(t *testing.T) {
+	g := sweep.Grid{
+		Schemes:   []string{"foMPI-A", "RMA-RW"},
+		Workloads: []string{"empty", "dht"},
+		Profiles:  []string{"uniform"},
+		Ps:        []int{8},
+		Iters:     5,
+	}
+	cells := mustCells(t, g)
+	var keys []string
+	for _, c := range cells {
+		keys = append(keys, c.Key.String())
+	}
+	want := []string{"foMPI-A/dht/uniform/P=8", "RMA-RW/empty/uniform/P=8", "RMA-RW/dht/uniform/P=8"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("cells %v, want %v", keys, want)
+	}
+	if _, err := sweep.Run(cells, sweep.Options{Workers: 2}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -85,26 +85,44 @@ const maxMachine = 1 << 30
 // decision the witnessed run made. t must pass the registry's checks,
 // and is completed as the harness completes it; the scheme's Resolve
 // then maps it to the run's T_DC and a value inside every box, with no
-// threshold unaccounted for on either side.
-func (w Witness) Admits(t scheme.Tunables) bool {
+// threshold unaccounted for on either side. It is w.Judge().Admits(t).
+func (w Witness) Admits(t scheme.Tunables) bool { return w.Judge().Admits(t) }
+
+// A Judge is a witness with its scheme's descriptor and its machine
+// looked up once, for a holder that asks it about many tunables: a
+// cache's stored run, or a sweep's simulated one. The zero Judge admits
+// nothing. It is read-only, and safe for concurrent use.
+type Judge struct {
+	w      Witness
+	d      *scheme.Descriptor // nil: the witness admits nothing
+	topo   *topology.Topology
+	levels int
+}
+
+// Judge resolves w's scheme and machine for Admits.
+func (w Witness) Judge() Judge {
 	if w.Scheme == "" || w.P < 1 || w.P > maxMachine || w.PPN < 1 || w.PPN > maxMachine {
-		return false
+		return Judge{}
 	}
 	d, err := scheme.Describe(w.Scheme)
 	if err != nil || d.Resolve == nil {
-		return false
+		return Judge{}
 	}
 	topo := topology.ForProcs(w.P, w.PPN)
-	levels := topo.Levels()
-	if d.Check(t, levels) != nil {
+	return Judge{w: w, d: &d, topo: topo, levels: topo.Levels()}
+}
+
+// Admits is Witness.Admits for the witness j was made from.
+func (j Judge) Admits(t scheme.Tunables) bool {
+	if j.d == nil || j.d.Check(t, j.levels) != nil {
 		return false
 	}
-	r, err := d.Resolve(topo, tunables(&d, levels, t))
-	if err != nil || r.TDC != w.TDC || len(r.Thresholds) != len(w.Boxes) {
+	r, err := j.d.Resolve(j.topo, tunables(j.d, j.levels, t))
+	if err != nil || r.TDC != j.w.TDC || len(r.Thresholds) != len(j.w.Boxes) {
 		return false
 	}
 	for k, v := range r.Thresholds {
-		if b, ok := w.Boxes[k]; !ok || !b.Contains(v) {
+		if b, ok := j.w.Boxes[k]; !ok || !b.Contains(v) {
 			return false
 		}
 	}

@@ -215,6 +215,14 @@ func LockSet(name string, locks, p int) int {
 	return locks
 }
 
+// HasAtomicFamily reports whether the named workload has an atomic
+// operation family, the only thing SchemeFoMPIA runs: the hashtable's.
+func HasAtomicFamily(name string) bool {
+	w, err := ByName(name)
+	_, ok := w.(*DHTOps)
+	return err == nil && ok
+}
+
 // ByName builds one of the named workloads with default geometry. Fresh
 // value per call: workloads carry per-run state.
 func ByName(name string) (Workload, error) {
