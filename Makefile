@@ -164,9 +164,13 @@ trace:
 # /metrics (until the first cell's run span has closed) and /progress
 # mid-run, then check the scrape and the merged snapshot side channel
 # both carry the harness's instruments (the per-cycle iteration counter
-# and the run phase span). The grid is sized to run for a few seconds so
-# the scrape lands mid-run. CI's obs-smoke job runs this plus the
-# fast-path allocation guard.
+# and the run phase span), and that the snapshot's counter is exact:
+# every rank of a cell adds 1 per measured cycle (warm-up cycles are
+# not counted) and the grid has no tunables, so no cell derives. Its
+# 2 schemes x 2 profiles x P in {128, 256} x 120 iters make
+# sum P*Iters = 4 x (128 + 256) x 120 = 184320. The grid is sized to
+# run for a few seconds so the scrape lands mid-run. CI's obs-smoke job
+# runs this plus the fast-path allocation guard.
 OBS_ADDR = 127.0.0.1:9137
 
 obs-smoke:
@@ -193,7 +197,7 @@ obs-smoke:
 	grep -q '^cell_iters_done_total ' results/obs-scrape.prom
 	grep -q '^obs_phase_wall_ns_total{phase="run"} ' results/obs-scrape.prom
 	grep -q '"summary":true' results/obs-progress.ndjson
-	grep -q 'cell_iters_done_total' results/obs-metrics.json
+	grep -Eq '"cell_iters_done_total": 184320,?$$' results/obs-metrics.json
 	@echo "obs-smoke: OK —$$(grep 'cell_iters_done_total' results/obs-metrics.json | tr -d ',')"
 
 # Sweep-service smoke: start sweepd on a fresh cache, submit a 4-cell

@@ -85,20 +85,15 @@ func TestSchemesAndDescribe(t *testing.T) {
 }
 
 func TestNewMachineErrValidation(t *testing.T) {
-	// Nodes not a multiple of Racks.
-	if _, err := rmalocks.NewMachineErr(rmalocks.MachineSpec{Nodes: 5, Racks: 2, ProcsPerNode: 4}); err == nil {
-		t.Error("Nodes=5 Racks=2 accepted")
-	} else if !strings.Contains(err.Error(), "MachineSpec") {
-		t.Errorf("error lacks context: %v", err)
-	}
 	// Non-positive fields.
 	for _, spec := range []rmalocks.MachineSpec{
 		{Nodes: -1},
 		{ProcsPerNode: -2},
-		{Nodes: 4, Racks: -1},
 	} {
 		if _, err := rmalocks.NewMachineErr(spec); err == nil {
 			t.Errorf("invalid spec %+v accepted", spec)
+		} else if !strings.Contains(err.Error(), "MachineSpec") {
+			t.Errorf("error lacks context: %v", err)
 		}
 	}
 	// A rank count overflowing int32 rank ids is rejected with the
@@ -111,12 +106,12 @@ func TestNewMachineErrValidation(t *testing.T) {
 			t.Errorf("overflow error %v is not a *RankOverflowError", err)
 		}
 	}
-	// Valid specs still work, including the three-level form.
-	m, err := rmalocks.NewMachineErr(rmalocks.MachineSpec{Nodes: 4, Racks: 2, ProcsPerNode: 2})
+	// Valid specs still work.
+	m, err := rmalocks.NewMachineErr(rmalocks.MachineSpec{Nodes: 4, ProcsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Topology().Levels() != 3 || m.Procs() != 8 {
+	if m.Topology().Levels() != 2 || m.Procs() != 8 {
 		t.Errorf("machine = %v", m.Topology())
 	}
 	// NewMachine keeps its signature and panics on the same input.
@@ -125,5 +120,5 @@ func TestNewMachineErrValidation(t *testing.T) {
 			t.Error("NewMachine did not panic on an invalid spec")
 		}
 	}()
-	rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: 5, Racks: 2})
+	rmalocks.NewMachine(rmalocks.MachineSpec{Nodes: -1})
 }

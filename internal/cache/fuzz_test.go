@@ -117,7 +117,7 @@ func FuzzEnvelope(f *testing.F) {
 				continue
 			}
 			_, _, tun, _ := sweep.SiblingOf(sib)
-			if w, err := workload.ParseWitness(hdr.Witness); sib != asked && (err != nil || !w.Admits(tun)) {
+			if w, err := workload.ParseWitness(hdr.Witness); sib != asked && (err != nil || !w.Judge().Admits(tun)) {
 				t.Fatalf("%s: %s served for %s under witness %q", route, r.Key, sib, hdr.Witness)
 			}
 			servedAsStored(t, route+" (sibling)", r, asked, hdr.Data)

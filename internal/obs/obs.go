@@ -1,7 +1,5 @@
 // Package obs is the deterministic-safe observability subsystem: live
-// counters sharded per rank (the same lock-free shard pattern as
-// internal/trace's per-rank buffers — every writer owns its slot, merges
-// happen at read time), counters and gauges read from their owner at
+// atomic counters, counters and gauges read from their owner at
 // scrape time, named phase spans (setup / run / drain / merge) with
 // wall-clock timing, and the scrape surfaces built on top: a Prometheus
 // text exposition (server.go: /metrics), an NDJSON sweep-progress
@@ -26,7 +24,7 @@
 // with obs off or on it is byte-for-byte the same code
 // (BenchmarkAdvanceUncontended stays ~1.6ns / 0 allocs).
 //
-// Reads (scrapes) may run concurrently with writes: all cells are
+// Reads (scrapes) may run concurrently with writes: all values are
 // atomics, so a mid-run /metrics scrape sees a consistent-enough view
 // without stopping a single simulation goroutine.
 package obs
@@ -42,18 +40,11 @@ import (
 	"time"
 )
 
-// maxShards caps the shard count of per-rank sharded metrics. Ranks are
-// folded onto shards by index masking, so counts stay exact at any P;
-// beyond this many shards the cache-line padding would cost real memory
-// (64B × shards × metrics) without buying contention relief the host's
-// core count can use.
-const maxShards = 4096
-
 // Registry is a metric container: a named set of counters and gauges
 // plus the phase table. It is the handle threaded through the stack
 // (workload.Spec.Obs, sweep.Grid.Obs, jobq.Config.Obs); sweep grids
 // share one across all cells (every instrument is concurrency-safe and
-// merge-by-sum). All methods are safe for concurrent use, and every
+// sums over the cells). All methods are safe for concurrent use, and every
 // method is nil-receiver-safe — a nil *Registry hands out nil metrics
 // and no-op spans, so observability is off at one nil check per site
 // and call sites need no obs-on conditionals.
@@ -131,20 +122,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	})
 }
 
-// ShardedCounter returns the named counter sharded for the given writer
-// count (typically the rank count P), registering it on first use.
-// Writer i adds through shard i&mask without contending with other
-// writers: each shard is one cache-line-padded atomic, the per-rank
-// pattern of trace's buffers. Counts are exact for any writer count; only
-// contention relief degrades past maxShards.
-// Get-or-create keeps the first shard sizing (values stay exact).
-func (r *Registry) ShardedCounter(name, help string, writers int) *ShardedCounter {
+// Counter returns the named counter, registering it on first use.
+func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
 	return r.register(name, "counter", func() metric {
-		return newShardedCounter(name, help, writers)
-	}).(*ShardedCounter)
+		return &Counter{nm: name, hp: help}
+	}).(*Counter)
 }
 
 // gaugeFunc is a gauge computed at read time.
@@ -175,63 +160,35 @@ func (c *counterFunc) expose(w io.Writer) {
 }
 func (c *counterFunc) snap(s *Snapshot) { s.Counters[c.nm] = c.fn() }
 
-// shard is one cache-line-padded atomic cell: writers on different
-// shards never share a line, the point of the per-rank pattern.
-type shard struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// shardCount rounds the writer count up to a power of two capped at
-// maxShards, so writer→shard folding is a mask.
-func shardCount(writers int) int {
-	n := 1
-	for n < writers && n < maxShards {
-		n <<= 1
-	}
-	return n
-}
-
-// ShardedCounter is a counter whose increments spread over padded
-// per-writer shards; reads merge the shards.
-type ShardedCounter struct {
+// Counter is one atomic total. Its concurrent writers are a sweep's
+// workers, one cell each: the ranks of a cell run one at a time.
+type Counter struct {
 	nm, hp string
-	mask   int
-	shards []shard
+	v      atomic.Int64
 }
 
-func newShardedCounter(name, help string, writers int) *ShardedCounter {
-	n := shardCount(writers)
-	return &ShardedCounter{nm: name, hp: help, mask: n - 1, shards: make([]shard, n)}
-}
-
-// Add increments the counter by d through writer's shard; no-op on a
-// nil counter. writer is typically the simulated rank.
-func (c *ShardedCounter) Add(writer int, d int64) {
+// Add increments the counter by d; no-op on a nil counter.
+func (c *Counter) Add(d int64) {
 	if c != nil {
-		c.shards[writer&c.mask].v.Add(d)
+		c.v.Add(d)
 	}
 }
 
-// Value merges the shards into the current total (0 on nil).
-func (c *ShardedCounter) Value() int64 {
+// Value is the current total (0 on nil).
+func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
+	return c.v.Load()
 }
 
-func (c *ShardedCounter) metricName() string { return c.nm }
-func (c *ShardedCounter) metricHelp() string { return c.hp }
-func (c *ShardedCounter) metricType() string { return "counter" }
-func (c *ShardedCounter) expose(w io.Writer) {
+func (c *Counter) metricName() string { return c.nm }
+func (c *Counter) metricHelp() string { return c.hp }
+func (c *Counter) metricType() string { return "counter" }
+func (c *Counter) expose(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.nm, c.Value())
 }
-func (c *ShardedCounter) snap(s *Snapshot) { s.Counters[c.nm] = c.Value() }
+func (c *Counter) snap(s *Snapshot) { s.Counters[c.nm] = c.Value() }
 
 // phaseStat accumulates one named phase: how many spans completed and the
 // cumulative wall-clock nanoseconds across them.

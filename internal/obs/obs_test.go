@@ -18,9 +18,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.CounterFunc("aa_first_total", "Sorts first.", func() int64 { return 3 })
 	r.GaugeFunc("mid_gauge", "A negative gauge.", func() float64 { return -4 })
 	r.GaugeFunc("mid_ratio", "A derived gauge.", func() float64 { return 0.25 })
-	sc := r.ShardedCounter("sharded_total", "A sharded counter.", 64)
-	for w := 0; w < 64; w++ {
-		sc.Add(w, 2)
+	c := r.Counter("runs_total", "A counter.")
+	for i := 0; i < 64; i++ {
+		c.Add(2)
 	}
 	r.Span("run").End() // wall ns is live; pin only names below
 
@@ -39,9 +39,9 @@ mid_gauge -4
 # HELP mid_ratio A derived gauge.
 # TYPE mid_ratio gauge
 mid_ratio 0.25
-# HELP sharded_total A sharded counter.
-# TYPE sharded_total counter
-sharded_total 128
+# HELP runs_total A counter.
+# TYPE runs_total counter
+runs_total 128
 # HELP zz_last_total Sorts last.
 # TYPE zz_last_total counter
 zz_last_total 7
@@ -73,9 +73,9 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.CounterFunc("c", "", func() int64 { return 1 })
 	r.GaugeFunc("f", "", func() float64 { return 1 })
-	r.ShardedCounter("s", "", 8).Add(3, 1)
+	r.Counter("s", "").Add(1)
 	r.Span("x").End()
-	if v := r.ShardedCounter("s", "", 8).Value(); v != 0 {
+	if v := r.Counter("s", "").Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -92,8 +92,8 @@ func TestNilSafety(t *testing.T) {
 // first function, and that a type clash panics.
 func TestGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.ShardedCounter("x_total", "h", 4)
-	b := r.ShardedCounter("x_total", "h", 64)
+	a := r.Counter("x_total", "h")
+	b := r.Counter("x_total", "other help")
 	if a != b {
 		t.Fatal("re-registered counter is a different instance")
 	}
@@ -110,27 +110,14 @@ func TestGetOrCreate(t *testing.T) {
 	r.GaugeFunc("x_total", "h", func() float64 { return 0 })
 }
 
-// TestShardedCounterExact checks writer folding keeps counts exact for
-// writer counts beyond the shard cap.
-func TestShardedCounterExact(t *testing.T) {
-	r := NewRegistry()
-	writers := 3 * maxShards
-	sc := r.ShardedCounter("wide_total", "", writers)
-	for w := 0; w < writers; w++ {
-		sc.Add(w, 1)
-	}
-	if v := sc.Value(); v != int64(writers) {
-		t.Fatalf("merged value = %d, want %d", v, writers)
-	}
-}
-
 // TestConcurrentWritesAndScrapes hammers one registry from writer and
 // scraper goroutines; meaningful under -race (the mid-sweep scrape
-// case), and checks the merged totals afterwards.
+// case), and checks that no concurrent add is lost: the totals
+// afterwards are exact.
 func TestConcurrentWritesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	const writers, perWriter = 8, 1000
-	sc := r.ShardedCounter("hammer_total", "", writers)
+	c := r.Counter("hammer_total", "")
 	var plain atomic.Int64
 	r.CounterFunc("plain_total", "", plain.Load)
 	stop := make(chan struct{})
@@ -157,20 +144,20 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(writers)
 	for w := 0; w < writers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				sc.Add(w, 1)
+				c.Add(1)
 				plain.Add(1)
 				r.Span("run").End()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(stop)
 	scrapes.Wait()
-	if v := sc.Value(); v != writers*perWriter {
-		t.Fatalf("sharded total = %d, want %d", v, writers*perWriter)
+	if v := c.Value(); v != writers*perWriter {
+		t.Fatalf("counter total = %d, want %d", v, writers*perWriter)
 	}
 	snap := r.Snapshot()
 	if v := snap.Counters["plain_total"]; v != writers*perWriter {

@@ -29,6 +29,9 @@ import (
 // Nil is the null rank/pointer value ∅ of the paper.
 const Nil int64 = -1
 
+// barrierCost is the virtual cost of one barrier (ns).
+const barrierCost = 2000
+
 // Op selects the operation applied by Accumulate and FAO.
 type Op int
 
@@ -118,7 +121,6 @@ type Machine struct {
 	inits      []func(m *Machine)
 	seed       int64
 	limit      int64 // virtual time limit (0 = none)
-	bcost      int64 // barrier cost
 	engine     string
 	nocoalesce bool
 	sink       *trace.Sink
@@ -138,8 +140,6 @@ type Config struct {
 	Seed int64
 	// TimeLimit aborts a run once virtual time exceeds it (0 = none).
 	TimeLimit int64
-	// BarrierCost is the virtual cost of one barrier (default 2µs).
-	BarrierCost int64
 	// Engine selects the scheduler implementation: "" or EngineFast for
 	// the token-owned fast-path scheduler, EngineRef for the reference
 	// one. Both produce byte-identical runs (test-enforced).
@@ -185,10 +185,6 @@ func NewMachineConfig(topo *topology.Topology, cfg Config) *Machine {
 	if seed == 0 {
 		seed = 1
 	}
-	bcost := cfg.BarrierCost
-	if bcost == 0 {
-		bcost = 2000
-	}
 	if err := CheckEngine(cfg.Engine); err != nil {
 		panic(err)
 	}
@@ -197,7 +193,6 @@ func NewMachineConfig(topo *topology.Topology, cfg Config) *Machine {
 		lat:        lat,
 		seed:       seed,
 		limit:      cfg.TimeLimit,
-		bcost:      bcost,
 		engine:     cfg.Engine,
 		nocoalesce: cfg.NoCoalesce,
 		sink:       cfg.Trace,
@@ -295,7 +290,7 @@ func (m *Machine) Run(body func(p *Proc)) error {
 		f(m)
 	}
 	m.ran = true
-	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: m.bcost, Trace: m.sink}
+	simCfg := sim.Config{Procs: p, TimeLimit: m.limit, BarrierCost: barrierCost, Trace: m.sink}
 	wrap := func(h schedHandle) {
 		// Procs live in one flat slab indexed by rank (no per-rank boxing).
 		// The re-initialization clears everything a previous run on this

@@ -8,15 +8,13 @@ package scheme_test
 // The construction-only pair (BenchmarkRegistryDispatch vs
 // BenchmarkDirectConstructor) isolates the registry layer: lookup,
 // tunable validation and the capability wrap cost well under a µs per
-// lock. The harness pair (BenchmarkHarnessRegistryDispatch vs
-// BenchmarkHarnessDirectConstructor) runs a real workload cell both
-// ways; compare with benchstat — construction happens once per run, so
-// the registry's sub-µs cost disappears in the run's milliseconds.
+// lock. BenchmarkHarnessRegistryDispatch runs a real workload cell:
+// construction happens once per run, so that sub-µs cost disappears in
+// the run's milliseconds.
 
 import (
 	"testing"
 
-	"rmalocks/internal/locks"
 	"rmalocks/internal/locks/rmarw"
 	"rmalocks/internal/rma"
 	"rmalocks/internal/scheme"
@@ -51,38 +49,14 @@ func BenchmarkDirectConstructor(b *testing.B) {
 // sinkLock defeats dead-code elimination of the constructed locks.
 var sinkLock any
 
-func harnessSpec() workload.Spec {
-	return workload.Spec{
+func BenchmarkHarnessRegistryDispatch(b *testing.B) {
+	spec := workload.Spec{
 		Scheme: "RMA-RW", P: 32, ProcsPerNode: 16, Iters: 20,
 		Profile:  workload.Uniform{FW: 0.1},
 		Tunables: benchTun,
 	}
-}
-
-func BenchmarkHarnessRegistryDispatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := workload.Run(harnessSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkLock = rep.Ops
-	}
-}
-
-func BenchmarkHarnessDirectConstructor(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		spec := harnessSpec()
-		spec.Tunables = nil
-		spec.Make = func(m *rma.Machine, n int) ([]locks.RWMutex, error) {
-			set := make([]locks.RWMutex, n)
-			for i := range set {
-				set[i] = rmarw.NewConfig(m, rmarw.Config{
-					TDC: m.Topology().ProcsPerLeaf(), TR: 500, TL: []int64{0, 0, 16}})
-			}
-			return set, nil
-		}
 		rep, err := workload.Run(spec)
 		if err != nil {
 			b.Fatal(err)

@@ -221,13 +221,6 @@ func WrapRW(name string, rw locks.RWMutex) Lock {
 	return wrapped{RWMutex: rw, name: name, caps: caps, impl: rw}
 }
 
-// AsMutex extracts the mutex view of a registry lock: the concrete
-// Mutex for writer-only schemes, or false for genuine RW schemes.
-func AsMutex(l Lock) (locks.Mutex, bool) {
-	mu, ok := l.Underlying().(locks.Mutex)
-	return mu, ok
-}
-
 // AsTimed extracts the bounded-acquire view of a registry lock:
 // directly for TryRWMutex implementations, through the writer-only
 // adaptation for TryMutex ones, or false for schemes without

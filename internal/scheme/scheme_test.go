@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"rmalocks/internal/locks"
 	"rmalocks/internal/locks/dmcs"
 	"rmalocks/internal/locks/fompi"
 	"rmalocks/internal/locks/rmamcs"
@@ -221,8 +222,8 @@ func TestCapsAndWrapping(t *testing.T) {
 		if l.Caps().Has(scheme.CapRW) || !l.Caps().Has(scheme.CapMutex) {
 			t.Errorf("%s caps = %v", name, l.Caps())
 		}
-		if _, ok := scheme.AsMutex(l); !ok {
-			t.Errorf("%s: AsMutex failed", name)
+		if _, ok := l.Underlying().(locks.Mutex); !ok {
+			t.Errorf("%s: Underlying = %T, not a locks.Mutex", name, l.Underlying())
 		}
 		if l.Name() != name {
 			t.Errorf("Name() = %q, want %q", l.Name(), name)

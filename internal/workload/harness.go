@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"rmalocks/internal/fault"
-	"rmalocks/internal/locks"
 	"rmalocks/internal/locks/dmcs"
 	"rmalocks/internal/locks/fompi"
 	"rmalocks/internal/locks/rmamcs"
@@ -92,7 +91,7 @@ func hasLevelKey(t scheme.Tunables, base string, levels int) bool {
 // (mutex-only schemes through a writer-only adaptation). tun is
 // validated strictly (typed errors for unknown or out-of-range
 // tunables). Call before m.Run.
-func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]locks.RWMutex, error) {
+func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]scheme.Lock, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -101,7 +100,7 @@ func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]lock
 		return nil, err
 	}
 	t := tunables(&d, m.Topology().Levels(), tun)
-	set := make([]locks.RWMutex, n)
+	set := make([]scheme.Lock, n)
 	for i := range set {
 		l, err := scheme.New(m, name, t)
 		if err != nil {
@@ -112,17 +111,13 @@ func NewLockSet(m *rma.Machine, name string, n int, tun scheme.Tunables) ([]lock
 	return set, nil
 }
 
-// Spec configures one harness run: a lock scheme (or custom factory), a
-// contention profile, a critical-section workload, and the machine
-// dimensions. Zero fields select the defaults of the paper's evaluation
-// setup.
+// Spec configures one harness run: a lock scheme, a contention profile,
+// a critical-section workload, and the machine dimensions. Zero fields
+// select the defaults of the paper's evaluation setup.
 type Spec struct {
 	// Scheme selects the lock scheme: one of Schemes, or SchemeFoMPIA
-	// for no lock at all. Ignored when Make is set.
+	// for no lock at all.
 	Scheme string
-	// Make optionally overrides the lock factory; it must build n
-	// RWMutex instances on m before the run starts.
-	Make func(m *rma.Machine, n int) ([]locks.RWMutex, error)
 
 	// P is the process count (default 64).
 	P int
@@ -154,8 +149,8 @@ type Spec struct {
 	// strictly: unknown keys or out-of-range values fail the run with a
 	// typed error from internal/scheme. Non-empty tunables are recorded in
 	// Report.Tunables and its fingerprint; empty tunables leave reports
-	// byte-identical to pre-registry baselines. Ignored when Make is
-	// set or Scheme is SchemeFoMPIA.
+	// byte-identical to pre-registry baselines. Ignored when Scheme is
+	// SchemeFoMPIA.
 	Tunables scheme.Tunables
 
 	// Faults, when non-nil, runs the cell under the deterministic
@@ -203,7 +198,7 @@ type Spec struct {
 	// fields (differential-tested).
 	Trace *trace.Sink
 	// Obs, when non-nil, attaches live observability instruments to the
-	// run (see internal/obs): setup/run/drain phase spans and a per-rank
+	// run (see internal/obs): setup/run/drain phase spans and an
 	// iteration counter. Observe, never perturb: metric values never
 	// enter Report.Extra or fingerprints, so obs-on and obs-off runs are
 	// byte-identical (test-enforced), unlike MemStats.
@@ -265,7 +260,7 @@ func Run(spec Spec) (Report, error) {
 
 // RunWitness is Run that also returns the run's Witness. It is the
 // zero Witness for a scheme without tracked thresholds (SchemeFoMPIA
-// among them), a Make spec, and a failed run.
+// among them) and for a failed run.
 func RunWitness(spec Spec) (Report, Witness, error) {
 	return run(spec, true)
 }
@@ -286,26 +281,23 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	// the MemStats read) runs before this returns its scratch.
 	defer m.Release()
 
-	var set []locks.RWMutex
+	var set []scheme.Lock
 	var err error
-	noLock := spec.Make == nil && spec.Scheme == SchemeFoMPIA
-	switch {
-	case noLock:
+	noLock := spec.Scheme == SchemeFoMPIA
+	if noLock {
 		// Only the hashtable has an atomic operation family.
 		if d, ok := spec.Workload.(*DHTOps); ok {
 			d.Atomic = true
 		} else {
 			err = &AtomicFamilyError{Workload: spec.Workload.Name()}
 		}
-	case spec.Make != nil:
-		set, err = spec.Make(m, spec.Profile.Locks())
-	default:
+	} else {
 		set, err = NewLockSet(m, spec.Scheme, spec.Profile.Locks(), spec.Tunables)
 	}
 	if err != nil {
 		return Report{}, Witness{}, err
 	}
-	timed, err := timedSet(spec, set)
+	timed, err := timedSet(spec.Faults, set)
 	if err != nil {
 		return Report{}, Witness{}, err
 	}
@@ -318,13 +310,13 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	var start int64
 	var fc *faultCounters
 	if timed != nil {
-		fc = newFaultCounters(procs)
+		fc = &faultCounters{}
 	}
-	// One per-rank sharded counter per measured cycle is the harness's
-	// entire hot-path cost with obs on (a nil-check no-op with it off);
-	// the scheduler's Advance fast path is never instrumented.
-	itersDone := spec.Obs.ShardedCounter("cell_iters_done_total",
-		"Measured workload cycles completed, summed over ranks and cells.", procs)
+	// One counter add per measured cycle is the harness's entire
+	// hot-path cost with obs on (a nil-check no-op with it off); the
+	// scheduler's Advance fast path is never instrumented.
+	itersDone := spec.Obs.Counter("cell_iters_done_total",
+		"Measured workload cycles completed, summed over ranks and cells.")
 	setupSpan.End()
 	runSpan := spec.Obs.Span("run")
 
@@ -387,7 +379,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 		}
 		for i := 0; i < spec.Iters; i++ {
 			step(i, true)
-			itersDone.Add(r, 1)
+			itersDone.Add(1)
 		}
 		ends[r] = p.Now()
 		rlat[r], wlat[r] = rl, wl
@@ -395,13 +387,13 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	runSpan.End()
 	if runErr != nil {
 		return Report{}, Witness{}, fmt.Errorf("workload: %s/%s/%s P=%d: %w",
-			specScheme(spec), spec.Workload.Name(), spec.Profile.Name(), spec.P, runErr)
+			spec.Scheme, spec.Workload.Name(), spec.Profile.Name(), spec.P, runErr)
 	}
 
 	drainSpan := spec.Obs.Span("drain")
 	rep := summarize(spec, m, start, bufs)
 	rep.DirectEntries = directEntries(set)
-	if !noLock && spec.Make == nil && len(spec.Tunables) > 0 {
+	if !noLock && len(spec.Tunables) > 0 {
 		rep.Tunables = spec.Tunables.Canonical()
 	}
 	if spec.Faults != nil {
@@ -437,7 +429,7 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	}
 	spec.Workload.Extract(m, &rep)
 	var w Witness
-	if want && spec.Make == nil {
+	if want {
 		w = witness(spec, topo, set)
 	}
 	drainSpan.End()
@@ -465,28 +457,12 @@ func applyTraceMetrics(rep *Report, sink *trace.Sink, topo *topology.Topology, s
 	rep.HandoffLocality = trace.LocalityHist(measured, topo.Distance, topo.MaxDistance())
 }
 
-func specScheme(spec Spec) string {
-	if spec.Make != nil && spec.Scheme == "" {
-		return "custom"
-	}
-	return spec.Scheme
-}
-
 // directEntries sums the intra-element shortcut count over every RMA-MCS
-// lock in the set (0 for other schemes), unwrapping both the registry's
-// Lock handle and the legacy WriterOnly adaptation (custom Make
-// factories).
-func directEntries(set []locks.RWMutex) int64 {
+// lock in the set (0 for other schemes).
+func directEntries(set []scheme.Lock) int64 {
 	var n int64
 	for _, l := range set {
-		impl := any(l)
-		if sl, ok := l.(scheme.Lock); ok {
-			impl = sl.Underlying()
-		}
-		if w, ok := impl.(locks.WriterOnly); ok {
-			impl = w.Mu
-		}
-		if rl, ok := impl.(*rmamcs.Lock); ok {
+		if rl, ok := l.Underlying().(*rmamcs.Lock); ok {
 			n += rl.DirectEntries
 		}
 	}

@@ -1,14 +1,14 @@
 package workload_test
 
-// Registry-dispatch equivalence: NewLockSet now builds locks through
-// the capability-based scheme registry (internal/scheme). This suite
-// pins the redesign's compatibility contract: registry-constructed
-// locks are behaviorally identical — byte-identical report
-// fingerprints — to the legacy direct constructors with the harness's
-// historical defaults, and typed tunables flow end to end.
+// Registry-dispatch equivalence: NewLockSet builds locks through the
+// capability-based scheme registry (internal/scheme). This suite pins
+// its compatibility contract: registry-constructed locks behave
+// exactly like the lock packages' direct constructors given the
+// harness's historical defaults, and typed tunables flow end to end.
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -23,55 +23,90 @@ import (
 	"rmalocks/internal/workload"
 )
 
-// legacyFactory reproduces the pre-registry per-scheme switch of
-// NewLockSet, including the harness defaults (RMA-RW: T_DC one per
-// node, T_R=1000, T_L=(40,25)).
-func legacyFactory(schemeName string) func(m *rma.Machine, n int) ([]locks.RWMutex, error) {
-	return func(m *rma.Machine, n int) ([]locks.RWMutex, error) {
-		set := make([]locks.RWMutex, n)
-		for i := range set {
-			switch schemeName {
-			case workload.SchemeFoMPISpin:
-				set[i] = locks.WriterOnly{Mu: fompi.NewSpin(m)}
-			case workload.SchemeDMCS:
-				set[i] = locks.WriterOnly{Mu: dmcs.New(m)}
-			case workload.SchemeRMAMCS:
-				set[i] = locks.WriterOnly{Mu: rmamcs.NewConfig(m, rmamcs.Config{})}
-			case workload.SchemeFoMPIRW:
-				set[i] = fompi.NewRW(m)
-			case workload.SchemeRMARW:
-				set[i] = rmarw.NewConfig(m, rmarw.Config{
-					TDC: m.Topology().ProcsPerLeaf(), TR: 1000, TL: []int64{0, 40, 25}})
-			}
-		}
-		return set, nil
+// legacyLock builds the scheme through its package's constructor with
+// the harness defaults of the pre-registry per-scheme switch (RMA-RW:
+// T_DC one per node, T_R=1000, T_L=(40,25)).
+func legacyLock(m *rma.Machine, schemeName string) any {
+	switch schemeName {
+	case workload.SchemeFoMPISpin:
+		return fompi.NewSpin(m)
+	case workload.SchemeDMCS:
+		return dmcs.New(m)
+	case workload.SchemeRMAMCS:
+		return rmamcs.NewConfig(m, rmamcs.Config{})
+	case workload.SchemeFoMPIRW:
+		return fompi.NewRW(m)
+	case workload.SchemeRMARW:
+		return rmarw.NewConfig(m, rmarw.Config{
+			TDC: m.Topology().ProcsPerLeaf(), TR: 1000, TL: []int64{0, 40, 25}})
 	}
+	return nil
+}
+
+// lockRun runs a quarter-writer mix of short critical sections through
+// lk on m and renders what the run did: every rank's final clock, the
+// machine's operation counts and, for RMA-MCS, the intra-element
+// shortcut count.
+func lockRun(t *testing.T, m *rma.Machine, lk locks.RWMutex, impl any) string {
+	t.Helper()
+	clocks := make([]int64, m.Procs())
+	err := m.Run(func(p *rma.Proc) {
+		for i := 0; i < 20; i++ {
+			if p.Rand().Intn(4) == 0 {
+				lk.AcquireWrite(p)
+				p.Compute(200)
+				lk.ReleaseWrite(p)
+			} else {
+				lk.AcquireRead(p)
+				p.Compute(200)
+				lk.ReleaseRead(p)
+			}
+			p.Compute(int64(p.Rand().Intn(1000)))
+		}
+		clocks[p.Rank()] = p.Now()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Sprintf("clocks=%v stats=%+v", clocks, m.Stats())
+	if rl, ok := impl.(*rmamcs.Lock); ok {
+		out += fmt.Sprintf(" direct=%d", rl.DirectEntries)
+	}
+	return out
 }
 
 // TestRegistryMatchesLegacyConstructors runs every scheme once through
-// the registry dispatch and once through the legacy constructors and
-// requires byte-identical fingerprints (including DirectEntries, which
-// exercises the unwrapping of both lock-handle shapes).
+// NewLockSet and once through its direct constructor (mutexes under
+// locks.WriterOnly, as the registry wraps them) on the same machine
+// and seed, and requires the same concrete lock and the same run.
 func TestRegistryMatchesLegacyConstructors(t *testing.T) {
+	topo := topology.TwoLevel(3, 8)
 	for _, schemeName := range workload.Schemes {
 		schemeName := schemeName
 		t.Run(schemeName, func(t *testing.T) {
-			base := workload.Spec{
-				Scheme: schemeName, P: 24, ProcsPerNode: 8, Iters: 20,
-				Profile: workload.Uniform{FW: 0.25, NumLocks: 2},
-			}
-			viaRegistry, err := workload.Run(base)
+			m := rma.NewMachine(topo)
+			set, err := workload.NewLockSet(m, schemeName, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := base
-			legacy.Make = legacyFactory(schemeName)
-			viaLegacy, err := workload.Run(legacy)
-			if err != nil {
-				t.Fatal(err)
+			viaRegistry := lockRun(t, m, set[0], set[0].Underlying())
+
+			m = rma.NewMachine(topo)
+			impl := legacyLock(m, schemeName)
+			var lk locks.RWMutex
+			switch l := impl.(type) {
+			case locks.RWMutex:
+				lk = l
+			case locks.Mutex:
+				lk = locks.WriterOnly{Mu: l}
+			default:
+				t.Fatalf("no direct constructor for %s", schemeName)
 			}
-			if a, b := viaRegistry.Fingerprint(), viaLegacy.Fingerprint(); a != b {
-				t.Errorf("registry vs legacy constructors diverge:\n registry: %s\n legacy:   %s", a, b)
+			if a, b := fmt.Sprintf("%T", set[0].Underlying()), fmt.Sprintf("%T", impl); a != b {
+				t.Fatalf("registry builds %s, the direct constructor %s", a, b)
+			}
+			if viaLegacy := lockRun(t, m, lk, impl); viaRegistry != viaLegacy {
+				t.Errorf("registry vs direct constructor diverge:\n registry: %s\n direct:   %s", viaRegistry, viaLegacy)
 			}
 		})
 	}

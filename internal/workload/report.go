@@ -225,7 +225,7 @@ func summarize(spec Spec, m *rma.Machine, start int64, b *runBufs) Report {
 	b.all, b.rs, b.ws = all, rs, ws
 	ops := reads + writes
 	return Report{
-		Scheme:         specScheme(spec),
+		Scheme:         spec.Scheme,
 		Workload:       spec.Workload.Name(),
 		Profile:        spec.Profile.Name(),
 		P:              spec.P,

@@ -15,10 +15,10 @@ import (
 // make: the machine and the resolved T_DC the run's locks were built
 // with, and one box per tracked threshold (locks.Threshold) — for a
 // lock set, the intersection of every lock's box. It admits tunables t
-// (Admits) when a run of the same Spec with Tunables t would make every
-// decision this run made, and so produce this run's Report with only
-// its Tunables field changed. The zero Witness admits nothing: a scheme
-// without tracked thresholds, a Make spec or a failed run has none.
+// (Judge().Admits) when a run of the same Spec with Tunables t would
+// make every decision this run made, and so produce this run's Report
+// with only its Tunables field changed. The zero Witness admits
+// nothing: a scheme without tracked thresholds or a failed run has none.
 //
 // A witness is plain data with one text form (Canonical, ParseWitness),
 // so it can be stored beside the result it was produced with and used
@@ -46,7 +46,7 @@ type tracked interface {
 // witness collects the lock set's witness after a successful run: the
 // zero Witness when the scheme resolves no thresholds or some lock
 // tracks none.
-func witness(spec Spec, topo *topology.Topology, set []locks.RWMutex) Witness {
+func witness(spec Spec, topo *topology.Topology, set []scheme.Lock) Witness {
 	d, err := scheme.Describe(spec.Scheme)
 	if err != nil || d.Resolve == nil {
 		return Witness{}
@@ -57,11 +57,7 @@ func witness(spec Spec, topo *topology.Topology, set []locks.RWMutex) Witness {
 	}
 	w := Witness{Scheme: spec.Scheme, P: spec.P, PPN: spec.ProcsPerNode, TDC: r.TDC}
 	for _, l := range set {
-		sl, ok := l.(scheme.Lock)
-		if !ok {
-			return Witness{}
-		}
-		tl, ok := sl.Underlying().(tracked)
+		tl, ok := l.Underlying().(tracked)
 		if !ok {
 			return Witness{}
 		}
@@ -77,16 +73,9 @@ func witness(spec Spec, topo *topology.Topology, set []locks.RWMutex) Witness {
 	return w
 }
 
-// maxMachine bounds P and PPN of a witness that Admits will build a
+// maxMachine bounds P and PPN of a witness that Judge will build a
 // machine for, as topology bounds the ranks of one.
 const maxMachine = 1 << 30
-
-// Admits reports whether a run with tunables t would make every
-// decision the witnessed run made. t must pass the registry's checks,
-// and is completed as the harness completes it; the scheme's Resolve
-// then maps it to the run's T_DC and a value inside every box, with no
-// threshold unaccounted for on either side. It is w.Judge().Admits(t).
-func (w Witness) Admits(t scheme.Tunables) bool { return w.Judge().Admits(t) }
 
 // A Judge is a witness with its scheme's descriptor and its machine
 // looked up once, for a holder that asks it about many tunables: a
@@ -112,7 +101,11 @@ func (w Witness) Judge() Judge {
 	return Judge{w: w, d: &d, topo: topo, levels: topo.Levels()}
 }
 
-// Admits is Witness.Admits for the witness j was made from.
+// Admits reports whether a run with tunables t would make every
+// decision the witnessed run made. t must pass the registry's checks,
+// and is completed as the harness completes it; the scheme's Resolve
+// then maps it to the run's T_DC and a value inside every box, with no
+// threshold unaccounted for on either side.
 func (j Judge) Admits(t scheme.Tunables) bool {
 	if j.d == nil || j.d.Check(t, j.levels) != nil {
 		return false

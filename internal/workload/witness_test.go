@@ -48,7 +48,7 @@ func TestWitness(t *testing.T) {
 		{"no completion", harness, scheme.Tunables{"TL1": 40}, true},
 		{"every default spelled out", harness, scheme.Tunables{"TL2": 25, "TL1": 40, "TR": 1000, "TDC": 0}, true},
 	} {
-		if got := tc.w.Admits(tc.t); got != tc.admit {
+		if got := tc.w.Judge().Admits(tc.t); got != tc.admit {
 			t.Errorf("%s: witness admits %v = %v, want %v", tc.name, tc.t, got, tc.admit)
 		}
 	}
@@ -80,12 +80,13 @@ func TestWitnessText(t *testing.T) {
 	if err != nil || back.Canonical() != text {
 		t.Fatalf("ParseWitness(%q) = %q, %v", text, back.Canonical(), err)
 	}
+	parsed, ran := back.Judge(), w.Judge()
 	for _, tun := range []scheme.Tunables{nil, {"TR": 6000}, {"TR": 1}, {"TDC": 1}} {
-		if back.Admits(tun) != w.Admits(tun) {
-			t.Errorf("parsed witness admits %v = %v, the run's %v", tun, back.Admits(tun), w.Admits(tun))
+		if parsed.Admits(tun) != ran.Admits(tun) {
+			t.Errorf("parsed witness admits %v = %v, the run's %v", tun, parsed.Admits(tun), ran.Admits(tun))
 		}
 	}
-	if z, err := workload.ParseWitness(""); err != nil || z.Scheme != "" || z.Admits(nil) {
+	if z, err := workload.ParseWitness(""); err != nil || z.Scheme != "" || z.Judge().Admits(nil) {
 		t.Errorf(`ParseWitness("") = %+v, %v; want the zero witness, admitting nothing`, z, err)
 	}
 	for _, bad := range []string{
@@ -122,8 +123,9 @@ func FuzzWitness(f *testing.F) {
 		if c := w.Canonical(); c != s {
 			t.Fatalf("ParseWitness(%q) re-renders as %q", s, c)
 		}
+		j := w.Judge()
 		for _, tun := range tuns {
-			w.Admits(tun)
+			j.Admits(tun)
 		}
 	})
 }

@@ -60,9 +60,6 @@ type MachineSpec struct {
 	// ProcsPerNode is the number of processes per node. Default 16 (the
 	// paper's one-process-per-hardware-thread configuration).
 	ProcsPerNode int
-	// Racks optionally adds a third level above the nodes: Nodes must be
-	// a multiple of Racks. Zero means a two-level machine.
-	Racks int
 	// Seed seeds the per-process random streams (default 1).
 	Seed int64
 	// TimeLimit aborts a run after this much virtual time (ns); zero
@@ -71,8 +68,8 @@ type MachineSpec struct {
 }
 
 // NewMachine builds a simulated machine from spec using the calibrated
-// default latency model. It panics on an invalid spec (negative fields,
-// Nodes not a multiple of Racks); NewMachineErr is the validating form.
+// default latency model. It panics on an invalid spec (negative
+// fields); NewMachineErr is the validating form.
 func NewMachine(spec MachineSpec) *Machine {
 	m, err := NewMachineErr(spec)
 	if err != nil {
@@ -83,9 +80,8 @@ func NewMachine(spec MachineSpec) *Machine {
 
 // NewMachineErr builds a simulated machine from spec, returning a
 // descriptive error instead of panicking when the spec is invalid:
-// non-positive Nodes or ProcsPerNode, a negative Racks, Nodes not a
-// multiple of Racks (each rack must hold the same number of compute
-// nodes), or more ranks than the scheduler's int32 rank ids hold.
+// non-positive Nodes or ProcsPerNode, or more ranks than the
+// scheduler's int32 rank ids hold.
 func NewMachineErr(spec MachineSpec) (*Machine, error) {
 	if spec.Nodes == 0 {
 		spec.Nodes = 1
@@ -93,16 +89,7 @@ func NewMachineErr(spec MachineSpec) (*Machine, error) {
 	if spec.ProcsPerNode == 0 {
 		spec.ProcsPerNode = 16
 	}
-	var topo *topology.Topology
-	var err error
-	if spec.Racks != 0 {
-		if spec.Racks < 0 {
-			return nil, fmt.Errorf("rmalocks: invalid MachineSpec: negative Racks %d", spec.Racks)
-		}
-		topo, err = topology.New([]int{1, spec.Racks, spec.Nodes}, spec.ProcsPerNode)
-	} else {
-		topo, err = topology.New([]int{1, spec.Nodes}, spec.ProcsPerNode)
-	}
+	topo, err := topology.New([]int{1, spec.Nodes}, spec.ProcsPerNode)
 	if err != nil {
 		return nil, fmt.Errorf("rmalocks: invalid MachineSpec: %w", err)
 	}

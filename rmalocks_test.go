@@ -85,30 +85,6 @@ func TestAllLockKindsViaFacade(t *testing.T) {
 	}
 }
 
-func TestThreeLevelMachineViaFacade(t *testing.T) {
-	machine := rmalocks.NewMachine(rmalocks.MachineSpec{Racks: 2, Nodes: 4, ProcsPerNode: 2, TimeLimit: 60_000_000_000})
-	if machine.Topology().Levels() != 3 {
-		t.Fatalf("levels=%d want 3", machine.Topology().Levels())
-	}
-	lock := mustLock(t, machine, "RMA-MCS")
-	var n int64
-	err := machine.Run(func(p *rmalocks.Proc) {
-		for i := 0; i < 8; i++ {
-			lock.AcquireWrite(p)
-			v := n
-			p.Compute(100)
-			n = v + 1
-			lock.ReleaseWrite(p)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(8*machine.Procs()) {
-		t.Errorf("n=%d want %d", n, 8*machine.Procs())
-	}
-}
-
 func TestNewMachineForProcs(t *testing.T) {
 	m := rmalocks.NewMachineForProcs(40)
 	if m.Procs() != 40 {
