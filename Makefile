@@ -258,6 +258,7 @@ sweepd-smoke:
 	curl -s -o results/sweepd-reject.json -w '%{http_code}' -d '$(SWEEPD_REJECT)' \
 		http://$(SWEEPD_ADDR)/jobs > results/sweepd-reject.code; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs -o results/sweepd-jobs.json; \
+	curl -sf http://$(SWEEPD_ADDR)/jobs/job-1/result -o results/sweepd-cold-again.json; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
 	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
@@ -272,10 +273,11 @@ sweepd-smoke:
 	grep -q '\\"TR\\"' results/sweepd-reject.json
 	test "$$(grep -o '"id":' results/sweepd-jobs.json | wc -l)" -eq 4
 	cmp results/sweepd-cold.json results/sweepd-local.json
+	cmp results/sweepd-cold-again.json results/sweepd-local.json
 	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
 	cmp results/sweepd-tuned2.json results/sweepd-tuned-local.json
-	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs'; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
+	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs', and so is the cold job's result fetched again after the three later jobs; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

@@ -151,6 +151,54 @@ func TestDerivedJobAllocBytes(t *testing.T) {
 	}
 }
 
+// retainedJobBound is the ceiling on the heap one finished warm job
+// keeps while the manager retains it. Such a job keeps a fragment per
+// cell, the cache's own bytes, and its progress tracker: 240 records
+// of 64 B and one string of the cells' keys. That is about 30 KB. A job
+// that kept its cells' results measured 192 KB, and its tracker's keys
+// kept the grid's 26 KB address block alive.
+const retainedJobBound = 48 << 10
+
+// TestRetainedJobBytes bounds the heap a finished warm job keeps, so a
+// job that holds on to its reports, its addresses or a fat tracker
+// fails a test before it fills a long-running daemon's memory. It also
+// logs what a finished job of 48 derived cells keeps.
+func TestRetainedJobBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 240-cell cold fill takes 20 s under -race, and the detector's own allocations are not the job's")
+	}
+	m, store, _ := warmManager(t)
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for i := 0; i < 50; i++ {
+		warmJob(t, m)
+	}
+	const warmJobs = 400
+	before := heap()
+	for i := 0; i < warmJobs; i++ {
+		warmJob(t, m)
+	}
+	warm := (heap() - before) / warmJobs
+	const derivedJobs = 50
+	before = heap()
+	for i := 0; i < derivedJobs; i++ {
+		jobBytes(t, m, withTR(warmGrid(), 30001+int64(i)), "bench/dirty")
+	}
+	derived := (heap() - before) / derivedJobs
+	if st := store.Stats(); st.Derived != 48*derivedJobs {
+		t.Fatalf("%d cells derived in %d jobs, want 48 a job", st.Derived, derivedJobs)
+	}
+	t.Logf("a finished warm job keeps %d B (bound %d B), a finished job of 48 derived cells %d B", warm, retainedJobBound, derived)
+	if warm > retainedJobBound {
+		t.Errorf("a finished warm job keeps %d B, bound %d B: does it hold its cells' results, addresses or a fat tracker again?", warm, retainedJobBound)
+	}
+}
+
 // BenchmarkGridCells measures enumerating warmGrid — descriptions,
 // addresses and Spec closures for 240 cells — which a warm job pays
 // once at Submit and is the largest in-process piece of it.

@@ -61,9 +61,10 @@ func entryFiles(tb testing.TB, dir string) int {
 	return n
 }
 
-// jobBytes submits g, waits for the job and returns its encoded result:
-// the daemon's path without the socket. It reports failures with Error,
-// so a job may run on a goroutine of its own.
+// jobBytes submits g, waits for the job and returns its result as
+// GET /jobs/{id}/result serves it (Manager.AppendResult): the daemon's
+// path without the socket. It reports failures with Error, so a job may
+// run on a goroutine of its own.
 func jobBytes(tb testing.TB, m *jobq.Manager, g sweep.Grid, label string) []byte {
 	tb.Helper()
 	j, err := m.Submit(g, label)
@@ -72,14 +73,10 @@ func jobBytes(tb testing.TB, m *jobq.Manager, g sweep.Grid, label string) []byte
 		return nil
 	}
 	<-j.Done()
-	rf, err := m.Result(j.ID)
+	data, err := m.AppendResult(nil, j.ID)
 	if err != nil {
 		tb.Errorf("%s: %v", label, err)
 		return nil
-	}
-	data, err := sweep.Encode(rf)
-	if err != nil {
-		tb.Error(err)
 	}
 	return data
 }

@@ -131,16 +131,23 @@ const maxPooledResult = 8 << 20
 // result serves the finished run file. The bytes are sweep.Encode
 // output, a pure function of the submitted grid,
 // byte-identical across cache states, worker counts, and daemons. They
-// are assembled per request from the cells' stored fragments — a copy,
+// are assembled per request from the fragments the job keeps — a copy,
 // not a marshal — into a pooled buffer, and sent with their length in
 // one Write, so a retained job keeps no encoded result and the client
-// reads no chunk framing.
+// reads no chunk framing. A done job with a cell that does not encode
+// is answered 500 with the encoding error.
 func (a *API) result(w http.ResponseWriter, id string) {
-	rf, err := a.mgr.Result(id)
+	buf := resultBufs.Get().(*[]byte)
+	data, err := a.mgr.AppendResult((*buf)[:0], id)
 	if err != nil {
+		resultBufs.Put(buf)
 		var nd NotDoneError
-		code := http.StatusNotFound
-		if errors.As(err, &nd) {
+		var unknown UnknownJobError
+		code := http.StatusInternalServerError // a cell that does not encode
+		switch {
+		case errors.As(err, &unknown):
+			code = http.StatusNotFound
+		case errors.As(err, &nd):
 			switch nd.State {
 			case StateFailed:
 				code = http.StatusInternalServerError
@@ -151,13 +158,6 @@ func (a *API) result(w http.ResponseWriter, id string) {
 			}
 		}
 		httpError(w, code, err)
-		return
-	}
-	buf := resultBufs.Get().(*[]byte)
-	data, err := sweep.AppendEncode((*buf)[:0], rf)
-	if err != nil {
-		resultBufs.Put(buf)
-		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

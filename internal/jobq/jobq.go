@@ -58,17 +58,21 @@ type Config struct {
 }
 
 // Job is one submitted sweep. Fields are immutable after Submit except
-// state/err/results, which the job goroutine writes under mu, and
+// state/err/frags/fragErr, which the job goroutine writes under mu, and
 // cells, which only that goroutine touches.
+//
+// A finished job holds, per cell, its run-file fragment and its line
+// in the progress tracker, and nothing else of the cell: not its report
+// nor its address. A cache-served cell's fragment is the cache's own
+// bytes, so what such a cell costs the job is a slice header and a
+// tracker record; a derived or fault cell's fragment is the job's.
 type Job struct {
 	ID    string
 	Label string
 	// cells is the enumerated grid — a Spec closure over the cell's
 	// description and a slice of the grid's address string per cell —
 	// and is dropped when the job reaches a terminal state (ncells keeps
-	// the count for Status). What a retained job still holds is results:
-	// for cache-served cells, shallow values whose strings, maps and
-	// fragments are the cache's own.
+	// the count for Status).
 	cells  []sweep.Cell
 	ncells int
 	// prog is the job's one record of its cells' progress: the events
@@ -84,10 +88,15 @@ type Job struct {
 	started chan struct{}
 	prev    *Job
 
-	mu      sync.Mutex
-	state   string
-	err     error
-	results []sweep.CellResult
+	mu    sync.Mutex
+	state string
+	err   error
+	// frags is a done job's result, each cell's fragment
+	// (sweep.Fragment) in canonical order: what GET /result splices.
+	// fragErr is set instead when a cell does not encode; the job is
+	// still done, and its result an error.
+	frags   [][]byte
+	fragErr error
 }
 
 // Status is the wire view of a job (GET /jobs, GET /jobs/{id}).
@@ -241,11 +250,28 @@ func (m *Manager) run(j *Job) {
 	case err != nil:
 		j.setState(StateFailed, err)
 	default:
+		frags, ferr := fragments(results)
 		j.mu.Lock()
-		j.results = results
+		j.frags, j.fragErr = frags, ferr
 		j.mu.Unlock()
 		j.setState(StateDone, nil)
 	}
+}
+
+// fragments returns every result's fragment, encoding, once, those of
+// cells that carry none (a computed cell the cache did not keep, a
+// fault cell after the degradation join); the results themselves are
+// garbage after this. The error is the first cell's that does not
+// encode.
+func fragments(results []sweep.CellResult) ([][]byte, error) {
+	frags := make([][]byte, len(results))
+	for i := range results {
+		var err error
+		if frags[i], err = sweep.Fragment(results[i]); err != nil {
+			return nil, err
+		}
+	}
+	return frags, nil
 }
 
 // Get looks up a job.
@@ -287,18 +313,49 @@ func (m *Manager) Cancel(id string) error {
 
 // Result returns the finished job's run file: label + cells in
 // canonical order, no timestamp, so the bytes are a pure function of
-// the submitted grid.
+// the submitted grid. Its cells are decoded from the job's fragments,
+// for in-process callers; the daemon serves AppendResult's bytes.
 func (m *Manager) Result(id string) (sweep.RunFile, error) {
-	j, err := m.Get(id)
+	label, frags, err := m.finished(id)
 	if err != nil {
 		return sweep.RunFile{}, err
 	}
+	cells := make([]sweep.CellResult, len(frags))
+	for i, frag := range frags {
+		if cells[i], err = sweep.DecodeFragment(frag); err != nil {
+			return sweep.RunFile{}, err
+		}
+	}
+	return sweep.RunFile{Label: label, Cells: cells}, nil
+}
+
+// AppendResult appends the finished job's run file to b: the bytes
+// sweep.Encode writes for Result's, spliced from the job's fragments.
+func (m *Manager) AppendResult(b []byte, id string) ([]byte, error) {
+	label, frags, err := m.finished(id)
+	if err != nil {
+		return b, err
+	}
+	return sweep.AppendFragments(b, label, frags), nil
+}
+
+// finished returns the named job's label and fragments, which nobody
+// writes once the job is done: a NotDoneError unless it is, and its
+// encoding error if a cell did not encode.
+func (m *Manager) finished(id string) (string, [][]byte, error) {
+	j, err := m.Get(id)
+	if err != nil {
+		return "", nil, err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return sweep.RunFile{}, NotDoneError{ID: id, State: j.state}
+	switch {
+	case j.state != StateDone:
+		return "", nil, NotDoneError{ID: id, State: j.state}
+	case j.fragErr != nil:
+		return "", nil, j.fragErr
 	}
-	return sweep.RunFile{Label: j.Label, Cells: j.results}, nil
+	return j.Label, j.frags, nil
 }
 
 // Shutdown drains the manager: new submissions are refused, every job

@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -44,13 +45,34 @@ type SweepProgress struct {
 	ver uint64
 }
 
+// cellStat is one cell's record, 64 bytes: a finished sweepd job keeps
+// one per cell for as long as it is retained.
 type cellStat struct {
 	key         string
-	state       string
 	fingerprint string
 	err         string
-	startedAt   time.Time
-	elapsed     time.Duration
+	// at is, while the cell runs, when it started, as an offset from
+	// the tracker's start (monotonic); once a cell that ran is done or
+	// failed, how long it ran. Zero for a cell that never ran.
+	at    time.Duration
+	state cellState
+}
+
+// cellState is a cell's lifecycle state, an index into stateNames.
+type cellState uint8
+
+const (
+	cellQueued cellState = iota
+	cellRunning
+	cellDone
+	cellFailed
+	cellCached
+)
+
+// stateNames spells each cellState as /progress writes it.
+var stateNames = [...]string{
+	cellQueued: StateQueued, cellRunning: StateRunning, cellDone: StateDone,
+	cellFailed: StateFailed, cellCached: StateCached,
 }
 
 // NewSweepProgress creates an empty tracker; Start (called by
@@ -60,17 +82,31 @@ func NewSweepProgress(title string) *SweepProgress {
 }
 
 // Start registers the sweep's cells in canonical order, all queued.
-// Implements sweep.Progress.
+// Implements sweep.Progress. The tracker keeps the keys' text in one
+// string of its own, so it holds on to nothing the caller's keys were
+// cut from.
 func (p *SweepProgress) Start(keys []string) {
 	if p == nil {
 		return
 	}
+	n := 0
+	for _, k := range keys {
+		n += len(k)
+	}
+	// Not strings.Join, which returns a lone key itself.
+	var text strings.Builder
+	text.Grow(n)
+	for _, k := range keys {
+		text.WriteString(k)
+	}
+	all := text.String()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.started = time.Now()
 	p.cells = make([]cellStat, len(keys))
 	for i, k := range keys {
-		p.cells[i] = cellStat{key: k, state: StateQueued}
+		p.cells[i] = cellStat{key: all[:len(k)]}
+		all = all[len(k):]
 	}
 	p.done, p.running, p.cached, p.failed, p.computed = 0, 0, 0, 0, 0
 	p.ver++
@@ -89,7 +125,7 @@ func (p *SweepProgress) CellCached(i int, fingerprint string) {
 		return
 	}
 	c := &p.cells[i]
-	c.state = StateCached
+	c.state = cellCached
 	c.fingerprint = fingerprint
 	p.done++
 	p.cached++
@@ -106,8 +142,8 @@ func (p *SweepProgress) CellRunning(i int) {
 	if i < 0 || i >= len(p.cells) {
 		return
 	}
-	p.cells[i].state = StateRunning
-	p.cells[i].startedAt = time.Now()
+	p.cells[i].state = cellRunning
+	p.cells[i].at = time.Since(p.started)
 	p.running++
 	p.ver++
 }
@@ -126,19 +162,17 @@ func (p *SweepProgress) CellDone(i int, fingerprint string, err error) {
 		return
 	}
 	c := &p.cells[i]
-	if c.state == StateRunning {
+	if c.state == cellRunning {
 		p.running--
 		p.computed++
+		c.at = time.Since(p.started) - c.at
 	}
-	c.state = StateDone
+	c.state = cellDone
 	c.fingerprint = fingerprint
 	if err != nil {
-		c.state = StateFailed
+		c.state = cellFailed
 		c.err = err.Error()
 		p.failed++
-	}
-	if !c.startedAt.IsZero() {
-		c.elapsed = time.Since(c.startedAt)
 	}
 	p.done++
 	p.ver++
@@ -181,18 +215,18 @@ type SummaryLine struct {
 // lines' storage. Caller holds p.mu.
 func (p *SweepProgress) snapshotLocked(lines []CellLine) ([]CellLine, SummaryLine) {
 	lines = slices.Grow(lines[:0], len(p.cells))[:len(p.cells)]
-	for i, c := range p.cells {
-		lines[i] = CellLine{Cell: c.key, State: c.state, Fingerprint: c.fingerprint, Error: c.err}
-		switch c.state {
-		case StateRunning:
-			lines[i].ElapsedMs = float64(time.Since(c.startedAt)) / 1e6
-		case StateDone, StateFailed:
-			lines[i].ElapsedMs = float64(c.elapsed) / 1e6
-		}
-	}
 	elapsed := time.Duration(0)
 	if !p.started.IsZero() {
 		elapsed = time.Since(p.started)
+	}
+	for i, c := range p.cells {
+		lines[i] = CellLine{Cell: c.key, State: stateNames[c.state], Fingerprint: c.fingerprint, Error: c.err}
+		switch c.state {
+		case cellRunning:
+			lines[i].ElapsedMs = float64(elapsed-c.at) / 1e6
+		case cellDone, cellFailed:
+			lines[i].ElapsedMs = float64(c.at) / 1e6
+		}
 	}
 	sum := SummaryLine{
 		Summary: true, Title: p.title,

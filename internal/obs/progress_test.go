@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // TestProgressNDJSONSchema walks a three-cell sweep through its
@@ -118,5 +120,55 @@ func TestProgressOutOfRange(t *testing.T) {
 	_, sum := decodeProgress(t, p)
 	if sum.Done != 0 || sum.Running != 0 {
 		t.Fatalf("summary after stray indices = %+v", sum)
+	}
+}
+
+// TestCellRecords: a cell's record is at most 64 bytes, and its keys
+// are the tracker's own copy, not slices of what the caller's keys were
+// cut from (a job's address block); a running cell's elapsed time
+// grows, a finished one's stays put, and a cell done without running
+// has none.
+func TestCellRecords(t *testing.T) {
+	if n := unsafe.Sizeof(cellStat{}); n > 64 {
+		t.Errorf("cellStat is %d bytes, want at most 64", n)
+	}
+	block := "a/x/P=1b/x/P=1c/x/P=1"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(block)))
+	p := NewSweepProgress("records")
+	for _, keys := range [][]string{{block[:7]}, {block[:7], block[7:14], block[14:]}} {
+		p.Start(keys)
+		for i, c := range p.cells {
+			if at := uintptr(unsafe.Pointer(unsafe.StringData(c.key))); c.key != keys[i] || at >= lo && at < lo+uintptr(len(block)) {
+				t.Errorf("cell %d of %d: key %q, want a copy of %q", i, len(keys), c.key, keys[i])
+			}
+		}
+	}
+	snap := func() []CellLine {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		lines, _ := p.snapshotLocked(nil)
+		return lines
+	}
+	p.CellRunning(0)
+	p.CellDone(1, "fp1", nil) // derived: done without running
+	p.CellCached(2, "fp2")
+	time.Sleep(2 * time.Millisecond)
+	if l := snap()[0]; l.State != StateRunning || l.ElapsedMs < 2 {
+		t.Errorf("running cell: %+v, want running for at least 2 ms", l)
+	}
+	p.CellDone(0, "fp0", nil)
+	ran := snap()[0].ElapsedMs
+	time.Sleep(2 * time.Millisecond)
+	lines := snap()
+	if l := lines[0]; l.State != StateDone || l.ElapsedMs != ran || ran < 2 {
+		t.Errorf("finished cell: %+v, want done after %v ms, and still so", l, ran)
+	}
+	for _, l := range lines[1:] {
+		if l.ElapsedMs != 0 || l.Cell == "" {
+			t.Errorf("cell that never ran: %+v, want no elapsed time", l)
+		}
+	}
+	if lines[1].State != StateDone || lines[2].State != StateCached {
+		t.Errorf("states %q, %q; want done, cached", lines[1].State, lines[2].State)
 	}
 }

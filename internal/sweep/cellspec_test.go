@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,10 +54,13 @@ func TestAddressCoversSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := specs[len(specs)-1] // the tuned, faulted cell
-	if cs.locks != 4 || !strings.Contains(string(cs.appendInput(nil)), " locks=4 ") {
-		t.Fatalf("dht cell at P=4 holds locks=%d in %q, want the clamped 4", cs.locks, cs.appendInput(nil))
+	if cs.locks != 4 || !strings.Contains(string(cs.appendInput(nil, nil)), " locks=4 ") {
+		t.Fatalf("dht cell at P=4 holds locks=%d in %q, want the clamped 4", cs.locks, cs.appendInput(nil, nil))
 	}
-	base := string(cs.appendInput(nil))
+	base := string(cs.appendInput(nil, nil))
+	// One floatText across every call, as Cells writes a grid's
+	// addresses: a float it spelled before must not stick.
+	var floats floatText
 	leaves(reflect.ValueOf(&cs).Elem(), func(name string, f reflect.Value) {
 		if f.IsZero() {
 			t.Errorf("specGrid leaves %s at its zero value", name)
@@ -83,11 +87,21 @@ func TestAddressCoversSpec(t *testing.T) {
 			t.Errorf("field %s: teach this test to perturb a %s, and appendInput to encode it", name, f.Kind())
 			return
 		}
-		if got := string(cs.appendInput(nil)); got == base {
+		if got := string(cs.appendInput(nil, &floats)); got == base {
 			t.Errorf("changing %s leaves the address at %q", name, got)
 		}
 		f.Set(old)
+		if got := string(cs.appendInput(nil, &floats)); got != base {
+			t.Errorf("restoring %s gives the address %q, want %q", name, got, base)
+		}
 	})
+	// 0 and -0 are equal floats with two spellings.
+	neg := cs
+	neg.fw = math.Copysign(0, -1)
+	cs.fw = 0
+	if a, b := string(cs.appendInput(nil, &floats)), string(neg.appendInput(nil, &floats)); !strings.Contains(a, " fw=0 ") || !strings.Contains(b, " fw=-0 ") {
+		t.Errorf("fw 0 and -0 written through one floatText as %q and %q", a, b)
+	}
 	for _, cs := range specs {
 		if cs.tun.Canonical() != cs.Tunables || cs.fault.Canonical() != cs.Faults {
 			t.Errorf("cell %s: typed tunables %q and faults %q are not what its key says", cs.Key, cs.tun.Canonical(), cs.fault.Canonical())
@@ -112,7 +126,7 @@ func TestCellDerivedFromSpec(t *testing.T) {
 		t.Fatalf("%d cells from %d descriptions", len(cells), len(specs))
 	}
 	for i, c := range cells {
-		if c.Key != specs[i].Key || c.Input != string(specs[i].appendInput(nil)) {
+		if c.Key != specs[i].Key || c.Input != string(specs[i].appendInput(nil, nil)) {
 			t.Errorf("cell %d: key %s, address %q are not its description's", i, c.Key, c.Input)
 		}
 		spec, err := c.Spec()

@@ -127,7 +127,7 @@ func sameGroups(cells []Cell) string {
 	for _, c := range cells {
 		sib := *c.cs
 		sib.Tunables, sib.tun = "", nil
-		buf = sib.appendInput(buf[:0])
+		buf = sib.appendInput(buf[:0], nil)
 		a, name, tun, ok := SiblingOf(c.Input)
 		if !ok || a != string(buf) || name != c.Key.Scheme || tun.Canonical() != c.Key.Tunables {
 			return fmt.Sprintf("SiblingOf(%q) = %q, %q, %v, %v; want %q", c.Input, a, name, tun, ok, buf)

@@ -116,6 +116,27 @@ func TestEncodeMatchesMarshalIndent(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: Encode differs from MarshalIndent\n got: %s\nwant: %s", name, got, want)
 		}
+		// What a finished sweepd job keeps and serves: the cells'
+		// fragments, spliced, and the cells decoded back from them.
+		var frags [][]byte
+		var back []sweep.CellResult
+		if rf.Cells != nil {
+			frags, back = make([][]byte, len(rf.Cells)), make([]sweep.CellResult, len(rf.Cells))
+		}
+		for i, c := range rf.Cells {
+			if frags[i], err = sweep.Fragment(c); err != nil {
+				t.Fatalf("%s: Fragment: %v", name, err)
+			}
+			if back[i], err = sweep.DecodeFragment(frags[i]); err != nil {
+				t.Fatalf("%s: DecodeFragment: %v", name, err)
+			}
+		}
+		if got := sweep.AppendFragments([]byte("stale"), rf.Label, frags)[len("stale"):]; !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendFragments differs from MarshalIndent\n got: %s\nwant: %s", name, got, want)
+		}
+		if got, err := oracle(sweep.RunFile{Label: rf.Label, Cells: back}); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: cells decoded from their fragments marshal otherwise (%v)\n got: %s\nwant: %s", name, err, got, want)
+		}
 	}
 
 	// A value JSON cannot carry fails both ways, never half-encoded.
@@ -125,6 +146,9 @@ func TestEncodeMatchesMarshalIndent(t *testing.T) {
 	}
 	if _, err := sweep.Encode(bad); err == nil {
 		t.Error("Encode encoded a NaN")
+	}
+	if _, err := sweep.Fragment(bad.Cells[1]); err == nil {
+		t.Error("Fragment encoded a NaN")
 	}
 	if _, err := sweep.SealCell(bad.Cells[1]); err == nil {
 		t.Error("SealCell attached a fragment to a cell that does not marshal")

@@ -103,6 +103,27 @@ func SealCell(r CellResult) (CellResult, error) {
 // CellFragment returns the fragment r carries, nil if none. Read-only.
 func CellFragment(r CellResult) []byte { return r.frag }
 
+// Fragment returns r's fragment: the one it carries, read-only, or,
+// for a cell that carries none, its encoding made now. The error is
+// the one Encode gives for r, a cell that does not marshal.
+func Fragment(r CellResult) ([]byte, error) {
+	if r.frag != nil {
+		return r.frag, nil
+	}
+	return fragmentOf(r)
+}
+
+// DecodeFragment turns a fragment that Fragment returned back into its
+// cell, which carries it, so encoding the cell again copies frag.
+func DecodeFragment(frag []byte) (CellResult, error) {
+	var r CellResult
+	if err := json.Unmarshal(frag, &r); err != nil {
+		return CellResult{}, fmt.Errorf("sweep: decode fragment: %w", err)
+	}
+	r.frag = frag
+	return r, nil
+}
+
 // CellWitness returns the witness Run attached to a result it handed to
 // CellCache.Put: what the run that produced it shows about its
 // siblings. It is the zero Witness on any other result. Read-only.

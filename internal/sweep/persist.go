@@ -26,54 +26,81 @@ type RunFile struct {
 func Encode(rf RunFile) ([]byte, error) { return AppendEncode(nil, rf) }
 
 // AppendEncode appends the run's persisted form to b, and is the one
-// assembly path for `workbench -out`, Save and sweepd's
-// GET /jobs/{id}/result: the header, then every cell's fragment (the
-// one it carries, or marshal + indent on the spot for a cell that has
-// none), with b grown once, up front, to the size the fragments add up
-// to. Cache-served and derived cells, and the runs derived cells came
-// from, carry one, so a run of such cells is a copy of stored and
-// spliced bytes, and a fetched result is byte-identical to a local
-// `workbench -out` file of the same grid. A caller that hands in a
-// reused buffer assembles a result without allocating one.
+// assembly path for `workbench -out` and Save: the header, then every
+// cell's fragment (the one it carries, or marshal + indent on the spot
+// for a cell that has none), with b grown once, up front, to the size
+// the fragments add up to. Cache-served and derived cells, and the runs
+// derived cells came from, carry one, so a run of such cells is a copy
+// of stored and spliced bytes, and a result sweepd serves
+// (AppendFragments) is byte-identical to a local `workbench -out` file
+// of the same grid. A caller that hands in a reused buffer assembles a
+// result without allocating one.
 func AppendEncode(b []byte, rf RunFile) ([]byte, error) {
-	// Strings always marshal.
-	label, _ := json.Marshal(rf.Label)
-	size := len(label) + 64
+	size := 0
 	for i := range rf.Cells {
 		// A cell without a fragment grows the buffer when it gets there.
-		size += len(fragPrefix) + len(rf.Cells[i].frag) + len(",\n")
+		size += len(rf.Cells[i].frag)
 	}
+	return appendRun(b, rf.Label, rf.Cells == nil, len(rf.Cells), size, func(buf *bytes.Buffer, i int) error {
+		if frag := rf.Cells[i].frag; frag != nil {
+			buf.Write(frag)
+			return nil
+		}
+		payload, err := json.Marshal(rf.Cells[i])
+		if err != nil {
+			return err
+		}
+		return json.Indent(buf, payload, fragPrefix, fragIndent)
+	})
+}
+
+// AppendFragments appends to b the persisted form of the run labelled
+// label whose cells' fragments (Fragment) are frags, in order: the
+// bytes AppendEncode writes for those cells, through the same writer.
+// It is how sweepd serves a finished job, which keeps its cells'
+// fragments and nothing else of them.
+func AppendFragments(b []byte, label string, frags [][]byte) []byte {
+	size := 0
+	for _, f := range frags {
+		size += len(f)
+	}
+	b, _ = appendRun(b, label, frags == nil, len(frags), size, func(buf *bytes.Buffer, i int) error {
+		buf.Write(frags[i])
+		return nil
+	})
+	return b
+}
+
+// appendRun is the one writer of a run file: the label, then the n
+// cells that cell writes in order, each at its place in the cells
+// array (nil writes a null array), then the closing brace, with b grown
+// once by what the fragments are known to add up to, fragBytes.
+func appendRun(b []byte, label string, null bool, n, fragBytes int, cell func(buf *bytes.Buffer, i int) error) ([]byte, error) {
+	// Strings always marshal.
+	lab, _ := json.Marshal(label)
 	// The writes go through a bytes.Buffer over b: it grows b by
 	// doubling where append would grow a large slice by a quarter.
 	buf := bytes.NewBuffer(b)
-	buf.Grow(size)
+	buf.Grow(len(lab) + 64 + fragBytes + n*(len(fragPrefix)+len(",\n")))
 	buf.WriteString("{\n")
-	if rf.Label != "" {
+	if label != "" {
 		buf.WriteString(`  "label": `)
-		buf.Write(label)
+		buf.Write(lab)
 		buf.WriteString(",\n")
 	}
 	switch {
-	case rf.Cells == nil:
+	case null:
 		buf.WriteString(`  "cells": null`)
-	case len(rf.Cells) == 0:
+	case n == 0:
 		buf.WriteString(`  "cells": []`)
 	default:
 		buf.WriteString(`  "cells": [`)
-		for i := range rf.Cells {
+		for i := 0; i < n; i++ {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
 			buf.WriteString("\n" + fragPrefix)
-			if frag := rf.Cells[i].frag; frag != nil {
-				buf.Write(frag)
-				continue
-			}
-			payload, err := json.Marshal(rf.Cells[i])
-			if err != nil {
-				return nil, err
-			}
-			if err := json.Indent(buf, payload, fragPrefix, fragIndent); err != nil {
+			if err := cell(buf, i); err != nil {
 				return nil, err
 			}
 		}

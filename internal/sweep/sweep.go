@@ -20,6 +20,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -1013,6 +1014,7 @@ func (g Grid) Cells() ([]Cell, error) {
 	cells := make([]Cell, len(specs))
 	var buf []byte
 	var ends []int
+	var floats floatText
 	if cacheable {
 		buf = make([]byte, 0, 128*len(specs))
 		ends = make([]int, len(specs))
@@ -1021,7 +1023,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		cs := &specs[i]
 		cells[i] = Cell{Key: cs.Key, cs: cs, att: att}
 		if cacheable {
-			buf = cs.appendInput(buf)
+			buf = cs.appendInput(buf, &floats)
 			ends[i] = len(buf)
 		}
 	}
@@ -1227,11 +1229,16 @@ func parseTunables(s string) (scheme.Tunables, bool) {
 // fixed order and spelling (integers in decimal, floats in the shortest
 // form that round-trips); the network scale only when it is not the
 // calibrated 100 %, so addresses written before it existed still
-// stand. This is the only place an address is written.
+// stand. This is the only place an address is written. floats, when
+// not nil, keeps the floats' spelling from one call to the next (a
+// grid's are the same in every cell).
 // Any change to what a cell computes from these inputs must bump the
 // prefix, which invalidates every persisted cache entry (DESIGN.md,
 // "The cache key is the cell's input").
-func (cs *cellSpec) appendInput(b []byte) []byte {
+func (cs *cellSpec) appendInput(b []byte, floats *floatText) []byte {
+	if floats == nil {
+		floats = new(floatText)
+	}
 	b = append(b, inputPrefix...)
 	b = cs.Key.appendTo(b)
 	b = append(b, " ppn="...)
@@ -1241,11 +1248,11 @@ func (cs *cellSpec) appendInput(b []byte) []byte {
 	b = append(b, " seed="...)
 	b = strconv.AppendInt(b, cs.seed, 10)
 	b = append(b, " fw="...)
-	b = strconv.AppendFloat(b, cs.fw, 'g', -1, 64)
+	b = floats.fw.append(b, cs.fw)
 	b = append(b, " locks="...)
 	b = strconv.AppendInt(b, int64(cs.locks), 10)
 	b = append(b, " zipfs="...)
-	b = strconv.AppendFloat(b, cs.zipfs, 'g', -1, 64)
+	b = floats.zipfs.append(b, cs.zipfs)
 	b = append(b, " think="...)
 	b = strconv.AppendInt(b, cs.think, 10)
 	b = append(b, " thinkj="...)
@@ -1257,6 +1264,28 @@ func (cs *cellSpec) appendInput(b []byte) []byte {
 		b = strconv.AppendInt(b, cs.remotePct, 10)
 	}
 	return b
+}
+
+// floatText is the address spelling of the floats appendInput last
+// wrote: Cells formats a grid's fw and zipfs once, not once per cell.
+type floatText struct{ fw, zipfs spelled }
+
+// spelled is a float's address spelling, buf[:n], and the float's
+// bits. No float64 takes more than 24 bytes.
+type spelled struct {
+	bits uint64
+	n    int
+	buf  [32]byte
+}
+
+// append appends f in the shortest form that round-trips, formatting
+// it only if it is not the float s last spelled. The bits, not ==,
+// tell: 0 and -0 are spelled apart.
+func (s *spelled) append(b []byte, f float64) []byte {
+	if bits := math.Float64bits(f); s.n == 0 || bits != s.bits {
+		s.bits, s.n = bits, len(strconv.AppendFloat(s.buf[:0], f, 'g', -1, 64))
+	}
+	return append(b, s.buf[:s.n]...)
 }
 
 // spec builds the cell's workload.Spec from the description and the
