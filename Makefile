@@ -106,23 +106,48 @@ bench-smoke:
 # Million-rank smoke: one 2^20-rank cell through the memory-flat core.
 # The uniform profile with fw=1/locks=1 draws no per-rank randomness, so
 # the run allocates zero lazy RNGs; RMA-MCS is the O(P)-total-ops queue
-# lock, so the event budget stays linear in P. -memstats reports heap
-# and sys bytes per rank (goroutine stacks dominate the latter).
+# lock, so the event budget stays linear in P. The -metrics-out snapshot
+# carries the process's heap and sys bytes (goroutine stacks dominate
+# the latter), printed per rank; the run's one cell has the process to
+# itself.
+MILLION_P = 1048576
 million-smoke:
-	$(GO) run ./cmd/workbench -schemes RMA-MCS -workloads empty \
-		-profiles uniform -fw 1 -locks 1 -ps 1048576 -iters 1 -memstats
-
-# Weak-scaling study for the memory-flat core: P from 2^10 to 2^20 on
-# the empty workload (pure lock handoff traffic) with per-rank memory
-# cost columns. Host-dependent (-memstats feeds Extra, which feeds the
-# fingerprint), so results/scale.json documents scaling shape: unlike
-# results/sweep.json, two runs of it are not cmp-equal.
-scale:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench -schemes RMA-MCS -workloads empty \
-		-profiles uniform -fw 1 -locks 1 \
-		-ps 1024,4096,16384,65536,262144,1048576 -iters 1 -memstats \
-		-out results/scale.json > results/scale.txt
+		-profiles uniform -fw 1 -locks 1 -ps $(MILLION_P) -iters 1 \
+		-metrics-out results/million-metrics.json
+	grep -Eq '"process_heap_bytes": [1-9]' results/million-metrics.json
+	grep -Eq '"process_sys_bytes": [1-9]' results/million-metrics.json
+	@$(call PER_RANK,results/million-metrics.json,$(MILLION_P))
+
+# PER_RANK prints a -metrics-out snapshot's host memory gauges ($(1))
+# divided by the run's rank count ($(2)).
+PER_RANK = awk -v p=$(2) '/"process_(heap|sys)_bytes"/ { gsub(/[ ",:]+/, " "); \
+	printf "  P=%d %s per rank: %.1f B\n", p, $$1, $$2 / p }' $(1)
+
+# Weak-scaling study for the memory-flat core: P from 2^10 to 2^20 on
+# the empty workload (pure lock handoff traffic), one workbench process
+# per P so that no other cell shares the process whose heap and sys
+# bytes per rank it prints. A run file holds simulation results only:
+# each results/scale-<P>.json is a function of the grid, so a second run
+# is cmp-equal, which the target checks at P <= 65536.
+SCALE_PS = 1024 4096 16384 65536 262144 1048576
+SCALE_CMP_PS = 1024 4096 16384 65536
+SCALE_GRID = -schemes RMA-MCS -workloads empty -profiles uniform -fw 1 -locks 1 -iters 1
+scale:
+	@mkdir -p results
+	$(GO) build -o results/workbench-scale ./cmd/workbench
+	@set -e; rm -f results/scale.txt; \
+	for p in $(SCALE_PS); do \
+		./results/workbench-scale $(SCALE_GRID) -ps $$p -out results/scale-$$p.json \
+			-metrics-out results/scale-$$p.metrics.json >> results/scale.txt; \
+		$(call PER_RANK,results/scale-$$p.metrics.json,$$p) >> results/scale.txt; \
+	done; \
+	for p in $(SCALE_CMP_PS); do \
+		./results/workbench-scale $(SCALE_GRID) -ps $$p -out results/scale-$$p.again.json \
+			> /dev/null; \
+		cmp results/scale-$$p.json results/scale-$$p.again.json; \
+	done
 	@cat results/scale.txt
 
 # One full scheme × workload × profile grid with reproducibility check.

@@ -86,14 +86,13 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		out        = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
 		engine     = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
-		memstats   = flag.Bool("memstats", false, "report heap/sys bytes per rank in each cell's Extra column (host-dependent; the run file is then no longer a function of the grid alone)")
 		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 		traceOut   = flag.String("trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
 		tracecsv   = flag.String("tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
 		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
 		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
-		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
+		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, gauges incl. process heap/sys bytes, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 	)
 	var tunes tuneAxes
 	flag.Var(&tunes, "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
@@ -128,7 +127,6 @@ func main() {
 			Ps:        ps,
 			Iters:     *iters, ProcsPerNode: *ppn, Seed: *seed, SeedSet: seedSet,
 			FW: *fw, Locks: *nlocks, ZipfS: *zipfS, ZipfSSet: zipfSSet, Engine: *engine,
-			MemStats: *memstats,
 			Tunables: tunes,
 			Faults:   faults,
 		},

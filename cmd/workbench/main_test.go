@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -81,6 +83,45 @@ func TestSummaryCountsDerivedCells(t *testing.T) {
 	}
 	if got := summary(results[6:], time.Millisecond, true); !strings.HasPrefix(got, "[2 cells in 1ms; all cells") {
 		t.Errorf("summary without derived cells = %q", got)
+	}
+}
+
+// TestMetricsOutCarriesHostMemory: -metrics-out holds the process's
+// heap and sys bytes as gauges, and the run file of the same grid is
+// byte-equal with and without it — host numbers never reach a Report.
+func TestMetricsOutCarriesHostMemory(t *testing.T) {
+	dir := t.TempDir()
+	bare, observed, metrics := filepath.Join(dir, "bare.json"), filepath.Join(dir, "observed.json"), filepath.Join(dir, "metrics.json")
+	captureOutput(t, func() {
+		if code := run(runOpts{grid: derivingGrid(), out: bare}); code != 0 {
+			t.Errorf("bare run exited %d", code)
+		}
+		if code := run(runOpts{grid: derivingGrid(), out: observed, metricsOut: metrics}); code != 0 {
+			t.Errorf("-metrics-out run exited %d", code)
+		}
+	})
+	a, errA := os.ReadFile(bare)
+	b, errB := os.ReadFile(observed)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("-metrics-out changed the run file")
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"process_heap_bytes", "process_sys_bytes"} {
+		if snap.Gauges[g] <= 0 {
+			t.Errorf("gauge %s = %v, want > 0 (gauges %v)", g, snap.Gauges[g], snap.Gauges)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 
 	"rmalocks/internal/obs"
 	"rmalocks/internal/sweep"
@@ -23,12 +24,18 @@ type obsPlane struct {
 
 // newObsPlane builds the plane and, when listen is non-empty, binds the
 // HTTP endpoint (reporting the resolved address on stderr, so -listen :0
-// is scriptable).
+// is scriptable). The registry carries the process's host memory as two
+// gauges read at scrape or snapshot time: host numbers live here, beside
+// the results, never in a cell's Report.
 func newObsPlane(listen, title string) (*obsPlane, error) {
 	o := &obsPlane{
 		metrics: obs.NewRegistry(),
 		prog:    obs.NewSweepProgress(title),
 	}
+	o.metrics.GaugeFunc("process_heap_bytes", "Live heap bytes of the workbench process (runtime.MemStats.HeapAlloc).",
+		func() float64 { return float64(hostMemory().HeapAlloc) })
+	o.metrics.GaugeFunc("process_sys_bytes", "Bytes the Go runtime holds from the OS, goroutine stacks included (runtime.MemStats.Sys).",
+		func() float64 { return float64(hostMemory().Sys) })
 	if listen != "" {
 		o.srv = obs.NewServer(o.metrics, o.prog)
 		if err := o.srv.Listen(listen); err != nil {
@@ -37,6 +44,12 @@ func newObsPlane(listen, title string) (*obsPlane, error) {
 		fmt.Fprintf(os.Stderr, "[obs: listening on http://%s (/metrics /progress /debug/pprof)]\n", o.srv.Addr())
 	}
 	return o, nil
+}
+
+func hostMemory() *runtime.MemStats {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return &ms
 }
 
 // progress adapts the tracker to sweep.Options.Progress, avoiding the

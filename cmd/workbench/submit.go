@@ -62,7 +62,6 @@ func checkSubmitFlags(opts runOpts) error {
 		{opts.check, "check"},
 		{opts.trace != "", "trace"},
 		{opts.tracecsv != "", "tracecsv"},
-		{opts.grid.MemStats, "memstats"},
 		{opts.listen != "", "listen"},
 		{opts.metricsOut != "", "metrics-out"},
 		{opts.cpuprof != "", "cpuprofile"},

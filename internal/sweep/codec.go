@@ -12,9 +12,9 @@ import (
 // gridWire is the JSON wire form of a Grid — the request body of
 // cmd/sweepd's POST /jobs and the payload of `workbench -submit`. It
 // covers exactly the fields that define what a sweep computes; the
-// server-side attachments (Obs) and host-dependent or unserializable
-// modes (MemStats, Trace) are deliberately not wire-expressible, so a
-// submitted grid always produces cacheable, byte-reproducible cells.
+// server-side attachment (Obs) and the unserializable trace mode
+// (Trace) are deliberately not wire-expressible, so a submitted grid
+// always produces cacheable, byte-reproducible cells.
 type gridWire struct {
 	Schemes       []string      `json:"schemes"`
 	Workloads     []string      `json:"workloads"`
@@ -44,8 +44,7 @@ type tunableWire struct {
 }
 
 // WireError reports a Grid that cannot cross the wire: the named field
-// is meaningful only in-process (a live obs registry, a trace sink) or
-// would make the submitted cells non-reproducible (MemStats).
+// is meaningful only in-process (a live obs registry, a trace sink).
 type WireError struct {
 	Field string
 }
@@ -63,8 +62,6 @@ func EncodeGrid(g Grid) ([]byte, error) {
 		return nil, WireError{Field: "Obs"}
 	case g.Trace != 0:
 		return nil, WireError{Field: "Trace"}
-	case g.MemStats:
-		return nil, WireError{Field: "MemStats"}
 	}
 	w := gridWire{
 		Schemes: g.Schemes, Workloads: g.Workloads, Profiles: g.Profiles,

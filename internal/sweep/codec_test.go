@@ -91,7 +91,6 @@ func TestGridCodecRejectsUnserializable(t *testing.T) {
 	}{
 		{"Obs", func(g *sweep.Grid) { g.Obs = obs.NewRegistry() }},
 		{"Trace", func(g *sweep.Grid) { g.Trace = 1 }},
-		{"MemStats", func(g *sweep.Grid) { g.MemStats = true }},
 	} {
 		g := wireGrid(t)
 		tc.mutate(&g)
@@ -211,14 +210,7 @@ func TestCellInputSemantics(t *testing.T) {
 		t.Fatalf("TR axis dirtied %d and kept %d cells; want a proper split", changed, unchanged)
 	}
 
-	// Host-dependent or unserializable outputs are uncacheable.
-	ms := testGrid()
-	ms.MemStats = true
-	for _, c := range mustCells(t, ms) {
-		if c.Input != "" {
-			t.Fatal("MemStats cell carries a content address")
-		}
-	}
+	// Unserializable outputs are uncacheable.
 	tr := testGrid()
 	tr.Trace = 1
 	for _, c := range mustCells(t, tr) {

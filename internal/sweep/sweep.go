@@ -101,8 +101,8 @@ type Cell struct {
 	// parameter of the cell (see cellSpec.appendInput): because each cell
 	// is a deterministic function of its inputs, Input is a valid content
 	// address for the cell's result — the cache key of internal/cache.
-	// Empty marks the cell uncacheable (host-dependent MemStats output,
-	// or a trace sink that cannot be serialized).
+	// Empty marks the cell uncacheable: only a traced cell has none, its
+	// trace sink and trace-derived metrics being beyond what a cache holds.
 	Input string
 
 	// cs is the cell's description and att what its grid attaches.
@@ -288,8 +288,8 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // (CellDone), and only the rest reach the pool. Every simulated cell
 // that could derive records its witness for the Cache to store.
 // Derivation needs an address and the default engine: on the reference
-// engine, under Check, and without an address (MemStats, Trace) a cell
-// is a group of one and simulates.
+// engine, under Check, and without an address (a traced cell) a cell is
+// a group of one and simulates.
 //
 // Cells of a grid with a fault axis finish with the degradation join
 // (ApplyDegradation) once every cell has its result; what the Cache
@@ -362,8 +362,8 @@ func runGroups(cells []Cell, pending []int, opts Options, results []CellResult) 
 }
 
 // mayDerive reports whether cell c may derive from a sibling's run: only
-// where it could be served from a cache, and never on the reference
-// engine or under Check, which run every cell.
+// with an address (an untraced cell), and never on the reference engine
+// or under Check, which run every cell.
 func mayDerive(c Cell, check bool) bool {
 	return c.Input != "" && c.att.engine != rma.EngineRef && !check
 }
@@ -608,10 +608,6 @@ type Grid struct {
 	// rejects any other name); the workbench -engine flag exposes it for
 	// ad-hoc differential sweeps.
 	Engine string
-	// MemStats enables host memory reporting per cell (see
-	// workload.Spec.MemStats): heap/sys bytes per rank land in
-	// Report.Extra. Host-dependent — forfeits byte-identical run files.
-	MemStats bool
 	// Trace, when nonzero, attaches a fresh trace sink with this class
 	// mask to every cell (cells run in parallel, so sinks are per-cell),
 	// filling the per-cell Report.Fairness / Report.HandoffLocality
@@ -978,14 +974,13 @@ type cellSpec struct {
 
 // attachments is what a grid hands every cell's run that is not part of
 // the cell's identity: the engine (results are engine-invariant, the
-// differential suite's claim) and the in-process instruments. MemStats
-// and Trace do change what a cell reports, which is why cells carrying
-// them have no address at all (Cells).
+// differential suite's claim) and the in-process instruments. Trace does
+// change what a cell reports, which is why traced cells have no address
+// at all (Cells).
 type attachments struct {
-	engine   string
-	memStats bool
-	trace    trace.Class
-	obs      *obs.Registry
+	engine string
+	trace  trace.Class
+	obs    *obs.Registry
 }
 
 // Cells enumerates the grid in canonical order: scheme outermost, then
@@ -1008,9 +1003,9 @@ func (g Grid) Cells() ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Host-dependent output (MemStats) and a trace sink cannot be served
-	// from a cache: such cells get no address.
-	cacheable := !att.memStats && att.trace == 0
+	// A trace sink cannot be served from a cache: traced cells get no
+	// address.
+	cacheable := att.trace == 0
 	cells := make([]Cell, len(specs))
 	var buf []byte
 	var ends []int
@@ -1108,7 +1103,7 @@ func (g Grid) enumerate() ([]cellSpec, *attachments, error) {
 			}
 		}
 	}
-	return specs, &attachments{engine: g.Engine, memStats: g.MemStats, trace: g.Trace, obs: g.Obs}, nil
+	return specs, &attachments{engine: g.Engine, trace: g.Trace, obs: g.Obs}, nil
 }
 
 // inputPrefix versions the content address (see cellSpec.appendInput).
@@ -1316,7 +1311,6 @@ func (cs *cellSpec) spec(att *attachments) (workload.Spec, error) {
 		FaultMetrics: cs.faultMetrics,
 		RemotePct:    cs.remotePct,
 		Engine:       att.engine,
-		MemStats:     att.memStats,
 		Obs:          att.obs,
 	}
 	if att.trace != 0 {

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"rmalocks/internal/fault"
@@ -180,14 +179,6 @@ type Spec struct {
 	// eager oracle of the default lazy publication (verification knob;
 	// see rma.Config.NoCoalesce).
 	NoCoalesce bool
-	// MemStats records host memory cost in Report.Extra after the run:
-	// "heap_bytes_per_rank" (live heap / P) and "sys_bytes_per_rank"
-	// (total runtime-held memory / P, which includes goroutine stacks —
-	// the dominant term when many ranks genuinely interleave). Off by
-	// default: the numbers are host-dependent and Extra feeds the report
-	// fingerprint, so enabling this forfeits byte-identical comparisons
-	// against baselines recorded without it.
-	MemStats bool
 	// Trace, when non-nil, captures the run's event stream (see
 	// internal/trace) and fills Report.Fairness and
 	// Report.HandoffLocality from the measured phase. The sink is
@@ -201,7 +192,7 @@ type Spec struct {
 	// run (see internal/obs): setup/run/drain phase spans and an
 	// iteration counter. Observe, never perturb: metric values never
 	// enter Report.Extra or fingerprints, so obs-on and obs-off runs are
-	// byte-identical (test-enforced), unlike MemStats.
+	// byte-identical (test-enforced).
 	Obs *obs.Registry
 }
 
@@ -277,8 +268,8 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 		cfg.Latency = &lat
 	}
 	m := rma.NewMachineConfig(topo, cfg)
-	// Everything below that looks into the machine (summarize, Extract,
-	// the MemStats read) runs before this returns its scratch.
+	// Everything below that looks into the machine (summarize, Extract)
+	// runs before this returns its scratch.
 	defer m.Release()
 
 	var set []scheme.Lock
@@ -411,21 +402,6 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	}
 	if spec.Trace != nil {
 		applyTraceMetrics(&rep, spec.Trace, topo, start, first)
-	}
-	if spec.MemStats {
-		// Read after the run, while the machine/scheduler buffers are
-		// still reachable: HeapAlloc approximates the run's resident
-		// simulation state, Sys adds the runtime's stack spans.
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		rep.Extra["heap_bytes_per_rank"] = float64(ms.HeapAlloc) / float64(procs)
-		rep.Extra["sys_bytes_per_rank"] = float64(ms.Sys) / float64(procs)
-		// runtime/metrics signals (see runtimestats.go): the goroutine
-		// count read here, right after the run, is the evidence for the
-		// lazy-goroutine claim — ranks that never genuinely interleave
-		// never get a goroutine, so it stays far below P at scale.
-		rep.Extra["goroutines"] = float64(liveGoroutines())
-		rep.Extra["gc_pause_total_ns"] = float64(ms.PauseTotalNs)
 	}
 	spec.Workload.Extract(m, &rep)
 	var w Witness

@@ -290,8 +290,8 @@ func NewSweepCellCache(c *ResultCache) SweepCellCache { return c }
 func NewJobManager(cfg JobConfig) *JobManager { return jobq.NewManager(cfg) }
 
 // EncodeSweepGrid encodes a grid as the sweepd wire format (POST
-// /jobs). Grids carrying process-local state (trace sinks, MemStats)
-// are rejected with an error naming the field.
+// /jobs). Grids carrying process-local state (an obs registry, a trace
+// sink) are rejected with an error naming the field.
 func EncodeSweepGrid(g SweepGrid) ([]byte, error) { return sweep.EncodeGrid(g) }
 
 // DecodeSweepGrid decodes a wire-format grid, rejecting unknown
