@@ -110,7 +110,15 @@ bench-smoke:
 # carries the process's heap and sys bytes (goroutine stacks dominate
 # the latter), printed per rank; the run's one cell has the process to
 # itself.
+#
+# Then Figure 6's largest cell at the paper's scale: the DHT benchmark
+# (dhtvol, F_W=20%, 20 operations per rank) at P=1024 under its three
+# schemes. Its one hashtable volume lives on rank 0 alone; the target
+# fails if the process heap at the end of the run exceeds FIG6_HEAP_MAX
+# (≈19MB is measured; a volume on every rank made ≈800MB).
 MILLION_P = 1048576
+FIG6_P = 1024
+FIG6_HEAP_MAX = 67108864
 million-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/workbench -schemes RMA-MCS -workloads empty \
@@ -119,6 +127,14 @@ million-smoke:
 	grep -Eq '"process_heap_bytes": [1-9]' results/million-metrics.json
 	grep -Eq '"process_sys_bytes": [1-9]' results/million-metrics.json
 	@$(call PER_RANK,results/million-metrics.json,$(MILLION_P))
+	$(GO) run ./cmd/workbench -schemes foMPI-A,foMPI-RW,RMA-RW -workloads dhtvol \
+		-profiles uniform -fw 0.2 -locks 1 -ps $(FIG6_P) -iters 20 \
+		-metrics-out results/fig6-metrics.json
+	@$(call PER_RANK,results/fig6-metrics.json,$(FIG6_P))
+	@heap=$$(awk '/"process_heap_bytes"/ { gsub(/[^0-9]/, ""); print }' results/fig6-metrics.json); \
+	if [ -z "$$heap" ] || [ "$$heap" -gt $(FIG6_HEAP_MAX) ]; then \
+		echo "million-smoke: Figure 6 at P=$(FIG6_P) left process_heap_bytes '$$heap', over $(FIG6_HEAP_MAX)"; exit 1; fi; \
+	echo "million-smoke: Figure 6 at P=$(FIG6_P): process_heap_bytes $$heap <= $(FIG6_HEAP_MAX)"
 
 # PER_RANK prints a -metrics-out snapshot's host memory gauges ($(1))
 # divided by the run's rank count ($(2)).

@@ -5,10 +5,12 @@
 // The table stores 64-bit non-negative integers and consists of per-process
 // parts called local volumes. Each local volume is a fixed-size slot table
 // plus a fixed-size overflow heap for hash collisions, both in the owning
-// process's RMA window. Inserts use atomic CASes: the slot CAS wins the
-// slot, the loser allocates an overflow cell by atomically bumping the
-// volume's next-free pointer and appends it to the slot's chain with an
-// atomic swap of the last-element pointer.
+// process's RMA window. Only the hosting ranks [0, volumes) have a volume:
+// the other ranks' windows hold none of the table's words. Inserts use
+// atomic CASes: the slot CAS wins the slot, the loser allocates an
+// overflow cell by atomically bumping the volume's next-free pointer and
+// appends it to the slot's chain with an atomic swap of the last-element
+// pointer.
 //
 // Two operation families are provided:
 //
@@ -28,7 +30,7 @@ import (
 const empty = rma.Nil
 
 // Table is a distributed hashtable handle; the actual storage lives in the
-// machine's RMA windows, one volume per rank.
+// machine's RMA windows, one volume per hosting rank.
 type Table struct {
 	slots   int // table slots per volume
 	cells   int // overflow heap cells per volume
@@ -43,23 +45,25 @@ type Table struct {
 	Overflows int64
 }
 
-// New allocates a table with the given per-volume geometry on machine m.
-func New(m *rma.Machine, slots, cells int) *Table {
+// New allocates a table of one volume on each of ranks [0, volumes) of
+// machine m, with the given per-volume geometry.
+func New(m *rma.Machine, volumes, slots, cells int) *Table {
 	if slots <= 0 || cells <= 0 {
 		panic(fmt.Sprintf("dht: bad geometry %dx%d", slots, cells))
 	}
+	base := m.AllocHosted(volumes, 3*slots+2*cells+1)
 	t := &Table{
 		slots:   slots,
 		cells:   cells,
-		valOff:  m.Alloc(slots),
-		nxtOff:  m.Alloc(slots),
-		lastOff: m.Alloc(slots),
-		heapVal: m.Alloc(cells),
-		heapNxt: m.Alloc(cells),
-		freeOff: m.Alloc(1),
+		valOff:  base,
+		nxtOff:  base + slots,
+		lastOff: base + 2*slots,
+		heapVal: base + 3*slots,
+		heapNxt: base + 3*slots + cells,
+		freeOff: base + 3*slots + 2*cells,
 	}
 	m.OnInit(func(m *rma.Machine) {
-		for r := 0; r < m.Procs(); r++ {
+		for r := 0; r < volumes; r++ {
 			m.Fill(r, t.valOff, slots, empty)
 			m.Fill(r, t.nxtOff, slots, rma.Nil)
 			m.Fill(r, t.lastOff, slots, rma.Nil)

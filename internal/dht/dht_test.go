@@ -12,7 +12,7 @@ import (
 func TestAtomicInsertAndLookupSingleProc(t *testing.T) {
 	topo := topology.TwoLevel(1, 2)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 60_000_000_000})
-	tb := New(m, 16, 64)
+	tb := New(m, 1, 16, 64)
 	err := m.Run(func(p *rma.Proc) {
 		if p.Rank() != 0 {
 			return
@@ -45,7 +45,7 @@ func TestAtomicInsertConcurrentNoLostKeys(t *testing.T) {
 	topo := topology.TwoLevel(2, 4)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 120_000_000_000})
 	const perProc = 20
-	tb := New(m, 16, topo.Procs()*perProc) // tiny table: force collisions
+	tb := New(m, 1, 16, topo.Procs()*perProc) // tiny table: force collisions
 	err := m.Run(func(p *rma.Proc) {
 		for i := 0; i < perProc; i++ {
 			key := int64(p.Rank()*perProc + i)
@@ -70,7 +70,7 @@ func TestAtomicInsertConcurrentNoLostKeys(t *testing.T) {
 func TestAtomicInsertOverflowDetected(t *testing.T) {
 	topo := topology.TwoLevel(1, 2)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 60_000_000_000})
-	tb := New(m, 1, 3) // capacity: 1 slot + 3 cells = 4 keys
+	tb := New(m, 1, 1, 3) // capacity: 1 slot + 3 cells = 4 keys
 	var ok, fail int
 	err := m.Run(func(p *rma.Proc) {
 		if p.Rank() != 0 {
@@ -102,7 +102,7 @@ func TestPlainOpsUnderRWLock(t *testing.T) {
 	topo := topology.TwoLevel(2, 4)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 600_000_000_000})
 	const perProc = 15
-	tb := New(m, 8, topo.Procs()*perProc)
+	tb := New(m, 1, 8, topo.Procs()*perProc)
 	lk := rmarw.NewConfig(m, rmarw.Config{TR: 64, TL: []int64{0, 4, 4}})
 	err := m.Run(func(p *rma.Proc) {
 		for i := 0; i < perProc; i++ {
@@ -132,7 +132,7 @@ func TestPlainOpsUnderRWLock(t *testing.T) {
 func TestVolumesAreIndependent(t *testing.T) {
 	topo := topology.TwoLevel(2, 2)
 	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 60_000_000_000})
-	tb := New(m, 8, 32)
+	tb := New(m, topo.Procs(), 8, 32)
 	err := m.Run(func(p *rma.Proc) {
 		// Everyone inserts its rank into its own volume.
 		if !tb.AtomicInsert(p, p.Rank(), int64(p.Rank()+100)) {
@@ -150,6 +150,35 @@ func TestVolumesAreIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVolumesOnHostingRanksOnly checks that a table of two volumes on
+// four ranks widens no rank's window, fills its hosting ranks' volumes
+// and has none on the other ranks.
+func TestVolumesOnHostingRanksOnly(t *testing.T) {
+	topo := topology.TwoLevel(2, 2)
+	m := rma.NewMachineConfig(topo, rma.Config{TimeLimit: 60_000_000_000})
+	tb := New(m, 2, 8, 32)
+	if m.Words() != 0 {
+		t.Fatalf("Words()=%d, want 0: a volume widened every rank's window", m.Words())
+	}
+	err := m.Run(func(p *rma.Proc) {
+		if !tb.AtomicInsert(p, p.Rank()%2, int64(p.Rank())) {
+			t.Errorf("rank %d insert failed", p.Rank())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := tb.Count(m, 0), tb.Count(m, 1); a != 2 || b != 2 {
+		t.Errorf("volumes hold %d and %d keys, want 2 and 2", a, b)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("reading a volume on rank 2 did not panic")
+		}
+	}()
+	tb.Count(m, 2)
 }
 
 func TestSlotHashProperties(t *testing.T) {
@@ -173,12 +202,15 @@ func TestNegativeKeyPanics(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	topo := topology.TwoLevel(1, 1)
-	m := rma.NewMachine(topo)
-	defer func() {
-		if recover() == nil {
-			t.Error("bad geometry did not panic")
-		}
-	}()
-	New(m, 0, 10)
+	topo := topology.TwoLevel(1, 2)
+	for _, g := range [][3]int{{1, 0, 10}, {1, 10, 0}, {0, 8, 8}, {3, 8, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(m, %d, %d, %d) on 2 ranks did not panic", g[0], g[1], g[2])
+				}
+			}()
+			New(rma.NewMachine(topo), g[0], g[1], g[2])
+		}()
+	}
 }

@@ -17,9 +17,10 @@ import (
 
 // runCoalesceProgram runs a token ring: each round, rank r spins on its
 // grant word, does contended counter traffic (busy-horizon
-// serialization) plus local compute, then grants its ring successor —
-// exercising SpinUntil wake-ups (the horizon-shrink path), publication at
-// block/barrier points, and per-target occupancy.
+// serialization, on an all-rank counter and a hosted one) plus local
+// compute, then grants its ring successor — exercising SpinUntil wake-ups
+// (the horizon-shrink path), publication at block/barrier points, and
+// per-target occupancy.
 func runCoalesceProgram(t *testing.T, engine string, noCoalesce bool) (int64, []int64, Stats) {
 	t.Helper()
 	topo := topology.ForProcs(8, 4)
@@ -27,6 +28,7 @@ func runCoalesceProgram(t *testing.T, engine string, noCoalesce bool) (int64, []
 	grant := m.Alloc(1) // per rank: ring grant flag
 	cnt := m.Alloc(1)   // rank 0: contended counter
 	scratch := m.Alloc(1)
+	hcnt := m.AllocHosted(1, 1) // rank 0 only: a second contended counter
 	err := m.Run(func(p *Proc) {
 		r, procs := p.Rank(), p.Machine().Procs()
 		for round := int64(1); round <= 3; round++ {
@@ -37,6 +39,7 @@ func runCoalesceProgram(t *testing.T, engine string, noCoalesce bool) (int64, []
 			p.Accumulate(1, 0, cnt, OpSum)
 			old := p.FAO(2, 0, cnt, OpSum)
 			p.CAS(old, old+2, r, scratch)
+			p.FAO(int64(r)+round, 0, hcnt, OpReplace)
 			p.Compute(50 + int64(r))
 			p.Put(round, (r+1)%procs, grant) // pass the token on
 			if r == 0 {
@@ -50,12 +53,13 @@ func runCoalesceProgram(t *testing.T, engine string, noCoalesce bool) (int64, []
 	if err != nil {
 		t.Fatalf("engine=%q nocoalesce=%v: %v", engine, noCoalesce, err)
 	}
-	memEnd := make([]int64, 0, 8*m.Words())
+	memEnd := make([]int64, 0, 8*m.Words()+1)
 	for r := 0; r < m.Procs(); r++ {
 		for w := 0; w < m.Words(); w++ {
 			memEnd = append(memEnd, m.At(r, w))
 		}
 	}
+	memEnd = append(memEnd, m.At(0, hcnt))
 	return m.MaxClock(), memEnd, m.Stats()
 }
 

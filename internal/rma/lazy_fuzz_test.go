@@ -17,8 +17,13 @@ import (
 	"rmalocks/internal/trace"
 )
 
-// lazyWords is the window width of a fuzzed program.
-const lazyWords = 4
+// lazyWords is the window width of a fuzzed program. A program also has
+// one hosted word on each of ranks [0, lazyHosts), which an instruction
+// names as word lazyWords.
+const (
+	lazyWords = 4
+	lazyHosts = 2
+)
 
 // lazyFaults are the fault profiles a program's header selects from (nil:
 // fault-free). Periods and stalls are of the order of one operation, so a
@@ -33,7 +38,7 @@ var lazyFaults = []*fault.Profile{
 // lazyOutcome is everything a run lets anyone observe.
 type lazyOutcome struct {
 	err      string
-	mem      []int64 // final window contents
+	mem      []int64 // final window contents, the hosted words last
 	seen     []int64 // per rank: hash of every value an operation returned
 	ends     []int64 // per rank: Now() where the program ended, -1 if it did not
 	maxClock int64
@@ -58,15 +63,20 @@ const (
 
 // lazyStep runs one three-byte instruction on p: op picks the operation and
 // which ranks take part (everybody in a Barrier, so barriers pair up), a
-// the target's distance from the rank and the window word, b the operand.
-// Operands stay below 16 so that CAS compares and SpinUntil thresholds hit.
-func lazyStep(p *Proc, base int, op, a, b byte, seen *int64) {
+// the target's distance from the rank and the window word — the hosted one
+// on a hosting rank, the target's distance taken modulo lazyHosts — b the
+// operand. Operands stay below 16 so that CAS compares and SpinUntil
+// thresholds hit.
+func lazyStep(p *Proc, base, host int, op, a, b byte, seen *int64) {
 	r, procs := p.Rank(), p.Machine().Procs()
 	kind, who := op%lazyKinds, int(op/lazyKinds)
 	if mod := who%4 + 1; kind != lazyBarrier && r%mod != (who/4)%mod {
 		return
 	}
-	target, off := (r+int(a&15))%procs, base+int(a>>4)%lazyWords
+	target, off := (r+int(a&15))%procs, base+int(a>>4)%(lazyWords+1)
+	if off == base+lazyWords {
+		target, off = (r+int(a&15))%lazyHosts, host
+	}
 	v, mode := int64(b&15), Op(b>>4&1)
 	see := func(x int64) { *seen = *seen*1000003 + x + 1 }
 	switch kind {
@@ -132,6 +142,7 @@ func runLazyProgram(prog []byte, engine string, eager bool) lazyOutcome {
 	m := NewMachineConfig(topology.TwoLevel(2, 1+int(shape)%4), cfg)
 	defer m.Release()
 	base := m.Alloc(lazyWords)
+	host := m.AllocHosted(lazyHosts, 1)
 	out := lazyOutcome{seen: make([]int64, m.Procs()), ends: make([]int64, m.Procs())}
 	for r := range out.ends {
 		out.ends[r] = -1
@@ -139,7 +150,7 @@ func runLazyProgram(prog []byte, engine string, eager bool) lazyOutcome {
 	err := m.Run(func(p *Proc) {
 		r := p.Rank()
 		for i := 0; i+3 <= len(prog); i += 3 {
-			lazyStep(p, base, prog[i], prog[i+1], prog[i+2], &out.seen[r])
+			lazyStep(p, base, host, prog[i], prog[i+1], prog[i+2], &out.seen[r])
 		}
 		out.ends[r] = p.Now()
 	})
@@ -150,6 +161,9 @@ func runLazyProgram(prog []byte, engine string, eager bool) lazyOutcome {
 		for w := 0; w < lazyWords; w++ {
 			out.mem = append(out.mem, m.At(r, base+w))
 		}
+	}
+	for r := 0; r < lazyHosts; r++ {
+		out.mem = append(out.mem, m.At(r, host))
 	}
 	out.maxClock, out.stats, out.events = m.MaxClock(), fmt.Sprint(m.Stats()), cfg.Trace.Events()
 	return out
@@ -206,7 +220,7 @@ func checkLazyMatchesEager(t *testing.T, prog []byte) {
 // lazyPrograms seed the fuzzer, so they run in every plain go test beside
 // the corpus under testdata/fuzz. Instruction
 // bytes: op = kind + lazyKinds*who (kinds in the constants' order), a =
-// distance | word<<4, b = operand.
+// distance | word<<4 (word 4: the hosted word), b = operand.
 var lazyPrograms = [][]byte{
 	nil,
 	// P=8: a counter everybody bumps, flushes and back-off between tries,
@@ -241,6 +255,11 @@ var lazyPrograms = [][]byte{
 	// P=4 under jitter: polls between SpinUntil waits, so tries wake
 	// blocked ranks and run while their own rank's host is blocked.
 	{1, 1, 0, lazyPoll + lazyKinds*1, 0x11, 0x93, lazySpin + lazyKinds*5, 0x10, 3, lazyPut, 0x11, 3, lazyPoll, 0x01, 0xb3, lazySpin, 0x10, 3, lazyBarrier, 0, 0},
+	// P=4 under jitter on the hosted words: odd ranks wait in SpinUntil
+	// until rank 1's is bumped twice by the even ranks, which compute
+	// first, then everybody reads both and CASes its own host's.
+	{1, 1, 0, lazyCompute + lazyKinds*1, 0, 200, lazyFAO, 0x41, 1, lazySpin + lazyKinds*5, 0x40, 2,
+		lazyBarrier, 0, 0, lazyGet, 0x40, 0, lazyGet, 0x41, 0, lazyCAS, 0x40, 0x25},
 }
 
 func FuzzLazyMatchesEager(f *testing.F) {

@@ -130,6 +130,10 @@ type Machine struct {
 	stats      Stats
 	procBuf    []Proc // flat per-rank Proc slab, indexed by rank
 	maxClk     int64
+	// hosts and hostWords shape the hosted region (AllocHosted):
+	// hostWords words on each of ranks [0, hosts), after the all-rank
+	// slab at mem[hostAt:].
+	hosts, hostWords, hostAt int
 }
 
 // Config carries optional Machine parameters.
@@ -220,6 +224,33 @@ func (m *Machine) Alloc(n int) int {
 	return base
 }
 
+// hostedBase is the offset of the first hosted word (AllocHosted). Hosted
+// offsets live above every all-rank offset, so one offset names one word
+// whichever kind allocated it, and Alloc and AllocHosted may interleave.
+const hostedBase = 1 << 30
+
+// AllocHosted reserves n consecutive window words on ranks [0, k) only and
+// returns the base offset: state that lives on a few hosting ranks (the
+// hashtable's volumes) costs the other ranks nothing. Every hosted
+// allocation of a machine names the same k. Operations on a hosted word
+// behave as on an all-rank one; naming it on a rank >= k panics. All
+// allocation must happen before Run.
+func (m *Machine) AllocHosted(k, n int) int {
+	if m.ran {
+		panic("rma: AllocHosted after Run")
+	}
+	if n <= 0 || k < 1 || k > m.Procs() {
+		panic(fmt.Sprintf("rma: AllocHosted(%d, %d) on %d ranks", k, n, m.Procs()))
+	}
+	if m.hostWords > 0 && k != m.hosts {
+		panic(fmt.Sprintf("rma: AllocHosted on %d ranks after %d", k, m.hosts))
+	}
+	base := hostedBase + m.hostWords
+	m.hosts = k
+	m.hostWords += n
+	return base
+}
+
 // OnInit registers f to run (single-threaded) right before the simulated
 // program starts; use it to set initial window contents such as ∅ queue
 // pointers.
@@ -251,6 +282,9 @@ func (m *Machine) Fill(rank, offset, n int, v int64) {
 		return
 	}
 	lo, hi := m.index(rank, offset), m.index(rank, offset+n-1)
+	if hi-lo != n-1 {
+		panic(fmt.Sprintf("rma: Fill of %d words at offset %d spans the all-rank and hosted regions", n, offset))
+	}
 	w := m.mem[lo : hi+1]
 	w[0] = v
 	for i := 1; i < n; i *= 2 {
@@ -359,11 +393,13 @@ func (m *Machine) reset(p int) {
 		m.sc = scratchPool.Get().(*scratch)
 	}
 	sc := m.sc
-	// The window slab grows with 1/8 head-room: consecutive cells of a
-	// grid differ slightly in window width (RMA-RW's is a few words wider
-	// than foMPI's), and an exact fit would strand the slab at every such
-	// step. The other buffers are sized by the rank count alone.
-	need := p * m.words
+	// The window slab — every rank's all-rank words, then the hosting
+	// ranks' hosted words — grows with 1/8 head-room: consecutive cells of
+	// a grid differ slightly in window width (RMA-RW's is a few words
+	// wider than foMPI's), and an exact fit would strand the slab at every
+	// such step. The other buffers are sized by the rank count alone.
+	m.hostAt = p * m.words
+	need := m.hostAt + m.hosts*m.hostWords
 	sc.mem = zeroed(sc.mem, need, need/8)
 	sc.busy = zeroed(sc.busy, p, 0)
 	sc.perDist = zeroed(sc.perDist, m.topo.MaxDistance()+1, 0)
@@ -439,14 +475,29 @@ func (m *Machine) Stats() Stats {
 	return m.stats
 }
 
+// index maps a window word to its place in mem. An all-rank word takes
+// one compare for its offset; anything else goes through hostedIndex,
+// which panics unless the word is a hosted one on a hosting rank.
 func (m *Machine) index(rank, offset int) int {
 	if rank < 0 || rank >= m.topo.Procs() {
 		panic(fmt.Sprintf("rma: rank %d out of range [0,%d)", rank, m.topo.Procs()))
 	}
-	if offset < 0 || offset >= m.words {
-		panic(fmt.Sprintf("rma: offset %d out of range [0,%d)", offset, m.words))
+	if uint(offset) < uint(m.words) {
+		return rank*m.words + offset
 	}
-	return rank*m.words + offset
+	return m.hostedIndex(rank, offset)
+}
+
+func (m *Machine) hostedIndex(rank, offset int) int {
+	h := offset - hostedBase
+	if h < 0 || h >= m.hostWords {
+		panic(fmt.Sprintf("rma: offset %d out of range [0,%d) and hosted [%d,%d)",
+			offset, m.words, hostedBase, hostedBase+m.hostWords))
+	}
+	if rank >= m.hosts {
+		panic(fmt.Sprintf("rma: rank %d has no hosted offset %d (hosted on ranks [0,%d))", rank, offset, m.hosts))
+	}
+	return m.hostAt + rank*m.hostWords + h
 }
 
 // charge computes the virtual duration of one op from origin clock to

@@ -21,8 +21,9 @@ func handOver(m *Machine) *scratch {
 }
 
 // probe runs a small P=8 program that uses everything a scratch holds —
-// window words, target occupancy, SpinUntil watchers, per-distance counts
-// and every rank's generator — on the given scratch (nil: a new one) and
+// window words, hosted words on ranks 0 and 1 that it leaves to reset's
+// zeroes, target occupancy, SpinUntil watchers, per-distance counts and
+// every rank's generator — on the given scratch (nil: a new one) and
 // returns a fingerprint of all it observed, plus the scratch. runs is how
 // often the program runs on the one machine; the last run is fingerprinted.
 func probe(t *testing.T, engine string, sc *scratch, runs int) (string, *scratch) {
@@ -36,6 +37,7 @@ func probe(t *testing.T, engine string, sc *scratch, runs int) (string, *scratch
 	grant := m.Alloc(1)
 	cnt := m.Alloc(1)
 	pad := m.Alloc(5)
+	host := m.AllocHosted(2, 3)
 	m.OnInit(func(m *Machine) {
 		for r := 0; r < m.Procs(); r++ {
 			m.Fill(r, pad, 5, Nil)
@@ -51,6 +53,7 @@ func probe(t *testing.T, engine string, sc *scratch, runs int) (string, *scratch
 			}
 			old := p.FAO(1, 0, cnt, OpSum)
 			p.CAS(old, Nil, r, pad+int(round))
+			p.FAO(int64(r), r%2, host+int(round)-1, OpSum)
 			k := p.Rand().Int63n(1000)
 			draws[r] = append(draws[r], k, int64(p.Rand().Intn(7)))
 			p.Compute(50 + k)
@@ -73,12 +76,18 @@ func probe(t *testing.T, engine string, sc *scratch, runs int) (string, *scratch
 			mem = append(mem, m.At(r, w))
 		}
 	}
+	for r := 0; r < 2; r++ {
+		for w := 0; w < 3; w++ {
+			mem = append(mem, m.At(r, host+w))
+		}
+	}
 	fp := fmt.Sprint(m.MaxClock(), m.Stats(), mem, draws)
 	return fp, handOver(m)
 }
 
-// dirty runs a P=64 program with a wide window on sc that writes every
-// window word, keeps every target busy and draws from every generator —
+// dirty runs a P=64 program with a wide window and a wide hosted region on
+// 48 ranks on sc that writes every word of both, keeps every target busy
+// and draws from every generator —
 // past the replay log's cap on rank 0. With abort, every rank but 0 then
 // parks in SpinUntil on a word nobody writes and the run dies at its time
 // limit, leaving those watchers registered.
@@ -93,10 +102,13 @@ func dirty(t *testing.T, engine string, sc *scratch, seed int64, abort bool) *sc
 	const width = 40
 	base := m.Alloc(width)
 	never := m.Alloc(1)
+	const hosts = 48
+	host := m.AllocHosted(hosts, width)
 	err := m.Run(func(p *Proc) {
 		r, procs := p.Rank(), p.Machine().Procs()
 		for w := 0; w < width; w++ {
 			p.Put(p.Rand().Int63()|1, (r+w)%procs, base+w)
+			p.Put(p.Rand().Int63()|1, (r+w)%hosts, host+w)
 		}
 		if r == 0 {
 			for i := 0; i < randLogCap+10; i++ {
@@ -146,8 +158,9 @@ func TestScratchOrderIndependence(t *testing.T) {
 }
 
 // TestScratchShrinkZeroed checks what reset hands the initializers when a
-// dirty scratch comes back for a smaller shape: an all-zero window, idle
-// targets and no watcher anywhere, in range or beyond it.
+// dirty scratch comes back for a smaller shape: an all-zero window and
+// hosted region, idle targets and no watcher anywhere, in range or beyond
+// it.
 func TestScratchShrinkZeroed(t *testing.T) {
 	sc := dirty(t, EngineFast, nil, 5, true)
 	var words, busy, parked int
@@ -172,13 +185,21 @@ func TestScratchShrinkZeroed(t *testing.T) {
 	m := NewMachine(topology.TwoLevel(2, 4))
 	m.sc = sc
 	m.Alloc(3)
+	host := m.AllocHosted(2, 5)
 	m.OnInit(func(m *Machine) {
-		if len(m.mem) != 8*3 || len(m.busy) != 8 || len(m.watchers) != 8 {
+		if len(m.mem) != 8*3+2*5 || len(m.busy) != 8 || len(m.watchers) != 8 {
 			t.Errorf("shape: %d words, %d busy, %d watcher lists", len(m.mem), len(m.busy), len(m.watchers))
 		}
 		for i, v := range m.mem {
 			if v != 0 {
 				t.Errorf("window word %d = %d after reset", i, v)
+			}
+		}
+		for r := 0; r < 2; r++ {
+			for w := 0; w < 5; w++ {
+				if v := m.At(r, host+w); v != 0 {
+					t.Errorf("hosted word (%d,%d) = %d after reset", r, w, v)
+				}
 			}
 		}
 		for r, b := range m.busy {

@@ -228,6 +228,12 @@ func (s *Spec) fill() {
 	if bench != nil && bench.Cells == 0 {
 		bench.Cells = s.P*(s.Iters+s.Warmup) + 16
 	}
+	if d, ok := s.Workload.(*DHTOps); ok {
+		d.volumes = 1
+		if d.ShardByLock {
+			d.volumes = min(s.Profile.Locks(), s.P)
+		}
+	}
 }
 
 // first is the lowest rank that runs cycles: 1 when rank 0 only hosts

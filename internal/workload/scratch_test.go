@@ -75,7 +75,8 @@ func TestDifferentialCellOrder(t *testing.T) {
 
 // warmCellAllocBound is four times what a warm P=16 dht cell allocated
 // when the bound was set (15KB: coroutines, lock set, report, closures).
-// One fresh window is 1.3MB and sixteen fresh generators 78KB, so either
+// One fresh window is 0.6MB (the eight hashtable volumes of its eight
+// locks, on ranks 0 to 7) and sixteen fresh generators 78KB, so either
 // coming back fails the test.
 const warmCellAllocBound = 60 << 10
 
@@ -105,5 +106,38 @@ func TestWarmCellAllocBytes(t *testing.T) {
 	t.Logf("cold cell %d B, warm cell %d B (bound %d B)", cold, warm, warmCellAllocBound)
 	if warm >= warmCellAllocBound {
 		t.Errorf("a warm cell allocated %d B, bound %d B: is a window or a generator allocated per cell again?", warm, warmCellAllocBound)
+	}
+}
+
+// TestColdDHTCellBytes bounds the bytes a hashtable cell allocates on
+// empty pools, where its window is allocated afresh: the volumes live on
+// their hosting ranks only — the sharded store's eight on ranks 0 to 7,
+// the DHT benchmark's one on rank 0 — not on every rank. A volume on every
+// rank would cost the sharded cell 40MB and the benchmark cell 7.4MB.
+func TestColdDHTCellBytes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spec  workload.Spec
+		bound uint64
+	}{
+		{"dht P=512 locks=8", workload.Spec{Scheme: workload.SchemeRMARW, P: 512, Iters: 4,
+			Profile: workload.Uniform{FW: 0.02, NumLocks: 8}, Workload: &workload.DHTOps{ShardByLock: true}}, 6 << 20},
+		{"dhtvol P=256", workload.Spec{Scheme: workload.SchemeRMARW, P: 256, Iters: 4,
+			Profile: workload.Uniform{FW: 0.2}, Workload: &workload.DHTOps{}}, 3 << 20},
+	} {
+		var before, after runtime.MemStats
+		// Two collections empty every sync.Pool.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := workload.Run(c.spec); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: cold cell %d B (bound %d B)", c.name, got, c.bound)
+		if got >= c.bound {
+			t.Errorf("%s: a cold cell allocated %d B, bound %d B: is a hashtable volume on every rank again?", c.name, got, c.bound)
+		}
 	}
 }

@@ -108,12 +108,12 @@ func (w *CounterCompute) Extract(m *rma.Machine, r *Report) {
 // the paper's §5.3: a write intent inserts a uniformly random key, a
 // read intent looks one up. With ShardByLock ("dht"), lock k of the set
 // guards the volume of rank k (a sharded store whose per-volume
-// contention follows the profile's lock distribution). Without it
-// ("dhtvol") it is the paper's DHT benchmark: every operation targets
-// the volume of rank 0, which hosts it and runs no cycles; the run has
-// no warm-up phase unless the Spec asks for one, and the volume has an
-// overflow cell for every insert the run can make (Spec.fill,
-// Spec.first).
+// contention follows the profile's lock distribution), so only the
+// first min(locks, P) ranks host a volume. Without it ("dhtvol") it is
+// the paper's DHT benchmark: every operation targets the volume of
+// rank 0, which hosts it and runs no cycles; the run has no warm-up
+// phase unless the Spec asks for one, and the volume has an overflow
+// cell for every insert the run can make (Spec.fill, Spec.first).
 type DHTOps struct {
 	// Slots and Cells give the per-volume geometry (defaults 512, and
 	// 4096 sharded).
@@ -131,6 +131,10 @@ type DHTOps struct {
 
 	// Table is the underlying hashtable, populated by Setup.
 	Table *dht.Table
+
+	// volumes is how many ranks host a volume, set by Spec.fill on every
+	// run: the volumes a run can touch, and no more.
+	volumes int
 }
 
 func (w *DHTOps) Name() string {
@@ -160,7 +164,7 @@ func (w *DHTOps) Setup(m *rma.Machine) {
 	if w.Keyspace <= 0 {
 		w.Keyspace = 1 << 30
 	}
-	w.Table = dht.New(m, slots, cells)
+	w.Table = dht.New(m, w.volumes, slots, cells)
 }
 
 func (w *DHTOps) volume(p *rma.Proc, in Intent) int {
@@ -187,12 +191,8 @@ func (w *DHTOps) Body(p *rma.Proc, in Intent) {
 
 func (w *DHTOps) Extract(m *rma.Machine, r *Report) {
 	stored := 0
-	if w.ShardByLock {
-		for vol := 0; vol < m.Procs(); vol++ {
-			stored += w.Table.Count(m, vol)
-		}
-	} else {
-		stored = w.Table.Count(m, 0)
+	for vol := 0; vol < w.volumes; vol++ {
+		stored += w.Table.Count(m, vol)
 	}
 	r.Extra["stored"] = float64(stored)
 	r.Extra["overflows"] = float64(w.Table.Overflows)
