@@ -253,7 +253,10 @@ obs-smoke:
 # job derives them again and the cache holds only the cold job's 4
 # entry files — and that the daemon's result files, stored fragments
 # spliced by sweep.Encode, are cmp-equal to direct local workbench runs'
-# files. A grid with an entry no scheme of it takes (SWEEPD_REJECT) is
+# files. The finished cold and warm jobs' events, whose keys and
+# fingerprints a done job reads back from its fragments, still hold
+# every cell: four that ran, with their elapsed times, and four cache
+# hits. A grid with an entry no scheme of it takes (SWEEPD_REJECT) is
 # refused with 400 before a job exists. The final `kill` exercises
 # graceful shutdown: the daemon must drain and exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
@@ -300,6 +303,8 @@ sweepd-smoke:
 		http://$(SWEEPD_ADDR)/jobs > results/sweepd-reject.code; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs -o results/sweepd-jobs.json; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs/job-1/result -o results/sweepd-cold-again.json; \
+	curl -sf http://$(SWEEPD_ADDR)/jobs/job-1/events -o results/sweepd-cold-events.ndjson; \
+	curl -sf http://$(SWEEPD_ADDR)/jobs/job-3/events -o results/sweepd-warm-events.ndjson; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
 	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
@@ -318,7 +323,11 @@ sweepd-smoke:
 	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
 	cmp results/sweepd-tuned2.json results/sweepd-tuned-local.json
-	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs', and so is the cold job's result fetched again after the three later jobs; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
+	test "$$(grep -c '^{"cell":' results/sweepd-cold-events.ndjson)" -eq 4
+	test "$$(grep -c '^{"cell":"[^"]*","state":"done","fingerprint":".*","elapsed_ms":' results/sweepd-cold-events.ndjson)" -eq 4
+	test "$$(grep -c '^{"cell":' results/sweepd-warm-events.ndjson)" -eq 4
+	test "$$(grep -c '^{"cell":"[^"]*","state":"cached","fingerprint":".*"}$$' results/sweepd-warm-events.ndjson)" -eq 4
+	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs', and so is the cold job's result fetched again after the three later jobs; the finished cold and warm jobs' events list their 4 cells as run and as cached; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

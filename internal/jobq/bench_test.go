@@ -153,16 +153,22 @@ func TestDerivedJobAllocBytes(t *testing.T) {
 
 // retainedJobBound is the ceiling on the heap one finished warm job
 // keeps while the manager retains it. Such a job keeps a fragment per
-// cell, the cache's own bytes, and its progress tracker: 240 records
-// of 64 B and one string of the cells' keys. That is about 30 KB. A job
-// that kept its cells' results measured 192 KB, and its tracker's keys
-// kept the grid's 26 KB address block alive.
-const retainedJobBound = 48 << 10
+// cell, the cache's own bytes, its slice of them (5.8 KB), a state byte
+// per cell and the Job itself: about 7.3 KB. A tracker that kept its
+// 240 records of 64 B and its own copy of the keys measured 29 KB, a
+// job that kept its cells' results 192 KB.
+const retainedJobBound = 10 << 10
 
-// TestRetainedJobBytes bounds the heap a finished warm job keeps, so a
-// job that holds on to its reports, its addresses or a fat tracker
-// fails a test before it fills a long-running daemon's memory. It also
-// logs what a finished job of 48 derived cells keeps.
+// retainedDerivedJobBound is the ceiling on the heap a finished job of
+// 48 derived cells keeps: a warm job's, and a fragment of ≈2.3 KB per
+// derived cell, about 120 KB. With the tracker's records and their 48
+// fingerprints of ≈0.7 KB it measured 174 KB.
+const retainedDerivedJobBound = 150 << 10
+
+// TestRetainedJobBytes bounds the heap a finished warm job keeps, and
+// what a finished job of 48 derived cells keeps, so a job that holds on
+// to its reports, its addresses or a fat tracker fails a test before it
+// fills a long-running daemon's memory.
 func TestRetainedJobBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 240-cell cold fill takes 20 s under -race, and the detector's own allocations are not the job's")
@@ -193,9 +199,12 @@ func TestRetainedJobBytes(t *testing.T) {
 	if st := store.Stats(); st.Derived != 48*derivedJobs {
 		t.Fatalf("%d cells derived in %d jobs, want 48 a job", st.Derived, derivedJobs)
 	}
-	t.Logf("a finished warm job keeps %d B (bound %d B), a finished job of 48 derived cells %d B", warm, retainedJobBound, derived)
+	t.Logf("a finished warm job keeps %d B (bound %d B), a finished job of 48 derived cells %d B (bound %d B)", warm, retainedJobBound, derived, retainedDerivedJobBound)
 	if warm > retainedJobBound {
 		t.Errorf("a finished warm job keeps %d B, bound %d B: does it hold its cells' results, addresses or a fat tracker again?", warm, retainedJobBound)
+	}
+	if derived > retainedDerivedJobBound {
+		t.Errorf("a finished job of 48 derived cells keeps %d B, bound %d B: does its tracker keep its records again?", derived, retainedDerivedJobBound)
 	}
 }
 
@@ -256,6 +265,28 @@ func TestEventsStreamAllocBytes(t *testing.T) {
 	}
 	if alloc >= eventsStreamAllocBound {
 		t.Errorf("an events stream allocated %d B, bound %d B: is a line encoded on its own, or the stream's buffer grown from nil, again?", alloc, eventsStreamAllocBound)
+	}
+}
+
+// BenchmarkEventsStream measures one events stream of a finished warm
+// job, what `daemon-warm` serves once a job apart from HTTP: 240 cell
+// lines, their keys and fingerprints read back from the job's
+// fragments, and a summary.
+func BenchmarkEventsStream(b *testing.B) {
+	m, _, _ := warmManager(b)
+	j, err := m.Submit(warmGrid(), "bench/daemon")
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-j.Done()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countWriter
+		if err := j.Progress().StreamNDJSON(&w, time.Millisecond, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(w))
 	}
 }
 

@@ -9,6 +9,7 @@ package jobq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rmalocks/internal/obs"
@@ -61,11 +62,14 @@ type Config struct {
 // state/err/frags/fragErr, which the job goroutine writes under mu, and
 // cells, which only that goroutine touches.
 //
-// A finished job holds, per cell, its run-file fragment and its line
-// in the progress tracker, and nothing else of the cell: not its report
-// nor its address. A cache-served cell's fragment is the cache's own
-// bytes, so what such a cell costs the job is a slice header and a
-// tracker record; a derived or fault cell's fragment is the job's.
+// A done job holds, per cell, its run-file fragment and a byte of
+// progress state, and nothing else of the cell: not its report, its
+// address, nor its key or fingerprint, which the events stream reads
+// back from the fragment. A cache-served cell's fragment is the cache's
+// own bytes, so what such a cell costs the job is a slice header and a
+// byte; a derived or fault cell's fragment is the job's, and a cell
+// that ran keeps its elapsed time too. A failed or canceled job keeps
+// the tracker's full records.
 type Job struct {
 	ID    string
 	Label string
@@ -250,11 +254,33 @@ func (m *Manager) run(j *Job) {
 	case err != nil:
 		j.setState(StateFailed, err)
 	default:
-		frags, ferr := fragments(results)
-		j.mu.Lock()
-		j.frags, j.fragErr = frags, ferr
-		j.mu.Unlock()
+		j.finish(results)
 		j.setState(StateDone, nil)
+	}
+}
+
+// finish keeps the fragments of a job whose every cell succeeded, its
+// result. They hold each cell's key and fingerprint, so the tracker
+// reads its lines' back from them (sweep.AppendKeyText) and drops its
+// own. Not so with a fault axis: the tracker saw the cells before the
+// degradation join (sweep.Run), which gives fault cells new
+// fingerprints, so such a job keeps its tracker's records.
+func (j *Job) finish(results []sweep.CellResult) {
+	frags, err := fragments(results)
+	j.mu.Lock()
+	j.frags, j.fragErr = frags, err
+	j.mu.Unlock()
+	if err == nil && !slices.ContainsFunc(results, func(r sweep.CellResult) bool { return r.Key.Faults != "" }) {
+		j.prog.Compact(fragmentText(frags))
+	}
+}
+
+// fragmentText reads each cell's key text and fingerprint back from its
+// fragment.
+func fragmentText(frags [][]byte) obs.CellText {
+	return func(b []byte, i int) ([]byte, []byte) {
+		b, fp, _ := sweep.AppendKeyText(b, frags[i])
+		return b, fp
 	}
 }
 

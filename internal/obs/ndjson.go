@@ -16,13 +16,24 @@ import (
 // zero, HTML-safe strings, floats as encoding/json formats them, and a
 // trailing newline. A tick of the stream is then one Write.
 
-// appendCellLine appends l's NDJSON line.
-func appendCellLine(b []byte, l *CellLine) []byte {
+// appendCellLine appends l's NDJSON line. The key text and
+// fingerprint of a compacted tracker's line are read back through text
+// (non-nil), in the form appendString gives them.
+func appendCellLine(b []byte, l *CellLine, text CellText) []byte {
 	b = append(b, `{"cell":`...)
-	b = appendString(b, l.Cell)
+	var fp []byte
+	if text != nil {
+		b, fp = text(b, l.index)
+	} else {
+		b = appendString(b, l.Cell)
+	}
 	b = append(b, `,"state":`...)
 	b = appendString(b, l.State)
-	if l.Fingerprint != "" {
+	switch {
+	case len(fp) > len(`""`):
+		b = append(b, `,"fingerprint":`...)
+		b = append(b, fp...)
+	case l.Fingerprint != "":
 		b = append(b, `,"fingerprint":`...)
 		b = appendString(b, l.Fingerprint)
 	}

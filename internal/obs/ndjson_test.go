@@ -53,7 +53,7 @@ func FuzzProgressLines(f *testing.F) {
 		}
 		prefix := []byte("held\n")
 		l := CellLine{Cell: cell, State: state, Fingerprint: fp, Error: errText, ElapsedMs: elapsed}
-		if got, want := appendCellLine(bytes.Clone(prefix), &l), append(bytes.Clone(prefix), encoded(t, l)...); !bytes.Equal(got, want) {
+		if got, want := appendCellLine(bytes.Clone(prefix), &l, nil), append(bytes.Clone(prefix), encoded(t, l)...); !bytes.Equal(got, want) {
 			t.Fatalf("cell line\n got %q\nwant %q", got, want)
 		}
 		s := SummaryLine{

@@ -29,8 +29,18 @@ const (
 type SweepProgress struct {
 	mu      sync.Mutex
 	started time.Time
+	// elapsed is the sweep's wall time, set when its last cell turns
+	// terminal: a finished sweep's summary does not age.
+	elapsed time.Duration
 	title   string
 	cells   []cellStat
+	// text, states and took replace cells once Compact has dropped the
+	// records: cell i's key text and fingerprint are read back through
+	// text, its state is states[i], and took holds, in cell order, how
+	// long each cell in state cellRan ran.
+	text    CellText
+	states  []cellState
+	took    []time.Duration
 	done    int
 	running int
 	cached  int
@@ -45,8 +55,8 @@ type SweepProgress struct {
 	ver uint64
 }
 
-// cellStat is one cell's record, 64 bytes: a finished sweepd job keeps
-// one per cell for as long as it is retained.
+// cellStat is one cell's record, 64 bytes, while the sweep runs. A
+// finished sweepd job keeps none: Compact leaves a byte per cell.
 type cellStat struct {
 	key         string
 	fingerprint string
@@ -67,12 +77,15 @@ const (
 	cellDone
 	cellFailed
 	cellCached
+	// cellRan is, in a compacted tracker, a done cell that ran: one
+	// with an elapsed time.
+	cellRan
 )
 
 // stateNames spells each cellState as /progress writes it.
 var stateNames = [...]string{
 	cellQueued: StateQueued, cellRunning: StateRunning, cellDone: StateDone,
-	cellFailed: StateFailed, cellCached: StateCached,
+	cellFailed: StateFailed, cellCached: StateCached, cellRan: StateDone,
 }
 
 // NewSweepProgress creates an empty tracker; Start (called by
@@ -102,7 +115,8 @@ func (p *SweepProgress) Start(keys []string) {
 	all := text.String()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.started = time.Now()
+	p.started, p.elapsed = time.Now(), 0
+	p.text, p.states, p.took = nil, nil, nil
 	p.cells = make([]cellStat, len(keys))
 	for i, k := range keys {
 		p.cells[i] = cellStat{key: all[:len(k)]}
@@ -127,9 +141,8 @@ func (p *SweepProgress) CellCached(i int, fingerprint string) {
 	c := &p.cells[i]
 	c.state = cellCached
 	c.fingerprint = fingerprint
-	p.done++
 	p.cached++
-	p.ver++
+	p.finishLocked()
 }
 
 // CellRunning marks cell i as executing. Implements sweep.Progress.
@@ -174,8 +187,60 @@ func (p *SweepProgress) CellDone(i int, fingerprint string, err error) {
 		c.err = err.Error()
 		p.failed++
 	}
+	p.finishLocked()
+}
+
+// finishLocked counts a cell that turned terminal, and stops the
+// sweep's clock at the last. Caller holds p.mu.
+func (p *SweepProgress) finishLocked() {
 	p.done++
 	p.ver++
+	if p.done == len(p.cells) {
+		p.elapsed = time.Since(p.started)
+	}
+}
+
+// CellText reads back cell i of a finished sweep: it appends the cell's
+// key text to b as a JSON string, quoted and escaped as json.Marshal
+// writes it, and returns that with the cell's fingerprint written the
+// same way, which the caller only reads.
+type CellText func(b []byte, i int) (_, fingerprint []byte)
+
+// Compact drops each cell's key, fingerprint and error from a finished
+// tracker, which from then on reads the first two back through text.
+// It keeps the counts, each cell's state in a byte, and how long each
+// cell that ran took. text must read back, for every cell, the key and
+// fingerprint the tracker holds, so that no line the tracker writes
+// changes. Compact does nothing, and reports false, unless every cell
+// is terminal and none failed (a failed cell's line has an error). A
+// finished sweepd job compacts its tracker with a reader of its
+// fragments, which hold both.
+func (p *SweepProgress) Compact(text CellText) bool {
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cells == nil || p.done != len(p.cells) || p.failed != 0 {
+		return false
+	}
+	states := make([]cellState, len(p.cells))
+	ran := 0
+	for i, c := range p.cells {
+		states[i] = c.state
+		if c.at != 0 {
+			states[i] = cellRan
+			ran++
+		}
+	}
+	took := make([]time.Duration, 0, ran)
+	for _, c := range p.cells {
+		if c.at != 0 {
+			took = append(took, c.at)
+		}
+	}
+	p.text, p.states, p.took, p.cells = text, states, took, nil
+	return true
 }
 
 // CellLine is one cell's status, one NDJSON line of /progress.
@@ -185,6 +250,9 @@ type CellLine struct {
 	Fingerprint string  `json:"fingerprint,omitempty"`
 	Error       string  `json:"error,omitempty"`
 	ElapsedMs   float64 `json:"elapsed_ms,omitempty"`
+	// index is the line's cell, whose key text and fingerprint a
+	// compacted tracker reads back (CellText) instead of holding.
+	index int
 }
 
 // SummaryLine is the trailing NDJSON line of /progress: aggregate
@@ -214,9 +282,10 @@ type SummaryLine struct {
 // snapshotLocked renders the current state, the cells' lines into
 // lines' storage. Caller holds p.mu.
 func (p *SweepProgress) snapshotLocked(lines []CellLine) ([]CellLine, SummaryLine) {
-	lines = slices.Grow(lines[:0], len(p.cells))[:len(p.cells)]
-	elapsed := time.Duration(0)
-	if !p.started.IsZero() {
+	n := p.total()
+	lines = slices.Grow(lines[:0], n)[:n]
+	elapsed := p.elapsed
+	if !p.finishedLocked() && !p.started.IsZero() {
 		elapsed = time.Since(p.started)
 	}
 	for i, c := range p.cells {
@@ -228,22 +297,37 @@ func (p *SweepProgress) snapshotLocked(lines []CellLine) ([]CellLine, SummaryLin
 			lines[i].ElapsedMs = float64(c.at) / 1e6
 		}
 	}
+	took := p.took
+	for i, st := range p.states {
+		lines[i] = CellLine{State: stateNames[st], index: i}
+		if st == cellRan {
+			lines[i].ElapsedMs = float64(took[0]) / 1e6
+			took = took[1:]
+		}
+	}
 	sum := SummaryLine{
 		Summary: true, Title: p.title,
-		Total: len(p.cells), Done: p.done, Running: p.running,
-		Queued: len(p.cells) - p.done - p.running, Failed: p.failed,
+		Total: n, Done: p.done, Running: p.running,
+		Queued: n - p.done - p.running, Failed: p.failed,
 		Cached:    p.cached,
 		ElapsedMs: float64(elapsed) / 1e6, EtaMs: -1,
 	}
 	// ETA: remaining cells × mean wall time per computed completion.
-	if p.done == len(p.cells) {
+	if p.done == n {
 		sum.EtaMs = 0
 	} else if p.computed > 0 {
 		perCell := elapsed / time.Duration(p.computed)
-		sum.EtaMs = float64(perCell*time.Duration(len(p.cells)-p.done)) / 1e6
+		sum.EtaMs = float64(perCell*time.Duration(n-p.done)) / 1e6
 	}
 	return lines, sum
 }
+
+// total is the sweep's cell count. Caller holds p.mu.
+func (p *SweepProgress) total() int { return len(p.cells) + len(p.states) }
+
+// finishedLocked reports whether the sweep has cells and every one is
+// terminal. Caller holds p.mu.
+func (p *SweepProgress) finishedLocked() bool { return p.total() > 0 && p.done == p.total() }
 
 // Counts returns how many cells are terminal, how many of those were
 // served from the cache, and how many failed.
@@ -267,9 +351,10 @@ func (p *SweepProgress) WriteNDJSON(w io.Writer) error {
 	var sum SummaryLine
 	p.mu.Lock()
 	s.lines, sum = p.snapshotLocked(s.lines)
+	text := p.text
 	p.mu.Unlock()
 	for i := range s.lines {
-		s.buf = appendCellLine(s.buf, &s.lines[i])
+		s.buf = appendCellLine(s.buf, &s.lines[i], text)
 	}
 	s.buf = appendSummaryLine(s.buf, &sum)
 	_, err := w.Write(s.buf)
@@ -310,8 +395,9 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		p.mu.Lock()
 		// finished is read in the same critical section as the snapshot,
 		// so the tick that observes it also emits the final transitions.
-		finished := len(p.cells) > 0 && p.done == len(p.cells)
+		finished := p.finishedLocked()
 		emit := first || p.ver != ver
+		text := p.text
 		var changed []CellLine
 		var sum SummaryLine
 		if emit {
@@ -334,7 +420,7 @@ func (p *SweepProgress) StreamNDJSON(w io.Writer, interval time.Duration, done <
 		if emit {
 			s.buf = s.buf[:0]
 			for i := range changed {
-				s.buf = appendCellLine(s.buf, &changed[i])
+				s.buf = appendCellLine(s.buf, &changed[i], text)
 			}
 			s.buf = appendSummaryLine(s.buf, &sum)
 			if _, err := w.Write(s.buf); err != nil {

@@ -172,3 +172,88 @@ func TestCellRecords(t *testing.T) {
 		t.Errorf("states %q, %q; want done, cached", lines[1].State, lines[2].State)
 	}
 }
+
+// TestFinishedSummaryFrozen: a finished sweep's summary line, its
+// elapsed time included, reads the same however late it is read.
+func TestFinishedSummaryFrozen(t *testing.T) {
+	p := NewSweepProgress("frozen")
+	p.Start([]string{"a", "b"})
+	p.CellRunning(0)
+	p.CellDone(0, "fp-a", nil)
+	p.CellCached(1, "fp-b")
+	read := func() string {
+		var sb strings.Builder
+		if err := p.WriteNDJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(sb.String(), "\n")
+		return lines[len(lines)-2]
+	}
+	first := read()
+	time.Sleep(5 * time.Millisecond)
+	if again := read(); again != first {
+		t.Errorf("a finished sweep's summary changed between reads:\n%s%s", first, again)
+	}
+}
+
+// compactText reads keys and fingerprints back as the tracker writes
+// them, from a copy of its own, as a job's fragments do.
+func compactText(keys, fps []string) CellText {
+	return func(b []byte, i int) ([]byte, []byte) {
+		return appendString(b, keys[i]), appendString(nil, fps[i])
+	}
+}
+
+// TestCompactKeepsLines: a finished tracker writes the same bytes
+// before and after Compact, for cells that ran, were derived or were
+// cached, with keys and fingerprints that need escapes; a stream opened
+// before Compact and one opened after end on the same lines. A tracker
+// that has not finished, or has a failed cell, does not compact.
+func TestCompactKeepsLines(t *testing.T) {
+	keys := []string{"a/x/P=1", `b/<&>/P=2/TR="9"`, "c/x/P=3", "d/ /P=4"}
+	fps := []string{"fp-a", "fp <b> & \"c\"", "", "fp-\xff"}
+	p := NewSweepProgress("compact")
+	p.Start(keys)
+	p.CellRunning(0)
+	p.CellRunning(3)
+	time.Sleep(time.Millisecond)
+	p.CellDone(0, fps[0], nil)
+	p.CellDone(1, fps[1], nil) // derived: done without running
+	if p.Compact(compactText(keys, fps)) {
+		t.Fatal("a tracker with cells still running compacted")
+	}
+	p.CellCached(2, fps[2])
+	p.CellDone(3, fps[3], nil)
+	var before, stream strings.Builder
+	if err := p.WriteNDJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Compact(compactText(keys, fps)) {
+		t.Fatal("a finished tracker did not compact")
+	}
+	if p.cells != nil || len(p.states) != 4 || len(p.took) != 2 {
+		t.Fatalf("compacted tracker keeps %d records, %d states and %d times; want 0, 4 and 2", len(p.cells), len(p.states), len(p.took))
+	}
+	var after strings.Builder
+	if err := p.WriteNDJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Errorf("lines changed by Compact:\nbefore:\n%safter:\n%s", before.String(), after.String())
+	}
+	if err := p.StreamNDJSON(&stream, time.Millisecond, nil); err != nil {
+		t.Fatal(err)
+	}
+	if stream.String() != before.String() {
+		t.Errorf("a stream of the compacted tracker:\n%swant:\n%s", stream.String(), before.String())
+	}
+	if p.Compact(compactText(keys, fps)) {
+		t.Error("a compacted tracker compacted again")
+	}
+
+	p.Start(keys[:1])
+	p.CellDone(0, "", errors.New("boom"))
+	if p.Compact(compactText(keys, fps)) {
+		t.Error("a tracker with a failed cell compacted")
+	}
+}

@@ -58,3 +58,24 @@ func BenchmarkSweepCheck(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendKeyText measures reading a cell's key text and
+// fingerprint back from its fragment, what a finished sweepd job's
+// events stream pays per cell line.
+func BenchmarkAppendKeyText(b *testing.B) {
+	results, err := sweep.Run(mustCells(b, benchGrid()), sweep.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frag, err := sweep.Fragment(results[len(results)-1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := sweep.AppendKeyText(buf, frag); !ok {
+			b.Fatal("fragment not read")
+		}
+	}
+}

@@ -253,81 +253,11 @@ func TestKeyNamesInput(t *testing.T) {
 
 // FuzzEncodeMatchesMarshalIndent drives labels, map keys and float bit
 // patterns through both encoders: equal bytes, or an error from both
-// (NaN and the infinities). Cells alternate between bare, sealed and
-// decoded so spliced and on-the-spot fragments meet in one file. Beside
-// each one sits a sibling derived by the splice (Retune) from a source
-// of the same route with the fuzzed tunables and faults, retuned to the
-// target tunables: its fingerprint must be its report's, its fragment,
-// when its source had one, the encoder's.
+// (NaN and the infinities), over the cells of fuzzCells.
 func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
-	f.Add("label", "", "stored", "", math.Float64bits(1.5), math.Float64bits(-0.0), uint8(3), "TR=500", "")
-	f.Add(`<>&"\`, "2026-10-01T00:00:00Z", "a b", "TR=500", math.Float64bits(1e21), math.Float64bits(5e-324), uint8(7), "", "jitter=0.2")
-	f.Add("", "x", "\xff\x00", "é", math.Float64bits(math.NaN()), uint64(0), uint8(1), "<>&", "\xe2")
-	f.Add("inf", "", "", "", uint64(0), math.Float64bits(math.Inf(-1)), uint8(0), "", "")
+	addCellSeeds(f)
 	f.Fuzz(func(t *testing.T, label, created, extraKey, tunables string, bitsA, bitsB uint64, n uint8, target, faults string) {
-		a, b := math.Float64frombits(bitsA), math.Float64frombits(bitsB)
-		cell := func(i int, edit func(*sweep.CellResult)) sweep.CellResult {
-			c := sampleCell(func(r *sweep.CellResult) {
-				r.Key.Tunables, r.Report.Tunables = tunables, tunables
-				r.Key.Workload = label
-				r.Fingerprint = extraKey + created
-				r.Report.ThroughputMops = a
-				r.Report.Latency.Mean = b
-				r.Report.Extra[extraKey] = a
-				if i%2 == 1 {
-					r.Report.Extra = nil
-					r.Report.Fairness = b
-					r.Report.HandoffLocality = []int64{int64(bitsA), int64(i)}
-				}
-				if edit != nil {
-					edit(r)
-				}
-			})
-			switch i % 3 {
-			case 1:
-				if s, err := sweep.SealCell(c); err == nil {
-					c = s
-				}
-			case 2:
-				if payload, err := json.Marshal(c); err == nil {
-					d, err := sweep.DecodeCell(payload)
-					switch {
-					case err == nil:
-						c = d
-					case utf8.ValidString(label) && utf8.ValidString(created) && utf8.ValidString(extraKey) && utf8.ValidString(tunables) && utf8.ValidString(faults):
-						t.Fatalf("DecodeCell rejected json.Marshal's own output: %v\n%s", err, payload)
-					}
-					// Marshal writes an invalid byte as the escape \ufffd and
-					// a decoded U+FFFD as itself, so such a payload is not
-					// canonical: the cell stays bare, as a cache would
-					// recompute it.
-				}
-			}
-			return c
-		}
-		var cells []sweep.CellResult
-		for i := 0; i < int(n%8); i++ {
-			src := cell(i, func(r *sweep.CellResult) {
-				r.Key.Faults, r.Report.Faults = faults, faults
-				r.Fingerprint = r.Report.Fingerprint()
-			})
-			key := src.Key
-			key.Tunables = target
-			d, ok := sweep.Retune(src, key)
-			if !ok {
-				t.Fatalf("Retune refused a source whose fingerprint and fragment are its own")
-			}
-			if want := d.Report.Fingerprint(); d.Fingerprint != want {
-				t.Fatalf("spliced fingerprint differs from the report's\n got: %s\nwant: %s", d.Fingerprint, want)
-			}
-			if d.Key != key || d.Report.Tunables != target || !d.Derived {
-				t.Fatalf("derived cell %+v is not %s's", d.Key, key)
-			}
-			if (sweep.CellFragment(d) == nil) != (sweep.CellFragment(src) == nil) {
-				t.Fatalf("source fragment %v, derived fragment %v", sweep.CellFragment(src) != nil, sweep.CellFragment(d) != nil)
-			}
-			cells = append(cells, cell(i, nil), d)
-		}
+		cells := fuzzCells(t, label, created, extraKey, tunables, bitsA, bitsB, n, target, faults)
 		if n >= 128 && cells == nil {
 			cells = []sweep.CellResult{}
 		}
@@ -341,4 +271,114 @@ func FuzzEncodeMatchesMarshalIndent(f *testing.F) {
 			t.Fatalf("Encode differs from MarshalIndent\n got: %s\nwant: %s", got, want)
 		}
 	})
+}
+
+// FuzzAppendKeyText reads each cell of fuzzCells back from its
+// fragment: the key text and fingerprint AppendKeyText returns are
+// Key.String() and Fingerprint as json.Marshal, and so the progress
+// stream, escapes them. A fragment cut short is refused, with the
+// buffer left as it was.
+func FuzzAppendKeyText(f *testing.F) {
+	addCellSeeds(f)
+	f.Fuzz(func(t *testing.T, label, created, extraKey, tunables string, bitsA, bitsB uint64, n uint8, target, faults string) {
+		for _, c := range fuzzCells(t, label, created, extraKey, tunables, bitsA, bitsB, n, target, faults) {
+			frag, err := sweep.Fragment(c)
+			if err != nil {
+				continue // a cell that does not marshal has no fragment
+			}
+			key, _ := json.Marshal(c.Key.String())
+			fp, _ := json.Marshal(c.Fingerprint)
+			got, gotFP, ok := sweep.AppendKeyText([]byte("x"), frag)
+			if !ok || string(got) != "x"+string(key) || !bytes.Equal(gotFP, fp) {
+				t.Fatalf("read back %s and %s (ok %v), want %s and %s from\n%s", got, gotFP, ok, key, fp, frag)
+			}
+			for _, cut := range []int{len(frag) / 3, len(frag) - 1} {
+				if got, _, ok := sweep.AppendKeyText([]byte("x"), frag[:cut]); ok || string(got) != "x" {
+					t.Fatalf("read %s (ok %v) from a fragment cut at %d of %d", got, ok, cut, len(frag))
+				}
+			}
+		}
+	})
+}
+
+// addCellSeeds seeds a fuzz target over fuzzCells' arguments.
+func addCellSeeds(f *testing.F) {
+	f.Add("label", "", "stored", "", math.Float64bits(1.5), math.Float64bits(-0.0), uint8(3), "TR=500", "")
+	f.Add(`<>&"\`, "2026-10-01T00:00:00Z", "a b", "TR=500", math.Float64bits(1e21), math.Float64bits(5e-324), uint8(7), "", "jitter=0.2")
+	f.Add("", "x", "\xff\x00", "é", math.Float64bits(math.NaN()), uint64(0), uint8(1), "<>&", "\xe2")
+	f.Add("inf", "", "", "", uint64(0), math.Float64bits(math.Inf(-1)), uint8(0), "", "")
+}
+
+// fuzzCells builds n%8 pairs of cells from fuzzed labels, map keys,
+// float bit patterns, tunables and faults. Cells alternate between
+// bare, sealed and decoded, so spliced and on-the-spot fragments meet in
+// one file. Beside each one sits a sibling derived by the splice
+// (Retune) from a source of the same route with the fuzzed tunables and
+// faults, retuned to the target tunables: its fingerprint must be its
+// report's, and it must have a fragment when its source had one.
+func fuzzCells(t *testing.T, label, created, extraKey, tunables string, bitsA, bitsB uint64, n uint8, target, faults string) []sweep.CellResult {
+	a, b := math.Float64frombits(bitsA), math.Float64frombits(bitsB)
+	cell := func(i int, edit func(*sweep.CellResult)) sweep.CellResult {
+		c := sampleCell(func(r *sweep.CellResult) {
+			r.Key.Tunables, r.Report.Tunables = tunables, tunables
+			r.Key.Workload = label
+			r.Fingerprint = extraKey + created
+			r.Report.ThroughputMops = a
+			r.Report.Latency.Mean = b
+			r.Report.Extra[extraKey] = a
+			if i%2 == 1 {
+				r.Report.Extra = nil
+				r.Report.Fairness = b
+				r.Report.HandoffLocality = []int64{int64(bitsA), int64(i)}
+			}
+			if edit != nil {
+				edit(r)
+			}
+		})
+		switch i % 3 {
+		case 1:
+			if s, err := sweep.SealCell(c); err == nil {
+				c = s
+			}
+		case 2:
+			if payload, err := json.Marshal(c); err == nil {
+				d, err := sweep.DecodeCell(payload)
+				switch {
+				case err == nil:
+					c = d
+				case utf8.ValidString(label) && utf8.ValidString(created) && utf8.ValidString(extraKey) && utf8.ValidString(tunables) && utf8.ValidString(faults):
+					t.Fatalf("DecodeCell rejected json.Marshal's own output: %v\n%s", err, payload)
+				}
+				// Marshal writes an invalid byte as the escape \ufffd and
+				// a decoded U+FFFD as itself, so such a payload is not
+				// canonical: the cell stays bare, as a cache would
+				// recompute it.
+			}
+		}
+		return c
+	}
+	var cells []sweep.CellResult
+	for i := 0; i < int(n%8); i++ {
+		src := cell(i, func(r *sweep.CellResult) {
+			r.Key.Faults, r.Report.Faults = faults, faults
+			r.Fingerprint = r.Report.Fingerprint()
+		})
+		key := src.Key
+		key.Tunables = target
+		d, ok := sweep.Retune(src, key)
+		if !ok {
+			t.Fatalf("Retune refused a source whose fingerprint and fragment are its own")
+		}
+		if want := d.Report.Fingerprint(); d.Fingerprint != want {
+			t.Fatalf("spliced fingerprint differs from the report's\n got: %s\nwant: %s", d.Fingerprint, want)
+		}
+		if d.Key != key || d.Report.Tunables != target || !d.Derived {
+			t.Fatalf("derived cell %+v is not %s's", d.Key, key)
+		}
+		if (sweep.CellFragment(d) == nil) != (sweep.CellFragment(src) == nil) {
+			t.Fatalf("source fragment %v, derived fragment %v", sweep.CellFragment(src) != nil, sweep.CellFragment(d) != nil)
+		}
+		cells = append(cells, cell(i, nil), d)
+	}
+	return cells
 }

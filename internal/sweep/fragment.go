@@ -163,6 +163,95 @@ const (
 	fragEnd   = "\"\n    }" // the fingerprint's closing quote, the cell's brace
 )
 
+// The lines of a fragment that AppendKeyText reads: the opening of the
+// cell and its key, each member of the key (keyMembers), the key's
+// close, and the fingerprint, the cell's last member: the start of a
+// cell member's line, and its name.
+const (
+	keyOpen  = "{\n      \"key\": {"
+	keyClose = "\n      },"
+	fpIndent = "\n      \""
+	fpName   = "fingerprint\": \""
+)
+
+// keyMembers are the members of a fragment's key in field order: the
+// start of each one's line, what the key text writes before its value,
+// whether the value is a string, and whether the member may be left
+// out (omitempty).
+var keyMembers = [...]struct {
+	line, sep     string
+	str, optional bool
+}{
+	{"\n        \"scheme\": ", "", true, false},
+	{"\n        \"workload\": ", "/", true, false},
+	{"\n        \"profile\": ", "/", true, false},
+	{keyP, "/P=", false, false},
+	{keyTun[1:], "/", true, true},
+	{"\n        \"faults\": ", "/faults=", true, true},
+}
+
+// AppendKeyText appends to b the key text (Key.String) of the cell frag
+// encodes, and returns it with the cell's fingerprint, a slice of frag.
+// Both are JSON strings, quoted and escaped as json.Marshal writes them.
+// They are read off frag's layout, and nothing is decoded: each member
+// of the key is a line of its own, in field order, and the fingerprint
+// is the cell's last line. Marshal escapes a string rune by rune, and
+// the key text joins its members with ASCII, so the members' escapes
+// joined are the text's. ok is false, and b is returned as it was, when
+// frag is not so laid out.
+func AppendKeyText(b, frag []byte) (_, fingerprint []byte, ok bool) {
+	n := len(b)
+	rest, ok := cutPrefix(frag, keyOpen)
+	if !ok {
+		return b, nil, false
+	}
+	b = append(b, '"')
+	for _, m := range keyMembers {
+		line, set := cutPrefix(rest, m.line)
+		if !set && m.optional {
+			continue
+		}
+		end := bytes.IndexByte(line, '\n')
+		if !set || end < 0 {
+			return b[:n], nil, false
+		}
+		// A string's last byte is its quote: a comma after it ends the
+		// member.
+		v := bytes.TrimSuffix(line[:end], []byte{','})
+		switch {
+		case !m.str && len(v) == 0, m.str && (len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"'):
+			return b[:n], nil, false
+		case m.str:
+			v = v[1 : len(v)-1]
+		}
+		b = append(append(b, m.sep...), v...)
+		rest = line[end:]
+	}
+	if _, ok = cutPrefix(rest, keyClose); !ok {
+		return b[:n], nil, false
+	}
+	b = append(b, '"')
+	// The fingerprint ends the cell. Its name followed by a string is
+	// found nowhere before it: a string's quotes are escaped, and no
+	// other member of that name holds a string. The search skips ahead
+	// to the name's first byte, 'f', which few lines hold.
+	body, ok := bytes.CutSuffix(frag, []byte(fragEnd))
+	at := bytes.Index(body, []byte(fpName))
+	if !ok || at < len(fpIndent) || string(body[at-len(fpIndent):at]) != fpIndent {
+		return b[:n], nil, false
+	}
+	return b, frag[at+len(fpName)-1 : len(body)+1], true
+}
+
+// cutPrefix is bytes.CutPrefix with a string prefix, which it compares
+// without converting.
+func cutPrefix(s []byte, prefix string) ([]byte, bool) {
+	if len(s) < len(prefix) || string(s[:len(prefix)]) != prefix {
+		return s, false
+	}
+	return s[len(prefix):], true
+}
+
 // retune returns src as the result of the sibling cell key names, which
 // differs from src.Key in its tunables only: src's report with key's
 // tunables. Its fingerprint and fragment are src's with the three

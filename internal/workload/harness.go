@@ -225,13 +225,12 @@ func (s *Spec) fill() {
 	if s.Warmup < 0 {
 		s.Warmup = 0
 	}
-	if bench != nil && bench.Cells == 0 {
-		bench.Cells = s.P*(s.Iters+s.Warmup) + 16
-	}
 	if d, ok := s.Workload.(*DHTOps); ok {
-		d.volumes = 1
+		d.volumes, d.cells, d.atomic = 1, d.Cells, s.Scheme == SchemeFoMPIA
 		if d.ShardByLock {
 			d.volumes = min(s.Profile.Locks(), s.P)
+		} else if d.cells == 0 {
+			d.cells = s.P*(s.Iters+s.Warmup) + 16
 		}
 	}
 }
@@ -282,10 +281,9 @@ func run(spec Spec, want bool) (Report, Witness, error) {
 	var err error
 	noLock := spec.Scheme == SchemeFoMPIA
 	if noLock {
-		// Only the hashtable has an atomic operation family.
-		if d, ok := spec.Workload.(*DHTOps); ok {
-			d.Atomic = true
-		} else {
+		// Only the hashtable has an atomic operation family (fill
+		// selects it).
+		if _, ok := spec.Workload.(*DHTOps); !ok {
 			err = &AtomicFamilyError{Workload: spec.Workload.Name()}
 		}
 	} else {

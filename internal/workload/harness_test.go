@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"rmalocks/internal/rma"
@@ -129,6 +130,35 @@ func TestRunSkipRanks(t *testing.T) {
 	}
 }
 
+// TestReusedDHTOpsKeepsNoRunState runs one DHTOps value under several
+// Specs: each report equals a fresh value's, so neither the volume's
+// size nor the operation family of an earlier run carries over.
+func TestReusedDHTOpsKeepsNoRunState(t *testing.T) {
+	run := func(w *workload.DHTOps, scheme string, p, iters int) workload.Report {
+		t.Helper()
+		rep, err := workload.Run(workload.Spec{Scheme: scheme, P: p, Iters: iters, Workload: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	reused := &workload.DHTOps{}
+	run(reused, workload.SchemeRMARW, 8, 5)
+	got, want := run(reused, workload.SchemeRMARW, 64, 20), run(&workload.DHTOps{}, workload.SchemeRMARW, 64, 20)
+	if want.Extra["overflows"] != 0 || want.Extra["stored"] != 1260 {
+		t.Fatalf("a fresh value reports overflows=%v stored=%v, want 0 and 1260", want.Extra["overflows"], want.Extra["stored"])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after a run at P=8, P=64 reports overflows=%v stored=%v, a fresh value %v and %v",
+			got.Extra["overflows"], got.Extra["stored"], want.Extra["overflows"], want.Extra["stored"])
+	}
+	run(reused, workload.SchemeFoMPIA, 8, 5)
+	got, want = run(reused, workload.SchemeRMARW, 8, 5), run(&workload.DHTOps{}, workload.SchemeRMARW, 8, 5)
+	if !reflect.DeepEqual(got, want) || workload.RanAtomic(reused) {
+		t.Errorf("after a foMPI-A run, RMA-RW reports %s (atomic family %v), a fresh value %s", got.Fingerprint(), workload.RanAtomic(reused), want.Fingerprint())
+	}
+}
+
 func TestRunNoLockDHT(t *testing.T) {
 	w := &workload.DHTOps{Slots: 64, Cells: 256}
 	rep, err := workload.Run(workload.Spec{
@@ -139,7 +169,7 @@ func TestRunNoLockDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Atomic {
+	if !workload.RanAtomic(w) {
 		t.Error("foMPI-A ran the plain operation family")
 	}
 	if rep.Writes == 0 {

@@ -116,14 +116,11 @@ func (w *CounterCompute) Extract(m *rma.Machine, r *Report) {
 // cell for every insert the run can make (Spec.fill, Spec.first).
 type DHTOps struct {
 	// Slots and Cells give the per-volume geometry (defaults 512, and
-	// 4096 sharded).
+	// 4096 sharded; without Cells the DHT benchmark sizes its volume to
+	// the run).
 	Slots, Cells int
 	// Keyspace bounds the random keys (default 1<<30).
 	Keyspace int64
-	// Atomic selects the lock-free CAS/FAO operation family, which
-	// SchemeFoMPIA turns on; otherwise the Plain family is used and the
-	// surrounding lock provides exclusion.
-	Atomic bool
 	// ShardByLock maps lock index to volume rank. Only sound when the
 	// profile's lock-set size is at most the process count, so no two
 	// locks guard the same volume.
@@ -132,9 +129,15 @@ type DHTOps struct {
 	// Table is the underlying hashtable, populated by Setup.
 	Table *dht.Table
 
-	// volumes is how many ranks host a volume, set by Spec.fill on every
-	// run: the volumes a run can touch, and no more.
-	volumes int
+	// The run's own geometry and operation family, which Spec.fill sets
+	// on every run, so a value reused for another Spec keeps nothing of
+	// the last: volumes is how many ranks host a volume (the volumes a
+	// run can touch, and no more), cells each volume's overflow cells,
+	// and atomic selects the lock-free CAS/FAO family, which
+	// SchemeFoMPIA runs; otherwise the Plain family is used and the
+	// surrounding lock provides exclusion.
+	volumes, cells int
+	atomic         bool
 }
 
 func (w *DHTOps) Name() string {
@@ -154,7 +157,7 @@ func hostedDHT(w Workload) *DHTOps {
 }
 
 func (w *DHTOps) Setup(m *rma.Machine) {
-	slots, cells := w.Slots, w.Cells
+	slots, cells := w.Slots, w.cells
 	if slots <= 0 {
 		slots = 512
 	}
@@ -178,11 +181,11 @@ func (w *DHTOps) Body(p *rma.Proc, in Intent) {
 	vol := w.volume(p, in)
 	key := p.Rand().Int63n(w.Keyspace)
 	switch {
-	case in.Write && w.Atomic:
+	case in.Write && w.atomic:
 		w.Table.AtomicInsert(p, vol, key)
 	case in.Write:
 		w.Table.PlainInsert(p, vol, key)
-	case w.Atomic:
+	case w.atomic:
 		w.Table.AtomicLookup(p, vol, key)
 	default:
 		w.Table.PlainLookup(p, vol, key)
