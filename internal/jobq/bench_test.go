@@ -80,11 +80,12 @@ func BenchmarkDerivedJob(b *testing.B) {
 }
 
 // warmJobAllocBound is the ceiling on bytes one warm 240-cell job may
-// allocate. Splicing stored fragments a job allocates 0.89 MB: 0.52 MB
-// is the result buffer itself, the rest the grid's enumerated cells, the
-// results slice and the progress tracker. At 8b765ae, where every hit
-// was decoded and the result re-marshalled, this same file measured
-// 2.07 MB — twice the head-room still sits below that.
+// allocate. Splicing stored fragments a job allocates 0.71 MB: 0.52 MB
+// is the result buffer itself, the rest the grid's enumerated cells and
+// the progress tracker; its results are its run slot's storage. At
+// 8b765ae, where every hit was decoded and the result re-marshalled,
+// this same file measured 2.07 MB — twice the head-room still sits
+// below that.
 const warmJobAllocBound = 1800 << 10
 
 // TestWarmJobAllocBytes bounds the bytes a warm job allocates, so a
@@ -114,8 +115,8 @@ func TestWarmJobAllocBytes(t *testing.T) {
 
 // derivedJobAllocBound is the ceiling on bytes one job of warmGrid with
 // a new TR may allocate: a warm job's, plus 48 derived cells. Spliced
-// from their sources' fragments they allocate 1.08 MB a job: a warm
-// job's 0.85 MB, a fragment and a fingerprint per derived cell, and the
+// from their sources' fragments they allocate 0.91 MB a job: a warm
+// job's 0.71 MB, a fragment and a fingerprint per derived cell, and the
 // store's sibling lookups. Where derive re-formatted each fingerprint
 // and Encode marshalled and indented each derived cell, this same job
 // allocated 1.86 MB, about 16 KB more per cell; the bound sits between.

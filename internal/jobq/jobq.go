@@ -157,8 +157,13 @@ func (j *Job) setState(state string, err error) {
 
 // Manager owns the job table and the run slots.
 type Manager struct {
-	cfg   Config
-	slots chan struct{}
+	cfg Config
+	// slots holds a run slot per job that may run at once. A slot is
+	// the storage its job's sweep returns results in (sweep.Options'
+	// Results), cleared when the job lets it go: a job's results are
+	// garbage once its fragments are taken, and reusing them keeps a
+	// warm job's largest allocation off the collector's books.
+	slots chan []sweep.CellResult
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -174,12 +179,21 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1
 	}
-	return &Manager{
+	m := &Manager{
 		cfg:   cfg,
-		slots: make(chan struct{}, cfg.MaxJobs),
+		slots: make(chan []sweep.CellResult, cfg.MaxJobs),
 		jobs:  make(map[string]*Job),
 	}
+	for i := 0; i < cfg.MaxJobs; i++ {
+		m.slots <- nil
+	}
+	return m
 }
+
+// maxSlotResults is the most results a run slot keeps for the next job,
+// 2.3 MB of them: the results of a larger job are left to the collector
+// rather than held for as long as the daemon runs.
+const maxSlotResults = 4096
 
 // Submit enumerates the grid (rejecting, before a job ID is ever
 // minted, every grid Grid.Cells rejects), registers the job, and
@@ -223,6 +237,7 @@ func (m *Manager) Submit(g sweep.Grid, label string) (*Job, error) {
 // slot, sweep, record the outcome.
 func (m *Manager) run(j *Job) {
 	defer m.wg.Done()
+	var slot []sweep.CellResult
 	if j.prev != nil {
 		select {
 		case <-j.cancel:
@@ -237,17 +252,27 @@ func (m *Manager) run(j *Job) {
 		close(j.started)
 		j.setState(StateCanceled, sweep.ErrCanceled)
 		return
-	case m.slots <- struct{}{}:
+	case slot = <-m.slots:
 	}
 	close(j.started)
-	defer func() { <-m.slots }()
+	defer func() {
+		if cap(slot) > maxSlotResults {
+			slot = nil
+		}
+		clear(slot[:cap(slot)])
+		m.slots <- slot[:0]
+	}()
 	j.setState(StateRunning, nil)
 	results, err := sweep.Run(j.cells, sweep.Options{
 		Workers:  m.cfg.Workers,
 		Cache:    m.cfg.Cache,
 		Cancel:   j.cancel,
 		Progress: j.prog,
+		Results:  slot,
 	})
+	if cap(results) > cap(slot) {
+		slot = results
+	}
 	switch {
 	case errors.Is(err, sweep.ErrCanceled):
 		j.setState(StateCanceled, err)

@@ -182,6 +182,12 @@ type Options struct {
 	// claiming new cells, in-flight cells run to completion (and still
 	// reach the Cache), and Run returns ErrCanceled.
 	Cancel <-chan struct{}
+	// Results, when it has room for every cell, is the storage Run
+	// returns its results in, overwritten from its first element, so
+	// that a caller running one sweep after another need not allocate
+	// each one's results. The caller must be done with the results of
+	// the sweep that last used it.
+	Results []CellResult
 }
 
 // CellCache memoizes cell results by content address (Cell.Input).
@@ -302,7 +308,13 @@ func Run(cells []Cell, opts Options) ([]CellResult, error) {
 		}
 		opts.Progress.Start(keys)
 	}
-	results := make([]CellResult, len(cells))
+	results := opts.Results[:0]
+	if cap(results) < len(cells) {
+		results = make([]CellResult, len(cells))
+	} else {
+		results = results[:len(cells)]
+		clear(results)
+	}
 	// Cache pre-pass: resolve hits and derivations up front, so only
 	// dirty cells reach the worker pool and progress knows immediately
 	// which cells are instantaneous (the ETA extrapolates from computed

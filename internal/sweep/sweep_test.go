@@ -68,6 +68,48 @@ func TestRunCheckMode(t *testing.T) {
 	}
 }
 
+// TestRunReusesResults runs a grid into the storage of another grid's
+// results: Run returns them there, and they encode as a run into fresh
+// storage does, so nothing of the other grid's cells shows through. A
+// storage too small for the grid is left alone.
+func TestRunReusesResults(t *testing.T) {
+	encode := func(cells []sweep.CellResult) []byte {
+		t.Helper()
+		b, err := sweep.Encode(sweep.RunFile{Label: "reuse", Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want, err := sweep.Run(mustCells(t, testGrid()), sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := testGrid()
+	other.Iters, other.FW = 20, 0.5
+	storage, err := sweep.Run(mustCells(t, other), sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sweep.Run(mustCells(t, testGrid()), sweep.Options{Results: storage[:0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &storage[0] {
+		t.Error("Run allocated results beside storage with room for every cell")
+	}
+	if !bytes.Equal(encode(got), encode(want)) {
+		t.Error("results run into another grid's storage differ from a fresh run's")
+	}
+	short, err := sweep.Run(mustCells(t, testGrid()), sweep.Options{Results: storage[: 0 : len(storage)-1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &short[0] == &storage[0] {
+		t.Error("Run wrote past the capacity of the storage it was given")
+	}
+}
+
 func TestRunPropagatesCellErrors(t *testing.T) {
 	g := testGrid()
 	g.Tunables = []sweep.TunableAxis{{Key: "TR", Values: []int64{-1}}}
