@@ -246,22 +246,30 @@ obs-smoke:
 # axis (-tune TR=900 applies only to RMA-RW; the two d-MCS cells are
 # untouched), resubmit the first grid unchanged, then the tuned grid
 # again. Asserts from /metrics that exactly the unchanged cells hit the
-# cache (2 of each tuned job, 4 of the repeat; 4 + 2 + 2 missed), that
+# cache (2 of each tuned job, 4 of the repeat, 8 of the warm fault job;
+# 4 + 2 + 2 + 8 missed), that
 # each tuned job's two RMA-RW misses were derived from the cold job's
 # stored entries, whose witnesses admit T_R = 900 (no counter gets near
 # it at this size) — derived cells are never stored, so the second tuned
-# job derives them again and the cache holds only the cold job's 4
-# entry files — and that the daemon's result files, stored fragments
+# job derives them again and the cache holds only the two cold jobs'
+# 4 + 8 entry files — and that the daemon's result files, stored fragments
 # spliced by sweep.Encode, are cmp-equal to direct local workbench runs'
 # files. The finished cold and warm jobs' events, whose keys and
 # fingerprints a done job reads back from its fragments, still hold
 # every cell: four that ran, with their elapsed times, and four cache
-# hits. A grid with an entry no scheme of it takes (SWEEPD_REJECT) is
-# refused with 400 before a job exists. The final `kill` exercises
-# graceful shutdown: the daemon must drain and exit 0.
+# hits. The same grid with a fault axis (SWEEPD_FAULTS) is posted cold
+# and then warm: each result file is cmp-equal to a local run's, and the
+# finished cold job's events carry every fingerprint its result holds,
+# the degradation join's included. A grid with an entry no scheme of it
+# takes (SWEEPD_REJECT) is refused with 400 before a job exists. The
+# final `kill` exercises graceful shutdown: the daemon must drain and
+# exit 0.
 SWEEPD_ADDR = 127.0.0.1:9139
 SWEEPD_GRID = -schemes D-MCS,RMA-RW -workloads empty -profiles uniform,zipf \
 	-ps 16 -iters 20 -locks 4
+# SWEEPD_GRID's fault axis: a profile every scheme of it can run, next
+# to the fault-free baseline, so 8 cells.
+SWEEPD_FAULTS = -faults 'jitter=0.2,stall=50us@0.01'
 # SWEEPD_GRID's shape with D-MCS alone and a TR axis, which no scheme of
 # it takes: the daemon answers 400 naming TR and mints no job.
 SWEEPD_REJECT = {"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform","zipf"],"ps":[16],"iters":20,"locks":4,"tunables":[{"key":"TR","values":[900]}]}
@@ -275,6 +283,8 @@ sweepd-smoke:
 		> results/sweepd-local.txt
 	./results/workbench-sweepd $(SWEEPD_GRID) -tune TR=900 -out results/sweepd-tuned-local.json \
 		> results/sweepd-tuned-local.txt
+	./results/workbench-sweepd $(SWEEPD_GRID) $(SWEEPD_FAULTS) -out results/sweepd-faults-local.json \
+		> results/sweepd-faults-local.txt
 	@set -e; \
 	./results/sweepd -listen $(SWEEPD_ADDR) -cache-dir results/sweepd-cache \
 		2> results/sweepd.err & \
@@ -299,35 +309,53 @@ sweepd-smoke:
 	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) -tune TR=900 \
 		-out results/sweepd-tuned2.json \
 		> results/sweepd-tuned2.txt 2> results/sweepd-tuned2.err; \
+	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) $(SWEEPD_FAULTS) \
+		-out results/sweepd-faults-cold.json \
+		> results/sweepd-faults-cold.txt 2> results/sweepd-faults-cold.err; \
+	./results/workbench-sweepd -submit $(SWEEPD_ADDR) $(SWEEPD_GRID) $(SWEEPD_FAULTS) \
+		-out results/sweepd-faults-warm.json \
+		> results/sweepd-faults-warm.txt 2> results/sweepd-faults-warm.err; \
 	curl -s -o results/sweepd-reject.json -w '%{http_code}' -d '$(SWEEPD_REJECT)' \
 		http://$(SWEEPD_ADDR)/jobs > results/sweepd-reject.code; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs -o results/sweepd-jobs.json; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs/job-1/result -o results/sweepd-cold-again.json; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs/job-1/events -o results/sweepd-cold-events.ndjson; \
 	curl -sf http://$(SWEEPD_ADDR)/jobs/job-3/events -o results/sweepd-warm-events.ndjson; \
+	curl -sf http://$(SWEEPD_ADDR)/jobs/job-5/events -o results/sweepd-faults-events.ndjson; \
 	curl -sf http://$(SWEEPD_ADDR)/metrics -o results/sweepd-scrape.prom; \
 	kill $$pid; wait $$pid
-	grep -q '^sweepd_cache_hits_total 8$$' results/sweepd-scrape.prom
-	grep -q '^sweepd_cache_misses_total 4$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_hits_total 16$$' results/sweepd-scrape.prom
+	grep -q '^sweepd_cache_misses_total 12$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_corrupt_total 0$$' results/sweepd-scrape.prom
 	grep -q '^sweepd_cache_derived_total 4$$' results/sweepd-scrape.prom
 	grep -q '2 served from cache' results/sweepd-tuned.err
 	grep -q '4 served from cache' results/sweepd-warm.err
 	grep -q '2 served from cache' results/sweepd-tuned2.err
-	test "$$(ls results/sweepd-cache | grep -v '^index.json$$' | wc -l)" -eq 4
+	grep -q '; 0 served from cache' results/sweepd-faults-cold.err
+	grep -q '8 served from cache' results/sweepd-faults-warm.err
+	test "$$(ls results/sweepd-cache | grep -v '^index.json$$' | wc -l)" -eq 12
 	test "$$(cat results/sweepd-reject.code)" -eq 400
 	grep -q '\\"TR\\"' results/sweepd-reject.json
-	test "$$(grep -o '"id":' results/sweepd-jobs.json | wc -l)" -eq 4
+	test "$$(grep -o '"id":' results/sweepd-jobs.json | wc -l)" -eq 6
 	cmp results/sweepd-cold.json results/sweepd-local.json
 	cmp results/sweepd-cold-again.json results/sweepd-local.json
 	cmp results/sweepd-tuned.json results/sweepd-tuned-local.json
 	cmp results/sweepd-warm.json results/sweepd-local.json
 	cmp results/sweepd-tuned2.json results/sweepd-tuned-local.json
+	cmp results/sweepd-faults-cold.json results/sweepd-faults-local.json
+	cmp results/sweepd-faults-warm.json results/sweepd-faults-local.json
 	test "$$(grep -c '^{"cell":' results/sweepd-cold-events.ndjson)" -eq 4
 	test "$$(grep -c '^{"cell":"[^"]*","state":"done","fingerprint":".*","elapsed_ms":' results/sweepd-cold-events.ndjson)" -eq 4
 	test "$$(grep -c '^{"cell":' results/sweepd-warm-events.ndjson)" -eq 4
 	test "$$(grep -c '^{"cell":"[^"]*","state":"cached","fingerprint":".*"}$$' results/sweepd-warm-events.ndjson)" -eq 4
-	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs', and so is the cold job's result fetched again after the three later jobs; the finished cold and warm jobs' events list their 4 cells as run and as cached; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the cold job's 4 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
+	sed -n 's/^ *"fingerprint": "\(.*\)"$$/\1/p' results/sweepd-faults-cold.json > results/sweepd-faults-fps.txt
+	test "$$(wc -l < results/sweepd-faults-fps.txt)" -eq 8
+	test "$$(grep -c '^{"cell":' results/sweepd-faults-events.ndjson)" -eq 8
+	@while IFS= read -r fp; do \
+		grep -qF "\"fingerprint\":\"$$fp\"" results/sweepd-faults-events.ndjson || \
+			{ echo "sweepd-smoke: the cold fault job's events lack its result's fingerprint $$fp"; exit 1; }; \
+	done < results/sweepd-faults-fps.txt
+	@echo "sweepd-smoke: OK — cold, tuned, all-cached and re-tuned result files cmp-equal to the local runs', and so is the cold job's result fetched again after the three later jobs; the finished cold and warm jobs' events list their 4 cells as run and as cached; the cold and warm fault-axis jobs' result files cmp-equal to the local run's, and the cold one's events carry all 8 of its result's fingerprints; each tuned job reused the 2 unchanged d-MCS cells and derived the 2 RMA-RW cells from stored siblings, and the cache holds only the two cold jobs' 4 + 8 entries; a grid with TR on D-MCS alone was refused with 400 and minted no job"
 
 # The paper's parameter-space slice (scheme registry + tunables axis);
 # its test runs both this grid and the -smoke one.

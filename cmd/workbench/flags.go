@@ -45,6 +45,24 @@ func parsePs(s string, single int) ([]int, error) {
 	return ps, nil
 }
 
+// nameAxis binds a comma-list flag to one of the grid's name axes.
+type nameAxis struct {
+	names *[]string
+	all   []string
+}
+
+func (a nameAxis) String() string {
+	if a.names == nil {
+		return "" // the flag package's zero value
+	}
+	return strings.Join(*a.names, ",")
+}
+
+func (a nameAxis) Set(s string) error {
+	*a.names = splitList(s, a.all)
+	return nil
+}
+
 // splitList splits a comma list into its non-blank entries; "all"
 // selects every name in all.
 func splitList(s string, all []string) []string {

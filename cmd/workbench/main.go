@@ -56,7 +56,8 @@ import (
 	"rmalocks/internal/workload"
 )
 
-// runOpts carries the parsed, validated flags into run.
+// runOpts carries the parsed flags into run: the grid's flags bind
+// straight into grid.
 type runOpts struct {
 	grid             sweep.Grid
 	jobs             int
@@ -65,96 +66,76 @@ type runOpts struct {
 	cpuprof, memprof string
 	trace, tracecsv  string
 	listen           string
+	submit           string
 	metricsOut       string
 }
 
 func main() {
-	var (
-		schemes    = flag.String("schemes", "all", "comma-separated lock schemes (registry names or aliases, or "+workload.SchemeFoMPIA+": no lock, DHT workloads only), or 'all' ("+strings.Join(workload.Schemes, ",")+")")
-		workloads  = flag.String("workloads", "empty", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
-		profiles   = flag.String("profiles", "uniform,zipf,bursty", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
-		p          = flag.Int("p", 64, "process count (ignored when -ps is set)")
-		psFlag     = flag.String("ps", "", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512")
-		ppn        = flag.Int("ppn", 16, "processes per node")
-		iters      = flag.Int("iters", 50, "measured cycles per process")
-		seed       = flag.Int64("seed", 1, "machine seed (runs are deterministic per seed)")
-		fw         = flag.Float64("fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
-		nlocks     = flag.Int("locks", 8, "lock-set size for multi-lock profiles (clamped to p for dht)")
-		zipfS      = flag.Float64("zipfs", 1.2, "Zipf skew exponent")
-		jobs       = flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
-		check      = flag.Bool("check", false, "run every cell twice and verify byte-identical reports")
-		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		out        = flag.String("out", "", "persist the run as JSON (e.g. results/sweep.json)")
-		engine     = flag.String("engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
-		memprof    = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-		traceOut   = flag.String("trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
-		tracecsv   = flag.String("tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
-		listen     = flag.String("listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
-		submit     = flag.String("submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
-		metricsOut = flag.String("metrics-out", "", "write the merged post-run metrics snapshot (counters, gauges incl. process heap/sys bytes, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
-	)
-	var tunes tuneAxes
-	flag.Var(&tunes, "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
-	var faults faultAxes
-	flag.Var(&faults, "faults", "fault-injection profile 'jitter=0.2,stragglers=4x1%,stall=50us@0.01,timeout=200us' (repeatable; each profile becomes an extra cell next to a fault-free baseline cell)")
+	var opts runOpts
+	g, d := &opts.grid, sweep.Defaults()
+	// The flags' defaults are the grid's own, so whatever -seed and -zipfs
+	// hold was chosen: a zero is seed 0 or a uniform draw, which fill
+	// must not re-default.
+	g.SeedSet, g.ZipfSSet = true, true
+	g.Schemes, g.Workloads, g.Profiles, g.Ps = workload.Schemes, []string{"empty"}, []string{"uniform", "zipf", "bursty"}, d.Ps
+	flag.Var(nameAxis{&g.Schemes, workload.Schemes}, "schemes", "comma-separated lock schemes (registry names or aliases, or "+workload.SchemeFoMPIA+": no lock, DHT workloads only), or 'all' ("+strings.Join(workload.Schemes, ",")+")")
+	flag.Var(nameAxis{&g.Workloads, workload.WorkloadNames}, "workloads", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
+	flag.Var(nameAxis{&g.Profiles, workload.ProfileNames}, "profiles", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
+	listed := false // a -ps list wins over -p, whichever comes first
+	flag.Func("p", fmt.Sprintf("process `count` (ignored when -ps is set; default %d)", d.Ps[0]), func(s string) error {
+		p, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err == nil && !listed {
+			g.Ps = []int{int(p)}
+		}
+		return err
+	})
+	flag.Func("ps", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512", func(s string) (err error) {
+		g.Ps, err = parsePs(s, g.Ps[0])
+		listed = s != ""
+		return err
+	})
+	flag.IntVar(&g.ProcsPerNode, "ppn", d.ProcsPerNode, "processes per node")
+	flag.IntVar(&g.Iters, "iters", d.Iters, "measured cycles per process")
+	flag.Int64Var(&g.Seed, "seed", d.Seed, "machine seed (runs are deterministic per seed)")
+	flag.Float64Var(&g.FW, "fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
+	flag.IntVar(&g.Locks, "locks", d.Locks, "lock-set size for multi-lock profiles (clamped to p for dht)")
+	flag.Float64Var(&g.ZipfS, "zipfs", d.ZipfS, "Zipf skew exponent")
+	flag.StringVar(&g.Engine, "engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
+	flag.Var((*tuneAxes)(&g.Tunables), "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
+	flag.Var((*faultAxes)(&g.Faults), "faults", "fault-injection profile 'jitter=0.2,stragglers=4x1%,stall=50us@0.01,timeout=200us' (repeatable; each profile becomes an extra cell next to a fault-free baseline cell)")
+	flag.IntVar(&opts.jobs, "j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
+	flag.BoolVar(&opts.check, "check", false, "run every cell twice and verify byte-identical reports")
+	flag.BoolVar(&opts.csv, "csv", false, "emit CSV instead of an aligned table")
+	flag.StringVar(&opts.out, "out", "", "persist the run as JSON (e.g. results/sweep.json)")
+	flag.StringVar(&opts.cpuprof, "cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+	flag.StringVar(&opts.memprof, "memprofile", "", "write a heap profile (after GC) to this file on exit")
+	flag.StringVar(&opts.trace, "trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
+	flag.StringVar(&opts.tracecsv, "tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
+	flag.StringVar(&opts.listen, "listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
+	flag.StringVar(&opts.submit, "submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
+	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the merged post-run metrics snapshot (counters, gauges incl. process heap/sys bytes, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 	flag.Parse()
 
-	ps, err := parsePs(*psFlag, *p)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	// Flags whose zero value is meaningful must not be re-defaulted by
-	// the grid: -seed 0 and -zipfs 0 set the explicit-zero markers so
-	// Grid.fill leaves them alone (see Grid's zero-value semantics).
-	var seedSet, zipfSSet bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			seedSet = true
-		case "zipfs":
-			zipfSSet = true
-		}
-	})
-
-	opts := runOpts{
-		grid: sweep.Grid{
-			Schemes:   splitList(*schemes, workload.Schemes),
-			Workloads: splitList(*workloads, workload.WorkloadNames),
-			Profiles:  splitList(*profiles, workload.ProfileNames),
-			Ps:        ps,
-			Iters:     *iters, ProcsPerNode: *ppn, Seed: *seed, SeedSet: seedSet,
-			FW: *fw, Locks: *nlocks, ZipfS: *zipfS, ZipfSSet: zipfSSet, Engine: *engine,
-			Tunables: tunes,
-			Faults:   faults,
-		},
-		jobs: *jobs, check: *check, csv: *csv, out: *out,
-		cpuprof: *cpuprof, memprof: *memprof,
-		trace: *traceOut, tracecsv: *tracecsv,
-		listen: *listen, metricsOut: *metricsOut,
-	}
 	if opts.trace != "" || opts.tracecsv != "" {
 		// Tracing a sweep fills the per-cell Jain/locality columns and
 		// keeps each cell's raw sink for export.
-		opts.grid.Trace = trace.ClassSemantic
+		g.Trace = trace.ClassSemantic
 	}
 	// The grid is checked before profiling starts or anything is
 	// submitted: one that would run nothing, or something other than
 	// what the flags name, is a usage error.
-	if _, err := opts.grid.Cells(); err != nil {
+	if _, err := g.Cells(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *submit != "" {
+	if opts.submit != "" {
 		// Client mode: the daemon computes; local-only modes are
 		// rejected eagerly rather than silently ignored or run locally.
 		if err := checkSubmitFlags(opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		os.Exit(runSubmit(*submit, opts, gridTitle(opts.grid)))
+		os.Exit(runSubmit(opts.submit, opts, gridTitle(opts.grid)))
 	}
 	// The work happens inside run so that its deferred profile writers
 	// always execute; os.Exit only fires out here, after they flushed.

@@ -38,44 +38,44 @@ const (
 type Profile struct {
 	// Seed perturbs the fault hash stream independently of the machine
 	// seed (0 = derive everything from the machine seed alone).
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 
 	// Jitter adds up to Jitter×RTT of per-op round-trip jitter
 	// (e.g. 0.2 = up to +20% per hop). Must be in [0, 16].
-	Jitter float64 `json:"jitter,omitempty"`
+	Jitter float64
 
 	// CongestFactor multiplies the RTT of network links (distance >= 2)
 	// by this factor during congestion windows. Must be >= 1 (1 = off).
-	CongestFactor float64 `json:"congest_factor,omitempty"`
+	CongestFactor float64
 	// CongestDuty is the fraction of each period the window is
 	// congested, in (0, 1].
-	CongestDuty float64 `json:"congest_duty,omitempty"`
+	CongestDuty float64
 	// CongestPeriod is the square-wave period in virtual ns
 	// (DefaultCongestPeriod when zero).
-	CongestPeriod int64 `json:"congest_period,omitempty"`
+	CongestPeriod int64
 
 	// StragglerFactor multiplies the occupancy of ops targeting a
 	// straggler rank. Must be >= 1 (1 = off).
-	StragglerFactor float64 `json:"straggler_factor,omitempty"`
+	StragglerFactor float64
 	// StragglerFrac is the fraction of ranks that are stragglers,
 	// in (0, 1]. Membership is a pure function of (seed, rank).
-	StragglerFrac float64 `json:"straggler_frac,omitempty"`
+	StragglerFrac float64
 
 	// Stall defers an op by this many virtual ns (the rank is
 	// descheduled mid-protocol, e.g. a stalled lock holder).
-	Stall int64 `json:"stall,omitempty"`
+	Stall int64
 	// StallProb is the per-op probability of a stall, in (0, 1].
-	StallProb float64 `json:"stall_prob,omitempty"`
+	StallProb float64
 
 	// Timeout bounds each lock acquire attempt (virtual ns). Requires a
 	// scheme with the CapTimeout capability; others are typed-rejected.
-	Timeout int64 `json:"timeout,omitempty"`
+	Timeout int64
 	// Retries is the number of backed-off re-attempts after the first
 	// timed-out acquire before the rank gives up on the cycle.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 	// AbortOnExhaust aborts the whole run with ErrRetriesExhausted when
 	// a rank runs out of retries, instead of abandoning the cycle.
-	AbortOnExhaust bool `json:"abort_on_exhaust,omitempty"`
+	AbortOnExhaust bool
 }
 
 // UnknownKeyError reports an unrecognized key in a fault spec string.
@@ -319,6 +319,19 @@ func (p *Profile) Canonical() string {
 }
 
 func (p *Profile) String() string { return p.Canonical() }
+
+// MarshalText is Canonical: a profile crosses the wire as its spec.
+func (p *Profile) MarshalText() ([]byte, error) { return []byte(p.Canonical()), nil }
+
+// UnmarshalText is Parse, typed errors included.
+func (p *Profile) UnmarshalText(text []byte) error {
+	q, err := Parse(string(text))
+	if err != nil {
+		return err
+	}
+	*p = *q
+	return nil
+}
 
 // Clone returns a copy (profiles are plain values; Clone exists so
 // callers holding a *Profile can snapshot it safely).

@@ -29,10 +29,13 @@ func compactGrid(ps ...int) sweep.Grid {
 }
 
 // TestFinishedJobKeepsEventLines: a done job's tracker reads its cells'
-// keys and fingerprints back from the job's fragments, and writes the
-// bytes it wrote while it held them: for a job with cells that ran, hit
-// the cache and derived from a stored sibling, and for a job with a
-// fault axis, which keeps its records.
+// keys and fingerprints back from the job's fragments, so each cell line
+// carries the fingerprint the job's result serves for that cell. For a
+// job with cells that ran, hit the cache and derived from a stored
+// sibling, those are the bytes the tracker wrote while it held its
+// records; a job with a fault axis gives its degraded cells new
+// fingerprints in the degradation join, after the tracker saw them, and
+// its lines now carry the joined ones.
 func TestFinishedJobKeepsEventLines(t *testing.T) {
 	store, _, err := cache.Open(t.TempDir(), 0)
 	if err != nil {
@@ -55,10 +58,10 @@ func TestFinishedJobKeepsEventLines(t *testing.T) {
 	faulted := compactGrid(8)
 	faulted.Faults = []*fault.Profile{jitter}
 	for _, tc := range []struct {
-		name    string
-		g       sweep.Grid
-		compact bool
-	}{{"ran, cached and derived", mixed, true}, {"fault axis", faulted, false}} {
+		name   string
+		g      sweep.Grid
+		joined bool
+	}{{"ran, cached and derived", mixed, false}, {"fault axis", faulted, true}} {
 		cells, err := tc.g.Cells()
 		if err != nil {
 			t.Fatal(err)
@@ -76,14 +79,48 @@ func TestFinishedJobKeepsEventLines(t *testing.T) {
 		if err := j.prog.WriteNDJSON(&after); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		if !tc.joined && !bytes.Equal(after.Bytes(), before.Bytes()) {
 			t.Errorf("%s: a done job's events changed:\nbefore:\n%s\nafter:\n%s", tc.name, before.Bytes(), after.Bytes())
 		}
 		// Compact refuses a tracker it has compacted already.
-		if compacted := !j.prog.Compact(fragmentText(j.frags)); compacted != tc.compact {
-			t.Errorf("%s: tracker compacted %v, want %v", tc.name, compacted, tc.compact)
+		if j.prog.Compact(fragmentText(j.frags)) {
+			t.Errorf("%s: finish left the tracker uncompacted", tc.name)
 		}
-		if tc.compact {
+		// What Manager.AppendResult serves for the job.
+		var rf sweep.RunFile
+		if err := json.Unmarshal(sweep.AppendFragments(nil, j.ID, j.frags), &rf); err != nil {
+			t.Fatal(err)
+		}
+		served := map[string]string{}
+		for _, c := range rf.Cells {
+			served[c.Key.String()] = c.Fingerprint
+		}
+		lines, moved := 0, 0
+		sc := bufio.NewScanner(bytes.NewReader(after.Bytes()))
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			var l obs.CellLine
+			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+				t.Fatal(err)
+			}
+			if l.Cell == "" {
+				continue // the summary
+			}
+			lines++
+			if l.Fingerprint != served[l.Cell] {
+				t.Errorf("%s: cell %s's event line carries fingerprint\n%s\nits result holds\n%s", tc.name, l.Cell, l.Fingerprint, served[l.Cell])
+			}
+			if !strings.Contains(before.String(), `"fingerprint":"`+l.Fingerprint+`"`) {
+				moved++
+			}
+		}
+		if lines != len(rf.Cells) {
+			t.Errorf("%s: %d cell lines for %d cells", tc.name, lines, len(rf.Cells))
+		}
+		if tc.joined && moved == 0 {
+			t.Errorf("%s: no cell's fingerprint moved in the degradation join: the case checks nothing", tc.name)
+		}
+		if !tc.joined {
 			ran := strings.Count(before.String(), `"elapsed_ms":`) - 1 // the summary's
 			cached := strings.Count(before.String(), `"state":"cached"`)
 			derived := strings.Count(before.String(), `"state":"done"`) - ran

@@ -284,8 +284,10 @@ func TestHTTPErrors(t *testing.T) {
 	// counts the simulator would panic on (on a sweep worker, taking the
 	// daemon with it), and one with an entry it would not run (an
 	// unknown name, an axis no scheme takes, a P below 1, a tunables
-	// axis with no values, foMPI-A with no workload it can run) → 400 with a JSON error body naming the field
-	// or the entry, and no job.
+	// axis with no values, foMPI-A with no workload it can run, a fault
+	// entry that is null, empty or does not parse, a field that exists
+	// only in-process) → 400 with a JSON error body naming the field or
+	// the entry, and no job.
 	const grid = `{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"],`
 	for _, tc := range []struct{ body, want string }{
 		{`{"bogus_field":1}`, "error"},
@@ -300,6 +302,10 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"schemes":["RMA-MSC"],"workloads":["empty"],"profiles":["uniform"]}`, `\"RMA-MSC\"`},
 		{grid + `"tunables":[{"key":"TR","values":[1,2]}]}`, `\"TR\"`},
 		{grid + `"faults":["timeout=200000"]}`, `\"timeout=200000\"`},
+		{grid + `"faults":["no-such-fault=1"]}`, `\"no-such-fault\"`},
+		{grid + `"faults":[null]}`, "faults"},
+		{grid + `"faults":[""]}`, "perturbs nothing"},
+		{grid + `"trace":1}`, `\"trace\"`},
 		{grid + `"ps":[0]}`, `ps axis: \"0\"`},
 		{`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"],"tunables":[{"key":"TR","values":[]}]}`, "TR axis: no values"},
 		{`{"schemes":["foMPI-A","RMA-RW"],"workloads":["empty","counter"],"profiles":["uniform"]}`, `schemes axis: \"foMPI-A\"`},

@@ -9,7 +9,6 @@ package jobq
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"rmalocks/internal/obs"
@@ -287,15 +286,14 @@ func (m *Manager) run(j *Job) {
 // finish keeps the fragments of a job whose every cell succeeded, its
 // result. They hold each cell's key and fingerprint, so the tracker
 // reads its lines' back from them (sweep.AppendKeyText) and drops its
-// own. Not so with a fault axis: the tracker saw the cells before the
-// degradation join (sweep.Run), which gives fault cells new
-// fingerprints, so such a job keeps its tracker's records.
+// own; a degraded fault cell's line then carries the fingerprint of
+// the degradation join (sweep.Run), as its result does.
 func (j *Job) finish(results []sweep.CellResult) {
 	frags, err := fragments(results)
 	j.mu.Lock()
 	j.frags, j.fragErr = frags, err
 	j.mu.Unlock()
-	if err == nil && !slices.ContainsFunc(results, func(r sweep.CellResult) bool { return r.Key.Faults != "" }) {
+	if err == nil {
 		j.prog.Compact(fragmentText(frags))
 	}
 }

@@ -132,6 +132,71 @@ func TestGridCodecStrictDecode(t *testing.T) {
 	}
 }
 
+// TestEncodeGridBytes pins the wire form byte for byte: member names and
+// order, the omitted zero fields, the nil (baseline) fault entry left
+// out and a profile written as its canonical spec.
+func TestEncodeGridBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    sweep.Grid
+		want string
+	}{
+		{"every field", wireGrid(t), `{"schemes":["D-MCS","RMA-RW"],"workloads":["empty"],"profiles":["uniform","zipf"],` +
+			`"ps":[8,16],"ppn":4,"iters":50,"seed":99,"seed_set":true,"fw":0.3,"locks":16,"zipfs":1.1,"zipfs_set":true,` +
+			`"think_ns":1500,"think_jitter_ns":200,"remote_pct":250,"tunables":[{"key":"TR","values":[500,1000]}],` +
+			`"faults":["jitter=0.2,seed=7,stall=50000@0.01"],"engine":"ref"}`},
+		{"axes only", sweep.Grid{Schemes: []string{"RMA-RW"}, Workloads: []string{"empty"}, Profiles: []string{"uniform"}},
+			`{"schemes":["RMA-RW"],"workloads":["empty"],"profiles":["uniform"]}`},
+	} {
+		got, err := sweep.EncodeGrid(tc.g)
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%s: EncodeGrid = %s, %v\nwant %s", tc.name, got, err, tc.want)
+		}
+	}
+}
+
+// TestGridCodecRefusals: a posted body that names something other than
+// a grid of cells to run is refused, by DecodeGrid or by Cells — a field
+// that only exists in-process, a null or empty fault entry, an entry
+// that is no profile, a profile that does not parse (with the fault
+// package's typed error).
+func TestGridCodecRefusals(t *testing.T) {
+	const grid = `{"schemes":["D-MCS"],"workloads":["empty"],"profiles":["uniform"]`
+	var uk *fault.UnknownKeyError
+	var ve *fault.ValueError
+	var ae sweep.AxisError
+	faultAxis := func(err error) bool { return errors.As(err, &ae) && ae.Axis == "faults" }
+	for _, tc := range []struct {
+		body, want string
+		is         func(error) bool
+	}{
+		{`,"trace":1}`, `unknown field "trace"`, nil},
+		{`,"Trace":0}`, `unknown field "Trace"`, nil},
+		{`,"obs":{}}`, `unknown field "obs"`, nil},
+		{`,"Obs":null}`, `unknown field "Obs"`, nil},
+		{`,"faults":[null]}`, "faults", faultAxis},
+		{`,"faults":["jitter=0.2",null]}`, "faults", faultAxis},
+		{`,"faults":[""]}`, "perturbs nothing", faultAxis},
+		{`,"faults":[1]}`, "cannot unmarshal number", nil},
+		{`,"faults":[{}]}`, "cannot unmarshal object", nil},
+		{`,"faults":["no-such-fault=1"]}`, `"no-such-fault"`, func(err error) bool { return errors.As(err, &uk) }},
+		{`,"faults":["jitter=-3"]}`, `jitter="-3"`, func(err error) bool { return errors.As(err, &ve) }},
+	} {
+		g, err := sweep.DecodeGrid([]byte(grid + tc.body))
+		if err == nil {
+			_, err = g.Cells()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) || tc.is != nil && !tc.is(err) {
+			t.Errorf("%s: err = %v, want a refusal naming %s", tc.body, err, tc.want)
+		}
+	}
+	if g, err := sweep.DecodeGrid([]byte(grid + `,"faults":["jitter=0.2"]}`)); err != nil {
+		t.Fatal(err)
+	} else if _, err := g.Cells(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGridCellBound: a small body can name a grid of millions of cells;
 // it is refused before a cell is built.
 func TestGridCellBound(t *testing.T) {
@@ -254,6 +319,11 @@ func FuzzDecodeGrid(f *testing.F) {
 	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"tunables":[{"key":"TR","values":[1,2]}]}`))
 	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"faults":["timeout=200000"]}`))
 	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"faults":[""]}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"faults":[null]}`))
+	// Fields that exist only in-process.
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"trace":1}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"obs":{}}`))
+	f.Add([]byte(`{"schemes":["D-MCS"],` + axes + `,"Obs":null}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(nil))
 

@@ -548,49 +548,56 @@ func runOnce(c Cell, witnessed bool) (workload.Report, int, *trace.Sink, workloa
 // default fill; zero-valued grids without the flags keep enumerating
 // the default parameter space byte-identically (persisted baselines
 // never move).
+//
+// A Grid is also its own JSON wire form (EncodeGrid, DecodeGrid): the
+// request body of cmd/sweepd's POST /jobs and the payload of `workbench
+// -submit`. The wire covers exactly the fields that define what a sweep
+// computes; the server-side attachment (Obs) and the unserializable
+// trace mode (Trace) are deliberately not wire-expressible, so a
+// submitted grid always produces cacheable, byte-reproducible cells.
 type Grid struct {
 	// Schemes, Workloads and Profiles name the axes (workload.Schemes
 	// by registry name or alias, or workload.SchemeFoMPIA;
 	// workload.WorkloadNames; workload.ProfileNames). Cells rejects an
 	// empty axis and a name it does not know.
-	Schemes   []string
-	Workloads []string
-	Profiles  []string
+	Schemes   []string `json:"schemes"`
+	Workloads []string `json:"workloads"`
+	Profiles  []string `json:"profiles"`
 	// Ps is the process-count axis (e.g. 16→512 to reproduce the
 	// paper's scaling figures in one invocation); every P is at least 1.
 	// Default {64}.
-	Ps []int
+	Ps []int `json:"ps,omitempty"`
 
 	// ProcsPerNode is the machine shape (default 16).
-	ProcsPerNode int
+	ProcsPerNode int `json:"ppn,omitempty"`
 	// Iters is the measured cycles per process (default 50); it also
 	// sets the sweep profile's span.
-	Iters int
+	Iters int `json:"iters,omitempty"`
 	// Seed seeds every cell (default 1 unless SeedSet). Note the machine
 	// layer treats seed 0 as 1 too, so an explicit zero seed runs the
 	// same simulation as the default — SeedSet only keeps the grid from
 	// rewriting the field.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// SeedSet marks Seed as explicitly chosen: fill leaves a zero Seed
 	// alone instead of defaulting it to 1.
-	SeedSet bool
+	SeedSet bool `json:"seed_set,omitempty"`
 	// FW is the writer fraction handed to the profiles.
-	FW float64
+	FW float64 `json:"fw,omitempty"`
 	// Locks is the lock-set size for multi-lock profiles (default 8;
 	// clamped to P for the sharded DHT workload).
-	Locks int
+	Locks int `json:"locks,omitempty"`
 	// ZipfS is the Zipf skew exponent (default 1.2 unless ZipfSSet).
-	ZipfS float64
+	ZipfS float64 `json:"zipfs,omitempty"`
 	// ZipfSSet marks ZipfS as explicitly chosen: fill leaves a zero
 	// exponent alone, making S=0 (a uniform draw — every lock equally
 	// hot) expressible from the workbench (-zipfs 0).
-	ZipfSSet bool
+	ZipfSSet bool `json:"zipfs_set,omitempty"`
 	// ThinkNs / ThinkJitterNs set post-release think time.
-	ThinkNs       int64
-	ThinkJitterNs int64
+	ThinkNs       int64 `json:"think_ns,omitempty"`
+	ThinkJitterNs int64 `json:"think_jitter_ns,omitempty"`
 	// RemotePct scales the calibrated inter-node latencies to this
 	// percent (workload.Spec.RemotePct; default 100).
-	RemotePct int64
+	RemotePct int64 `json:"remote_pct,omitempty"`
 	// Tunables adds the paper's lock parameter space as grid axes: the
 	// cross-product of every axis' values becomes extra cells, innermost
 	// in the canonical order, with the combination folded into each
@@ -600,7 +607,7 @@ type Grid struct {
 	// so mixed-scheme grids stay enumerable; an axis that no scheme of
 	// the grid accepts, or that has no values, is an AxisError. An empty
 	// list reproduces the pre-tunables grid byte-identically.
-	Tunables []TunableAxis
+	Tunables []TunableAxis `json:"tunables,omitempty"`
 	// Faults adds a fault-injection axis: each profile becomes an extra
 	// cell, innermost in the canonical order (inside the tunables
 	// cross-product), with the profile's canonical encoding folded into
@@ -613,26 +620,33 @@ type Grid struct {
 	// registry descriptor advertises CapTimeout (mirroring the
 	// tunables-axis projection; an MCS-queue node cannot abandon its
 	// slot), and one that no scheme of the grid can run is an AxisError.
-	// An empty axis reproduces the pre-fault grid byte-identically.
-	Faults []*fault.Profile
+	// An empty axis reproduces the pre-fault grid byte-identically. On
+	// the wire each profile is its canonical spec (internal/fault's
+	// grammar, e.g. "jitter=0.2,stall=50000@0.01") and a nil entry, the
+	// baseline, is left out.
+	Faults []*fault.Profile `json:"faults,omitempty"`
 	// Engine selects the scheduler implementation for every cell ("" or
 	// "fast" = token-owned fast path, "ref" = reference engine; Cells
 	// rejects any other name); the workbench -engine flag exposes it for
 	// ad-hoc differential sweeps.
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// Trace, when nonzero, attaches a fresh trace sink with this class
 	// mask to every cell (cells run in parallel, so sinks are per-cell),
 	// filling the per-cell Report.Fairness / Report.HandoffLocality
 	// metrics and returning the raw sinks via CellResult.Trace.
-	Trace trace.Class
+	Trace trace.Class `json:"-"`
 	// Obs, when non-nil, attaches the live observability instruments to
 	// every cell (see workload.Spec.Obs): phase spans and per-rank
 	// iteration counters. One registry is shared across all cells (every
 	// instrument is concurrency-safe and merge-by-sum), so /metrics shows
 	// sweep-wide totals mid-run. Observation only: with Obs on or off
 	// every report and fingerprint is byte-identical (test-enforced).
-	Obs *obs.Registry
+	Obs *obs.Registry `json:"-"`
 }
+
+// Defaults returns what a zero Grid enumerates with: the paper's
+// evaluation setup, which fill gives every zero field.
+func Defaults() Grid { return Grid{}.fill() }
 
 func (g Grid) fill() Grid {
 	if len(g.Ps) == 0 {
@@ -663,8 +677,8 @@ func (g Grid) fill() Grid {
 // space: a tunable key (registry form, e.g. "TR" or "TL2") and the
 // values to enumerate.
 type TunableAxis struct {
-	Key    string
-	Values []int64
+	Key    string  `json:"key"`
+	Values []int64 `json:"values"`
 }
 
 // DuplicateAxisError reports a tunables axis key that appears more than
@@ -1302,9 +1316,8 @@ func (cs *cellSpec) spec(att *attachments) (workload.Spec, error) {
 	if err != nil {
 		return workload.Spec{}, err
 	}
-	// zipfs is the exponent to use as it stands: a zero was asked for.
 	prof, err := workload.ProfileByName(cs.Profile, workload.ProfileOpts{
-		Locks: cs.locks, FW: cs.fw, ZipfS: cs.zipfs, ZipfSSet: true, Span: cs.iters,
+		Locks: cs.locks, FW: cs.fw, ZipfS: cs.zipfs, Span: cs.iters,
 		ThinkNs: cs.think, ThinkJitterNs: cs.thinkj,
 	})
 	if err != nil {

@@ -228,7 +228,7 @@ func TestByNameHelpers(t *testing.T) {
 		t.Error("want error for bogus workload")
 	}
 	for _, name := range workload.ProfileNames {
-		pr, err := workload.ProfileByName(name, workload.ProfileOpts{Locks: 4, FW: 0.2})
+		pr, err := workload.ProfileByName(name, workload.ProfileOpts{Locks: 4, FW: 0.2, ZipfS: 1.2})
 		if err != nil {
 			t.Errorf("ProfileByName(%q): %v", name, err)
 			continue

@@ -266,11 +266,9 @@ type ProfileOpts struct {
 	Locks int
 	// FW is the writer fraction (sweep uses it as the end point).
 	FW float64
-	// ZipfS is the Zipf skew exponent (default 1.2 unless ZipfSSet).
+	// ZipfS is the Zipf skew exponent, used as given: zero is a uniform
+	// draw (sweep.Grid gives a zero exponent the 1.2 default).
 	ZipfS float64
-	// ZipfSSet marks ZipfS as explicitly chosen: a zero exponent then
-	// means a uniform draw instead of the 1.2 default.
-	ZipfSSet bool
 	// Span is the sweep length in iterations (default 100).
 	Span int
 	// ThinkNs / ThinkJitterNs set post-release think time.
@@ -284,11 +282,7 @@ func ProfileByName(name string, o ProfileOpts) (Profile, error) {
 	case "uniform":
 		return Uniform{NumLocks: o.Locks, FW: o.FW, ThinkNs: o.ThinkNs, ThinkJitterNs: o.ThinkJitterNs}, nil
 	case "zipf":
-		s := o.ZipfS
-		if s == 0 && !o.ZipfSSet {
-			s = 1.2
-		}
-		z := NewZipf(o.Locks, s, o.FW)
+		z := NewZipf(o.Locks, o.ZipfS, o.FW)
 		z.ThinkNs, z.ThinkJitterNs = o.ThinkNs, o.ThinkJitterNs
 		return z, nil
 	case "bursty":
