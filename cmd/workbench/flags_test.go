@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -160,6 +161,38 @@ func TestParsePs(t *testing.T) {
 		var ae sweep.AxisError
 		if _, err := g.Cells(); !errors.As(err, &ae) || ae.Axis != "ps" {
 			t.Errorf("-ps %s: got %v, want an AxisError for ps", s, err)
+		}
+	}
+}
+
+// TestPFlags pins how -p and -ps combine, in any order: the last
+// non-empty -ps list wins over -p, and an empty last -ps falls back to
+// the last -p (64 when there is none).
+func TestPFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []int
+	}{
+		{nil, []int{64}},
+		{[]string{"-p", "8"}, []int{8}},
+		{[]string{"-ps", "16,32"}, []int{16, 32}},
+		{[]string{"-p", "8", "-ps", "16,32"}, []int{16, 32}},
+		{[]string{"-ps", "16,32", "-p", "8"}, []int{16, 32}},
+		{[]string{"-ps", ""}, []int{64}},
+		{[]string{"-ps", "", "-p", "8"}, []int{8}},
+		{[]string{"-p", "8", "-ps", "16,32", "-ps", ""}, []int{8}},
+		{[]string{"-ps", "16,32", "-p", "8", "-ps", ""}, []int{8}},
+		{[]string{"-p", "8", "-ps", "16", "-p", "9", "-ps", ""}, []int{9}},
+		{[]string{"-ps", "16", "-ps", "32,64"}, []int{32, 64}},
+	} {
+		var opts runOpts
+		fs := flag.NewFlagSet("workbench", flag.ContinueOnError)
+		bindFlags(fs, &opts)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if !reflect.DeepEqual(opts.grid.Ps, tc.want) {
+			t.Errorf("%q: Ps = %v, want %v", tc.args, opts.grid.Ps, tc.want)
 		}
 	}
 }

@@ -72,49 +72,9 @@ type runOpts struct {
 
 func main() {
 	var opts runOpts
-	g, d := &opts.grid, sweep.Defaults()
-	// The flags' defaults are the grid's own, so whatever -seed and -zipfs
-	// hold was chosen: a zero is seed 0 or a uniform draw, which fill
-	// must not re-default.
-	g.SeedSet, g.ZipfSSet = true, true
-	g.Schemes, g.Workloads, g.Profiles, g.Ps = workload.Schemes, []string{"empty"}, []string{"uniform", "zipf", "bursty"}, d.Ps
-	flag.Var(nameAxis{&g.Schemes, workload.Schemes}, "schemes", "comma-separated lock schemes (registry names or aliases, or "+workload.SchemeFoMPIA+": no lock, DHT workloads only), or 'all' ("+strings.Join(workload.Schemes, ",")+")")
-	flag.Var(nameAxis{&g.Workloads, workload.WorkloadNames}, "workloads", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
-	flag.Var(nameAxis{&g.Profiles, workload.ProfileNames}, "profiles", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
-	listed := false // a -ps list wins over -p, whichever comes first
-	flag.Func("p", fmt.Sprintf("process `count` (ignored when -ps is set; default %d)", d.Ps[0]), func(s string) error {
-		p, err := strconv.ParseInt(s, 0, strconv.IntSize)
-		if err == nil && !listed {
-			g.Ps = []int{int(p)}
-		}
-		return err
-	})
-	flag.Func("ps", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512", func(s string) (err error) {
-		g.Ps, err = parsePs(s, g.Ps[0])
-		listed = s != ""
-		return err
-	})
-	flag.IntVar(&g.ProcsPerNode, "ppn", d.ProcsPerNode, "processes per node")
-	flag.IntVar(&g.Iters, "iters", d.Iters, "measured cycles per process")
-	flag.Int64Var(&g.Seed, "seed", d.Seed, "machine seed (runs are deterministic per seed)")
-	flag.Float64Var(&g.FW, "fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
-	flag.IntVar(&g.Locks, "locks", d.Locks, "lock-set size for multi-lock profiles (clamped to p for dht)")
-	flag.Float64Var(&g.ZipfS, "zipfs", d.ZipfS, "Zipf skew exponent")
-	flag.StringVar(&g.Engine, "engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
-	flag.Var((*tuneAxes)(&g.Tunables), "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
-	flag.Var((*faultAxes)(&g.Faults), "faults", "fault-injection profile 'jitter=0.2,stragglers=4x1%,stall=50us@0.01,timeout=200us' (repeatable; each profile becomes an extra cell next to a fault-free baseline cell)")
-	flag.IntVar(&opts.jobs, "j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
-	flag.BoolVar(&opts.check, "check", false, "run every cell twice and verify byte-identical reports")
-	flag.BoolVar(&opts.csv, "csv", false, "emit CSV instead of an aligned table")
-	flag.StringVar(&opts.out, "out", "", "persist the run as JSON (e.g. results/sweep.json)")
-	flag.StringVar(&opts.cpuprof, "cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
-	flag.StringVar(&opts.memprof, "memprofile", "", "write a heap profile (after GC) to this file on exit")
-	flag.StringVar(&opts.trace, "trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
-	flag.StringVar(&opts.tracecsv, "tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
-	flag.StringVar(&opts.listen, "listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
-	flag.StringVar(&opts.submit, "submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
-	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the merged post-run metrics snapshot (counters, gauges incl. process heap/sys bytes, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
+	bindFlags(flag.CommandLine, &opts)
 	flag.Parse()
+	g := &opts.grid
 
 	if opts.trace != "" || opts.tracecsv != "" {
 		// Tracing a sweep fills the per-cell Jain/locality columns and
@@ -140,6 +100,58 @@ func main() {
 	// The work happens inside run so that its deferred profile writers
 	// always execute; os.Exit only fires out here, after they flushed.
 	os.Exit(run(opts))
+}
+
+// bindFlags binds the flags into opts: the grid's straight into
+// opts.grid, with the grid's own defaults.
+func bindFlags(fs *flag.FlagSet, opts *runOpts) {
+	g, d := &opts.grid, sweep.Defaults()
+	// The flags' defaults are the grid's own, so whatever -seed and -zipfs
+	// hold was chosen: a zero is seed 0 or a uniform draw, which fill
+	// must not re-default.
+	g.SeedSet, g.ZipfSSet = true, true
+	g.Schemes, g.Workloads, g.Profiles, g.Ps = workload.Schemes, []string{"empty"}, []string{"uniform", "zipf", "bursty"}, d.Ps
+	fs.Var(nameAxis{&g.Schemes, workload.Schemes}, "schemes", "comma-separated lock schemes (registry names or aliases, or "+workload.SchemeFoMPIA+": no lock, DHT workloads only), or 'all' ("+strings.Join(workload.Schemes, ",")+")")
+	fs.Var(nameAxis{&g.Workloads, workload.WorkloadNames}, "workloads", "comma-separated workloads, or 'all' ("+strings.Join(workload.WorkloadNames, ",")+")")
+	fs.Var(nameAxis{&g.Profiles, workload.ProfileNames}, "profiles", "comma-separated contention profiles, or 'all' ("+strings.Join(workload.ProfileNames, ",")+")")
+	// A -ps list wins over -p, whichever comes first; an empty -ps
+	// falls back to -p.
+	p, listed := d.Ps[0], false
+	fs.Func("p", fmt.Sprintf("process `count` (ignored when -ps is set; default %d)", d.Ps[0]), func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err == nil {
+			p = int(v)
+			if !listed {
+				g.Ps = []int{p}
+			}
+		}
+		return err
+	})
+	fs.Func("ps", "comma-separated process-count sweep, e.g. 16,32,64,128,256,512", func(s string) (err error) {
+		g.Ps, err = parsePs(s, p)
+		listed = s != ""
+		return err
+	})
+	fs.IntVar(&g.ProcsPerNode, "ppn", d.ProcsPerNode, "processes per node")
+	fs.IntVar(&g.Iters, "iters", d.Iters, "measured cycles per process")
+	fs.Int64Var(&g.Seed, "seed", d.Seed, "machine seed (runs are deterministic per seed)")
+	fs.Float64Var(&g.FW, "fw", 0.1, "writer fraction (the sweep profile sweeps 0→fw, or 0→1 when fw is 0)")
+	fs.IntVar(&g.Locks, "locks", d.Locks, "lock-set size for multi-lock profiles (clamped to p for dht)")
+	fs.Float64Var(&g.ZipfS, "zipfs", d.ZipfS, "Zipf skew exponent")
+	fs.StringVar(&g.Engine, "engine", "", "scheduler engine: '' or 'fast' (token-owned fast path), 'ref' (reference; differential runs)")
+	fs.Var((*tuneAxes)(&g.Tunables), "tune", "tunables axis KEY=v1,v2,... (repeatable, e.g. -tune TR=250,500,1000 -tune TL2=16,32); cross-product applied to schemes accepting KEY")
+	fs.Var((*faultAxes)(&g.Faults), "faults", "fault-injection profile 'jitter=0.2,stragglers=4x1%,stall=50us@0.01,timeout=200us' (repeatable; each profile becomes an extra cell next to a fault-free baseline cell)")
+	fs.IntVar(&opts.jobs, "j", 0, "worker pool size (0 = GOMAXPROCS; 1 = serial)")
+	fs.BoolVar(&opts.check, "check", false, "run every cell twice and verify byte-identical reports")
+	fs.BoolVar(&opts.csv, "csv", false, "emit CSV instead of an aligned table")
+	fs.StringVar(&opts.out, "out", "", "persist the run as JSON (e.g. results/sweep.json)")
+	fs.StringVar(&opts.cpuprof, "cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+	fs.StringVar(&opts.memprof, "memprofile", "", "write a heap profile (after GC) to this file on exit")
+	fs.StringVar(&opts.trace, "trace", "", "capture event traces, export Chrome trace-event JSON (Perfetto-loadable) and print each traced cell's analysis to stderr; multi-cell grids get one file per cell. Holds the sched, rma and lock events; token hand-offs (dispatch) are a charge-class diagnostic and are not captured")
+	fs.StringVar(&opts.tracecsv, "tracecsv", "", "capture event traces, export raw event CSV and print each traced cell's analysis to stderr; multi-cell grids get one file per cell")
+	fs.StringVar(&opts.listen, "listen", "", "serve the observability plane on this address (e.g. :0 or 127.0.0.1:9137): /metrics (Prometheus), /progress (NDJSON; ?follow=1 streams), /debug/pprof")
+	fs.StringVar(&opts.submit, "submit", "", "submit the grid to a sweepd daemon (e.g. http://127.0.0.1:9139) instead of computing locally: streams progress, fetches the byte-stable result (works with -out/-csv; never falls back to a local run)")
+	fs.StringVar(&opts.metricsOut, "metrics-out", "", "write the merged post-run metrics snapshot (counters, gauges incl. process heap/sys bytes, phase spans) as JSON to this file — a side channel, never part of reports or fingerprints")
 }
 
 // gridTitle renders the run label shared by local tables, run files,

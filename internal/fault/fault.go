@@ -320,14 +320,16 @@ func (p *Profile) Canonical() string {
 
 func (p *Profile) String() string { return p.Canonical() }
 
-// MarshalText is Canonical: a profile crosses the wire as its spec.
-func (p *Profile) MarshalText() ([]byte, error) { return []byte(p.Canonical()), nil }
+// MarshalText is Canonical: a profile, value or pointer, crosses the
+// wire as its spec.
+func (p Profile) MarshalText() ([]byte, error) { return []byte(p.Canonical()), nil }
 
-// UnmarshalText is Parse, typed errors included.
+// UnmarshalText is Parse. Its error names the spec and wraps Parse's
+// typed error.
 func (p *Profile) UnmarshalText(text []byte) error {
 	q, err := Parse(string(text))
 	if err != nil {
-		return err
+		return fmt.Errorf("%q: %w", text, err)
 	}
 	*p = *q
 	return nil

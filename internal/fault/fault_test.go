@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"encoding/json"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +64,31 @@ func TestCanonicalRoundTrip(t *testing.T) {
 		if p2.Canonical() != canon {
 			t.Errorf("Canonical not a fixed point: %q → %q", canon, p2.Canonical())
 		}
+	}
+}
+
+// TestJSONIsSpec: a profile, value or pointer, marshals as its
+// canonical spec and unmarshals through Parse, whose typed error is
+// wrapped with the spec that failed.
+func TestJSONIsSpec(t *testing.T) {
+	p, err := Parse("stall=50us@0.01,jitter=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strconv.Quote(p.Canonical())
+	for _, v := range []any{*p, p, []Profile{*p}, []*Profile{p}} {
+		got, err := json.Marshal(v)
+		if err != nil || !strings.Contains(string(got), want) {
+			t.Errorf("json.Marshal(%T) = %s, %v; want the spec %s", v, got, err, want)
+		}
+	}
+	var q Profile
+	if err := json.Unmarshal([]byte(want), &q); err != nil || q != *p {
+		t.Errorf("json.Unmarshal(%s) = %+v, %v; want %+v", want, q, err, *p)
+	}
+	var val *ValueError
+	if err := json.Unmarshal([]byte(`"stall=50us@2"`), &q); !errors.As(err, &val) || !strings.Contains(err.Error(), `"stall=50us@2": `) {
+		t.Errorf("bad spec: got %v, want a *ValueError naming the spec", err)
 	}
 }
 

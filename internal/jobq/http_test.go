@@ -302,7 +302,7 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"schemes":["RMA-MSC"],"workloads":["empty"],"profiles":["uniform"]}`, `\"RMA-MSC\"`},
 		{grid + `"tunables":[{"key":"TR","values":[1,2]}]}`, `\"TR\"`},
 		{grid + `"faults":["timeout=200000"]}`, `\"timeout=200000\"`},
-		{grid + `"faults":["no-such-fault=1"]}`, `\"no-such-fault\"`},
+		{grid + `"faults":["jitter=0.2","no-such-fault=1"]}`, `\"no-such-fault=1\": fault: unknown key \"no-such-fault\"`},
 		{grid + `"faults":[null]}`, "faults"},
 		{grid + `"faults":[""]}`, "perturbs nothing"},
 		{grid + `"trace":1}`, `\"trace\"`},

@@ -181,6 +181,9 @@ func TestGridCodecRefusals(t *testing.T) {
 		{`,"faults":[{}]}`, "cannot unmarshal object", nil},
 		{`,"faults":["no-such-fault=1"]}`, `"no-such-fault"`, func(err error) bool { return errors.As(err, &uk) }},
 		{`,"faults":["jitter=-3"]}`, `jitter="-3"`, func(err error) bool { return errors.As(err, &ve) }},
+		// Of two entries that set the same key, the error names the one
+		// that failed.
+		{`,"faults":["stall=50us@0.01","jitter=0.5,stall=50us@2"]}`, `"jitter=0.5,stall=50us@2": `, func(err error) bool { return errors.As(err, &ve) }},
 	} {
 		g, err := sweep.DecodeGrid([]byte(grid + tc.body))
 		if err == nil {
